@@ -40,7 +40,6 @@ from .model import Scenario, pmf_omega
 from .numerics import (
     DEFAULT_QUADRATURE,
     QuadratureSpec,
-    bisect_monotone_array,
     erlang_quantile,
     find_root_monotone,
     integrate_adaptive,
@@ -245,17 +244,62 @@ def _verify_sir_monotone(alpha: float, omega: int, q: float) -> None:
             )
 
 
-def _boundary_t(r: np.ndarray, omega: int, alpha: float, q: float, thr: float):
-    """Dominant-interferer distance at which the SIR crosses ``thr``.
+# Bracket of s = ln(t/r) for the boundary solve.  The lower end
+# truncates a region of conditional mass below 1e-17, far under
+# quadrature tolerance.  The upper end is the largest s < 0, where
+# t = r to double precision and the ratio expm1(b s)/expm1(2 s) is
+# still defined.
+_S_LO = math.log(1e-9)
+_S_HI = -np.finfo(float).tiny
+_NEWTON_TOL = 1e-14
+_NEWTON_MAX_ITER = 64
 
-    Valid for ``r`` strictly below the support limit, where the bracket
-    [r * 1e-9, r] straddles the crossing.  The lower endpoint truncates
-    a region of conditional mass below 1e-17, far under quadrature
-    tolerance.
+
+def _boundary_t(r: np.ndarray, omega: int, alpha: float, q: float, gb: float):
+    """Dominant-interferer distance at which the SIR crosses ``beta/gamma``.
+
+    With ``u = t/r`` the crossing solves ``H(u) = c(r)``, where
+    ``H(u) = u**-alpha + A (u**b - 1)/(u**2 - 1)``, ``b = 2 - alpha``,
+    ``A = 2 (omega-1)/b`` and ``c(r) = gamma/beta - 2 q r**2/(alpha-2)``;
+    ``gb`` is ``gamma/beta``.  H falls from infinity to ``H(1) = omega``,
+    so the root is unique (:func:`_verify_sir_monotone` guards that).
+    ``omega = 1`` has the closed form ``u = c**(-1/alpha)``.  Otherwise
+    Newton runs in ``s = ln u``, where the middle ratio is
+    ``expm1(b s)/expm1(2 s)`` and stays accurate as ``u -> 1``.  It
+    starts from ``u0 = (c - omega + 1)**(-1/alpha)``, a lower bound
+    because the middle term is at least ``omega - 1``, and keeps a
+    bracket per element: a step that leaves it becomes a bisection step.
+    Elements with ``c <= omega`` (at or beyond the support limit)
+    return ``t = r``.
     """
-    lo = r * 1e-9
-    return bisect_monotone_array(
-        lambda t: _sir_normalized(t, r, omega, alpha, q) >= thr, lo, r, iterations=64
+    c = gb - (2.0 * q / (alpha - 2.0)) * (r * r)
+    s = np.clip(-np.log(np.maximum(c - (omega - 1), 1.0)) / alpha, _S_LO, _S_HI)
+    if omega == 1:
+        return r * np.exp(s)
+    b = 2.0 - alpha
+    coef = 2.0 * (omega - 1) / b
+    lo = np.full_like(s, _S_LO)
+    hi = np.full_like(s, _S_HI)
+    for _ in range(_NEWTON_MAX_ITER):
+        far = np.exp(-alpha * s)
+        em_2 = np.expm1(2.0 * s)
+        ratio = np.expm1(b * s) / em_2
+        g = far + coef * ratio - c
+        # d(ratio)/ds = u**2 (b u**-alpha - 2 ratio) / expm1(2 s).
+        slope = -alpha * far + coef * (em_2 + 1.0) * (b * far - 2.0 * ratio) / em_2
+        # g falls with s: positive left of the root, negative right of it.
+        lo = np.where(g > 0.0, s, lo)
+        hi = np.where(g < 0.0, s, hi)
+        s_new = s - g / slope
+        inside = (s_new >= lo) & (s_new <= hi)
+        s_new = np.where(inside, s_new, 0.5 * (lo + hi))
+        converged = np.abs(s_new - s) <= _NEWTON_TOL
+        s = s_new
+        if converged.all():
+            return r * np.exp(s)
+    raise RuntimeError(
+        f"boundary solve did not converge in {_NEWTON_MAX_ITER} iterations for "
+        f"alpha={alpha}, omega={omega}, q={q}, gamma/beta={gb}"
     )
 
 
@@ -298,7 +342,7 @@ def pl_double_integral(
             continue
 
         def integrand(r_arr: np.ndarray, _omega: int = omega) -> np.ndarray:
-            t = _boundary_t(r_arr, _omega, alpha, q, thr)
+            t = _boundary_t(r_arr, _omega, alpha, q, gb)
             mass = np.maximum(0.0, (r_arr * r_arr - t * t) / (r_arr * r_arr)) ** _omega
             s = r_arr * r_arr
             log_pdf = -s + L * np.log(s) + log_norm - np.log(r_arr)

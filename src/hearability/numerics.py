@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -228,29 +229,6 @@ def find_root_monotone(
     return 0.5 * (lo + hi)
 
 
-def bisect_monotone_array(
-    predicate: Callable[[np.ndarray], np.ndarray],
-    lo: np.ndarray,
-    hi: np.ndarray,
-    iterations: int = 90,
-) -> np.ndarray:
-    """Vectorized bisection for a monotone threshold crossing.
-
-    ``predicate(x)`` must be elementwise boolean, False at ``lo`` and
-    True at ``hi`` (callers guarantee the bracket).  Returns the
-    crossing point per element after a fixed number of halvings, which
-    shrinks the bracket by 2**-iterations of its initial width.
-    """
-    lo = np.array(lo, dtype=float, copy=True)
-    hi = np.array(hi, dtype=float, copy=True)
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        above = predicate(mid)
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    return 0.5 * (lo + hi)
-
-
 def poisson_cdf(k: int, mu: float) -> float:
     """P(N <= k) for N Poisson-distributed with mean ``mu``.
 
@@ -277,13 +255,15 @@ def poisson_cdf(k: int, mu: float) -> float:
     return float(min(1.0, math.exp(log_sum)))
 
 
+@lru_cache(maxsize=256)
 def erlang_quantile(shape: int, rate: float, prob: float) -> float:
     """Quantile of the Erlang distribution with integer shape.
 
     The Erlang CDF is evaluated through its Poisson-tail form
     ``1 - poisson_cdf(shape - 1, rate * x)`` and inverted with
     :func:`find_root_monotone`.  The upper bracket starts at the mean
-    and doubles until it covers the requested probability.
+    and doubles until it covers the requested probability.  Results are
+    cached: callers ask for the same few tail quantiles at every point.
 
     Args:
         shape: integer shape parameter, >= 1.

@@ -12,8 +12,11 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from hearability import analytic
 from hearability.analytic import (
     Method,
+    _boundary_t,
+    _sir_normalized,
     evaluate,
     mean_i1,
     mean_i2,
@@ -296,6 +299,101 @@ class TestDoubleIntegral:
         ]
         assert all(a < b for a, b in zip(values, values[1:]))
         assert 0.0 < values[0] and values[-1] < 1.0
+
+
+def sir_reference(t, r, omega, alpha, q):
+    """The normalized SIR of ``_sir_normalized`` in a cancellation-free form.
+
+    With ``s = ln(t/r)`` and ``b = 2 - alpha`` the annulus quotient
+    ``(r**b - t**b) / (r**2 - t**2)`` equals
+    ``r**-alpha * expm1(b s) / expm1(2 s)``, which keeps full precision
+    as ``t -> r``; the direct quotient loses about ``eps / (1 - t/r)``.
+    """
+    s = np.log(t / r)
+    b = 2.0 - alpha
+    with np.errstate(invalid="ignore"):
+        ratio = np.where(s != 0.0, np.expm1(b * s) / np.expm1(2.0 * s), 0.5 * b)
+    near = r**-alpha
+    j1 = (2.0 * (omega - 1) / b) * near * ratio
+    j2 = (2.0 * q / (alpha - 2.0)) * r**b
+    return near / (t**-alpha + j1 + j2)
+
+
+def bisect_boundary(r, omega, alpha, q, thr):
+    """Oracle: 64 halvings of [1e-9 r, r] on the predicate SIR >= thr."""
+    lo, hi = r * 1e-9, r.copy()
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        above = sir_reference(mid, r, omega, alpha, q) >= thr
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def boundary_grid(alpha, omega):
+    """Flat (r, q, thr) over q, beta/gamma from -20 to 0 dB, and r.
+
+    r runs from 1e-6 to the support limit r_star * (1 - 1e-12), with a
+    geometric approach to r_star that puts the crossing at t -> r.
+    """
+    rs, qs, thrs = [], [], []
+    for q in (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0):
+        for db in range(-20, 1):
+            thr = 10.0 ** (db / 10.0)
+            gb = 1.0 / thr
+            if gb <= omega:
+                continue
+            if q > 0.0:
+                r_star = math.sqrt((alpha - 2.0) * (gb - omega) / (2.0 * q))
+            else:
+                r_star = 10.0
+            r = np.concatenate(
+                (
+                    np.geomspace(1e-6, r_star, 40)[:-1],
+                    r_star * (1.0 - np.logspace(-1.0, -12.0, 12)),
+                )
+            )
+            rs.append(r)
+            qs.append(np.full(r.size, q))
+            thrs.append(np.full(r.size, thr))
+    return np.concatenate(rs), np.concatenate(qs), np.concatenate(thrs)
+
+
+class TestBoundarySolve:
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 3.5, 4.0, 4.5, 6.0])
+    def test_matches_bisection_oracle(self, alpha):
+        for omega in range(1, 9):
+            r, q, thr = boundary_grid(alpha, omega)
+            t = _boundary_t(r, omega, alpha, q, 1.0 / thr)
+            oracle = bisect_boundary(r, omega, alpha, q, thr)
+            np.testing.assert_array_less(np.abs(t - oracle), 1e-12 * r)
+            # The SIR straddles the threshold within 1e-9 relative of t.
+            below = sir_reference(t * (1.0 - 1e-9), r, omega, alpha, q)
+            above = sir_reference(t * (1.0 + 1e-9), r, omega, alpha, q)
+            assert np.all(below < thr) and np.all(above >= thr)
+            # The reference is the production SIR wherever the direct
+            # annulus quotient is well conditioned.
+            far = 1.0 - t / r > 1e-6
+            np.testing.assert_allclose(
+                _sir_normalized(t[far], r[far], omega, alpha, q[far]),
+                sir_reference(t[far], r[far], omega, alpha, q[far]),
+                rtol=1e-9,
+            )
+
+    @pytest.mark.parametrize("omega", [1, 3])
+    def test_support_limit_and_lower_bracket(self, omega):
+        r = np.array([0.5, 1.0, 2.0])
+        # gamma/beta <= omega + 2 q r**2 / (alpha-2): no crossing below t = r.
+        np.testing.assert_array_equal(_boundary_t(r, omega, 4.0, 1.0, omega), r)
+        # A crossing below the bracket returns its lower end, 1e-9 r.
+        np.testing.assert_allclose(
+            _boundary_t(r, omega, 4.0, 0.0, 1e40), 1e-9 * r, rtol=1e-12
+        )
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(analytic, "_NEWTON_MAX_ITER", 1)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            _boundary_t(np.array([0.1, 0.5]), 3, 3.5, 1.0, 20.0)
 
 
 class TestSingleIntegralGeneral:

@@ -154,7 +154,10 @@ class TestCsvContract:
         spec = SweepSpec(
             scen, (-10.0,), ("DoubleIntegral",),
             SimConfig(realizations=100, seed=0),
-            quad=QuadratureSpec(rel_tol=1e-15, abs_tol=1e-18, max_depth=3),
+            # One halving per panel leaves the error estimate near 4e-10,
+            # six orders above the 1e-15 relative target, so this cannot
+            # converge whatever the last bits of the arithmetic.
+            quad=QuadratureSpec(rel_tol=1e-15, abs_tol=1e-18, max_depth=1),
         )
         rows = run_sweep(spec)
         assert rows[0].comment and "nonconvergence" in rows[0].comment

@@ -9,7 +9,6 @@ from scipy import integrate, stats
 from hearability.numerics import (
     NonConvergenceError,
     QuadratureSpec,
-    bisect_monotone_array,
     erlang_quantile,
     find_root_monotone,
     integrate_adaptive,
@@ -127,24 +126,6 @@ class TestFindRootMonotone:
     def test_bad_tol_raises(self):
         with pytest.raises(ValueError):
             find_root_monotone(lambda x: x, -1.0, 1.0, tol=0.0)
-
-
-class TestBisectMonotoneArray:
-    def test_recovers_vector_of_thresholds(self):
-        targets = np.array([0.2, 0.5, 0.7, 0.99])
-        crossing = bisect_monotone_array(
-            lambda x: x >= targets, np.zeros(4), np.ones(4), iterations=60
-        )
-        np.testing.assert_allclose(crossing, targets, atol=2.0**-55)
-
-    def test_result_between_brackets(self):
-        rng = np.random.default_rng(5)
-        lo = rng.uniform(0.0, 1.0, 30)
-        hi = lo + rng.uniform(0.5, 2.0, 30)
-        t = lo + 0.3 * (hi - lo)
-        out = bisect_monotone_array(lambda x: x >= t, lo, hi)
-        assert np.all(out >= lo) and np.all(out <= hi)
-        np.testing.assert_allclose(out, t, atol=1e-12)
 
 
 class TestPoissonCdf:
