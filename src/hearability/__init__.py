@@ -11,6 +11,7 @@ Modules
 ``simulate``  Monte Carlo ground truth on Poisson and hex deployments.
 ``e911``      TDOA location fixes and FCC E911 accuracy compliance.
 ``numerics``  adaptive quadrature, root finding, Poisson/Erlang helpers.
+``parallel``  chunked process-pool map shared by the collectors.
 ``cli``       sweep-to-CSV command line front end and figure recipes.
 """
 

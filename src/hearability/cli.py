@@ -43,6 +43,7 @@ from .numerics import NonConvergenceError, QuadratureSpec
 from .reuse import ReuseQuery, pl_with_reuse
 from .simulate import (
     Deployment,
+    McEstimate,
     SimConfig,
     TruthMode,
     collect_margins,
@@ -129,41 +130,43 @@ def run_sweep(spec: SweepSpec) -> list[Row]:
             method, value, stderr, comment,
         )
 
+    def nonconvergent(g: float, tag: str, value: float, err) -> Row:
+        comment = (
+            f"nonconvergence method={tag} bg_db={g:.9g} "
+            f"residual={err.error_estimate:.3e}"
+        )
+        return base_row(g, tag, value, comment=comment)
+
     for tag in spec.methods:
         if tag in _ANALYTIC_TAGS:
             for g in spec.grid_db:
                 point = _at_threshold(scen, g)
                 try:
-                    value = evaluate(Method(tag), point, spec.quad)
-                    rows.append(base_row(g, tag, value))
+                    rows.append(base_row(g, tag, evaluate(Method(tag), point, spec.quad)))
                 except NonConvergenceError as err:
-                    rows.append(
-                        base_row(
-                            g, tag, err.best_estimate,
-                            comment=(
-                                f"nonconvergence method={tag} bg_db={g:.9g} "
-                                f"residual={err.error_estimate:.3e}"
-                            ),
-                        )
-                    )
+                    rows.append(nonconvergent(g, tag, err.best_estimate, err))
         elif tag == "ReuseRecursion":
             for g in spec.grid_db:
-                point = _at_threshold(scen, g)
-                value = pl_with_reuse(ReuseQuery(point, spec.base_method, spec.quad))
-                rows.append(base_row(g, tag, value))
-        elif tag == "MonteCarloReuse":
-            estimates = reuse_success_curve(scen, spec.sim, thresholds, spec.workers)
+                query = ReuseQuery(_at_threshold(scen, g), spec.base_method, spec.quad)
+                try:
+                    rows.append(base_row(g, tag, pl_with_reuse(query)))
+                except NonConvergenceError as err:
+                    # The error carries one band's P_n, not the reuse P_L.
+                    rows.append(nonconvergent(g, tag, math.nan, err))
+        else:
+            if tag == "MonteCarloReuse":
+                estimates = reuse_success_curve(scen, spec.sim, thresholds, spec.workers)
+            else:  # MonteCarloJoint / MonteCarloLastBs
+                margins = collect_margins(scen, spec.sim, spec.workers)
+                col = 0 if tag == "MonteCarloJoint" else 1
+                estimates = [
+                    McEstimate.from_successes(
+                        int(np.sum(margins[:, col] >= thr)), spec.sim.realizations
+                    )
+                    for thr in thresholds
+                ]
             for g, est in zip(spec.grid_db, estimates):
                 rows.append(base_row(g, tag, est.estimate, est.stderr))
-        else:  # MonteCarloJoint / MonteCarloLastBs
-            margins = collect_margins(scen, spec.sim, spec.workers)
-            col = 0 if tag == "MonteCarloJoint" else 1
-            n = spec.sim.realizations
-            for g, thr in zip(spec.grid_db, thresholds):
-                successes = int(np.sum(margins[:, col] >= thr))
-                mean = successes / n
-                stderr = math.sqrt(mean * (1.0 - mean) / n)
-                rows.append(base_row(g, tag, mean, stderr))
     return rows
 
 

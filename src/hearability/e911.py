@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import Realization, Scenario, ShadowingSpec, effective_density, hex_grid_density
+from .parallel import map_spans
 from .simulate import ROLE_E911, SimConfig, sample_ppp, stream
 
 __all__ = [
@@ -467,8 +467,9 @@ def run_trial(
                       outcome.method, outcome.condition)
 
 
-def _chunk_trials(args) -> np.ndarray:
-    cfg, scenario, seed, start, stop = args
+def _chunk_trials(
+    cfg: E911Config, scenario: Scenario, seed: int, start: int, stop: int
+) -> np.ndarray:
     out = np.empty((stop - start, 2))
     for i in range(start, stop):
         outcome = run_trial(cfg, scenario, seed, i)
@@ -486,16 +487,7 @@ def collect_trials(
     """(detected count, horizontal error) per trial; error NaN if no fix."""
     if scenario is None:
         scenario = default_scenario(cfg)
-    n = cfg.trials
-    if workers <= 1:
-        return _chunk_trials((cfg, scenario, seed, 0, n))
-    bounds = np.linspace(0, n, 4 * workers + 1, dtype=int)
-    spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(
-            pool.map(_chunk_trials, [(cfg, scenario, seed, a, b) for a, b in spans])
-        )
-    return np.concatenate(parts, axis=0)
+    return map_spans(_chunk_trials, (cfg, scenario, seed), cfg.trials, workers)
 
 
 @dataclass(frozen=True)

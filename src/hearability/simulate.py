@@ -4,11 +4,18 @@ Samples deployments (Poisson or hex grid), applies the exact SINR
 recipe with no analytic approximation, and estimates ``P_L`` and the
 detectable-BS count ``Upsilon``.
 
-Reproducibility contract: every realization ``i`` draws from
-counter-based Philox streams keyed by ``(seed, i, role)``, one role per
-kind of draw (geometry, activity, bands, shadowing, ...).  Results are
-therefore bit-identical across worker counts and unchanged if new draw
-roles are added later.
+Reproducibility contract: the collectors draw realizations in fixed
+blocks of ``_BLOCK`` rows from counter-based Philox streams keyed by
+``(seed, block, role)``, one role per kind of draw (geometry, activity,
+bands, shadowing, ...).  Worker chunks start on block boundaries, so
+results are bit-identical across worker counts and unchanged if new
+draw roles are added later.  ``sample_ppp`` and ``sample_hex`` draw one
+deployment from streams keyed by ``(seed, realization index, role)``.
+
+Each collector row keeps the ``expected_bs`` BSs nearest the device
+(strongest, for shadowed hex grids).  Poisson rows need no point count
+and no sort: ``pi * lam_eff * R_k**2`` are the arrival times of a
+unit-rate Poisson process, i.e. cumulative sums of Exp(1) draws.
 
 Threshold sweeps exploit that the per-BS SINRs do not depend on the
 detection threshold: one pass stores per-realization SINR margins, then
@@ -19,8 +26,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +39,7 @@ from .model import (
     effective_density,
     hex_grid_density,
 )
+from .parallel import map_spans
 
 __all__ = [
     "Deployment",
@@ -61,6 +69,10 @@ _ROLE_OFFSET = 4
 _ROLE_SCAN = 5
 ROLE_E911 = 6
 
+# Realizations per keyed block of the collectors; part of the contract.
+# Sixteen rows of ~1000 BSs keep each block array near 128 kB.
+_BLOCK = 16
+
 
 class Deployment(str, enum.Enum):
     PPP = "ppp"
@@ -86,8 +98,9 @@ class SimConfig:
     Attributes:
         realizations: number of independent deployments.
         seed: master seed for the keyed streams.
-        expected_bs: mean number of BSs inside the sampling window; the
-            window radius is chosen to make the window-edge truncation
+        expected_bs: BSs per deployment: the collectors keep the
+            ``expected_bs`` nearest, and ``sample_ppp`` draws a window
+            holding that many on average.  Either way the truncation is
             negligible for the first L BSs (requires >= 10 * L).
         deployment: Poisson or hex-grid placement.
         hex_isd: intersite distance of the hex lattice.
@@ -145,7 +158,11 @@ class McEstimate:
 
 
 def stream(seed: int, index: int, role: int) -> np.random.Generator:
-    """Counter-based generator keyed by (seed, realization index, role)."""
+    """Counter-based generator keyed by (seed, index, role).
+
+    ``index`` is a realization for the single-deployment samplers and
+    E911, and a block of ``_BLOCK`` realizations for the collectors.
+    """
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(seed, spawn_key=(index, role)))
     )
@@ -172,6 +189,11 @@ def sample_ppp(scenario: Scenario, config: SimConfig, index: int) -> Realization
     n = int(geom.poisson(config.expected_bs))
     radii = window * np.sqrt(geom.random(n))
     radii.sort()
+    return Realization(radii, *_marks(scenario, config, index, n), window)
+
+
+def _marks(scenario: Scenario, config: SimConfig, index: int, n: int):
+    """Activity marks, band labels and activity uniforms of one deployment."""
     u = stream(config.seed, index, _ROLE_ACTIVITY).random(n)
     activity = u < np.where(np.arange(n) < scenario.L, scenario.p, scenario.q)
     if scenario.K > 1:
@@ -180,18 +202,12 @@ def sample_ppp(scenario: Scenario, config: SimConfig, index: int) -> Realization
         )
     else:
         bands = np.ones(n, dtype=np.int64)
-    return Realization(radii, activity, bands, u, window)
+    return activity, bands, u
 
 
-_HEX_CACHE: dict[tuple[float, int], np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=8)
 def _hex_lattice(isd: float, count: int) -> np.ndarray:
     """Triangular-lattice sites covering comfortably more than ``count``."""
-    key = (isd, count)
-    cached = _HEX_CACHE.get(key)
-    if cached is not None:
-        return cached
     density = hex_grid_density(isd)
     radius = math.sqrt(count / (density * math.pi)) * 1.25 + 2.0 * isd
     reach = int(math.ceil(radius / (isd * math.sqrt(3.0) / 2.0))) + 2
@@ -202,7 +218,7 @@ def _hex_lattice(isd: float, count: int) -> np.ndarray:
     y = isd * (math.sqrt(3.0) / 2.0) * n
     keep = x * x + y * y <= radius * radius
     sites = np.column_stack((x[keep], y[keep]))
-    _HEX_CACHE[key] = sites
+    sites.setflags(write=False)  # every caller shares the cached array
     return sites
 
 
@@ -236,18 +252,8 @@ def sample_hex(scenario: Scenario, config: SimConfig, index: int) -> Realization
     else:
         d_eq = d_kept
     order = np.argsort(d_eq, kind="stable")
-    d_eq = d_eq[order]
-    u = stream(config.seed, index, _ROLE_ACTIVITY).random(config.expected_bs)
-    activity = u < np.where(
-        np.arange(config.expected_bs) < scenario.L, scenario.p, scenario.q
-    )
-    if scenario.K > 1:
-        bands = stream(config.seed, index, _ROLE_BANDS).integers(
-            1, scenario.K + 1, size=config.expected_bs
-        )
-    else:
-        bands = np.ones(config.expected_bs, dtype=np.int64)
-    return Realization(d_eq, activity, bands, u, float(np.max(d_kept)))
+    marks = _marks(scenario, config, index, config.expected_bs)
+    return Realization(d_eq[order], *marks, float(np.max(d_kept)))
 
 
 def sample_conditional_bpp(
@@ -278,64 +284,157 @@ def sample_conditional_bpp(
     return np.sqrt(inner * inner + u * (outer_radius * outer_radius - inner * inner))
 
 
-# --- per-realization statistics -------------------------------------------
+# --- block sampler --------------------------------------------------------
 
 
-def _received_powers(realization: Realization, scenario: Scenario) -> np.ndarray:
-    return scenario.tx_power * realization.distances ** (-scenario.alpha)
+def _sample_block(
+    scenario: Scenario, config: SimConfig, block: int, rows: int, bands: bool = True
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Distances, activity uniforms and band labels of one block, each (rows, n).
 
-
-def _joint_last_margins(
-    pw: np.ndarray, u: np.ndarray, L: int, p: float, q: float, sigma2: float
-) -> tuple[float, float]:
-    """(min SINR over the L nearest, SINR of the L-th) for one realization."""
-    if len(pw) < L:
-        return (-math.inf, -math.inf)
-    act_p = u[:L] < p
-    act_q = u[L:] < q
-    t_part = float(np.sum(pw[:L], where=act_p))
-    t_bg = float(np.sum(pw[L:], where=act_q))
-    denom = t_part - np.where(act_p, pw[:L], 0.0) + t_bg + sigma2
-    with np.errstate(divide="ignore"):
-        sinr = np.where(denom > 0.0, pw[:L] / denom, math.inf)
-    return (float(np.min(sinr)), float(sinr[L - 1]))
-
-
-def _leading_pass_count(
-    pw: np.ndarray, u: np.ndarray, q: float, sigma2: float, thr: float, cap: int
-) -> int:
-    """Detectable count when muting equals load (p == q, single band).
-
-    The per-BS SINR then does not depend on how many BSs participate,
-    and it decreases with distance among active BSs, so the detectable
-    set is the longest prefix of passing BSs.
+    Each row keeps the ``n = expected_bs`` BSs nearest the device in
+    ascending order, so every collector sees the same deployments.  The
+    labels are None for a single band or when not wanted.
     """
-    act = u < q
-    total = float(np.sum(pw, where=act))
-    denom = total - np.where(act, pw, 0.0) + sigma2
-    ok = pw >= thr * denom
-    m = min(cap, len(pw))
-    if m == 0:
-        return 0
-    head = ~ok[:m]
-    return int(np.argmax(head)) if head.any() else m
+    n, seed = config.expected_bs, config.seed
+    if config.deployment == Deployment.HEX:
+        # Offset the lattice uniformly inside one fundamental cell, keep
+        # the nearest sites and fold per-link shadowing S in as the
+        # equivalent distance S**(-1/alpha) * d.
+        isd, sites = config.hex_isd, _hex_lattice(config.hex_isd, n)
+        u1, u2 = stream(seed, block, _ROLE_OFFSET).random((2, rows, 1))
+        d = np.hypot(sites[:, 0] + isd * (u1 + 0.5 * u2),
+                     sites[:, 1] + isd * (math.sqrt(3.0) / 2.0) * u2)
+        d = np.partition(d, n - 1, axis=1)[:, :n]
+        if config.shadow.enabled and config.shadow.sigma_db > 0.0:
+            # ln S**(-1/alpha) is normal with deviation sigma_db*ln(10)/(10*alpha).
+            sigma = config.shadow.sigma_db * math.log(10.0) / (10.0 * scenario.alpha)
+            d *= np.exp(stream(seed, block, _ROLE_SHADOW).normal(0.0, sigma, d.shape))
+        d.sort(axis=1)
+    else:
+        # pi * lam_eff * R_k**2 is the k-th arrival of a unit-rate Poisson
+        # process; shadowing enters through the effective density.
+        lam_eff = effective_density(scenario.lam, scenario.alpha, config.shadow)
+        d = stream(seed, block, _ROLE_GEOMETRY).standard_exponential((rows, n))
+        np.cumsum(d, axis=1, out=d)
+        d *= 1.0 / (math.pi * lam_eff)
+        np.sqrt(d, out=d)
+    u = stream(seed, block, _ROLE_ACTIVITY).random(d.shape)
+    labels = None
+    if bands and scenario.K > 1:
+        draw = stream(seed, block, _ROLE_BANDS)
+        labels = draw.integers(1, scenario.K + 1, size=d.shape, dtype=np.int16)
+    return d, u, labels
 
 
-def _band_sinr_cummin(
-    pw: np.ndarray, u: np.ndarray, q: float, sigma2: float, cap: int
-) -> np.ndarray:
-    """Prefix-min SINR of the nearest band members (p == q), padded -inf."""
-    act = u < q
-    total = float(np.sum(pw, where=act))
-    denom = total - np.where(act, pw, 0.0) + sigma2
-    m = min(cap, len(pw))
-    out = np.full(cap, -math.inf)
-    if m == 0:
-        return out
+# --- block statistics -----------------------------------------------------
+
+
+def _powers(distances: np.ndarray, scenario: Scenario) -> np.ndarray:
+    return scenario.tx_power * distances ** (-scenario.alpha)
+
+
+def _margins(pw: np.ndarray, u: np.ndarray, scenario: Scenario) -> np.ndarray:
+    """(min SINR over the L nearest, SINR of the L-th) per row, shape (rows, 2)."""
+    L = scenario.L
+    near = pw[:, :L]
+    act_p = u[:, :L] < scenario.p
+    t_part = np.sum(near, axis=1, where=act_p, keepdims=True)
+    t_bg = np.sum(pw[:, L:] * (u[:, L:] < scenario.q), axis=1, keepdims=True)
+    denom = t_part - np.where(act_p, near, 0.0) + t_bg + scenario.noise_sigma2
     with np.errstate(divide="ignore"):
-        sinr = np.where(denom[:m] > 0.0, pw[:m] / denom[:m], math.inf)
-    out[:m] = np.minimum.accumulate(sinr)
+        sinr = np.where(denom > 0.0, near / denom, math.inf)
+    return np.column_stack((sinr.min(axis=1), sinr[:, L - 1]))
+
+
+def _group_bands(pw, u, labels, K: int, cap: int, scan=None):
+    """Reorder columns so that each band's members are contiguous, nearest first.
+
+    Returns the reordered ``pw``, ``u`` and ``scan`` and, per band, its
+    column mask (None for a single band), the index of its ``cap``
+    nearest members into a (rows, n) array and which of those exist.
+    With each band contiguous, a masked row sum or a running sum adds
+    the same terms in the same order as a sum over the band alone.
+    """
+    rows, n = pw.shape
+    slots = np.arange(cap)
+    row = np.arange(rows)[:, None]
+    if labels is None:
+        cols = np.broadcast_to(np.minimum(slots, n - 1), (rows, cap))
+        return pw, u, scan, [(None, (row, cols), slots < n)]
+    order = np.argsort(labels, axis=1, kind="stable")
+    pw, u, labels = pw[row, order], u[row, order], labels[row, order]
+    if scan is not None:
+        scan = np.take_along_axis(scan, order[:, None, :], axis=2)
+    bands = []
+    start = np.zeros((rows, 1), dtype=np.int64)
+    for band in range(1, K + 1):
+        mask = labels == band
+        count = np.count_nonzero(mask, axis=1)[:, None]
+        bands.append((mask, (row, np.minimum(start + slots, n - 1)), slots < count))
+        start = start + count
+    return pw, u, scan, bands
+
+
+def _prefix_min_sinr(pw: np.ndarray, u: np.ndarray, labels, scenario: Scenario,
+                     cap: int) -> np.ndarray:
+    """Prefix-min SINR of each band's ``cap`` nearest members when p == q.
+
+    Shape (rows, K, cap), padded with -inf past a band's last member.
+    """
+    pw, u, _, bands = _group_bands(pw, u, labels, scenario.K, cap)
+    act = u < scenario.q
+    out = np.empty((len(pw), scenario.K, cap))
+    for b, (mask, idx, valid) in enumerate(bands):
+        total = np.sum(pw, axis=1, where=act if mask is None else act & mask, keepdims=True)
+        denom = total - np.where(act[idx], pw[idx], 0.0) + scenario.noise_sigma2
+        with np.errstate(divide="ignore"):
+            sinr = np.where(denom > 0.0, pw[idx] / denom, math.inf)
+        out[:, b] = np.where(valid, np.minimum.accumulate(sinr, axis=1), -math.inf)
     return out
+
+
+def _upsilon(pw: np.ndarray, u: np.ndarray, labels, scenario: Scenario, cap: int,
+             scan: np.ndarray | None = None) -> np.ndarray:
+    """Detectable-BS counts per row; see ``participation_metric``.
+
+    ``scan`` of shape (rows, cap, n) holds fresh activity uniforms per
+    candidate participant count.  At p == q with shared marks the count
+    is the number of prefix-min SINRs clearing the threshold.  Otherwise
+    all candidate counts ``ell`` are checked at once: entry (ell, k) of a
+    (rows, cap, cap) array tests member k < ell against the interference
+    of the ``ell`` participants and of the loaded BSs beyond them.
+    """
+    p, q, thr = scenario.p, scenario.q, scenario.beta / scenario.gamma
+    if p == q and scan is None:
+        return np.sum(_prefix_min_sinr(pw, u, labels, scenario, cap) >= thr, axis=(1, 2))
+    pw, u, scan, bands = _group_bands(pw, u, labels, scenario.K, cap, scan)
+    slots = np.arange(cap)
+    earlier = slots[None, :] <= slots[:, None]  # [ell - 1, k]: k < ell
+    counts = np.zeros(len(pw), dtype=np.int64)
+    for mask, idx, valid in bands:
+        member = np.ones(pw.shape, dtype=bool) if mask is None else mask
+        pw_c = pw[idx]
+        if scan is None:
+            act = u[idx] < p
+            near = np.cumsum(pw * ((u < p) & member), axis=1)[idx]
+            near = near[:, :, None] - (act * pw_c)[:, None, :]
+            running_q = np.cumsum(pw * ((u < q) & member), axis=1)
+            far = running_q[:, -1:] - running_q[idx]
+        else:
+            # Candidate count ell = e + 1 sums over its own marks scan[:, e].
+            rank = np.cumsum(member, axis=1)[:, None, :]
+            inside = member[:, None, :] & (rank <= slots[:, None] + 1)
+            outside = member[:, None, :] & (rank > slots[:, None] + 1)
+            full = np.broadcast_to(pw[:, None, :], scan.shape)
+            act = np.take_along_axis(scan, idx[1][:, None, :], axis=2) < p
+            near = np.sum(full, axis=2, where=inside & (scan < p))[:, :, None]
+            near = near - act * pw_c[:, None, :]
+            far = np.sum(full, axis=2, where=outside & (scan < q))
+        denom = near + far[:, :, None] + scenario.noise_sigma2
+        passes = np.all((pw_c[:, None, :] >= thr * denom) | ~earlier, axis=2) & valid
+        counts += np.max(np.where(passes, slots + 1, 0), axis=1)
+    return counts
 
 
 def participation_metric(
@@ -357,139 +456,52 @@ def participation_metric(
     (coupled scan).  ``independent_u`` of shape ``(cap, n_bs)`` supplies
     fresh marks per candidate count instead, for sensitivity studies.
     """
-    thr = scenario.beta / scenario.gamma
-    sigma2 = scenario.noise_sigma2
-    pw_all = _received_powers(realization, scenario)
-    total_count = 0
-    for band in range(1, scenario.K + 1):
-        if scenario.K > 1:
-            sel = realization.bands == band
-            pw = pw_all[sel]
-            u = realization.activity_u[sel]
-            u_mat = independent_u[:, sel] if independent_u is not None else None
-        else:
-            pw = pw_all
-            u = realization.activity_u
-            u_mat = independent_u
-        if scenario.p == scenario.q and u_mat is None:
-            total_count += _leading_pass_count(pw, u, scenario.q, sigma2, thr, cap)
-            continue
-        m = min(cap, len(pw))
-        pw_m = pw * (u < scenario.p)
-        pref_p = np.concatenate(([0.0], np.cumsum(pw_m)))
-        pw_q = pw * (u < scenario.q)
-        pref_q = np.concatenate(([0.0], np.cumsum(pw_q)))
-        t_q = pref_q[-1]
-        best = 0
-        for ell in range(1, m + 1):
-            u_ell = u if u_mat is None else u_mat[ell - 1]
-            act = u_ell[:ell] < scenario.p
-            if u_mat is None:
-                near = pref_p[ell] - act * pw[:ell]
-                far = t_q - pref_q[ell]
-            else:
-                near = float(np.sum(pw[:ell], where=act)) - act * pw[:ell]
-                far = float(np.sum(pw[ell:], where=u_ell[ell:] < scenario.q))
-            denom = near + far + sigma2
-            if np.all(pw[:ell] >= thr * denom):
-                best = ell
-        total_count += best
-    return total_count
+    if len(realization.distances) == 0:
+        return 0
+    labels = realization.bands[None] if scenario.K > 1 else None
+    scan = None if independent_u is None else np.asarray(independent_u)[None, :cap]
+    pw = _powers(realization.distances, scenario)[None]
+    return int(_upsilon(pw, realization.activity_u[None], labels, scenario, cap, scan)[0])
 
 
 # --- chunked collection across realizations -------------------------------
 
 
-def _sample(scenario: Scenario, config: SimConfig, index: int) -> Realization:
-    if config.deployment == Deployment.HEX:
-        return sample_hex(scenario, config, index)
-    return sample_ppp(scenario, config, index)
-
-
-def _chunk_margins(
-    scenario: Scenario, config: SimConfig, start: int, stop: int
+def _block_stats(
+    kind: str, scenario: Scenario, config: SimConfig, block: int, rows: int
 ) -> np.ndarray:
-    out = np.empty((stop - start, 2))
-    for i in range(start, stop):
-        real = _sample(scenario, config, i)
-        pw = _received_powers(real, scenario)
-        out[i - start] = _joint_last_margins(
-            pw, real.activity_u, scenario.L, scenario.p, scenario.q,
-            scenario.noise_sigma2,
-        )
-    return out
+    """One collector's statistics for the ``rows`` realizations of ``block``."""
+    d, u, labels = _sample_block(scenario, config, block, rows, kind != "margins")
+    pw = _powers(d, scenario)
+    if kind == "margins":
+        return _margins(pw, u, scenario)
+    if kind == "band_cummins":
+        return _prefix_min_sinr(pw, u, labels, scenario, config.upsilon_cap)
+    cap, scan = config.upsilon_cap, None
+    if not config.coupled_activity:
+        scan = stream(config.seed, block, _ROLE_SCAN).random((rows, cap, d.shape[1]))
+    return _upsilon(pw, u, labels, scenario, cap, scan)
 
 
-def _chunk_upsilon(
-    scenario: Scenario, config: SimConfig, start: int, stop: int
+def _collect_span(
+    kind: str, scenario: Scenario, config: SimConfig, start: int, stop: int
 ) -> np.ndarray:
-    out = np.empty(stop - start, dtype=np.int64)
-    for i in range(start, stop):
-        real = _sample(scenario, config, i)
-        independent = None
-        if not config.coupled_activity:
-            independent = stream(config.seed, i, _ROLE_SCAN).random(
-                (config.upsilon_cap, len(real.distances))
-            )
-        out[i - start] = participation_metric(
-            real, scenario, config.upsilon_cap, independent
-        )
+    """Rows ``start:stop`` of one collector; ``start`` is block-aligned."""
+    out = None
+    for first in range(start, stop, _BLOCK):
+        part = _block_stats(kind, scenario, config, first // _BLOCK, min(_BLOCK, stop - first))
+        if out is None:  # filled in place: a list of parts would double the peak
+            out = np.empty((stop - start, *part.shape[1:]), dtype=part.dtype)
+        out[first - start : first - start + len(part)] = part
     return out
-
-
-def _chunk_band_cummins(
-    scenario: Scenario, config: SimConfig, start: int, stop: int
-) -> np.ndarray:
-    cap = config.upsilon_cap
-    out = np.empty((stop - start, scenario.K, cap))
-    for i in range(start, stop):
-        real = _sample(scenario, config, i)
-        pw_all = _received_powers(real, scenario)
-        for band in range(1, scenario.K + 1):
-            sel = real.bands == band if scenario.K > 1 else slice(None)
-            out[i - start, band - 1] = _band_sinr_cummin(
-                pw_all[sel], real.activity_u[sel], scenario.q,
-                scenario.noise_sigma2, cap,
-            )
-    return out
-
-
-_CHUNK_FUNCS = {
-    "margins": _chunk_margins,
-    "upsilon": _chunk_upsilon,
-    "band_cummins": _chunk_band_cummins,
-}
 
 
 def _collect(
     scenario: Scenario, config: SimConfig, kind: str, workers: int
 ) -> np.ndarray:
-    """Run the per-realization collector, optionally across processes.
-
-    The keyed streams make the result independent of the chunking, so
-    any worker count returns the same array.
-    """
-    n = config.realizations
-    func = _CHUNK_FUNCS[kind]
-    if workers <= 1:
-        return func(scenario, config, 0, n)
-    bounds = np.linspace(0, n, 4 * workers + 1, dtype=int)
-    spans = [
-        (int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a
-    ]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(
-            pool.map(
-                _collect_entry,
-                [(scenario, config, kind, a, b) for a, b in spans],
-            )
-        )
-    return np.concatenate(parts, axis=0)
-
-
-def _collect_entry(args) -> np.ndarray:
-    scenario, config, kind, start, stop = args
-    return _CHUNK_FUNCS[kind](scenario, config, start, stop)
+    _check_window(scenario, config)
+    args = (kind, scenario, config)
+    return map_spans(_collect_span, args, config.realizations, workers, _BLOCK)
 
 
 def collect_margins(
@@ -523,12 +535,8 @@ def estimate_pl(
     scenario: Scenario, config: SimConfig, workers: int = 1
 ) -> McEstimate:
     """Monte Carlo estimate of P_L under the configured truth mode."""
-    margins = collect_margins(scenario, config, workers)
-    col = 0 if config.truth_mode == TruthMode.JOINT_ALL_L else 1
     thr = scenario.beta / scenario.gamma
-    return McEstimate.from_successes(
-        int(np.sum(margins[:, col] >= thr)), config.realizations
-    )
+    return estimate_pl_curve(scenario, config, [thr], workers)[0]
 
 
 def estimate_pl_curve(
@@ -548,20 +556,12 @@ def estimate_pl_curve(
     ]
 
 
-def _counts_from_cummins(cummins: np.ndarray, thr: float) -> np.ndarray:
-    """Detectable counts per realization given prefix-min SINR tensors."""
-    return np.sum(cummins >= thr, axis=(1, 2))
-
-
 def estimate_pl_reuse(
     scenario: Scenario, config: SimConfig, workers: int = 1
 ) -> McEstimate:
     """Monte Carlo P_L with detections accumulated across the K bands."""
-    cummins = collect_band_cummins(scenario, config, workers)
-    counts = _counts_from_cummins(cummins, scenario.beta / scenario.gamma)
-    return McEstimate.from_successes(
-        int(np.sum(counts >= scenario.L)), config.realizations
-    )
+    thr = scenario.beta / scenario.gamma
+    return reuse_success_curve(scenario, config, [thr], workers)[0]
 
 
 def reuse_success_curve(
@@ -574,7 +574,7 @@ def reuse_success_curve(
     cummins = collect_band_cummins(scenario, config, workers)
     return [
         McEstimate.from_successes(
-            int(np.sum(_counts_from_cummins(cummins, thr) >= scenario.L)),
+            int(np.sum(np.sum(cummins >= thr, axis=(1, 2)) >= scenario.L)),
             config.realizations,
         )
         for thr in np.asarray(thresholds, dtype=float)

@@ -23,6 +23,7 @@ from hearability.cli import (
     run_sweep,
     write_csv,
 )
+from hearability.analytic import Method
 from hearability.model import Scenario
 from hearability.numerics import QuadratureSpec
 from hearability.simulate import SimConfig
@@ -192,6 +193,27 @@ class TestCsvContract:
         write_csv(rows, out, timestamp=False)
         content = lines_of(out)
         assert any(l.startswith("# nonconvergence") for l in content)
+
+    def test_reuse_nonconvergence_is_flagged_not_raised(self, tmp_path):
+        scen = Scenario(
+            lam=1.0, alpha=3.5, p=1.0, q=1.0, beta=1.0, gamma=1.0, L=4, K=3
+        )
+        spec = SweepSpec(
+            scen, (-10.0, -9.0), ("ReuseRecursion",),
+            SimConfig(realizations=100, seed=0),
+            base_method=Method.DOUBLE_INTEGRAL,
+            # As above: one halving leaves the per-band error estimate
+            # orders of magnitude above the 1e-15 relative target.
+            quad=QuadratureSpec(rel_tol=1e-15, abs_tol=1e-18, max_depth=1),
+        )
+        rows = run_sweep(spec)
+        assert len(rows) == 2
+        for row in rows:
+            assert row.comment.startswith("nonconvergence method=ReuseRecursion")
+            assert np.isnan(row.value)  # no P_L estimate survives the failure
+        out = tmp_path / "r.csv"
+        write_csv(rows, out, timestamp=False)
+        assert sum(l.startswith("# nonconvergence") for l in lines_of(out)) == 2
 
 
 class TestSubcommands:

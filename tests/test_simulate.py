@@ -4,6 +4,10 @@ The distribution-law tests condition exactly as the sampling theory
 prescribes and turn each conditional law into a pooled uniform sample
 via its probability integral transform, checked with Kolmogorov-Smirnov
 at fixed seeds.
+
+The block kernels of the collectors are checked row by row against the
+scalar per-realization statistics below, which are the reference
+implementation.
 """
 
 import math
@@ -13,7 +17,8 @@ import pytest
 from scipy import stats
 
 from hearability.analytic import mean_i1, mean_i2
-from hearability.model import Realization, Scenario, ShadowingSpec
+from hearability import simulate
+from hearability.model import Realization, Scenario, ShadowingSpec, effective_density
 from hearability.simulate import (
     Deployment,
     SimConfig,
@@ -35,6 +40,104 @@ from hearability.simulate import (
 
 SCEN = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, beta=0.1, gamma=1.0, L=4)
 PARTIAL = SCEN.replace(p=2.0 / 3.0)
+
+
+# --- scalar oracle: one realization at a time --------------------------------
+
+
+def _joint_last_margins(
+    pw: np.ndarray, u: np.ndarray, L: int, p: float, q: float, sigma2: float
+) -> tuple[float, float]:
+    """(min SINR over the L nearest, SINR of the L-th) for one realization."""
+    if len(pw) < L:
+        return (-math.inf, -math.inf)
+    act_p = u[:L] < p
+    act_q = u[L:] < q
+    t_part = float(np.sum(pw[:L], where=act_p))
+    t_bg = float(np.sum(pw[L:], where=act_q))
+    denom = t_part - np.where(act_p, pw[:L], 0.0) + t_bg + sigma2
+    with np.errstate(divide="ignore"):
+        sinr = np.where(denom > 0.0, pw[:L] / denom, math.inf)
+    return (float(np.min(sinr)), float(sinr[L - 1]))
+
+
+def _leading_pass_count(
+    pw: np.ndarray, u: np.ndarray, q: float, sigma2: float, thr: float, cap: int
+) -> int:
+    """Detectable count when muting equals load (p == q, single band).
+
+    The per-BS SINR then does not depend on how many BSs participate,
+    and it decreases with distance among active BSs, so the detectable
+    set is the longest prefix of passing BSs.
+    """
+    act = u < q
+    total = float(np.sum(pw, where=act))
+    denom = total - np.where(act, pw, 0.0) + sigma2
+    ok = pw >= thr * denom
+    m = min(cap, len(pw))
+    if m == 0:
+        return 0
+    head = ~ok[:m]
+    return int(np.argmax(head)) if head.any() else m
+
+
+def _band_sinr_cummin(
+    pw: np.ndarray, u: np.ndarray, q: float, sigma2: float, cap: int
+) -> np.ndarray:
+    """Prefix-min SINR of the nearest band members (p == q), padded -inf."""
+    act = u < q
+    total = float(np.sum(pw, where=act))
+    denom = total - np.where(act, pw, 0.0) + sigma2
+    m = min(cap, len(pw))
+    out = np.full(cap, -math.inf)
+    if m == 0:
+        return out
+    with np.errstate(divide="ignore"):
+        sinr = np.where(denom[:m] > 0.0, pw[:m] / denom[:m], math.inf)
+    out[:m] = np.minimum.accumulate(sinr)
+    return out
+
+
+def _upsilon_oracle(realization, scenario, cap=32, independent_u=None) -> int:
+    """Upsilon by an explicit scan over candidate participant counts."""
+    thr = scenario.beta / scenario.gamma
+    sigma2 = scenario.noise_sigma2
+    pw_all = scenario.tx_power * realization.distances ** (-scenario.alpha)
+    total_count = 0
+    for band in range(1, scenario.K + 1):
+        if scenario.K > 1:
+            sel = realization.bands == band
+            pw = pw_all[sel]
+            u = realization.activity_u[sel]
+            u_mat = independent_u[:, sel] if independent_u is not None else None
+        else:
+            pw = pw_all
+            u = realization.activity_u
+            u_mat = independent_u
+        if scenario.p == scenario.q and u_mat is None:
+            total_count += _leading_pass_count(pw, u, scenario.q, sigma2, thr, cap)
+            continue
+        m = min(cap, len(pw))
+        pw_m = pw * (u < scenario.p)
+        pref_p = np.concatenate(([0.0], np.cumsum(pw_m)))
+        pw_q = pw * (u < scenario.q)
+        pref_q = np.concatenate(([0.0], np.cumsum(pw_q)))
+        t_q = pref_q[-1]
+        best = 0
+        for ell in range(1, m + 1):
+            u_ell = u if u_mat is None else u_mat[ell - 1]
+            act = u_ell[:ell] < scenario.p
+            if u_mat is None:
+                near = pref_p[ell] - act * pw[:ell]
+                far = t_q - pref_q[ell]
+            else:
+                near = float(np.sum(pw[:ell], where=act)) - act * pw[:ell]
+                far = float(np.sum(pw[ell:], where=u_ell[ell:] < scenario.q))
+            denom = near + far + sigma2
+            if np.all(pw[:ell] >= thr * denom):
+                best = ell
+        total_count += best
+    return total_count
 
 
 def cfg(n: int, seed: int = 0, **kw) -> SimConfig:
@@ -449,3 +552,149 @@ class TestDensityAndShadowInvariance:
         assert abs(plain.estimate - shadowed.estimate) <= 3.0 * math.hypot(
             plain.stderr, shadowed.stderr
         )
+
+
+class TestBlockSampler:
+    """Ordered-arrival Poisson rows of the collectors."""
+
+    SHADOWED = cfg(2000, seed=61, expected_bs=100,
+                   shadow=ShadowingSpec(sigma_db=6.0, enabled=True))
+
+    @pytest.fixture(scope="class")
+    def radii(self):
+        config = self.SHADOWED
+        blocks = range(config.realizations // simulate._BLOCK)
+        return np.concatenate(
+            [simulate._sample_block(PARTIAL, config, b, simulate._BLOCK)[0]
+             for b in blocks]
+        )
+
+    @pytest.mark.parametrize("k", [1, PARTIAL.L, 100])
+    def test_scaled_squared_radius_is_gamma(self, radii, k):
+        lam_eff = effective_density(PARTIAL.lam, PARTIAL.alpha, self.SHADOWED.shadow)
+        arrival = math.pi * lam_eff * radii[:, k - 1] ** 2
+        assert stats.kstest(arrival, stats.gamma(k).cdf).pvalue > 0.01
+
+    def test_inner_points_uniform_given_rl(self, radii):
+        L = PARTIAL.L
+        pooled = ((radii[:, : L - 1] / radii[:, L - 1 : L]) ** 2).ravel()
+        assert stats.kstest(pooled, "uniform").pvalue > 0.01
+
+    def test_hex_rows_hold_the_nearest_sites(self):
+        # Unshadowed block rows are the nearest lattice sites under each
+        # row's own cell offset.
+        config = cfg(64, seed=67, deployment=Deployment.HEX, expected_bs=300)
+        sites = simulate._hex_lattice(config.hex_isd, config.expected_bs)
+        for block in range(4):
+            got, _, _ = simulate._sample_block(SCEN, config, block, simulate._BLOCK)
+            u1, u2 = stream(config.seed, block, simulate._ROLE_OFFSET).random(
+                (2, simulate._BLOCK)
+            )
+            for row in range(simulate._BLOCK):
+                offset = config.hex_isd * np.array(
+                    [u1[row] + 0.5 * u2[row], math.sqrt(3.0) / 2.0 * u2[row]]
+                )
+                d = np.hypot(*(sites + offset).T)
+                np.testing.assert_allclose(
+                    got[row], np.sort(d)[: config.expected_bs], rtol=1e-12
+                )
+
+
+def _oracle_rows(scen, config, block):
+    """The block's rows wrapped as realizations, plus its scan marks."""
+    d, u, labels = simulate._sample_block(scen, config, block, simulate._BLOCK)
+    reals = []
+    for row in range(len(d)):
+        bands = labels[row] if labels is not None else np.ones(d.shape[1], dtype=np.int64)
+        activity = u[row] < np.where(np.arange(d.shape[1]) < scen.L, scen.p, scen.q)
+        reals.append(Realization(d[row], activity, bands, u[row], math.inf))
+    scan = None
+    if not config.coupled_activity:
+        scan = stream(config.seed, block, simulate._ROLE_SCAN).random(
+            (len(d), config.upsilon_cap, d.shape[1])
+        )
+    return reals, scan
+
+
+_HEX_SHADOWED = dict(deployment=Deployment.HEX, hex_isd=1.0,
+                     shadow=ShadowingSpec(sigma_db=8.0, enabled=True))
+_KERNEL_CASES = {
+    "ppp-K1-p!=q": (SCEN.replace(p=0.5, q=0.75, beta=0.05), {}),
+    "ppp-K1-p=q": (SCEN.replace(p=0.8, q=0.8, beta=0.02), {}),
+    "ppp-K3-p=q": (SCEN.replace(K=3, beta=0.02), {}),
+    "ppp-K3-p!=q": (SCEN.replace(K=3, p=0.5, q=0.75, beta=0.02), {}),
+    "ppp-K6-p=q": (SCEN.replace(K=6, p=0.7, q=0.7, beta=0.02), {}),
+    "hex-shadow-K6-p!=q": (SCEN.replace(K=6, p=0.5, q=0.75, beta=0.02), _HEX_SHADOWED),
+    "hex-shadow-K1-p=q": (SCEN.replace(beta=0.05), _HEX_SHADOWED),
+    "ppp-K3-redrawn": (SCEN.replace(K=3, p=0.6, q=0.6, beta=0.02),
+                       {"coupled_activity": False}),
+    "ppp-K1-redrawn-p!=q": (SCEN.replace(p=0.5, q=0.75, beta=0.05),
+                            {"coupled_activity": False}),
+}
+
+
+class TestBlockKernelsMatchOracle:
+    """Every row of a few blocks against the scalar per-realization code."""
+
+    @pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+    def test_rows_match(self, case):
+        scen, extra = _KERNEL_CASES[case]
+        config = cfg(3 * simulate._BLOCK, seed=71, expected_bs=120,
+                     upsilon_cap=12, **extra)
+        for block in range(3):
+            reals, scan = _oracle_rows(scen, config, block)
+            rows = len(reals)
+            margins = simulate._block_stats("margins", scen, config, block, rows)
+            counts = simulate._block_stats("upsilon", scen, config, block, rows)
+            for row, real in enumerate(reals):
+                pw = real.distances ** -scen.alpha
+                np.testing.assert_allclose(
+                    margins[row],
+                    _joint_last_margins(pw, real.activity_u, scen.L, scen.p,
+                                        scen.q, scen.noise_sigma2),
+                    rtol=1e-12,
+                )
+                independent = None if scan is None else scan[row]
+                assert counts[row] == _upsilon_oracle(
+                    real, scen, config.upsilon_cap, independent
+                )
+                assert counts[row] == participation_metric(
+                    real, scen, config.upsilon_cap, independent
+                )
+            if scen.p != scen.q:
+                continue
+            cummins = simulate._block_stats("band_cummins", scen, config, block, rows)
+            for row, real in enumerate(reals):
+                pw = real.distances ** -scen.alpha
+                for band in range(1, scen.K + 1):
+                    sel = real.bands == band
+                    np.testing.assert_allclose(
+                        cummins[row, band - 1],
+                        _band_sinr_cummin(pw[sel], real.activity_u[sel], scen.q,
+                                          scen.noise_sigma2, config.upsilon_cap),
+                        rtol=1e-12,
+                    )
+
+    def test_some_rows_detect_and_some_fail(self):
+        # Guards the case table: counts must neither all vanish nor all cap.
+        scen, extra = _KERNEL_CASES["ppp-K1-p!=q"]
+        config = cfg(simulate._BLOCK, seed=71, expected_bs=120, upsilon_cap=12)
+        counts = simulate._block_stats("upsilon", scen, config, 0, simulate._BLOCK)
+        assert 0 < counts.max() and counts.min() < config.upsilon_cap
+
+
+class TestBlockAlignedChunks:
+    @pytest.mark.parametrize(
+        "collect, scen",
+        [
+            (collect_margins, PARTIAL),
+            (collect_upsilon, SCEN.replace(K=3, p=0.5, q=0.75, beta=0.02)),
+            (collect_band_cummins, SCEN.replace(K=3, beta=0.02)),
+        ],
+    )
+    def test_byte_identical_across_worker_counts(self, collect, scen):
+        config = cfg(5 * simulate._BLOCK + 7, seed=73, expected_bs=100)
+        serial = collect(scen, config, workers=1)
+        assert len(serial) == config.realizations
+        for workers in (2, 3):
+            assert collect(scen, config, workers=workers).tobytes() == serial.tobytes()
