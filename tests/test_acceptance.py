@@ -5,7 +5,7 @@ measured quantities, then asserts the stated tolerances.  Criteria 3 and
 6 assert agreement tolerances that the dominant-interferer approximation
 genuinely exceeds in low-probability tail regimes; they are expected to
 fail, and the printed lines carry the honestly measured values.
-Criterion 6 fails on its z-score clause alone (9.84 at K=3, -2 dB); its
+Criterion 6 fails on its z-score clause alone (9.81 at K=3, -3 dB); its
 ordering clause, restricted to where K bands can hear L BSs at all,
 holds.
 """
