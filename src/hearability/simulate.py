@@ -9,13 +9,15 @@ blocks of ``_BLOCK`` rows from counter-based Philox streams keyed by
 ``(seed, block, role)``, one role per kind of draw (geometry, activity,
 bands, shadowing, ...).  Worker chunks start on block boundaries, so
 results are bit-identical across worker counts and unchanged if new
-draw roles are added later.  ``sample_ppp`` and ``sample_hex`` draw one
-deployment from streams keyed by ``(seed, realization index, role)``.
+draw roles are added later.  ``sample_ppp`` draws one deployment from
+streams keyed by ``(seed, realization index, role)``; ``sample_hex`` is
+the one-row block keyed by ``(seed, realization index, role)``.
 
-Each collector row keeps the ``expected_bs`` BSs nearest the device
-(strongest, for shadowed hex grids).  Poisson rows need no point count
-and no sort: ``pi * lam_eff * R_k**2`` are the arrival times of a
-unit-rate Poisson process, i.e. cumulative sums of Exp(1) draws.
+Each collector row keeps the ``expected_bs`` BSs nearest the device;
+on a shadowed hex grid these nearest sites are then ordered by received
+power.  Poisson rows need no point count and no sort: ``pi * lam_eff *
+R_k**2`` are the arrival times of a unit-rate Poisson process, i.e.
+cumulative sums of Exp(1) draws.
 
 Threshold sweeps exploit that the per-BS SINRs do not depend on the
 detection threshold: one pass stores per-realization SINR margins, then
@@ -189,11 +191,6 @@ def sample_ppp(scenario: Scenario, config: SimConfig, index: int) -> Realization
     n = int(geom.poisson(config.expected_bs))
     radii = window * np.sqrt(geom.random(n))
     radii.sort()
-    return Realization(radii, *_marks(scenario, config, index, n), window)
-
-
-def _marks(scenario: Scenario, config: SimConfig, index: int, n: int):
-    """Activity marks, band labels and activity uniforms of one deployment."""
     u = stream(config.seed, index, _ROLE_ACTIVITY).random(n)
     activity = u < np.where(np.arange(n) < scenario.L, scenario.p, scenario.q)
     if scenario.K > 1:
@@ -202,7 +199,7 @@ def _marks(scenario: Scenario, config: SimConfig, index: int, n: int):
         )
     else:
         bands = np.ones(n, dtype=np.int64)
-    return activity, bands, u
+    return Realization(radii, activity, bands, u, window)
 
 
 @functools.lru_cache(maxsize=8)
@@ -225,35 +222,21 @@ def _hex_lattice(isd: float, count: int) -> np.ndarray:
 def sample_hex(scenario: Scenario, config: SimConfig, index: int) -> Realization:
     """Sample one hex-grid deployment with per-link shadowing.
 
-    The lattice is translated by a uniform offset inside one fundamental
-    cell, equivalent to placing the user uniformly in a cell.  Per-link
-    shadowing ``S`` is folded into equivalent distances
-    ``S**(-1/alpha) * d`` so that sorting by distance is sorting by
-    received power (strongest-BS ordering).
+    The row of a one-row block keyed by ``index``: the ``expected_bs``
+    lattice sites nearest a device placed uniformly in a cell, with
+    per-link shadowing ``S`` folded into equivalent distances
+    ``S**(-1/alpha) * d``, so the ascending order is the order of
+    received power.  The window radius is that of the disk holding
+    ``expected_bs`` sites on average.
     """
     _check_window(scenario, config)
-    isd = config.hex_isd
-    sites = _hex_lattice(isd, config.expected_bs)
-    u1, u2 = stream(config.seed, index, _ROLE_OFFSET).random(2)
-    offset = u1 * np.array([isd, 0.0]) + u2 * np.array(
-        [0.5 * isd, isd * math.sqrt(3.0) / 2.0]
-    )
-    pos = sites + offset
-    d_phys = np.hypot(pos[:, 0], pos[:, 1])
-    nearest = np.argpartition(d_phys, config.expected_bs)[: config.expected_bs]
-    nearest = nearest[np.argsort(d_phys[nearest], kind="stable")]
-    d_kept = d_phys[nearest]
-    if config.shadow.enabled and config.shadow.sigma_db > 0.0:
-        x_db = stream(config.seed, index, _ROLE_SHADOW).normal(
-            0.0, config.shadow.sigma_db, size=config.expected_bs
-        )
-        shadow = 10.0 ** (x_db / 10.0)
-        d_eq = shadow ** (-1.0 / scenario.alpha) * d_kept
-    else:
-        d_eq = d_kept
-    order = np.argsort(d_eq, kind="stable")
-    marks = _marks(scenario, config, index, config.expected_bs)
-    return Realization(d_eq[order], *marks, float(np.max(d_kept)))
+    hex_config = config.replace(deployment=Deployment.HEX)
+    d, u, labels = _sample_block(scenario, hex_config, index, 1)
+    n = d.shape[1]
+    activity = u[0] < np.where(np.arange(n) < scenario.L, scenario.p, scenario.q)
+    bands = np.ones(n, dtype=np.int64) if labels is None else labels[0]
+    window = math.sqrt(n / (hex_grid_density(config.hex_isd) * math.pi))
+    return Realization(d[0], activity, bands, u[0], window)
 
 
 def sample_conditional_bpp(
@@ -288,13 +271,15 @@ def sample_conditional_bpp(
 
 
 def _sample_block(
-    scenario: Scenario, config: SimConfig, block: int, rows: int, bands: bool = True
+    scenario: Scenario, config: SimConfig, block: int, rows: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Distances, activity uniforms and band labels of one block, each (rows, n).
 
     Each row keeps the ``n = expected_bs`` BSs nearest the device in
-    ascending order, so every collector sees the same deployments.  The
-    labels are None for a single band or when not wanted.
+    ascending (equivalent) distance, so every collector sees the same
+    deployments.  Row r draws the same values whatever ``rows`` is, so
+    a short final block holds the first rows of a full one.  The labels
+    are None for a single band.
     """
     n, seed = config.expected_bs, config.seed
     if config.deployment == Deployment.HEX:
@@ -302,7 +287,8 @@ def _sample_block(
         # the nearest sites and fold per-link shadowing S in as the
         # equivalent distance S**(-1/alpha) * d.
         isd, sites = config.hex_isd, _hex_lattice(config.hex_isd, n)
-        u1, u2 = stream(seed, block, _ROLE_OFFSET).random((2, rows, 1))
+        offsets = stream(seed, block, _ROLE_OFFSET).random((rows, 2))
+        u1, u2 = offsets[:, :1], offsets[:, 1:]
         d = np.hypot(sites[:, 0] + isd * (u1 + 0.5 * u2),
                      sites[:, 1] + isd * (math.sqrt(3.0) / 2.0) * u2)
         d = np.partition(d, n - 1, axis=1)[:, :n]
@@ -321,7 +307,7 @@ def _sample_block(
         np.sqrt(d, out=d)
     u = stream(seed, block, _ROLE_ACTIVITY).random(d.shape)
     labels = None
-    if bands and scenario.K > 1:
+    if scenario.K > 1:
         draw = stream(seed, block, _ROLE_BANDS)
         labels = draw.integers(1, scenario.K + 1, size=d.shape, dtype=np.int16)
     return d, u, labels
@@ -471,7 +457,7 @@ def _block_stats(
     kind: str, scenario: Scenario, config: SimConfig, block: int, rows: int
 ) -> np.ndarray:
     """One collector's statistics for the ``rows`` realizations of ``block``."""
-    d, u, labels = _sample_block(scenario, config, block, rows, kind != "margins")
+    d, u, labels = _sample_block(scenario, config, block, rows)
     pw = _powers(d, scenario)
     if kind == "margins":
         return _margins(pw, u, scenario)

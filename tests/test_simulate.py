@@ -587,18 +587,40 @@ class TestBlockSampler:
         sites = simulate._hex_lattice(config.hex_isd, config.expected_bs)
         for block in range(4):
             got, _, _ = simulate._sample_block(SCEN, config, block, simulate._BLOCK)
-            u1, u2 = stream(config.seed, block, simulate._ROLE_OFFSET).random(
-                (2, simulate._BLOCK)
+            offsets = stream(config.seed, block, simulate._ROLE_OFFSET).random(
+                (simulate._BLOCK, 2)
             )
-            for row in range(simulate._BLOCK):
+            for row, (u1, u2) in enumerate(offsets):
                 offset = config.hex_isd * np.array(
-                    [u1[row] + 0.5 * u2[row], math.sqrt(3.0) / 2.0 * u2[row]]
+                    [u1 + 0.5 * u2, math.sqrt(3.0) / 2.0 * u2]
                 )
                 d = np.hypot(*(sites + offset).T)
                 np.testing.assert_allclose(
                     got[row], np.sort(d)[: config.expected_bs], rtol=1e-12
                 )
 
+
+    @pytest.mark.parametrize("deployment", list(Deployment))
+    def test_short_block_holds_the_first_rows_of_a_full_one(self, deployment):
+        # A final partial block must not change its realizations with
+        # the total count.
+        scen = SCEN.replace(K=3)
+        config = cfg(1, seed=68, deployment=deployment, expected_bs=100,
+                     shadow=ShadowingSpec(sigma_db=8.0, enabled=True))
+        full = simulate._sample_block(scen, config, 2, simulate._BLOCK)
+        for rows in (1, 5):
+            part = simulate._sample_block(scen, config, 2, rows)
+            for got, want in zip(part, full):
+                assert got.tobytes() == want[:rows].tobytes()
+
+    def test_sample_hex_is_a_one_row_block(self):
+        config = cfg(1, seed=69, deployment=Deployment.HEX, expected_bs=100,
+                     shadow=ShadowingSpec(sigma_db=8.0, enabled=True))
+        real = sample_hex(SCEN.replace(K=3), config, 4)
+        d, u, labels = simulate._sample_block(SCEN.replace(K=3), config, 4, 1)
+        assert real.distances.tobytes() == d[0].tobytes()
+        assert real.activity_u.tobytes() == u[0].tobytes()
+        np.testing.assert_array_equal(real.bands, labels[0])
 
 def _oracle_rows(scen, config, block):
     """The block's rows wrapped as realizations, plus its scan marks."""
