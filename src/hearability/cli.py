@@ -17,11 +17,14 @@ significant digits.  Re-running a command with the same configuration
 and seed produces a byte-identical file apart from a leading timestamp
 comment, which ``--no-timestamp`` suppresses.
 
-Configuration may come from a flat ``key = value`` file (``--config``);
-command-line flags override file values.  The master seed resolves as
-``--seed``, then the config file, then ``HEARABILITY_SEED``, then 0.
-dB-valued inputs use keys/flags suffixed ``_db`` and are converted at
-this boundary; the library below works on linear scale only.
+One table (``_COMMANDS``) lists each subcommand's parameters.  Every
+parameter is both a key of the flat ``key = value`` file read by
+``--config`` and the flag ``--key`` (``_`` written as ``-``).  A value
+resolves as the flag, then the config file, then the default; the seed
+tries ``HEARABILITY_SEED`` before its default of 0.  An unknown config
+key or a malformed value aborts the run with an ``error:`` line naming
+the key.  dB-valued inputs use keys/flags suffixed ``_db`` and are
+converted at this boundary; the library below works on linear scale only.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from .simulate import (
     Deployment,
     McEstimate,
     SimConfig,
-    TruthMode,
     collect_margins,
     hearability_curve,
     reuse_success_curve,
@@ -68,6 +70,7 @@ CSV_COLUMNS = (
 
 _ANALYTIC_TAGS = {m.value for m in Method} - {Method.PROC_GAIN_BOUND.value}
 _MC_TAGS = {"MonteCarloJoint", "MonteCarloLastBs", "MonteCarloReuse"}
+_SWEEP_TAGS = _ANALYTIC_TAGS | _MC_TAGS | {"ReuseRecursion"}
 
 
 @dataclass(frozen=True)
@@ -105,11 +108,10 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.grid_db:
             raise ValueError("grid_db must not be empty")
-        known = _ANALYTIC_TAGS | _MC_TAGS | {"ReuseRecursion"}
         for tag in self.methods:
-            if tag not in known:
+            if tag not in _SWEEP_TAGS:
                 raise ValueError(
-                    f"unknown method {tag!r}; valid: {', '.join(sorted(known))}"
+                    f"unknown method {tag!r}; valid: {', '.join(sorted(_SWEEP_TAGS))}"
                 )
 
 
@@ -170,23 +172,41 @@ def run_sweep(spec: SweepSpec) -> list[Row]:
     return rows
 
 
-def hearability_rows(
+def hex_vs_ppp_rows(
     scenario: Scenario,
     sim: SimConfig,
-    l_values: tuple[int, ...],
-    tag: str,
+    l_max: int,
+    sigmas: tuple[float, ...],
     workers: int = 1,
 ) -> list[Row]:
-    """P(Upsilon >= L) rows with L as the varying column."""
+    """P(Upsilon >= L) rows for L = 1..l_max, L as the varying column.
+
+    ``sim`` draws the Poisson rows (``MonteCarloPPP``); each shadowing
+    sigma in dB adds hex-grid rows (``MonteCarloHex_s<sigma>``).
+    """
     bg_db = 10.0 * math.log10(scenario.bg_ratio)
-    estimates = hearability_curve(scenario, sim, np.asarray(l_values), workers)
-    return [
-        Row(
-            bg_db, int(l), scenario.p, scenario.q, scenario.alpha, scenario.K,
-            scenario.lam, tag, est.estimate, est.stderr,
+    l_values = np.arange(1, l_max + 1)
+    runs = [("MonteCarloPPP", sim)] + [
+        (
+            f"MonteCarloHex_s{sigma:g}",
+            sim.replace(
+                deployment=Deployment.HEX,
+                shadow=ShadowingSpec(sigma, enabled=sigma > 0.0),
+            ),
         )
-        for l, est in zip(l_values, estimates)
+        for sigma in sigmas
     ]
+    rows = []
+    for tag, config in runs:
+        estimates = hearability_curve(scenario, config, l_values, workers)
+        rows.extend(
+            Row(
+                bg_db, int(l), scenario.p, scenario.q, scenario.alpha, scenario.K,
+                scenario.lam, tag, est.estimate, est.stderr,
+            )
+            for l, est in zip(l_values, estimates)
+        )
+    return rows
 
 
 def e911_rows(cfg: E911Config, seed: int, workers: int = 1) -> list[Row]:
@@ -419,25 +439,11 @@ def _hex_vs_ppp(
     sigmas: tuple[float, ...], K: int,
 ) -> list[Row]:
     bg = 10.0 ** (-1.0)  # -10 dB detection threshold
-    l_values = tuple(range(1, 17))
-    n = realizations or 10000
     scen = Scenario(
         lam=_DENSITY, alpha=4.0, p=1.0, q=1.0, beta=bg, gamma=1.0, L=1, K=K
     )
-    rows = hearability_rows(
-        scen, SimConfig(realizations=n, seed=seed), l_values, "MonteCarloPPP", workers
-    )
-    for sigma in sigmas:
-        sim = SimConfig(
-            realizations=n, seed=seed, deployment=Deployment.HEX,
-            shadow=ShadowingSpec(sigma, enabled=True),
-        )
-        rows.extend(
-            hearability_rows(
-                scen, sim, l_values, f"MonteCarloHex_s{sigma:g}", workers
-            )
-        )
-    return rows
+    sim = SimConfig(realizations=realizations or 10000, seed=seed)
+    return hex_vs_ppp_rows(scen, sim, 16, sigmas, workers)
 
 
 def _fig10(seed: int, realizations: int | None, workers: int) -> tuple[list[Row], str]:
@@ -499,244 +505,197 @@ def read_config(path: Path) -> dict[str, str]:
     return out
 
 
-class _Settings:
-    """Merged view of config file and flags with typo checking."""
-
-    def __init__(self, cfg: dict[str, str], allowed: set[str], source: str):
-        unknown = set(cfg) - allowed
-        if unknown:
-            raise SystemExit(
-                f"error: unknown config key(s) in {source}: "
-                f"{', '.join(sorted(unknown))}; allowed: {', '.join(sorted(allowed))}"
-            )
-        self.cfg = cfg
-
-    def get(self, key: str, flag_value, default, convert):
-        if flag_value is not None:
-            return flag_value
-        if key in self.cfg:
-            return convert(self.cfg[key])
-        return default
+def _int_list(text: str) -> tuple[int, ...]:
+    values = tuple(int(t) for t in text.split(",") if t.strip())
+    if not values:
+        raise ValueError("empty list")
+    return values
 
 
-def _resolve_seed(args, cfg: dict[str, str]) -> int:
-    if args.seed is not None:
-        return args.seed
-    if "seed" in cfg:
-        return int(cfg["seed"])
-    env = os.environ.get("HEARABILITY_SEED")
-    if env is not None:
-        return int(env)
-    return 0
-
-
-_COMMON_KEYS = {"seed", "out", "workers", "realizations"}
-_SCENARIO_KEYS = {"l", "alpha", "p", "q", "k", "lam", "gamma_db"}
-_GRID_KEYS = {"bg_start_db", "bg_stop_db", "bg_step_db"}
-
-
-def _add_common(parser: argparse.ArgumentParser, realizations: bool = True) -> None:
-    parser.add_argument("--config", type=Path, help="flat key = value config file")
-    parser.add_argument("--seed", type=int, help="master RNG seed")
-    parser.add_argument("--out", type=Path, help="output CSV path")
-    parser.add_argument(
-        "--no-timestamp", action="store_true",
-        help="omit the generation-time comment for byte-identical re-runs",
-    )
-    parser.add_argument("--workers", type=int, default=1, help="process count")
-    if realizations:
-        parser.add_argument("--realizations", type=int, help="Monte Carlo sample size")
-
-
-def _add_scenario(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--l", type=int, default=None, help="required BS count L")
-    parser.add_argument("--alpha", type=float, default=None, help="path loss exponent")
-    parser.add_argument("--p", type=float, default=None, help="participant activity")
-    parser.add_argument("--q", type=float, default=None, help="background activity")
-    parser.add_argument("--k", type=int, default=None, help="frequency reuse factor")
-    parser.add_argument("--lam", type=float, default=None, help="BS density")
-    parser.add_argument(
-        "--gamma-db", type=float, default=None, help="processing gain in dB"
-    )
-    parser.add_argument("--bg-start-db", type=float, default=None)
-    parser.add_argument("--bg-stop-db", type=float, default=None)
-    parser.add_argument("--bg-step-db", type=float, default=None)
-
-
-def _scenario_from(settings: _Settings, args) -> tuple[Scenario, tuple[float, ...]]:
-    l = settings.get("l", args.l, 4, int)
-    alpha = settings.get("alpha", args.alpha, 4.0, float)
-    p = settings.get("p", args.p, 1.0, float)
-    q = settings.get("q", args.q, 1.0, float)
-    k = settings.get("k", args.k, 1, int)
-    lam = settings.get("lam", args.lam, _DENSITY, float)
-    gamma_db = settings.get("gamma_db", args.gamma_db, 0.0, float)
-    gamma = 10.0 ** (gamma_db / 10.0)
-    start = settings.get("bg_start_db", args.bg_start_db, -20.0, float)
-    stop = settings.get("bg_stop_db", args.bg_stop_db, 0.0, float)
-    step = settings.get("bg_step_db", args.bg_step_db, 1.0, float)
-    if step <= 0 or stop < start:
-        raise SystemExit("error: need bg_step_db > 0 and bg_stop_db >= bg_start_db")
-    scen = Scenario(lam=lam, alpha=alpha, p=p, q=q, beta=gamma, gamma=gamma, L=l, K=k)
-    return scen, _grid(start, stop, step)
-
-
-def _parse_methods(text: str, allowed: set[str]) -> tuple[str, ...]:
+def _methods(text: str) -> tuple[str, ...]:
     tags = tuple(t.strip() for t in text.split(",") if t.strip())
     for tag in tags:
-        if tag not in allowed:
-            raise SystemExit(
-                f"error: unknown method {tag!r}; valid: {', '.join(sorted(allowed))}"
+        if tag not in _SWEEP_TAGS:
+            raise ValueError(
+                f"unknown method {tag!r}; valid: {', '.join(sorted(_SWEEP_TAGS))}"
             )
     if not tags:
-        raise SystemExit("error: empty methods list")
+        raise ValueError("empty methods list")
     return tags
 
 
-def _cmd_sweep(args, default_methods: str, default_out: str) -> int:
-    cfg = read_config(args.config) if args.config else {}
-    allowed = _COMMON_KEYS | _SCENARIO_KEYS | _GRID_KEYS | {
-        "methods", "expected_bs", "truth_mode", "base_method",
-    }
-    settings = _Settings(cfg, allowed, str(args.config))
-    scen, grid = _scenario_from(settings, args)
-    seed = _resolve_seed(args, cfg)
-    workers = settings.get("workers", args.workers if args.workers != 1 else None, 1, int)
-    realizations = settings.get("realizations", args.realizations, 10000, int)
-    expected = settings.get("expected_bs", args.expected_bs, 1000, int)
-    methods = _parse_methods(
-        settings.get("methods", args.methods, default_methods, str),
-        _ANALYTIC_TAGS | _MC_TAGS | {"ReuseRecursion"},
+def _bit(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, got {text!r}")
+    return text == "1"
+
+
+# Each subcommand's parameters as key -> (converter, default, help).  Every
+# key is both a config-file key and the flag --key (with '_' as '-'); both
+# sources go through the same converter.
+_COMMON = {
+    "seed": (int, 0, "master RNG seed (else HEARABILITY_SEED, else 0)"),
+    "workers": (int, 1, "process count"),
+}
+_MONTE_CARLO = {
+    "realizations": (int, 10000, "Monte Carlo sample size"),
+    "expected_bs": (int, 1000, "BSs kept per Monte Carlo deployment"),
+}
+_NETWORK = {
+    "alpha": (float, 4.0, "path loss exponent"),
+    "p": (float, 1.0, "participant activity"),
+    "q": (float, 1.0, "background activity"),
+}
+_SWEEP_GRID = {
+    "l": (int, 4, "required BS count L"),
+    "lam": (float, _DENSITY, "BS density"),
+    "gamma_db": (float, 0.0, "processing gain in dB"),
+    "bg_start_db": (float, -20.0, "first beta/gamma grid point in dB"),
+    "bg_stop_db": (float, 0.0, "last beta/gamma grid point in dB"),
+    "bg_step_db": (float, 1.0, "beta/gamma grid step in dB"),
+    "base_method": (
+        Method, Method.SINGLE_INTEGRAL_ALPHA4, "per-band evaluator of ReuseRecursion"
+    ),
+}
+_K = {"k": (int, 1, "frequency reuse factor")}
+
+
+def _out(default: str | None) -> dict:
+    return {"out": (Path, default and Path(default), "output CSV path")}
+
+
+def _sim(v: dict) -> SimConfig:
+    return SimConfig(
+        realizations=v["realizations"], seed=v["seed"], expected_bs=v["expected_bs"]
     )
-    base = Method(settings.get("base_method", args.base_method,
-                               Method.SINGLE_INTEGRAL_ALPHA4.value, str))
-    sim = SimConfig(realizations=realizations, seed=seed, expected_bs=expected)
-    spec = SweepSpec(scen, grid, methods, sim, workers, base)
-    out = settings.get("out", args.out, Path(default_out), Path)
-    write_csv(run_sweep(spec), out, not args.no_timestamp)
-    print(f"wrote {out}")
-    return 0
 
 
-def _cmd_reuse(args) -> int:
-    cfg = read_config(args.config) if args.config else {}
-    allowed = _COMMON_KEYS | _SCENARIO_KEYS | _GRID_KEYS | {
-        "k_list", "base_method", "mc", "expected_bs",
-    }
-    settings = _Settings(cfg, allowed, str(args.config))
-    scen, grid = _scenario_from(settings, args)
-    seed = _resolve_seed(args, cfg)
-    workers = settings.get("workers", args.workers if args.workers != 1 else None, 1, int)
-    realizations = settings.get("realizations", args.realizations, 10000, int)
-    k_list = settings.get(
-        "k_list", args.k_list, "1,3,6",
-        lambda s: s,
-    )
-    ks = tuple(int(t) for t in str(k_list).split(",") if t.strip())
-    base = Method(settings.get("base_method", args.base_method,
-                               Method.SINGLE_INTEGRAL_ALPHA4.value, str))
-    with_mc = args.mc or settings.get("mc", None, "0", str) == "1"
-    rows: list[Row] = []
-    for k in ks:
-        scen_k = scen.replace(K=k)
-        methods = ("ReuseRecursion", "MonteCarloReuse") if with_mc else ("ReuseRecursion",)
-        sim = SimConfig(realizations=realizations, seed=seed)
-        rows.extend(run_sweep(SweepSpec(scen_k, grid, methods, sim, workers, base)))
-    out = settings.get("out", args.out, Path("reuse.csv"), Path)
-    write_csv(rows, out, not args.no_timestamp)
-    print(f"wrote {out}")
-    return 0
-
-
-def _cmd_hexgrid(args) -> int:
-    cfg = read_config(args.config) if args.config else {}
-    allowed = _COMMON_KEYS | {
-        "alpha", "p", "q", "k", "isd", "sigma_db", "bg_db", "l_max", "expected_bs",
-    }
-    settings = _Settings(cfg, allowed, str(args.config))
-    seed = _resolve_seed(args, cfg)
-    workers = settings.get("workers", args.workers if args.workers != 1 else None, 1, int)
-    realizations = settings.get("realizations", args.realizations, 10000, int)
-    alpha = settings.get("alpha", args.alpha, 4.0, float)
-    p = settings.get("p", args.p, 1.0, float)
-    q = settings.get("q", args.q, 1.0, float)
-    k = settings.get("k", args.k, 1, int)
-    isd = settings.get("isd", args.isd, 500.0, float)
-    sigma = settings.get("sigma_db", args.sigma_db, 8.0, float)
-    bg_db = settings.get("bg_db", args.bg_db, -10.0, float)
-    l_max = settings.get("l_max", args.l_max, 16, int)
-    expected = settings.get("expected_bs", args.expected_bs, 1000, int)
-    bg = 10.0 ** (bg_db / 10.0)
+def _sweep_spec(v: dict, K: int, methods: tuple[str, ...]) -> SweepSpec:
+    start, stop, step = v["bg_start_db"], v["bg_stop_db"], v["bg_step_db"]
+    if step <= 0 or stop < start:
+        raise SystemExit("error: need bg_step_db > 0 and bg_stop_db >= bg_start_db")
+    gamma = 10.0 ** (v["gamma_db"] / 10.0)
     scen = Scenario(
-        lam=hex_grid_density(isd), alpha=alpha, p=p, q=q, beta=bg, gamma=1.0,
-        L=1, K=k,
+        lam=v["lam"], alpha=v["alpha"], p=v["p"], q=v["q"], beta=gamma, gamma=gamma,
+        L=v["l"], K=K,
     )
-    l_values = tuple(range(1, l_max + 1))
-    rows = hearability_rows(
-        scen,
-        SimConfig(realizations=realizations, seed=seed, expected_bs=expected),
-        l_values, "MonteCarloPPP", workers,
+    return SweepSpec(
+        scen, _grid(start, stop, step), methods, _sim(v), v["workers"], v["base_method"]
     )
-    sim_hex = SimConfig(
-        realizations=realizations, seed=seed, expected_bs=expected,
-        deployment=Deployment.HEX, hex_isd=isd,
-        shadow=ShadowingSpec(sigma, enabled=sigma > 0.0),
-    )
-    rows.extend(
-        hearability_rows(scen, sim_hex, l_values, f"MonteCarloHex_s{sigma:g}", workers)
-    )
-    out = settings.get("out", args.out, Path("hexgrid.csv"), Path)
-    write_csv(rows, out, not args.no_timestamp)
-    print(f"wrote {out}")
-    return 0
 
 
-def _cmd_e911(args) -> int:
-    cfg = read_config(args.config) if args.config else {}
-    allowed = _COMMON_KEYS | {
-        "trials", "gain_db", "bandwidth", "clock_std", "nlos_mean",
-        "pre_sinr_db", "alpha", "sigma_db", "isd", "grid", "max_bs",
-    }
-    settings = _Settings(cfg, allowed, str(args.config))
-    seed = _resolve_seed(args, cfg)
-    workers = settings.get("workers", args.workers if args.workers != 1 else None, 1, int)
-    trials = settings.get("trials", args.trials, 4000, int)
-    gain_db = settings.get("gain_db", args.gain_db, 8.0, float)
-    pre_db = settings.get("pre_sinr_db", args.pre_sinr_db, -13.0, float)
-    grid_text = settings.get("grid", args.grid, "4,5,6,7,8", str)
-    grid = tuple(int(t) for t in grid_text.split(",") if t.strip())
+def _sweep(v: dict) -> list[Row]:
+    return run_sweep(_sweep_spec(v, v["k"], v["methods"]))
+
+
+def _reuse(v: dict) -> list[Row]:
+    methods = ("ReuseRecursion", "MonteCarloReuse") if v["mc"] else ("ReuseRecursion",)
+    return [row for k in v["k_list"] for row in run_sweep(_sweep_spec(v, k, methods))]
+
+
+def _hexgrid(v: dict) -> list[Row]:
+    scen = Scenario(
+        lam=hex_grid_density(v["isd"]), alpha=v["alpha"], p=v["p"], q=v["q"],
+        beta=10.0 ** (v["bg_db"] / 10.0), gamma=1.0, L=1, K=v["k"],
+    )
+    sim = _sim(v).replace(hex_isd=v["isd"])
+    return hex_vs_ppp_rows(scen, sim, v["l_max"], (v["sigma_db"],), v["workers"])
+
+
+def _e911(v: dict) -> list[Row]:
     econfig = E911Config(
-        trials=trials,
-        processing_gain_db=gain_db,
-        pre_sinr_threshold=10.0 ** (pre_db / 10.0),
-        min_hearability_grid=grid,
-        alpha=settings.get("alpha", args.alpha, 3.76, float),
-        shadow_sigma_db=settings.get("sigma_db", args.sigma_db, 8.0, float),
-        hex_isd=settings.get("isd", args.isd, 500.0, float),
-        bandwidth=settings.get("bandwidth", None, 1e7, float),
-        clock_std=settings.get("clock_std", None, 1e-7, float),
-        nlos_mean=settings.get("nlos_mean", None, 30.0, float),
-        max_bs_per_fix=settings.get("max_bs", args.max_bs, None, int),
+        trials=v["trials"],
+        processing_gain_db=v["gain_db"],
+        pre_sinr_threshold=10.0 ** (v["pre_sinr_db"] / 10.0),
+        min_hearability_grid=v["grid"],
+        alpha=v["alpha"],
+        shadow_sigma_db=v["sigma_db"],
+        hex_isd=v["isd"],
+        bandwidth=v["bandwidth"],
+        clock_std=v["clock_std"],
+        nlos_mean=v["nlos_mean"],
+        max_bs_per_fix=v["max_bs"],
     )
-    rows = e911_rows(econfig, seed, workers)
-    out = settings.get("out", args.out, Path("e911.csv"), Path)
-    write_csv(rows, out, not args.no_timestamp)
-    print(f"wrote {out}")
-    return 0
+    return e911_rows(econfig, v["seed"], v["workers"])
 
 
-def _cmd_figure(args) -> int:
-    cfg = read_config(args.config) if args.config else {}
-    settings = _Settings(cfg, _COMMON_KEYS, str(args.config))
-    seed = _resolve_seed(args, cfg)
-    workers = settings.get("workers", args.workers if args.workers != 1 else None, 1, int)
-    realizations = settings.get("realizations", args.realizations, None, int)
-    out = settings.get("out", args.out, None, Path)
-    path = run_figure(
-        args.name, seed, realizations, workers, out, not args.no_timestamp
-    )
-    print(f"wrote {path}")
-    return 0
+_SWEEP = {**_COMMON, **_MONTE_CARLO, **_NETWORK, **_K, **_SWEEP_GRID}
+_ANALYTIC_METHODS = (
+    "UpperBound", "PerfectCoord", "SingleIntegralAlpha4", "NearFieldAlpha4"
+)
+
+# name -> (help, rows runner, parameters); ``figure`` runs ``run_figure``.
+_COMMANDS = {
+    "analytic": ("closed-form and integral P_L curves", _sweep, {
+        **_SWEEP, **_out("analytic.csv"),
+        "methods": (_methods, _ANALYTIC_METHODS, "comma-separated method tags"),
+    }),
+    "simulate": ("Monte Carlo P_L curves", _sweep, {
+        **_SWEEP, **_out("simulate.csv"),
+        "methods": (_methods, ("MonteCarloJoint",), "comma-separated method tags"),
+    }),
+    "reuse": ("P_L under frequency reuse", _reuse, {
+        **_COMMON, **_MONTE_CARLO, **_NETWORK, **_SWEEP_GRID, **_out("reuse.csv"),
+        "k_list": (_int_list, (1, 3, 6), "comma-separated reuse factors K"),
+        "mc": (_bit, False, "1 (or a bare --mc) adds Monte Carlo rows"),
+    }),
+    "hexgrid": ("hex-grid vs Poisson hearability", _hexgrid, {
+        **_COMMON, **_MONTE_CARLO, **_NETWORK, **_K, **_out("hexgrid.csv"),
+        "isd": (float, 500.0, "hex intersite distance"),
+        "sigma_db": (float, 8.0, "hex shadowing sigma in dB (0 disables)"),
+        "bg_db": (float, -10.0, "beta/gamma in dB"),
+        "l_max": (int, 16, "largest L"),
+    }),
+    "e911": ("FCC E911 compliance table", _e911, {
+        **_COMMON, **_out("e911.csv"),
+        "trials": (int, 4000, "positioning trials"),
+        "gain_db": (float, 8.0, "processing gain in dB"),
+        "pre_sinr_db": (float, -13.0, "detection threshold beta/gamma in dB"),
+        "alpha": (float, 3.76, "path loss exponent"),
+        "sigma_db": (float, 8.0, "shadowing sigma in dB"),
+        "isd": (float, 500.0, "equivalent hex intersite distance"),
+        "grid": (_int_list, (4, 5, 6, 7, 8), "comma-separated minimum hearabilities"),
+        "max_bs": (int, None, "cap on BSs per fix (default: all heard)"),
+        "bandwidth": (float, 1e7, "positioning bandwidth in Hz"),
+        "clock_std": (float, 1e-7, "BS clock error std in s"),
+        "nlos_mean": (float, 30.0, "mean NLOS range bias in m"),
+    }),
+    "figure": ("canned figure datasets", None, {
+        **_COMMON, **_out(None),
+        "realizations": (int, None, "Monte Carlo sample size (default: the recipe's)"),
+    }),
+}
+
+
+def _lookup(key: str, param: tuple, args, cfg: dict[str, str]):
+    """Flag, then config file, then (seed only) HEARABILITY_SEED, then default."""
+    convert, default, _ = param
+    raw = getattr(args, key, None)
+    if raw is None:
+        raw = cfg.get(key)
+    if raw is None and key == "seed":
+        raw = os.environ.get("HEARABILITY_SEED")
+    if raw is None:
+        return default
+    try:
+        return convert(raw)
+    except ValueError as err:
+        raise SystemExit(f"error: {key}: {err}") from None
+
+
+def _resolve_seed(args, cfg: dict[str, str]) -> int:
+    return _lookup("seed", _COMMON["seed"], args, cfg)
+
+
+def _resolve(params: dict, args, cfg: dict[str, str], source: str) -> dict:
+    """Every parameter's value; config keys outside the table abort the run."""
+    unknown = set(cfg) - set(params)
+    if unknown:
+        raise SystemExit(
+            f"error: unknown config key(s) in {source}: "
+            f"{', '.join(sorted(unknown))}; allowed: {', '.join(sorted(params))}"
+        )
+    return {key: _lookup(key, param, args, cfg) for key, param in params.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -745,75 +704,38 @@ def build_parser() -> argparse.ArgumentParser:
         description="Base-station hearability probabilities and sweeps",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, default_methods, default_out, helptext in (
-        (
-            "analytic",
-            "UpperBound,PerfectCoord,SingleIntegralAlpha4,NearFieldAlpha4",
-            "analytic.csv",
-            "closed-form and integral P_L curves",
-        ),
-        (
-            "simulate",
-            "MonteCarloJoint",
-            "simulate.csv",
-            "Monte Carlo P_L curves",
-        ),
-    ):
-        cmd = sub.add_parser(name, help=helptext)
-        _add_common(cmd)
-        _add_scenario(cmd)
-        cmd.add_argument("--methods", type=str, default=None)
-        cmd.add_argument("--expected-bs", type=int, default=None)
-        cmd.add_argument("--base-method", type=str, default=None)
-        cmd.set_defaults(
-            func=lambda a, m=default_methods, o=default_out: _cmd_sweep(a, m, o)
+    for name, (helptext, _, params) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=helptext, allow_abbrev=False)
+        if name == "figure":
+            cmd.add_argument("name", choices=sorted(_FIGURES))
+        cmd.add_argument("--config", type=Path, help="flat key = value config file")
+        cmd.add_argument(
+            "--no-timestamp", action="store_true",
+            help="omit the generation-time comment for byte-identical re-runs",
         )
-
-    reuse_cmd = sub.add_parser("reuse", help="P_L under frequency reuse")
-    _add_common(reuse_cmd)
-    _add_scenario(reuse_cmd)
-    reuse_cmd.add_argument("--k-list", type=str, default=None)
-    reuse_cmd.add_argument("--base-method", type=str, default=None)
-    reuse_cmd.add_argument("--mc", action="store_true", help="add Monte Carlo rows")
-    reuse_cmd.set_defaults(func=_cmd_reuse)
-
-    hex_cmd = sub.add_parser("hexgrid", help="hex-grid vs Poisson hearability")
-    _add_common(hex_cmd)
-    hex_cmd.add_argument("--alpha", type=float, default=None)
-    hex_cmd.add_argument("--p", type=float, default=None)
-    hex_cmd.add_argument("--q", type=float, default=None)
-    hex_cmd.add_argument("--k", type=int, default=None)
-    hex_cmd.add_argument("--isd", type=float, default=None)
-    hex_cmd.add_argument("--sigma-db", type=float, default=None)
-    hex_cmd.add_argument("--bg-db", type=float, default=None)
-    hex_cmd.add_argument("--l-max", type=int, default=None)
-    hex_cmd.add_argument("--expected-bs", type=int, default=None)
-    hex_cmd.set_defaults(func=_cmd_hexgrid)
-
-    e911_cmd = sub.add_parser("e911", help="FCC E911 compliance table")
-    _add_common(e911_cmd, realizations=False)
-    e911_cmd.add_argument("--trials", type=int, default=None)
-    e911_cmd.add_argument("--gain-db", type=float, default=None)
-    e911_cmd.add_argument("--pre-sinr-db", type=float, default=None)
-    e911_cmd.add_argument("--alpha", type=float, default=None)
-    e911_cmd.add_argument("--sigma-db", type=float, default=None)
-    e911_cmd.add_argument("--isd", type=float, default=None)
-    e911_cmd.add_argument("--grid", type=str, default=None)
-    e911_cmd.add_argument("--max-bs", type=int, default=None)
-    e911_cmd.set_defaults(func=_cmd_e911)
-
-    fig_cmd = sub.add_parser("figure", help="canned figure datasets")
-    fig_cmd.add_argument("name", choices=sorted(_FIGURES))
-    _add_common(fig_cmd)
-    fig_cmd.set_defaults(func=_cmd_figure)
-
+        for key, (convert, _, text) in params.items():
+            # Values stay strings here: the resolver converts flag and
+            # config values alike.
+            bare = {"nargs": "?", "const": "1"} if convert is _bit else {}
+            cmd.add_argument("--" + key.replace("_", "-"), dest=key, help=text, **bare)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    _, rows, params = _COMMANDS[args.command]
+    cfg = read_config(args.config) if args.config else {}
+    v = _resolve(params, args, cfg, str(args.config))
+    if args.command == "figure":
+        out = run_figure(
+            args.name, v["seed"], v["realizations"], v["workers"], v["out"],
+            not args.no_timestamp,
+        )
+    else:
+        out = v["out"]
+        write_csv(rows(v), out, not args.no_timestamp)
+    print(f"wrote {out}")
+    return 0
 
 
 if __name__ == "__main__":

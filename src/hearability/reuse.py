@@ -16,20 +16,15 @@ which holds when muting and load coincide (``p = q``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
-from typing import Optional
 
 import numpy as np
 
 from .analytic import Method, evaluate
 from .model import Scenario
-from .numerics import DEFAULT_QUADRATURE, QuadratureSpec
+from .numerics import QuadratureSpec
 
 __all__ = ["ReuseQuery", "pl_with_reuse", "exact_count_pmf"]
-
-_ENUMERATION_LIMIT = 200_000
 
 
 @dataclass(frozen=True)
@@ -96,32 +91,11 @@ def _failure_by_convolution(e: np.ndarray, K: int, L: int) -> float:
     return float(np.sum(coeffs))
 
 
-def _failure_by_enumeration(e: np.ndarray, K: int, L: int) -> float:
-    """Direct sum over per-band count splittings totalling below L.
-
-    Iterates over multisets of band counts and weights each by its
-    number of arrangements; exponential in size, so callers cap it.
-    """
-    total = 0.0
-    for combo in combinations_with_replacement(range(L), K):
-        if sum(combo) >= L:
-            continue
-        arrangements = math.factorial(K)
-        for count in (combo.count(v) for v in set(combo)):
-            arrangements //= math.factorial(count)
-        prod = 1.0
-        for n in combo:
-            prod *= e[n]
-        total += arrangements * prod
-    return total
-
-
 def pl_with_reuse(query: ReuseQuery) -> float:
     """P(at least L BSs detectable across all K bands).
 
-    Uses the convolution form; for small problems the explicit
-    enumeration over count splittings is evaluated too and the two are
-    cross-checked, guarding the index bookkeeping.
+    Uses the convolution form; ``tests/test_reuse.py`` checks it against
+    a brute-force sum over per-band count tuples.
     At ``K = 1`` the telescoping collapses and the single-band value is
     returned (up to summation rounding).
     """
@@ -129,11 +103,4 @@ def pl_with_reuse(query: ReuseQuery) -> float:
     K, L = scen.K, scen.L
     e = exact_count_pmf(query)
     failure = _failure_by_convolution(e, K, L)
-    if math.comb(L - 1 + K, K) <= _ENUMERATION_LIMIT:
-        check = _failure_by_enumeration(e, K, L)
-        if abs(check - failure) > 1e-10:
-            raise AssertionError(
-                f"reuse bookkeeping mismatch: convolution {failure!r} vs "
-                f"enumeration {check!r}"
-            )
     return min(1.0, max(0.0, 1.0 - failure))

@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 import hearability
+import hearability.cli as cli
 from hearability.cli import (
     CSV_COLUMNS,
     Row,
     SweepSpec,
     _resolve_seed,
+    build_parser,
     main,
     procgain_rows,
     read_config,
@@ -26,9 +28,43 @@ from hearability.cli import (
 from hearability.analytic import Method
 from hearability.model import Scenario
 from hearability.numerics import QuadratureSpec
-from hearability.simulate import SimConfig
+from hearability.simulate import McEstimate, SimConfig
 
 HEADER = ",".join(CSV_COLUMNS)
+
+_SWEEP_KEYS = {
+    "seed": "11", "workers": "1", "realizations": "300", "expected_bs": "100",
+    "alpha": "4", "p": "1", "q": "1", "k": "2", "l": "3", "lam": "2",
+    "gamma_db": "1", "bg_start_db": "-16", "bg_stop_db": "-15", "bg_step_db": "1",
+    "base_method": "UpperBound",
+}
+
+# Every parameter of each subcommand except ``out``, mostly off its
+# default, with the positional arguments that precede them.
+EVERY_KEY = {
+    "analytic": ([], {**_SWEEP_KEYS, "methods": "UpperBound,ReuseRecursion"}),
+    "simulate": ([], {**_SWEEP_KEYS, "methods": "MonteCarloJoint,MonteCarloLastBs"}),
+    "reuse": ([], {
+        **{k: v for k, v in _SWEEP_KEYS.items() if k != "k"},
+        "k_list": "1,2", "mc": "1",
+    }),
+    "hexgrid": ([], {
+        "seed": "2", "workers": "1", "realizations": "200", "expected_bs": "100",
+        "alpha": "3.5", "p": "0.5", "q": "0.75", "k": "2", "isd": "400",
+        "sigma_db": "4", "bg_db": "-8", "l_max": "3",
+    }),
+    "e911": ([], {
+        "seed": "1", "workers": "1", "trials": "200", "gain_db": "6",
+        "pre_sinr_db": "-12", "alpha": "3.5", "sigma_db": "6", "isd": "400",
+        "grid": "4,5", "max_bs": "6", "bandwidth": "2e7", "clock_std": "5e-8",
+        "nlos_mean": "20",
+    }),
+    "figure": (["fig2"], {"seed": "3", "workers": "1", "realizations": "200"}),
+}
+
+
+def flag(key):
+    return "--" + key.replace("_", "-")
 
 
 def lines_of(path):
@@ -321,30 +357,105 @@ class TestSubcommands:
             )
 
     def test_config_file_drives_sweep(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(
-            "seed = 11\n"
-            "realizations = 300\n"
-            "expected_bs = 100\n"
-            "bg_start_db = -16\n"
-            "bg_stop_db = -15\n"
-            "bg_step_db = 1\n"
-            "methods = MonteCarloJoint\n"
+        # A config file holding every key gives the bytes of the same
+        # values passed as flags, for every subcommand.
+        for command, (positional, keys) in EVERY_KEY.items():
+            out_cfg = tmp_path / f"{command}_cfg.csv"
+            cfg = tmp_path / f"{command}.cfg"
+            cfg.write_text(
+                "".join(f"{k} = {v}\n" for k, v in keys.items()) + f"out = {out_cfg}\n"
+            )
+            head = [command, *positional, "--no-timestamp"]
+            assert main(head + ["--config", str(cfg)]) == 0
+            out_flags = tmp_path / f"{command}_flags.csv"
+            flags = [s for k, v in keys.items() for s in (flag(k), v)]
+            assert main(head + flags + ["--out", str(out_flags)]) == 0
+            assert out_cfg.read_bytes() == out_flags.read_bytes(), command
+
+    @pytest.mark.parametrize("command", sorted(EVERY_KEY))
+    def test_flags_are_exactly_the_config_keys(self, command):
+        parser = build_parser()
+        subparsers = next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
         )
-        out_cfg = tmp_path / "cfg.csv"
-        assert main(
-            ["simulate", "--config", str(cfg), "--out", str(out_cfg),
-             "--no-timestamp"]
-        ) == 0
-        out_flags = tmp_path / "flags.csv"
-        assert main(
-            ["simulate", "--seed", "11", "--realizations", "300",
-             "--expected-bs", "100", "--bg-start-db", "-16",
-             "--bg-stop-db", "-15", "--bg-step-db", "1",
-             "--methods", "MonteCarloJoint",
-             "--out", str(out_flags), "--no-timestamp"]
-        ) == 0
-        assert out_cfg.read_bytes() == out_flags.read_bytes()
+        actions = subparsers.choices[command]._actions
+        options = {s for a in actions for s in a.option_strings}
+        positional, keys = EVERY_KEY[command]
+        assert options == {"-h", "--help", "--config", "--no-timestamp", "--out"} | {
+            flag(k) for k in keys
+        }
+        assert [a.dest for a in actions if not a.option_strings] == (
+            ["name"] if positional else []
+        )
+
+    def test_explicit_workers_flag_beats_config(self, tmp_path, monkeypatch):
+        seen = []
+
+        def fake_collect(scenario, sim, workers):
+            seen.append(workers)
+            return np.zeros((sim.realizations, 2))
+
+        monkeypatch.setattr(cli, "collect_margins", fake_collect)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("workers = 2\n")
+        argv = [
+            "simulate", "--config", str(cfg), "--realizations", "50",
+            "--bg-start-db", "-10", "--bg-stop-db", "-10",
+            "--out", str(tmp_path / "x.csv"), "--no-timestamp",
+        ]
+        assert main(argv) == 0
+        assert main(argv + ["--workers", "1"]) == 0
+        assert seen == [2, 1]
+
+    def test_reuse_passes_expected_bs(self, tmp_path, monkeypatch):
+        seen = []
+
+        def fake_curve(scenario, sim, thresholds, workers):
+            seen.append(sim.expected_bs)
+            return [McEstimate.from_successes(0, sim.realizations)] * len(thresholds)
+
+        monkeypatch.setattr(cli, "reuse_success_curve", fake_curve)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("expected_bs = 50\n")
+        argv = [
+            "reuse", "--mc", "--k-list", "3", "--realizations", "50",
+            "--bg-start-db", "-10", "--bg-stop-db", "-10",
+            "--out", str(tmp_path / "x.csv"), "--no-timestamp",
+        ]
+        assert main(argv + ["--config", str(cfg)]) == 0
+        assert main(argv + ["--expected-bs", "5000"]) == 0
+        assert seen == [50, 5000]
+
+    @pytest.mark.parametrize(
+        "command, config, flags, message",
+        [
+            (
+                "simulate", "truth_mode = last_bs_only", [],
+                "unknown config key.*: truth_mode;",
+            ),
+            ("e911", "realizations = 100", [], "unknown config key.*: realizations;"),
+            ("analytic", "alpha = four", [], "^error: alpha: "),
+            ("reuse", "mc = true", [], "^error: mc: "),
+            ("reuse", None, ["--k-list", "1,x"], "^error: k_list: "),
+            ("e911", None, ["--grid", "4,x"], "^error: grid: "),
+            ("reuse", None, ["--base-method", "Bogus"], "^error: base_method: "),
+        ],
+        ids=[
+            "truth_mode", "realizations", "alpha", "mc", "k_list", "grid", "base_method",
+        ],
+    )
+    def test_bad_input_exits_naming_the_key(
+        self, tmp_path, command, config, flags, message
+    ):
+        out = tmp_path / "x.csv"
+        argv = [command, *flags, "--out", str(out)]
+        if config is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config + "\n")
+            argv += ["--config", str(cfg)]
+        with pytest.raises(SystemExit, match=message):
+            main(argv)
+        assert not out.exists()
 
     def test_installed_entry_point(self, tmp_path):
         # The console command runs from the checkout's declaration, and

@@ -79,7 +79,7 @@ class TestPlWithReuse:
             np.testing.assert_allclose(pl_with_reuse(query), base, atol=1e-12)
 
     @pytest.mark.parametrize("K", [2, 3, 6])
-    @pytest.mark.parametrize("L", [2, 4])
+    @pytest.mark.parametrize("L", [2, 4, 8])
     def test_matches_bruteforce_tuple_sum(self, K, L):
         query = ReuseQuery(scen(12.0, K=K, L=L))
         e = exact_count_pmf(query)
