@@ -46,7 +46,6 @@ from .model import (
     hex_grid_density,
     pdf_rl,
     pmf_omega,
-    sinr_of,
 )
 from .numerics import (
     NonConvergenceError,
@@ -66,9 +65,7 @@ from .simulate import (
     estimate_pl_curve,
     estimate_pl_reuse,
     hearability_curve,
-    participation_metric,
     reuse_success_curve,
-    sample_hex,
     sample_ppp,
 )
 
@@ -101,7 +98,6 @@ __all__ = [
     "hex_grid_density",
     "pdf_rl",
     "pmf_omega",
-    "sinr_of",
     "NonConvergenceError",
     "QuadratureSpec",
     "erlang_quantile",
@@ -119,9 +115,7 @@ __all__ = [
     "estimate_pl_curve",
     "estimate_pl_reuse",
     "hearability_curve",
-    "participation_metric",
     "reuse_success_curve",
-    "sample_hex",
     "sample_ppp",
     "__version__",
 ]

@@ -724,16 +724,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     _, rows, params = _COMMANDS[args.command]
-    cfg = read_config(args.config) if args.config else {}
-    v = _resolve(params, args, cfg, str(args.config))
-    if args.command == "figure":
-        out = run_figure(
-            args.name, v["seed"], v["realizations"], v["workers"], v["out"],
-            not args.no_timestamp,
-        )
-    else:
-        out = v["out"]
-        write_csv(rows(v), out, not args.no_timestamp)
+    try:
+        cfg = read_config(args.config) if args.config else {}
+        v = _resolve(params, args, cfg, str(args.config))
+        if args.command == "figure":
+            out = run_figure(
+                args.name, v["seed"], v["realizations"], v["workers"], v["out"],
+                not args.no_timestamp,
+            )
+        else:
+            out = v["out"]
+            write_csv(rows(v), out, not args.no_timestamp)
+    except (ValueError, OSError) as err:
+        # Values the library rejects and files that cannot be read or
+        # written end the run with a message, not a traceback.
+        raise SystemExit(f"error: {err}") from None
     print(f"wrote {out}")
     return 0
 

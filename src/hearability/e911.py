@@ -8,6 +8,15 @@ exponential non-line-of-sight bias and per-BS clock error, and a
 two-stage weighted least-squares position solve with the strongest BS
 as reference.  The output is the FCC E911 compliance table: horizontal
 error percentiles versus the minimum number of heard BSs.
+
+Reproducibility contract: trial geometries are the rows of the Monte
+Carlo block sampler, blocks of ``_BLOCK`` trials keyed by ``(seed,
+block, role)``, each trial keeping its ``expected_bs`` nearest BSs.
+The bearings, NLOS biases, ranging noise and clock errors of trial
+``i`` come, in that order, from ``stream(seed, i, ROLE_E911)``.  Worker
+spans start on block boundaries and the batched solver treats every
+trial on its own, so results are bit-identical across worker counts
+and ``run_trial`` is one row of ``collect_trials``.
 """
 
 from __future__ import annotations
@@ -18,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Realization, Scenario, ShadowingSpec, effective_density, hex_grid_density
+from .model import Scenario, ShadowingSpec, effective_density, hex_grid_density
 from .parallel import map_spans
-from .simulate import ROLE_E911, SimConfig, sample_ppp, stream
+from .simulate import _BLOCK, ROLE_E911, SimConfig, _powers, _sample_block, stream
 
 __all__ = [
     "E911Config",
@@ -29,7 +38,6 @@ __all__ = [
     "ComplianceRow",
     "default_scenario",
     "ranging_stddev",
-    "synthesize_observations",
     "solve_tdoa",
     "run_trial",
     "collect_trials",
@@ -70,7 +78,8 @@ class E911Config:
             1/12 for a flat spectrum, 1/3 for band-edge-weighted.
         max_bs_per_fix: cap on how many detected BSs enter the solver
             (None = use all detected).
-        expected_bs: mean BS count in the sampling window per trial.
+        expected_bs: BSs per trial: each trial keeps the ``expected_bs``
+            BSs nearest the device.
     """
 
     bandwidth: float = 1e7
@@ -196,152 +205,253 @@ def default_scenario(cfg: E911Config) -> Scenario:
     )
 
 
-def ranging_stddev(post_sinr: float, cfg: E911Config) -> float:
+def ranging_stddev(post_sinr, cfg: E911Config):
     """TOA ranging error standard deviation in meters from the CRLB.
 
     ``c / sqrt(8 pi^2 beta_rms^2 SNR)`` with
-    ``beta_rms^2 = rms_bandwidth_factor * bandwidth**2``.  Infinite
-    bandwidth returns 0 (noiseless ranging).
+    ``beta_rms^2 = rms_bandwidth_factor * bandwidth**2``, elementwise
+    for an array of SINRs.  Infinite bandwidth returns 0 (noiseless
+    ranging).
     """
-    if not (post_sinr > 0.0):
+    if not np.all(np.greater(post_sinr, 0.0)):
         raise ValueError(f"post_sinr must be positive, got {post_sinr}")
     if math.isinf(cfg.bandwidth):
-        return 0.0
+        return np.zeros(np.shape(post_sinr))[()]
     beta_rms_sq = cfg.rms_bandwidth_factor * cfg.bandwidth**2
-    return cfg.speed_of_light / math.sqrt(8.0 * math.pi**2 * beta_rms_sq * post_sinr)
+    return cfg.speed_of_light / np.sqrt(8.0 * math.pi**2 * beta_rms_sq * post_sinr)
 
 
-def _pre_sinrs(realization: Realization, scenario: Scenario) -> np.ndarray:
-    """Pre-processing SINR of every BS in a fully loaded network."""
-    pw = scenario.tx_power * realization.distances ** (-scenario.alpha)
-    denom = float(np.sum(pw)) - pw + scenario.noise_sigma2
-    with np.errstate(divide="ignore"):
-        return np.where(denom > 0.0, pw / denom, math.inf)
+def _detect(d: np.ndarray, scenario: Scenario, cfg: E911Config):
+    """Pre-processing SINRs (rows, n) of a fully loaded network, and detected counts."""
+    pw = _powers(d, scenario)
+    denom = np.sum(pw, axis=1, keepdims=True) - pw
+    denom += scenario.noise_sigma2
+    sinr = np.divide(pw, denom, out=np.full_like(pw, math.inf), where=denom > 0.0)
+    return sinr, np.count_nonzero(sinr >= cfg.pre_sinr_threshold, axis=1)
 
 
-def detected_count(
-    realization: Realization, scenario: Scenario, cfg: E911Config
-) -> int:
-    """Number of BSs whose pre-processing SINR clears the threshold."""
-    return int(np.sum(_pre_sinrs(realization, scenario) >= cfg.pre_sinr_threshold))
+def _draw(rng: np.random.Generator, cfg: E911Config, used: int) -> np.ndarray:
+    """One trial's (4, used) bearings, NLOS biases, unit ranging noise and clock errors."""
+    out = np.zeros((4, used))
+    out[0] = rng.uniform(0.0, 2.0 * math.pi, size=used)
+    if cfg.nlos_mean > 0.0:
+        out[1] = rng.exponential(cfg.nlos_mean, size=used)
+    out[2] = rng.normal(0.0, 1.0, size=used)
+    out[3] = rng.normal(0.0, cfg.clock_std, size=used)
+    return out
 
 
-def synthesize_observations(
-    realization: Realization,
-    scenario: Scenario,
-    cfg: E911Config,
-    rng: np.random.Generator,
-) -> tuple[Observations, np.ndarray]:
-    """Build TDOA measurements for the detected BSs of one realization.
+def _observe(d, sinr, draws, scenario: Scenario, cfg: E911Config):
+    """TDOA measurements of N trials using m BSs each, strongest first.
 
-    Pseudorange model per used BS ``i`` (device at the origin):
-    ``rho_i = d_i + NLOS_i + N(0, sigma_i^2) + c * N(0, clock_std^2)``
-    with ``sigma_i`` the CRLB ranging stddev at the post-processing
-    SINR.  Draw order from ``rng``: bearing angles, NLOS biases, ranging
-    noise, clock errors.  With all noise parameters zeroed the TDOAs
-    equal exact range differences.
-
-    Returns the observations and the BS positions (used BSs only,
-    strongest first); positions are consistent with the realization's
-    distances, with bearings drawn here since hearability never needed
-    them.
+    ``d``, ``sinr``: (N, m) distances and pre-processing SINRs; ``draws``:
+    (N, 4, m) from ``_draw``.  Pseudorange of BS i:
+    ``d_i + NLOS_i + sigma_i * N(0, 1) + c * N(0, clock_std**2)``.
+    Returns positions (N, m, 2), TDOAs (N, m-1), their covariance, the
+    pseudoranges and the post-processing SINRs.
     """
-    sinrs = _pre_sinrs(realization, scenario)
-    detected = int(np.sum(sinrs >= cfg.pre_sinr_threshold))
-    used = detected
-    if cfg.max_bs_per_fix is not None:
-        used = min(used, cfg.max_bs_per_fix)
-    d = realization.distances[:used]
-    sinr_used = sinrs[:used]
-    angles = rng.uniform(0.0, 2.0 * math.pi, size=used)
-    positions = np.column_stack((d * np.cos(angles), d * np.sin(angles)))
-    nlos = (
-        rng.exponential(cfg.nlos_mean, size=used)
-        if cfg.nlos_mean > 0.0
-        else np.zeros(used)
-    )
-    post = scenario.gamma * sinr_used
-    sigma = np.array([ranging_stddev(s, cfg) for s in post])
-    noise = rng.normal(0.0, 1.0, size=used) * sigma
-    clock = cfg.speed_of_light * rng.normal(0.0, cfg.clock_std, size=used)
-    pseudo = d + nlos + noise + clock
-    tdoas = pseudo[1:] - pseudo[0] if used > 0 else np.zeros(0)
+    n, m = d.shape
+    angles, nlos, unit, clock = np.moveaxis(draws, 1, 0)
+    positions = np.stack((d * np.cos(angles), d * np.sin(angles)), axis=-1)
+    post = scenario.gamma * sinr
+    sigma = ranging_stddev(post, cfg)
+    pseudo = d + nlos + unit * sigma + cfg.speed_of_light * clock
+    # Shared reference noise: a diagonal plus a rank-one constant block.
     var = sigma**2 + (cfg.speed_of_light * cfg.clock_std) ** 2
-    if used > 1:
-        cov = np.diag(var[1:]) + var[0]
-        if not np.any(var > 0.0):
-            cov = np.eye(used - 1)
-    else:
-        cov = np.zeros((0, 0))
-    return (
-        Observations(pseudo, tdoas, cov, 0, post, d.copy()),
-        positions,
-    )
+    k = m - 1
+    cov = np.zeros((n, k, k)) + var[:, :1, None]
+    cov[:, np.arange(k), np.arange(k)] += var[:, 1:]
+    cov[~np.any(var > 0.0, axis=1)] = np.eye(k)
+    return positions, pseudo[:, 1:] - pseudo[:, :1], cov, pseudo, post
 
 
-def _gauss_newton(
-    tdoas: np.ndarray,
-    positions: np.ndarray,
-    weight: np.ndarray,
-    ref: int,
-    x0: np.ndarray,
-    detected: int,
-    used: int,
-    condition: float,
-) -> FixOutcome:
-    """Damped Gauss-Newton on the weighted TDOA residuals."""
-    others = [i for i in range(len(positions)) if i != ref]
-    p_ref = positions[ref]
-    p_others = positions[others]
-    x = np.asarray(x0, dtype=float).copy()
+def _each(fn, shape: tuple, *stacks: np.ndarray):
+    """``fn(*stacks)`` (of shape ``shape``) over stacked matrices, and which rows worked.
 
-    def residuals(pt: np.ndarray) -> np.ndarray:
-        return (
-            np.hypot(*(pt - p_others).T)
-            - math.hypot(*(pt - p_ref))
-            - tdoas
-        )
+    ``np.linalg`` raises for a whole stack when one matrix is singular,
+    so a failing stack is halved until the failing rows stand alone;
+    they read NaN.  No row's value depends on the other rows.
+    """
+    try:
+        return fn(*stacks), np.ones(shape[0], dtype=bool)
+    except np.linalg.LinAlgError:
+        if shape[0] == 1:
+            return np.full(shape, math.nan), np.zeros(1, dtype=bool)
+    half = shape[0] // 2
+    lo = _each(fn, (half, *shape[1:]), *(s[:half] for s in stacks))
+    hi = _each(fn, (shape[0] - half, *shape[1:]), *(s[half:] for s in stacks))
+    return np.concatenate((lo[0], hi[0])), np.concatenate((lo[1], hi[1]))
 
-    def cost(pt: np.ndarray) -> float:
-        r = residuals(pt)
-        return float(r @ weight @ r)
 
-    current = cost(x)
+def _weighted_solve(g: np.ndarray, w: np.ndarray, h: np.ndarray):
+    """Solution, inverse normal matrix and condition of ``g' w g z = g' w h``, per row."""
+    gtw = np.swapaxes(g, 1, 2) @ w
+    normal = gtw @ g
+    cond, ok = _each(np.linalg.cond, normal.shape[:1], normal)
+    sol, solved = _each(np.linalg.solve, normal.shape[:2] + (1,), normal, gtw @ h[..., None])
+    inv, inverted = _each(np.linalg.inv, normal.shape, normal)
+    return sol[..., 0], inv, cond, ok & solved & inverted
+
+
+# The reductions below are the ones the one-fix scalar solver used
+# (``r @ w @ r``, ``np.linalg.norm``, ``math.hypot``), so that each
+# row keeps that solver's bits.
+def _quad(res: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return (res[..., None, :] @ w @ res[..., None])[..., 0, 0]
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
+def _hypot(v: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.hypot, v[:, 0], v[:, 1]), float, len(v))
+
+
+# Step scales of the line search after the full step.
+_HALVINGS = 0.5 ** np.arange(1, 20)
+
+
+def _gauss_newton(x, positions, tdoas, weight) -> np.ndarray:
+    """Damped Gauss-Newton on the weighted TDOA residuals, rows in lockstep.
+
+    ``positions`` (N, m, 2) hold the reference BS first.  Each row stops
+    on its own: at a zero distance, a singular Hessian, a step that 19
+    halvings cannot make descend, or negligible cost change and step;
+    all stop after 50 iterations.
+    """
+    x = np.array(x, dtype=float)
+
+    def residuals(pt, rows):
+        diff_o = pt[:, None] - positions[rows, 1:]
+        diff_r = pt - positions[rows, 0]
+        dist_o = np.hypot(diff_o[..., 0], diff_o[..., 1])
+        dist_r = _hypot(diff_r)
+        return dist_o - dist_r[:, None] - tdoas[rows], diff_o, dist_o, diff_r, dist_r
+
+    def cost(pt, rows):
+        return _quad(residuals(pt, rows)[0], weight[rows])
+
+    rows = np.arange(len(x))
+    current = cost(x, rows)
     for _ in range(50):
-        diff_o = x - p_others
-        dist_o = np.hypot(diff_o[:, 0], diff_o[:, 1])
-        diff_r = x - p_ref
-        dist_r = math.hypot(*diff_r)
-        if np.any(dist_o == 0.0) or dist_r == 0.0:
+        res, diff_o, dist_o, diff_r, dist_r = residuals(x[rows], rows)
+        go = np.all(dist_o != 0.0, axis=1) & (dist_r != 0.0)
+        jac = diff_o[go] / dist_o[go, :, None] - (diff_r[go] / dist_r[go, None])[:, None]
+        rows, res = rows[go], res[go]
+        jtw = np.swapaxes(jac, 1, 2) @ weight[rows]
+        step, ok = _each(np.linalg.solve, (len(rows), 2, 1), jtw @ jac, -(jtw @ res[..., None]))
+        rows, step = rows[ok], step[ok, :, 0]
+        # Line search: the full step, then all halvings at once where it fails.
+        scale = np.ones(len(rows))
+        new = cost(x[rows] + step, rows)
+        found = new <= current[rows]
+        miss = np.flatnonzero(~found)
+        if miss.size:
+            tries = len(_HALVINGS)
+            sub = np.repeat(rows[miss], tries)
+            trial = x[sub] + np.tile(_HALVINGS, miss.size)[:, None] * step[miss].repeat(tries, 0)
+            costs = cost(trial, sub).reshape(miss.size, tries)
+            hits = costs <= current[rows[miss], None]
+            first = np.argmax(hits, axis=1)
+            scale[miss] = _HALVINGS[first]
+            new[miss] = costs[np.arange(miss.size), first]
+            found[miss] = hits.any(axis=1)
+        rows, move, new = rows[found], scale[found, None] * step[found], new[found]
+        x[rows] = x[rows] + move
+        done = (np.abs(current[rows] - new) <= 1e-12 * (1.0 + current[rows])) & (
+            _norm(move) <= 1e-9 * (1.0 + _norm(x[rows]))
+        )
+        current[rows] = new
+        rows = rows[~done]
+        if not rows.size:
             break
-        jac = diff_o / dist_o[:, None] - diff_r / dist_r
-        grad = jac.T @ weight @ residuals(x)
-        hess = jac.T @ weight @ jac
-        try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            break
-        scale = 1.0
-        for _ in range(20):
-            trial = x + scale * step
-            if cost(trial) <= current:
-                break
-            scale *= 0.5
-        else:
-            break
-        x = x + scale * step
-        new = cost(x)
-        if abs(current - new) <= 1e-12 * (1.0 + current) and np.linalg.norm(
-            scale * step
-        ) <= 1e-9 * (1.0 + np.linalg.norm(x)):
-            current = new
-            break
-        current = new
-    if not np.all(np.isfinite(x)):
-        return FixOutcome(None, None, detected, used, "none", condition)
-    return FixOutcome(
-        (float(x[0]), float(x[1])), None, detected, used, "gauss-newton", condition
+    return x
+
+
+_METHODS = ("none", "chan", "gauss-newton")
+_NONE, _CHAN, _GAUSS_NEWTON = range(3)
+# Stage two: its design matrix, and the sign choices of its candidates.
+_G2 = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+
+
+def _solve_batch(positions: np.ndarray, tdoas: np.ndarray, cov: np.ndarray):
+    """Two-stage WLS plus Gauss-Newton polish of N fixes with m BSs each.
+
+    ``positions`` (N, m, 2) hold the reference BS first; ``tdoas``
+    (N, m-1) and ``cov`` (N, m-1, m-1) are the measurements.  Returns
+    positions (N, 2), NaN without a fix, indices into ``_METHODS`` and
+    the stage-one condition numbers.  Each row takes the path
+    ``solve_tdoa`` describes, independently of the other rows.
+    """
+    condition = np.full(len(positions), math.nan)
+    weight, live = _each(np.linalg.inv, cov.shape, cov)
+    p_ref = positions[:, 0]
+    rel = positions[:, 1:] - p_ref[:, None]
+    spread = 1.0 + np.max(np.abs(rel), axis=(1, 2))
+    g_a = -np.concatenate((rel, tdoas[..., None]), axis=2)
+    h = 0.5 * (tdoas * tdoas - np.sum(rel * rel, axis=2))
+    condition[live] = math.inf
+    live &= np.linalg.matrix_rank(g_a) >= 3
+
+    # Stage one: linear in (x, y, R_ref); then reweight with the ranges
+    # the first pass implies.
+    idx = np.flatnonzero(live)
+    g, hh, rl = g_a[idx], h[idx], rel[idx]
+    z, _, _, ok = _weighted_solve(g, weight[idx], hh)
+    dists = np.hypot(rl[..., 0] - z[:, None, 0], rl[..., 1] - z[:, None, 1])
+    dists = np.maximum(dists, 1e-6 * spread[idx, None])
+    psi = dists[:, :, None] * cov[idx] * dists[:, None, :]
+    psi_inv, inverted = _each(np.linalg.inv, psi.shape, psi)
+    z, cov_z, cond, solved = _weighted_solve(g, psi_inv, hh)
+    ok &= inverted & solved
+    idx, z, cov_z = idx[ok], z[ok], cov_z[ok]
+    condition[idx] = cond[ok]
+
+    # Ill-conditioned or non-finite: polish from z, or the centroid.
+    finite = np.all(np.isfinite(z), axis=1)
+    start = np.where(finite[:, None], z[:, :2] + p_ref[idx], np.mean(positions[idx], axis=1))
+    label = np.full(len(idx), _GAUSS_NEWTON)
+    # Stage two divides by the stage-one components, so degenerate
+    # values also go straight to the polish.
+    chan = np.flatnonzero(
+        (condition[idx] <= _ILL_CONDITION) & finite
+        & (np.min(np.abs(z), axis=1) > 1e-9 * spread[idx])
     )
+    zc = z[chan]
+    psi2 = 4.0 * zc[:, :, None] * cov_z[chan] * zc[:, None, :]
+    psi2_inv, inverted = _each(np.linalg.inv, psi2.shape, psi2)
+    gtw2 = _G2.T @ psi2_inv
+    w2, solved = _each(np.linalg.solve, (len(chan), 2, 1), gtw2 @ _G2, gtw2 @ (zc * zc)[..., None])
+    roots = np.sqrt(np.maximum(w2[..., 0], 0.0))
+    good = inverted & solved & np.all(np.isfinite(roots), axis=1)
+    chan, zc, roots = chan[good], zc[good], roots[good]
+
+    # The stage-two unknowns are squared coordinates, leaving a sign
+    # ambiguity per axis.  Score the stage-one point and all four
+    # stage-two candidates by weighted TDOA residual and polish the
+    # winner.  At the error magnitudes of a loaded network the raw
+    # closed form loses roughly half its accuracy to linearization; the
+    # polish restores the weighted-ML optimum and is what lets high
+    # hearability reach the FCC envelope.
+    cand = np.concatenate((zc[:, None, :2], roots[:, None, :] * _SIGNS), axis=1)
+    rc, tc, wc = rel[idx[chan]], tdoas[idx[chan]], weight[idx[chan]]
+    costs = [
+        _quad(np.hypot(rc[..., 0] - c[:, :1], rc[..., 1] - c[:, 1:]) - _hypot(c)[:, None] - tc, wc)
+        for c in np.moveaxis(cand, 1, 0)
+    ]
+    best = np.argmin(np.column_stack(costs), axis=1)
+    start[chan] = cand[np.arange(len(chan)), best] + p_ref[idx[chan]]
+    label[chan] = _CHAN
+
+    x = _gauss_newton(start, positions[idx], tdoas[idx], weight[idx])
+    fixed = np.all(np.isfinite(x), axis=1)
+    xy = np.full((len(positions), 2), math.nan)
+    xy[idx[fixed]] = x[fixed]
+    method = np.full(len(positions), _NONE)
+    method[idx[fixed]] = label[fixed]
+    return xy, method, condition
 
 
 def solve_tdoa(measurements: Observations, bs_positions: np.ndarray) -> FixOutcome:
@@ -349,133 +459,97 @@ def solve_tdoa(measurements: Observations, bs_positions: np.ndarray) -> FixOutco
 
     Stage one linearizes the hyperbolic system by treating the range to
     the reference BS as an extra unknown; stage two enforces the
-    quadratic constraint tying that range to the position.  The exact
-    rank-one-plus-diagonal TDOA covariance provides the weights.  The
-    best closed-form candidate then seeds a damped Gauss-Newton
-    refinement of the weighted residuals, which also serves as the
-    fallback when the closed-form stages hit ill-conditioned or
-    degenerate geometry; outright failure returns a no-fix outcome
-    rather than raising.
+    quadratic constraint tying that range to the position (Chan & Ho,
+    IEEE TSP 1994).  The exact rank-one-plus-diagonal TDOA covariance
+    provides the weights.  The best closed-form candidate then seeds a
+    damped Gauss-Newton refinement of the weighted residuals, which also
+    serves as the fallback when the closed-form stages hit
+    ill-conditioned or degenerate geometry; outright failure returns a
+    no-fix outcome rather than raising.  This is a one-row call of the
+    batched solver the trials use.
 
     ``error_m`` in the returned outcome is left None; the caller knows
     the true position.
     """
     positions = np.asarray(bs_positions, dtype=float)
     m = len(positions)
-    detected = m
     if m < _MIN_BS_FOR_FIX or len(measurements.tdoas) != m - 1:
-        return FixOutcome(None, None, detected, m, "none", math.nan)
+        return FixOutcome(None, None, m, m, "none", math.nan)
     ref = measurements.ref_index
-    p_ref = positions[ref]
-    rel = np.delete(positions, ref, axis=0) - p_ref
-    r = measurements.tdoas
-    cov = measurements.covariance
-    try:
-        weight = np.linalg.inv(cov)
-    except np.linalg.LinAlgError:
-        return FixOutcome(None, None, detected, m, "none", math.nan)
-
-    k_sq = np.sum(rel * rel, axis=1)
-    h = 0.5 * (r * r - k_sq)
-    g_a = -np.column_stack((rel, r))
-    if np.linalg.matrix_rank(g_a) < 3:
-        return FixOutcome(None, None, detected, m, "none", math.inf)
-
-    def weighted_solve(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        normal = g_a.T @ w @ g_a
-        cond = float(np.linalg.cond(normal))
-        sol = np.linalg.solve(normal, g_a.T @ w @ h)
-        return sol, np.linalg.inv(normal), cond
-
-    try:
-        z, _, condition = weighted_solve(weight)
-        # Refine the weights with the ranges implied by the first pass.
-        dists = np.hypot(rel[:, 0] - z[0], rel[:, 1] - z[1])
-        dists = np.maximum(dists, 1e-6 * (1.0 + float(np.max(np.abs(rel)))))
-        b = np.diag(dists)
-        psi_inv = np.linalg.inv(b @ cov @ b)
-        z, cov_z, condition = weighted_solve(psi_inv)
-    except np.linalg.LinAlgError:
-        return FixOutcome(None, None, detected, m, "none", math.inf)
-
-    if condition > _ILL_CONDITION or not np.all(np.isfinite(z)):
-        start = z[:2] + p_ref if np.all(np.isfinite(z)) else positions.mean(axis=0)
-        out = _gauss_newton(r, positions, weight, ref, start, detected, m, condition)
-        return out
-
-    scale = 1.0 + float(np.max(np.abs(rel)))
-    if min(abs(z[0]), abs(z[1]), abs(z[2])) <= 1e-9 * scale:
-        # Stage two divides by the stage-one components; degenerate
-        # values would blow up, so polish iteratively instead.
-        return _gauss_newton(r, positions, weight, ref, z[:2] + p_ref, detected, m, condition)
-
-    h2 = z * z
-    g2 = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    b2 = np.diag(z)
-    try:
-        psi2_inv = np.linalg.inv(4.0 * b2 @ cov_z @ b2)
-        normal2 = g2.T @ psi2_inv @ g2
-        w2 = np.linalg.solve(normal2, g2.T @ psi2_inv @ h2)
-    except np.linalg.LinAlgError:
-        return _gauss_newton(r, positions, weight, ref, z[:2] + p_ref, detected, m, condition)
-    roots = np.sqrt(np.maximum(w2, 0.0))
-    if not np.all(np.isfinite(roots)):
-        return _gauss_newton(r, positions, weight, ref, z[:2] + p_ref, detected, m, condition)
-
-    # The stage-two unknowns are squared coordinates, leaving a sign
-    # ambiguity per axis.  Score the stage-one point and all four
-    # stage-two candidates by weighted TDOA residual, then refine the
-    # winner with the damped iteration.  At the error magnitudes of a
-    # loaded network the raw closed form loses roughly half its accuracy
-    # to linearization; the refinement restores the weighted-ML optimum
-    # and is what lets high hearability reach the FCC envelope.
-    def residual_cost(pt: np.ndarray) -> float:
-        dists = np.hypot(rel[:, 0] - pt[0], rel[:, 1] - pt[1])
-        res = dists - math.hypot(*pt) - r
-        return float(res @ weight @ res)
-
-    candidates = [z[:2]]
-    for sx in (1.0, -1.0):
-        for sy in (1.0, -1.0):
-            candidates.append(np.array([sx * roots[0], sy * roots[1]]))
-    best_rel = min(candidates, key=residual_cost)
-    out = _gauss_newton(
-        r, positions, weight, ref, best_rel + p_ref, detected, m, condition
+    order = [ref] + [i for i in range(m) if i != ref]
+    xy, method, cond = _solve_batch(
+        positions[order][None],
+        np.asarray(measurements.tdoas, dtype=float)[None],
+        np.asarray(measurements.covariance, dtype=float)[None],
     )
-    if out.position is None:
-        return out
-    return FixOutcome(out.position, None, detected, m, "chan", condition)
+    return _outcome(m, m, method[0], cond[0], xy[0], None)
+
+
+def _outcome(detected, used, method, condition, xy, error) -> FixOutcome:
+    if method == _NONE:
+        return FixOutcome(None, None, int(detected), int(used), "none", float(condition))
+    position = (float(xy[0]), float(xy[1]))
+    return FixOutcome(
+        position, error, int(detected), int(used), _METHODS[int(method)], float(condition)
+    )
+
+
+# Columns of the per-trial outcome table.
+_DETECTED, _USED, _METHOD, _CONDITION, _X, _Y, _ERROR = range(7)
+# Rows per solver stack: bounds the solver's temporaries.
+_SOLVE_ROWS = 256
+
+
+def _trial_span(
+    cfg: E911Config, scenario: Scenario, seed: int, start: int, stop: int
+) -> np.ndarray:
+    """Outcome table of trials ``start:stop``, shape (stop - start, 7).
+
+    Geometry and detection run on whole blocks of the Monte Carlo
+    sampler; the fixes are then solved in stacks of equal used count.
+    """
+    sim = SimConfig(realizations=1, seed=seed, expected_bs=cfg.expected_bs)
+    out = np.full((stop - start, 7), math.nan)
+    out[:, _USED] = 0
+    out[:, _METHOD] = _NONE
+    heard = []  # per block: trials with enough BSs, their used counts, and those BSs
+    for first in range(start - start % _BLOCK, stop, _BLOCK):
+        d = _sample_block(scenario, sim, first // _BLOCK, min(_BLOCK, stop - first))[0]
+        sinr, detected = _detect(d, scenario, cfg)
+        rows = np.arange(max(start - first, 0), len(d))
+        out[first + rows - start, _DETECTED] = detected[rows]
+        rows = rows[detected[rows] >= _MIN_BS_FOR_FIX]
+        used = np.minimum(detected[rows], cfg.max_bs_per_fix or d.shape[1])
+        width = used.max(initial=0)
+        heard.append((first + rows - start, used, np.stack((d[rows, :width], sinr[rows, :width]), 1)))
+    del d, sinr  # the last block need not outlive the sampling
+    trials, used = (np.concatenate(column) for column in list(zip(*heard))[:2])
+    for m in np.unique(used):
+        rows = trials[used == m]
+        near = np.concatenate([b[u == m, :, :m] for _, u, b in heard if m in u])
+        for at in range(0, len(rows), _SOLVE_ROWS):
+            part = slice(at, at + _SOLVE_ROWS)
+            draws = [_draw(stream(seed, start + i, ROLE_E911), cfg, m) for i in rows[part]]
+            observed = _observe(near[part, 0], near[part, 1], np.array(draws), scenario, cfg)
+            xy, method, cond = _solve_batch(*observed[:3])
+            out[rows[part], _USED] = m
+            out[rows[part], _METHOD] = method
+            out[rows[part], _CONDITION] = cond
+            out[rows[part], _X : _Y + 1] = xy
+    out[:, _ERROR] = np.hypot(out[:, _X], out[:, _Y])
+    return out
 
 
 def run_trial(
     cfg: E911Config, scenario: Scenario, seed: int, index: int
 ) -> FixOutcome:
-    """One end-to-end positioning trial; the device sits at the origin."""
-    sim = SimConfig(realizations=1, seed=seed, expected_bs=cfg.expected_bs)
-    realization = sample_ppp(scenario, sim, index)
-    detected = detected_count(realization, scenario, cfg)
-    if detected < _MIN_BS_FOR_FIX:
-        return FixOutcome(None, None, detected, 0, "none", math.nan)
-    rng = stream(seed, index, ROLE_E911)
-    obs, positions = synthesize_observations(realization, scenario, cfg, rng)
-    outcome = solve_tdoa(obs, positions)
-    if outcome.position is None:
-        return FixOutcome(None, None, detected, outcome.used, outcome.method,
-                          outcome.condition)
-    err = math.hypot(*outcome.position)
-    return FixOutcome(outcome.position, err, detected, outcome.used,
-                      outcome.method, outcome.condition)
+    """One end-to-end positioning trial, row ``index`` of ``collect_trials``.
 
-
-def _chunk_trials(
-    cfg: E911Config, scenario: Scenario, seed: int, start: int, stop: int
-) -> np.ndarray:
-    out = np.empty((stop - start, 2))
-    for i in range(start, stop):
-        outcome = run_trial(cfg, scenario, seed, i)
-        out[i - start, 0] = outcome.detected
-        out[i - start, 1] = outcome.error_m if outcome.error_m is not None else math.nan
-    return out
+    The device sits at the origin.
+    """
+    row = _trial_span(cfg, scenario, seed, index, index + 1)[0]
+    error = None if row[_METHOD] == _NONE else float(row[_ERROR])
+    return _outcome(*row[:_X], row[_X : _Y + 1], error)
 
 
 def collect_trials(
@@ -487,7 +561,8 @@ def collect_trials(
     """(detected count, horizontal error) per trial; error NaN if no fix."""
     if scenario is None:
         scenario = default_scenario(cfg)
-    return map_spans(_chunk_trials, (cfg, scenario, seed), cfg.trials, workers)
+    table = map_spans(_trial_span, (cfg, scenario, seed), cfg.trials, workers, _BLOCK)
+    return table[:, [_DETECTED, _ERROR]]
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,6 @@ __all__ = [
     "cdf_r1_given_rl_omega",
     "cdf_ratio_x",
     "pdf_ratio_x",
-    "sinr_of",
 ]
 
 
@@ -263,34 +262,3 @@ def pdf_ratio_x(x, omega: int):
         raise ValueError("x must be >= 1")
     out = 2.0 * omega * x_arr**-3.0 * (1.0 - x_arr**-2.0) ** (omega - 1)
     return float(out) if np.isscalar(x) else out
-
-
-def sinr_of(realization: Realization, k: int, L: int, scenario: Scenario) -> float:
-    """SINR of the k-th nearest BS while the device detects the nearest L.
-
-    The numerator is BS k's received power.  The denominator sums the
-    received powers of the *active* other participants (indices <= L,
-    excluding k itself; BS k's own activity mark never enters its own
-    SINR) plus the active BSs beyond the L-th, plus noise.  A zero
-    denominator yields ``math.inf``.
-
-    Args:
-        k: 1-based BS index with ``1 <= k <= L``.
-        L: number of participants, ``L <= len(realization.distances)``.
-    """
-    n = len(realization.distances)
-    if not isinstance(L, (int, np.integer)) or not (1 <= L <= n):
-        raise ValueError(f"L must lie in [1, {n}], got {L!r}")
-    if not isinstance(k, (int, np.integer)) or not (1 <= k <= L):
-        raise ValueError(f"k must lie in [1, {L}], got {k!r}")
-    power = scenario.tx_power * realization.distances ** (-scenario.alpha)
-    active = np.asarray(realization.activity, dtype=bool)
-    mask = active.copy()
-    mask[k - 1] = False
-    interference = float(np.sum(power[:L][mask[:L]])) + float(
-        np.sum(power[L:][mask[L:]])
-    )
-    denom = interference + scenario.noise_sigma2
-    if denom == 0.0:
-        return math.inf
-    return float(power[k - 1]) / denom

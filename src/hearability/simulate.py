@@ -9,9 +9,9 @@ blocks of ``_BLOCK`` rows from counter-based Philox streams keyed by
 ``(seed, block, role)``, one role per kind of draw (geometry, activity,
 bands, shadowing, ...).  Worker chunks start on block boundaries, so
 results are bit-identical across worker counts and unchanged if new
-draw roles are added later.  ``sample_ppp`` draws one deployment from
-streams keyed by ``(seed, realization index, role)``; ``sample_hex`` is
-the one-row block keyed by ``(seed, realization index, role)``.
+draw roles are added later; E911 trial geometries are blocks too.
+``sample_ppp`` draws one deployment from streams keyed by
+``(seed, realization index, role)``.
 
 Each collector row keeps the ``expected_bs`` BSs nearest the device;
 on a shadowed hex grid these nearest sites are then ordered by received
@@ -49,9 +49,7 @@ __all__ = [
     "SimConfig",
     "McEstimate",
     "sample_ppp",
-    "sample_hex",
     "sample_conditional_bpp",
-    "participation_metric",
     "estimate_pl",
     "estimate_pl_curve",
     "estimate_pl_reuse",
@@ -162,8 +160,8 @@ class McEstimate:
 def stream(seed: int, index: int, role: int) -> np.random.Generator:
     """Counter-based generator keyed by (seed, index, role).
 
-    ``index`` is a realization for the single-deployment samplers and
-    E911, and a block of ``_BLOCK`` realizations for the collectors.
+    ``index`` is a realization for ``sample_ppp`` and the per-trial E911
+    draws, and a block of ``_BLOCK`` realizations for the block sampler.
     """
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(seed, spawn_key=(index, role)))
@@ -217,26 +215,6 @@ def _hex_lattice(isd: float, count: int) -> np.ndarray:
     sites = np.column_stack((x[keep], y[keep]))
     sites.setflags(write=False)  # every caller shares the cached array
     return sites
-
-
-def sample_hex(scenario: Scenario, config: SimConfig, index: int) -> Realization:
-    """Sample one hex-grid deployment with per-link shadowing.
-
-    The row of a one-row block keyed by ``index``: the ``expected_bs``
-    lattice sites nearest a device placed uniformly in a cell, with
-    per-link shadowing ``S`` folded into equivalent distances
-    ``S**(-1/alpha) * d``, so the ascending order is the order of
-    received power.  The window radius is that of the disk holding
-    ``expected_bs`` sites on average.
-    """
-    _check_window(scenario, config)
-    hex_config = config.replace(deployment=Deployment.HEX)
-    d, u, labels = _sample_block(scenario, hex_config, index, 1)
-    n = d.shape[1]
-    activity = u[0] < np.where(np.arange(n) < scenario.L, scenario.p, scenario.q)
-    bands = np.ones(n, dtype=np.int64) if labels is None else labels[0]
-    window = math.sqrt(n / (hex_grid_density(config.hex_isd) * math.pi))
-    return Realization(d[0], activity, bands, u[0], window)
 
 
 def sample_conditional_bpp(
@@ -382,11 +360,15 @@ def _prefix_min_sinr(pw: np.ndarray, u: np.ndarray, labels, scenario: Scenario,
 
 def _upsilon(pw: np.ndarray, u: np.ndarray, labels, scenario: Scenario, cap: int,
              scan: np.ndarray | None = None) -> np.ndarray:
-    """Detectable-BS counts per row; see ``participation_metric``.
+    """Detectable-BS counts Upsilon per row.
 
-    ``scan`` of shape (rows, cap, n) holds fresh activity uniforms per
-    candidate participant count.  At p == q with shared marks the count
-    is the number of prefix-min SINRs clearing the threshold.  Otherwise
+    Upsilon is the largest candidate participant count ``ell`` (up to
+    ``cap``, per band, summed over bands) for which the device detects
+    all ``ell`` nearest band members while exactly those participate;
+    at p == q, P(Upsilon >= L) is the joint-detection P_L.  ``scan`` of
+    shape (rows, cap, n) holds fresh activity uniforms per candidate
+    participant count.  At p == q with shared marks the count is the
+    number of prefix-min SINRs clearing the threshold.  Otherwise
     all candidate counts ``ell`` are checked at once: entry (ell, k) of a
     (rows, cap, cap) array tests member k < ell against the interference
     of the ``ell`` participants and of the loaded BSs beyond them.
@@ -421,33 +403,6 @@ def _upsilon(pw: np.ndarray, u: np.ndarray, labels, scenario: Scenario, cap: int
         passes = np.all((pw_c[:, None, :] >= thr * denom) | ~earlier, axis=2) & valid
         counts += np.max(np.where(passes, slots + 1, 0), axis=1)
     return counts
-
-
-def participation_metric(
-    realization: Realization,
-    scenario: Scenario,
-    cap: int = 32,
-    independent_u: np.ndarray | None = None,
-) -> int:
-    """Number of detectable BSs Upsilon for one realization.
-
-    Upsilon is the largest candidate participant count ``ell`` (up to
-    ``cap``, per band, summed over bands) for which the device detects
-    all ``ell`` nearest band members while exactly those participate.
-    For ``p == q`` this is the longest prefix of band members whose SINR
-    clears ``beta/gamma``, and ``P(Upsilon >= L)`` equals the
-    joint-detection ``P_L``.
-
-    By default the candidate counts share one activity uniform per BS
-    (coupled scan).  ``independent_u`` of shape ``(cap, n_bs)`` supplies
-    fresh marks per candidate count instead, for sensitivity studies.
-    """
-    if len(realization.distances) == 0:
-        return 0
-    labels = realization.bands[None] if scenario.K > 1 else None
-    scan = None if independent_u is None else np.asarray(independent_u)[None, :cap]
-    pw = _powers(realization.distances, scenario)[None]
-    return int(_upsilon(pw, realization.activity_u[None], labels, scenario, cap, scan)[0])
 
 
 # --- chunked collection across realizations -------------------------------

@@ -439,9 +439,17 @@ class TestSubcommands:
             ("reuse", None, ["--k-list", "1,x"], "^error: k_list: "),
             ("e911", None, ["--grid", "4,x"], "^error: grid: "),
             ("reuse", None, ["--base-method", "Bogus"], "^error: base_method: "),
+            # Values the table accepts but the library rejects.
+            ("reuse", None, ["--p", "0.5"], "^error: .*requires p = q; got p=0.5"),
+            ("reuse", None, ["--alpha", "3.5"], "^error: .*requires alpha = 4"),
+            ("simulate", None, ["--realizations", "0"], "^error: realizations must be"),
+            ("e911", None, ["--trials", "50"], "^error: trials must be"),
+            ("analytic", None, ["--config", "nofile.cfg"], "^error: .*nofile.cfg"),
         ],
         ids=[
             "truth_mode", "realizations", "alpha", "mc", "k_list", "grid", "base_method",
+            "reuse_p_not_q", "reuse_alpha", "realizations_zero", "e911_trials",
+            "missing_config",
         ],
     )
     def test_bad_input_exits_naming_the_key(

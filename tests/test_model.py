@@ -17,8 +17,8 @@ from hearability.model import (
     pdf_ratio_x,
     pdf_rl,
     pmf_omega,
-    sinr_of,
 )
+from hearability.simulate import _margins, _powers
 
 
 def make_scenario(**overrides):
@@ -226,6 +226,39 @@ class TestRealization:
             )
 
 
+# The SINR recipe for one realization, written per BS; the block
+# kernels of ``hearability.simulate`` apply it to whole arrays.
+def sinr_of(realization: Realization, k: int, L: int, scenario: Scenario) -> float:
+    """SINR of the k-th nearest BS while the device detects the nearest L.
+
+    The numerator is BS k's received power.  The denominator sums the
+    received powers of the *active* other participants (indices <= L,
+    excluding k itself; BS k's own activity mark never enters its own
+    SINR) plus the active BSs beyond the L-th, plus noise.  A zero
+    denominator yields ``math.inf``.
+
+    Args:
+        k: 1-based BS index with ``1 <= k <= L``.
+        L: number of participants, ``L <= len(realization.distances)``.
+    """
+    n = len(realization.distances)
+    if not isinstance(L, (int, np.integer)) or not (1 <= L <= n):
+        raise ValueError(f"L must lie in [1, {n}], got {L!r}")
+    if not isinstance(k, (int, np.integer)) or not (1 <= k <= L):
+        raise ValueError(f"k must lie in [1, {L}], got {k!r}")
+    power = scenario.tx_power * realization.distances ** (-scenario.alpha)
+    active = np.asarray(realization.activity, dtype=bool)
+    mask = active.copy()
+    mask[k - 1] = False
+    interference = float(np.sum(power[:L][mask[:L]])) + float(
+        np.sum(power[L:][mask[L:]])
+    )
+    denom = interference + scenario.noise_sigma2
+    if denom == 0.0:
+        return math.inf
+    return float(power[k - 1]) / denom
+
+
 class TestSinrOf:
     def two_bs_realization(self):
         return Realization(
@@ -276,3 +309,15 @@ class TestSinrOf:
             sinr_of(real, 3, 2, scen)
         with pytest.raises(ValueError):
             sinr_of(real, 1, 3, scen)
+
+    def test_block_margins_apply_the_same_recipe(self):
+        rng = np.random.default_rng(5)
+        scen = make_scenario(L=3, p=0.6, q=0.8, noise_sigma2=0.01)
+        for _ in range(20):
+            d = np.sort(rng.uniform(0.5, 4.0, size=8))
+            u = rng.random(8)
+            real = Realization(d, u < np.where(np.arange(8) < 3, 0.6, 0.8),
+                               np.ones(8, dtype=np.int64), u)
+            sinrs = [sinr_of(real, k, 3, scen) for k in (1, 2, 3)]
+            margins = _margins(_powers(d[None], scen), u[None], scen)[0]
+            np.testing.assert_allclose(margins, [min(sinrs), sinrs[2]], rtol=1e-12)

@@ -18,7 +18,13 @@ from scipy import stats
 
 from hearability.analytic import mean_i1, mean_i2
 from hearability import simulate
-from hearability.model import Realization, Scenario, ShadowingSpec, effective_density
+from hearability.model import (
+    Realization,
+    Scenario,
+    ShadowingSpec,
+    effective_density,
+    hex_grid_density,
+)
 from hearability.simulate import (
     Deployment,
     SimConfig,
@@ -30,10 +36,8 @@ from hearability.simulate import (
     estimate_pl_curve,
     estimate_pl_reuse,
     hearability_curve,
-    participation_metric,
     reuse_success_curve,
     sample_conditional_bpp,
-    sample_hex,
     sample_ppp,
     stream,
 )
@@ -138,6 +142,56 @@ def _upsilon_oracle(realization, scenario, cap=32, independent_u=None) -> int:
                 best = ell
         total_count += best
     return total_count
+
+
+# --- one-row views of the block code -----------------------------------------
+
+
+def sample_hex(scenario: Scenario, config: SimConfig, index: int) -> Realization:
+    """Sample one hex-grid deployment with per-link shadowing.
+
+    The row of a one-row block keyed by ``index``: the ``expected_bs``
+    lattice sites nearest a device placed uniformly in a cell, with
+    per-link shadowing ``S`` folded into equivalent distances
+    ``S**(-1/alpha) * d``, so the ascending order is the order of
+    received power.  The window radius is that of the disk holding
+    ``expected_bs`` sites on average.
+    """
+    simulate._check_window(scenario, config)
+    hex_config = config.replace(deployment=Deployment.HEX)
+    d, u, labels = simulate._sample_block(scenario, hex_config, index, 1)
+    n = d.shape[1]
+    activity = u[0] < np.where(np.arange(n) < scenario.L, scenario.p, scenario.q)
+    bands = np.ones(n, dtype=np.int64) if labels is None else labels[0]
+    window = math.sqrt(n / (hex_grid_density(config.hex_isd) * math.pi))
+    return Realization(d[0], activity, bands, u[0], window)
+
+
+def participation_metric(
+    realization: Realization,
+    scenario: Scenario,
+    cap: int = 32,
+    independent_u: np.ndarray | None = None,
+) -> int:
+    """Number of detectable BSs Upsilon for one realization.
+
+    Upsilon is the largest candidate participant count ``ell`` (up to
+    ``cap``, per band, summed over bands) for which the device detects
+    all ``ell`` nearest band members while exactly those participate.
+    For ``p == q`` this is the longest prefix of band members whose SINR
+    clears ``beta/gamma``, and ``P(Upsilon >= L)`` equals the
+    joint-detection ``P_L``.
+
+    By default the candidate counts share one activity uniform per BS
+    (coupled scan).  ``independent_u`` of shape ``(cap, n_bs)`` supplies
+    fresh marks per candidate count instead, for sensitivity studies.
+    """
+    if len(realization.distances) == 0:
+        return 0
+    labels = realization.bands[None] if scenario.K > 1 else None
+    scan = None if independent_u is None else np.asarray(independent_u)[None, :cap]
+    pw = simulate._powers(realization.distances, scenario)[None]
+    return int(simulate._upsilon(pw, realization.activity_u[None], labels, scenario, cap, scan)[0])
 
 
 def cfg(n: int, seed: int = 0, **kw) -> SimConfig:
