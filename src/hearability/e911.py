@@ -340,7 +340,8 @@ def _gauss_newton(x, positions, tdoas, weight) -> np.ndarray:
         jac = diff_o[go] / dist_o[go, :, None] - (diff_r[go] / dist_r[go, None])[:, None]
         rows, res = rows[go], res[go]
         jtw = np.swapaxes(jac, 1, 2) @ weight[rows]
-        step, ok = _each(np.linalg.solve, (len(rows), 2, 1), jtw @ jac, -(jtw @ res[..., None]))
+        rhs = -(jtw @ res[..., None])
+        step, ok = _each(np.linalg.solve, (len(rows), 2, 1), jtw @ jac, rhs)
         rows, step = rows[ok], step[ok, :, 0]
         # Line search: the full step, then all halvings at once where it fails.
         scale = np.ones(len(rows))
@@ -350,7 +351,8 @@ def _gauss_newton(x, positions, tdoas, weight) -> np.ndarray:
         if miss.size:
             tries = len(_HALVINGS)
             sub = np.repeat(rows[miss], tries)
-            trial = x[sub] + np.tile(_HALVINGS, miss.size)[:, None] * step[miss].repeat(tries, 0)
+            scales = np.tile(_HALVINGS, miss.size)[:, None]
+            trial = x[sub] + scales * step[miss].repeat(tries, 0)
             costs = cost(trial, sub).reshape(miss.size, tries)
             hits = costs <= current[rows[miss], None]
             first = np.argmax(hits, axis=1)
@@ -423,7 +425,8 @@ def _solve_batch(positions: np.ndarray, tdoas: np.ndarray, cov: np.ndarray):
     psi2 = 4.0 * zc[:, :, None] * cov_z[chan] * zc[:, None, :]
     psi2_inv, inverted = _each(np.linalg.inv, psi2.shape, psi2)
     gtw2 = _G2.T @ psi2_inv
-    w2, solved = _each(np.linalg.solve, (len(chan), 2, 1), gtw2 @ _G2, gtw2 @ (zc * zc)[..., None])
+    rhs = gtw2 @ (zc * zc)[..., None]
+    w2, solved = _each(np.linalg.solve, (len(chan), 2, 1), gtw2 @ _G2, rhs)
     roots = np.sqrt(np.maximum(w2[..., 0], 0.0))
     good = inverted & solved & np.all(np.isfinite(roots), axis=1)
     chan, zc, roots = chan[good], zc[good], roots[good]
@@ -437,10 +440,10 @@ def _solve_batch(positions: np.ndarray, tdoas: np.ndarray, cov: np.ndarray):
     # hearability reach the FCC envelope.
     cand = np.concatenate((zc[:, None, :2], roots[:, None, :] * _SIGNS), axis=1)
     rc, tc, wc = rel[idx[chan]], tdoas[idx[chan]], weight[idx[chan]]
-    costs = [
-        _quad(np.hypot(rc[..., 0] - c[:, :1], rc[..., 1] - c[:, 1:]) - _hypot(c)[:, None] - tc, wc)
-        for c in np.moveaxis(cand, 1, 0)
-    ]
+    costs = []
+    for c in np.moveaxis(cand, 1, 0):
+        dists = np.hypot(rc[..., 0] - c[:, :1], rc[..., 1] - c[:, 1:])
+        costs.append(_quad(dists - _hypot(c)[:, None] - tc, wc))
     best = np.argmin(np.column_stack(costs), axis=1)
     start[chan] = cand[np.arange(len(chan)), best] + p_ref[idx[chan]]
     label[chan] = _CHAN
@@ -521,7 +524,8 @@ def _trial_span(
         rows = rows[detected[rows] >= _MIN_BS_FOR_FIX]
         used = np.minimum(detected[rows], cfg.max_bs_per_fix or d.shape[1])
         width = used.max(initial=0)
-        heard.append((first + rows - start, used, np.stack((d[rows, :width], sinr[rows, :width]), 1)))
+        near = np.stack((d[rows, :width], sinr[rows, :width]), axis=1)
+        heard.append((first + rows - start, used, near))
     del d, sinr  # the last block need not outlive the sampling
     trials, used = (np.concatenate(column) for column in list(zip(*heard))[:2])
     for m in np.unique(used):

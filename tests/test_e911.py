@@ -512,7 +512,7 @@ SPECIAL_ROWS = {0: CENTROID_FIX, 700: COLLINEAR_FIX, 1401: SINGULAR_FIX}
 
 
 def _solve_all(fixes: list[tuple]):
-    """Batched (positions, methods, conditions) of fixes of any BS count, one stack per count."""
+    """Batched positions, methods and conditions of fixes, one stack per BS count."""
     xy = np.empty((len(fixes), 2))
     method = np.empty(len(fixes), dtype=int)
     condition = np.empty(len(fixes))

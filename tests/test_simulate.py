@@ -191,7 +191,8 @@ def participation_metric(
     labels = realization.bands[None] if scenario.K > 1 else None
     scan = None if independent_u is None else np.asarray(independent_u)[None, :cap]
     pw = simulate._powers(realization.distances, scenario)[None]
-    return int(simulate._upsilon(pw, realization.activity_u[None], labels, scenario, cap, scan)[0])
+    u = realization.activity_u[None]
+    return int(simulate._upsilon(pw, u, labels, scenario, cap, scan)[0])
 
 
 def cfg(n: int, seed: int = 0, **kw) -> SimConfig:
