@@ -18,6 +18,7 @@ Modules
 from .analytic import (
     Method,
     evaluate,
+    evaluate_grid,
     mean_i1,
     mean_i2,
     min_processing_gain,
@@ -52,9 +53,10 @@ from .numerics import (
     QuadratureSpec,
     erlang_quantile,
     integrate_adaptive,
+    integrate_lockstep,
     poisson_cdf,
 )
-from .reuse import ReuseQuery, exact_count_pmf, pl_with_reuse
+from .reuse import ReuseQuery, exact_count_pmf, pl_with_reuse, pl_with_reuse_grid
 from .simulate import (
     Deployment,
     McEstimate,
@@ -74,6 +76,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Method",
     "evaluate",
+    "evaluate_grid",
     "mean_i1",
     "mean_i2",
     "min_processing_gain",
@@ -102,10 +105,12 @@ __all__ = [
     "QuadratureSpec",
     "erlang_quantile",
     "integrate_adaptive",
+    "integrate_lockstep",
     "poisson_cdf",
     "ReuseQuery",
     "exact_count_pmf",
     "pl_with_reuse",
+    "pl_with_reuse_grid",
     "Deployment",
     "McEstimate",
     "SimConfig",

@@ -26,6 +26,13 @@ Every evaluator is invariant to the BS density: the integral forms are
 computed in coordinates normalized so ``lam * pi = 1``, which an exact
 change of variables permits, so identical inputs at different densities
 return bit-identical values.
+
+A P_L curve over a beta/gamma grid comes from the grid evaluator
+:func:`evaluate_grid`.  It integrates all grid points of the
+quadrature-backed forms in lockstep, one pass per interferer count, and
+returns each point's value or its own nonconvergence.  A grid evaluation
+is bit-identical to one-point calls; :func:`evaluate` and the ``pl_*``
+functions are such calls.
 """
 
 from __future__ import annotations
@@ -33,17 +40,20 @@ from __future__ import annotations
 import enum
 import math
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
 from .model import Scenario, pmf_omega
 from .numerics import (
     DEFAULT_QUADRATURE,
+    NonConvergenceError,
     QuadratureSpec,
     erlang_quantile,
     find_root_monotone,
-    integrate_adaptive,
+    integrate_lockstep,
     poisson_cdf,
+    value_or_raise,
 )
 
 __all__ = [
@@ -58,6 +68,7 @@ __all__ = [
     "pl_alpha4",
     "pl_nearfield_alpha4",
     "evaluate",
+    "evaluate_grid",
 ]
 
 
@@ -271,6 +282,10 @@ def _boundary_t(r: np.ndarray, omega: int, alpha: float, q: float, gb: float):
     bracket per element: a step that leaves it becomes a bisection step.
     Elements with ``c <= omega`` (at or beyond the support limit)
     return ``t = r``.
+
+    The last axis holds one quadrature panel (a 1-D array is one panel).
+    A panel stops updating once all of its elements have converged, so
+    each panel takes the iterates it would take alone.
     """
     c = gb - (2.0 * q / (alpha - 2.0)) * (r * r)
     s = np.clip(-np.log(np.maximum(c - (omega - 1), 1.0)) / alpha, _S_LO, _S_HI)
@@ -278,6 +293,10 @@ def _boundary_t(r: np.ndarray, omega: int, alpha: float, q: float, gb: float):
         return r * np.exp(s)
     b = 2.0 - alpha
     coef = 2.0 * (omega - 1) / b
+    shape = s.shape
+    out = s.reshape(-1, shape[-1])
+    panels = np.arange(len(out))  # panels still iterating
+    s, c = out, c.reshape(out.shape)
     lo = np.full_like(s, _S_LO)
     hi = np.full_like(s, _S_HI)
     for _ in range(_NEWTON_MAX_ITER):
@@ -293,14 +312,75 @@ def _boundary_t(r: np.ndarray, omega: int, alpha: float, q: float, gb: float):
         s_new = s - g / slope
         inside = (s_new >= lo) & (s_new <= hi)
         s_new = np.where(inside, s_new, 0.5 * (lo + hi))
-        converged = np.abs(s_new - s) <= _NEWTON_TOL
+        converged = (np.abs(s_new - s) <= _NEWTON_TOL).all(axis=1)
         s = s_new
-        if converged.all():
-            return r * np.exp(s)
+        if converged.any():
+            out[panels[converged]] = s[converged]
+            going = ~converged
+            panels, s, c = panels[going], s[going], c[going]
+            lo, hi = lo[going], hi[going]
+            if not panels.size:
+                return r * np.exp(out.reshape(shape))
     raise RuntimeError(
         f"boundary solve did not converge in {_NEWTON_MAX_ITER} iterations for "
         f"alpha={alpha}, omega={omega}, q={q}, gamma/beta={gb}"
     )
+
+
+def _add_terms(totals: list, rows: list[int], weight: float, values: list) -> None:
+    """Add ``weight`` times each row's integral; a failure replaces the total."""
+    for k, value in zip(rows, values):
+        failed = isinstance(value, NonConvergenceError)
+        totals[k] = value if failed else totals[k] + weight * value
+
+
+def _finish(totals: list) -> list:
+    return [
+        t if isinstance(t, NonConvergenceError) else _clamp01(t) for t in totals
+    ]
+
+
+def _double_integral_grid(points: list[Scenario], quad: QuadratureSpec) -> list:
+    """:func:`pl_double_integral` at every grid point, one lockstep pass per omega."""
+    first = points[0]
+    L, alpha, p, q = first.L, first.alpha, first.p, first.q
+    gbs = [1.0 / (s.beta / s.gamma) for s in points]
+    totals: list = [pmf_omega(0, L, p) * pl_perfect_coord(s) for s in points]
+    if L < 2:
+        return _finish(totals)
+    # Normalized coordinates (lam * pi = 1): an exact change of variables,
+    # so the result is independent of the density.
+    r_tail = math.sqrt(erlang_quantile(L, 1.0, quad.tail_quantile))
+    log_norm = math.log(2.0) - math.lgamma(L)
+    for omega in range(1, L):
+        weight = pmf_omega(omega, L, p)
+        rows = [
+            k for k, gb in enumerate(gbs)
+            if gb > omega and not isinstance(totals[k], NonConvergenceError)
+        ]
+        if weight == 0.0 or not rows:
+            continue
+        _verify_sir_monotone(alpha, omega, q)
+        # Beyond r_star even a vanishing dominant term cannot lift the SIR
+        # over the threshold.
+        r_stars = [
+            math.sqrt((alpha - 2.0) * (gbs[k] - omega) / (2.0 * q))
+            if q > 0.0 else math.inf
+            for k in rows
+        ]
+        uppers = [min(r_star * (1.0 - 1e-12), r_tail) for r_star in r_stars]
+        gb_rows = np.array([gbs[k] for k in rows])[:, None]
+
+        def integrand(r_arr: np.ndarray, at: np.ndarray, _omega: int = omega):
+            t = _boundary_t(r_arr, _omega, alpha, q, gb_rows[at])
+            mass = np.maximum(0.0, (r_arr * r_arr - t * t) / (r_arr * r_arr)) ** _omega
+            s = r_arr * r_arr
+            log_pdf = -s + L * np.log(s) + log_norm - np.log(r_arr)
+            return mass * np.exp(log_pdf)
+
+        values = integrate_lockstep(integrand, [0.0] * len(rows), uppers, quad)
+        _add_terms(totals, rows, weight, values)
+    return _finish(totals)
 
 
 def pl_double_integral(
@@ -314,42 +394,9 @@ def pl_double_integral(
     one smooth outer integral over the L-th BS distance.  The
     ``omega = 0`` term is the perfect-coordination value.  The nominal
     inner/outer double integral therefore costs a single quadrature per
-    ``omega``.
+    ``omega``.  This is a one-point :func:`evaluate_grid` call.
     """
-    L, alpha, p, q = scenario.L, scenario.alpha, scenario.p, scenario.q
-    thr = scenario.beta / scenario.gamma
-    gb = 1.0 / thr
-    total = pmf_omega(0, L, p) * pl_perfect_coord(scenario)
-    if L < 2:
-        return _clamp01(total)
-    # Normalized coordinates (lam * pi = 1): an exact change of variables,
-    # so the result is independent of the density.
-    r_tail = math.sqrt(erlang_quantile(L, 1.0, quad.tail_quantile))
-    log_norm = math.log(2.0) - math.lgamma(L)
-    for omega in range(1, L):
-        weight = pmf_omega(omega, L, p)
-        if weight == 0.0 or gb <= omega:
-            continue
-        _verify_sir_monotone(alpha, omega, q)
-        if q > 0.0:
-            # Beyond this radius even a vanishing dominant term cannot
-            # lift the SIR over the threshold.
-            r_star = math.sqrt((alpha - 2.0) * (gb - omega) / (2.0 * q))
-        else:
-            r_star = math.inf
-        upper = min(r_star * (1.0 - 1e-12), r_tail)
-        if upper <= 0.0:
-            continue
-
-        def integrand(r_arr: np.ndarray, _omega: int = omega) -> np.ndarray:
-            t = _boundary_t(r_arr, _omega, alpha, q, gb)
-            mass = np.maximum(0.0, (r_arr * r_arr - t * t) / (r_arr * r_arr)) ** _omega
-            s = r_arr * r_arr
-            log_pdf = -s + L * np.log(s) + log_norm - np.log(r_arr)
-            return mass * np.exp(log_pdf)
-
-        total += weight * integrate_adaptive(integrand, 0.0, upper, quad)
-    return _clamp01(total)
+    return value_or_raise(_double_integral_grid([scenario], quad)[0])
 
 
 def _h_ratio(x: float, omega: int, alpha: float, q: float) -> float:
@@ -416,6 +463,53 @@ def pl_single_integral_general(
     return _clamp01(total)
 
 
+def _alpha4_grid(points: list[Scenario], quad: QuadratureSpec) -> list:
+    """:func:`pl_alpha4` at every grid point, one lockstep pass per omega."""
+    first = points[0]
+    if first.alpha != 4.0:
+        raise ValueError(
+            f"this evaluator requires alpha = 4 exactly, got {first.alpha}"
+        )
+    L, p, q = first.L, first.p, first.q
+    gbs = [s.gamma / s.beta for s in points]
+    totals: list = [pmf_omega(0, L, p) * pl_perfect_coord(s) for s in points]
+    if L < 2:
+        return _finish(totals)
+    s_tail = erlang_quantile(L, 1.0, quad.tail_quantile)
+    log_norm = -math.lgamma(L)
+    chis = [min(L - 1, _floor_with_tol(gb)) for gb in gbs]
+    for omega in range(1, max(chis) + 1):
+        weight = pmf_omega(omega, L, p)
+        if weight == 0.0:
+            continue
+        rows, uppers = [], []
+        for k, gb in enumerate(gbs):
+            upper = min((gb - omega) / q if q > 0.0 else math.inf, s_tail)
+            if chis[k] >= omega and upper > 0.0 and not isinstance(
+                totals[k], NonConvergenceError
+            ):
+                rows.append(k)
+                uppers.append(upper)
+        if not rows:
+            continue
+        gb_rows = np.array([gbs[k] for k in rows])[:, None]
+
+        def integrand(s: np.ndarray, at: np.ndarray, _omega: int = omega):
+            # y_star >= 1 on the domain; the sqrt argument is the
+            # quadratic discriminant of the threshold inversion.
+            y_star = (
+                np.sqrt(gb_rows[at] - q * s + (_omega - 1) ** 2 / 4.0)
+                - (_omega - 1) / 2.0
+            )
+            base = np.maximum(0.0, 1.0 - 1.0 / y_star)
+            log_pdf = -s + (L - 1) * np.log(s) + log_norm
+            return base**_omega * np.exp(log_pdf)
+
+        values = integrate_lockstep(integrand, [0.0] * len(rows), uppers, quad)
+        _add_terms(totals, rows, weight, values)
+    return _finish(totals)
+
+
 def pl_alpha4(scenario: Scenario, quad: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Single-integral dominant-interferer approximation, exact at alpha = 4.
 
@@ -423,38 +517,9 @@ def pl_alpha4(scenario: Scenario, quad: QuadratureSpec = DEFAULT_QUADRATURE) -> 
     :func:`pl_double_integral` is a quadratic in ``(R_L/R1_hat)**2``, so
     the double integral collapses algebraically (no extra approximation)
     to one integral against the Erlang law of ``pi * lam * R_L**2``.
+    This is a one-point :func:`evaluate_grid` call.
     """
-    if scenario.alpha != 4.0:
-        raise ValueError(
-            f"this evaluator requires alpha = 4 exactly, got {scenario.alpha}"
-        )
-    L, p, q = scenario.L, scenario.p, scenario.q
-    gb = scenario.gamma / scenario.beta
-    total = pmf_omega(0, L, p) * pl_perfect_coord(scenario)
-    if L < 2:
-        return _clamp01(total)
-    s_tail = erlang_quantile(L, 1.0, quad.tail_quantile)
-    log_norm = -math.lgamma(L)
-    chi = min(L - 1, _floor_with_tol(gb))
-    for omega in range(1, chi + 1):
-        weight = pmf_omega(omega, L, p)
-        if weight == 0.0:
-            continue
-        s_up = (gb - omega) / q if q > 0.0 else math.inf
-        upper = min(s_up, s_tail)
-        if upper <= 0.0:
-            continue
-
-        def integrand(s: np.ndarray, _omega: int = omega) -> np.ndarray:
-            # y_star >= 1 on the domain; the sqrt argument is the
-            # quadratic discriminant of the threshold inversion.
-            y_star = np.sqrt(gb - q * s + (_omega - 1) ** 2 / 4.0) - (_omega - 1) / 2.0
-            base = np.maximum(0.0, 1.0 - 1.0 / y_star)
-            log_pdf = -s + (L - 1) * np.log(s) + log_norm
-            return base**_omega * np.exp(log_pdf)
-
-        total += weight * integrate_adaptive(integrand, 0.0, upper, quad)
-    return _clamp01(total)
+    return value_or_raise(_alpha4_grid([scenario], quad)[0])
 
 
 def pl_nearfield_alpha4(scenario: Scenario) -> float:
@@ -486,20 +551,38 @@ def pl_nearfield_alpha4(scenario: Scenario) -> float:
     return _clamp01(total)
 
 
-_EVALUATORS = {
+_POINTWISE = {
     Method.UPPER_BOUND: lambda scen, quad: pl_upper_bound(scen),
     Method.PERFECT_COORD: lambda scen, quad: pl_perfect_coord(scen),
-    Method.DOUBLE_INTEGRAL: pl_double_integral,
     Method.SINGLE_INTEGRAL_GENERAL: pl_single_integral_general,
-    Method.SINGLE_INTEGRAL_ALPHA4: pl_alpha4,
     Method.NEAR_FIELD_ALPHA4: lambda scen, quad: pl_nearfield_alpha4(scen),
+}
+_LOCKSTEP = {
+    Method.DOUBLE_INTEGRAL: _double_integral_grid,
+    Method.SINGLE_INTEGRAL_ALPHA4: _alpha4_grid,
 }
 
 
-def evaluate(
-    method: Method, scenario: Scenario, quad: QuadratureSpec = DEFAULT_QUADRATURE
-) -> float:
-    """Dispatch to the evaluator tagged by ``method``; result in [0, 1].
+def evaluate_grid(
+    method: Method,
+    points: Sequence[Scenario],
+    quad: QuadratureSpec = DEFAULT_QUADRATURE,
+) -> list[float | NonConvergenceError]:
+    """P_L by the evaluator tagged ``method`` at every point of a grid.
+
+    ``points`` are scenarios that share ``L``, ``alpha``, ``p`` and
+    ``q``; they differ in ``beta`` (a beta/gamma grid), and may differ in
+    ``gamma``, ``lam`` and ``K``.  ``DoubleIntegral`` and
+    ``SingleIntegralAlpha4`` integrate all points in lockstep, one
+    :func:`~hearability.numerics.integrate_lockstep` pass per omega; the
+    other methods evaluate point by point.  Every point gets the bits a
+    one-point call gives it.
+
+    Returns:
+        Per point, P_L in [0, 1], or the :class:`NonConvergenceError` of
+        the point's first quadrature that did not converge, carrying
+        that integral's best estimate and error estimate.  A failure
+        flags its own point only.
 
     ``Method.PROC_GAIN_BOUND`` maps a target probability to a gain, not
     a scenario to a probability, so it is rejected here; call
@@ -511,7 +594,26 @@ def evaluate(
             "probability; use min_processing_gain(target_pl, L, alpha, beta)"
         )
     try:
-        evaluator = _EVALUATORS[Method(method)]
-    except (KeyError, ValueError):
+        method = Method(method)
+    except ValueError:
         raise ValueError(f"unknown method {method!r}") from None
-    return evaluator(scenario, quad)
+    points = list(points)
+    if len({(s.L, s.alpha, s.p, s.q) for s in points}) > 1:
+        raise ValueError("grid points must share L, alpha, p and q")
+    if not points:
+        return []
+    if method in _LOCKSTEP:
+        return _LOCKSTEP[method](points, quad)
+    evaluator = _POINTWISE[method]
+    return [evaluator(scen, quad) for scen in points]
+
+
+def evaluate(
+    method: Method, scenario: Scenario, quad: QuadratureSpec = DEFAULT_QUADRATURE
+) -> float:
+    """Dispatch to the evaluator tagged by ``method``; result in [0, 1].
+
+    The one-point call of :func:`evaluate_grid`; a point whose quadrature
+    does not converge raises its :class:`NonConvergenceError`.
+    """
+    return value_or_raise(evaluate_grid(method, [scenario], quad)[0])

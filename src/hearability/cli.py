@@ -39,11 +39,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytic import Method, evaluate, min_processing_gain
+from .analytic import Method, evaluate_grid, min_processing_gain
 from .e911 import E911Config, default_scenario, fcc_compliance
 from .model import Scenario, ShadowingSpec, hex_grid_density
 from .numerics import NonConvergenceError, QuadratureSpec
-from .reuse import ReuseQuery, pl_with_reuse
+from .reuse import ReuseQuery, pl_with_reuse_grid
 from .simulate import (
     Deployment,
     McEstimate,
@@ -132,29 +132,14 @@ def run_sweep(spec: SweepSpec) -> list[Row]:
             method, value, stderr, comment,
         )
 
-    def nonconvergent(g: float, tag: str, value: float, err) -> Row:
-        comment = (
-            f"nonconvergence method={tag} bg_db={g:.9g} "
-            f"residual={err.error_estimate:.3e}"
-        )
-        return base_row(g, tag, value, comment=comment)
-
+    points = [_at_threshold(scen, g) for g in spec.grid_db]
     for tag in spec.methods:
-        if tag in _ANALYTIC_TAGS:
-            for g in spec.grid_db:
-                point = _at_threshold(scen, g)
-                try:
-                    rows.append(base_row(g, tag, evaluate(Method(tag), point, spec.quad)))
-                except NonConvergenceError as err:
-                    rows.append(nonconvergent(g, tag, err.best_estimate, err))
-        elif tag == "ReuseRecursion":
-            for g in spec.grid_db:
-                query = ReuseQuery(_at_threshold(scen, g), spec.base_method, spec.quad)
-                try:
-                    rows.append(base_row(g, tag, pl_with_reuse(query)))
-                except NonConvergenceError as err:
-                    # The error carries one band's P_n, not the reuse P_L.
-                    rows.append(nonconvergent(g, tag, math.nan, err))
+        if tag == "ReuseRecursion":
+            values = pl_with_reuse_grid(
+                [ReuseQuery(point, spec.base_method, spec.quad) for point in points]
+            )
+        elif tag in _ANALYTIC_TAGS:
+            values = evaluate_grid(Method(tag), points, spec.quad)
         else:
             if tag == "MonteCarloReuse":
                 estimates = reuse_success_curve(scen, spec.sim, thresholds, spec.workers)
@@ -169,6 +154,18 @@ def run_sweep(spec: SweepSpec) -> list[Row]:
                 ]
             for g, est in zip(spec.grid_db, estimates):
                 rows.append(base_row(g, tag, est.estimate, est.stderr))
+            continue
+        for g, value in zip(spec.grid_db, values):
+            if not isinstance(value, NonConvergenceError):
+                rows.append(base_row(g, tag, value))
+                continue
+            comment = (
+                f"nonconvergence method={tag} bg_db={g:.9g} "
+                f"residual={value.error_estimate:.3e}"
+            )
+            # A reuse failure carries one band's P_n, not the reuse P_L.
+            best = math.nan if tag == "ReuseRecursion" else value.best_estimate
+            rows.append(base_row(g, tag, best, comment=comment))
     return rows
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .model import Scenario, ShadowingSpec, effective_density, hex_grid_density
 from .parallel import map_spans
-from .simulate import _BLOCK, ROLE_E911, SimConfig, _powers, _sample_block, stream
+from .simulate import _BLOCK, ROLE_E911, SimConfig, _block_distances, _powers, stream
 
 __all__ = [
     "E911Config",
@@ -517,7 +517,7 @@ def _trial_span(
     out[:, _METHOD] = _NONE
     heard = []  # per block: trials with enough BSs, their used counts, and those BSs
     for first in range(start - start % _BLOCK, stop, _BLOCK):
-        d = _sample_block(scenario, sim, first // _BLOCK, min(_BLOCK, stop - first))[0]
+        d = _block_distances(scenario, sim, first // _BLOCK, min(_BLOCK, stop - first))
         sinr, detected = _detect(d, scenario, cfg)
         rows = np.arange(max(start - first, 0), len(d))
         out[first + rows - start, _DETECTED] = detected[rows]

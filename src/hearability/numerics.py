@@ -6,10 +6,15 @@ Poisson/Erlang tail evaluations.  The kernels here are deterministic:
 identical inputs produce bit-identical floats, which is what makes
 re-run reproducibility of the higher layers possible.
 
-Integrands are evaluated in batches: the callable passed to
-:func:`integrate_adaptive` receives a 1-D ``numpy`` array of abscissae
-and must return the corresponding array of values.  Wrap a scalar-only
-function with ``numpy.vectorize`` if needed.
+Integrands are evaluated in row batches: the callable receives an
+``(M, 22)`` ``numpy`` array of abscissae, one quadrature panel per row
+(the 15 Gauss-Legendre nodes, then the 7 embedded ones), and must return
+the array of values of the same shape.  :func:`integrate_lockstep` runs
+many integrals of one integrand family in lockstep and also passes the
+integral each row belongs to; :func:`integrate_adaptive` is its
+one-integral call.  A grid of integrals returns the same bits as the
+integrals one at a time.  Wrap a scalar-only function with
+``numpy.vectorize`` if needed.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,6 +31,7 @@ __all__ = [
     "QuadratureSpec",
     "NonConvergenceError",
     "integrate_adaptive",
+    "integrate_lockstep",
     "find_root_monotone",
     "poisson_cdf",
     "erlang_quantile",
@@ -80,25 +86,39 @@ class NonConvergenceError(RuntimeError):
         self.error_estimate = error_estimate
 
 
+def value_or_raise(value: float | NonConvergenceError) -> float:
+    """A grid entry as a one-point call returns it: the value, or raised."""
+    if isinstance(value, NonConvergenceError):
+        raise value
+    return value
+
+
 # Gauss-Legendre node/weight pairs for the embedded 7/15 error estimate.
 # leggauss returns machine-precision values, so no tabulated constants.
 _X7, _W7 = np.polynomial.legendre.leggauss(7)
 _X15, _W15 = np.polynomial.legendre.leggauss(15)
+_X22 = np.concatenate((_X15, _X7))  # one panel's abscissae on [-1, 1]
 _INITIAL_PANELS = 4
 
 
-def _panel_estimate(
-    f: Callable[[np.ndarray], np.ndarray], a: float, b: float
-) -> tuple[float, float]:
-    """Integral estimate and error estimate for f over [a, b].
+def _panel_estimates(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    panels: list[tuple[int, float, float, int]],
+) -> list[tuple[float, float]]:
+    """Integral and error estimates of each ``(integral, lo, hi, depth)`` panel.
 
     Uses a 15-point Gauss-Legendre rule with the 7-point rule as the
     embedded check; both rules are open, so endpoints are never queried.
+    All panels go to ``f`` in one ``(M, 22)`` call, one panel per row.
+    Each row keeps its own ``np.dot`` reductions, so a panel's estimate
+    does not depend on the panels batched with it.
     """
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    xs = np.concatenate((mid + half * _X15, mid + half * _X7))
-    ys = np.asarray(f(xs), dtype=float)
+    lo = np.array([panel[1] for panel in panels])
+    hi = np.array([panel[2] for panel in panels])
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    xs = mid[:, None] + half[:, None] * _X22
+    ys = np.asarray(f(xs, np.array([panel[0] for panel in panels])), dtype=float)
     if ys.shape != xs.shape:
         raise ValueError(
             f"integrand returned shape {ys.shape} for input shape {xs.shape}"
@@ -108,9 +128,80 @@ def _panel_estimate(
         raise ValueError(
             f"integrand returned a non-finite value at x={xs[bad][0]!r}"
         )
-    i15 = half * float(np.dot(ys[:15], _W15))
-    i7 = half * float(np.dot(ys[15:], _W7))
-    return i15, abs(i15 - i7)
+    estimates = []
+    for h, y15, y7 in zip(half.tolist(), ys[:, :15], ys[:, 15:]):
+        i15 = h * float(np.dot(y15, _W15))
+        i7 = h * float(np.dot(y7, _W7))
+        estimates.append((i15, abs(i15 - i7)))
+    return estimates
+
+
+def integrate_lockstep(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    a: Sequence[float],
+    b: Sequence[float],
+    spec: QuadratureSpec = DEFAULT_QUADRATURE,
+) -> list[float | NonConvergenceError]:
+    """Integrate one integrand family over ``[a[i], b[i]]`` for every i.
+
+    Each integral keeps its own heap of panels and follows the steps of
+    :func:`integrate_adaptive`: it starts from a few equal panels and
+    halves its worst panel until its summed error estimate meets
+    ``max(abs_tol, rel_tol * |integral|)`` or that panel has been halved
+    ``max_depth`` times.  The integrals advance in lockstep: each round,
+    every unconverged integral splits its own worst panel, and all new
+    panels are evaluated in one call ``f(xs, rows)``.  ``xs`` holds one
+    panel's 22 abscissae per row and ``rows[k]`` names the integral that
+    row ``k`` belongs to, so ``f`` can look up per-integral parameters.
+    Panel estimates are reduced row by row, so every integral returns
+    the bits it would return alone.
+
+    Returns:
+        Per integral, its value, or the :class:`NonConvergenceError`
+        carrying its best estimate when it exhausted ``max_depth``.
+    """
+    if len(b) != len(a):
+        raise ValueError(f"got {len(a)} lower and {len(b)} upper bounds")
+    results: list = [0.0] * len(a)
+    pending = []  # panels to evaluate: (integral, lo, hi, depth)
+    for i, (lo, hi) in enumerate(zip(a, b)):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"bounds must be finite, got [{lo}, {hi}]")
+        if hi < lo:
+            raise ValueError(f"upper bound {hi} is below lower bound {lo}")
+        if hi > lo:
+            edges = np.linspace(lo, hi, _INITIAL_PANELS + 1).tolist()
+            pending.extend((i, *edge, 0) for edge in zip(edges[:-1], edges[1:]))
+    heaps: list[list] = [[] for _ in a]
+    serial = 0
+    while pending:
+        estimates = _panel_estimates(f, pending)
+        for (i, lo, hi, depth), (est, err) in zip(pending, estimates):
+            heapq.heappush(heaps[i], (-err, serial, lo, hi, est, err, depth))
+            serial += 1
+        active = dict.fromkeys(panel[0] for panel in pending)
+        pending = []
+        for i in active:
+            heap = heaps[i]
+            total = math.fsum([item[4] for item in heap])
+            total_err = math.fsum([item[5] for item in heap])
+            target = max(spec.abs_tol, spec.rel_tol * abs(total))
+            if total_err <= target:
+                results[i] = total
+                continue
+            _, _, lo, hi, _, _, depth = heapq.heappop(heap)
+            if depth >= spec.max_depth:
+                results[i] = NonConvergenceError(
+                    f"quadrature did not converge on [{a[i]}, {b[i]}]: "
+                    f"error estimate {total_err:.3e} exceeds target {target:.3e} "
+                    f"after depth {depth}",
+                    best_estimate=total + 0.0,
+                    error_estimate=total_err,
+                )
+                continue
+            mid = 0.5 * (lo + hi)
+            pending += [(i, lo, mid, depth + 1), (i, mid, hi, depth + 1)]
+    return results
 
 
 def integrate_adaptive(
@@ -125,11 +216,14 @@ def integrate_adaptive(
     largest error estimate is repeatedly halved until the summed error
     estimate meets ``max(abs_tol, rel_tol * |integral|)``.  Exhausting
     ``max_depth`` on the worst panel raises :class:`NonConvergenceError`
-    carrying the best estimate.
+    carrying the best estimate.  This is the one-integral call of
+    :func:`integrate_lockstep`.
 
     Args:
-        f: vectorized integrand; receives an array of abscissae strictly
-            inside (a, b) and returns an array of finite values.
+        f: row-batched integrand; receives an ``(M, 22)`` array of
+            abscissae strictly inside (a, b), one panel per row, and
+            returns the array of finite values of the same shape.  Any
+            elementwise numpy function qualifies.
         a: lower bound, finite.
         b: upper bound, finite, with ``b >= a``.
         spec: tolerances and subdivision limits.
@@ -137,43 +231,7 @@ def integrate_adaptive(
     Returns:
         The integral estimate (0.0 when ``a == b``).
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"bounds must be finite, got [{a}, {b}]")
-    if b < a:
-        raise ValueError(f"upper bound {b} is below lower bound {a}")
-    if b == a:
-        return 0.0
-
-    edges = np.linspace(a, b, _INITIAL_PANELS + 1)
-    heap: list[tuple[float, int, float, float, float, float, int]] = []
-    serial = 0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        est, err = _panel_estimate(f, float(lo), float(hi))
-        heapq.heappush(heap, (-err, serial, float(lo), float(hi), est, err, 0))
-        serial += 1
-
-    while True:
-        total = math.fsum(item[4] for item in heap)
-        total_err = math.fsum(item[5] for item in heap)
-        target = max(spec.abs_tol, spec.rel_tol * abs(total))
-        if total_err <= target:
-            return total
-        neg_err, _, lo, hi, est, err, depth = heapq.heappop(heap)
-        if depth >= spec.max_depth:
-            raise NonConvergenceError(
-                f"quadrature did not converge on [{a}, {b}]: "
-                f"error estimate {total_err:.3e} exceeds target {target:.3e} "
-                f"after depth {depth}",
-                best_estimate=total + 0.0,
-                error_estimate=total_err,
-            )
-        mid = 0.5 * (lo + hi)
-        for sub_lo, sub_hi in ((lo, mid), (mid, hi)):
-            est_s, err_s = _panel_estimate(f, sub_lo, sub_hi)
-            heapq.heappush(
-                heap, (-err_s, serial, sub_lo, sub_hi, est_s, err_s, depth + 1)
-            )
-            serial += 1
+    return value_or_raise(integrate_lockstep(lambda xs, rows: f(xs), [a], [b], spec)[0])
 
 
 def find_root_monotone(

@@ -12,19 +12,22 @@ K-fold convolution of ``e``.
 
 The construction requires a single per-band detectability ordering,
 which holds when muting and load coincide (``p = q``).
+:func:`pl_with_reuse_grid` evaluates a beta/gamma grid with one
+:func:`~hearability.analytic.evaluate_grid` call per level ``n``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .analytic import Method, evaluate
+from .analytic import Method, evaluate_grid
 from .model import Scenario
-from .numerics import QuadratureSpec
+from .numerics import NonConvergenceError, QuadratureSpec, value_or_raise
 
-__all__ = ["ReuseQuery", "pl_with_reuse", "exact_count_pmf"]
+__all__ = ["ReuseQuery", "pl_with_reuse", "pl_with_reuse_grid", "exact_count_pmf"]
 
 
 @dataclass(frozen=True)
@@ -53,26 +56,34 @@ class ReuseQuery:
             raise ValueError("base_method must evaluate a probability")
 
 
-def _band_pl(query: ReuseQuery, n: int) -> float:
-    """Single-band P_n at the thinned density lam / K."""
-    if n == 0:
-        return 1.0
-    scen = query.scenario.replace(
-        L=n, K=1, lam=query.scenario.lam / query.scenario.K
-    )
-    return evaluate(query.base_method, scen, query.quad)
+def _count_pmfs(queries: list[ReuseQuery]) -> list:
+    """:func:`exact_count_pmf` of every query, one grid call per level n.
 
-
-def exact_count_pmf(query: ReuseQuery) -> np.ndarray:
-    """P(exactly n BSs detectable in one band) for n = 0 .. L-1.
-
-    ``e(n) = P_n - P_{n+1}`` with ``P_0 = 1``; counts of ``L`` or more
-    never contribute to failure, so the vector stops at ``L - 1``.
-    Negative differences beyond rounding noise indicate a broken base
-    evaluator and raise; rounding-level negatives are clamped to 0.
+    A query whose level ``P_n`` does not converge gets that level's
+    :class:`NonConvergenceError` and leaves the later levels.
     """
-    L = query.scenario.L
-    levels = [_band_pl(query, n) for n in range(L + 1)]
+    first = queries[0]
+    L = first.scenario.L
+    if len({(q.scenario.L, q.base_method, q.quad) for q in queries}) > 1:
+        raise ValueError("grid queries must share L, base_method and quad")
+    levels: list = [[1.0] for _ in queries]  # P_0 = 1
+    for n in range(1, L + 1):
+        rows = [k for k, lv in enumerate(levels) if isinstance(lv, list)]
+        bands = [
+            queries[k].scenario.replace(
+                L=n, K=1, lam=queries[k].scenario.lam / queries[k].scenario.K
+            )
+            for k in rows
+        ]
+        for k, value in zip(rows, evaluate_grid(first.base_method, bands, first.quad)):
+            if isinstance(value, NonConvergenceError):
+                levels[k] = value
+            else:
+                levels[k].append(value)
+    return [lv if isinstance(lv, NonConvergenceError) else _pmf(lv, L) for lv in levels]
+
+
+def _pmf(levels: list[float], L: int) -> np.ndarray:
     e = np.diff(-np.asarray(levels))  # e[n] = levels[n] - levels[n+1]
     if np.any(e < -1e-9):
         n_bad = int(np.argmin(e))
@@ -80,6 +91,18 @@ def exact_count_pmf(query: ReuseQuery) -> np.ndarray:
             f"base evaluator is not monotone in L: e({n_bad}) = {e[n_bad]:.3e} < 0"
         )
     return np.maximum(e[:L], 0.0)
+
+
+def exact_count_pmf(query: ReuseQuery) -> np.ndarray:
+    """P(exactly n BSs detectable in one band) for n = 0 .. L-1.
+
+    ``e(n) = P_n - P_{n+1}`` with ``P_0 = 1`` and ``P_n`` the single-band
+    value at the thinned density ``lam / K``; counts of ``L`` or more
+    never contribute to failure, so the vector stops at ``L - 1``.
+    Negative differences beyond rounding noise indicate a broken base
+    evaluator and raise; rounding-level negatives are clamped to 0.
+    """
+    return value_or_raise(_count_pmfs([query])[0])
 
 
 def _failure_by_convolution(e: np.ndarray, K: int, L: int) -> float:
@@ -91,16 +114,43 @@ def _failure_by_convolution(e: np.ndarray, K: int, L: int) -> float:
     return float(np.sum(coeffs))
 
 
+def pl_with_reuse_grid(
+    queries: Sequence[ReuseQuery],
+) -> list[float | NonConvergenceError]:
+    """:func:`pl_with_reuse` at every point of a beta/gamma grid.
+
+    The queries share ``L``, ``alpha``, ``p``, ``q``, ``base_method`` and
+    ``quad`` and differ in ``beta`` (and may differ in ``K``).  The
+    per-band ``P_n`` table comes from one
+    :func:`~hearability.analytic.evaluate_grid` call per level n, so
+    every point gets the bits a one-point call gives it.
+
+    Returns:
+        Per point, P_L across all K bands, or the
+        :class:`NonConvergenceError` of the point's first per-band level
+        that did not converge.  That error carries one band's ``P_n``,
+        not the reuse P_L.
+    """
+    queries = list(queries)
+    if not queries:
+        return []
+    out: list = []
+    for query, e in zip(queries, _count_pmfs(queries)):
+        if isinstance(e, NonConvergenceError):
+            out.append(e)
+            continue
+        failure = _failure_by_convolution(e, query.scenario.K, query.scenario.L)
+        out.append(min(1.0, max(0.0, 1.0 - failure)))
+    return out
+
+
 def pl_with_reuse(query: ReuseQuery) -> float:
     """P(at least L BSs detectable across all K bands).
 
     Uses the convolution form; ``tests/test_reuse.py`` checks it against
     a brute-force sum over per-band count tuples.
     At ``K = 1`` the telescoping collapses and the single-band value is
-    returned (up to summation rounding).
+    returned (up to summation rounding).  This is a one-point
+    :func:`pl_with_reuse_grid` call.
     """
-    scen = query.scenario
-    K, L = scen.K, scen.L
-    e = exact_count_pmf(query)
-    failure = _failure_by_convolution(e, K, L)
-    return min(1.0, max(0.0, 1.0 - failure))
+    return value_or_raise(pl_with_reuse_grid([query])[0])

@@ -248,16 +248,15 @@ def sample_conditional_bpp(
 # --- block sampler --------------------------------------------------------
 
 
-def _sample_block(
+def _block_distances(
     scenario: Scenario, config: SimConfig, block: int, rows: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Distances, activity uniforms and band labels of one block, each (rows, n).
+) -> np.ndarray:
+    """BS distances of one block, (rows, n), ascending along each row.
 
     Each row keeps the ``n = expected_bs`` BSs nearest the device in
     ascending (equivalent) distance, so every collector sees the same
     deployments.  Row r draws the same values whatever ``rows`` is, so
-    a short final block holds the first rows of a full one.  The labels
-    are None for a single band.
+    a short final block holds the first rows of a full one.
     """
     n, seed = config.expected_bs, config.seed
     if config.deployment == Deployment.HEX:
@@ -283,10 +282,22 @@ def _sample_block(
         np.cumsum(d, axis=1, out=d)
         d *= 1.0 / (math.pi * lam_eff)
         np.sqrt(d, out=d)
-    u = stream(seed, block, _ROLE_ACTIVITY).random(d.shape)
+    return d
+
+
+def _sample_block(
+    scenario: Scenario, config: SimConfig, block: int, rows: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Distances, activity uniforms and band labels of one block, each (rows, n).
+
+    The distances are :func:`_block_distances`; the uniforms and labels
+    come from their own streams.  The labels are None for a single band.
+    """
+    d = _block_distances(scenario, config, block, rows)
+    u = stream(config.seed, block, _ROLE_ACTIVITY).random(d.shape)
     labels = None
     if scenario.K > 1:
-        draw = stream(seed, block, _ROLE_BANDS)
+        draw = stream(config.seed, block, _ROLE_BANDS)
         labels = draw.integers(1, scenario.K + 1, size=d.shape, dtype=np.int16)
     return d, u, labels
 

@@ -10,6 +10,11 @@ import math
 
 import numpy as np
 import pytest
+from quadrature_oracle import (
+    oracle_boundary_t,
+    oracle_pl_alpha4,
+    oracle_pl_double_integral,
+)
 from scipy import integrate, stats
 
 from hearability import analytic
@@ -18,6 +23,7 @@ from hearability.analytic import (
     _boundary_t,
     _sir_normalized,
     evaluate,
+    evaluate_grid,
     mean_i1,
     mean_i2,
     min_processing_gain,
@@ -28,7 +34,9 @@ from hearability.analytic import (
     pl_single_integral_general,
     pl_upper_bound,
 )
-from hearability.model import Scenario
+from hearability.cli import _at_threshold, _grid
+from hearability.model import Scenario, hex_grid_density
+from hearability.numerics import NonConvergenceError, QuadratureSpec
 
 # Canonical uncoordinated scenario: L=4 nearest BSs, alpha=4, full
 # activity, processing-gain-to-threshold ratio gamma/beta = 100.
@@ -519,3 +527,147 @@ class TestScaleInvariance:
         # exact change of variables, so even they are bit-identical.
         scen = at_ratio(40.0, p=0.5, q=0.75)
         assert func(scen) == func(scen.replace(lam=10.0 * scen.lam))
+
+
+# --- grid evaluation against the scalar oracles ---------------------------
+
+ORACLES = {
+    Method.DOUBLE_INTEGRAL: oracle_pl_double_integral,
+    Method.SINGLE_INTEGRAL_ALPHA4: oracle_pl_alpha4,
+}
+DENSITY = hex_grid_density(500.0)
+STEP_1DB = _grid(-20.0, 0.0, 1.0)
+STEP_HALF_DB = _grid(-20.0, 0.0, 0.5)
+TWO_THIRDS = 2.0 / 3.0
+
+
+def scenario(alpha=4.0, p=1.0, q=1.0, L=4, lam=DENSITY):
+    return Scenario(lam=lam, alpha=alpha, p=p, q=q, beta=1.0, gamma=1.0, L=L)
+
+
+# (id, method, base scenario, grid in dB, quadrature)
+GRIDS = [
+    # The analytic workload and fig4: DoubleIntegral across alpha.
+    *[
+        (f"double-a{a}", Method.DOUBLE_INTEGRAL, scenario(a, TWO_THIRDS), STEP_1DB, None)
+        for a in (3.0, 3.5, 4.0, 4.5)
+    ],
+    # The analytic workload: SingleIntegralAlpha4 across p.
+    *[
+        (f"alpha4-p{k}", Method.SINGLE_INTEGRAL_ALPHA4, scenario(p=p), STEP_1DB, None)
+        for k, p in enumerate((0.0, 1.0 / 3.0, TWO_THIRDS, 1.0))
+    ],
+    # fig3 and fig8.
+    ("fig3", Method.SINGLE_INTEGRAL_ALPHA4, scenario(), STEP_HALF_DB, None),
+    ("fig8-L6", Method.SINGLE_INTEGRAL_ALPHA4, scenario(p=0.5, q=0.75, L=6),
+     STEP_HALF_DB, None),
+    # The reuse levels: single-band P_n at lam / K for n = 1..9, plus q = 0.
+    *[
+        (f"{m.name}-L{L}-q{q}", m, scenario(q=q, L=L, lam=DENSITY / 3), STEP_1DB, None)
+        for m in ORACLES
+        for L in range(1, 10)
+        for q in (1.0, 0.0)
+    ],
+    # One halving per panel: failing and converging points share a grid.
+    ("double-depth1", Method.DOUBLE_INTEGRAL, scenario(3.5, TWO_THIRDS, L=6),
+     STEP_1DB, QuadratureSpec(max_depth=1)),
+    ("alpha4-depth1", Method.SINGLE_INTEGRAL_ALPHA4, scenario(p=TWO_THIRDS, L=6),
+     STEP_1DB, QuadratureSpec(max_depth=1)),
+]
+
+
+def outcome(value):
+    """Bits of a value, or of a failure's estimates and message."""
+    if isinstance(value, NonConvergenceError):
+        return (value.best_estimate.hex(), value.error_estimate.hex(), str(value))
+    return value.hex()
+
+
+def oracle_outcomes(method, points, quad):
+    out = []
+    for point in points:
+        try:
+            out.append(outcome(ORACLES[method](point, quad)))
+        except NonConvergenceError as err:
+            out.append(outcome(err))
+    return out
+
+
+def grid_outcomes(method, points, quad):
+    return [outcome(v) for v in evaluate_grid(method, points, quad)]
+
+
+class TestEvaluateGrid:
+    @pytest.mark.parametrize(
+        "method,base,grid_db,quad", [g[1:] for g in GRIDS], ids=[g[0] for g in GRIDS]
+    )
+    def test_grid_matches_scalar_oracle_bit_for_bit(self, method, base, grid_db, quad):
+        quad = quad or QuadratureSpec()
+        points = [_at_threshold(base, g) for g in grid_db]
+        whole = grid_outcomes(method, points, quad)
+        assert whole == oracle_outcomes(method, points, quad)
+        assert grid_outcomes(method, points[::-1], quad)[::-1] == whole
+        cuts = [0, 1, 4, 5, 13, len(points)]
+        sliced = [
+            v
+            for lo, hi in zip(cuts[:-1], cuts[1:])
+            for v in grid_outcomes(method, points[lo:hi], quad)
+        ]
+        assert sliced == whole
+
+    @pytest.mark.parametrize("name", ["double-depth1", "alpha4-depth1"])
+    def test_failures_flag_their_own_points(self, name):
+        _, method, base, grid_db, quad = next(g for g in GRIDS if g[0] == name)
+        values = evaluate_grid(method, [_at_threshold(base, g) for g in grid_db], quad)
+        failed = [isinstance(v, NonConvergenceError) for v in values]
+        assert any(failed) and not all(failed)
+
+    def test_one_point_calls_raise_the_grid_failure(self):
+        _, method, base, grid_db, quad = GRIDS[-1]
+        points = [_at_threshold(base, g) for g in grid_db]
+        for point, value in zip(points, evaluate_grid(method, points, quad)):
+            if isinstance(value, NonConvergenceError):
+                with pytest.raises(NonConvergenceError) as excinfo:
+                    evaluate(method, point, quad)
+                assert outcome(excinfo.value) == outcome(value)
+            else:
+                assert evaluate(method, point, quad) == value
+
+    @pytest.mark.parametrize(
+        "method", [m for m in Method if m != Method.PROC_GAIN_BOUND]
+    )
+    def test_every_method_equals_its_one_point_calls(self, method):
+        points = [_at_threshold(CANON, g) for g in STEP_1DB]
+        expected = [outcome(evaluate(method, point)) for point in points]
+        assert grid_outcomes(method, points, QuadratureSpec()) == expected
+
+    def test_points_must_share_the_scenario(self):
+        with pytest.raises(ValueError, match="share"):
+            evaluate_grid(Method.UPPER_BOUND, [CANON, CANON.replace(L=5)])
+        with pytest.raises(ValueError, match="min_processing_gain"):
+            evaluate_grid(Method.PROC_GAIN_BOUND, [CANON])
+        assert evaluate_grid(Method.DOUBLE_INTEGRAL, []) == []
+
+
+class TestBoundarySolveBatch:
+    @pytest.mark.parametrize(
+        "alpha,omega,q", [(3.0, 2, 1.0), (3.5, 3, 1.0), (4.5, 5, 0.5), (4.0, 7, 0.0)]
+    )
+    def test_each_panel_takes_its_scalar_iterates(self, alpha, omega, q):
+        # Panels at very different r and gamma/beta converge after
+        # different numbers of Newton steps.
+        leggauss = np.polynomial.legendre.leggauss
+        x22 = np.concatenate((leggauss(15)[0], leggauss(7)[0]))
+        gbs = omega + np.geomspace(1e-3, 1e3, 12)
+        rows, gb_rows = [], []
+        for gb in gbs:
+            r_star = math.sqrt((alpha - 2.0) * (gb - omega) / (2.0 * q)) if q else 10.0
+            spans = ((1e-4, 1e-3), (0.1 * r_star, 0.6 * r_star), (0.6 * r_star, r_star))
+            for lo, hi in spans:
+                rows.append(0.5 * (lo + hi) + 0.5 * (hi - lo) * x22)
+                gb_rows.append(gb)
+        r = np.array(rows)
+        got = _boundary_t(r, omega, alpha, q, np.array(gb_rows)[:, None])
+        for k, gb in enumerate(gb_rows):
+            expected = oracle_boundary_t(r[k], omega, alpha, q, gb)
+            assert got[k].tobytes() == expected.tobytes()

@@ -1,6 +1,7 @@
 """Unit tests for the command line interface and CSV artifacts."""
 
 import argparse
+import math
 import os
 import shutil
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from quadrature_oracle import oracle_pl_alpha4, oracle_pl_double_integral
 
 import hearability
 import hearability.cli as cli
@@ -16,6 +18,8 @@ from hearability.cli import (
     CSV_COLUMNS,
     Row,
     SweepSpec,
+    _at_threshold,
+    _grid,
     _resolve_seed,
     build_parser,
     main,
@@ -27,7 +31,8 @@ from hearability.cli import (
 )
 from hearability.analytic import Method
 from hearability.model import Scenario
-from hearability.numerics import QuadratureSpec
+from hearability.numerics import NonConvergenceError, QuadratureSpec
+from hearability.reuse import ReuseQuery, _failure_by_convolution
 from hearability.simulate import McEstimate, SimConfig
 
 HEADER = ",".join(CSV_COLUMNS)
@@ -250,6 +255,75 @@ class TestCsvContract:
         out = tmp_path / "r.csv"
         write_csv(rows, out, timestamp=False)
         assert sum(l.startswith("# nonconvergence") for l in lines_of(out)) == 2
+
+
+ORACLES = {
+    Method.DOUBLE_INTEGRAL: oracle_pl_double_integral,
+    Method.SINGLE_INTEGRAL_ALPHA4: oracle_pl_alpha4,
+}
+
+
+def oracle_reuse(query: ReuseQuery) -> float:
+    """Reuse P_L from scalar-oracle per-band levels."""
+    scen, oracle = query.scenario, ORACLES[query.base_method]
+    band = scen.replace(K=1, lam=scen.lam / scen.K)
+    levels = [1.0]
+    levels += [oracle(band.replace(L=n), query.quad) for n in range(1, scen.L + 1)]
+    e = np.maximum(np.diff(-np.asarray(levels))[: scen.L], 0.0)
+    return min(1.0, max(0.0, 1.0 - _failure_by_convolution(e, scen.K, scen.L)))
+
+
+def per_point_rows(spec: SweepSpec) -> list[Row]:
+    """The sweep evaluated one point at a time by the scalar oracles."""
+    scen, rows = spec.scenario, []
+    for tag in spec.methods:
+        for g in spec.grid_db:
+            point = _at_threshold(scen, g)
+            comment = None
+            try:
+                if tag == "ReuseRecursion":
+                    value = oracle_reuse(ReuseQuery(point, spec.base_method, spec.quad))
+                else:
+                    value = ORACLES[Method(tag)](point, spec.quad)
+            except NonConvergenceError as err:
+                value = math.nan if tag == "ReuseRecursion" else err.best_estimate
+                comment = (
+                    f"nonconvergence method={tag} bg_db={g:.9g} "
+                    f"residual={err.error_estimate:.3e}"
+                )
+            rows.append(Row(
+                g, scen.L, scen.p, scen.q, scen.alpha, scen.K, scen.lam,
+                tag, value, None, comment,
+            ))
+    return rows
+
+
+class TestGridSweep:
+    @pytest.mark.parametrize(
+        "scen,methods",
+        [
+            (Scenario(lam=2.0, alpha=3.5, p=2.0 / 3.0, q=1.0, beta=1.0, gamma=1.0, L=6),
+             ("DoubleIntegral",)),
+            (Scenario(lam=2.0, alpha=4.0, p=2.0 / 3.0, q=1.0, beta=1.0, gamma=1.0, L=6),
+             ("SingleIntegralAlpha4",)),
+            (Scenario(lam=2.0, alpha=4.0, p=1.0, q=1.0, beta=1.0, gamma=1.0, L=6, K=3),
+             ("ReuseRecursion", "SingleIntegralAlpha4")),
+        ],
+    )
+    def test_depth_one_sweep_matches_per_point_bytes(self, tmp_path, scen, methods):
+        # One halving per panel: some grid points fail, the rest converge.
+        spec = SweepSpec(
+            scen, _grid(-20.0, 0.0, 1.0), methods, SimConfig(realizations=100, seed=0),
+            quad=QuadratureSpec(max_depth=1),
+        )
+        rows = run_sweep(spec)
+        flagged = [r for r in rows if r.comment]
+        assert 0 < len(flagged) < len(rows)
+        write_csv(rows, tmp_path / "grid.csv", timestamp=False)
+        write_csv(per_point_rows(spec), tmp_path / "points.csv", timestamp=False)
+        got = (tmp_path / "grid.csv").read_bytes()
+        assert got == (tmp_path / "points.csv").read_bytes()
+        assert got.count(b"\n# nonconvergence") == len(flagged)
 
 
 class TestSubcommands:

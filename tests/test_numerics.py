@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from quadrature_oracle import oracle_integrate_adaptive
 from scipy import integrate, stats
 
 from hearability.numerics import (
@@ -12,6 +13,7 @@ from hearability.numerics import (
     erlang_quantile,
     find_root_monotone,
     integrate_adaptive,
+    integrate_lockstep,
     poisson_cdf,
 )
 
@@ -100,6 +102,118 @@ class TestIntegrateAdaptive:
     def test_deterministic_across_calls(self):
         f = lambda x: np.exp(-x) * np.sin(3.0 * x)
         assert integrate_adaptive(f, 0.0, 4.0) == integrate_adaptive(f, 0.0, 4.0)
+
+
+def outcome(value):
+    """Bits of a value, or of a failure's estimates and message."""
+    if isinstance(value, NonConvergenceError):
+        return (value.best_estimate.hex(), value.error_estimate.hex(), str(value))
+    return value.hex()
+
+
+def oracle_outcome(f, a, b, spec):
+    try:
+        return outcome(oracle_integrate_adaptive(f, a, b, spec))
+    except NonConvergenceError as err:
+        return outcome(err)
+
+
+# A family of integrands, one (decay, frequency, upper bound) per
+# integral: smooth, oscillatory, a kink and an empty interval, so the
+# integrals converge after very different numbers of rounds.
+FAMILY = [
+    (0.3, 1.0, 2.0),
+    (1.0, 7.0, 10.0),
+    (2.5, 0.5, 5.0),
+    (0.0, 25.0, 3.0),
+    (0.7, 3.0, 0.0),
+    (4.0, 13.0, 8.0),
+    (0.1, 0.1, 1e-3),
+    (1.5, 40.0, 6.0),
+    (0.0, 0.0, 7.0),
+    (0.9, 2.0, 4.0),
+    (3.0, 11.0, 2.5),
+]
+
+
+def family_integrand(params):
+    decay = np.array([c for c, _, _ in params])[:, None]
+    freq = np.array([w for _, w, _ in params])[:, None]
+
+    def f(xs, rows):
+        return np.exp(-decay[rows] * xs) * np.cos(freq[rows] * xs) + np.abs(xs - 0.4)
+
+    return f
+
+
+def one_member(c, w):
+    return lambda x: np.exp(-c * x) * np.cos(w * x) + np.abs(x - 0.4)
+
+
+def lockstep(params, spec):
+    f = family_integrand(params)
+    uppers = [b for _, _, b in params]
+    return [outcome(v) for v in integrate_lockstep(f, [0.0] * len(params), uppers, spec)]
+
+
+SPECS = [
+    QuadratureSpec(),
+    QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15, max_depth=6),
+]
+
+
+class TestIntegrateLockstep:
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_every_integral_matches_the_scalar_oracle_bit_for_bit(self, spec):
+        expected = [oracle_outcome(one_member(c, w), 0.0, b, spec) for c, w, b in FAMILY]
+        assert lockstep(FAMILY, spec) == expected
+
+    def test_tight_spec_mixes_converged_and_failed_integrals(self):
+        kinds = {isinstance(v, str) for v in lockstep(FAMILY, SPECS[1])}
+        assert kinds == {True, False}
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_whole_reversed_and_sliced_grids_agree(self, spec):
+        whole = lockstep(FAMILY, spec)
+        assert lockstep(FAMILY[::-1], spec)[::-1] == whole
+        cuts = [0, 1, 4, 5, 9, len(FAMILY)]
+        sliced = [
+            v
+            for lo, hi in zip(cuts[:-1], cuts[1:])
+            for v in lockstep(FAMILY[lo:hi], spec)
+        ]
+        assert sliced == whole
+
+    def test_integrand_sees_one_panel_per_row(self):
+        shapes = []
+
+        def f(xs, rows):
+            shapes.append((xs.shape, rows.shape))
+            return np.ones_like(xs)
+
+        assert integrate_lockstep(f, [0.0, 1.0], [1.0, 3.0]) == [1.0, 2.0]
+        assert shapes == [((8, 22), (8,))]
+
+    def test_nonfinite_value_names_its_abscissa(self):
+        def f(xs, rows):
+            return np.where((rows[:, None] == 1) & (xs > 2.5), np.nan, 1.0)
+
+        with pytest.raises(ValueError, match="non-finite") as excinfo:
+            integrate_lockstep(f, [0.0, 0.0, 0.0], [1.0, 3.0, 4.0])
+        x = float(str(excinfo.value).split("x=")[1].strip("np.float64()"))
+        assert 2.5 < x < 3.0
+
+    def test_bad_bounds_raise(self):
+        f = lambda xs, rows: xs
+        with pytest.raises(ValueError, match="finite"):
+            integrate_lockstep(f, [0.0, 0.0], [1.0, math.nan])
+        with pytest.raises(ValueError, match="below"):
+            integrate_lockstep(f, [0.0, 1.0], [1.0, 0.0])
+        with pytest.raises(ValueError, match="bounds"):
+            integrate_lockstep(f, [0.0], [1.0, 2.0])
+
+    def test_empty_grid(self):
+        assert integrate_lockstep(lambda xs, rows: xs, [], []) == []
 
 
 class TestFindRootMonotone:

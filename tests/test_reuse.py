@@ -9,7 +9,13 @@ from scipy import stats
 
 from hearability.analytic import Method, evaluate
 from hearability.model import Scenario
-from hearability.reuse import ReuseQuery, exact_count_pmf, pl_with_reuse
+from hearability.numerics import NonConvergenceError, QuadratureSpec
+from hearability.reuse import (
+    ReuseQuery,
+    exact_count_pmf,
+    pl_with_reuse,
+    pl_with_reuse_grid,
+)
 
 
 def scen(gb: float, K: int = 3, L: int = 4, p: float = 1.0) -> Scenario:
@@ -116,3 +122,35 @@ class TestPlWithReuse:
         query = ReuseQuery(scen(20.0, K=3))
         scaled = ReuseQuery(scen(20.0, K=3).replace(lam=10.0))
         assert pl_with_reuse(query) == pl_with_reuse(scaled)
+
+
+class TestReuseGrid:
+    @pytest.mark.parametrize("K,L", [(1, 4), (3, 6), (6, 9)])
+    def test_grid_equals_one_point_calls(self, K, L):
+        queries = [ReuseQuery(scen(10.0 ** (db / 10.0), K=K, L=L)) for db in range(21)]
+        values = pl_with_reuse_grid(queries)
+        assert [v.hex() for v in values] == [pl_with_reuse(q).hex() for q in queries]
+        assert pl_with_reuse_grid(queries[::-1])[::-1] == values
+
+    def test_failure_flags_its_own_point(self):
+        # One halving per panel fails the L = 6 levels at large gamma/beta.
+        quad = QuadratureSpec(max_depth=1)
+        queries = [
+            ReuseQuery(scen(10.0 ** (db / 10.0), L=6), quad=quad) for db in range(21)
+        ]
+        values = pl_with_reuse_grid(queries)
+        failed = [isinstance(v, NonConvergenceError) for v in values]
+        assert any(failed) and not all(failed)
+        for query, value in zip(queries, values):
+            if isinstance(value, NonConvergenceError):
+                with pytest.raises(NonConvergenceError) as excinfo:
+                    pl_with_reuse(query)
+                assert excinfo.value.best_estimate == value.best_estimate
+                assert excinfo.value.error_estimate == value.error_estimate
+            else:
+                assert pl_with_reuse(query) == value
+
+    def test_queries_must_share_the_level_and_quadrature(self):
+        with pytest.raises(ValueError, match="share"):
+            pl_with_reuse_grid([ReuseQuery(scen(5.0)), ReuseQuery(scen(5.0, L=5))])
+        assert pl_with_reuse_grid([]) == []
