@@ -61,11 +61,10 @@ from .simulate import (
     Deployment,
     McEstimate,
     SimConfig,
-    TruthMode,
     collect_margins,
-    estimate_pl,
-    estimate_pl_curve,
-    estimate_pl_reuse,
+    collect_reuse_margins,
+    collect_upsilon,
+    exceedance_curve,
     hearability_curve,
     reuse_success_curve,
     sample_ppp,
@@ -114,11 +113,10 @@ __all__ = [
     "Deployment",
     "McEstimate",
     "SimConfig",
-    "TruthMode",
     "collect_margins",
-    "estimate_pl",
-    "estimate_pl_curve",
-    "estimate_pl_reuse",
+    "collect_reuse_margins",
+    "collect_upsilon",
+    "exceedance_curve",
     "hearability_curve",
     "reuse_success_curve",
     "sample_ppp",

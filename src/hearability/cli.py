@@ -46,9 +46,9 @@ from .numerics import NonConvergenceError, QuadratureSpec
 from .reuse import ReuseQuery, pl_with_reuse_grid
 from .simulate import (
     Deployment,
-    McEstimate,
     SimConfig,
     collect_margins,
+    exceedance_curve,
     hearability_curve,
     reuse_success_curve,
 )
@@ -146,12 +146,7 @@ def run_sweep(spec: SweepSpec) -> list[Row]:
             else:  # MonteCarloJoint / MonteCarloLastBs
                 margins = collect_margins(scen, spec.sim, spec.workers)
                 col = 0 if tag == "MonteCarloJoint" else 1
-                estimates = [
-                    McEstimate.from_successes(
-                        int(np.sum(margins[:, col] >= thr)), spec.sim.realizations
-                    )
-                    for thr in thresholds
-                ]
+                estimates = exceedance_curve(margins[:, col], thresholds)
             for g, est in zip(spec.grid_db, estimates):
                 rows.append(base_row(g, tag, est.estimate, est.stderr))
             continue
@@ -678,10 +673,6 @@ def _lookup(key: str, param: tuple, args, cfg: dict[str, str]):
         return convert(raw)
     except ValueError as err:
         raise SystemExit(f"error: {key}: {err}") from None
-
-
-def _resolve_seed(args, cfg: dict[str, str]) -> int:
-    return _lookup("seed", _COMMON["seed"], args, cfg)
 
 
 def _resolve(params: dict, args, cfg: dict[str, str], source: str) -> dict:

@@ -4,6 +4,16 @@ Samples deployments (Poisson or hex grid), applies the exact SINR
 recipe with no analytic approximation, and estimates ``P_L`` and the
 detectable-BS count ``Upsilon``.
 
+Every Monte Carlo estimate is the share of realizations whose
+per-realization statistic clears a level.  Three collectors draw the
+statistics: ``collect_margins`` the joint and last-BS SINR margins
+(levels are ``beta/gamma`` values), ``collect_upsilon`` the Upsilon
+counts (levels are L values) and ``collect_reuse_margins`` the L-th
+largest band prefix-min SINR under frequency reuse (levels are
+``beta/gamma`` values).  ``exceedance_curve`` turns a statistic and a
+level grid into ``McEstimate``s.  The statistics do not depend on the
+level, so one collection answers a whole grid.
+
 Reproducibility contract: the collectors draw realizations in fixed
 blocks of ``_BLOCK`` rows from counter-based Philox streams keyed by
 ``(seed, block, role)``, one role per kind of draw (geometry, activity,
@@ -18,10 +28,6 @@ on a shadowed hex grid these nearest sites are then ordered by received
 power.  Poisson rows need no point count and no sort: ``pi * lam_eff *
 R_k**2`` are the arrival times of a unit-rate Poisson process, i.e.
 cumulative sums of Exp(1) draws.
-
-Threshold sweeps exploit that the per-BS SINRs do not depend on the
-detection threshold: one pass stores per-realization SINR margins, then
-any grid of ``beta/gamma`` values is answered by comparisons.
 """
 
 from __future__ import annotations
@@ -45,19 +51,16 @@ from .parallel import map_spans
 
 __all__ = [
     "Deployment",
-    "TruthMode",
     "SimConfig",
     "McEstimate",
     "sample_ppp",
     "sample_conditional_bpp",
-    "estimate_pl",
-    "estimate_pl_curve",
-    "estimate_pl_reuse",
+    "exceedance_curve",
     "reuse_success_curve",
     "hearability_curve",
     "collect_margins",
     "collect_upsilon",
-    "collect_band_cummins",
+    "collect_reuse_margins",
 ]
 
 # Stream roles; their values are part of the reproducibility contract.
@@ -66,7 +69,6 @@ _ROLE_ACTIVITY = 1
 _ROLE_BANDS = 2
 _ROLE_SHADOW = 3
 _ROLE_OFFSET = 4
-_ROLE_SCAN = 5
 ROLE_E911 = 6
 
 # Realizations per keyed block of the collectors; part of the contract.
@@ -77,18 +79,6 @@ _BLOCK = 16
 class Deployment(str, enum.Enum):
     PPP = "ppp"
     HEX = "hex"
-
-
-class TruthMode(str, enum.Enum):
-    """Which event defines Monte Carlo success.
-
-    ``JOINT_ALL_L`` requires every one of the L nearest BSs to clear the
-    threshold (the definition of P_L).  ``LAST_BS_ONLY`` checks only the
-    L-th BS, the usual bottleneck.
-    """
-
-    JOINT_ALL_L = "joint"
-    LAST_BS_ONLY = "last"
 
 
 @dataclass(frozen=True)
@@ -108,12 +98,12 @@ class SimConfig:
             enters analytically through the effective density; for hex
             grids it is drawn per link and folded into equivalent
             distances.
-        truth_mode: success event for estimate_pl.
-        upsilon_cap: largest detectable-count tracked by the Upsilon
-            scan.
-        coupled_activity: when True (default) the Upsilon scan reuses
-            one uniform per BS across candidate participant counts;
-            when False each candidate count redraws activity marks.
+        upsilon_cap: how many of each band's nearest BSs the Upsilon
+            and reuse statistics examine; levels L above it are
+            rejected.  At p == q a band's count is exact up to the cap,
+            so every accepted level is answered exactly.  At p != q the
+            cap is part of Upsilon's definition: it bounds the candidate
+            participant counts that are checked.
     """
 
     realizations: int
@@ -122,9 +112,7 @@ class SimConfig:
     deployment: Deployment = Deployment.PPP
     hex_isd: float = 500.0
     shadow: ShadowingSpec = field(default_factory=ShadowingSpec)
-    truth_mode: TruthMode = TruthMode.JOINT_ALL_L
     upsilon_cap: int = 32
-    coupled_activity: bool = True
 
     def __post_init__(self) -> None:
         if not isinstance(self.realizations, (int, np.integer)) or self.realizations < 1:
@@ -322,25 +310,23 @@ def _margins(pw: np.ndarray, u: np.ndarray, scenario: Scenario) -> np.ndarray:
     return np.column_stack((sinr.min(axis=1), sinr[:, L - 1]))
 
 
-def _group_bands(pw, u, labels, K: int, cap: int, scan=None):
+def _group_bands(pw, u, labels, K: int, cap: int):
     """Reorder columns so that each band's members are contiguous, nearest first.
 
-    Returns the reordered ``pw``, ``u`` and ``scan`` and, per band, its
-    column mask (None for a single band), the index of its ``cap``
-    nearest members into a (rows, n) array and which of those exist.
-    With each band contiguous, a masked row sum or a running sum adds
-    the same terms in the same order as a sum over the band alone.
+    Returns the reordered ``pw`` and ``u`` and, per band, its column
+    mask (None for a single band), the index of its ``cap`` nearest
+    members into a (rows, n) array and which of those exist.  With each
+    band contiguous, a masked row sum or a running sum adds the same
+    terms in the same order as a sum over the band alone.
     """
     rows, n = pw.shape
     slots = np.arange(cap)
     row = np.arange(rows)[:, None]
     if labels is None:
         cols = np.broadcast_to(np.minimum(slots, n - 1), (rows, cap))
-        return pw, u, scan, [(None, (row, cols), slots < n)]
+        return pw, u, [(None, (row, cols), slots < n)]
     order = np.argsort(labels, axis=1, kind="stable")
     pw, u, labels = pw[row, order], u[row, order], labels[row, order]
-    if scan is not None:
-        scan = np.take_along_axis(scan, order[:, None, :], axis=2)
     bands = []
     start = np.zeros((rows, 1), dtype=np.int64)
     for band in range(1, K + 1):
@@ -348,7 +334,7 @@ def _group_bands(pw, u, labels, K: int, cap: int, scan=None):
         count = np.count_nonzero(mask, axis=1)[:, None]
         bands.append((mask, (row, np.minimum(start + slots, n - 1)), slots < count))
         start = start + count
-    return pw, u, scan, bands
+    return pw, u, bands
 
 
 def _prefix_min_sinr(pw: np.ndarray, u: np.ndarray, labels, scenario: Scenario,
@@ -357,7 +343,7 @@ def _prefix_min_sinr(pw: np.ndarray, u: np.ndarray, labels, scenario: Scenario,
 
     Shape (rows, K, cap), padded with -inf past a band's last member.
     """
-    pw, u, _, bands = _group_bands(pw, u, labels, scenario.K, cap)
+    pw, u, bands = _group_bands(pw, u, labels, scenario.K, cap)
     act = u < scenario.q
     out = np.empty((len(pw), scenario.K, cap))
     for b, (mask, idx, valid) in enumerate(bands):
@@ -369,47 +355,36 @@ def _prefix_min_sinr(pw: np.ndarray, u: np.ndarray, labels, scenario: Scenario,
     return out
 
 
-def _upsilon(pw: np.ndarray, u: np.ndarray, labels, scenario: Scenario, cap: int,
-             scan: np.ndarray | None = None) -> np.ndarray:
+def _upsilon(pw: np.ndarray, u: np.ndarray, labels, scenario: Scenario,
+             cap: int) -> np.ndarray:
     """Detectable-BS counts Upsilon per row.
 
     Upsilon is the largest candidate participant count ``ell`` (up to
     ``cap``, per band, summed over bands) for which the device detects
     all ``ell`` nearest band members while exactly those participate;
-    at p == q, P(Upsilon >= L) is the joint-detection P_L.  ``scan`` of
-    shape (rows, cap, n) holds fresh activity uniforms per candidate
-    participant count.  At p == q with shared marks the count is the
-    number of prefix-min SINRs clearing the threshold.  Otherwise
-    all candidate counts ``ell`` are checked at once: entry (ell, k) of a
-    (rows, cap, cap) array tests member k < ell against the interference
-    of the ``ell`` participants and of the loaded BSs beyond them.
+    every candidate count shares one activity uniform per BS.  At
+    p == q, P(Upsilon >= L) is the joint-detection P_L, and the count
+    is the number of prefix-min SINRs clearing the threshold.
+    Otherwise all candidate counts ``ell`` are checked at once: entry
+    (ell, k) of a (rows, cap, cap) array tests member k < ell against
+    the interference of the ``ell`` participants and of the loaded BSs
+    beyond them.
     """
     p, q, thr = scenario.p, scenario.q, scenario.beta / scenario.gamma
-    if p == q and scan is None:
+    if p == q:
         return np.sum(_prefix_min_sinr(pw, u, labels, scenario, cap) >= thr, axis=(1, 2))
-    pw, u, scan, bands = _group_bands(pw, u, labels, scenario.K, cap, scan)
+    pw, u, bands = _group_bands(pw, u, labels, scenario.K, cap)
     slots = np.arange(cap)
     earlier = slots[None, :] <= slots[:, None]  # [ell - 1, k]: k < ell
     counts = np.zeros(len(pw), dtype=np.int64)
     for mask, idx, valid in bands:
         member = np.ones(pw.shape, dtype=bool) if mask is None else mask
         pw_c = pw[idx]
-        if scan is None:
-            act = u[idx] < p
-            near = np.cumsum(pw * ((u < p) & member), axis=1)[idx]
-            near = near[:, :, None] - (act * pw_c)[:, None, :]
-            running_q = np.cumsum(pw * ((u < q) & member), axis=1)
-            far = running_q[:, -1:] - running_q[idx]
-        else:
-            # Candidate count ell = e + 1 sums over its own marks scan[:, e].
-            rank = np.cumsum(member, axis=1)[:, None, :]
-            inside = member[:, None, :] & (rank <= slots[:, None] + 1)
-            outside = member[:, None, :] & (rank > slots[:, None] + 1)
-            full = np.broadcast_to(pw[:, None, :], scan.shape)
-            act = np.take_along_axis(scan, idx[1][:, None, :], axis=2) < p
-            near = np.sum(full, axis=2, where=inside & (scan < p))[:, :, None]
-            near = near - act * pw_c[:, None, :]
-            far = np.sum(full, axis=2, where=outside & (scan < q))
+        act = u[idx] < p
+        near = np.cumsum(pw * ((u < p) & member), axis=1)[idx]
+        near = near[:, :, None] - (act * pw_c)[:, None, :]
+        running_q = np.cumsum(pw * ((u < q) & member), axis=1)
+        far = running_q[:, -1:] - running_q[idx]
         denom = near + far[:, :, None] + scenario.noise_sigma2
         passes = np.all((pw_c[:, None, :] >= thr * denom) | ~earlier, axis=2) & valid
         counts += np.max(np.where(passes, slots + 1, 0), axis=1)
@@ -427,12 +402,12 @@ def _block_stats(
     pw = _powers(d, scenario)
     if kind == "margins":
         return _margins(pw, u, scenario)
-    if kind == "band_cummins":
-        return _prefix_min_sinr(pw, u, labels, scenario, config.upsilon_cap)
-    cap, scan = config.upsilon_cap, None
-    if not config.coupled_activity:
-        scan = stream(config.seed, block, _ROLE_SCAN).random((rows, cap, d.shape[1]))
-    return _upsilon(pw, u, labels, scenario, cap, scan)
+    if kind == "upsilon":
+        return _upsilon(pw, u, labels, scenario, config.upsilon_cap)
+    # At least L band prefix-minima clear a level exactly when the L-th
+    # largest of them does.
+    cummins = _prefix_min_sinr(pw, u, labels, scenario, config.upsilon_cap)
+    return np.partition(cummins.reshape(rows, -1), -scenario.L, axis=1)[:, -scenario.L]
 
 
 def _collect_span(
@@ -456,13 +431,21 @@ def _collect(
     return map_spans(_collect_span, args, config.realizations, workers, _BLOCK)
 
 
+def _check_level(level: int, config: SimConfig) -> None:
+    if level > config.upsilon_cap:
+        raise ValueError(
+            f"L={level} exceeds upsilon_cap={config.upsilon_cap}, the most "
+            "detections per band that the Monte Carlo counts track"
+        )
+
+
 def collect_margins(
     scenario: Scenario, config: SimConfig, workers: int = 1
 ) -> np.ndarray:
     """Per-realization (joint, last-BS) SINR margins, shape (n, 2).
 
-    The margins do not involve beta or gamma, so one collection answers
-    an entire threshold sweep.
+    The joint margin is the least SINR of the L nearest BSs, the
+    last-BS margin that of the L-th.  Levels are beta/gamma values.
     """
     return _collect(scenario, config, "margins", workers)
 
@@ -470,50 +453,34 @@ def collect_margins(
 def collect_upsilon(
     scenario: Scenario, config: SimConfig, workers: int = 1
 ) -> np.ndarray:
-    """Per-realization detectable-BS counts, shape (n,)."""
+    """Per-realization detectable-BS counts Upsilon, shape (n,).
+
+    Levels are L values up to ``config.upsilon_cap``.
+    """
     return _collect(scenario, config, "upsilon", workers)
 
 
-def collect_band_cummins(
+def collect_reuse_margins(
     scenario: Scenario, config: SimConfig, workers: int = 1
 ) -> np.ndarray:
-    """Per-band prefix-min SINRs, shape (n, K, cap); requires p == q."""
+    """Per-realization reuse margins, shape (n,); requires p == q.
+
+    The margin is the L-th largest prefix-min SINR over the
+    ``upsilon_cap`` nearest members of every band: at least L BSs are
+    detected across the K bands exactly when it clears beta/gamma.
+    """
     if scenario.p != scenario.q:
         raise ValueError("band prefix margins require p = q")
-    return _collect(scenario, config, "band_cummins", workers)
+    _check_level(scenario.L, config)
+    return _collect(scenario, config, "reuse", workers)
 
 
-def estimate_pl(
-    scenario: Scenario, config: SimConfig, workers: int = 1
-) -> McEstimate:
-    """Monte Carlo estimate of P_L under the configured truth mode."""
-    thr = scenario.beta / scenario.gamma
-    return estimate_pl_curve(scenario, config, [thr], workers)[0]
-
-
-def estimate_pl_curve(
-    scenario: Scenario,
-    config: SimConfig,
-    thresholds: np.ndarray,
-    workers: int = 1,
-) -> list[McEstimate]:
-    """P_L estimates for a grid of beta/gamma values from one collection."""
-    margins = collect_margins(scenario, config, workers)
-    col = 0 if config.truth_mode == TruthMode.JOINT_ALL_L else 1
+def exceedance_curve(statistic: np.ndarray, levels) -> list[McEstimate]:
+    """P(statistic >= level) for each level, over the statistic's realizations."""
+    n = len(statistic)
     return [
-        McEstimate.from_successes(
-            int(np.sum(margins[:, col] >= thr)), config.realizations
-        )
-        for thr in np.asarray(thresholds, dtype=float)
+        McEstimate.from_successes(int(np.sum(statistic >= level)), n) for level in levels
     ]
-
-
-def estimate_pl_reuse(
-    scenario: Scenario, config: SimConfig, workers: int = 1
-) -> McEstimate:
-    """Monte Carlo P_L with detections accumulated across the K bands."""
-    thr = scenario.beta / scenario.gamma
-    return reuse_success_curve(scenario, config, [thr], workers)[0]
 
 
 def reuse_success_curve(
@@ -523,14 +490,7 @@ def reuse_success_curve(
     workers: int = 1,
 ) -> list[McEstimate]:
     """Reuse-accumulated P_L over a grid of beta/gamma values."""
-    cummins = collect_band_cummins(scenario, config, workers)
-    return [
-        McEstimate.from_successes(
-            int(np.sum(np.sum(cummins >= thr, axis=(1, 2)) >= scenario.L)),
-            config.realizations,
-        )
-        for thr in np.asarray(thresholds, dtype=float)
-    ]
+    return exceedance_curve(collect_reuse_margins(scenario, config, workers), thresholds)
 
 
 def hearability_curve(
@@ -540,8 +500,6 @@ def hearability_curve(
     workers: int = 1,
 ) -> list[McEstimate]:
     """P(Upsilon >= L) for each L in ``l_values`` from one collection."""
-    counts = collect_upsilon(scenario, config, workers)
-    return [
-        McEstimate.from_successes(int(np.sum(counts >= l)), config.realizations)
-        for l in np.asarray(l_values, dtype=int)
-    ]
+    levels = np.asarray(l_values, dtype=int)
+    _check_level(max(levels, default=0), config)
+    return exceedance_curve(collect_upsilon(scenario, config, workers), levels)

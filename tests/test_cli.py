@@ -18,9 +18,10 @@ from hearability.cli import (
     CSV_COLUMNS,
     Row,
     SweepSpec,
+    _COMMON,
     _at_threshold,
     _grid,
-    _resolve_seed,
+    _lookup,
     build_parser,
     main,
     procgain_rows,
@@ -141,19 +142,19 @@ class TestSeedResolution:
 
     def test_flag_beats_all(self, monkeypatch):
         monkeypatch.setenv("HEARABILITY_SEED", "5")
-        assert _resolve_seed(self._args(seed=9), {"seed": "3"}) == 9
+        assert _lookup("seed", _COMMON["seed"], self._args(seed=9), {"seed": "3"}) == 9
 
     def test_config_beats_environment(self, monkeypatch):
         monkeypatch.setenv("HEARABILITY_SEED", "5")
-        assert _resolve_seed(self._args(), {"seed": "3"}) == 3
+        assert _lookup("seed", _COMMON["seed"], self._args(), {"seed": "3"}) == 3
 
     def test_environment_beats_default(self, monkeypatch):
         monkeypatch.setenv("HEARABILITY_SEED", "5")
-        assert _resolve_seed(self._args(), {}) == 5
+        assert _lookup("seed", _COMMON["seed"], self._args(), {}) == 5
 
     def test_default_zero(self, monkeypatch):
         monkeypatch.delenv("HEARABILITY_SEED", raising=False)
-        assert _resolve_seed(self._args(), {}) == 0
+        assert _lookup("seed", _COMMON["seed"], self._args(), {}) == 0
 
     def test_environment_drives_cli(self, tmp_path, monkeypatch):
         args = [
@@ -519,11 +520,24 @@ class TestSubcommands:
             ("simulate", None, ["--realizations", "0"], "^error: realizations must be"),
             ("e911", None, ["--trials", "50"], "^error: trials must be"),
             ("analytic", None, ["--config", "nofile.cfg"], "^error: .*nofile.cfg"),
+            # Levels above the Upsilon cap would print 0 instead of P_L.
+            (
+                "hexgrid", None,
+                ["--bg-db", "-40", "--sigma-db", "0", "--l-max", "40",
+                 "--realizations", "200"],
+                "^error: L=40 exceeds upsilon_cap=32",
+            ),
+            (
+                "reuse", None,
+                ["--l", "33", "--mc", "--k-list", "1", "--bg-start-db", "-40",
+                 "--bg-stop-db", "-40", "--realizations", "200"],
+                "^error: L=33 exceeds upsilon_cap=32",
+            ),
         ],
         ids=[
             "truth_mode", "realizations", "alpha", "mc", "k_list", "grid", "base_method",
             "reuse_p_not_q", "reuse_alpha", "realizations_zero", "e911_trials",
-            "missing_config",
+            "missing_config", "hexgrid_l_max_above_cap", "reuse_l_above_cap",
         ],
     )
     def test_bad_input_exits_naming_the_key(

@@ -7,7 +7,8 @@ at fixed seeds.
 
 The block kernels of the collectors are checked row by row against the
 scalar per-realization statistics below, which are the reference
-implementation.
+implementation.  The reuse margin is checked against the count-based
+reuse success it replaces.
 """
 
 import math
@@ -28,13 +29,10 @@ from hearability.model import (
 from hearability.simulate import (
     Deployment,
     SimConfig,
-    TruthMode,
-    collect_band_cummins,
     collect_margins,
+    collect_reuse_margins,
     collect_upsilon,
-    estimate_pl,
-    estimate_pl_curve,
-    estimate_pl_reuse,
+    exceedance_curve,
     hearability_curve,
     reuse_success_curve,
     sample_conditional_bpp,
@@ -102,7 +100,7 @@ def _band_sinr_cummin(
     return out
 
 
-def _upsilon_oracle(realization, scenario, cap=32, independent_u=None) -> int:
+def _upsilon_oracle(realization, scenario, cap=32) -> int:
     """Upsilon by an explicit scan over candidate participant counts."""
     thr = scenario.beta / scenario.gamma
     sigma2 = scenario.noise_sigma2
@@ -113,12 +111,10 @@ def _upsilon_oracle(realization, scenario, cap=32, independent_u=None) -> int:
             sel = realization.bands == band
             pw = pw_all[sel]
             u = realization.activity_u[sel]
-            u_mat = independent_u[:, sel] if independent_u is not None else None
         else:
             pw = pw_all
             u = realization.activity_u
-            u_mat = independent_u
-        if scenario.p == scenario.q and u_mat is None:
+        if scenario.p == scenario.q:
             total_count += _leading_pass_count(pw, u, scenario.q, sigma2, thr, cap)
             continue
         m = min(cap, len(pw))
@@ -129,14 +125,9 @@ def _upsilon_oracle(realization, scenario, cap=32, independent_u=None) -> int:
         t_q = pref_q[-1]
         best = 0
         for ell in range(1, m + 1):
-            u_ell = u if u_mat is None else u_mat[ell - 1]
-            act = u_ell[:ell] < scenario.p
-            if u_mat is None:
-                near = pref_p[ell] - act * pw[:ell]
-                far = t_q - pref_q[ell]
-            else:
-                near = float(np.sum(pw[:ell], where=act)) - act * pw[:ell]
-                far = float(np.sum(pw[ell:], where=u_ell[ell:] < scenario.q))
+            act = u[:ell] < scenario.p
+            near = pref_p[ell] - act * pw[:ell]
+            far = t_q - pref_q[ell]
             denom = near + far + sigma2
             if np.all(pw[:ell] >= thr * denom):
                 best = ell
@@ -168,10 +159,7 @@ def sample_hex(scenario: Scenario, config: SimConfig, index: int) -> Realization
 
 
 def participation_metric(
-    realization: Realization,
-    scenario: Scenario,
-    cap: int = 32,
-    independent_u: np.ndarray | None = None,
+    realization: Realization, scenario: Scenario, cap: int = 32
 ) -> int:
     """Number of detectable BSs Upsilon for one realization.
 
@@ -180,23 +168,40 @@ def participation_metric(
     all ``ell`` nearest band members while exactly those participate.
     For ``p == q`` this is the longest prefix of band members whose SINR
     clears ``beta/gamma``, and ``P(Upsilon >= L)`` equals the
-    joint-detection ``P_L``.
-
-    By default the candidate counts share one activity uniform per BS
-    (coupled scan).  ``independent_u`` of shape ``(cap, n_bs)`` supplies
-    fresh marks per candidate count instead, for sensitivity studies.
+    joint-detection ``P_L``.  The candidate counts share one activity
+    uniform per BS.
     """
     if len(realization.distances) == 0:
         return 0
     labels = realization.bands[None] if scenario.K > 1 else None
-    scan = None if independent_u is None else np.asarray(independent_u)[None, :cap]
     pw = simulate._powers(realization.distances, scenario)[None]
     u = realization.activity_u[None]
-    return int(simulate._upsilon(pw, u, labels, scenario, cap, scan)[0])
+    return int(simulate._upsilon(pw, u, labels, scenario, cap)[0])
 
 
 def cfg(n: int, seed: int = 0, **kw) -> SimConfig:
     return SimConfig(realizations=n, seed=seed, **kw)
+
+
+def _block_cummins(scen, config, block, rows):
+    """Per-band prefix-min SINRs of one block, (rows, K, upsilon_cap)."""
+    d, u, labels = simulate._sample_block(scen, config, block, rows)
+    pw = simulate._powers(d, scen)
+    return simulate._prefix_min_sinr(pw, u, labels, scen, config.upsilon_cap)
+
+
+def _band_cummins(scen, config):
+    """Per-band prefix-min SINRs of every realization, (n, K, upsilon_cap)."""
+    n, size = config.realizations, simulate._BLOCK
+    return np.concatenate([
+        _block_cummins(scen, config, first // size, min(size, n - first))
+        for first in range(0, n, size)
+    ])
+
+
+def _count_successes(cummins: np.ndarray, L: int, thr: float) -> int:
+    """Reuse success by counting: at least L band prefix-minima clear thr."""
+    return int(np.sum(np.sum(cummins >= thr, axis=(1, 2)) >= L))
 
 
 def make_realization(distances, u, K: int = 1, p: float = 1.0, q: float = 1.0,
@@ -440,24 +445,16 @@ class TestMargins:
 
     def test_estimate_matches_curve(self):
         config = cfg(2000, seed=8, expected_bs=100)
-        curve = estimate_pl_curve(SCEN, config, np.array([0.02, 0.05]))
+        joint = collect_margins(SCEN, config)[:, 0]
+        curve = exceedance_curve(joint, np.array([0.02, 0.05]))
         for thr, point in zip((0.02, 0.05), curve):
-            scen = SCEN.replace(beta=thr, gamma=1.0)
-            single = estimate_pl(scen, config)
+            single = exceedance_curve(joint, [thr])[0]
             assert point.successes == single.successes
             assert point.n == single.n == 2000
 
-    def test_truth_mode_selects_margin(self):
-        config = cfg(2000, seed=8, expected_bs=100)
-        joint = estimate_pl(PARTIAL.replace(beta=0.05), config)
-        last = estimate_pl(
-            PARTIAL.replace(beta=0.05),
-            cfg(2000, seed=8, expected_bs=100, truth_mode=TruthMode.LAST_BS_ONLY),
-        )
-        assert last.successes >= joint.successes
-
     def test_stderr_formula(self):
-        est = estimate_pl(SCEN.replace(beta=0.02), cfg(500, seed=8, expected_bs=100))
+        margins = collect_margins(SCEN, cfg(500, seed=8, expected_bs=100))
+        est = exceedance_curve(margins[:, 0], [0.02])[0]
         mean = est.successes / 500
         np.testing.assert_allclose(est.estimate, mean)
         np.testing.assert_allclose(est.stderr, math.sqrt(mean * (1 - mean) / 500))
@@ -488,18 +485,18 @@ class TestParticipationMetric:
         assert participation_metric(real, scen) >= 1
 
     def test_generic_path_agrees_with_fast_path(self):
-        # Forcing the generic scan with identical marks per candidate
-        # count must reproduce the p==q prefix shortcut.
+        # With q one ulp above p the same BSs are active, so the generic
+        # p != q scan must reproduce the p == q prefix shortcut.
         rng = np.random.default_rng(17)
+        scen = SCEN.replace(p=0.7, q=0.7, beta=0.02)
+        generic = scen.replace(q=np.nextafter(0.7, 1.0))
         for _ in range(50):
             d = np.sort(rng.uniform(0.3, 6.0, size=12))
             u = rng.random(12)
-            scen = SCEN.replace(p=0.7, q=0.7, beta=0.02)
+            assert np.array_equal(u < generic.p, u < generic.q)
             real = make_realization(d, u, p=0.7, q=0.7, L=scen.L)
             fast = participation_metric(real, scen)
-            forced = participation_metric(
-                real, scen, independent_u=np.tile(u, (32, 1))
-            )
+            forced = participation_metric(real, generic)
             assert fast == forced
 
     def test_respects_cap(self):
@@ -531,7 +528,8 @@ class TestUpsilonCollection:
         scen = SCEN.replace(beta=10.0 ** -1.6)
         config = cfg(3000, seed=19, expected_bs=100)
         from_upsilon = hearability_curve(scen, config, np.array([scen.L]))[0]
-        from_margins = estimate_pl(scen, config)
+        margins = collect_margins(scen, config)
+        from_margins = exceedance_curve(margins[:, 0], [scen.beta / scen.gamma])[0]
         assert from_upsilon.successes == from_margins.successes
 
     def test_curve_is_monotone_in_l(self):
@@ -542,26 +540,29 @@ class TestUpsilonCollection:
         values = [c.estimate for c in curve]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
-    def test_independent_redraw_flag_runs(self):
-        scen = PARTIAL.replace(q=PARTIAL.p, beta=0.02)
-        coupled = collect_upsilon(scen, cfg(300, seed=29, expected_bs=64))
-        redrawn = collect_upsilon(
-            scen, cfg(300, seed=29, expected_bs=64, coupled_activity=False)
-        )
-        assert coupled.shape == redrawn.shape
-        assert not np.array_equal(coupled, redrawn)
+    def test_levels_above_the_cap_are_rejected(self):
+        # Counts stop at the cap, so P(Upsilon >= cap + 1) would read 0.
+        config = cfg(16, seed=23, expected_bs=100, upsilon_cap=8)
+        assert len(hearability_curve(SCEN, config, np.arange(1, 9))) == 8
+        with pytest.raises(ValueError, match="L=9 exceeds upsilon_cap=8"):
+            hearability_curve(SCEN, config, np.arange(1, 10))
 
 
 class TestReuseCollection:
     def test_requires_matched_marks(self):
         with pytest.raises(ValueError, match="p = q"):
-            collect_band_cummins(SCEN.replace(p=0.5, q=0.75, K=3), cfg(10))
+            collect_reuse_margins(SCEN.replace(p=0.5, q=0.75, K=3), cfg(10))
+
+    def test_l_above_the_cap_is_rejected(self):
+        with pytest.raises(ValueError, match="L=9 exceeds upsilon_cap=8"):
+            collect_reuse_margins(SCEN.replace(K=3, L=9), cfg(10, upsilon_cap=8))
 
     def test_single_band_equals_plain_estimate(self):
         scen = SCEN.replace(beta=10.0 ** -1.6)
         config = cfg(2000, seed=37, expected_bs=100)
-        plain = estimate_pl(scen, config)
-        accumulated = estimate_pl_reuse(scen, config)
+        thr = scen.beta / scen.gamma
+        plain = exceedance_curve(collect_margins(scen, config)[:, 0], [thr])[0]
+        accumulated = reuse_success_curve(scen, config, [thr])[0]
         assert plain.successes == accumulated.successes
 
     def test_reuse_curve_matches_pointwise_estimates(self):
@@ -570,19 +571,37 @@ class TestReuseCollection:
         thresholds = np.array([0.02, 0.08])
         curve = reuse_success_curve(scen, config, thresholds)
         for thr, point in zip(thresholds, curve):
-            single = estimate_pl_reuse(scen.replace(beta=thr), config)
+            single = reuse_success_curve(scen, config, [thr])[0]
             assert point.successes == single.successes
+
+    @pytest.mark.parametrize("L", [2, 4, 8])
+    @pytest.mark.parametrize("K", [1, 3, 6])
+    def test_lth_largest_matches_count_oracle(self, K, L):
+        # Every distinct prefix-min value and the next float above it is
+        # a level where a success count can change.
+        scen = SCEN.replace(K=K, L=L)
+        config = cfg(3 * simulate._BLOCK + 5, seed=45, expected_bs=80, upsilon_cap=8)
+        margins = collect_reuse_margins(scen, config, workers=1)
+        cummins = _band_cummins(scen, config)
+        finite = cummins[np.isfinite(cummins)]
+        levels = np.unique(np.concatenate(
+            (finite, np.nextafter(finite, math.inf), [-math.inf, math.inf])
+        ))
+        for level, est in zip(levels, exceedance_curve(margins, levels)):
+            assert est.successes == _count_successes(cummins, L, level)
+        if K == 6:  # some band holds fewer than upsilon_cap members
+            assert np.isneginf(cummins).any()
 
     def test_worker_invariance(self):
         scen = SCEN.replace(K=3)
         config = cfg(600, seed=43, expected_bs=120)
-        a = collect_band_cummins(scen, config, workers=1)
-        b = collect_band_cummins(scen, config, workers=3)
+        a = collect_reuse_margins(scen, config, workers=1)
+        b = collect_reuse_margins(scen, config, workers=3)
         np.testing.assert_array_equal(a, b)
 
     def test_cummin_shape_and_padding(self):
         scen = SCEN.replace(K=6)
-        out = collect_band_cummins(scen, cfg(50, seed=47, upsilon_cap=8), workers=1)
+        out = _band_cummins(scen, cfg(50, seed=47, upsilon_cap=8))
         assert out.shape == (50, 6, 8)
         # Prefix minima never increase along the cap axis.
         finite = np.where(np.isfinite(out), out, np.inf)
@@ -592,18 +611,24 @@ class TestReuseCollection:
 class TestDensityAndShadowInvariance:
     def test_density_scaling_within_noise(self):
         scen = SCEN.replace(beta=10.0 ** -1.6)
-        a = estimate_pl(scen, cfg(4000, seed=51, expected_bs=100))
-        b = estimate_pl(scen.replace(lam=10.0), cfg(4000, seed=52, expected_bs=100))
+        thr = [scen.beta / scen.gamma]
+        a, b = (
+            exceedance_curve(
+                collect_margins(s, cfg(4000, seed=seed, expected_bs=100))[:, 0], thr
+            )[0]
+            for s, seed in ((scen, 51), (scen.replace(lam=10.0), 52))
+        )
         assert abs(a.estimate - b.estimate) <= 3.0 * math.hypot(a.stderr, b.stderr)
 
     def test_shadowed_ppp_is_a_density_change(self):
         scen = SCEN.replace(beta=10.0 ** -1.6)
-        plain = estimate_pl(scen, cfg(4000, seed=53, expected_bs=100))
-        shadowed = estimate_pl(
-            scen,
-            cfg(4000, seed=54, expected_bs=100,
-                shadow=ShadowingSpec(sigma_db=8.0, enabled=True)),
-        )
+        thr = [scen.beta / scen.gamma]
+        plain = exceedance_curve(
+            collect_margins(scen, cfg(4000, seed=53, expected_bs=100))[:, 0], thr
+        )[0]
+        shadowed_config = cfg(4000, seed=54, expected_bs=100,
+                              shadow=ShadowingSpec(sigma_db=8.0, enabled=True))
+        shadowed = exceedance_curve(collect_margins(scen, shadowed_config)[:, 0], thr)[0]
         assert abs(plain.estimate - shadowed.estimate) <= 3.0 * math.hypot(
             plain.stderr, shadowed.stderr
         )
@@ -678,19 +703,14 @@ class TestBlockSampler:
         np.testing.assert_array_equal(real.bands, labels[0])
 
 def _oracle_rows(scen, config, block):
-    """The block's rows wrapped as realizations, plus its scan marks."""
+    """The block's rows wrapped as realizations."""
     d, u, labels = simulate._sample_block(scen, config, block, simulate._BLOCK)
     reals = []
     for row in range(len(d)):
         bands = labels[row] if labels is not None else np.ones(d.shape[1], dtype=np.int64)
         activity = u[row] < np.where(np.arange(d.shape[1]) < scen.L, scen.p, scen.q)
         reals.append(Realization(d[row], activity, bands, u[row], math.inf))
-    scan = None
-    if not config.coupled_activity:
-        scan = stream(config.seed, block, simulate._ROLE_SCAN).random(
-            (len(d), config.upsilon_cap, d.shape[1])
-        )
-    return reals, scan
+    return reals
 
 
 _HEX_SHADOWED = dict(deployment=Deployment.HEX, hex_isd=1.0,
@@ -703,10 +723,6 @@ _KERNEL_CASES = {
     "ppp-K6-p=q": (SCEN.replace(K=6, p=0.7, q=0.7, beta=0.02), {}),
     "hex-shadow-K6-p!=q": (SCEN.replace(K=6, p=0.5, q=0.75, beta=0.02), _HEX_SHADOWED),
     "hex-shadow-K1-p=q": (SCEN.replace(beta=0.05), _HEX_SHADOWED),
-    "ppp-K3-redrawn": (SCEN.replace(K=3, p=0.6, q=0.6, beta=0.02),
-                       {"coupled_activity": False}),
-    "ppp-K1-redrawn-p!=q": (SCEN.replace(p=0.5, q=0.75, beta=0.05),
-                            {"coupled_activity": False}),
 }
 
 
@@ -719,7 +735,7 @@ class TestBlockKernelsMatchOracle:
         config = cfg(3 * simulate._BLOCK, seed=71, expected_bs=120,
                      upsilon_cap=12, **extra)
         for block in range(3):
-            reals, scan = _oracle_rows(scen, config, block)
+            reals = _oracle_rows(scen, config, block)
             rows = len(reals)
             margins = simulate._block_stats("margins", scen, config, block, rows)
             counts = simulate._block_stats("upsilon", scen, config, block, rows)
@@ -731,16 +747,11 @@ class TestBlockKernelsMatchOracle:
                                         scen.q, scen.noise_sigma2),
                     rtol=1e-12,
                 )
-                independent = None if scan is None else scan[row]
-                assert counts[row] == _upsilon_oracle(
-                    real, scen, config.upsilon_cap, independent
-                )
-                assert counts[row] == participation_metric(
-                    real, scen, config.upsilon_cap, independent
-                )
+                assert counts[row] == _upsilon_oracle(real, scen, config.upsilon_cap)
+                assert counts[row] == participation_metric(real, scen, config.upsilon_cap)
             if scen.p != scen.q:
                 continue
-            cummins = simulate._block_stats("band_cummins", scen, config, block, rows)
+            cummins = _block_cummins(scen, config, block, rows)
             for row, real in enumerate(reals):
                 pw = real.distances ** -scen.alpha
                 for band in range(1, scen.K + 1):
@@ -766,7 +777,7 @@ class TestBlockAlignedChunks:
         [
             (collect_margins, PARTIAL),
             (collect_upsilon, SCEN.replace(K=3, p=0.5, q=0.75, beta=0.02)),
-            (collect_band_cummins, SCEN.replace(K=3, beta=0.02)),
+            (collect_reuse_margins, SCEN.replace(K=3, beta=0.02)),
         ],
     )
     def test_byte_identical_across_worker_counts(self, collect, scen):
