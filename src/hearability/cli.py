@@ -30,12 +30,14 @@ converted at this boundary; the library below works on linear scale only.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -46,6 +48,7 @@ from .numerics import NonConvergenceError, QuadratureSpec
 from .reuse import ReuseQuery, pl_with_reuse_grid
 from .simulate import (
     Deployment,
+    McEstimate,
     SimConfig,
     collect_margins,
     exceedance_curve,
@@ -53,7 +56,7 @@ from .simulate import (
     reuse_success_curve,
 )
 
-__all__ = ["SweepSpec", "run_sweep", "run_figure", "main"]
+__all__ = ["SweepSpec", "run_sweep", "run_sweeps", "run_figure", "main"]
 
 CSV_COLUMNS = (
     "beta_over_gamma_db",
@@ -120,11 +123,45 @@ def _at_threshold(scenario: Scenario, bg_db: float) -> Scenario:
     return scenario.replace(beta=scenario.gamma * 10.0 ** (bg_db / 10.0))
 
 
-def run_sweep(spec: SweepSpec) -> list[Row]:
-    """Evaluate every requested method over the beta/gamma grid."""
+def _thresholds(grid_db) -> np.ndarray:
+    return np.array([10.0 ** (g / 10.0) for g in grid_db])
+
+
+def _monte_carlo(specs: list[SweepSpec]) -> list[dict[str, list[McEstimate]]]:
+    """Each spec's Monte Carlo estimates over its grid, by method tag.
+
+    The specs share ``sim`` and ``workers``, so each collector runs once
+    over the family of their scenarios.
+    """
+    sim, workers = specs[0].sim, specs[0].workers
+    out: list[dict[str, list[McEstimate]]] = [{} for _ in specs]
+    joint = [i for i, spec in enumerate(specs)
+             if {"MonteCarloJoint", "MonteCarloLastBs"} & set(spec.methods)]
+    if joint:
+        family = collect_margins([specs[i].scenario for i in joint], sim, workers)
+        for i, margins in zip(joint, family):
+            for col, tag in enumerate(("MonteCarloJoint", "MonteCarloLastBs")):
+                if tag in specs[i].methods:
+                    out[i][tag] = exceedance_curve(
+                        margins[:, col], _thresholds(specs[i].grid_db)
+                    )
+    reuse = [i for i, spec in enumerate(specs) if "MonteCarloReuse" in spec.methods]
+    if reuse:
+        # One level grid serves the family; each spec reads its own points.
+        grid = sorted({g for i in reuse for g in specs[i].grid_db})
+        curves = reuse_success_curve(
+            [specs[i].scenario for i in reuse], sim, _thresholds(grid), workers
+        )
+        for i, curve in zip(reuse, curves):
+            at = dict(zip(grid, curve))
+            out[i]["MonteCarloReuse"] = [at[g] for g in specs[i].grid_db]
+    return out
+
+
+def _spec_rows(spec: SweepSpec, mc: dict[str, list[McEstimate]]) -> list[Row]:
+    """One spec's rows; ``mc`` holds its Monte Carlo estimates by method tag."""
     rows: list[Row] = []
     scen = spec.scenario
-    thresholds = np.array([10.0 ** (g / 10.0) for g in spec.grid_db])
 
     def base_row(bg_db: float, method: str, value: float, stderr=None, comment=None):
         return Row(
@@ -134,22 +171,16 @@ def run_sweep(spec: SweepSpec) -> list[Row]:
 
     points = [_at_threshold(scen, g) for g in spec.grid_db]
     for tag in spec.methods:
+        if tag in _MC_TAGS:
+            for g, est in zip(spec.grid_db, mc[tag]):
+                rows.append(base_row(g, tag, est.estimate, est.stderr))
+            continue
         if tag == "ReuseRecursion":
             values = pl_with_reuse_grid(
                 [ReuseQuery(point, spec.base_method, spec.quad) for point in points]
             )
-        elif tag in _ANALYTIC_TAGS:
-            values = evaluate_grid(Method(tag), points, spec.quad)
         else:
-            if tag == "MonteCarloReuse":
-                estimates = reuse_success_curve(scen, spec.sim, thresholds, spec.workers)
-            else:  # MonteCarloJoint / MonteCarloLastBs
-                margins = collect_margins(scen, spec.sim, spec.workers)
-                col = 0 if tag == "MonteCarloJoint" else 1
-                estimates = exceedance_curve(margins[:, col], thresholds)
-            for g, est in zip(spec.grid_db, estimates):
-                rows.append(base_row(g, tag, est.estimate, est.stderr))
-            continue
+            values = evaluate_grid(Method(tag), points, spec.quad)
         for g, value in zip(spec.grid_db, values):
             if not isinstance(value, NonConvergenceError):
                 rows.append(base_row(g, tag, value))
@@ -162,6 +193,27 @@ def run_sweep(spec: SweepSpec) -> list[Row]:
             best = math.nan if tag == "ReuseRecursion" else value.best_estimate
             rows.append(base_row(g, tag, best, comment=comment))
     return rows
+
+
+def run_sweeps(specs: Sequence[SweepSpec]) -> list[Row]:
+    """Every spec's rows, in spec order, for specs that share ``sim`` and ``workers``.
+
+    The Monte Carlo rows come from one collection over the family of the
+    specs' scenarios, which draws each block once; each spec gets the
+    rows :func:`run_sweep` gives it alone.
+    """
+    specs = list(specs)
+    if any(s.sim != specs[0].sim or s.workers != specs[0].workers for s in specs):
+        raise ValueError("run_sweeps needs specs that share sim and workers")
+    if not specs:
+        return []
+    return [row for spec, mc in zip(specs, _monte_carlo(specs))
+            for row in _spec_rows(spec, mc)]
+
+
+def run_sweep(spec: SweepSpec) -> list[Row]:
+    """Evaluate every requested method over the beta/gamma grid."""
+    return run_sweeps([spec])
 
 
 def hex_vs_ppp_rows(
@@ -357,19 +409,19 @@ def _fig3(seed: int, realizations: int | None, workers: int) -> tuple[list[Row],
 
 
 def _fig4(seed: int, realizations: int | None, workers: int) -> tuple[list[Row], str]:
-    rows: list[Row] = []
     sim = SimConfig(realizations=realizations or 20000, seed=seed)
-    for alpha in (3.0, 3.5, 4.0, 4.5):
-        scen = Scenario(
-            lam=_DENSITY, alpha=alpha, p=2.0 / 3.0, q=1.0, beta=1.0, gamma=1.0, L=4
-        )
-        spec = SweepSpec(
-            scen, _grid(-20.0, 0.0, 1.0),
+    specs = [
+        SweepSpec(
+            Scenario(
+                lam=_DENSITY, alpha=alpha, p=2.0 / 3.0, q=1.0, beta=1.0, gamma=1.0, L=4
+            ),
+            _grid(-20.0, 0.0, 1.0),
             ("DoubleIntegral", "SingleIntegralGeneral", "MonteCarloJoint"),
             sim, workers,
         )
-        rows.extend(run_sweep(spec))
-    return rows, "beta_over_gamma_db"
+        for alpha in (3.0, 3.5, 4.0, 4.5)
+    ]
+    return run_sweeps(specs), "beta_over_gamma_db"
 
 
 def _fig5(seed: int, realizations: int | None, workers: int) -> tuple[list[Row], str]:
@@ -382,48 +434,44 @@ def _fig6(seed: int, realizations: int | None, workers: int) -> tuple[list[Row],
 
 
 def _fig7(seed: int, realizations: int | None, workers: int) -> tuple[list[Row], str]:
-    rows: list[Row] = []
     sim = SimConfig(realizations=realizations or 20000, seed=seed)
-    for p in (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0):
-        scen = Scenario(
-            lam=_DENSITY, alpha=4.0, p=p, q=1.0, beta=1.0, gamma=1.0, L=4
-        )
-        spec = SweepSpec(
-            scen, _grid(-20.0, 0.0, 0.5),
+    specs = [
+        SweepSpec(
+            Scenario(lam=_DENSITY, alpha=4.0, p=p, q=1.0, beta=1.0, gamma=1.0, L=4),
+            _grid(-20.0, 0.0, 0.5),
             ("SingleIntegralAlpha4", "MonteCarloJoint"), sim, workers,
         )
-        rows.extend(run_sweep(spec))
-    return rows, "beta_over_gamma_db"
+        for p in (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
+    ]
+    return run_sweeps(specs), "beta_over_gamma_db"
 
 
 def _fig8(seed: int, realizations: int | None, workers: int) -> tuple[list[Row], str]:
-    rows: list[Row] = []
     sim = SimConfig(realizations=realizations or 20000, seed=seed)
-    for l in (2, 4, 6, 8):
-        scen = Scenario(
-            lam=_DENSITY, alpha=4.0, p=0.5, q=0.75, beta=1.0, gamma=1.0, L=l
-        )
-        spec = SweepSpec(
-            scen, _grid(-20.0, 0.0, 0.5),
+    specs = [
+        SweepSpec(
+            Scenario(lam=_DENSITY, alpha=4.0, p=0.5, q=0.75, beta=1.0, gamma=1.0, L=l),
+            _grid(-20.0, 0.0, 0.5),
             ("SingleIntegralAlpha4", "MonteCarloJoint"), sim, workers,
         )
-        rows.extend(run_sweep(spec))
-    return rows, "beta_over_gamma_db"
+        for l in (2, 4, 6, 8)
+    ]
+    return run_sweeps(specs), "beta_over_gamma_db"
 
 
 def _fig9(seed: int, realizations: int | None, workers: int) -> tuple[list[Row], str]:
-    rows: list[Row] = []
     sim = SimConfig(realizations=realizations or 10000, seed=seed)
-    for k in (1, 3, 6):
-        scen = Scenario(
-            lam=_DENSITY, alpha=4.0, p=1.0, q=1.0, beta=1.0, gamma=1.0, L=4, K=k
-        )
-        spec = SweepSpec(
-            scen, _grid(-20.0, 0.0, 1.0),
+    specs = [
+        SweepSpec(
+            Scenario(
+                lam=_DENSITY, alpha=4.0, p=1.0, q=1.0, beta=1.0, gamma=1.0, L=4, K=k
+            ),
+            _grid(-20.0, 0.0, 1.0),
             ("ReuseRecursion", "MonteCarloReuse"), sim, workers,
         )
-        rows.extend(run_sweep(spec))
-    return rows, "beta_over_gamma_db"
+        for k in (1, 3, 6)
+    ]
+    return run_sweeps(specs), "beta_over_gamma_db"
 
 
 def _hex_vs_ppp(
@@ -582,7 +630,7 @@ def _sweep(v: dict) -> list[Row]:
 
 def _reuse(v: dict) -> list[Row]:
     methods = ("ReuseRecursion", "MonteCarloReuse") if v["mc"] else ("ReuseRecursion",)
-    return [row for k in v["k_list"] for row in run_sweep(_sweep_spec(v, k, methods))]
+    return run_sweeps([_sweep_spec(v, k, methods) for k in v["k_list"]])
 
 
 def _hexgrid(v: dict) -> list[Row]:
@@ -709,8 +757,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first :func:`main` call of a process."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     _, rows, params = _COMMANDS[args.command]
     try:
         cfg = read_config(args.config) if args.config else {}

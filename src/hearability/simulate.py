@@ -14,6 +14,15 @@ largest band prefix-min SINR under frequency reuse (levels are
 level grid into ``McEstimate``s.  The statistics do not depend on the
 level, so one collection answers a whole grid.
 
+Each collector takes one scenario or a *family* of sibling scenarios
+that share one ``SimConfig`` (a sweep over L, p, alpha or K), and a
+single scenario is a family of one.  A family draws each block once:
+distances, activity uniforms, band labels and powers are cached per
+block under the scenario inputs they depend on, and only the statistic
+runs per sibling.  The siblings read exactly the draws they would have
+made alone, so a family answers each member with the bits of its own
+collection and the contract below is unchanged.
+
 Reproducibility contract: the collectors draw realizations in fixed
 blocks of ``_BLOCK`` rows from counter-based Philox streams keyed by
 ``(seed, block, role)``, one role per kind of draw (geometry, activity,
@@ -37,6 +46,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -236,6 +246,11 @@ def sample_conditional_bpp(
 # --- block sampler --------------------------------------------------------
 
 
+def _hex_shadowed(config: SimConfig) -> bool:
+    """Whether hex rows draw per-link shadowing (and so depend on alpha)."""
+    return config.shadow.enabled and config.shadow.sigma_db > 0.0
+
+
 def _block_distances(
     scenario: Scenario, config: SimConfig, block: int, rows: int
 ) -> np.ndarray:
@@ -257,7 +272,7 @@ def _block_distances(
         d = np.hypot(sites[:, 0] + isd * (u1 + 0.5 * u2),
                      sites[:, 1] + isd * (math.sqrt(3.0) / 2.0) * u2)
         d = np.partition(d, n - 1, axis=1)[:, :n]
-        if config.shadow.enabled and config.shadow.sigma_db > 0.0:
+        if _hex_shadowed(config):
             # ln S**(-1/alpha) is normal with deviation sigma_db*ln(10)/(10*alpha).
             sigma = config.shadow.sigma_db * math.log(10.0) / (10.0 * scenario.alpha)
             d *= np.exp(stream(seed, block, _ROLE_SHADOW).normal(0.0, sigma, d.shape))
@@ -273,21 +288,61 @@ def _block_distances(
     return d
 
 
-def _sample_block(
-    scenario: Scenario, config: SimConfig, block: int, rows: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Distances, activity uniforms and band labels of one block, each (rows, n).
+def _distance_key(scenario: Scenario, config: SimConfig):
+    """The scenario inputs that :func:`_block_distances` reads.
 
-    The distances are :func:`_block_distances`; the uniforms and labels
-    come from their own streams.  The labels are None for a single band.
+    Poisson rows depend on the effective density alone; hex rows depend
+    on alpha only when per-link shadowing is drawn.
     """
-    d = _block_distances(scenario, config, block, rows)
-    u = stream(config.seed, block, _ROLE_ACTIVITY).random(d.shape)
-    labels = None
-    if scenario.K > 1:
-        draw = stream(config.seed, block, _ROLE_BANDS)
-        labels = draw.integers(1, scenario.K + 1, size=d.shape, dtype=np.int16)
-    return d, u, labels
+    if config.deployment == Deployment.HEX:
+        return scenario.alpha if _hex_shadowed(config) else None
+    return effective_density(scenario.lam, scenario.alpha, config.shadow)
+
+
+class _BlockDraws:
+    """The parts of one block, each drawn once for every sibling scenario.
+
+    Every part is cached under the scenario inputs it depends on:
+    distances under :func:`_distance_key`, band labels under K, powers
+    under the distance key, alpha and ``tx_power``.  The activity
+    uniforms depend on no scenario input.  Siblings that agree on a
+    part's inputs read one array, which no statistic writes to, so each
+    sibling sees the bits it would have drawn alone.
+    """
+
+    def __init__(self, config: SimConfig, block: int, rows: int) -> None:
+        self.config, self.block, self.rows = config, block, rows
+        self.activity = stream(config.seed, block, _ROLE_ACTIVITY).random(
+            (rows, config.expected_bs)
+        )
+        self._parts: dict = {}
+
+    def _part(self, key, make):
+        if key not in self._parts:
+            self._parts[key] = make()
+        return self._parts[key]
+
+    def distances(self, scenario: Scenario) -> np.ndarray:
+        """:func:`_block_distances` of the block, (rows, n)."""
+        return self._part(
+            ("distances", _distance_key(scenario, self.config)),
+            lambda: _block_distances(scenario, self.config, self.block, self.rows),
+        )
+
+    def labels(self, K: int) -> np.ndarray | None:
+        """Band labels in 1..K, (rows, n); None for a single band."""
+        if K == 1:
+            return None
+        return self._part(("labels", K), lambda: stream(
+            self.config.seed, self.block, _ROLE_BANDS
+        ).integers(1, K + 1, size=self.activity.shape, dtype=np.int16))
+
+    def powers(self, scenario: Scenario) -> np.ndarray:
+        """Received powers of the block's BSs, (rows, n)."""
+        key = (_distance_key(scenario, self.config), scenario.alpha, scenario.tx_power)
+        return self._part(
+            ("powers", key), lambda: _powers(self.distances(scenario), scenario)
+        )
 
 
 # --- block statistics -----------------------------------------------------
@@ -395,28 +450,33 @@ def _upsilon(pw: np.ndarray, u: np.ndarray, labels, scenario: Scenario,
 
 
 def _block_stats(
-    kind: str, scenario: Scenario, config: SimConfig, block: int, rows: int
+    kind: str, family: tuple[Scenario, ...], config: SimConfig, block: int, rows: int
 ) -> np.ndarray:
-    """One collector's statistics for the ``rows`` realizations of ``block``."""
-    d, u, labels = _sample_block(scenario, config, block, rows)
-    pw = _powers(d, scenario)
-    if kind == "margins":
-        return _margins(pw, u, scenario)
-    if kind == "upsilon":
-        return _upsilon(pw, u, labels, scenario, config.upsilon_cap)
-    # At least L band prefix-minima clear a level exactly when the L-th
-    # largest of them does.
-    cummins = _prefix_min_sinr(pw, u, labels, scenario, config.upsilon_cap)
-    return np.partition(cummins.reshape(rows, -1), -scenario.L, axis=1)[:, -scenario.L]
+    """One collector's statistics of ``block`` for every sibling, (rows, S, ...)."""
+    draws = _BlockDraws(config, block, rows)
+    u, cap = draws.activity, config.upsilon_cap
+    stats = []
+    for scenario in family:
+        pw, labels = draws.powers(scenario), draws.labels(scenario.K)
+        if kind == "margins":
+            stats.append(_margins(pw, u, scenario))
+        elif kind == "upsilon":
+            stats.append(_upsilon(pw, u, labels, scenario, cap))
+        else:
+            # At least L band prefix-minima clear a level exactly when the
+            # L-th largest of them does.
+            cummins = _prefix_min_sinr(pw, u, labels, scenario, cap).reshape(rows, -1)
+            stats.append(np.partition(cummins, -scenario.L, axis=1)[:, -scenario.L])
+    return np.stack(stats, axis=1)
 
 
 def _collect_span(
-    kind: str, scenario: Scenario, config: SimConfig, start: int, stop: int
+    kind: str, family: tuple[Scenario, ...], config: SimConfig, start: int, stop: int
 ) -> np.ndarray:
     """Rows ``start:stop`` of one collector; ``start`` is block-aligned."""
     out = None
     for first in range(start, stop, _BLOCK):
-        part = _block_stats(kind, scenario, config, first // _BLOCK, min(_BLOCK, stop - first))
+        part = _block_stats(kind, family, config, first // _BLOCK, min(_BLOCK, stop - first))
         if out is None:  # filled in place: a list of parts would double the peak
             out = np.empty((stop - start, *part.shape[1:]), dtype=part.dtype)
         out[first - start : first - start + len(part)] = part
@@ -424,11 +484,29 @@ def _collect_span(
 
 
 def _collect(
-    scenario: Scenario, config: SimConfig, kind: str, workers: int
-) -> np.ndarray:
-    _check_window(scenario, config)
-    args = (kind, scenario, config)
-    return map_spans(_collect_span, args, config.realizations, workers, _BLOCK)
+    scenarios: Scenario | Sequence[Scenario], config: SimConfig, kind: str, workers: int
+) -> np.ndarray | list[np.ndarray]:
+    """One collection over a family of scenarios that share ``config``.
+
+    ``scenarios`` is one :class:`Scenario`, answered with its statistic,
+    or a sequence of siblings, answered with a list holding each
+    sibling's statistic.  Every sibling is checked before any draw, in
+    order, so a bad member raises what it raises alone.
+    """
+    single = isinstance(scenarios, Scenario)
+    family = (scenarios,) if single else tuple(scenarios)
+    for scenario in family:
+        if kind == "reuse":
+            if scenario.p != scenario.q:
+                raise ValueError("band prefix margins require p = q")
+            _check_level(scenario.L, config)
+        _check_window(scenario, config)
+    if not family:
+        return []
+    args = (kind, family, config)
+    stacked = map_spans(_collect_span, args, config.realizations, workers, _BLOCK)
+    statistics = [stacked[:, i] for i in range(len(family))]
+    return statistics[0] if single else statistics
 
 
 def _check_level(level: int, config: SimConfig) -> None:
@@ -440,39 +518,41 @@ def _check_level(level: int, config: SimConfig) -> None:
 
 
 def collect_margins(
-    scenario: Scenario, config: SimConfig, workers: int = 1
-) -> np.ndarray:
+    scenarios: Scenario | Sequence[Scenario], config: SimConfig, workers: int = 1
+) -> np.ndarray | list[np.ndarray]:
     """Per-realization (joint, last-BS) SINR margins, shape (n, 2).
 
     The joint margin is the least SINR of the L nearest BSs, the
     last-BS margin that of the L-th.  Levels are beta/gamma values.
+    A sequence of sibling scenarios gives a list of margins, one per
+    sibling, from one collection.
     """
-    return _collect(scenario, config, "margins", workers)
+    return _collect(scenarios, config, "margins", workers)
 
 
 def collect_upsilon(
-    scenario: Scenario, config: SimConfig, workers: int = 1
-) -> np.ndarray:
+    scenarios: Scenario | Sequence[Scenario], config: SimConfig, workers: int = 1
+) -> np.ndarray | list[np.ndarray]:
     """Per-realization detectable-BS counts Upsilon, shape (n,).
 
-    Levels are L values up to ``config.upsilon_cap``.
+    Levels are L values up to ``config.upsilon_cap``.  A sequence of
+    sibling scenarios gives a list of counts, one per sibling.
     """
-    return _collect(scenario, config, "upsilon", workers)
+    return _collect(scenarios, config, "upsilon", workers)
 
 
 def collect_reuse_margins(
-    scenario: Scenario, config: SimConfig, workers: int = 1
-) -> np.ndarray:
+    scenarios: Scenario | Sequence[Scenario], config: SimConfig, workers: int = 1
+) -> np.ndarray | list[np.ndarray]:
     """Per-realization reuse margins, shape (n,); requires p == q.
 
     The margin is the L-th largest prefix-min SINR over the
     ``upsilon_cap`` nearest members of every band: at least L BSs are
-    detected across the K bands exactly when it clears beta/gamma.
+    detected across the K bands exactly when it clears beta/gamma.  A
+    sequence of sibling scenarios gives a list of margins, one per
+    sibling.
     """
-    if scenario.p != scenario.q:
-        raise ValueError("band prefix margins require p = q")
-    _check_level(scenario.L, config)
-    return _collect(scenario, config, "reuse", workers)
+    return _collect(scenarios, config, "reuse", workers)
 
 
 def exceedance_curve(statistic: np.ndarray, levels) -> list[McEstimate]:
@@ -483,23 +563,38 @@ def exceedance_curve(statistic: np.ndarray, levels) -> list[McEstimate]:
     ]
 
 
+def _curves(statistics, levels) -> list[McEstimate] | list[list[McEstimate]]:
+    """``exceedance_curve`` of one statistic, or of each in a list."""
+    if isinstance(statistics, list):
+        return [exceedance_curve(statistic, levels) for statistic in statistics]
+    return exceedance_curve(statistics, levels)
+
+
 def reuse_success_curve(
-    scenario: Scenario,
+    scenarios: Scenario | Sequence[Scenario],
     config: SimConfig,
     thresholds: np.ndarray,
     workers: int = 1,
-) -> list[McEstimate]:
-    """Reuse-accumulated P_L over a grid of beta/gamma values."""
-    return exceedance_curve(collect_reuse_margins(scenario, config, workers), thresholds)
+) -> list[McEstimate] | list[list[McEstimate]]:
+    """Reuse-accumulated P_L over a grid of beta/gamma values.
+
+    A sequence of sibling scenarios gives a list of curves, one per
+    sibling.
+    """
+    return _curves(collect_reuse_margins(scenarios, config, workers), thresholds)
 
 
 def hearability_curve(
-    scenario: Scenario,
+    scenarios: Scenario | Sequence[Scenario],
     config: SimConfig,
     l_values: np.ndarray,
     workers: int = 1,
-) -> list[McEstimate]:
-    """P(Upsilon >= L) for each L in ``l_values`` from one collection."""
+) -> list[McEstimate] | list[list[McEstimate]]:
+    """P(Upsilon >= L) for each L in ``l_values`` from one collection.
+
+    A sequence of sibling scenarios gives a list of curves, one per
+    sibling.
+    """
     levels = np.asarray(l_values, dtype=int)
     _check_level(max(levels, default=0), config)
-    return exceedance_curve(collect_upsilon(scenario, config, workers), levels)
+    return _curves(collect_upsilon(scenarios, config, workers), levels)

@@ -1,6 +1,7 @@
 """Unit tests for the command line interface and CSV artifacts."""
 
 import argparse
+import dataclasses
 import math
 import os
 import shutil
@@ -28,6 +29,7 @@ from hearability.cli import (
     read_config,
     run_figure,
     run_sweep,
+    run_sweeps,
     write_csv,
 )
 from hearability.analytic import Method
@@ -327,6 +329,34 @@ class TestGridSweep:
         assert got.count(b"\n# nonconvergence") == len(flagged)
 
 
+def _figure_specs(monkeypatch, name: str, realizations: int) -> list[SweepSpec]:
+    """The specs a figure recipe hands to ``run_sweeps``."""
+    specs: list[SweepSpec] = []
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "run_sweeps", lambda family: specs.extend(family) or [])
+        cli._FIGURES[name](3, realizations, 1)
+    return specs
+
+
+class TestRunSweeps:
+    @pytest.mark.parametrize("name", ["fig8", "fig9"])
+    def test_family_rows_match_one_sweep_per_spec(self, monkeypatch, name):
+        specs = _figure_specs(monkeypatch, name, 40)
+        assert len(specs) > 1
+        alone = [row for spec in specs for row in run_sweep(spec)]
+        assert run_sweeps(specs) == alone
+
+    def test_specs_must_share_sim_and_workers(self):
+        scen = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, beta=1.0, gamma=1.0, L=2)
+        spec = SweepSpec(scen, (-10.0,), ("MonteCarloJoint",), SimConfig(20, seed=0))
+        for other in (
+            dataclasses.replace(spec, sim=spec.sim.replace(seed=1)),
+            dataclasses.replace(spec, workers=2),
+        ):
+            with pytest.raises(ValueError, match="share sim and workers"):
+                run_sweeps([spec, other])
+
+
 class TestSubcommands:
     def test_analytic_sweep(self, tmp_path):
         out = tmp_path / "an.csv"
@@ -466,9 +496,9 @@ class TestSubcommands:
     def test_explicit_workers_flag_beats_config(self, tmp_path, monkeypatch):
         seen = []
 
-        def fake_collect(scenario, sim, workers):
+        def fake_collect(scenarios, sim, workers):
             seen.append(workers)
-            return np.zeros((sim.realizations, 2))
+            return [np.zeros((sim.realizations, 2)) for _ in scenarios]
 
         monkeypatch.setattr(cli, "collect_margins", fake_collect)
         cfg = tmp_path / "run.cfg"
@@ -485,9 +515,10 @@ class TestSubcommands:
     def test_reuse_passes_expected_bs(self, tmp_path, monkeypatch):
         seen = []
 
-        def fake_curve(scenario, sim, thresholds, workers):
+        def fake_curve(scenarios, sim, thresholds, workers):
             seen.append(sim.expected_bs)
-            return [McEstimate.from_successes(0, sim.realizations)] * len(thresholds)
+            estimate = McEstimate.from_successes(0, sim.realizations)
+            return [[estimate] * len(thresholds) for _ in scenarios]
 
         monkeypatch.setattr(cli, "reuse_success_curve", fake_curve)
         cfg = tmp_path / "run.cfg"

@@ -44,6 +44,17 @@ SCEN = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, beta=0.1, gamma=1.0, L=4)
 PARTIAL = SCEN.replace(p=2.0 / 3.0)
 
 
+def _sample_block(scen, config, block, rows):
+    """Distances, activity uniforms and band labels of one block, each (rows, n)."""
+    draws = simulate._BlockDraws(config, block, rows)
+    return draws.distances(scen), draws.activity, draws.labels(scen.K)
+
+
+def _block_stats(kind, scen, config, block, rows):
+    """One scenario's statistics of one block: a family of one."""
+    return simulate._block_stats(kind, (scen,), config, block, rows)[:, 0]
+
+
 # --- scalar oracle: one realization at a time --------------------------------
 
 
@@ -150,7 +161,7 @@ def sample_hex(scenario: Scenario, config: SimConfig, index: int) -> Realization
     """
     simulate._check_window(scenario, config)
     hex_config = config.replace(deployment=Deployment.HEX)
-    d, u, labels = simulate._sample_block(scenario, hex_config, index, 1)
+    d, u, labels = _sample_block(scenario, hex_config, index, 1)
     n = d.shape[1]
     activity = u[0] < np.where(np.arange(n) < scenario.L, scenario.p, scenario.q)
     bands = np.ones(n, dtype=np.int64) if labels is None else labels[0]
@@ -185,7 +196,7 @@ def cfg(n: int, seed: int = 0, **kw) -> SimConfig:
 
 def _block_cummins(scen, config, block, rows):
     """Per-band prefix-min SINRs of one block, (rows, K, upsilon_cap)."""
-    d, u, labels = simulate._sample_block(scen, config, block, rows)
+    d, u, labels = _sample_block(scen, config, block, rows)
     pw = simulate._powers(d, scen)
     return simulate._prefix_min_sinr(pw, u, labels, scen, config.upsilon_cap)
 
@@ -645,7 +656,7 @@ class TestBlockSampler:
         config = self.SHADOWED
         blocks = range(config.realizations // simulate._BLOCK)
         return np.concatenate(
-            [simulate._sample_block(PARTIAL, config, b, simulate._BLOCK)[0]
+            [_sample_block(PARTIAL, config, b, simulate._BLOCK)[0]
              for b in blocks]
         )
 
@@ -666,7 +677,7 @@ class TestBlockSampler:
         config = cfg(64, seed=67, deployment=Deployment.HEX, expected_bs=300)
         sites = simulate._hex_lattice(config.hex_isd, config.expected_bs)
         for block in range(4):
-            got, _, _ = simulate._sample_block(SCEN, config, block, simulate._BLOCK)
+            got, _, _ = _sample_block(SCEN, config, block, simulate._BLOCK)
             offsets = stream(config.seed, block, simulate._ROLE_OFFSET).random(
                 (simulate._BLOCK, 2)
             )
@@ -687,9 +698,9 @@ class TestBlockSampler:
         scen = SCEN.replace(K=3)
         config = cfg(1, seed=68, deployment=deployment, expected_bs=100,
                      shadow=ShadowingSpec(sigma_db=8.0, enabled=True))
-        full = simulate._sample_block(scen, config, 2, simulate._BLOCK)
+        full = _sample_block(scen, config, 2, simulate._BLOCK)
         for rows in (1, 5):
-            part = simulate._sample_block(scen, config, 2, rows)
+            part = _sample_block(scen, config, 2, rows)
             for got, want in zip(part, full):
                 assert got.tobytes() == want[:rows].tobytes()
 
@@ -697,14 +708,14 @@ class TestBlockSampler:
         config = cfg(1, seed=69, deployment=Deployment.HEX, expected_bs=100,
                      shadow=ShadowingSpec(sigma_db=8.0, enabled=True))
         real = sample_hex(SCEN.replace(K=3), config, 4)
-        d, u, labels = simulate._sample_block(SCEN.replace(K=3), config, 4, 1)
+        d, u, labels = _sample_block(SCEN.replace(K=3), config, 4, 1)
         assert real.distances.tobytes() == d[0].tobytes()
         assert real.activity_u.tobytes() == u[0].tobytes()
         np.testing.assert_array_equal(real.bands, labels[0])
 
 def _oracle_rows(scen, config, block):
     """The block's rows wrapped as realizations."""
-    d, u, labels = simulate._sample_block(scen, config, block, simulate._BLOCK)
+    d, u, labels = _sample_block(scen, config, block, simulate._BLOCK)
     reals = []
     for row in range(len(d)):
         bands = labels[row] if labels is not None else np.ones(d.shape[1], dtype=np.int64)
@@ -737,8 +748,8 @@ class TestBlockKernelsMatchOracle:
         for block in range(3):
             reals = _oracle_rows(scen, config, block)
             rows = len(reals)
-            margins = simulate._block_stats("margins", scen, config, block, rows)
-            counts = simulate._block_stats("upsilon", scen, config, block, rows)
+            margins = _block_stats("margins", scen, config, block, rows)
+            counts = _block_stats("upsilon", scen, config, block, rows)
             for row, real in enumerate(reals):
                 pw = real.distances ** -scen.alpha
                 np.testing.assert_allclose(
@@ -767,7 +778,7 @@ class TestBlockKernelsMatchOracle:
         # Guards the case table: counts must neither all vanish nor all cap.
         scen, extra = _KERNEL_CASES["ppp-K1-p!=q"]
         config = cfg(simulate._BLOCK, seed=71, expected_bs=120, upsilon_cap=12)
-        counts = simulate._block_stats("upsilon", scen, config, 0, simulate._BLOCK)
+        counts = _block_stats("upsilon", scen, config, 0, simulate._BLOCK)
         assert 0 < counts.max() and counts.min() < config.upsilon_cap
 
 
@@ -786,3 +797,85 @@ class TestBlockAlignedChunks:
         assert len(serial) == config.realizations
         for workers in (2, 3):
             assert collect(scen, config, workers=workers).tobytes() == serial.tobytes()
+
+
+_SHADOW_8DB = ShadowingSpec(sigma_db=8.0, enabled=True)
+_FAMILY_CONFIGS = {
+    "ppp": {},
+    "ppp-shadow": dict(shadow=_SHADOW_8DB),
+    "hex-shadow": dict(deployment=Deployment.HEX, hex_isd=1.0, shadow=_SHADOW_8DB),
+}
+
+
+def _family(base, partial):
+    """Siblings of ``base`` differing in L, p (``partial`` of it), K, alpha, lam.
+
+    Noise makes the statistics see the scale of the distances, so a
+    sibling handed the distances of another effective density differs.
+    """
+    family = [
+        base,
+        base.replace(alpha=3.5),
+        base.replace(lam=2.0),
+        base.replace(L=2),
+        partial,
+        base.replace(K=3),
+        partial.replace(alpha=3.5, K=6, L=3),
+    ]
+    return [scen.replace(noise_sigma2=0.05) for scen in family]
+
+
+class TestFamilies:
+    """A family of siblings gets the bits of one collection per sibling."""
+
+    @pytest.mark.parametrize("deployment", sorted(_FAMILY_CONFIGS))
+    @pytest.mark.parametrize(
+        "collect, family",
+        [
+            (collect_margins, _family(SCEN.replace(beta=0.05), PARTIAL)),
+            (collect_upsilon, _family(SCEN.replace(beta=0.02),
+                                      SCEN.replace(p=0.5, q=0.75, beta=0.02))),
+            (collect_reuse_margins, _family(SCEN.replace(beta=0.02),
+                                            SCEN.replace(p=0.6, q=0.6, beta=0.02))),
+        ],
+        ids=["margins", "upsilon", "reuse"],
+    )
+    def test_family_matches_one_collection_per_sibling(self, deployment, collect, family):
+        config = cfg(2 * simulate._BLOCK + 5, seed=79, expected_bs=100, upsilon_cap=12,
+                     **_FAMILY_CONFIGS[deployment])
+        alone = [collect(scen, config).tobytes() for scen in family]
+        assert alone[1] != alone[0]  # guards the case table
+        for workers in (1, 3):
+            together = collect(family, config, workers=workers)
+            assert [stat.tobytes() for stat in together] == alone
+
+    @pytest.mark.parametrize("deployment", ["hex-shadow", "ppp-shadow"])
+    def test_shadowed_distances_depend_on_alpha(self, deployment):
+        # Guards the family case table: a distance cache keyed too
+        # coarsely would hand the alpha = 3.5 siblings the alpha = 4 rows.
+        draws = simulate._BlockDraws(cfg(1, seed=79, expected_bs=100,
+                                         **_FAMILY_CONFIGS[deployment]), 0, 4)
+        a, b = draws.distances(SCEN), draws.distances(SCEN.replace(alpha=3.5))
+        assert not np.array_equal(a, b)
+
+    def test_empty_family(self):
+        assert collect_margins([], cfg(10)) == []
+
+    @pytest.mark.parametrize(
+        "collect, bad, config",
+        [
+            (collect_margins, PARTIAL.replace(L=11), cfg(10, expected_bs=100)),
+            (collect_upsilon, SCEN.replace(L=11), cfg(10, expected_bs=100)),
+            (collect_reuse_margins, SCEN.replace(L=11), cfg(10, expected_bs=100)),
+            (collect_reuse_margins, SCEN.replace(L=9),
+             cfg(10, expected_bs=100, upsilon_cap=8)),
+            (collect_reuse_margins, SCEN.replace(p=0.5, q=0.75), cfg(10)),
+        ],
+        ids=["window-margins", "window-upsilon", "window-reuse", "level", "p!=q"],
+    )
+    def test_bad_sibling_raises_its_own_error(self, collect, bad, config):
+        with pytest.raises(ValueError) as alone:
+            collect(bad, config)
+        with pytest.raises(ValueError) as together:
+            collect([SCEN, bad, SCEN.replace(K=3)], config)
+        assert str(together.value) == str(alone.value)
