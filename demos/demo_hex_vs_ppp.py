@@ -34,7 +34,7 @@ def main() -> None:
             BASE,
             SimConfig(
                 realizations=N, seed=0, deployment=Deployment.HEX,
-                shadow=ShadowingSpec(sigma, enabled=True),
+                shadow=ShadowingSpec(sigma),
             ),
         )
 
@@ -59,7 +59,7 @@ def main() -> None:
         reuse,
         SimConfig(
             realizations=N, seed=0, deployment=Deployment.HEX,
-            shadow=ShadowingSpec(8.0, enabled=True),
+            shadow=ShadowingSpec(8.0),
         ),
     )
     print(f"\n With K=6 and sigma=8 dB the curves differ by at most "

@@ -5,7 +5,7 @@ can a device receive at least L base stations well enough to localize?
 
 Modules
 -------
-``model``     scenario/realization containers and exact distributions.
+``model``     scenario and shadowing containers, exact distributions.
 ``analytic``  closed-form bounds and integral approximations of P_L.
 ``reuse``     P_L under K-fold frequency reuse via a counting recursion.
 ``simulate``  Monte Carlo ground truth on Poisson and hex deployments.
@@ -40,7 +40,6 @@ from .e911 import (
     solve_tdoa,
 )
 from .model import (
-    Realization,
     Scenario,
     ShadowingSpec,
     effective_density,
@@ -67,7 +66,6 @@ from .simulate import (
     exceedance_curve,
     hearability_curve,
     reuse_success_curve,
-    sample_ppp,
 )
 
 __version__ = "0.1.0"
@@ -93,7 +91,6 @@ __all__ = [
     "fcc_compliance",
     "ranging_stddev",
     "solve_tdoa",
-    "Realization",
     "Scenario",
     "ShadowingSpec",
     "effective_density",
@@ -119,6 +116,5 @@ __all__ = [
     "exceedance_curve",
     "hearability_curve",
     "reuse_success_curve",
-    "sample_ppp",
     "__version__",
 ]

@@ -235,7 +235,7 @@ def hex_vs_ppp_rows(
             f"MonteCarloHex_s{sigma:g}",
             sim.replace(
                 deployment=Deployment.HEX,
-                shadow=ShadowingSpec(sigma, enabled=sigma > 0.0),
+                shadow=ShadowingSpec(sigma),
             ),
         )
         for sigma in sigmas
@@ -385,7 +385,12 @@ def write_plot_script(name: str, csv_path: Path, x_col: str) -> Path:
 
 
 def _grid(start: float, stop: float, step: float) -> tuple[float, ...]:
-    count = int(round((stop - start) / step)) + 1
+    """``start, start + step, ...`` up to the last point at or below ``stop``.
+
+    A point within 1e-9 steps past ``stop`` is kept, so grids that divide
+    evenly keep their last point despite rounding.
+    """
+    count = math.floor((stop - start) / step + 1e-9) + 1
     return tuple(round(start + i * step, 9) for i in range(count))
 
 
@@ -516,11 +521,16 @@ def run_figure(
     out: Path | None = None,
     timestamp: bool = True,
 ) -> Path:
-    """Build a canned figure dataset; returns the CSV path."""
+    """Build a canned figure dataset; returns the CSV path.
+
+    ``realizations`` of None runs the recipe's own sample size.
+    """
     if name not in _FIGURES:
         raise ValueError(
             f"unknown figure {name!r}; valid: {', '.join(sorted(_FIGURES))}"
         )
+    if realizations is not None and realizations < 1:
+        raise ValueError(f"realizations must be >= 1, got {realizations}")
     rows, x_col = _FIGURES[name](seed, realizations, workers)
     csv_path = Path(out) if out is not None else Path(f"{name}.csv")
     write_csv(rows, csv_path, timestamp)

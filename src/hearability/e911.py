@@ -191,7 +191,7 @@ def default_scenario(cfg: E911Config) -> Scenario:
     lam = effective_density(
         hex_grid_density(cfg.hex_isd),
         cfg.alpha,
-        ShadowingSpec(cfg.shadow_sigma_db, enabled=True),
+        ShadowingSpec(cfg.shadow_sigma_db),
     )
     gamma = 10.0 ** (cfg.processing_gain_db / 10.0)
     return Scenario(

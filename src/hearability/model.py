@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "Scenario",
     "ShadowingSpec",
-    "Realization",
     "effective_density",
     "hex_grid_density",
     "pdf_rl",
@@ -44,12 +43,11 @@ __all__ = [
 class ShadowingSpec:
     """Log-normal shadowing description.
 
-    ``sigma_db`` is the shadowing standard deviation in dB.  When
-    ``enabled`` is False the channel has pure power-law path loss.
+    ``sigma_db`` is the shadowing standard deviation in dB; at 0 the
+    channel has pure power-law path loss.
     """
 
     sigma_db: float = 0.0
-    enabled: bool = False
 
     def __post_init__(self) -> None:
         if not (self.sigma_db >= 0.0 and math.isfinite(self.sigma_db)):
@@ -119,43 +117,6 @@ class Scenario:
         return dataclasses.replace(self, **changes)
 
 
-@dataclass(frozen=True, eq=False)
-class Realization:
-    """One sampled deployment as seen from the device at the origin.
-
-    Attributes:
-        distances: sorted (ascending) array of BS distances.  For
-            shadowed hex-grid realizations these are equivalent
-            distances ``S**(-1/alpha) * d`` so that sorting by distance
-            equals sorting by received power.
-        activity: boolean transmit marks, one per BS, derived from
-            ``activity_u`` against ``p`` for the first ``L`` BSs and
-            ``q`` beyond.  Fixed for the whole detection procedure.
-        bands: frequency band index per BS in ``1..K``.
-        activity_u: the underlying uniforms behind ``activity``; kept so
-            alternative participant counts can reuse the same draws.
-        window_radius: radius of the sampling window (diagnostics and
-            finite-window corrections).
-    """
-
-    distances: np.ndarray
-    activity: np.ndarray
-    bands: np.ndarray
-    activity_u: np.ndarray = field(repr=False, default=None)
-    window_radius: float = math.inf
-
-    def __post_init__(self) -> None:
-        n = len(self.distances)
-        if len(self.activity) != n or len(self.bands) != n:
-            raise ValueError("distances, activity and bands must have equal length")
-        if self.activity_u is not None and len(self.activity_u) != n:
-            raise ValueError("activity_u must match distances length")
-        if n and np.any(np.diff(self.distances) < 0.0):
-            raise ValueError("distances must be sorted ascending")
-        if n and not (self.distances[0] > 0.0):
-            raise ValueError("distances must be strictly positive")
-
-
 def effective_density(lam: float, alpha: float, shadow: ShadowingSpec) -> float:
     """BS density of the shadowing-free network equivalent to a shadowed one.
 
@@ -168,8 +129,6 @@ def effective_density(lam: float, alpha: float, shadow: ShadowingSpec) -> float:
         raise ValueError(f"lam must be positive, got {lam}")
     if not (alpha > 2.0):
         raise ValueError(f"alpha must exceed 2, got {alpha}")
-    if not shadow.enabled or shadow.sigma_db == 0.0:
-        return lam
     sigma_n = shadow.sigma_db * math.log(10.0) / 10.0
     return lam * math.exp(((2.0 / alpha) * sigma_n) ** 2 / 2.0)
 

@@ -29,8 +29,7 @@ blocks of ``_BLOCK`` rows from counter-based Philox streams keyed by
 bands, shadowing, ...).  Worker chunks start on block boundaries, so
 results are bit-identical across worker counts and unchanged if new
 draw roles are added later; E911 trial geometries are blocks too.
-``sample_ppp`` draws one deployment from streams keyed by
-``(seed, realization index, role)``.
+The block rows are the only deployment sampler.
 
 Each collector row keeps the ``expected_bs`` BSs nearest the device;
 on a shadowed hex grid these nearest sites are then ordered by received
@@ -50,21 +49,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import (
-    Realization,
-    Scenario,
-    ShadowingSpec,
-    effective_density,
-    hex_grid_density,
-)
+from .model import Scenario, ShadowingSpec, effective_density, hex_grid_density
 from .parallel import map_spans
 
 __all__ = [
     "Deployment",
     "SimConfig",
     "McEstimate",
-    "sample_ppp",
-    "sample_conditional_bpp",
     "exceedance_curve",
     "reuse_success_curve",
     "hearability_curve",
@@ -98,10 +89,9 @@ class SimConfig:
     Attributes:
         realizations: number of independent deployments.
         seed: master seed for the keyed streams.
-        expected_bs: BSs per deployment: the collectors keep the
-            ``expected_bs`` nearest, and ``sample_ppp`` draws a window
-            holding that many on average.  Either way the truncation is
-            negligible for the first L BSs (requires >= 10 * L).
+        expected_bs: BSs kept per deployment, the ``expected_bs``
+            nearest the device.  The truncation is negligible for the
+            first L BSs (requires >= 10 * L).
         deployment: Poisson or hex-grid placement.
         hex_isd: intersite distance of the hex lattice.
         shadow: log-normal shadowing.  For Poisson deployments shadowing
@@ -158,8 +148,8 @@ class McEstimate:
 def stream(seed: int, index: int, role: int) -> np.random.Generator:
     """Counter-based generator keyed by (seed, index, role).
 
-    ``index`` is a realization for ``sample_ppp`` and the per-trial E911
-    draws, and a block of ``_BLOCK`` realizations for the block sampler.
+    ``index`` is a block of ``_BLOCK`` realizations for the block
+    sampler and a trial for the per-trial E911 draws.
     """
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(seed, spawn_key=(index, role)))
@@ -172,30 +162,6 @@ def _check_window(scenario: Scenario, config: SimConfig) -> None:
             f"expected_bs={config.expected_bs} is too small for L={scenario.L}; "
             "need at least 10 * L so window-edge truncation stays negligible"
         )
-
-
-def sample_ppp(scenario: Scenario, config: SimConfig, index: int) -> Realization:
-    """Sample one Poisson deployment as distances from the device.
-
-    Shadowing, when enabled, is applied through the effective-density
-    transform so the sampled distances are already equivalent distances.
-    """
-    _check_window(scenario, config)
-    lam_eff = effective_density(scenario.lam, scenario.alpha, config.shadow)
-    window = math.sqrt(config.expected_bs / (lam_eff * math.pi))
-    geom = stream(config.seed, index, _ROLE_GEOMETRY)
-    n = int(geom.poisson(config.expected_bs))
-    radii = window * np.sqrt(geom.random(n))
-    radii.sort()
-    u = stream(config.seed, index, _ROLE_ACTIVITY).random(n)
-    activity = u < np.where(np.arange(n) < scenario.L, scenario.p, scenario.q)
-    if scenario.K > 1:
-        bands = stream(config.seed, index, _ROLE_BANDS).integers(
-            1, scenario.K + 1, size=n
-        )
-    else:
-        bands = np.ones(n, dtype=np.int64)
-    return Realization(radii, activity, bands, u, window)
 
 
 @functools.lru_cache(maxsize=8)
@@ -215,40 +181,7 @@ def _hex_lattice(isd: float, count: int) -> np.ndarray:
     return sites
 
 
-def sample_conditional_bpp(
-    region: str,
-    count: int,
-    inner_radius: float,
-    outer_radius: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Distances of ``count`` uniform points on a disk or annulus.
-
-    ``region`` is ``"disk"`` (inner radius ignored) or ``"annulus"``.
-    Uniformity on the region means the squared radius is uniform between
-    the squared bounds.  Returns unsorted distances.
-    """
-    if region not in ("disk", "annulus"):
-        raise ValueError(f"region must be 'disk' or 'annulus', got {region!r}")
-    if not isinstance(count, (int, np.integer)) or count < 0:
-        raise ValueError(f"count must be a nonnegative integer, got {count!r}")
-    if not (outer_radius > 0.0 and math.isfinite(outer_radius)):
-        raise ValueError(f"outer_radius must be positive, got {outer_radius}")
-    inner = 0.0 if region == "disk" else inner_radius
-    if not (0.0 <= inner <= outer_radius):
-        raise ValueError(
-            f"inner_radius must lie in [0, outer_radius], got {inner_radius}"
-        )
-    u = rng.random(count)
-    return np.sqrt(inner * inner + u * (outer_radius * outer_radius - inner * inner))
-
-
 # --- block sampler --------------------------------------------------------
-
-
-def _hex_shadowed(config: SimConfig) -> bool:
-    """Whether hex rows draw per-link shadowing (and so depend on alpha)."""
-    return config.shadow.enabled and config.shadow.sigma_db > 0.0
 
 
 def _block_distances(
@@ -272,7 +205,7 @@ def _block_distances(
         d = np.hypot(sites[:, 0] + isd * (u1 + 0.5 * u2),
                      sites[:, 1] + isd * (math.sqrt(3.0) / 2.0) * u2)
         d = np.partition(d, n - 1, axis=1)[:, :n]
-        if _hex_shadowed(config):
+        if config.shadow.sigma_db > 0.0:
             # ln S**(-1/alpha) is normal with deviation sigma_db*ln(10)/(10*alpha).
             sigma = config.shadow.sigma_db * math.log(10.0) / (10.0 * scenario.alpha)
             d *= np.exp(stream(seed, block, _ROLE_SHADOW).normal(0.0, sigma, d.shape))
@@ -295,7 +228,7 @@ def _distance_key(scenario: Scenario, config: SimConfig):
     on alpha only when per-link shadowing is drawn.
     """
     if config.deployment == Deployment.HEX:
-        return scenario.alpha if _hex_shadowed(config) else None
+        return scenario.alpha if config.shadow.sigma_db > 0.0 else None
     return effective_density(scenario.lam, scenario.alpha, config.shadow)
 
 

@@ -1,0 +1,125 @@
+"""One-row deployments for the scalar oracles, and the block rows they read.
+
+``Realization`` holds one deployment as the scalar oracles of the suite
+take it, one BS per entry.  ``block_rows`` reads the collectors' own
+block rows (``simulate._BlockDraws``), the only deployment sampler, and
+``conditional_law_samples`` turns them into the samples of the
+conditional laws that the integral approximations rest on.
+"""
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from hearability import simulate
+from hearability.analytic import mean_i1, mean_i2
+from hearability.model import Scenario
+from hearability.simulate import SimConfig
+
+
+@dataclass(frozen=True, eq=False)
+class Realization:
+    """One sampled deployment as seen from the device at the origin.
+
+    Attributes:
+        distances: sorted (ascending) array of BS distances.  For
+            shadowed hex-grid realizations these are equivalent
+            distances ``S**(-1/alpha) * d`` so that sorting by distance
+            equals sorting by received power.
+        activity: boolean transmit marks, one per BS, derived from
+            ``activity_u`` by :func:`marks`.  Fixed for the whole
+            detection procedure.
+        bands: frequency band index per BS in ``1..K``.
+        activity_u: the underlying uniforms behind ``activity``; kept so
+            alternative participant counts can reuse the same draws.
+    """
+
+    distances: np.ndarray
+    activity: np.ndarray
+    bands: np.ndarray
+    activity_u: np.ndarray = field(repr=False, default=None)
+
+    def __post_init__(self) -> None:
+        n = len(self.distances)
+        if len(self.activity) != n or len(self.bands) != n:
+            raise ValueError("distances, activity and bands must have equal length")
+        if self.activity_u is not None and len(self.activity_u) != n:
+            raise ValueError("activity_u must match distances length")
+        if n and np.any(np.diff(self.distances) < 0.0):
+            raise ValueError("distances must be sorted ascending")
+        if n and not (self.distances[0] > 0.0):
+            raise ValueError("distances must be strictly positive")
+
+
+def marks(u: np.ndarray, L: int, p: float, q: float) -> np.ndarray:
+    """Transmit marks of activity uniforms: ``p`` for the first L BSs, ``q`` beyond."""
+    return u < np.where(np.arange(u.shape[-1]) < L, p, q)
+
+
+def block_rows(scenario: Scenario, config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Distances and transmit marks of the collector rows, each (realizations, n).
+
+    Row i is the i-th realization of every collector run on ``config``.
+    """
+    size, shape = simulate._BLOCK, (config.realizations, config.expected_bs)
+    distances, active = np.empty(shape), np.empty(shape, dtype=bool)
+    for first in range(0, shape[0], size):
+        draws = simulate._BlockDraws(config, first // size, min(size, shape[0] - first))
+        rows = slice(first, first + draws.rows)
+        distances[rows] = draws.distances(scenario)
+        active[rows] = marks(draws.activity, scenario.L, scenario.p, scenario.q)
+    return distances, active
+
+
+def conditional_law_samples(
+    scenario: Scenario, config: SimConfig, outer_rows: int
+) -> dict[str, np.ndarray]:
+    """Samples of the conditional laws on the collector rows of ``config``.
+
+    Each row keeps the n nearest BSs of an unbounded Poisson process of
+    density ``lam`` (``config`` has no shadowing).
+    Given R_L and the n-th kept distance R_n, the laws are exact:
+
+    - ``inner``: ``(R_i / R_L)**2`` of the L-1 nearer BSs, pooled; they
+      are uniform on the disk, so U(0, 1).
+    - ``omega``, ``z``: per row with ``omega >= 1`` active nearer BSs,
+      ``omega`` and ``((R_L**2 - r1**2) / R_L**2)**omega`` of the nearest
+      active one at r1, which is U(0, 1) for every ``omega``.
+    - ``i1``: per row with ``omega >= 2`` and ``r1 >= 0.3 * R_L``, the
+      power of the other actives minus ``mean_i1``; mean 0.  The cut
+      keeps the residual variance tame and leaves the mean unchanged.
+
+    Over the first ``outer_rows`` rows only:
+
+    - ``outer``: per row, ``(r**2 - R_L**2) / (R_n**2 - R_L**2)`` of the
+      kept BSs strictly between R_L and R_n; they are uniform on that
+      annulus, so U(0, 1).
+    - ``i2``: per row, the power of the active kept BSs beyond R_L plus
+      the Campbell mean ``2*pi*lam*q * R_n**(2-alpha) / (alpha-2)`` of
+      the process beyond R_n, minus ``mean_i2(R_L)``; mean 0.
+    """
+    L, alpha, q, lam = scenario.L, scenario.alpha, scenario.q, scenario.lam
+    d, active = block_rows(scenario, config)
+    near, rl, rn = d[:, : L - 1], d[:, L - 1], d[:, -1]
+    inner = (near / rl[:, None]) ** 2
+    omega = np.count_nonzero(active[:, : L - 1], axis=1)
+    r1 = np.where(active[:, : L - 1], near, np.inf).min(axis=1)
+    heard = omega >= 1
+    z = ((rl * rl - r1 * r1) / (rl * rl))[heard] ** omega[heard]
+    near_power = np.sum(near**-alpha, axis=1, where=active[:, : L - 1])
+    rows = np.flatnonzero((omega >= 2) & (r1 >= 0.3 * rl))
+    i1 = np.array([
+        near_power[i] - r1[i] ** -alpha - mean_i1(r1[i], rl[i], int(omega[i]), scenario)
+        for i in rows
+    ])
+    d, active, rl, rn = (a[:outer_rows] for a in (d, active, rl, rn))
+    rl2, rn2 = rl[:, None] ** 2, rn[:, None] ** 2
+    outer = (d[:, L:-1] ** 2 - rl2) / (rn2 - rl2)
+    far = np.sum(d[:, L:] ** -alpha, axis=1, where=active[:, L:])
+    tail = 2.0 * math.pi * q * lam / (alpha - 2.0) * rn ** (2.0 - alpha)
+    i2 = far + tail - np.array([mean_i2(r, scenario) for r in rl])
+    return {
+        "inner": inner.ravel(), "omega": omega[heard], "z": z, "i1": i1,
+        "outer": outer, "i2": i2,
+    }

@@ -18,8 +18,6 @@ from scipy import stats
 
 from hearability.analytic import (
     Method,
-    mean_i1,
-    mean_i2,
     min_processing_gain,
     pl_alpha4,
     pl_double_integral,
@@ -39,8 +37,8 @@ from hearability.simulate import (
     exceedance_curve,
     hearability_curve,
     reuse_success_curve,
-    sample_ppp,
 )
+from sampling_oracle import conditional_law_samples
 
 ACC_SEED = 1
 GRID_DB = np.arange(-20.0, 0.5, 1.0)
@@ -274,41 +272,14 @@ def test_criterion_06_reuse_recursion_vs_mc():
 
 
 def test_criterion_07_conditional_law_suite():
+    # The collectors' own block rows, each the 48 BSs nearest the device.
     scen = Scenario(
         lam=1.0, alpha=4.0, p=2.0 / 3.0, q=1.0, beta=1.0, gamma=1.0, L=4
     )
-    cfg = SimConfig(realizations=1, seed=ACC_SEED, expected_bs=48)
-    L = scen.L
-    inner_u, z_vals, outer_u = [], [], []
-    i1_res, i2_res = [], []
-    for index in range(104000):
-        real = sample_ppp(scen, cfg, index)
-        r = real.distances
-        rl = r[L - 1]
-        inner_u.append((r[: L - 1] / rl) ** 2)
-        act = real.activity[: L - 1]
-        omega = int(act.sum())
-        if omega >= 1:
-            r1 = float(r[: L - 1][act].min())
-            z_vals.append(((rl * rl - r1 * r1) / (rl * rl)) ** omega)
-            if omega >= 2 and r1 >= 0.3 * rl:
-                active = r[: L - 1][act]
-                sample = np.sum(active**-scen.alpha) - r1**-scen.alpha
-                i1_res.append(sample - mean_i1(r1, rl, omega, scen))
-        if index < 2500:
-            w = real.window_radius
-            outer = r[L:]
-            outer_u.append((outer**2 - rl * rl) / (w * w - rl * rl))
-            far = np.sum(outer[real.activity[L:]] ** -scen.alpha)
-            tail = (
-                2.0 * np.pi * scen.q * scen.lam / (scen.alpha - 2.0)
-            ) * w ** (2.0 - scen.alpha)
-            i2_res.append(far - (mean_i2(rl, scen) - tail))
-    inner_u = np.concatenate(inner_u)
-    outer_u = np.concatenate(outer_u)
-    z_vals = np.asarray(z_vals)
-    i1_res = np.asarray(i1_res)
-    i2_res = np.asarray(i2_res)
+    cfg = SimConfig(realizations=104000, seed=ACC_SEED, expected_bs=48)
+    laws = conditional_law_samples(scen, cfg, outer_rows=2500)
+    inner_u, z_vals, outer_u = laws["inner"], laws["z"], laws["outer"].ravel()
+    i1_res, i2_res = laws["i1"], laws["i2"]
 
     p1 = stats.kstest(inner_u, "uniform").pvalue
     p2 = stats.kstest(z_vals, "uniform").pvalue
@@ -377,7 +348,7 @@ def test_criterion_09_hex_grid_convergence():
     for sigma in (4.0, 8.0, 12.0):
         hex_sim = SimConfig(
             realizations=10000, seed=ACC_SEED, deployment=Deployment.HEX,
-            shadow=ShadowingSpec(sigma, enabled=True),
+            shadow=ShadowingSpec(sigma),
         )
         hx = np.array(
             [e.estimate for e in hearability_curve(base, hex_sim, l_values)]
@@ -394,7 +365,7 @@ def test_criterion_09_hex_grid_convergence():
                 reuse6,
                 SimConfig(
                     realizations=10000, seed=ACC_SEED, deployment=Deployment.HEX,
-                    shadow=ShadowingSpec(8.0, enabled=True),
+                    shadow=ShadowingSpec(8.0),
                 ),
                 l_values,
             )

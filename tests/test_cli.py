@@ -461,6 +461,17 @@ class TestSubcommands:
                  "--out", str(tmp_path / "x.csv")]
             )
 
+    def test_grid_stops_at_the_last_point_within_stop(self, tmp_path):
+        # A step that does not divide the range stops short of stop; one
+        # that does keeps stop although (stop - start) / step rounds low.
+        assert _grid(-20.0, 0.0, 3.0) == (-20.0, -17.0, -14.0, -11.0, -8.0, -5.0, -2.0)
+        assert (0.3 - 0.0) / 0.1 < 3.0 and _grid(0.0, 0.3, 0.1) == (0.0, 0.1, 0.2, 0.3)
+        out = tmp_path / "x.csv"
+        main(["analytic", "--bg-step-db", "3", "--methods", "UpperBound",
+              "--out", str(out), "--no-timestamp"])
+        x = [float(line.split(",")[0]) for line in data_lines(out)[1:]]
+        assert max(x) == -2.0 and len(x) == 7
+
     def test_config_file_drives_sweep(self, tmp_path):
         # A config file holding every key gives the bytes of the same
         # values passed as flags, for every subcommand.
@@ -549,6 +560,10 @@ class TestSubcommands:
             ("reuse", None, ["--p", "0.5"], "^error: .*requires p = q; got p=0.5"),
             ("reuse", None, ["--alpha", "3.5"], "^error: .*requires alpha = 4"),
             ("simulate", None, ["--realizations", "0"], "^error: realizations must be"),
+            (
+                "figure", None, ["fig3", "--realizations", "0"],
+                "^error: realizations must be",
+            ),
             ("e911", None, ["--trials", "50"], "^error: trials must be"),
             ("analytic", None, ["--config", "nofile.cfg"], "^error: .*nofile.cfg"),
             # Levels above the Upsilon cap would print 0 instead of P_L.
@@ -567,7 +582,8 @@ class TestSubcommands:
         ],
         ids=[
             "truth_mode", "realizations", "alpha", "mc", "k_list", "grid", "base_method",
-            "reuse_p_not_q", "reuse_alpha", "realizations_zero", "e911_trials",
+            "reuse_p_not_q", "reuse_alpha", "realizations_zero",
+            "figure_realizations_zero", "e911_trials",
             "missing_config", "hexgrid_l_max_above_cap", "reuse_l_above_cap",
         ],
     )

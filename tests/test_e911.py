@@ -25,7 +25,6 @@ from hearability.e911 import (
     solve_tdoa,
 )
 from hearability.model import (
-    Realization,
     Scenario,
     ShadowingSpec,
     effective_density,
@@ -35,9 +34,9 @@ from hearability.simulate import (
     SimConfig,
     collect_margins,
     exceedance_curve,
-    sample_ppp,
     stream,
 )
+from sampling_oracle import Realization, block_rows
 
 _MIN_BS_FOR_FIX = e911._MIN_BS_FOR_FIX
 _ILL_CONDITION = e911._ILL_CONDITION
@@ -289,7 +288,7 @@ class TestConfig:
         cfg = E911Config()
         scen = default_scenario(cfg)
         lam = effective_density(
-            hex_grid_density(500.0), 3.76, ShadowingSpec(8.0, enabled=True)
+            hex_grid_density(500.0), 3.76, ShadowingSpec(8.0)
         )
         np.testing.assert_allclose(scen.lam, lam, rtol=1e-12)
         np.testing.assert_allclose(scen.lam, 7.4645294e-06, rtol=1e-6)
@@ -332,11 +331,12 @@ class TestRangingStddev:
 
 @pytest.fixture()
 def one_realization():
-    # Index 12 at seed 3 hears 7 BSs, enough for every path below.
+    # Trial 19 at seed 3 hears 7 BSs, enough for every path below.
     cfg = E911Config()
     scen = default_scenario(cfg)
-    sim = SimConfig(realizations=1, seed=3, expected_bs=cfg.expected_bs)
-    return cfg, scen, sample_ppp(scen, sim, 12)
+    sim = SimConfig(realizations=20, seed=3, expected_bs=cfg.expected_bs)
+    d, active = block_rows(scen, sim)
+    return cfg, scen, Realization(d[19], active[19], np.ones(d.shape[1], dtype=np.int64))
 
 
 class TestSynthesize:

@@ -7,7 +7,6 @@ import pytest
 from scipy import integrate, stats
 
 from hearability.model import (
-    Realization,
     Scenario,
     ShadowingSpec,
     cdf_r1_given_rl_omega,
@@ -19,6 +18,7 @@ from hearability.model import (
     pmf_omega,
 )
 from hearability.simulate import _margins, _powers
+from sampling_oracle import Realization
 
 
 def make_scenario(**overrides):
@@ -67,18 +67,17 @@ class TestScenario:
 class TestShadowing:
     def test_disabled_shadowing_keeps_density(self):
         assert effective_density(3.0, 4.0, ShadowingSpec()) == 3.0
-        assert effective_density(3.0, 4.0, ShadowingSpec(8.0, enabled=False)) == 3.0
 
     def test_known_inflation_factor(self):
         # exp(((2/4) * 8 ln10 / 10)^2 / 2) for 8 dB shadowing at alpha 4.
-        factor = effective_density(1.0, 4.0, ShadowingSpec(8.0, enabled=True))
+        factor = effective_density(1.0, 4.0, ShadowingSpec(8.0))
         sigma_n = 8.0 * math.log(10.0) / 10.0
         np.testing.assert_allclose(factor, math.exp((0.5 * sigma_n) ** 2 / 2.0))
         np.testing.assert_allclose(factor, 1.52829364577985, rtol=1e-12)
 
     def test_monotone_in_sigma(self):
         values = [
-            effective_density(1.0, 3.76, ShadowingSpec(s, enabled=True))
+            effective_density(1.0, 3.76, ShadowingSpec(s))
             for s in (0.0, 4.0, 8.0, 12.0)
         ]
         assert values == sorted(values)
@@ -189,41 +188,6 @@ class TestConditionalDistanceLaws:
             cdf_ratio_x(0.5, 1)
         with pytest.raises(ValueError):
             pdf_ratio_x(0.9, 2)
-
-
-class TestRealization:
-    def test_accepts_sorted_positive_distances(self):
-        real = Realization(
-            distances=np.array([1.0, 2.0, 3.0]),
-            activity=np.ones(3, dtype=bool),
-            bands=np.ones(3, dtype=np.int64),
-            activity_u=np.zeros(3),
-        )
-        assert real.window_radius == math.inf
-
-    def test_rejects_unsorted_distances(self):
-        with pytest.raises(ValueError):
-            Realization(
-                distances=np.array([2.0, 1.0]),
-                activity=np.ones(2, dtype=bool),
-                bands=np.ones(2, dtype=np.int64),
-            )
-
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            Realization(
-                distances=np.array([1.0, 2.0]),
-                activity=np.ones(3, dtype=bool),
-                bands=np.ones(2, dtype=np.int64),
-            )
-
-    def test_rejects_nonpositive_distance(self):
-        with pytest.raises(ValueError):
-            Realization(
-                distances=np.array([0.0, 1.0]),
-                activity=np.ones(2, dtype=bool),
-                bands=np.ones(2, dtype=np.int64),
-            )
 
 
 # The SINR recipe for one realization, written per BS; the block

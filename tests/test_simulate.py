@@ -17,15 +17,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from hearability.analytic import mean_i1, mean_i2
 from hearability import simulate
-from hearability.model import (
-    Realization,
-    Scenario,
-    ShadowingSpec,
-    effective_density,
-    hex_grid_density,
-)
+from hearability.model import Scenario, ShadowingSpec, effective_density
 from hearability.simulate import (
     Deployment,
     SimConfig,
@@ -35,10 +28,9 @@ from hearability.simulate import (
     exceedance_curve,
     hearability_curve,
     reuse_success_curve,
-    sample_conditional_bpp,
-    sample_ppp,
     stream,
 )
+from sampling_oracle import Realization, block_rows, conditional_law_samples, marks
 
 SCEN = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, beta=0.1, gamma=1.0, L=4)
 PARTIAL = SCEN.replace(p=2.0 / 3.0)
@@ -156,17 +148,14 @@ def sample_hex(scenario: Scenario, config: SimConfig, index: int) -> Realization
     lattice sites nearest a device placed uniformly in a cell, with
     per-link shadowing ``S`` folded into equivalent distances
     ``S**(-1/alpha) * d``, so the ascending order is the order of
-    received power.  The window radius is that of the disk holding
-    ``expected_bs`` sites on average.
+    received power.
     """
     simulate._check_window(scenario, config)
     hex_config = config.replace(deployment=Deployment.HEX)
     d, u, labels = _sample_block(scenario, hex_config, index, 1)
-    n = d.shape[1]
-    activity = u[0] < np.where(np.arange(n) < scenario.L, scenario.p, scenario.q)
-    bands = np.ones(n, dtype=np.int64) if labels is None else labels[0]
-    window = math.sqrt(n / (hex_grid_density(config.hex_isd) * math.pi))
-    return Realization(d[0], activity, bands, u[0], window)
+    activity = marks(u[0], scenario.L, scenario.p, scenario.q)
+    bands = np.ones(d.shape[1], dtype=np.int64) if labels is None else labels[0]
+    return Realization(d[0], activity, bands, u[0])
 
 
 def participation_metric(
@@ -219,9 +208,42 @@ def make_realization(distances, u, K: int = 1, p: float = 1.0, q: float = 1.0,
                      L: int = 1) -> Realization:
     d = np.asarray(distances, dtype=float)
     u = np.asarray(u, dtype=float)
-    n = len(d)
-    activity = u < np.where(np.arange(n) < L, p, q)
-    return Realization(d, activity, np.ones(n, dtype=np.int64), u, float(d.max()) + 1.0)
+    return Realization(d, marks(u, L, p, q), np.ones(len(d), dtype=np.int64), u)
+
+
+class TestRealization:
+    def test_accepts_sorted_positive_distances(self):
+        real = Realization(
+            distances=np.array([1.0, 2.0, 3.0]),
+            activity=np.ones(3, dtype=bool),
+            bands=np.ones(3, dtype=np.int64),
+            activity_u=np.zeros(3),
+        )
+        np.testing.assert_array_equal(real.distances, [1.0, 2.0, 3.0])
+
+    def test_rejects_unsorted_distances(self):
+        with pytest.raises(ValueError):
+            Realization(
+                distances=np.array([2.0, 1.0]),
+                activity=np.ones(2, dtype=bool),
+                bands=np.ones(2, dtype=np.int64),
+            )
+
+    def test_rejects_mismatched_lengths(self):
+        with pytest.raises(ValueError):
+            Realization(
+                distances=np.array([1.0, 2.0]),
+                activity=np.ones(3, dtype=bool),
+                bands=np.ones(2, dtype=np.int64),
+            )
+
+    def test_rejects_nonpositive_distance(self):
+        with pytest.raises(ValueError):
+            Realization(
+                distances=np.array([0.0, 1.0]),
+                activity=np.ones(2, dtype=bool),
+                bands=np.ones(2, dtype=np.int64),
+            )
 
 
 class TestStream:
@@ -232,55 +254,6 @@ class TestStream:
         assert not np.array_equal(a, stream(7, 4, 1).random(4))
         assert not np.array_equal(a, stream(7, 3, 2).random(4))
         assert not np.array_equal(a, stream(8, 3, 1).random(4))
-
-
-class TestSamplePpp:
-    def test_structure(self):
-        real = sample_ppp(SCEN, cfg(1, seed=11), 0)
-        d = real.distances
-        assert np.all(np.diff(d) >= 0.0) and np.all(d > 0.0)
-        assert np.all(d <= real.window_radius)
-        np.testing.assert_allclose(
-            real.window_radius, math.sqrt(1000.0 / math.pi), rtol=1e-12
-        )
-        assert real.bands.min() == real.bands.max() == 1
-        assert len(real.activity) == len(d) == len(real.activity_u)
-
-    def test_reproducible_per_index(self):
-        a = sample_ppp(SCEN, cfg(1, seed=11), 5)
-        b = sample_ppp(SCEN, cfg(1, seed=11), 5)
-        np.testing.assert_array_equal(a.distances, b.distances)
-        assert not np.array_equal(
-            a.distances, sample_ppp(SCEN, cfg(1, seed=11), 6).distances
-        )
-
-    def test_point_count_is_poisson(self):
-        counts = [
-            len(sample_ppp(SCEN, cfg(1, seed=3, expected_bs=200), i).distances)
-            for i in range(400)
-        ]
-        mean = np.mean(counts)
-        # 3 sigma band for the mean of 400 Poisson(200) draws.
-        assert abs(mean - 200.0) <= 3.0 * math.sqrt(200.0 / 400.0)
-
-    def test_activity_rates_split_at_L(self):
-        near = far = near_n = far_n = 0
-        for i in range(300):
-            real = sample_ppp(PARTIAL, cfg(1, seed=9, expected_bs=100), i)
-            near += int(real.activity[: PARTIAL.L].sum())
-            near_n += PARTIAL.L
-            far += int(real.activity[PARTIAL.L:].sum())
-            far_n += len(real.activity) - PARTIAL.L
-        assert abs(near / near_n - PARTIAL.p) <= 3.0 * math.sqrt(0.25 / near_n)
-        assert abs(far / far_n - PARTIAL.q) <= 3.0 * math.sqrt(0.25 / far_n)
-
-    def test_band_labels_cover_reuse_factor(self):
-        real = sample_ppp(SCEN.replace(K=3), cfg(1, seed=2), 0)
-        assert set(np.unique(real.bands)) == {1, 2, 3}
-
-    def test_small_window_rejected(self):
-        with pytest.raises(ValueError, match="expected_bs"):
-            sample_ppp(SCEN, cfg(1, expected_bs=30), 0)
 
 
 class TestSampleHex:
@@ -303,7 +276,7 @@ class TestSampleHex:
     def test_shadowing_reorders_by_received_power(self):
         config = cfg(
             1, seed=4, deployment=Deployment.HEX, expected_bs=100,
-            shadow=ShadowingSpec(sigma_db=8.0, enabled=True),
+            shadow=ShadowingSpec(sigma_db=8.0),
         )
         real = sample_hex(SCEN, config, 0)
         assert np.all(np.diff(real.distances) >= 0.0)
@@ -313,120 +286,48 @@ class TestSampleHex:
         assert not np.allclose(real.distances, plain.distances)
 
 
-class TestSampleConditionalBpp:
-    def test_disk_squared_radius_is_uniform(self):
-        rng = np.random.Generator(np.random.Philox(1234))
-        r = sample_conditional_bpp("disk", 20000, 0.0, 2.0, rng)
-        assert stats.kstest((r / 2.0) ** 2, "uniform").pvalue > 0.01
-
-    def test_annulus_respects_bounds(self):
-        rng = np.random.Generator(np.random.Philox(99))
-        r = sample_conditional_bpp("annulus", 5000, 1.0, 3.0, rng)
-        assert r.min() >= 1.0 and r.max() <= 3.0
-        v = (r * r - 1.0) / (9.0 - 1.0)
-        assert stats.kstest(v, "uniform").pvalue > 0.01
-
-    def test_rejects_bad_arguments(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="region"):
-            sample_conditional_bpp("square", 10, 0.0, 1.0, rng)
-        with pytest.raises(ValueError, match="count"):
-            sample_conditional_bpp("disk", -1, 0.0, 1.0, rng)
-        with pytest.raises(ValueError, match="outer_radius"):
-            sample_conditional_bpp("disk", 10, 0.0, 0.0, rng)
-        with pytest.raises(ValueError, match="inner_radius"):
-            sample_conditional_bpp("annulus", 10, 5.0, 1.0, rng)
-
-
 @pytest.fixture(scope="module")
-def partial_realizations():
-    """Shared small-window draws for the conditional-law tests."""
-    config = cfg(4000, seed=21, expected_bs=48)
-    return [sample_ppp(PARTIAL, config, i) for i in range(config.realizations)]
+def partial_laws():
+    """Conditional-law samples of 4000 small-window collector rows."""
+    return conditional_law_samples(PARTIAL, cfg(4000, seed=21, expected_bs=48), 4000)
 
 
 class TestConditionalLaws:
-    """Probability integral transforms of the conditioned BPP structure."""
+    """Probability integral transforms of the conditioned PPP structure."""
 
-    def test_inner_points_uniform_on_disk(self, partial_realizations):
+    def test_inner_points_uniform_on_disk(self, partial_laws):
         # Given R_L, the L-1 nearer BSs are i.i.d. uniform on the disk
         # of radius R_L: pooled (r_i / R_L)^2 must be U(0,1).
-        L = PARTIAL.L
-        pooled = np.concatenate(
-            [(r.distances[: L - 1] / r.distances[L - 1]) ** 2
-             for r in partial_realizations]
-        )
-        assert stats.kstest(pooled, "uniform").pvalue > 0.01
+        assert stats.kstest(partial_laws["inner"], "uniform").pvalue > 0.01
 
-    def test_dominant_interferer_law_per_omega(self, partial_realizations):
+    def test_dominant_interferer_law_per_omega(self, partial_laws):
         # Given Omega = omega actives among the L-1 nearest, the nearest
         # active sits at R1_hat with survival ((R_L^2-r^2)/R_L^2)^omega.
-        L = PARTIAL.L
-        buckets: dict[int, list[float]] = {1: [], 2: [], 3: []}
-        for r in partial_realizations:
-            marks = r.activity[: L - 1]
-            omega = int(marks.sum())
-            if omega == 0:
-                continue
-            rl = r.distances[L - 1]
-            r1 = r.distances[: L - 1][marks].min()
-            buckets[omega].append(((rl * rl - r1 * r1) / (rl * rl)) ** omega)
-        for omega, values in buckets.items():
+        for omega in (1, 2, 3):
+            values = partial_laws["z"][partial_laws["omega"] == omega]
             assert len(values) > 300
-            assert stats.kstest(np.asarray(values), "uniform").pvalue > 0.01
+            assert stats.kstest(values, "uniform").pvalue > 0.01
 
-    def test_outer_points_uniform_on_annulus(self, partial_realizations):
-        # Beyond R_L the points are i.i.d. uniform on the annulus up to
-        # the window: pooled (r^2-R_L^2)/(W^2-R_L^2) must be U(0,1).
-        L = PARTIAL.L
-        pooled = []
-        for r in partial_realizations[:1500]:
-            rl = r.distances[L - 1]
-            w = r.window_radius
-            outer = r.distances[L:]
-            pooled.append((outer * outer - rl * rl) / (w * w - rl * rl))
-        pooled = np.concatenate(pooled)
+    def test_outer_points_uniform_on_annulus(self, partial_laws):
+        # Between R_L and the last kept distance R_n the points are
+        # i.i.d. uniform on the annulus: pooled
+        # (r^2-R_L^2)/(R_n^2-R_L^2) must be U(0,1).
+        pooled = partial_laws["outer"][:1500].ravel()
         assert stats.kstest(pooled, "uniform").pvalue > 0.01
 
-    def test_near_interference_mean(self, partial_realizations):
+    def test_near_interference_mean(self, partial_laws):
         # The remaining omega-1 actives are uniform on the annulus
         # (R1_hat, R_L); their summed power must match mean_i1 on
-        # average.  Restrict to non-degenerate annuli to keep the
-        # residual variance tame; the conditional mean is unaffected.
-        L = PARTIAL.L
-        residuals = []
-        for r in partial_realizations:
-            marks = r.activity[: L - 1]
-            omega = int(marks.sum())
-            if omega < 2:
-                continue
-            rl = r.distances[L - 1]
-            actives = r.distances[: L - 1][marks]
-            r1 = actives.min()
-            if r1 < 0.3 * rl:
-                continue
-            others = float(np.sum(actives ** -PARTIAL.alpha)) - r1 ** -PARTIAL.alpha
-            residuals.append(others - mean_i1(r1, rl, omega, PARTIAL))
-        residuals = np.asarray(residuals)
+        # average.
+        residuals = partial_laws["i1"]
         assert len(residuals) > 1000
         se = residuals.std(ddof=1) / math.sqrt(len(residuals))
         assert abs(residuals.mean()) <= 3.0 * se
 
-    def test_far_interference_mean(self, partial_realizations):
-        # Window-truncated far-field mean: the infinite-network formula
-        # minus the tail beyond the sampling window.
-        L, alpha, q, lam = PARTIAL.L, PARTIAL.alpha, PARTIAL.q, PARTIAL.lam
-        residuals = []
-        for r in partial_realizations:
-            rl = r.distances[L - 1]
-            w = r.window_radius
-            act = r.activity[L:]
-            actual = float(np.sum(r.distances[L:][act] ** -alpha))
-            expected = mean_i2(rl, PARTIAL) - (
-                2.0 * math.pi * q * lam / (alpha - 2.0) * w ** (2.0 - alpha)
-            )
-            residuals.append(actual - expected)
-        residuals = np.asarray(residuals)
+    def test_far_interference_mean(self, partial_laws):
+        # The kept far field plus the Campbell mean of the process beyond
+        # the last kept distance must match mean_i2 on average.
+        residuals = partial_laws["i2"]
         se = residuals.std(ddof=1) / math.sqrt(len(residuals))
         assert abs(residuals.mean()) <= 3.0 * se
 
@@ -520,7 +421,7 @@ class TestParticipationMetric:
         # Two far-apart singleton bands, each trivially detectable.
         d = np.array([1.0, 1.5])
         real = Realization(
-            d, np.array([True, True]), np.array([1, 2]), np.array([0.5, 0.5]), 10.0
+            d, np.array([True, True]), np.array([1, 2]), np.array([0.5, 0.5])
         )
         scen = SCEN.replace(K=2, beta=1e-6)
         assert participation_metric(real, scen) == 2
@@ -638,7 +539,7 @@ class TestDensityAndShadowInvariance:
             collect_margins(scen, cfg(4000, seed=53, expected_bs=100))[:, 0], thr
         )[0]
         shadowed_config = cfg(4000, seed=54, expected_bs=100,
-                              shadow=ShadowingSpec(sigma_db=8.0, enabled=True))
+                              shadow=ShadowingSpec(sigma_db=8.0))
         shadowed = exceedance_curve(collect_margins(scen, shadowed_config)[:, 0], thr)[0]
         assert abs(plain.estimate - shadowed.estimate) <= 3.0 * math.hypot(
             plain.stderr, shadowed.stderr
@@ -649,16 +550,11 @@ class TestBlockSampler:
     """Ordered-arrival Poisson rows of the collectors."""
 
     SHADOWED = cfg(2000, seed=61, expected_bs=100,
-                   shadow=ShadowingSpec(sigma_db=6.0, enabled=True))
+                   shadow=ShadowingSpec(sigma_db=6.0))
 
     @pytest.fixture(scope="class")
     def radii(self):
-        config = self.SHADOWED
-        blocks = range(config.realizations // simulate._BLOCK)
-        return np.concatenate(
-            [_sample_block(PARTIAL, config, b, simulate._BLOCK)[0]
-             for b in blocks]
-        )
+        return block_rows(PARTIAL, self.SHADOWED)[0]
 
     @pytest.mark.parametrize("k", [1, PARTIAL.L, 100])
     def test_scaled_squared_radius_is_gamma(self, radii, k):
@@ -697,7 +593,7 @@ class TestBlockSampler:
         # the total count.
         scen = SCEN.replace(K=3)
         config = cfg(1, seed=68, deployment=deployment, expected_bs=100,
-                     shadow=ShadowingSpec(sigma_db=8.0, enabled=True))
+                     shadow=ShadowingSpec(sigma_db=8.0))
         full = _sample_block(scen, config, 2, simulate._BLOCK)
         for rows in (1, 5):
             part = _sample_block(scen, config, 2, rows)
@@ -706,7 +602,7 @@ class TestBlockSampler:
 
     def test_sample_hex_is_a_one_row_block(self):
         config = cfg(1, seed=69, deployment=Deployment.HEX, expected_bs=100,
-                     shadow=ShadowingSpec(sigma_db=8.0, enabled=True))
+                     shadow=ShadowingSpec(sigma_db=8.0))
         real = sample_hex(SCEN.replace(K=3), config, 4)
         d, u, labels = _sample_block(SCEN.replace(K=3), config, 4, 1)
         assert real.distances.tobytes() == d[0].tobytes()
@@ -719,13 +615,13 @@ def _oracle_rows(scen, config, block):
     reals = []
     for row in range(len(d)):
         bands = labels[row] if labels is not None else np.ones(d.shape[1], dtype=np.int64)
-        activity = u[row] < np.where(np.arange(d.shape[1]) < scen.L, scen.p, scen.q)
-        reals.append(Realization(d[row], activity, bands, u[row], math.inf))
+        activity = marks(u[row], scen.L, scen.p, scen.q)
+        reals.append(Realization(d[row], activity, bands, u[row]))
     return reals
 
 
 _HEX_SHADOWED = dict(deployment=Deployment.HEX, hex_isd=1.0,
-                     shadow=ShadowingSpec(sigma_db=8.0, enabled=True))
+                     shadow=ShadowingSpec(sigma_db=8.0))
 _KERNEL_CASES = {
     "ppp-K1-p!=q": (SCEN.replace(p=0.5, q=0.75, beta=0.05), {}),
     "ppp-K1-p=q": (SCEN.replace(p=0.8, q=0.8, beta=0.02), {}),
@@ -799,7 +695,7 @@ class TestBlockAlignedChunks:
             assert collect(scen, config, workers=workers).tobytes() == serial.tobytes()
 
 
-_SHADOW_8DB = ShadowingSpec(sigma_db=8.0, enabled=True)
+_SHADOW_8DB = ShadowingSpec(sigma_db=8.0)
 _FAMILY_CONFIGS = {
     "ppp": {},
     "ppp-shadow": dict(shadow=_SHADOW_8DB),
