@@ -32,7 +32,7 @@ def main() -> None:
     blocks = [simulate._BlockDraws(cfg, b, simulate._BLOCK)
               for b in range(DRAWS // simulate._BLOCK)]
     r = np.concatenate([b.distances(SCEN) for b in blocks])
-    u = np.concatenate([b.activity for b in blocks])
+    u = np.concatenate([b.activity() for b in blocks])
     rl, rn = r[:, L - 1], r[:, -1]
     inner_u = ((r[:, : L - 1] / rl[:, None]) ** 2).ravel()
     z_vals, i1_res = [], []

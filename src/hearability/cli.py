@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .analytic import Method, evaluate_grid, min_processing_gain
-from .e911 import E911Config, default_scenario, fcc_compliance
+from .e911 import MIN_TRIALS, E911Config, default_scenario, fcc_compliance
 from .model import Scenario, ShadowingSpec, hex_grid_density
 from .numerics import NonConvergenceError, QuadratureSpec
 from .reuse import ReuseQuery, pl_with_reuse_grid
@@ -512,6 +512,9 @@ _FIGURES = {
     "fig11": _fig11,
 }
 
+# Recipes that draw no Monte Carlo sample, so take no ``realizations``.
+_SAMPLE_FREE = {"fig5", "fig6"}
+
 
 def run_figure(
     name: str,
@@ -529,8 +532,15 @@ def run_figure(
         raise ValueError(
             f"unknown figure {name!r}; valid: {', '.join(sorted(_FIGURES))}"
         )
-    if realizations is not None and realizations < 1:
-        raise ValueError(f"realizations must be >= 1, got {realizations}")
+    if realizations is not None:
+        if name in _SAMPLE_FREE:
+            raise ValueError(f"realizations: {name} draws no Monte Carlo sample")
+        # fig2 runs ``realizations`` E911 trials.
+        least = MIN_TRIALS if name == "fig2" else 1
+        if realizations < least:
+            raise ValueError(
+                f"realizations must be >= {least} for {name}, got {realizations}"
+            )
     rows, x_col = _FIGURES[name](seed, realizations, workers)
     csv_path = Path(out) if out is not None else Path(f"{name}.csv")
     write_csv(rows, csv_path, timestamp)

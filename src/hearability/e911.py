@@ -49,6 +49,8 @@ FCC_P67_M = 50.0
 FCC_P90_M = 150.0
 
 _MIN_BS_FOR_FIX = 4
+# Fewest positioning trials an experiment accepts.
+MIN_TRIALS = 100
 _ILL_CONDITION = 1e12
 
 
@@ -116,8 +118,10 @@ class E911Config:
             )
         if not (self.hex_isd > 0.0):
             raise ValueError(f"hex_isd must be positive, got {self.hex_isd}")
-        if not isinstance(self.trials, (int, np.integer)) or self.trials < 100:
-            raise ValueError(f"trials must be an integer >= 100, got {self.trials!r}")
+        if not isinstance(self.trials, (int, np.integer)) or self.trials < MIN_TRIALS:
+            raise ValueError(
+                f"trials must be an integer >= {MIN_TRIALS}, got {self.trials!r}"
+            )
         if not self.min_hearability_grid or any(
             (not isinstance(v, (int, np.integer))) or v < _MIN_BS_FOR_FIX
             for v in self.min_hearability_grid

@@ -17,11 +17,14 @@ level, so one collection answers a whole grid.
 Each collector takes one scenario or a *family* of sibling scenarios
 that share one ``SimConfig`` (a sweep over L, p, alpha or K), and a
 single scenario is a family of one.  A family draws each block once:
-distances, activity uniforms, band labels and powers are cached per
-block under the scenario inputs they depend on, and only the statistic
-runs per sibling.  The siblings read exactly the draws they would have
-made alone, so a family answers each member with the bits of its own
-collection and the contract below is unchanged.
+distances, activity uniforms, band labels and powers are drawn on first
+use and cached per block under the scenario inputs they depend on, and
+only the statistic runs per sibling.  The activity uniforms are drawn
+only when some sibling's p or q lies strictly inside (0, 1); at 0 and 1
+the transmit marks do not depend on them.  The siblings read exactly
+the draws they would have made alone, so a family answers each member
+with the bits of its own collection and the contract below is
+unchanged.  The band statistics run on all K bands at once.
 
 Reproducibility contract: the collectors draw realizations in fixed
 blocks of ``_BLOCK`` rows from counter-based Philox streams keyed by
@@ -73,8 +76,15 @@ _ROLE_OFFSET = 4
 ROLE_E911 = 6
 
 # Realizations per keyed block of the collectors; part of the contract.
-# Sixteen rows of ~1000 BSs keep each block array near 128 kB.
+# Sixteen rows of the default 1000 BSs make each (rows, n) float array
+# 125 KiB, just below glibc's default 128 KiB mmap threshold.
 _BLOCK = 16
+
+# Bound on the bytes of one temporary of the kernels that take a block
+# a few rows at a time (hex distances, Upsilon at p != q).  glibc serves
+# requests of 128 KiB and more by mmap by default, and a fresh mapping
+# per block pays its page faults block after block.
+_SCRATCH_BYTES = 120 * 1024
 
 
 class Deployment(str, enum.Enum):
@@ -201,10 +211,17 @@ def _block_distances(
         # equivalent distance S**(-1/alpha) * d.
         isd, sites = config.hex_isd, _hex_lattice(config.hex_isd, n)
         offsets = stream(seed, block, _ROLE_OFFSET).random((rows, 2))
-        u1, u2 = offsets[:, :1], offsets[:, 1:]
-        d = np.hypot(sites[:, 0] + isd * (u1 + 0.5 * u2),
-                     sites[:, 1] + isd * (math.sqrt(3.0) / 2.0) * u2)
-        d = np.partition(d, n - 1, axis=1)[:, :n]
+        d = np.empty((rows, n))
+        # Each row is partitioned alone, so rows taken a few at a time
+        # give the same bits while every (rows, sites) temporary stays
+        # below _SCRATCH_BYTES.
+        step = max(1, _SCRATCH_BYTES // (8 * len(sites)))
+        for first in range(0, rows, step):
+            u1, u2 = offsets[first : first + step, :1], offsets[first : first + step, 1:]
+            sites_d = np.hypot(sites[:, 0] + isd * (u1 + 0.5 * u2),
+                               sites[:, 1] + isd * (math.sqrt(3.0) / 2.0) * u2)
+            sites_d.partition(n - 1, axis=1)
+            d[first : first + step] = sites_d[:, :n]
         if config.shadow.sigma_db > 0.0:
             # ln S**(-1/alpha) is normal with deviation sigma_db*ln(10)/(10*alpha).
             sigma = config.shadow.sigma_db * math.log(10.0) / (10.0 * scenario.alpha)
@@ -235,19 +252,22 @@ def _distance_key(scenario: Scenario, config: SimConfig):
 class _BlockDraws:
     """The parts of one block, each drawn once for every sibling scenario.
 
-    Every part is cached under the scenario inputs it depends on:
-    distances under :func:`_distance_key`, band labels under K, powers
-    under the distance key, alpha and ``tx_power``.  The activity
-    uniforms depend on no scenario input.  Siblings that agree on a
-    part's inputs read one array, which no statistic writes to, so each
-    sibling sees the bits it would have drawn alone.
+    Every part is drawn on first use and cached under the scenario
+    inputs it depends on: distances under :func:`_distance_key`, band
+    labels and their :class:`_Bands` under K, powers under the distance
+    key, alpha and ``tx_power``, and transmit marks under the activity
+    probability.  The activity uniforms depend on no scenario input and
+    are drawn only when some sibling's p or q lies strictly inside
+    (0, 1): every uniform lies in [0, 1), so the marks at 0 and at 1 do
+    not read them.  Each role has its own keyed stream, so a skipped
+    draw moves no other bits.  Siblings that agree on a part's inputs
+    read one array, which no statistic writes to, so each sibling sees
+    the bits it would have drawn alone.
     """
 
     def __init__(self, config: SimConfig, block: int, rows: int) -> None:
         self.config, self.block, self.rows = config, block, rows
-        self.activity = stream(config.seed, block, _ROLE_ACTIVITY).random(
-            (rows, config.expected_bs)
-        )
+        self.shape = (rows, config.expected_bs)
         self._parts: dict = {}
 
     def _part(self, key, make):
@@ -262,13 +282,32 @@ class _BlockDraws:
             lambda: _block_distances(scenario, self.config, self.block, self.rows),
         )
 
+    def activity(self) -> np.ndarray:
+        """Activity uniforms in [0, 1), (rows, n)."""
+        return self._part(("activity",), lambda: stream(
+            self.config.seed, self.block, _ROLE_ACTIVITY
+        ).random(self.shape))
+
+    def active(self, share: float) -> np.ndarray:
+        """Transmit marks at activity probability ``share``, (rows, n)."""
+        return self._part(("active", share), lambda: (
+            self.activity() < share if 0.0 < share < 1.0
+            else np.full(self.shape, share == 1.0)
+        ))
+
     def labels(self, K: int) -> np.ndarray | None:
         """Band labels in 1..K, (rows, n); None for a single band."""
         if K == 1:
             return None
         return self._part(("labels", K), lambda: stream(
             self.config.seed, self.block, _ROLE_BANDS
-        ).integers(1, K + 1, size=self.activity.shape, dtype=np.int16))
+        ).integers(1, K + 1, size=self.shape, dtype=np.int16))
+
+    def bands(self, K: int) -> "_Bands":
+        """The runs and nearest members of the block's K bands."""
+        return self._part(("bands", K), lambda: _Bands(
+            self.labels(K), K, self.config.upsilon_cap, self.shape
+        ))
 
     def powers(self, scenario: Scenario) -> np.ndarray:
         """Received powers of the block's BSs, (rows, n)."""
@@ -278,105 +317,161 @@ class _BlockDraws:
         )
 
 
+class _Bands:
+    """The K bands of a block, each as a run and as its nearest members.
+
+    A stable sort of each row by label makes every band one contiguous
+    run and keeps the order of its members: ``order`` (rows, n) holds
+    the flat (row-major) columns of the sorted rows and ``runs``
+    (rows, K, n) flags each band's run in them.  ``cols`` (rows, K, cap)
+    holds the flat column of each band's (j+1)-th nearest member in
+    slot j, and ``valid`` flags the slots that hold a member; the others
+    hold some other column of the block.  A single band needs no sort:
+    ``order`` is None and slot j holds column j.
+    """
+
+    def __init__(self, labels: np.ndarray | None, K: int, cap: int, shape) -> None:
+        rows, n = shape
+        self.labels, self.K, self.cap = labels, K, cap
+        slots = np.arange(cap)
+        if labels is None:
+            row = n * np.arange(rows)[:, None, None]
+            self.order, self.runs = None, np.ones((1, 1, n), dtype=bool)
+            self.cols = np.minimum(slots, n - 1) + row
+            self.valid = np.broadcast_to(slots < n, (rows, 1, cap))
+            return
+        # Band b of row r has key K*r + b - 1: one stable sort of the keys
+        # sorts every row.
+        band_keys = np.arange(rows * K, dtype=np.min_scalar_type(rows * K - 1))
+        keys = ((labels - 1).astype(band_keys.dtype) + band_keys[::K, None]).ravel()
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = np.take(keys, order)
+        first = np.searchsorted(sorted_keys, band_keys)
+        counts = np.diff(first, append=rows * n)
+        self.order = order.reshape(shape)
+        self.runs = sorted_keys.reshape(rows, 1, n) == band_keys.reshape(rows, K, 1)
+        cols = np.take(order, first[:, None] + slots, mode="clip")
+        self.cols = cols.reshape(rows, K, cap)
+        self.valid = (slots < counts[:, None]).reshape(rows, K, cap)
+
+    def members(self, a: np.ndarray) -> np.ndarray:
+        """``a`` (rows, n) at each band's ``cap`` nearest members, (rows, K, cap)."""
+        return np.take(a, self.cols)
+
+    def totals(self, pw: np.ndarray, act: np.ndarray) -> np.ndarray:
+        """Each band's sum of ``pw`` over its active members, (rows, K, 1).
+
+        The sum runs over the band's contiguous run in the sorted row:
+        a sum over the scattered members would add the same terms in
+        another order and round differently.
+        """
+        if self.order is not None:
+            pw = np.take(pw, self.order)
+        where = (act if self.order is None else np.take(act, self.order))[:, None, :]
+        where = where & self.runs
+        return np.sum(np.broadcast_to(pw[:, None, :], where.shape), axis=2, where=where,
+                      keepdims=True)
+
+    def running_sums(self, pw: np.ndarray, act: np.ndarray) -> np.ndarray:
+        """Each band's running sum of ``pw`` over its active members.
+
+        Slot j of band b holds the sum over the band's j+1 nearest
+        members, and slot ``cap`` the band's total, (rows, K, cap + 1).
+        One band at a time: a running sum over a whole row adds exact
+        zeros at the other bands' columns, so it keeps the bits of a
+        running sum over the band alone.
+        """
+        out = np.empty((len(pw), self.K, self.cap + 1))
+        for b in range(self.K):
+            member = act if self.labels is None else act & (self.labels == b + 1)
+            running = np.cumsum(pw * member, axis=1)
+            out[:, b, :-1] = np.take(running, self.cols[:, b])
+            out[:, b, -1] = running[:, -1]
+        return out
+
+
 # --- block statistics -----------------------------------------------------
 
 
 def _powers(distances: np.ndarray, scenario: Scenario) -> np.ndarray:
-    return scenario.tx_power * distances ** (-scenario.alpha)
+    pw = distances ** (-scenario.alpha)
+    pw *= scenario.tx_power  # in place: one (rows, n) array per call
+    return pw
 
 
-def _margins(pw: np.ndarray, u: np.ndarray, scenario: Scenario) -> np.ndarray:
-    """(min SINR over the L nearest, SINR of the L-th) per row, shape (rows, 2)."""
+def _margins(pw: np.ndarray, act_p: np.ndarray, act_q: np.ndarray,
+             scenario: Scenario) -> np.ndarray:
+    """(min SINR over the L nearest, SINR of the L-th) per row, shape (rows, 2).
+
+    ``act_p`` and ``act_q`` are the transmit marks at p and at q; the L
+    nearest BSs read the first, the others the second.
+    """
     L = scenario.L
     near = pw[:, :L]
-    act_p = u[:, :L] < scenario.p
+    act_p = act_p[:, :L]
     t_part = np.sum(near, axis=1, where=act_p, keepdims=True)
-    t_bg = np.sum(pw[:, L:] * (u[:, L:] < scenario.q), axis=1, keepdims=True)
+    t_bg = np.sum(pw[:, L:] * act_q[:, L:], axis=1, keepdims=True)
     denom = t_part - np.where(act_p, near, 0.0) + t_bg + scenario.noise_sigma2
     with np.errstate(divide="ignore"):
         sinr = np.where(denom > 0.0, near / denom, math.inf)
     return np.column_stack((sinr.min(axis=1), sinr[:, L - 1]))
 
 
-def _group_bands(pw, u, labels, K: int, cap: int):
-    """Reorder columns so that each band's members are contiguous, nearest first.
-
-    Returns the reordered ``pw`` and ``u`` and, per band, its column
-    mask (None for a single band), the index of its ``cap`` nearest
-    members into a (rows, n) array and which of those exist.  With each
-    band contiguous, a masked row sum or a running sum adds the same
-    terms in the same order as a sum over the band alone.
-    """
-    rows, n = pw.shape
-    slots = np.arange(cap)
-    row = np.arange(rows)[:, None]
-    if labels is None:
-        cols = np.broadcast_to(np.minimum(slots, n - 1), (rows, cap))
-        return pw, u, [(None, (row, cols), slots < n)]
-    order = np.argsort(labels, axis=1, kind="stable")
-    pw, u, labels = pw[row, order], u[row, order], labels[row, order]
-    bands = []
-    start = np.zeros((rows, 1), dtype=np.int64)
-    for band in range(1, K + 1):
-        mask = labels == band
-        count = np.count_nonzero(mask, axis=1)[:, None]
-        bands.append((mask, (row, np.minimum(start + slots, n - 1)), slots < count))
-        start = start + count
-    return pw, u, bands
-
-
-def _prefix_min_sinr(pw: np.ndarray, u: np.ndarray, labels, scenario: Scenario,
-                     cap: int) -> np.ndarray:
+def _prefix_min_sinr(pw: np.ndarray, act: np.ndarray, bands: _Bands,
+                     scenario: Scenario) -> np.ndarray:
     """Prefix-min SINR of each band's ``cap`` nearest members when p == q.
 
-    Shape (rows, K, cap), padded with -inf past a band's last member.
+    ``act`` holds the transmit marks at q.  Shape (rows, K, cap), padded
+    with -inf past a band's last member.
     """
-    pw, u, bands = _group_bands(pw, u, labels, scenario.K, cap)
-    act = u < scenario.q
-    out = np.empty((len(pw), scenario.K, cap))
-    for b, (mask, idx, valid) in enumerate(bands):
-        total = np.sum(pw, axis=1, where=act if mask is None else act & mask, keepdims=True)
-        denom = total - np.where(act[idx], pw[idx], 0.0) + scenario.noise_sigma2
-        with np.errstate(divide="ignore"):
-            sinr = np.where(denom > 0.0, pw[idx] / denom, math.inf)
-        out[:, b] = np.where(valid, np.minimum.accumulate(sinr, axis=1), -math.inf)
-    return out
+    pw_c, act_c = bands.members(pw), bands.members(act)
+    denom = bands.totals(pw, act) - np.where(act_c, pw_c, 0.0) + scenario.noise_sigma2
+    with np.errstate(divide="ignore"):
+        sinr = np.where(denom > 0.0, pw_c / denom, math.inf)
+    return np.where(bands.valid, np.minimum.accumulate(sinr, axis=2), -math.inf)
 
 
-def _upsilon(pw: np.ndarray, u: np.ndarray, labels, scenario: Scenario,
-             cap: int) -> np.ndarray:
+def _upsilon(pw: np.ndarray, act_p: np.ndarray, act_q: np.ndarray, bands: _Bands,
+             scenario: Scenario) -> np.ndarray:
     """Detectable-BS counts Upsilon per row.
 
     Upsilon is the largest candidate participant count ``ell`` (up to
     ``cap``, per band, summed over bands) for which the device detects
     all ``ell`` nearest band members while exactly those participate;
-    every candidate count shares one activity uniform per BS.  At
-    p == q, P(Upsilon >= L) is the joint-detection P_L, and the count
-    is the number of prefix-min SINRs clearing the threshold.
-    Otherwise all candidate counts ``ell`` are checked at once: entry
-    (ell, k) of a (rows, cap, cap) array tests member k < ell against
-    the interference of the ``ell`` participants and of the loaded BSs
-    beyond them.
+    every candidate count shares one transmit mark per BS (``act_p`` at
+    p, ``act_q`` at q).  At p == q, P(Upsilon >= L) is the
+    joint-detection P_L, and the count is the number of prefix-min
+    SINRs clearing the threshold.  Otherwise all candidate counts
+    ``ell`` are checked at once: entry (ell, k) of a (cap, cap) array
+    per band tests member k < ell against the interference of the
+    ``ell`` participants and of the loaded band members beyond them.
     """
-    p, q, thr = scenario.p, scenario.q, scenario.beta / scenario.gamma
-    if p == q:
-        return np.sum(_prefix_min_sinr(pw, u, labels, scenario, cap) >= thr, axis=(1, 2))
-    pw, u, bands = _group_bands(pw, u, labels, scenario.K, cap)
+    thr = scenario.beta / scenario.gamma
+    if scenario.p == scenario.q:
+        return np.sum(_prefix_min_sinr(pw, act_q, bands, scenario) >= thr, axis=(1, 2))
+    cap = bands.cap
     slots = np.arange(cap)
-    earlier = slots[None, :] <= slots[:, None]  # [ell - 1, k]: k < ell
-    counts = np.zeros(len(pw), dtype=np.int64)
-    for mask, idx, valid in bands:
-        member = np.ones(pw.shape, dtype=bool) if mask is None else mask
-        pw_c = pw[idx]
-        act = u[idx] < p
-        near = np.cumsum(pw * ((u < p) & member), axis=1)[idx]
-        near = near[:, :, None] - (act * pw_c)[:, None, :]
-        running_q = np.cumsum(pw * ((u < q) & member), axis=1)
-        far = running_q[:, -1:] - running_q[idx]
-        denom = near + far[:, :, None] + scenario.noise_sigma2
-        passes = np.all((pw_c[:, None, :] >= thr * denom) | ~earlier, axis=2) & valid
-        counts += np.max(np.where(passes, slots + 1, 0), axis=1)
-    return counts
+    untested = slots[None, :] > slots[:, None]  # [ell - 1, k]: k >= ell
+    near = bands.running_sums(pw, act_p)[:, :, :cap].reshape(-1, cap)
+    running_q = bands.running_sums(pw, act_q)
+    far = (running_q[:, :, -1:] - running_q[:, :, :cap]).reshape(-1, cap)
+    pw_c = bands.members(pw)
+    own = (bands.members(act_p) * pw_c).reshape(-1, cap)
+    pw_c = pw_c.reshape(-1, cap)
+    # The (ell, k) tests of every band of every row, a few bands at a
+    # time so that no temporary outgrows _SCRATCH_BYTES.
+    passes = np.empty(pw_c.shape, dtype=bool)
+    step = max(1, _SCRATCH_BYTES // (8 * cap * cap))
+    for first in range(0, len(pw_c), step):
+        part = slice(first, first + step)
+        denom = near[part, :, None] - own[part, None, :]
+        denom += far[part, :, None]
+        denom += scenario.noise_sigma2
+        denom *= thr
+        np.all((pw_c[part, None, :] >= denom) | untested, axis=2, out=passes[part])
+    passes &= bands.valid.reshape(-1, cap)
+    best = np.max(np.where(passes, slots + 1, 0), axis=1)
+    return best.reshape(len(pw), -1).sum(axis=1)
 
 
 # --- chunked collection across realizations -------------------------------
@@ -387,18 +482,19 @@ def _block_stats(
 ) -> np.ndarray:
     """One collector's statistics of ``block`` for every sibling, (rows, S, ...)."""
     draws = _BlockDraws(config, block, rows)
-    u, cap = draws.activity, config.upsilon_cap
     stats = []
     for scenario in family:
-        pw, labels = draws.powers(scenario), draws.labels(scenario.K)
+        pw, act_q = draws.powers(scenario), draws.active(scenario.q)
         if kind == "margins":
-            stats.append(_margins(pw, u, scenario))
+            stats.append(_margins(pw, draws.active(scenario.p), act_q, scenario))
         elif kind == "upsilon":
-            stats.append(_upsilon(pw, u, labels, scenario, cap))
+            bands = draws.bands(scenario.K)
+            stats.append(_upsilon(pw, draws.active(scenario.p), act_q, bands, scenario))
         else:
             # At least L band prefix-minima clear a level exactly when the
             # L-th largest of them does.
-            cummins = _prefix_min_sinr(pw, u, labels, scenario, cap).reshape(rows, -1)
+            bands = draws.bands(scenario.K)
+            cummins = _prefix_min_sinr(pw, act_q, bands, scenario).reshape(rows, -1)
             stats.append(np.partition(cummins, -scenario.L, axis=1)[:, -scenario.L])
     return np.stack(stats, axis=1)
 

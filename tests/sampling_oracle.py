@@ -68,7 +68,7 @@ def block_rows(scenario: Scenario, config: SimConfig) -> tuple[np.ndarray, np.nd
         draws = simulate._BlockDraws(config, first // size, min(size, shape[0] - first))
         rows = slice(first, first + draws.rows)
         distances[rows] = draws.distances(scenario)
-        active[rows] = marks(draws.activity, scenario.L, scenario.p, scenario.q)
+        active[rows] = marks(draws.activity(), scenario.L, scenario.p, scenario.q)
     return distances, active
 
 

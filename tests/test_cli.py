@@ -565,6 +565,17 @@ class TestSubcommands:
                 "^error: realizations must be",
             ),
             ("e911", None, ["--trials", "50"], "^error: trials must be"),
+            # A figure rejects a sample size it cannot use under its own name.
+            ("figure", None, ["fig5", "--realizations", "7"], "^error: realizations: fig5"),
+            ("figure", "realizations = 7", ["fig6"], "^error: realizations: fig6"),
+            (
+                "figure", None, ["fig2", "--realizations", "50"],
+                "^error: realizations must be >= 100 for fig2, got 50",
+            ),
+            (
+                "figure", "realizations = 50", ["fig2"],
+                "^error: realizations must be >= 100 for fig2, got 50",
+            ),
             ("analytic", None, ["--config", "nofile.cfg"], "^error: .*nofile.cfg"),
             # Levels above the Upsilon cap would print 0 instead of P_L.
             (
@@ -584,6 +595,8 @@ class TestSubcommands:
             "truth_mode", "realizations", "alpha", "mc", "k_list", "grid", "base_method",
             "reuse_p_not_q", "reuse_alpha", "realizations_zero",
             "figure_realizations_zero", "e911_trials",
+            "fig5_realizations_flag", "fig6_realizations_config",
+            "fig2_realizations_flag", "fig2_realizations_config",
             "missing_config", "hexgrid_l_max_above_cap", "reuse_l_above_cap",
         ],
     )

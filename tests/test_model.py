@@ -283,5 +283,6 @@ class TestSinrOf:
             real = Realization(d, u < np.where(np.arange(8) < 3, 0.6, 0.8),
                                np.ones(8, dtype=np.int64), u)
             sinrs = [sinr_of(real, k, 3, scen) for k in (1, 2, 3)]
-            margins = _margins(_powers(d[None], scen), u[None], scen)[0]
+            pw = _powers(d[None], scen)
+            margins = _margins(pw, u[None] < scen.p, u[None] < scen.q, scen)[0]
             np.testing.assert_allclose(margins, [min(sinrs), sinrs[2]], rtol=1e-12)

@@ -7,7 +7,8 @@ at fixed seeds.
 
 The block kernels of the collectors are checked row by row against the
 scalar per-realization statistics below, which are the reference
-implementation.  The reuse margin is checked against the count-based
+implementation, and bit for bit against the band-by-band kernels of
+``band_reference``.  The reuse margin is checked against the count-based
 reuse success it replaces.
 """
 
@@ -30,6 +31,7 @@ from hearability.simulate import (
     reuse_success_curve,
     stream,
 )
+import band_reference
 from sampling_oracle import Realization, block_rows, conditional_law_samples, marks
 
 SCEN = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, beta=0.1, gamma=1.0, L=4)
@@ -39,7 +41,7 @@ PARTIAL = SCEN.replace(p=2.0 / 3.0)
 def _sample_block(scen, config, block, rows):
     """Distances, activity uniforms and band labels of one block, each (rows, n)."""
     draws = simulate._BlockDraws(config, block, rows)
-    return draws.distances(scen), draws.activity, draws.labels(scen.K)
+    return draws.distances(scen), draws.activity(), draws.labels(scen.K)
 
 
 def _block_stats(kind, scen, config, block, rows):
@@ -176,7 +178,8 @@ def participation_metric(
     labels = realization.bands[None] if scenario.K > 1 else None
     pw = simulate._powers(realization.distances, scenario)[None]
     u = realization.activity_u[None]
-    return int(simulate._upsilon(pw, u, labels, scenario, cap)[0])
+    bands = simulate._Bands(labels, scenario.K, cap, pw.shape)
+    return int(simulate._upsilon(pw, u < scenario.p, u < scenario.q, bands, scenario)[0])
 
 
 def cfg(n: int, seed: int = 0, **kw) -> SimConfig:
@@ -185,9 +188,10 @@ def cfg(n: int, seed: int = 0, **kw) -> SimConfig:
 
 def _block_cummins(scen, config, block, rows):
     """Per-band prefix-min SINRs of one block, (rows, K, upsilon_cap)."""
-    d, u, labels = _sample_block(scen, config, block, rows)
-    pw = simulate._powers(d, scen)
-    return simulate._prefix_min_sinr(pw, u, labels, scen, config.upsilon_cap)
+    draws = simulate._BlockDraws(config, block, rows)
+    return simulate._prefix_min_sinr(
+        draws.powers(scen), draws.active(scen.q), draws.bands(scen.K), scen
+    )
 
 
 def _band_cummins(scen, config):
@@ -630,6 +634,9 @@ _KERNEL_CASES = {
     "ppp-K6-p=q": (SCEN.replace(K=6, p=0.7, q=0.7, beta=0.02), {}),
     "hex-shadow-K6-p!=q": (SCEN.replace(K=6, p=0.5, q=0.75, beta=0.02), _HEX_SHADOWED),
     "hex-shadow-K1-p=q": (SCEN.replace(beta=0.05), _HEX_SHADOWED),
+    # Every transmit mark is set, so no activity uniform is drawn.
+    "ppp-K6-p=q=1": (SCEN.replace(K=6, beta=0.02), {}),
+    "hex-shadow-K6-p=q=1": (SCEN.replace(K=6, beta=0.02), _HEX_SHADOWED),
 }
 
 
@@ -669,6 +676,27 @@ class TestBlockKernelsMatchOracle:
                                           scen.noise_sigma2, config.upsilon_cap),
                         rtol=1e-12,
                     )
+
+    @pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+    def test_bits_match_the_sorted_reference(self, case):
+        # The all-band kernels against the band-by-band kernels on
+        # label-sorted rows: same terms in the same order, same bits.
+        scen, extra = _KERNEL_CASES[case]
+        config = cfg(3 * simulate._BLOCK, seed=71, expected_bs=120,
+                     upsilon_cap=12, **extra)
+        cap = config.upsilon_cap
+        for block in range(3):
+            draws = simulate._BlockDraws(config, block, simulate._BLOCK)
+            pw, u, labels = draws.powers(scen), draws.activity(), draws.labels(scen.K)
+            act_p, act_q = draws.active(scen.p), draws.active(scen.q)
+            bands = draws.bands(scen.K)
+            got = simulate._upsilon(pw, act_p, act_q, bands, scen)
+            want = band_reference.upsilon(pw, u, labels, scen, cap)
+            assert got.tobytes() == want.tobytes()
+            if scen.p == scen.q:
+                got = simulate._prefix_min_sinr(pw, act_q, bands, scen)
+                want = band_reference.prefix_min_sinr(pw, u, labels, scen, cap)
+                assert got.tobytes() == want.tobytes()
 
     def test_some_rows_detect_and_some_fail(self):
         # Guards the case table: counts must neither all vanish nor all cap.
@@ -775,3 +803,50 @@ class TestFamilies:
         with pytest.raises(ValueError) as together:
             collect([SCEN, bad, SCEN.replace(K=3)], config)
         assert str(together.value) == str(alone.value)
+
+
+class TestActivityDraws:
+    """The activity uniforms are drawn only when some mark reads them."""
+
+    @staticmethod
+    def _roles(monkeypatch):
+        roles = []
+
+        def recording(seed, index, role):
+            roles.append((index, role))
+            return stream(seed, index, role)
+
+        monkeypatch.setattr(simulate, "stream", recording)
+        return roles
+
+    @pytest.mark.parametrize("deployment", sorted(_FAMILY_CONFIGS))
+    @pytest.mark.parametrize(
+        "collect", [collect_margins, collect_upsilon, collect_reuse_margins],
+        ids=["margins", "upsilon", "reuse"],
+    )
+    def test_full_activity_draws_no_uniforms(self, monkeypatch, deployment, collect):
+        family = [SCEN.replace(beta=0.02), SCEN.replace(K=6, beta=0.02, L=2)]
+        config = cfg(2 * simulate._BLOCK + 5, seed=83, expected_bs=100, upsilon_cap=12,
+                     **_FAMILY_CONFIGS[deployment])
+        roles = self._roles(monkeypatch)
+        collect(family, config)
+        assert roles and all(role != simulate._ROLE_ACTIVITY for _, role in roles)
+
+    @pytest.mark.parametrize(
+        "collect, partial",
+        [
+            (collect_margins, SCEN.replace(p=0.5, q=0.75)),
+            (collect_upsilon, SCEN.replace(p=0.5, q=0.75)),
+            (collect_reuse_margins, SCEN.replace(p=0.5, q=0.5)),
+        ],
+        ids=["margins", "upsilon", "reuse"],
+    )
+    def test_mixed_family_draws_once_per_block(self, monkeypatch, collect, partial):
+        family = [SCEN.replace(beta=0.02, K=3), partial.replace(beta=0.02), SCEN]
+        config = cfg(2 * simulate._BLOCK + 5, seed=89, expected_bs=100, upsilon_cap=12)
+        alone = [collect(scen, config).tobytes() for scen in family]
+        roles = self._roles(monkeypatch)
+        together = collect(family, config)
+        activity = sorted(index for index, role in roles if role == simulate._ROLE_ACTIVITY)
+        assert activity == [0, 1, 2]
+        assert [stat.tobytes() for stat in together] == alone
