@@ -10,11 +10,12 @@ import numpy as np
 
 from hearability.analytic import Method
 from hearability.model import Scenario
-from hearability.reuse import ReuseQuery, pl_with_reuse
+from hearability.reuse import ReuseQuery, pl_with_reuse_grid
 from hearability.simulate import SimConfig, reuse_success_curve
 
 BASE = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, beta=1.0, gamma=1.0, L=4)
 GRID = np.arange(-20.0, 0.5, 2.0)
+KS = (1, 3, 6)
 
 
 def main() -> None:
@@ -23,34 +24,33 @@ def main() -> None:
     print("=" * 72)
     print(" rec = recursion over per-band counts, mc = band-level simulation\n")
 
-    columns = {}
-    for K in (1, 3, 6):
-        scen = BASE.replace(K=K)
-        rec = [
-            pl_with_reuse(
-                ReuseQuery(
-                    scen.replace(beta=10.0 ** (g / 10.0)),
-                    Method.SINGLE_INTEGRAL_ALPHA4,
-                )
-            )
-            for g in GRID
-        ]
-        mc = [
-            est.estimate
-            for est in reuse_success_curve(
-                scen, SimConfig(realizations=10000, seed=0), 10.0 ** (GRID / 10.0)
-            )
-        ]
-        columns[K] = (rec, mc)
+    scenarios = [BASE.replace(K=K) for K in KS]
+    # One call for every K: the per-band table is evaluated once per point.
+    recursion = pl_with_reuse_grid([
+        ReuseQuery(
+            scen.replace(beta=10.0 ** (g / 10.0)), Method.SINGLE_INTEGRAL_ALPHA4
+        )
+        for scen in scenarios
+        for g in GRID
+    ])
+    # One family collection draws each Monte Carlo block once for all K.
+    curves = reuse_success_curve(
+        scenarios, SimConfig(realizations=10000, seed=0), 10.0 ** (GRID / 10.0)
+    )
+    n = len(GRID)
+    columns = {
+        K: (recursion[k * n:(k + 1) * n], [est.estimate for est in curves[k]])
+        for k, K in enumerate(KS)
+    }
 
     header = f"{'bg [dB]':>8}" + "".join(
-        f"{f'K={K} rec':>10}{f'K={K} mc':>9}" for K in (1, 3, 6)
+        f"{f'K={K} rec':>10}{f'K={K} mc':>9}" for K in KS
     )
     print(header)
     print("-" * len(header))
     for i, g in enumerate(GRID):
         row = f"{g:>8.0f}"
-        for K in (1, 3, 6):
+        for K in KS:
             rec, mc = columns[K]
             row += f"{rec[i]:>10.4f}{mc[i]:>9.4f}"
         print(row)

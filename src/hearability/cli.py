@@ -48,7 +48,6 @@ from .numerics import NonConvergenceError, QuadratureSpec
 from .reuse import ReuseQuery, pl_with_reuse_grid
 from .simulate import (
     Deployment,
-    McEstimate,
     SimConfig,
     collect_margins,
     exceedance_curve,
@@ -127,14 +126,16 @@ def _thresholds(grid_db) -> np.ndarray:
     return np.array([10.0 ** (g / 10.0) for g in grid_db])
 
 
-def _monte_carlo(specs: list[SweepSpec]) -> list[dict[str, list[McEstimate]]]:
-    """Each spec's Monte Carlo estimates over its grid, by method tag.
+def _shared(specs: list[SweepSpec]) -> list[dict[str, list]]:
+    """Each spec's values over its grid for the tags computed once per family.
 
-    The specs share ``sim`` and ``workers``, so each collector runs once
-    over the family of their scenarios.
+    The specs share ``sim`` and ``workers``, so each Monte Carlo collector
+    runs once over the family of their scenarios, and the ``ReuseRecursion``
+    specs share one :func:`pl_with_reuse_grid` call, which evaluates each
+    band point once for every K.
     """
     sim, workers = specs[0].sim, specs[0].workers
-    out: list[dict[str, list[McEstimate]]] = [{} for _ in specs]
+    out: list[dict[str, list]] = [{} for _ in specs]
     joint = [i for i, spec in enumerate(specs)
              if {"MonteCarloJoint", "MonteCarloLastBs"} & set(spec.methods)]
     if joint:
@@ -155,11 +156,18 @@ def _monte_carlo(specs: list[SweepSpec]) -> list[dict[str, list[McEstimate]]]:
         for i, curve in zip(reuse, curves):
             at = dict(zip(grid, curve))
             out[i]["MonteCarloReuse"] = [at[g] for g in specs[i].grid_db]
+    recursion = [i for i, spec in enumerate(specs) if "ReuseRecursion" in spec.methods]
+    flat = iter(pl_with_reuse_grid([
+        ReuseQuery(_at_threshold(spec.scenario, g), spec.base_method, spec.quad)
+        for spec in (specs[i] for i in recursion) for g in spec.grid_db
+    ]))
+    for i in recursion:
+        out[i]["ReuseRecursion"] = [next(flat) for _ in specs[i].grid_db]
     return out
 
 
-def _spec_rows(spec: SweepSpec, mc: dict[str, list[McEstimate]]) -> list[Row]:
-    """One spec's rows; ``mc`` holds its Monte Carlo estimates by method tag."""
+def _spec_rows(spec: SweepSpec, shared: dict[str, list]) -> list[Row]:
+    """One spec's rows; ``shared`` holds its values computed for the family."""
     rows: list[Row] = []
     scen = spec.scenario
 
@@ -172,13 +180,11 @@ def _spec_rows(spec: SweepSpec, mc: dict[str, list[McEstimate]]) -> list[Row]:
     points = [_at_threshold(scen, g) for g in spec.grid_db]
     for tag in spec.methods:
         if tag in _MC_TAGS:
-            for g, est in zip(spec.grid_db, mc[tag]):
+            for g, est in zip(spec.grid_db, shared[tag]):
                 rows.append(base_row(g, tag, est.estimate, est.stderr))
             continue
         if tag == "ReuseRecursion":
-            values = pl_with_reuse_grid(
-                [ReuseQuery(point, spec.base_method, spec.quad) for point in points]
-            )
+            values = shared[tag]
         else:
             values = evaluate_grid(Method(tag), points, spec.quad)
         for g, value in zip(spec.grid_db, values):
@@ -199,16 +205,18 @@ def run_sweeps(specs: Sequence[SweepSpec]) -> list[Row]:
     """Every spec's rows, in spec order, for specs that share ``sim`` and ``workers``.
 
     The Monte Carlo rows come from one collection over the family of the
-    specs' scenarios, which draws each block once; each spec gets the
-    rows :func:`run_sweep` gives it alone.
+    specs' scenarios, which draws each block once, and the
+    ``ReuseRecursion`` rows from one per-band table, so those specs must
+    also share L, alpha, p, q, ``base_method`` and ``quad``.  Each spec
+    gets the rows :func:`run_sweep` gives it alone.
     """
     specs = list(specs)
     if any(s.sim != specs[0].sim or s.workers != specs[0].workers for s in specs):
         raise ValueError("run_sweeps needs specs that share sim and workers")
     if not specs:
         return []
-    return [row for spec, mc in zip(specs, _monte_carlo(specs))
-            for row in _spec_rows(spec, mc)]
+    return [row for spec, shared in zip(specs, _shared(specs))
+            for row in _spec_rows(spec, shared)]
 
 
 def run_sweep(spec: SweepSpec) -> list[Row]:
@@ -565,11 +573,21 @@ def read_config(path: Path) -> dict[str, str]:
     return out
 
 
+def _distinct(values: tuple) -> tuple:
+    """``values``; an entry given twice would write its rows twice."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{value} is listed twice")
+    return values
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     values = tuple(int(t) for t in text.split(",") if t.strip())
     if not values:
         raise ValueError("empty list")
-    return values
+    if min(values) < 1:
+        raise ValueError(f"entries must be positive integers, got {min(values)}")
+    return _distinct(values)
 
 
 def _methods(text: str) -> tuple[str, ...]:
@@ -581,7 +599,7 @@ def _methods(text: str) -> tuple[str, ...]:
             )
     if not tags:
         raise ValueError("empty methods list")
-    return tags
+    return _distinct(tags)
 
 
 def _bit(text: str) -> bool:

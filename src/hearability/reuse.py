@@ -11,9 +11,10 @@ detections among the bands, i.e. the low-order coefficients of the
 K-fold convolution of ``e``.
 
 The construction requires a single per-band detectability ordering,
-which holds when muting and load coincide (``p = q``).
-:func:`pl_with_reuse_grid` evaluates a beta/gamma grid with one
-:func:`~hearability.analytic.evaluate_grid` call per level ``n``.
+which holds when muting and load coincide (``p = q``).  No evaluator
+reads the density or the noise, so the per-band ``P_n`` depend on ``beta``
+and ``gamma`` only: :func:`pl_with_reuse_grid` evaluates each distinct
+point of a family of queries once per level ``n``, for every ``K``.
 """
 
 from __future__ import annotations
@@ -38,7 +39,9 @@ class ReuseQuery:
         scenario: network parameters; ``scenario.K`` is the reuse
             factor and ``p == q`` is required.
         base_method: analytic evaluator used for the per-band ``P_n``
-            values at density ``lam / K``.
+            values at density ``lam / K``; they depend on ``beta`` and
+            ``gamma`` only, so queries that differ in ``K`` or ``lam``
+            share them.
         quad: quadrature control for integral-backed base methods.
     """
 
@@ -59,28 +62,30 @@ class ReuseQuery:
 def _count_pmfs(queries: list[ReuseQuery]) -> list:
     """:func:`exact_count_pmf` of every query, one grid call per level n.
 
-    A query whose level ``P_n`` does not converge gets that level's
+    Each distinct ``(beta, gamma)`` is evaluated once per level for all
+    its queries, whatever their ``K`` and ``lam``.  A point whose level
+    ``P_n`` does not converge gets that level's
     :class:`NonConvergenceError` and leaves the later levels.
     """
     first = queries[0]
     L = first.scenario.L
-    if len({(q.scenario.L, q.base_method, q.quad) for q in queries}) > 1:
-        raise ValueError("grid queries must share L, base_method and quad")
-    levels: list = [[1.0] for _ in queries]  # P_0 = 1
+    if len({(q.scenario.L, q.scenario.alpha, q.scenario.p, q.base_method, q.quad)
+            for q in queries}) > 1:  # q = p in every query
+        raise ValueError("grid queries must share L, alpha, p, q, base_method and quad")
+    points = {(q.scenario.beta, q.scenario.gamma): q.scenario for q in queries}
+    levels: dict = {pt: [1.0] for pt in points}  # P_0 = 1
     for n in range(1, L + 1):
-        rows = [k for k, lv in enumerate(levels) if isinstance(lv, list)]
-        bands = [
-            queries[k].scenario.replace(
-                L=n, K=1, lam=queries[k].scenario.lam / queries[k].scenario.K
-            )
-            for k in rows
-        ]
-        for k, value in zip(rows, evaluate_grid(first.base_method, bands, first.quad)):
+        live = [pt for pt, lv in levels.items() if isinstance(lv, list)]
+        # The band of one query at each point: density lam / K, one band.
+        bands = [s.replace(L=n, K=1, lam=s.lam / s.K) for s in map(points.get, live)]
+        for pt, value in zip(live, evaluate_grid(first.base_method, bands, first.quad)):
             if isinstance(value, NonConvergenceError):
-                levels[k] = value
+                levels[pt] = value
             else:
-                levels[k].append(value)
-    return [lv if isinstance(lv, NonConvergenceError) else _pmf(lv, L) for lv in levels]
+                levels[pt].append(value)
+    for pt, lv in levels.items():
+        levels[pt] = lv if isinstance(lv, NonConvergenceError) else _pmf(lv, L)
+    return [levels[q.scenario.beta, q.scenario.gamma] for q in queries]
 
 
 def _pmf(levels: list[float], L: int) -> np.ndarray:
@@ -117,16 +122,17 @@ def _failure_by_convolution(e: np.ndarray, K: int, L: int) -> float:
 def pl_with_reuse_grid(
     queries: Sequence[ReuseQuery],
 ) -> list[float | NonConvergenceError]:
-    """:func:`pl_with_reuse` at every point of a beta/gamma grid.
+    """:func:`pl_with_reuse` at every query of a family.
 
     The queries share ``L``, ``alpha``, ``p``, ``q``, ``base_method`` and
-    ``quad`` and differ in ``beta`` (and may differ in ``K``).  The
-    per-band ``P_n`` table comes from one
-    :func:`~hearability.analytic.evaluate_grid` call per level n, so
-    every point gets the bits a one-point call gives it.
+    ``quad``; they differ in ``beta`` and may differ in ``gamma``, ``K``
+    and ``lam``.  The per-band ``P_n`` table depends on beta and gamma
+    only, so each distinct point is evaluated once for the whole family,
+    with one :func:`~hearability.analytic.evaluate_grid` call per level
+    n, and every query gets the bits a one-point call gives it.
 
     Returns:
-        Per point, P_L across all K bands, or the
+        Per query, P_L across all K bands, or the
         :class:`NonConvergenceError` of the point's first per-band level
         that did not converge.  That error carries one band's ``P_n``,
         not the reuse P_L.

@@ -338,6 +338,15 @@ def _figure_specs(monkeypatch, name: str, realizations: int) -> list[SweepSpec]:
     return specs
 
 
+def _reuse_specs(monkeypatch, tmp_path, *flags: str) -> list[SweepSpec]:
+    """The specs ``hearability reuse`` hands to ``run_sweeps``."""
+    specs: list[SweepSpec] = []
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "run_sweeps", lambda family: specs.extend(family) or [])
+        main(["reuse", *flags, "--out", str(tmp_path / "x.csv"), "--no-timestamp"])
+    return specs
+
+
 class TestRunSweeps:
     @pytest.mark.parametrize("name", ["fig8", "fig9"])
     def test_family_rows_match_one_sweep_per_spec(self, monkeypatch, name):
@@ -345,6 +354,37 @@ class TestRunSweeps:
         assert len(specs) > 1
         alone = [row for spec in specs for row in run_sweep(spec)]
         assert run_sweeps(specs) == alone
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--k-list", "1,3,6"],
+            ["--k-list", "6,1,3", "--l", "6", "--alpha", "3",
+             "--base-method", "DoubleIntegral"],
+            ["--k-list", "1,3,6", "--mc", "--realizations", "40"],
+        ],
+        ids=["recursion", "double-integral", "with-mc"],
+    )
+    def test_reuse_rows_match_one_sweep_per_spec(self, monkeypatch, tmp_path, flags):
+        specs = _reuse_specs(monkeypatch, tmp_path, *flags)
+        assert sorted(spec.scenario.K for spec in specs) == [1, 3, 6]
+        alone = [row for spec in specs for row in run_sweep(spec)]
+        assert run_sweeps(specs) == alone
+
+    def test_reuse_recursion_specs_share_one_table(self, monkeypatch):
+        specs = _figure_specs(monkeypatch, "fig9", 40)
+        recursion_only = [
+            dataclasses.replace(s, methods=("ReuseRecursion",)) for s in specs
+        ]
+        for change in ({"L": 5}, {"alpha": 4.5, "p": 0.5, "q": 0.5}):
+            other = dataclasses.replace(
+                recursion_only[0], scenario=recursion_only[0].scenario.replace(**change)
+            )
+            with pytest.raises(ValueError, match="share"):
+                run_sweeps([*recursion_only, other])
+        base = dataclasses.replace(recursion_only[0], base_method=Method.UPPER_BOUND)
+        with pytest.raises(ValueError, match="share"):
+            run_sweeps([*recursion_only, base])
 
     def test_specs_must_share_sim_and_workers(self):
         scen = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, beta=1.0, gamma=1.0, L=2)
@@ -554,6 +594,21 @@ class TestSubcommands:
             ("analytic", "alpha = four", [], "^error: alpha: "),
             ("reuse", "mc = true", [], "^error: mc: "),
             ("reuse", None, ["--k-list", "1,x"], "^error: k_list: "),
+            # A repeated entry would write its rows twice.
+            (
+                "reuse", None, ["--k-list", "1,1,3"],
+                "^error: k_list: 1 is listed twice",
+            ),
+            ("reuse", "k_list = 3,6,3", [], "^error: k_list: 3 is listed twice"),
+            ("e911", None, ["--grid", "4,4,5"], "^error: grid: 4 is listed twice"),
+            (
+                "analytic", None, ["--methods", "UpperBound,UpperBound"],
+                "^error: methods: UpperBound is listed twice",
+            ),
+            (
+                "reuse", None, ["--k-list", "0"],
+                "^error: k_list: entries must be positive",
+            ),
             ("e911", None, ["--grid", "4,x"], "^error: grid: "),
             ("reuse", None, ["--base-method", "Bogus"], "^error: base_method: "),
             # Values the table accepts but the library rejects.
@@ -592,7 +647,9 @@ class TestSubcommands:
             ),
         ],
         ids=[
-            "truth_mode", "realizations", "alpha", "mc", "k_list", "grid", "base_method",
+            "truth_mode", "realizations", "alpha", "mc", "k_list",
+            "k_list_repeat", "k_list_repeat_config", "grid_repeat", "methods_repeat",
+            "k_list_zero", "grid", "base_method",
             "reuse_p_not_q", "reuse_alpha", "realizations_zero",
             "figure_realizations_zero", "e911_trials",
             "fig5_realizations_flag", "fig6_realizations_config",

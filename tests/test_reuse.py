@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from hearability.analytic import Method, evaluate
+from hearability import reuse
+from hearability.analytic import Method, evaluate, evaluate_grid
 from hearability.model import Scenario
 from hearability.numerics import NonConvergenceError, QuadratureSpec
 from hearability.reuse import (
@@ -153,4 +154,108 @@ class TestReuseGrid:
     def test_queries_must_share_the_level_and_quadrature(self):
         with pytest.raises(ValueError, match="share"):
             pl_with_reuse_grid([ReuseQuery(scen(5.0)), ReuseQuery(scen(5.0, L=5))])
+        # A point shared across families must not hide the mismatch.
+        for change in ({"alpha": 3.0}, {"p": 0.5, "q": 0.5}):
+            with pytest.raises(ValueError, match="share"):
+                pl_with_reuse_grid([
+                    ReuseQuery(scen(5.0), Method.DOUBLE_INTEGRAL),
+                    ReuseQuery(scen(5.0).replace(**change), Method.DOUBLE_INTEGRAL),
+                ])
         assert pl_with_reuse_grid([]) == []
+
+
+# Every base method ReuseQuery accepts, at each (alpha, p = q) it is defined at.
+_BAND_CASES = [
+    (method, alpha, p)
+    for method in Method
+    if method != Method.PROC_GAIN_BOUND
+    for alpha in (
+        (4.0,) if method in (Method.SINGLE_INTEGRAL_ALPHA4, Method.NEAR_FIELD_ALPHA4)
+        else (3.0, 4.0)
+    )
+    for p in (1.0, 0.5)
+]
+
+
+def _grid(K: int = 1, L: int = 4, alpha: float = 4.0, p: float = 1.0, gamma=1.0):
+    """21 queries' scenarios, beta from 0 to 20 dB below 1."""
+    return [
+        Scenario(
+            lam=2.0, alpha=alpha, p=p, q=p, beta=10.0 ** (-db / 10.0), gamma=gamma,
+            L=L, K=K,
+        )
+        for db in range(21)
+    ]
+
+
+class TestFamilyTable:
+    """One per-band table serves every K: the band P_n ignores lam and noise."""
+
+    @pytest.mark.parametrize(
+        "method,alpha,p", _BAND_CASES, ids=lambda v: getattr(v, "value", v)
+    )
+    def test_band_values_ignore_the_density(self, method, alpha, p):
+        base = _grid(alpha=alpha, p=p)
+        expected = [v.hex() for v in evaluate_grid(method, base)]
+        for scale in (3.0, 6.0):
+            for noise in (0.0, 0.1):
+                band = [s.replace(lam=s.lam / scale, noise_sigma2=noise) for s in base]
+                assert [v.hex() for v in evaluate_grid(method, band)] == expected
+
+    @pytest.mark.parametrize(
+        "method,alpha,p",
+        [
+            (Method.SINGLE_INTEGRAL_ALPHA4, 4.0, 1.0),
+            (Method.DOUBLE_INTEGRAL, 3.0, 1.0),
+            (Method.SINGLE_INTEGRAL_GENERAL, 3.0, 0.5),
+            (Method.UPPER_BOUND, 4.0, 0.5),
+        ],
+    )
+    def test_mixed_k_call_equals_the_per_k_calls(self, method, alpha, p):
+        # K = 3 also appears at gamma = 2: the same betas at other beta/gamma.
+        parts = [
+            [ReuseQuery(s, method) for s in _grid(K=K, L=6, alpha=alpha, p=p, gamma=g)]
+            for K, g in ((6, 1.0), (1, 1.0), (3, 1.0), (3, 2.0))
+        ]
+        mixed = pl_with_reuse_grid([q for part in parts for q in part])
+        alone = [v for part in parts for v in pl_with_reuse_grid(part)]
+        assert [v.hex() for v in mixed] == [v.hex() for v in alone]
+
+    def test_each_distinct_point_is_evaluated_once_per_level(self, monkeypatch):
+        calls = []
+
+        def counting(method, points, quad):
+            calls.append([(s.L, s.beta, s.gamma) for s in points])
+            return evaluate_grid(method, points, quad)
+
+        monkeypatch.setattr(reuse, "evaluate_grid", counting)
+        queries = [ReuseQuery(s) for K in (1, 3, 6) for s in _grid(K=K)]
+        pl_with_reuse_grid(queries)
+        assert len(calls) == 4
+        distinct = {(s.beta, s.gamma) for s in _grid()}
+        for n, points in enumerate(calls, start=1):
+            assert len(points) == len(distinct) == 21
+            assert {(b, g) for _, b, g in points} == distinct
+            assert {L for L, _, _ in points} == {n}
+
+    def test_nonconvergence_flags_the_same_rows_for_every_k(self):
+        # One halving per panel fails the L = 6 levels at large gamma/beta.
+        quad = QuadratureSpec(max_depth=1)
+        per_k = {
+            K: [ReuseQuery(s, quad=quad) for s in _grid(K=K, L=6)] for K in (1, 3, 6)
+        }
+        mixed = pl_with_reuse_grid([q for K in (1, 3, 6) for q in per_k[K]])
+        flags = [
+            [isinstance(v, NonConvergenceError) for v in mixed[21 * k: 21 * (k + 1)]]
+            for k in range(3)
+        ]
+        assert any(flags[0]) and not all(flags[0])
+        assert flags[0] == flags[1] == flags[2]
+        for k, K in enumerate((1, 3, 6)):
+            alone = pl_with_reuse_grid(per_k[K])
+            for got, want in zip(mixed[21 * k: 21 * (k + 1)], alone):
+                if isinstance(want, NonConvergenceError):
+                    assert got.best_estimate == want.best_estimate
+                    assert got.error_estimate == want.error_estimate
+                else:
+                    assert got == want
