@@ -177,7 +177,9 @@ def _spec_rows(spec: SweepSpec, shared: dict[str, list]) -> list[Row]:
             method, value, stderr, comment,
         )
 
-    points = [_at_threshold(scen, g) for g in spec.grid_db]
+    points = []
+    if not _ANALYTIC_TAGS.isdisjoint(spec.methods):
+        points = [_at_threshold(scen, g) for g in spec.grid_db]
     for tag in spec.methods:
         if tag in _MC_TAGS:
             for g, est in zip(spec.grid_db, shared[tag]):

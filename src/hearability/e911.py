@@ -225,13 +225,34 @@ def ranging_stddev(post_sinr, cfg: E911Config):
     return cfg.speed_of_light / np.sqrt(8.0 * math.pi**2 * beta_rms_sq * post_sinr)
 
 
+# Leading columns whose SINRs ``_detect`` computes before it needs the rest.
+_DETECT_COLUMNS = 32
+
+
 def _detect(d: np.ndarray, scenario: Scenario, cfg: E911Config):
-    """Pre-processing SINRs (rows, n) of a fully loaded network, and detected counts."""
+    """Pre-processing SINRs of a fully loaded network, and detected counts.
+
+    The SINRs cover the first ``_DETECT_COLUMNS`` BSs of each row, or
+    all n when a row may detect a BS beyond them; the counts always
+    cover all n.  With the total power fixed, a BS's SINR grows with its
+    own power, so when the last leading BS is undetected and no later BS
+    is stronger, no later BS is detected either.
+    """
     pw = _powers(d, scenario)
-    denom = np.sum(pw, axis=1, keepdims=True) - pw
-    denom += scenario.noise_sigma2
-    sinr = np.divide(pw, denom, out=np.full_like(pw, math.inf), where=denom > 0.0)
-    return sinr, np.count_nonzero(sinr >= cfg.pre_sinr_threshold, axis=1)
+    total = np.sum(pw, axis=1, keepdims=True)
+    thr, c = cfg.pre_sinr_threshold, _DETECT_COLUMNS
+    sinr = _sinrs(pw[:, :c], total, scenario.noise_sigma2)
+    if c < pw.shape[1] and not np.all(
+        (sinr[:, -1] < thr) & (np.max(pw[:, c:], axis=1) <= pw[:, c - 1])
+    ):
+        sinr = _sinrs(pw, total, scenario.noise_sigma2)
+    return sinr, np.count_nonzero(sinr >= thr, axis=1)
+
+
+def _sinrs(pw: np.ndarray, total: np.ndarray, noise: float) -> np.ndarray:
+    denom = total - pw
+    denom += noise
+    return np.divide(pw, denom, out=np.full_like(pw, math.inf), where=denom > 0.0)
 
 
 def _draw(rng: np.random.Generator, cfg: E911Config, used: int) -> np.ndarray:
@@ -391,6 +412,18 @@ def _solve_batch(positions: np.ndarray, tdoas: np.ndarray, cov: np.ndarray):
     the stage-one condition numbers.  Each row takes the path
     ``solve_tdoa`` describes, independently of the other rows.
     """
+    seeds, condition = _closed_form(positions, tdoas, cov)
+    return (*_polish(len(positions), *seeds), condition)
+
+
+def _closed_form(positions: np.ndarray, tdoas: np.ndarray, cov: np.ndarray):
+    """Stages one and two of ``_solve_batch``: where the polish starts.
+
+    Returns ``(idx, start, label, positions[idx], tdoas[idx],
+    weight[idx])`` for the rows ``idx`` that reach the polish, with
+    their starting points and solver paths, and the stage-one condition
+    numbers of all N rows.
+    """
     condition = np.full(len(positions), math.nan)
     weight, live = _each(np.linalg.inv, cov.shape, cov)
     p_ref = positions[:, 0]
@@ -452,13 +485,22 @@ def _solve_batch(positions: np.ndarray, tdoas: np.ndarray, cov: np.ndarray):
     start[chan] = cand[np.arange(len(chan)), best] + p_ref[idx[chan]]
     label[chan] = _CHAN
 
-    x = _gauss_newton(start, positions[idx], tdoas[idx], weight[idx])
+    return (idx, start, label, positions[idx], tdoas[idx], weight[idx]), condition
+
+
+def _polish(n: int, idx, start, label, positions, tdoas, weight):
+    """Gauss-Newton from ``start`` on rows ``idx`` of n fixes.
+
+    Returns positions (n, 2), NaN without a fix, and indices into
+    ``_METHODS``; the other arguments are what ``_closed_form`` returns.
+    """
+    x = _gauss_newton(start, positions, tdoas, weight)
     fixed = np.all(np.isfinite(x), axis=1)
-    xy = np.full((len(positions), 2), math.nan)
+    xy = np.full((n, 2), math.nan)
     xy[idx[fixed]] = x[fixed]
-    method = np.full(len(positions), _NONE)
+    method = np.full(n, _NONE)
     method[idx[fixed]] = label[fixed]
-    return xy, method, condition
+    return xy, method
 
 
 def solve_tdoa(measurements: Observations, bs_positions: np.ndarray) -> FixOutcome:
@@ -503,7 +545,8 @@ def _outcome(detected, used, method, condition, xy, error) -> FixOutcome:
 
 # Columns of the per-trial outcome table.
 _DETECTED, _USED, _METHOD, _CONDITION, _X, _Y, _ERROR = range(7)
-# Rows per solver stack: bounds the solver's temporaries.
+# Rows per closed-form solver stack: bounds the temporaries of stages
+# one and two, which outweigh those of the polish.
 _SOLVE_ROWS = 256
 
 
@@ -513,7 +556,10 @@ def _trial_span(
     """Outcome table of trials ``start:stop``, shape (stop - start, 7).
 
     Geometry and detection run on whole blocks of the Monte Carlo
-    sampler; the fixes are then solved in stacks of equal used count.
+    sampler.  The fixes of each used count then take the closed-form
+    stages in stacks of ``_SOLVE_ROWS`` and one Gauss-Newton polish over
+    the whole span, so the polish runs once per used count however the
+    trials are cut into spans.
     """
     sim = SimConfig(realizations=1, seed=seed, expected_bs=cfg.expected_bs)
     out = np.full((stop - start, 7), math.nan)
@@ -535,15 +581,17 @@ def _trial_span(
     for m in np.unique(used):
         rows = trials[used == m]
         near = np.concatenate([b[u == m, :, :m] for _, u, b in heard if m in u])
+        seeds = []
         for at in range(0, len(rows), _SOLVE_ROWS):
             part = slice(at, at + _SOLVE_ROWS)
             draws = [_draw(stream(seed, start + i, ROLE_E911), cfg, m) for i in rows[part]]
             observed = _observe(near[part, 0], near[part, 1], np.array(draws), scenario, cfg)
-            xy, method, cond = _solve_batch(*observed[:3])
-            out[rows[part], _USED] = m
-            out[rows[part], _METHOD] = method
-            out[rows[part], _CONDITION] = cond
-            out[rows[part], _X : _Y + 1] = xy
+            (idx, *rest), out[rows[part], _CONDITION] = _closed_form(*observed[:3])
+            seeds.append((at + idx, *rest))
+        xy, method = _polish(len(rows), *(np.concatenate(c) for c in zip(*seeds)))
+        out[rows, _USED] = m
+        out[rows, _METHOD] = method
+        out[rows, _X : _Y + 1] = xy
     out[:, _ERROR] = np.hypot(out[:, _X], out[:, _Y])
     return out
 

@@ -19,18 +19,19 @@ def map_spans(
 ) -> np.ndarray:
     """``func(*args, start, stop)`` over spans covering ``range(n)``, concatenated.
 
-    With ``workers > 1`` the range is cut into about ``4 * workers`` spans
-    whose starts are multiples of ``align`` and the spans run in a process
-    pool.  A ``func`` whose rows depend only on their index (and, with
-    ``align``, on the block holding it) therefore returns the same array
-    for every worker count.
+    The range is cut into one span per worker, or one per block of
+    ``align`` rows when there are fewer blocks than workers, with starts
+    that are multiples of ``align``.  A single span runs in this process;
+    more run in a pool with one process per span.  A ``func`` whose rows
+    depend only on their index (and, with ``align``, on the block holding
+    it) therefore returns the same array for every worker count.
     """
-    if workers <= 1:
-        return func(*args, 0, n)
     units = -(-n // align)
-    bounds = np.minimum(np.linspace(0, units, 4 * workers + 1, dtype=int) * align, n)
-    spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    bounds = np.linspace(0, units, max(1, min(workers, units)) + 1, dtype=int) * align
+    spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], np.minimum(bounds[1:], n))]
+    if len(spans) == 1:
+        return func(*args, 0, n)
+    with ProcessPoolExecutor(max_workers=len(spans)) as pool:
         parts = list(pool.map(_run_span, [(func, args, a, b) for a, b in spans]))
     return np.concatenate(parts, axis=0)
 

@@ -371,6 +371,25 @@ class TestRunSweeps:
         alone = [row for spec in specs for row in run_sweep(spec)]
         assert run_sweeps(specs) == alone
 
+    def test_threshold_scenarios_only_for_analytic_tags(self, monkeypatch, tmp_path):
+        specs = _reuse_specs(
+            monkeypatch, tmp_path, "--k-list", "1,3,6", "--mc", "--realizations", "40"
+        )
+        analytic = dataclasses.replace(
+            specs[0], methods=("MonteCarloReuse", "UpperBound", "SingleIntegralAlpha4")
+        )
+        specs.append(analytic)
+        shared = cli._shared(specs)
+        built = []
+        monkeypatch.setattr(
+            cli, "_at_threshold", lambda scen, g: built.append(g) or _at_threshold(scen, g)
+        )
+        for spec, values in zip(specs[:-1], shared):
+            cli._spec_rows(spec, values)
+        assert built == []
+        cli._spec_rows(analytic, shared[-1])
+        assert built == list(analytic.grid_db)
+
     def test_reuse_recursion_specs_share_one_table(self, monkeypatch):
         specs = _figure_specs(monkeypatch, "fig9", 40)
         recursion_only = [

@@ -393,6 +393,60 @@ class TestSynthesize:
         )
 
 
+class TestDetect:
+    """The leading-column ``_detect`` against SINRs of whole rows."""
+
+    @staticmethod
+    def _whole_rows(d, scenario, cfg):
+        pw = e911._powers(d, scenario)
+        denom = np.sum(pw, axis=1, keepdims=True) - pw
+        denom += scenario.noise_sigma2
+        sinr = np.divide(pw, denom, out=np.full_like(pw, math.inf), where=denom > 0.0)
+        return sinr, np.count_nonzero(sinr >= cfg.pre_sinr_threshold, axis=1)
+
+    def _columns(self, d, scenario, cfg) -> int:
+        """Checks ``_detect`` on ``d``; returns how many SINR columns it gave."""
+        sinr, counts = e911._detect(d, scenario, cfg)
+        ref_sinr, ref_counts = self._whole_rows(d, scenario, cfg)
+        np.testing.assert_array_equal(counts, ref_counts)
+        width = sinr.shape[1]
+        assert width >= counts.max()
+        assert sinr.tobytes() == np.ascontiguousarray(ref_sinr[:, :width]).tobytes()
+        return width
+
+    @pytest.fixture()
+    def blocks(self):
+        cfg = E911Config()
+        scen = default_scenario(cfg)
+        d, _ = block_rows(scen, SimConfig(realizations=64, seed=5, expected_bs=cfg.expected_bs))
+        return cfg, scen, [d[i : i + 16] for i in range(0, 64, 16)]
+
+    def test_sampled_blocks_need_only_the_leading_columns(self, blocks):
+        cfg, scen, ds = blocks
+        for d in ds:
+            assert self._columns(d, scen, cfg) == e911._DETECT_COLUMNS
+
+    def test_noise_keeps_the_leading_columns(self, blocks):
+        cfg, scen, ds = blocks
+        fifth = float(np.median(ds[0][:, 4]))
+        noisy = scen.replace(noise_sigma2=scen.tx_power * fifth**-scen.alpha)
+        for d in ds:
+            assert self._columns(d, noisy, cfg) == e911._DETECT_COLUMNS
+
+    def test_unsorted_row_takes_whole_rows(self, blocks):
+        cfg, scen, ds = blocks
+        d = ds[0].copy()
+        d[3, [0, 500]] = d[3, [500, 0]]
+        assert self._columns(d, scen, cfg) == d.shape[1]
+
+    def test_detection_beyond_the_leading_columns_takes_whole_rows(self, blocks):
+        _, scen, ds = blocks
+        low = E911Config(pre_sinr_threshold=1e-4)
+        assert self._whole_rows(ds[0], scen, low)[1].max() > e911._DETECT_COLUMNS
+        for d in ds:
+            assert self._columns(d, scen, low) == d.shape[1]
+
+
 class TestSolveTdoa:
     def test_noiseless_point_recovered(self):
         device = np.array([100.0, 50.0])
@@ -633,6 +687,28 @@ class TestTrials:
                 assert out.error_m == table[i, 1]
         assert np.isfinite(table[192:, 1]).any()
 
+    def test_span_cuts_concatenate_to_one_span(self):
+        cfg = E911Config(trials=203)
+        scen = default_scenario(cfg)
+        whole = e911._trial_span(cfg, scen, 4, 0, 203)
+        cuts = [e911._trial_span(cfg, scen, 4, a, b) for a, b in ((0, 48), (48, 112), (112, 203))]
+        assert np.concatenate(cuts).tobytes() == whole.tobytes()
+        for a, b in ((57, 130), (197, 198)):
+            assert e911._trial_span(cfg, scen, 4, a, b).tobytes() == whole[a:b].tobytes()
+
+    def test_one_polish_per_used_count(self, monkeypatch):
+        stacks = []
+        polish = e911._gauss_newton
+
+        def counted(x, *args):
+            stacks.append(len(x))
+            return polish(x, *args)
+
+        monkeypatch.setattr(e911, "_gauss_newton", counted)
+        detected = collect_trials(E911Config(), seed=0)[:, 0]
+        assert len(stacks) == len(np.unique(detected[detected >= _MIN_BS_FOR_FIX]))
+        assert max(stacks) > e911._SOLVE_ROWS
+
     def test_collect_trials_byte_identical_across_workers(self):
         cfg = E911Config(trials=203)
         tables = [collect_trials(cfg, seed=4, workers=w).tobytes() for w in (1, 2, 3)]
@@ -665,6 +741,23 @@ class TestCompliance:
             assert r.p67_m <= r.p90_m
             assert r.passes == (r.p67_m <= FCC_P67_M and r.p90_m <= FCC_P90_M)
             np.testing.assert_allclose(r.no_fix_rate, 1.0 - r.fixes / cfg.trials)
+
+    def test_runaway_fixes_sit_above_every_p90(self):
+        # Some Gauss-Newton polishes run away; those fixes still count.
+        cfg = E911Config()
+        table = e911._trial_span(cfg, default_scenario(cfg), 0, 0, cfg.trials)
+        fixed = table[:, e911._METHOD] != e911._NONE
+        errors = table[:, e911._ERROR]
+        far = fixed & (errors > 1e4)
+        assert (fixed.sum(), far.sum()) == (1359, 44)
+        assert np.all(table[far, e911._METHOD] == e911._CHAN)
+        for row in fcc_compliance(cfg, seed=0):
+            eligible = fixed & (table[:, e911._DETECTED] >= row.min_hearability)
+            assert eligible.sum() == row.fixes
+            assert np.all(errors[eligible & far] > row.p90_m)
+            moved = np.where(far, 1e30, errors)[eligible]
+            assert np.percentile(moved, 67.0) == row.p67_m
+            assert np.percentile(moved, 90.0) == row.p90_m
 
     def test_accuracy_improves_with_hearability(self):
         rows = fcc_compliance(E911Config(trials=2000), seed=1)
