@@ -22,24 +22,30 @@ Detection of the bottleneck BS succeeds when its SIR, after the
 processing gain, clears the demodulation threshold:
 ``SIR >= beta / gamma``.
 
+Every evaluator conditions on ``Omega``, the number of active
+participants among the ``L - 1`` nearer BSs, and averages its
+conditional P_L over Omega's binomial law
+(:func:`~hearability.model.pmf_omega`).  :func:`_omega_average` owns
+that average; each evaluator states only its term for one ``omega``.
+PerfectCoord is the same average with every participant muted.
+
 Every evaluator is invariant to the BS density: the integral forms are
 computed in coordinates normalized so ``lam * pi = 1``, which an exact
 change of variables permits, so identical inputs at different densities
 return bit-identical values.
 
 A P_L curve over a beta/gamma grid comes from the grid evaluator
-:func:`evaluate_grid`.  It integrates all grid points of the
-quadrature-backed forms in lockstep, one pass per interferer count, and
-returns each point's value or its own nonconvergence.  A grid evaluation
-is bit-identical to one-point calls; :func:`evaluate` and the ``pl_*``
-functions are such calls.
+:func:`evaluate_grid`.  The quadrature-backed terms integrate all grid
+points of one ``omega`` in lockstep, and each point keeps its value or
+its own nonconvergence.  A grid evaluation is bit-identical to
+one-point calls; :func:`evaluate` and the ``pl_*`` functions are such
+calls.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -73,10 +79,9 @@ __all__ = [
 
 
 class Method(str, enum.Enum):
-    """Tags for the analytic evaluators, also used as CSV labels."""
+    """Tags for the analytic P_L evaluators, also used as CSV labels."""
 
     UPPER_BOUND = "UpperBound"
-    PROC_GAIN_BOUND = "ProcGainBound"
     PERFECT_COORD = "PerfectCoord"
     DOUBLE_INTEGRAL = "DoubleIntegral"
     SINGLE_INTEGRAL_GENERAL = "SingleIntegralGeneral"
@@ -143,6 +148,75 @@ def mean_i2(rl: float, scenario: Scenario) -> float:
     )
 
 
+def _omega_average(points: list[Scenario], p: float, term, quad) -> list:
+    """Average ``term`` over the binomial law of Omega at every grid point.
+
+    ``term(omega, live, quad)`` is an evaluator's P_L given ``omega``
+    active participants at each scenario of ``live``.  ``p`` is the
+    activity that weights the terms, and terms of zero weight are
+    skipped.  A point whose term is a :class:`NonConvergenceError` keeps
+    that error and takes no further terms; every other point's sum is
+    clamped to [0, 1].
+    """
+    L = points[0].L
+    totals: list = [0.0] * len(points)  # a float until the point fails
+    for omega in range(L):
+        weight = pmf_omega(omega, L, p)
+        live = [k for k, total in enumerate(totals) if isinstance(total, float)]
+        if weight == 0.0 or not live:
+            continue
+        for k, value in zip(live, term(omega, [points[k] for k in live], quad)):
+            failed = isinstance(value, NonConvergenceError)
+            totals[k] = value if failed else totals[k] + weight * value
+    return [_clamp01(t) if isinstance(t, float) else t for t in totals]
+
+
+def _require_alpha4(points: list[Scenario]) -> None:
+    if points[0].alpha != 4.0:
+        raise ValueError(
+            f"this evaluator requires alpha = 4 exactly, got {points[0].alpha}"
+        )
+
+
+def _integrate_points(integrand, gbs: list[float], uppers: list, quad) -> list:
+    """Per point, the integral of ``integrand(x, gb)`` over ``[0, upper]``.
+
+    A point whose upper limit is None has an empty support and gets 0.
+    The others integrate in lockstep, one quadrature each, and
+    ``integrand`` receives their ``gamma/beta`` as a column.
+    """
+    rows = [k for k, upper in enumerate(uppers) if upper is not None]
+    gb_rows = np.array([gbs[k] for k in rows])[:, None]
+    values = integrate_lockstep(
+        lambda x, at: integrand(x, gb_rows[at]), [0.0] * len(rows),
+        [uppers[k] for k in rows], quad,
+    )
+    out: list = [0.0] * len(gbs)
+    for k, value in zip(rows, values):
+        out[k] = value
+    return out
+
+
+def _upper_bound_term(omega: int, points: list[Scenario], quad) -> list:
+    """The omega term of :func:`pl_upper_bound`."""
+    alpha = points[0].alpha
+    return [
+        max(0.0, 1.0 - (gb - (omega - 1)) ** (-2.0 / alpha)) ** omega
+        if omega <= _floor_with_tol(gb) else 0.0
+        for gb in (s.gamma / s.beta for s in points)
+    ]
+
+
+def _perfect_coord_term(omega: int, points: list[Scenario], quad) -> list:
+    """:func:`pl_perfect_coord`, the omega = 0 term of every integral form."""
+    return [
+        1.0 if s.q == 0.0 else 1.0 - poisson_cdf(
+            s.L - 1, (s.alpha - 2.0) * s.gamma / (2.0 * s.q * s.beta)
+        )
+        for s in points
+    ]
+
+
 def pl_upper_bound(scenario: Scenario) -> float:
     """Closed-form upper bound on P_L from near-field interference only.
 
@@ -153,21 +227,7 @@ def pl_upper_bound(scenario: Scenario) -> float:
     over the binomial law of ``omega`` up to
     ``chi = min(L-1, floor(gamma/beta))`` gives the bound.
     """
-    gb = scenario.gamma / scenario.beta
-    L, alpha, p = scenario.L, scenario.alpha, scenario.p
-    chi = min(L - 1, _floor_with_tol(gb))
-    total = 0.0
-    for omega in range(0, chi + 1):
-        weight = pmf_omega(omega, L, p)
-        if weight == 0.0:
-            continue
-        if omega == 0:
-            total += weight
-            continue
-        margin = gb - (omega - 1)
-        base = 1.0 - margin ** (-2.0 / alpha)
-        total += weight * max(0.0, base) ** omega
-    return _clamp01(total)
+    return evaluate(Method.UPPER_BOUND, scenario)
 
 
 def min_processing_gain(target_pl: float, L: int, alpha: float, beta: float) -> float:
@@ -198,61 +258,10 @@ def pl_perfect_coord(scenario: Scenario) -> float:
     ``1 - poisson_cdf(L - 1, (alpha-2) * gamma / (2 q beta))``.
     Returns 1 for ``q = 0`` (no interference at all).
     """
-    if scenario.q == 0.0:
-        return 1.0
-    mu = (scenario.alpha - 2.0) * scenario.gamma / (2.0 * scenario.q * scenario.beta)
-    return _clamp01(1.0 - poisson_cdf(scenario.L - 1, mu))
+    return evaluate(Method.PERFECT_COORD, scenario)
 
 
 # --- dominant-interferer machinery (normalized coordinates, lam*pi = 1) ---
-
-
-def _sir_normalized(t, r, omega: int, alpha: float, q: float):
-    """Approximate SIR of the L-th BS in normalized coordinates.
-
-    ``t`` is the nearest-active-interferer distance, ``r`` the L-th BS
-    distance, both scaled so that ``lam * pi = 1``.  The nearest active
-    interferer is kept exact; the other ``omega - 1`` actives and the
-    load-q far field enter through their conditional means.
-    Elementwise over arrays; monotone increasing in ``t``.
-    """
-    num = r**-alpha
-    t_term = t**-alpha
-    if omega >= 2:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            diff2 = r * r - t * t
-            j1_raw = (
-                (2.0 * (omega - 1) / (2.0 - alpha))
-                * (r ** (2.0 - alpha) - t ** (2.0 - alpha))
-                / diff2
-            )
-        j1 = np.where(diff2 <= 1e-12 * r * r, (omega - 1) * num, j1_raw)
-    else:
-        j1 = 0.0
-    j2 = (2.0 * q / (alpha - 2.0)) * r ** (2.0 - alpha)
-    return num / (t_term + j1 + j2)
-
-
-@lru_cache(maxsize=256)
-def _verify_sir_monotone(alpha: float, omega: int, q: float) -> None:
-    """Assert the normalized SIR grows with the dominant distance.
-
-    The indicator inversion inside :func:`pl_double_integral` relies on
-    this direction; it is checked numerically on a coarse grid the first
-    time each parameter combination is used, and a violation aborts with
-    a diagnostic rather than silently mis-integrating.
-    """
-    for r in (0.03, 0.3, 1.0, 3.0, 10.0):
-        t = np.linspace(1e-6 * r, r * (1.0 - 1e-9), 257)
-        sir = _sir_normalized(t, r, omega, alpha, q)
-        drops = np.diff(sir) < -1e-12 * np.abs(sir[:-1])
-        if np.any(drops):
-            i = int(np.argmax(drops))
-            raise RuntimeError(
-                "SIR is not monotone in the dominant-interferer distance for "
-                f"alpha={alpha}, omega={omega}, q={q}: decrease near t={t[i]:.6g} "
-                f"of r={r}; the indicator inversion is invalid here"
-            )
 
 
 # Bracket of s = ln(t/r) for the boundary solve.  The lower end
@@ -272,8 +281,17 @@ def _boundary_t(r: np.ndarray, omega: int, alpha: float, q: float, gb: float):
     With ``u = t/r`` the crossing solves ``H(u) = c(r)``, where
     ``H(u) = u**-alpha + A (u**b - 1)/(u**2 - 1)``, ``b = 2 - alpha``,
     ``A = 2 (omega-1)/b`` and ``c(r) = gamma/beta - 2 q r**2/(alpha-2)``;
-    ``gb`` is ``gamma/beta``.  H falls from infinity to ``H(1) = omega``,
-    so the root is unique (:func:`_verify_sir_monotone` guards that).
+    ``gb`` is ``gamma/beta``.
+
+    H falls strictly from infinity to ``H(1) = omega``, so the root is
+    unique.  Its middle term is ``omega - 1`` times
+    ``M(u) = (2/b) (u**b - 1)/(u**2 - 1)``, the mean of ``rho**-alpha``
+    over the annulus ``u < rho < 1`` under the area measure.  That mean
+    falls as the inner radius grows:
+    ``M'(u) = 2 u (M(u) - u**-alpha) / (1 - u**2)``, and ``M(u)`` lies
+    below ``u**-alpha`` because ``rho**-alpha`` does on the whole
+    annulus.  The first term ``u**-alpha`` falls too.
+
     ``omega = 1`` has the closed form ``u = c**(-1/alpha)``.  Otherwise
     Newton runs in ``s = ln u``, where the middle ratio is
     ``expm1(b s)/expm1(2 s)`` and stays accurate as ``u -> 1``.  It
@@ -327,60 +345,32 @@ def _boundary_t(r: np.ndarray, omega: int, alpha: float, q: float, gb: float):
     )
 
 
-def _add_terms(totals: list, rows: list[int], weight: float, values: list) -> None:
-    """Add ``weight`` times each row's integral; a failure replaces the total."""
-    for k, value in zip(rows, values):
-        failed = isinstance(value, NonConvergenceError)
-        totals[k] = value if failed else totals[k] + weight * value
-
-
-def _finish(totals: list) -> list:
-    return [
-        t if isinstance(t, NonConvergenceError) else _clamp01(t) for t in totals
-    ]
-
-
-def _double_integral_grid(points: list[Scenario], quad: QuadratureSpec) -> list:
-    """:func:`pl_double_integral` at every grid point, one lockstep pass per omega."""
-    first = points[0]
-    L, alpha, p, q = first.L, first.alpha, first.p, first.q
+def _double_integral_term(omega: int, points: list[Scenario], quad) -> list:
+    """The omega term of :func:`pl_double_integral`."""
+    if omega == 0:
+        return _perfect_coord_term(omega, points, quad)
+    L, alpha, q = points[0].L, points[0].alpha, points[0].q
     gbs = [1.0 / (s.beta / s.gamma) for s in points]
-    totals: list = [pmf_omega(0, L, p) * pl_perfect_coord(s) for s in points]
-    if L < 2:
-        return _finish(totals)
     # Normalized coordinates (lam * pi = 1): an exact change of variables,
     # so the result is independent of the density.
     r_tail = math.sqrt(erlang_quantile(L, 1.0, quad.tail_quantile))
     log_norm = math.log(2.0) - math.lgamma(L)
-    for omega in range(1, L):
-        weight = pmf_omega(omega, L, p)
-        rows = [
-            k for k, gb in enumerate(gbs)
-            if gb > omega and not isinstance(totals[k], NonConvergenceError)
-        ]
-        if weight == 0.0 or not rows:
-            continue
-        _verify_sir_monotone(alpha, omega, q)
-        # Beyond r_star even a vanishing dominant term cannot lift the SIR
-        # over the threshold.
-        r_stars = [
-            math.sqrt((alpha - 2.0) * (gbs[k] - omega) / (2.0 * q))
-            if q > 0.0 else math.inf
-            for k in rows
-        ]
-        uppers = [min(r_star * (1.0 - 1e-12), r_tail) for r_star in r_stars]
-        gb_rows = np.array([gbs[k] for k in rows])[:, None]
+    uppers: list = [None] * len(gbs)
+    for k, gb in enumerate(gbs):
+        if gb > omega:
+            # Beyond r_star even a vanishing dominant term cannot lift the
+            # SIR over the threshold.
+            r_star = math.sqrt((alpha - 2.0) * (gb - omega) / (2.0 * q)) if q else math.inf
+            uppers[k] = min(r_star * (1.0 - 1e-12), r_tail)
 
-        def integrand(r_arr: np.ndarray, at: np.ndarray, _omega: int = omega):
-            t = _boundary_t(r_arr, _omega, alpha, q, gb_rows[at])
-            mass = np.maximum(0.0, (r_arr * r_arr - t * t) / (r_arr * r_arr)) ** _omega
-            s = r_arr * r_arr
-            log_pdf = -s + L * np.log(s) + log_norm - np.log(r_arr)
-            return mass * np.exp(log_pdf)
+    def integrand(r: np.ndarray, gb: np.ndarray) -> np.ndarray:
+        t = _boundary_t(r, omega, alpha, q, gb)
+        mass = np.maximum(0.0, (r * r - t * t) / (r * r)) ** omega
+        s = r * r
+        log_pdf = -s + L * np.log(s) + log_norm - np.log(r)
+        return mass * np.exp(log_pdf)
 
-        values = integrate_lockstep(integrand, [0.0] * len(rows), uppers, quad)
-        _add_terms(totals, rows, weight, values)
-    return _finish(totals)
+    return _integrate_points(integrand, gbs, uppers, quad)
 
 
 def pl_double_integral(
@@ -396,7 +386,7 @@ def pl_double_integral(
     inner/outer double integral therefore costs a single quadrature per
     ``omega``.  This is a one-point :func:`evaluate_grid` call.
     """
-    return value_or_raise(_double_integral_grid([scenario], quad)[0])
+    return evaluate(Method.DOUBLE_INTEGRAL, scenario, quad)
 
 
 def _h_ratio(x: float, omega: int, alpha: float, q: float) -> float:
@@ -404,6 +394,14 @@ def _h_ratio(x: float, omega: int, alpha: float, q: float) -> float:
 
     ``h(1) = omega + 2q/(alpha-2)`` and h grows like ``x**alpha``;
     detection of the bottleneck BS corresponds to ``h(x) <= gamma/beta``.
+
+    h rises strictly on ``x >= 1``, so that crossing is unique.  The
+    middle term ``A (x**2 - x**alpha)/(x**2 - 1)``, with
+    ``A = 2 (omega-1)/(2-alpha)``, is ``omega - 1`` times ``M(1/x)``,
+    the mean of ``rho**-alpha`` over the annulus ``1/x < rho < 1``
+    (see :func:`_boundary_t`).  That mean falls as the inner radius
+    grows, so it rises with x, and so do ``x**alpha`` and the far-field
+    term ``2 q x**2/(alpha-2)``.
     """
     x2 = x * x
     if abs(x2 - 1.0) <= 1e-12:
@@ -413,18 +411,28 @@ def _h_ratio(x: float, omega: int, alpha: float, q: float) -> float:
     return x**alpha + middle + 2.0 * q * x2 / (alpha - 2.0)
 
 
-@lru_cache(maxsize=256)
-def _verify_h_monotone(alpha: float, omega: int, q: float) -> None:
-    """Assert h is increasing in x so its threshold crossing is unique."""
-    xs = np.geomspace(1.0 + 1e-9, 1e4, 513)
-    hs = np.array([_h_ratio(float(x), omega, alpha, q) for x in xs])
-    drops = np.diff(hs) < -1e-10 * np.abs(hs[:-1])
-    if np.any(drops):
-        i = int(np.argmax(drops))
-        raise RuntimeError(
-            f"h(x) is not monotone for alpha={alpha}, omega={omega}, q={q}: "
-            f"decrease near x={xs[i]:.6g}; the threshold inversion is invalid"
+def _single_integral_general_term(omega: int, points: list[Scenario], quad) -> list:
+    """The omega term of :func:`pl_single_integral_general`."""
+    if omega == 0:
+        return _perfect_coord_term(omega, points, quad)
+    alpha, q = points[0].alpha, points[0].q
+    h_one = _h_ratio(1.0, omega, alpha, q)
+    root_tol = min(1e-12, quad.rel_tol)
+    out = []
+    for gb in (s.gamma / s.beta for s in points):
+        if h_one >= gb:
+            out.append(0.0)
+            continue
+        hi = 2.0
+        for _ in range(200):
+            if _h_ratio(hi, omega, alpha, q) > gb:
+                break
+            hi *= 2.0
+        x_star = find_root_monotone(
+            lambda x: _h_ratio(x, omega, alpha, q) - gb, 1.0, hi, tol=root_tol * hi
         )
+        out.append((1.0 - x_star**-2.0) ** omega)
+    return out
 
 
 def pl_single_integral_general(
@@ -440,74 +448,32 @@ def pl_single_integral_general(
     quadrature is needed, only a root find per omega.  Least reliable of
     the integral forms, but the cheapest.
     """
-    L, alpha, p, q = scenario.L, scenario.alpha, scenario.p, scenario.q
-    gb = scenario.gamma / scenario.beta
-    total = pmf_omega(0, L, p) * pl_perfect_coord(scenario)
-    root_tol = min(1e-12, quad.rel_tol)
-    for omega in range(1, L):
-        weight = pmf_omega(omega, L, p)
-        if weight == 0.0:
-            continue
-        _verify_h_monotone(alpha, omega, q)
-        if _h_ratio(1.0, omega, alpha, q) >= gb:
-            continue
-        hi = 2.0
-        for _ in range(200):
-            if _h_ratio(hi, omega, alpha, q) > gb:
-                break
-            hi *= 2.0
-        x_star = find_root_monotone(
-            lambda x: _h_ratio(x, omega, alpha, q) - gb, 1.0, hi, tol=root_tol * hi
-        )
-        total += weight * (1.0 - x_star**-2.0) ** omega
-    return _clamp01(total)
+    return evaluate(Method.SINGLE_INTEGRAL_GENERAL, scenario, quad)
 
 
-def _alpha4_grid(points: list[Scenario], quad: QuadratureSpec) -> list:
-    """:func:`pl_alpha4` at every grid point, one lockstep pass per omega."""
-    first = points[0]
-    if first.alpha != 4.0:
-        raise ValueError(
-            f"this evaluator requires alpha = 4 exactly, got {first.alpha}"
-        )
-    L, p, q = first.L, first.p, first.q
+def _alpha4_term(omega: int, points: list[Scenario], quad) -> list:
+    """The omega term of :func:`pl_alpha4`."""
+    _require_alpha4(points)
+    if omega == 0:
+        return _perfect_coord_term(omega, points, quad)
+    L, q = points[0].L, points[0].q
     gbs = [s.gamma / s.beta for s in points]
-    totals: list = [pmf_omega(0, L, p) * pl_perfect_coord(s) for s in points]
-    if L < 2:
-        return _finish(totals)
     s_tail = erlang_quantile(L, 1.0, quad.tail_quantile)
     log_norm = -math.lgamma(L)
-    chis = [min(L - 1, _floor_with_tol(gb)) for gb in gbs]
-    for omega in range(1, max(chis) + 1):
-        weight = pmf_omega(omega, L, p)
-        if weight == 0.0:
-            continue
-        rows, uppers = [], []
-        for k, gb in enumerate(gbs):
-            upper = min((gb - omega) / q if q > 0.0 else math.inf, s_tail)
-            if chis[k] >= omega and upper > 0.0 and not isinstance(
-                totals[k], NonConvergenceError
-            ):
-                rows.append(k)
-                uppers.append(upper)
-        if not rows:
-            continue
-        gb_rows = np.array([gbs[k] for k in rows])[:, None]
+    uppers = []
+    for gb in gbs:
+        upper = min((gb - omega) / q if q > 0.0 else math.inf, s_tail)
+        uppers.append(upper if _floor_with_tol(gb) >= omega and upper > 0.0 else None)
 
-        def integrand(s: np.ndarray, at: np.ndarray, _omega: int = omega):
-            # y_star >= 1 on the domain; the sqrt argument is the
-            # quadratic discriminant of the threshold inversion.
-            y_star = (
-                np.sqrt(gb_rows[at] - q * s + (_omega - 1) ** 2 / 4.0)
-                - (_omega - 1) / 2.0
-            )
-            base = np.maximum(0.0, 1.0 - 1.0 / y_star)
-            log_pdf = -s + (L - 1) * np.log(s) + log_norm
-            return base**_omega * np.exp(log_pdf)
+    def integrand(s: np.ndarray, gb: np.ndarray) -> np.ndarray:
+        # y_star >= 1 on the domain; the sqrt argument is the
+        # quadratic discriminant of the threshold inversion.
+        y_star = np.sqrt(gb - q * s + (omega - 1) ** 2 / 4.0) - (omega - 1) / 2.0
+        base = np.maximum(0.0, 1.0 - 1.0 / y_star)
+        log_pdf = -s + (L - 1) * np.log(s) + log_norm
+        return base**omega * np.exp(log_pdf)
 
-        values = integrate_lockstep(integrand, [0.0] * len(rows), uppers, quad)
-        _add_terms(totals, rows, weight, values)
-    return _finish(totals)
+    return _integrate_points(integrand, gbs, uppers, quad)
 
 
 def pl_alpha4(scenario: Scenario, quad: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
@@ -519,7 +485,18 @@ def pl_alpha4(scenario: Scenario, quad: QuadratureSpec = DEFAULT_QUADRATURE) -> 
     to one integral against the Erlang law of ``pi * lam * R_L**2``.
     This is a one-point :func:`evaluate_grid` call.
     """
-    return value_or_raise(_alpha4_grid([scenario], quad)[0])
+    return evaluate(Method.SINGLE_INTEGRAL_ALPHA4, scenario, quad)
+
+
+def _nearfield_alpha4_term(omega: int, points: list[Scenario], quad) -> list:
+    """The omega term of :func:`pl_nearfield_alpha4`."""
+    _require_alpha4(points)
+    half = (omega - 1) / 2.0
+    return [
+        max(0.0, 1.0 - 1.0 / (math.sqrt(gb + half * half) - half)) ** omega
+        if omega <= _floor_with_tol(gb) else 0.0
+        for gb in (s.gamma / s.beta for s in points)
+    ]
 
 
 def pl_nearfield_alpha4(scenario: Scenario) -> float:
@@ -530,36 +507,16 @@ def pl_nearfield_alpha4(scenario: Scenario) -> float:
     closed form.  At ``p = 1`` this returns 0 once
     ``beta >= gamma / (L - 1)``.
     """
-    if scenario.alpha != 4.0:
-        raise ValueError(
-            f"this evaluator requires alpha = 4 exactly, got {scenario.alpha}"
-        )
-    L, p = scenario.L, scenario.p
-    gb = scenario.gamma / scenario.beta
-    chi = min(L - 1, _floor_with_tol(gb))
-    total = 0.0
-    for omega in range(0, chi + 1):
-        weight = pmf_omega(omega, L, p)
-        if weight == 0.0:
-            continue
-        if omega == 0:
-            total += weight
-            continue
-        y_star = math.sqrt(gb + (omega - 1) ** 2 / 4.0) - (omega - 1) / 2.0
-        base = max(0.0, 1.0 - 1.0 / y_star)
-        total += weight * base**omega
-    return _clamp01(total)
+    return evaluate(Method.NEAR_FIELD_ALPHA4, scenario)
 
 
-_POINTWISE = {
-    Method.UPPER_BOUND: lambda scen, quad: pl_upper_bound(scen),
-    Method.PERFECT_COORD: lambda scen, quad: pl_perfect_coord(scen),
-    Method.SINGLE_INTEGRAL_GENERAL: pl_single_integral_general,
-    Method.NEAR_FIELD_ALPHA4: lambda scen, quad: pl_nearfield_alpha4(scen),
-}
-_LOCKSTEP = {
-    Method.DOUBLE_INTEGRAL: _double_integral_grid,
-    Method.SINGLE_INTEGRAL_ALPHA4: _alpha4_grid,
+_TERMS = {
+    Method.UPPER_BOUND: _upper_bound_term,
+    Method.PERFECT_COORD: _perfect_coord_term,
+    Method.DOUBLE_INTEGRAL: _double_integral_term,
+    Method.SINGLE_INTEGRAL_GENERAL: _single_integral_general_term,
+    Method.SINGLE_INTEGRAL_ALPHA4: _alpha4_term,
+    Method.NEAR_FIELD_ALPHA4: _nearfield_alpha4_term,
 }
 
 
@@ -572,27 +529,18 @@ def evaluate_grid(
 
     ``points`` are scenarios that share ``L``, ``alpha``, ``p`` and
     ``q``; they differ in ``beta`` (a beta/gamma grid), and may differ in
-    ``gamma``, ``lam`` and ``K``.  ``DoubleIntegral`` and
-    ``SingleIntegralAlpha4`` integrate all points in lockstep, one
-    :func:`~hearability.numerics.integrate_lockstep` pass per omega; the
-    other methods evaluate point by point.  Every point gets the bits a
-    one-point call gives it.
+    ``gamma``, ``lam`` and ``K``.  Each omega term of ``DoubleIntegral``
+    and ``SingleIntegralAlpha4`` integrates all points in lockstep, one
+    :func:`~hearability.numerics.integrate_lockstep` pass; the other
+    terms are closed forms or root finds per point.  Every point gets
+    the bits a one-point call gives it.
 
     Returns:
         Per point, P_L in [0, 1], or the :class:`NonConvergenceError` of
         the point's first quadrature that did not converge, carrying
         that integral's best estimate and error estimate.  A failure
         flags its own point only.
-
-    ``Method.PROC_GAIN_BOUND`` maps a target probability to a gain, not
-    a scenario to a probability, so it is rejected here; call
-    :func:`min_processing_gain` directly.
     """
-    if method == Method.PROC_GAIN_BOUND:
-        raise ValueError(
-            "ProcGainBound computes a minimum processing gain, not a "
-            "probability; use min_processing_gain(target_pl, L, alpha, beta)"
-        )
     try:
         method = Method(method)
     except ValueError:
@@ -602,10 +550,9 @@ def evaluate_grid(
         raise ValueError("grid points must share L, alpha, p and q")
     if not points:
         return []
-    if method in _LOCKSTEP:
-        return _LOCKSTEP[method](points, quad)
-    evaluator = _POINTWISE[method]
-    return [evaluator(scen, quad) for scen in points]
+    # PerfectCoord mutes every participant: only its omega = 0 term weighs.
+    p = 0.0 if method == Method.PERFECT_COORD else points[0].p
+    return _omega_average(points, p, _TERMS[method], quad)
 
 
 def evaluate(

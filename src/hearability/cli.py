@@ -70,9 +70,11 @@ CSV_COLUMNS = (
     "stderr",
 )
 
-_ANALYTIC_TAGS = {m.value for m in Method} - {Method.PROC_GAIN_BOUND.value}
+_ANALYTIC_TAGS = {m.value for m in Method}
 _MC_TAGS = {"MonteCarloJoint", "MonteCarloLastBs", "MonteCarloReuse"}
-_SWEEP_TAGS = _ANALYTIC_TAGS | _MC_TAGS | {"ReuseRecursion"}
+# The tags that read the reuse factor K; the others model one band.
+_REUSE_TAGS = {"ReuseRecursion", "MonteCarloReuse"}
+_SWEEP_TAGS = _ANALYTIC_TAGS | _MC_TAGS | _REUSE_TAGS
 
 
 @dataclass(frozen=True)
@@ -114,6 +116,11 @@ class SweepSpec:
             if tag not in _SWEEP_TAGS:
                 raise ValueError(
                     f"unknown method {tag!r}; valid: {', '.join(sorted(_SWEEP_TAGS))}"
+                )
+            if self.scenario.K != 1 and tag not in _REUSE_TAGS:
+                raise ValueError(
+                    f"{tag} models one band and would ignore K={self.scenario.K}; "
+                    f"K != 1 needs {' or '.join(sorted(_REUSE_TAGS))}"
                 )
 
 

@@ -11,7 +11,7 @@ error percentiles versus the minimum number of heard BSs.
 
 Reproducibility contract: trial geometries are the rows of the Monte
 Carlo block sampler, blocks of ``_BLOCK`` trials keyed by ``(seed,
-block, role)``, each trial keeping its ``expected_bs`` nearest BSs.
+block, role)``, each trial keeping its ``EXPECTED_BS`` nearest BSs.
 The bearings, NLOS biases, ranging noise and clock errors of trial
 ``i`` come, in that order, from ``stream(seed, i, ROLE_E911)``.  Worker
 spans start on block boundaries and the batched solver treats every
@@ -52,6 +52,9 @@ _MIN_BS_FOR_FIX = 4
 # Fewest positioning trials an experiment accepts.
 MIN_TRIALS = 100
 _ILL_CONDITION = 1e12
+SPEED_OF_LIGHT = 299792458.0  # meters per second
+RMS_BANDWIDTH_FACTOR = 1.0 / 12.0  # beta_rms**2 / bandwidth**2, flat spectrum
+EXPECTED_BS = SimConfig.expected_bs  # BSs each trial keeps, nearest the device
 
 
 @dataclass(frozen=True)
@@ -73,15 +76,10 @@ class E911Config:
         trials: number of positioning trials.
         min_hearability_grid: minimum heard-BS counts for the
             compliance table; each entry >= 4 (a TDOA fix needs 4 BSs).
-        speed_of_light: meters per second.
         processing_gain_db: despreading gain applied between detection
             and ranging; sets the post-processing SINR in the CRLB.
-        rms_bandwidth_factor: ``beta_rms**2 = factor * bandwidth**2``;
-            1/12 for a flat spectrum, 1/3 for band-edge-weighted.
         max_bs_per_fix: cap on how many detected BSs enter the solver
             (None = use all detected).
-        expected_bs: BSs per trial: each trial keeps the ``expected_bs``
-            BSs nearest the device.
     """
 
     bandwidth: float = 1e7
@@ -93,11 +91,8 @@ class E911Config:
     hex_isd: float = 500.0
     trials: int = 4000
     min_hearability_grid: tuple[int, ...] = (4, 5, 6, 7, 8)
-    speed_of_light: float = 299792458.0
     processing_gain_db: float = 8.0
-    rms_bandwidth_factor: float = 1.0 / 12.0
     max_bs_per_fix: int | None = None
-    expected_bs: int = 1000
 
     def __post_init__(self) -> None:
         if not (self.bandwidth > 0.0):
@@ -130,21 +125,11 @@ class E911Config:
                 "min_hearability_grid entries must be integers >= "
                 f"{_MIN_BS_FOR_FIX}, got {self.min_hearability_grid!r}"
             )
-        if not (self.speed_of_light > 0.0):
-            raise ValueError(
-                f"speed_of_light must be positive, got {self.speed_of_light}"
-            )
-        if not (self.rms_bandwidth_factor > 0.0):
-            raise ValueError(
-                f"rms_bandwidth_factor must be positive, got {self.rms_bandwidth_factor}"
-            )
         if self.max_bs_per_fix is not None and self.max_bs_per_fix < _MIN_BS_FOR_FIX:
             raise ValueError(
                 f"max_bs_per_fix must be >= {_MIN_BS_FOR_FIX} or None, "
                 f"got {self.max_bs_per_fix!r}"
             )
-        if not isinstance(self.expected_bs, (int, np.integer)) or self.expected_bs < 100:
-            raise ValueError(f"expected_bs must be >= 100, got {self.expected_bs!r}")
 
     def replace(self, **changes) -> "E911Config":
         return dataclasses.replace(self, **changes)
@@ -213,7 +198,7 @@ def ranging_stddev(post_sinr, cfg: E911Config):
     """TOA ranging error standard deviation in meters from the CRLB.
 
     ``c / sqrt(8 pi^2 beta_rms^2 SNR)`` with
-    ``beta_rms^2 = rms_bandwidth_factor * bandwidth**2``, elementwise
+    ``beta_rms^2 = RMS_BANDWIDTH_FACTOR * bandwidth**2``, elementwise
     for an array of SINRs.  Infinite bandwidth returns 0 (noiseless
     ranging).
     """
@@ -221,8 +206,8 @@ def ranging_stddev(post_sinr, cfg: E911Config):
         raise ValueError(f"post_sinr must be positive, got {post_sinr}")
     if math.isinf(cfg.bandwidth):
         return np.zeros(np.shape(post_sinr))[()]
-    beta_rms_sq = cfg.rms_bandwidth_factor * cfg.bandwidth**2
-    return cfg.speed_of_light / np.sqrt(8.0 * math.pi**2 * beta_rms_sq * post_sinr)
+    beta_rms_sq = RMS_BANDWIDTH_FACTOR * cfg.bandwidth**2
+    return SPEED_OF_LIGHT / np.sqrt(8.0 * math.pi**2 * beta_rms_sq * post_sinr)
 
 
 # Leading columns whose SINRs ``_detect`` computes before it needs the rest.
@@ -280,9 +265,9 @@ def _observe(d, sinr, draws, scenario: Scenario, cfg: E911Config):
     positions = np.stack((d * np.cos(angles), d * np.sin(angles)), axis=-1)
     post = scenario.gamma * sinr
     sigma = ranging_stddev(post, cfg)
-    pseudo = d + nlos + unit * sigma + cfg.speed_of_light * clock
+    pseudo = d + nlos + unit * sigma + SPEED_OF_LIGHT * clock
     # Shared reference noise: a diagonal plus a rank-one constant block.
-    var = sigma**2 + (cfg.speed_of_light * cfg.clock_std) ** 2
+    var = sigma**2 + (SPEED_OF_LIGHT * cfg.clock_std) ** 2
     k = m - 1
     cov = np.zeros((n, k, k)) + var[:, :1, None]
     cov[:, np.arange(k), np.arange(k)] += var[:, 1:]
@@ -561,7 +546,7 @@ def _trial_span(
     the whole span, so the polish runs once per used count however the
     trials are cut into spans.
     """
-    sim = SimConfig(realizations=1, seed=seed, expected_bs=cfg.expected_bs)
+    sim = SimConfig(realizations=1, seed=seed, expected_bs=EXPECTED_BS)
     out = np.full((stop - start, 7), math.nan)
     out[:, _USED] = 0
     out[:, _METHOD] = _NONE

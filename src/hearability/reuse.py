@@ -55,8 +55,7 @@ class ReuseQuery:
                 "reuse accumulation needs one detectability ordering per band, "
                 f"which requires p = q; got p={self.scenario.p}, q={self.scenario.q}"
             )
-        if self.base_method == Method.PROC_GAIN_BOUND:
-            raise ValueError("base_method must evaluate a probability")
+        Method(self.base_method)  # a tag that names no evaluator raises
 
 
 def _count_pmfs(queries: list[ReuseQuery]) -> list:

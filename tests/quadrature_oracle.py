@@ -2,7 +2,9 @@
 
 These are the one-integral adaptive quadrature loop, the one-panel
 boundary solve and the two quadrature-backed P_L evaluators as they
-stood before the lockstep engine, kept verbatim apart from their names.
+stood before the lockstep engine, kept verbatim apart from their names
+and the runtime monotonicity probe, whose property is now proved in
+``hearability.analytic._boundary_t`` and checked in ``test_analytic.py``.
 The tests assert that the lockstep engine and the grid evaluators
 reproduce them bit for bit.
 """
@@ -16,7 +18,6 @@ import numpy as np
 from hearability.analytic import (
     _clamp01,
     _floor_with_tol,
-    _verify_sir_monotone,
     pl_perfect_coord,
 )
 from hearability.model import Scenario, pmf_omega
@@ -139,7 +140,7 @@ def oracle_boundary_t(r: np.ndarray, omega: int, alpha: float, q: float, gb: flo
     ``H(u) = u**-alpha + A (u**b - 1)/(u**2 - 1)``, ``b = 2 - alpha``,
     ``A = 2 (omega-1)/b`` and ``c(r) = gamma/beta - 2 q r**2/(alpha-2)``;
     ``gb`` is ``gamma/beta``.  H falls from infinity to ``H(1) = omega``,
-    so the root is unique (:func:`_verify_sir_monotone` guards that).
+    so the root is unique.
     ``omega = 1`` has the closed form ``u = c**(-1/alpha)``.  Otherwise
     Newton runs in ``s = ln u``, where the middle ratio is
     ``expm1(b s)/expm1(2 s)`` and stays accurate as ``u -> 1``.  It
@@ -207,7 +208,6 @@ def oracle_pl_double_integral(
         weight = pmf_omega(omega, L, p)
         if weight == 0.0 or gb <= omega:
             continue
-        _verify_sir_monotone(alpha, omega, q)
         if q > 0.0:
             # Beyond this radius even a vanishing dominant term cannot
             # lift the SIR over the threshold.

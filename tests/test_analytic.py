@@ -21,7 +21,7 @@ from hearability import analytic
 from hearability.analytic import (
     Method,
     _boundary_t,
-    _sir_normalized,
+    _h_ratio,
     evaluate,
     evaluate_grid,
     mean_i1,
@@ -310,8 +310,12 @@ class TestDoubleIntegral:
 
 
 def sir_reference(t, r, omega, alpha, q):
-    """The normalized SIR of ``_sir_normalized`` in a cancellation-free form.
+    """The normalized SIR of the L-th BS in a cancellation-free form.
 
+    ``t`` is the nearest-active-interferer distance and ``r`` the L-th
+    BS distance, both scaled so that ``lam * pi = 1``.  The nearest
+    active interferer is kept exact; the other ``omega - 1`` actives and
+    the load-q far field enter through their conditional means.
     With ``s = ln(t/r)`` and ``b = 2 - alpha`` the annulus quotient
     ``(r**b - t**b) / (r**2 - t**2)`` equals
     ``r**-alpha * expm1(b s) / expm1(2 s)``, which keeps full precision
@@ -379,14 +383,6 @@ class TestBoundarySolve:
             below = sir_reference(t * (1.0 - 1e-9), r, omega, alpha, q)
             above = sir_reference(t * (1.0 + 1e-9), r, omega, alpha, q)
             assert np.all(below < thr) and np.all(above >= thr)
-            # The reference is the production SIR wherever the direct
-            # annulus quotient is well conditioned.
-            far = 1.0 - t / r > 1e-6
-            np.testing.assert_allclose(
-                _sir_normalized(t[far], r[far], omega, alpha, q[far]),
-                sir_reference(t[far], r[far], omega, alpha, q[far]),
-                rtol=1e-9,
-            )
 
     @pytest.mark.parametrize("omega", [1, 3])
     def test_support_limit_and_lower_bracket(self, omega):
@@ -402,6 +398,31 @@ class TestBoundarySolve:
         monkeypatch.setattr(analytic, "_NEWTON_MAX_ITER", 1)
         with pytest.raises(RuntimeError, match="did not converge"):
             _boundary_t(np.array([0.1, 0.5]), 3, 3.5, 1.0, 20.0)
+
+
+class TestMonotonicity:
+    """The inversions rely on two monotone laws, proved in the docstrings
+    of ``_boundary_t`` and ``_h_ratio``; these are their numerical checks
+    on coarse grids."""
+
+    @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("alpha", [2.05, 2.5, 3.0, 4.0, 6.0, 8.0])
+    def test_sir_rises_with_the_dominant_distance(self, alpha, q):
+        for omega in (1, 2, 3, 8, 32):
+            for r in (0.03, 0.3, 1.0, 3.0, 10.0):
+                t = np.linspace(1e-6 * r, r * (1.0 - 1e-9), 257)
+                sir = sir_reference(t, r, omega, alpha, q)
+                drops = np.diff(sir) < -1e-12 * np.abs(sir[:-1])
+                assert not drops.any(), (omega, r, t[np.argmax(drops)])
+
+    @pytest.mark.parametrize("q", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("alpha", [2.05, 2.5, 3.0, 4.0, 6.0, 8.0])
+    def test_h_rises_with_the_ratio(self, alpha, q):
+        xs = np.geomspace(1.0 + 1e-9, 1e4, 513)
+        for omega in (1, 2, 3, 8, 32):
+            hs = np.array([_h_ratio(float(x), omega, alpha, q) for x in xs])
+            drops = np.diff(hs) < -1e-10 * np.abs(hs[:-1])
+            assert not drops.any(), (omega, xs[np.argmax(drops)])
 
 
 class TestSingleIntegralGeneral:
@@ -499,12 +520,74 @@ class TestEvaluate:
         assert evaluate("UpperBound", CANON) == pl_upper_bound(CANON)
 
     def test_gain_bound_is_rejected(self):
-        with pytest.raises(ValueError, match="min_processing_gain"):
-            evaluate(Method.PROC_GAIN_BOUND, CANON)
+        # min_processing_gain maps a target P_L to a gain; it has no tag.
+        with pytest.raises(ValueError, match="unknown method 'ProcGainBound'"):
+            evaluate("ProcGainBound", CANON)
 
     def test_unknown_method_is_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):
             evaluate("Bogus", CANON)
+
+
+# Edge cases of the Omega average, recorded before it was shared by every
+# evaluator: L = 1 and p = 0 keep only the omega = 0 term, p = 1 only the
+# omega = L - 1 term, and q = 0 drops the far field.  The inner point
+# weighs every term.
+EDGE = at_ratio(20.0, p=0.3)
+EDGE_POINTS = {
+    "L1": EDGE.replace(L=1),
+    "p0": EDGE.replace(p=0.0),
+    "p1": EDGE.replace(p=1.0),
+    "q0": EDGE.replace(q=0.0),
+    "inner": EDGE,
+}
+EDGE_VALUES = {
+    Method.UPPER_BOUND: {
+        "L1": 1.0, "p0": 1.0, "p1": 0.44646531545814594,
+        "q0": 0.8096721867276092, "inner": 0.8096721867276092,
+    },
+    Method.PERFECT_COORD: {
+        "L1": 0.9999999979388464, "p0": 0.9999967962802195,
+        "p1": 0.9999967962802195, "q0": 1.0, "inner": 0.9999967962802195,
+    },
+    Method.DOUBLE_INTEGRAL: {
+        "L1": 0.9999999979388464, "p0": 0.9999967962802195,
+        "p1": 0.31154015220478126, "q0": 0.8018162246940372,
+        "inner": 0.7779560849489775,
+    },
+    Method.SINGLE_INTEGRAL_GENERAL: {
+        "L1": 0.9999999979388464, "p0": 0.9999967962802195,
+        "p1": 0.32729711202943973, "q0": 0.8018162251528319,
+        "inner": 0.7808007765460633,
+    },
+    Method.SINGLE_INTEGRAL_ALPHA4: {
+        "L1": 0.9999999979388464, "p0": 0.9999967962802195,
+        "p1": 0.31154015220478104, "q0": 0.8018162246940371,
+        "inner": 0.7779560849489734,
+    },
+    Method.NEAR_FIELD_ALPHA4: {
+        "L1": 1.0, "p0": 1.0, "p1": 0.37460455409609406,
+        "q0": 0.8018162251528537, "inner": 0.8018162251528537,
+    },
+}
+
+
+class TestEdgeAnchors:
+    @pytest.mark.parametrize("method", list(Method))
+    def test_recorded_values(self, method):
+        for name, point in EDGE_POINTS.items():
+            assert evaluate(method, point) == EDGE_VALUES[method][name], name
+
+    def test_recorded_nonconvergence(self):
+        # One halving per panel leaves this DoubleIntegral point short of
+        # its tolerance; its best and error estimates are recorded.
+        point = Scenario(
+            lam=1.0, alpha=3.5, p=2.0 / 3.0, q=1.0, beta=10.0 ** -1.2, gamma=1.0, L=6
+        )
+        with pytest.raises(NonConvergenceError) as excinfo:
+            evaluate(Method.DOUBLE_INTEGRAL, point, QuadratureSpec(max_depth=1))
+        assert excinfo.value.best_estimate == 0.6494429209290253
+        assert excinfo.value.error_estimate == 6.289478234066965e-09
 
 
 class TestScaleInvariance:
@@ -633,9 +716,7 @@ class TestEvaluateGrid:
             else:
                 assert evaluate(method, point, quad) == value
 
-    @pytest.mark.parametrize(
-        "method", [m for m in Method if m != Method.PROC_GAIN_BOUND]
-    )
+    @pytest.mark.parametrize("method", list(Method))
     def test_every_method_equals_its_one_point_calls(self, method):
         points = [_at_threshold(CANON, g) for g in STEP_1DB]
         expected = [outcome(evaluate(method, point)) for point in points]
@@ -644,8 +725,8 @@ class TestEvaluateGrid:
     def test_points_must_share_the_scenario(self):
         with pytest.raises(ValueError, match="share"):
             evaluate_grid(Method.UPPER_BOUND, [CANON, CANON.replace(L=5)])
-        with pytest.raises(ValueError, match="min_processing_gain"):
-            evaluate_grid(Method.PROC_GAIN_BOUND, [CANON])
+        with pytest.raises(ValueError, match="unknown method 'ProcGainBound'"):
+            evaluate_grid("ProcGainBound", [CANON])
         assert evaluate_grid(Method.DOUBLE_INTEGRAL, []) == []
 
 

@@ -48,10 +48,11 @@ _SWEEP_KEYS = {
 }
 
 # Every parameter of each subcommand except ``out``, mostly off its
-# default, with the positional arguments that precede them.
+# default, with the positional arguments that precede them.  At k = 2 a
+# sweep takes only the tags that read K.
 EVERY_KEY = {
-    "analytic": ([], {**_SWEEP_KEYS, "methods": "UpperBound,ReuseRecursion"}),
-    "simulate": ([], {**_SWEEP_KEYS, "methods": "MonteCarloJoint,MonteCarloLastBs"}),
+    "analytic": ([], {**_SWEEP_KEYS, "methods": "ReuseRecursion"}),
+    "simulate": ([], {**_SWEEP_KEYS, "methods": "MonteCarloReuse,ReuseRecursion"}),
     "reuse": ([], {
         **{k: v for k, v in _SWEEP_KEYS.items() if k != "k"},
         "k_list": "1,2", "mc": "1",
@@ -310,7 +311,7 @@ class TestGridSweep:
             (Scenario(lam=2.0, alpha=4.0, p=2.0 / 3.0, q=1.0, beta=1.0, gamma=1.0, L=6),
              ("SingleIntegralAlpha4",)),
             (Scenario(lam=2.0, alpha=4.0, p=1.0, q=1.0, beta=1.0, gamma=1.0, L=6, K=3),
-             ("ReuseRecursion", "SingleIntegralAlpha4")),
+             ("ReuseRecursion",)),
         ],
     )
     def test_depth_one_sweep_matches_per_point_bytes(self, tmp_path, scen, methods):
@@ -414,6 +415,22 @@ class TestRunSweeps:
         ):
             with pytest.raises(ValueError, match="share sim and workers"):
                 run_sweeps([spec, other])
+
+    @pytest.mark.parametrize(
+        "tag", ["UpperBound", "DoubleIntegral", "MonteCarloJoint", "MonteCarloLastBs"]
+    )
+    def test_only_reuse_tags_take_k(self, tag):
+        # The other tags model one band: at K = 3 they would write rows
+        # labelled K=3 holding the K=1 values.
+        scen = Scenario(lam=2.0, alpha=4.0, p=1.0, q=1.0, beta=1.0, gamma=1.0, L=4, K=3)
+        sim = SimConfig(realizations=40, seed=0)
+        with pytest.raises(ValueError, match=f"^{tag} models one band"):
+            run_sweep(SweepSpec(scen, (-10.0,), ("ReuseRecursion", tag), sim))
+        reuse = ("ReuseRecursion", "MonteCarloReuse")
+        rows = run_sweep(SweepSpec(scen, (-10.0,), reuse, sim))
+        assert [(row.method, row.K) for row in rows] == [(t, 3) for t in reuse]
+        one_band = run_sweep(SweepSpec(scen.replace(K=1), (-10.0,), (tag,), sim))
+        assert [row.method for row in one_band] == [tag]
 
 
 class TestSubcommands:
@@ -630,6 +647,16 @@ class TestSubcommands:
             ),
             ("e911", None, ["--grid", "4,x"], "^error: grid: "),
             ("reuse", None, ["--base-method", "Bogus"], "^error: base_method: "),
+            (
+                "reuse", None, ["--base-method", "ProcGainBound"],
+                "^error: base_method: 'ProcGainBound' is not a valid Method",
+            ),
+            # Tags that model one band would write K=3 rows of the K=1 values.
+            ("analytic", None, ["--k", "3"], "^error: UpperBound models one band"),
+            (
+                "simulate", None, ["--k", "3", "--realizations", "500"],
+                "^error: MonteCarloJoint models one band",
+            ),
             # Values the table accepts but the library rejects.
             ("reuse", None, ["--p", "0.5"], "^error: .*requires p = q; got p=0.5"),
             ("reuse", None, ["--alpha", "3.5"], "^error: .*requires alpha = 4"),
@@ -668,7 +695,8 @@ class TestSubcommands:
         ids=[
             "truth_mode", "realizations", "alpha", "mc", "k_list",
             "k_list_repeat", "k_list_repeat_config", "grid_repeat", "methods_repeat",
-            "k_list_zero", "grid", "base_method",
+            "k_list_zero", "grid", "base_method", "base_method_gain_bound",
+            "analytic_k", "simulate_k",
             "reuse_p_not_q", "reuse_alpha", "realizations_zero",
             "figure_realizations_zero", "e911_trials",
             "fig5_realizations_flag", "fig6_realizations_config",

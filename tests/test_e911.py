@@ -279,8 +279,6 @@ class TestConfig:
             E911Config(min_hearability_grid=(3, 4))
         with pytest.raises(ValueError, match="max_bs_per_fix"):
             E911Config(max_bs_per_fix=3)
-        with pytest.raises(ValueError, match="expected_bs"):
-            E911Config(expected_bs=50)
         with pytest.raises(ValueError, match="pre_sinr_threshold"):
             E911Config(pre_sinr_threshold=0.0)
 
@@ -334,7 +332,7 @@ def one_realization():
     # Trial 19 at seed 3 hears 7 BSs, enough for every path below.
     cfg = E911Config()
     scen = default_scenario(cfg)
-    sim = SimConfig(realizations=20, seed=3, expected_bs=cfg.expected_bs)
+    sim = SimConfig(realizations=20, seed=3, expected_bs=e911.EXPECTED_BS)
     d, active = block_rows(scen, sim)
     return cfg, scen, Realization(d[19], active[19], np.ones(d.shape[1], dtype=np.int64))
 
@@ -387,7 +385,7 @@ class TestSynthesize:
         cfg, scen, real = one_realization
         obs, _ = synthesize_observations(real, scen, cfg, stream(0, 0, 6))
         sigma = np.array([ranging_stddev(s, cfg) for s in obs.post_sinrs])
-        var = sigma**2 + (cfg.speed_of_light * cfg.clock_std) ** 2
+        var = sigma**2 + (e911.SPEED_OF_LIGHT * cfg.clock_std) ** 2
         np.testing.assert_allclose(
             obs.covariance, np.diag(var[1:]) + var[0], rtol=1e-12
         )
@@ -418,7 +416,8 @@ class TestDetect:
     def blocks(self):
         cfg = E911Config()
         scen = default_scenario(cfg)
-        d, _ = block_rows(scen, SimConfig(realizations=64, seed=5, expected_bs=cfg.expected_bs))
+        sim = SimConfig(realizations=64, seed=5, expected_bs=e911.EXPECTED_BS)
+        d, _ = block_rows(scen, sim)
         return cfg, scen, [d[i : i + 16] for i in range(0, 64, 16)]
 
     def test_sampled_blocks_need_only_the_leading_columns(self, blocks):
@@ -721,7 +720,7 @@ class TestTrials:
         scen = default_scenario(cfg)
         trials = collect_trials(cfg, seed=2)
         rate = float((trials[:, 0] >= 4).mean())
-        sim = SimConfig(realizations=2000, seed=77, expected_bs=cfg.expected_bs)
+        sim = SimConfig(realizations=2000, seed=77, expected_bs=e911.EXPECTED_BS)
         margins = collect_margins(scen, sim)
         ref = exceedance_curve(margins[:, 0], [scen.beta / scen.gamma])[0]
         se = math.hypot(ref.stderr, math.sqrt(rate * (1 - rate) / cfg.trials))

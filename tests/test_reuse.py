@@ -46,8 +46,9 @@ class TestReuseQuery:
             ReuseQuery(bad)
 
     def test_rejects_non_probability_base(self):
-        with pytest.raises(ValueError, match="probability"):
-            ReuseQuery(scen(20.0), base_method=Method.PROC_GAIN_BOUND)
+        # min_processing_gain maps a target P_L to a gain; it has no tag.
+        with pytest.raises(ValueError, match="'ProcGainBound' is not a valid Method"):
+            ReuseQuery(scen(20.0), base_method="ProcGainBound")
 
 
 class TestExactCountPmf:
@@ -168,7 +169,6 @@ class TestReuseGrid:
 _BAND_CASES = [
     (method, alpha, p)
     for method in Method
-    if method != Method.PROC_GAIN_BOUND
     for alpha in (
         (4.0,) if method in (Method.SINGLE_INTEGRAL_ALPHA4, Method.NEAR_FIELD_ALPHA4)
         else (3.0, 4.0)
