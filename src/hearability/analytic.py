@@ -109,7 +109,7 @@ def mean_i1(r1_hat: float, rl: float, omega: int, scenario: Scenario) -> float:
     participant distance ``r1_hat`` and ``omega`` active participants,
     the remaining ``omega - 1`` actives are uniform on the annulus
     between the two radii; averaging the power law over that annulus
-    gives the closed form.  Returns 0 for ``omega <= 1``.
+    gives the closed form per unit transmit power.  Returns 0 for ``omega <= 1``.
     """
     if not isinstance(omega, (int, np.integer)) or omega < 0:
         raise ValueError(f"omega must be a nonnegative integer, got {omega!r}")
@@ -120,32 +120,27 @@ def mean_i1(r1_hat: float, rl: float, omega: int, scenario: Scenario) -> float:
     if omega <= 1:
         return 0.0
     alpha = scenario.alpha
-    power = scenario.tx_power
     if rl - r1_hat <= 1e-9 * rl:
         # Removable singularity: the annulus degenerates to the circle.
-        return power * (omega - 1) * rl**-alpha
+        return (omega - 1) * rl**-alpha
     num = rl ** (2.0 - alpha) - r1_hat ** (2.0 - alpha)
     den = rl * rl - r1_hat * r1_hat
-    return 2.0 * power * (omega - 1) / (2.0 - alpha) * num / den
+    return 2.0 * (omega - 1) / (2.0 - alpha) * num / den
 
 
 def mean_i2(rl: float, scenario: Scenario) -> float:
     """Mean interference from load-q BSs beyond the L-th, given R_L = rl.
 
-    Campbell's theorem over the thinned PPP outside radius ``rl``.
+    Campbell's theorem over the thinned PPP outside ``rl``, per unit transmit power.
     """
     if not (rl > 0.0 and math.isfinite(rl)):
         raise ValueError(f"rl must be positive and finite, got {rl}")
     alpha = scenario.alpha
-    return (
-        2.0
-        * scenario.tx_power
-        * math.pi
-        * scenario.q
-        * scenario.lam
-        / (alpha - 2.0)
-        * rl ** (2.0 - alpha)
-    )
+    return 2.0 * math.pi * scenario.q * scenario.lam / (alpha - 2.0) * rl ** (2.0 - alpha)
+
+
+# Quantile of the R_L law at which the integral forms cut their outer integral.
+_TAIL_QUANTILE = 1.0 - 1e-9
 
 
 def _omega_average(points: list[Scenario], p: float, term, quad) -> list:
@@ -353,7 +348,7 @@ def _double_integral_term(omega: int, points: list[Scenario], quad) -> list:
     gbs = [1.0 / (s.beta / s.gamma) for s in points]
     # Normalized coordinates (lam * pi = 1): an exact change of variables,
     # so the result is independent of the density.
-    r_tail = math.sqrt(erlang_quantile(L, 1.0, quad.tail_quantile))
+    r_tail = math.sqrt(erlang_quantile(L, 1.0, _TAIL_QUANTILE))
     log_norm = math.log(2.0) - math.lgamma(L)
     uppers: list = [None] * len(gbs)
     for k, gb in enumerate(gbs):
@@ -417,7 +412,6 @@ def _single_integral_general_term(omega: int, points: list[Scenario], quad) -> l
         return _perfect_coord_term(omega, points, quad)
     alpha, q = points[0].alpha, points[0].q
     h_one = _h_ratio(1.0, omega, alpha, q)
-    root_tol = min(1e-12, quad.rel_tol)
     out = []
     for gb in (s.gamma / s.beta for s in points):
         if h_one >= gb:
@@ -429,7 +423,7 @@ def _single_integral_general_term(omega: int, points: list[Scenario], quad) -> l
                 break
             hi *= 2.0
         x_star = find_root_monotone(
-            lambda x: _h_ratio(x, omega, alpha, q) - gb, 1.0, hi, tol=root_tol * hi
+            lambda x: _h_ratio(x, omega, alpha, q) - gb, 1.0, hi, tol=1e-12 * hi
         )
         out.append((1.0 - x_star**-2.0) ** omega)
     return out
@@ -458,7 +452,7 @@ def _alpha4_term(omega: int, points: list[Scenario], quad) -> list:
         return _perfect_coord_term(omega, points, quad)
     L, q = points[0].L, points[0].q
     gbs = [s.gamma / s.beta for s in points]
-    s_tail = erlang_quantile(L, 1.0, quad.tail_quantile)
+    s_tail = erlang_quantile(L, 1.0, _TAIL_QUANTILE)
     log_norm = -math.lgamma(L)
     uppers = []
     for gb in gbs:

@@ -611,6 +611,13 @@ def _methods(text: str) -> tuple[str, ...]:
     return _distinct(tags)
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _bit(text: str) -> bool:
     if text not in ("0", "1"):
         raise ValueError(f"expected 0 or 1, got {text!r}")
@@ -622,7 +629,7 @@ def _bit(text: str) -> bool:
 # sources go through the same converter.
 _COMMON = {
     "seed": (int, 0, "master RNG seed (else HEARABILITY_SEED, else 0)"),
-    "workers": (int, 1, "process count"),
+    "workers": (_count, 1, "process count"),
 }
 _MONTE_CARLO = {
     "realizations": (int, 10000, "Monte Carlo sample size"),
@@ -636,7 +643,6 @@ _NETWORK = {
 _SWEEP_GRID = {
     "l": (int, 4, "required BS count L"),
     "lam": (float, _DENSITY, "BS density"),
-    "gamma_db": (float, 0.0, "processing gain in dB"),
     "bg_start_db": (float, -20.0, "first beta/gamma grid point in dB"),
     "bg_stop_db": (float, 0.0, "last beta/gamma grid point in dB"),
     "bg_step_db": (float, 1.0, "beta/gamma grid step in dB"),
@@ -645,6 +651,7 @@ _SWEEP_GRID = {
     ),
 }
 _K = {"k": (int, 1, "frequency reuse factor")}
+_MAX_GRID_POINTS = 10_000  # beta/gamma points per sweep; the recipes use at most 41
 
 
 def _out(default: str | None) -> dict:
@@ -658,12 +665,17 @@ def _sim(v: dict) -> SimConfig:
 
 
 def _sweep_spec(v: dict, K: int, methods: tuple[str, ...]) -> SweepSpec:
+    for key in ("bg_start_db", "bg_stop_db", "bg_step_db"):
+        if not math.isfinite(v[key]):
+            raise ValueError(f"{key}: must be finite, got {v[key]}")
     start, stop, step = v["bg_start_db"], v["bg_stop_db"], v["bg_step_db"]
     if step <= 0 or stop < start:
-        raise SystemExit("error: need bg_step_db > 0 and bg_stop_db >= bg_start_db")
-    gamma = 10.0 ** (v["gamma_db"] / 10.0)
+        raise ValueError("need bg_step_db > 0 and bg_stop_db >= bg_start_db")
+    if (stop - start) / step + 1e-9 >= _MAX_GRID_POINTS:
+        raise ValueError(f"bg_step_db: the grid would exceed {_MAX_GRID_POINTS} points")
+    # P_L reads beta and gamma only through beta/gamma, which the grid sets.
     scen = Scenario(
-        lam=v["lam"], alpha=v["alpha"], p=v["p"], q=v["q"], beta=gamma, gamma=gamma,
+        lam=v["lam"], alpha=v["alpha"], p=v["p"], q=v["q"], beta=1.0, gamma=1.0,
         L=v["l"], K=K,
     )
     return SweepSpec(
@@ -731,7 +743,7 @@ _COMMANDS = {
         "isd": (float, 500.0, "hex intersite distance"),
         "sigma_db": (float, 8.0, "hex shadowing sigma in dB (0 disables)"),
         "bg_db": (float, -10.0, "beta/gamma in dB"),
-        "l_max": (int, 16, "largest L"),
+        "l_max": (_count, 16, "largest L"),
     }),
     "e911": ("FCC E911 compliance table", _e911, {
         **_COMMON, **_out("e911.csv"),

@@ -68,8 +68,8 @@ class Scenario:
         gamma: processing gain applied before demodulation, linear (> 0).
         L: number of nearest BSs the device must detect (>= 1).
         K: number of frequency bands under reuse (>= 1, 1 = universal).
-        noise_sigma2: thermal noise power, same units as received power.
-        tx_power: common BS transmit power.
+        noise_sigma2: thermal noise power in units of the common BS
+            transmit power: a BS at distance d is received at d**-alpha.
     """
 
     lam: float
@@ -81,7 +81,6 @@ class Scenario:
     L: int
     K: int = 1
     noise_sigma2: float = 0.0
-    tx_power: float = 1.0
 
     def __post_init__(self) -> None:
         if not (self.lam > 0.0 and math.isfinite(self.lam)):
@@ -104,8 +103,6 @@ class Scenario:
             raise ValueError(
                 f"noise_sigma2 must be nonnegative, got {self.noise_sigma2}"
             )
-        if not (self.tx_power > 0.0 and math.isfinite(self.tx_power)):
-            raise ValueError(f"tx_power must be positive, got {self.tx_power}")
 
     @property
     def bg_ratio(self) -> float:

@@ -48,14 +48,11 @@ class QuadratureSpec:
             ``max(abs_tol, rel_tol * |estimate|)``.
         max_depth: maximum number of times any one subinterval may be
             halved before the integration is declared non-convergent.
-        tail_quantile: quantile used by callers to truncate integrals
-            over unbounded distance distributions.
     """
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
     max_depth: int = 40
-    tail_quantile: float = 1.0 - 1e-9
 
     def __post_init__(self) -> None:
         if not (self.rel_tol > 0.0 and math.isfinite(self.rel_tol)):
@@ -64,10 +61,6 @@ class QuadratureSpec:
             raise ValueError(f"abs_tol must be positive and finite, got {self.abs_tol}")
         if self.max_depth < 1:
             raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
-        if not (0.5 < self.tail_quantile < 1.0):
-            raise ValueError(
-                f"tail_quantile must lie in (0.5, 1), got {self.tail_quantile}"
-            )
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()

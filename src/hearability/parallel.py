@@ -26,6 +26,8 @@ def map_spans(
     depend only on their index (and, with ``align``, on the block holding
     it) therefore returns the same array for every worker count.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     units = -(-n // align)
     bounds = np.linspace(0, units, max(1, min(workers, units)) + 1, dtype=int) * align
     spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], np.minimum(bounds[1:], n))]

@@ -58,6 +58,7 @@ from .parallel import map_spans
 __all__ = [
     "Deployment",
     "SimConfig",
+    "UPSILON_CAP",
     "McEstimate",
     "exceedance_curve",
     "reuse_success_curve",
@@ -80,11 +81,18 @@ ROLE_E911 = 6
 # 125 KiB, just below glibc's default 128 KiB mmap threshold.
 _BLOCK = 16
 
-# Bound on the bytes of one temporary of the kernels that take a block
-# a few rows at a time (hex distances, Upsilon at p != q).  glibc serves
-# requests of 128 KiB and more by mmap by default, and a fresh mapping
-# per block pays its page faults block after block.
+# Bound on the bytes of one (rows, sites) temporary of the hex distances,
+# which take a block a few rows at a time.  glibc serves requests of
+# 128 KiB and more by mmap by default, and a fresh mapping per block pays
+# its page faults block after block.
 _SCRATCH_BYTES = 120 * 1024
+
+# How many of each band's nearest BSs the Upsilon and reuse statistics
+# examine; levels L above it are rejected.  At p == q a band's count is
+# exact up to the cap, so every accepted level is answered exactly.  At
+# p != q the cap is part of Upsilon's definition: it bounds the candidate
+# participant counts that are checked.
+UPSILON_CAP = 32
 
 
 class Deployment(str, enum.Enum):
@@ -108,12 +116,6 @@ class SimConfig:
             enters analytically through the effective density; for hex
             grids it is drawn per link and folded into equivalent
             distances.
-        upsilon_cap: how many of each band's nearest BSs the Upsilon
-            and reuse statistics examine; levels L above it are
-            rejected.  At p == q a band's count is exact up to the cap,
-            so every accepted level is answered exactly.  At p != q the
-            cap is part of Upsilon's definition: it bounds the candidate
-            participant counts that are checked.
     """
 
     realizations: int
@@ -122,7 +124,6 @@ class SimConfig:
     deployment: Deployment = Deployment.PPP
     hex_isd: float = 500.0
     shadow: ShadowingSpec = field(default_factory=ShadowingSpec)
-    upsilon_cap: int = 32
 
     def __post_init__(self) -> None:
         if not isinstance(self.realizations, (int, np.integer)) or self.realizations < 1:
@@ -133,8 +134,6 @@ class SimConfig:
             raise ValueError(f"expected_bs must be >= 10, got {self.expected_bs!r}")
         if not (self.hex_isd > 0.0 and math.isfinite(self.hex_isd)):
             raise ValueError(f"hex_isd must be positive, got {self.hex_isd}")
-        if not isinstance(self.upsilon_cap, (int, np.integer)) or self.upsilon_cap < 1:
-            raise ValueError(f"upsilon_cap must be >= 1, got {self.upsilon_cap!r}")
 
     def replace(self, **changes) -> "SimConfig":
         return dataclasses.replace(self, **changes)
@@ -255,7 +254,7 @@ class _BlockDraws:
     Every part is drawn on first use and cached under the scenario
     inputs it depends on: distances under :func:`_distance_key`, band
     labels and their :class:`_Bands` under K, powers under the distance
-    key, alpha and ``tx_power``, and transmit marks under the activity
+    key and alpha, and transmit marks under the activity
     probability.  The activity uniforms depend on no scenario input and
     are drawn only when some sibling's p or q lies strictly inside
     (0, 1): every uniform lies in [0, 1), so the marks at 0 and at 1 do
@@ -306,12 +305,12 @@ class _BlockDraws:
     def bands(self, K: int) -> "_Bands":
         """The runs and nearest members of the block's K bands."""
         return self._part(("bands", K), lambda: _Bands(
-            self.labels(K), K, self.config.upsilon_cap, self.shape
+            self.labels(K), K, UPSILON_CAP, self.shape
         ))
 
     def powers(self, scenario: Scenario) -> np.ndarray:
-        """Received powers of the block's BSs, (rows, n)."""
-        key = (_distance_key(scenario, self.config), scenario.alpha, scenario.tx_power)
+        """Received powers of the block's BSs per unit transmit power, (rows, n)."""
+        key = (_distance_key(scenario, self.config), scenario.alpha)
         return self._part(
             ("powers", key), lambda: _powers(self.distances(scenario), scenario)
         )
@@ -394,9 +393,7 @@ class _Bands:
 
 
 def _powers(distances: np.ndarray, scenario: Scenario) -> np.ndarray:
-    pw = distances ** (-scenario.alpha)
-    pw *= scenario.tx_power  # in place: one (rows, n) array per call
-    return pw
+    return distances ** (-scenario.alpha)
 
 
 def _margins(pw: np.ndarray, act_p: np.ndarray, act_q: np.ndarray,
@@ -441,37 +438,25 @@ def _upsilon(pw: np.ndarray, act_p: np.ndarray, act_q: np.ndarray, bands: _Bands
     every candidate count shares one transmit mark per BS (``act_p`` at
     p, ``act_q`` at q).  At p == q, P(Upsilon >= L) is the
     joint-detection P_L, and the count is the number of prefix-min
-    SINRs clearing the threshold.  Otherwise all candidate counts
-    ``ell`` are checked at once: entry (ell, k) of a (cap, cap) array
-    per band tests member k < ell against the interference of the
-    ``ell`` participants and of the loaded band members beyond them.
+    SINRs clearing the threshold.  Otherwise member k < ell is detected at
+    count ell when ``pw_k >= thr * (near_ell - own_k + far_ell + noise)``:
+    ``near_ell`` is the active power among the ``ell`` participants,
+    ``own_k`` member k's part of it and ``far_ell`` the loaded power beyond
+    them.  As ``pw_k + thr * own_k >= thr * (near_ell + far_ell + noise)``,
+    one running minimum over k decides every ell at once.
     """
     thr = scenario.beta / scenario.gamma
     if scenario.p == scenario.q:
         return np.sum(_prefix_min_sinr(pw, act_q, bands, scenario) >= thr, axis=(1, 2))
     cap = bands.cap
-    slots = np.arange(cap)
-    untested = slots[None, :] > slots[:, None]  # [ell - 1, k]: k >= ell
-    near = bands.running_sums(pw, act_p)[:, :, :cap].reshape(-1, cap)
+    near = bands.running_sums(pw, act_p)[:, :, :cap]
     running_q = bands.running_sums(pw, act_q)
-    far = (running_q[:, :, -1:] - running_q[:, :, :cap]).reshape(-1, cap)
+    far = running_q[:, :, -1:] - running_q[:, :, :cap]
     pw_c = bands.members(pw)
-    own = (bands.members(act_p) * pw_c).reshape(-1, cap)
-    pw_c = pw_c.reshape(-1, cap)
-    # The (ell, k) tests of every band of every row, a few bands at a
-    # time so that no temporary outgrows _SCRATCH_BYTES.
-    passes = np.empty(pw_c.shape, dtype=bool)
-    step = max(1, _SCRATCH_BYTES // (8 * cap * cap))
-    for first in range(0, len(pw_c), step):
-        part = slice(first, first + step)
-        denom = near[part, :, None] - own[part, None, :]
-        denom += far[part, :, None]
-        denom += scenario.noise_sigma2
-        denom *= thr
-        np.all((pw_c[part, None, :] >= denom) | untested, axis=2, out=passes[part])
-    passes &= bands.valid.reshape(-1, cap)
-    best = np.max(np.where(passes, slots + 1, 0), axis=1)
-    return best.reshape(len(pw), -1).sum(axis=1)
+    weakest = np.minimum.accumulate(pw_c + thr * (bands.members(act_p) * pw_c), axis=2)
+    passes = (weakest >= thr * (near + far + scenario.noise_sigma2)) & bands.valid
+    best = np.max(np.where(passes, np.arange(1, cap + 1), 0), axis=2)
+    return best.sum(axis=1)
 
 
 # --- chunked collection across realizations -------------------------------
@@ -528,7 +513,7 @@ def _collect(
         if kind == "reuse":
             if scenario.p != scenario.q:
                 raise ValueError("band prefix margins require p = q")
-            _check_level(scenario.L, config)
+            _check_level(scenario.L)
         _check_window(scenario, config)
     if not family:
         return []
@@ -538,10 +523,10 @@ def _collect(
     return statistics[0] if single else statistics
 
 
-def _check_level(level: int, config: SimConfig) -> None:
-    if level > config.upsilon_cap:
+def _check_level(level: int) -> None:
+    if level > UPSILON_CAP:
         raise ValueError(
-            f"L={level} exceeds upsilon_cap={config.upsilon_cap}, the most "
+            f"L={level} exceeds upsilon_cap={UPSILON_CAP}, the most "
             "detections per band that the Monte Carlo counts track"
         )
 
@@ -564,7 +549,7 @@ def collect_upsilon(
 ) -> np.ndarray | list[np.ndarray]:
     """Per-realization detectable-BS counts Upsilon, shape (n,).
 
-    Levels are L values up to ``config.upsilon_cap``.  A sequence of
+    Levels are L values up to ``UPSILON_CAP``.  A sequence of
     sibling scenarios gives a list of counts, one per sibling.
     """
     return _collect(scenarios, config, "upsilon", workers)
@@ -576,7 +561,7 @@ def collect_reuse_margins(
     """Per-realization reuse margins, shape (n,); requires p == q.
 
     The margin is the L-th largest prefix-min SINR over the
-    ``upsilon_cap`` nearest members of every band: at least L BSs are
+    ``UPSILON_CAP`` nearest members of every band: at least L BSs are
     detected across the K bands exactly when it clears beta/gamma.  A
     sequence of sibling scenarios gives a list of margins, one per
     sibling.
@@ -625,5 +610,5 @@ def hearability_curve(
     sibling.
     """
     levels = np.asarray(l_values, dtype=int)
-    _check_level(max(levels, default=0), config)
+    _check_level(max(levels, default=0))
     return _curves(collect_upsilon(scenarios, config, workers), levels)

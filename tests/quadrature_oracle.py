@@ -2,8 +2,10 @@
 
 These are the one-integral adaptive quadrature loop, the one-panel
 boundary solve and the two quadrature-backed P_L evaluators as they
-stood before the lockstep engine, kept verbatim apart from their names
-and the runtime monotonicity probe, whose property is now proved in
+stood before the lockstep engine, kept verbatim apart from their names,
+the tail cut of the R_L law, which is now the analytic constant
+``_TAIL_QUANTILE`` and not a quadrature field, and the runtime
+monotonicity probe, whose property is now proved in
 ``hearability.analytic._boundary_t`` and checked in ``test_analytic.py``.
 The tests assert that the lockstep engine and the grid evaluators
 reproduce them bit for bit.
@@ -16,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from hearability.analytic import (
+    _TAIL_QUANTILE,
     _clamp01,
     _floor_with_tol,
     pl_perfect_coord,
@@ -202,7 +205,7 @@ def oracle_pl_double_integral(
         return _clamp01(total)
     # Normalized coordinates (lam * pi = 1): an exact change of variables,
     # so the result is independent of the density.
-    r_tail = math.sqrt(erlang_quantile(L, 1.0, quad.tail_quantile))
+    r_tail = math.sqrt(erlang_quantile(L, 1.0, _TAIL_QUANTILE))
     log_norm = math.log(2.0) - math.lgamma(L)
     for omega in range(1, L):
         weight = pmf_omega(omega, L, p)
@@ -246,7 +249,7 @@ def oracle_pl_alpha4(scenario: Scenario, quad: QuadratureSpec = DEFAULT_QUADRATU
     total = pmf_omega(0, L, p) * pl_perfect_coord(scenario)
     if L < 2:
         return _clamp01(total)
-    s_tail = erlang_quantile(L, 1.0, quad.tail_quantile)
+    s_tail = erlang_quantile(L, 1.0, _TAIL_QUANTILE)
     log_norm = -math.lgamma(L)
     chi = min(L - 1, _floor_with_tol(gb))
     for omega in range(1, chi + 1):

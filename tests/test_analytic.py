@@ -83,11 +83,6 @@ class TestMeanNearInterference:
         near = mean_i1(2.0 * (1.0 - 1e-7), 2.0, 5, scen)
         np.testing.assert_allclose(near, limit, rtol=1e-6)
 
-    def test_scales_with_tx_power(self):
-        base = mean_i1(1.0, 2.0, 3, CANON)
-        boosted = mean_i1(1.0, 2.0, 3, CANON.replace(tx_power=7.0))
-        np.testing.assert_allclose(boosted, 7.0 * base, rtol=1e-14)
-
     def test_rejects_bad_geometry(self):
         with pytest.raises(ValueError):
             mean_i1(3.0, 2.0, 2, CANON)

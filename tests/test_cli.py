@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -43,7 +44,7 @@ HEADER = ",".join(CSV_COLUMNS)
 _SWEEP_KEYS = {
     "seed": "11", "workers": "1", "realizations": "300", "expected_bs": "100",
     "alpha": "4", "p": "1", "q": "1", "k": "2", "l": "3", "lam": "2",
-    "gamma_db": "1", "bg_start_db": "-16", "bg_stop_db": "-15", "bg_step_db": "1",
+    "bg_start_db": "-16", "bg_stop_db": "-15", "bg_step_db": "1",
     "base_method": "UpperBound",
 }
 
@@ -564,6 +565,21 @@ class TestSubcommands:
             assert main(head + flags + ["--out", str(out_flags)]) == 0
             assert out_cfg.read_bytes() == out_flags.read_bytes(), command
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("alpha", "3.5"), ("p", "0.5"), ("q", "0.5"), ("l", "3"), ("lam", "2"),
+         ("bg_start_db", "-10.5"), ("bg_stop_db", "-8"), ("bg_step_db", "0.5")],
+    )
+    def test_every_scenario_and_grid_key_moves_the_csv(self, tmp_path, key, value):
+        # A key that leaves the bytes alone would be accepted and then ignored.
+        base = ["analytic", "--methods", "UpperBound,PerfectCoord", "--no-timestamp",
+                "--bg-start-db", "-10", "--bg-stop-db", "-9", "--bg-step-db", "1"]
+        default, changed = tmp_path / "default.csv", tmp_path / "changed.csv"
+        assert main(base + ["--out", str(default)]) == 0
+        assert len(data_lines(default)) == 1 + 2 * 2  # two tags at two points
+        assert main(base + [flag(key), value, "--out", str(changed)]) == 0
+        assert changed.read_bytes() != default.read_bytes()
+
     @pytest.mark.parametrize("command", sorted(EVERY_KEY))
     def test_flags_are_exactly_the_config_keys(self, command):
         parser = build_parser()
@@ -691,6 +707,35 @@ class TestSubcommands:
                  "--bg-stop-db", "-40", "--realizations", "200"],
                 "^error: L=33 exceeds upsilon_cap=32",
             ),
+            # P_L reads beta and gamma only through the grid's beta/gamma,
+            # so a processing gain would be accepted and then ignored.
+            *(
+                (command, None, ["--gamma-db", "1"],
+                 "error: unrecognized arguments: --gamma-db 1")
+                for command in ("analytic", "simulate", "reuse")
+            ),
+            *(
+                (command, "gamma_db = 1", [], "^error: unknown config key.*: gamma_db;")
+                for command in ("analytic", "simulate", "reuse")
+            ),
+            # Grids that cannot be built, or only after a very long time.
+            ("analytic", None, ["--bg-stop-db", "inf"], "^error: bg_stop_db: must be"),
+            ("analytic", None, ["--bg-start-db", "nan"], "^error: bg_start_db: must be"),
+            ("reuse", "bg_step_db = inf", [], "^error: bg_step_db: must be finite"),
+            (
+                "analytic", None, ["--bg-step-db", "1e-300"],
+                "^error: bg_step_db: the grid would exceed 10000 points",
+            ),
+            (
+                "simulate", None, ["--bg-stop-db", "1e4", "--bg-step-db", "0.5"],
+                "^error: bg_step_db: the grid would exceed 10000 points",
+            ),
+            # Counts below one would run one worker or write no rows.
+            ("simulate", None, ["--workers", "0"], "^error: workers: must be a positive"),
+            ("simulate", None, ["--workers", "-5"], "^error: workers: must be a"),
+            ("e911", None, ["--workers", "0"], "^error: workers: must be a positive"),
+            ("figure", "workers = 0", ["fig5"], "^error: workers: must be a positive"),
+            ("hexgrid", None, ["--l-max", "0"], "^error: l_max: must be a positive"),
         ],
         ids=[
             "truth_mode", "realizations", "alpha", "mc", "k_list",
@@ -702,10 +747,16 @@ class TestSubcommands:
             "fig5_realizations_flag", "fig6_realizations_config",
             "fig2_realizations_flag", "fig2_realizations_config",
             "missing_config", "hexgrid_l_max_above_cap", "reuse_l_above_cap",
+            "analytic_gamma_db", "simulate_gamma_db", "reuse_gamma_db",
+            "analytic_gamma_db_config", "simulate_gamma_db_config",
+            "reuse_gamma_db_config", "bg_stop_db_inf", "bg_start_db_nan",
+            "bg_step_db_inf_config", "bg_step_db_tiny", "grid_too_long",
+            "simulate_workers_zero", "simulate_workers_negative", "e911_workers_zero",
+            "figure_workers_zero_config", "hexgrid_l_max_zero",
         ],
     )
     def test_bad_input_exits_naming_the_key(
-        self, tmp_path, command, config, flags, message
+        self, tmp_path, capsys, command, config, flags, message
     ):
         out = tmp_path / "x.csv"
         argv = [command, *flags, "--out", str(out)]
@@ -713,8 +764,15 @@ class TestSubcommands:
             cfg = tmp_path / "run.cfg"
             cfg.write_text(config + "\n")
             argv += ["--config", str(cfg)]
-        with pytest.raises(SystemExit, match=message):
+        with pytest.raises(SystemExit) as stop:
             main(argv)
+        # The run's own errors are the exit message; argparse prints its
+        # usage error and exits with status 2.
+        text = stop.value.code
+        if not isinstance(text, str):
+            assert text == 2
+            text = capsys.readouterr().err
+        assert re.search(message, text, re.MULTILINE), text
         assert not out.exists()
 
     def test_installed_entry_point(self, tmp_path):

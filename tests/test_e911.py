@@ -67,7 +67,7 @@ def synthesize_observations(
 
 def _pre_sinrs(realization: Realization, scenario: Scenario) -> np.ndarray:
     """Pre-processing SINR of every BS in a fully loaded network."""
-    pw = scenario.tx_power * realization.distances ** (-scenario.alpha)
+    pw = realization.distances ** (-scenario.alpha)
     denom = float(np.sum(pw)) - pw + scenario.noise_sigma2
     with np.errstate(divide="ignore"):
         return np.where(denom > 0.0, pw / denom, math.inf)
@@ -428,7 +428,7 @@ class TestDetect:
     def test_noise_keeps_the_leading_columns(self, blocks):
         cfg, scen, ds = blocks
         fifth = float(np.median(ds[0][:, 4]))
-        noisy = scen.replace(noise_sigma2=scen.tx_power * fifth**-scen.alpha)
+        noisy = scen.replace(noise_sigma2=fifth**-scen.alpha)
         for d in ds:
             assert self._columns(d, noisy, cfg) == e911._DETECT_COLUMNS
 

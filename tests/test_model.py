@@ -44,7 +44,6 @@ class TestScenario:
             ("L", 2.5),
             ("K", 0),
             ("noise_sigma2", -1.0),
-            ("tx_power", 0.0),
         ],
     )
     def test_rejects_invalid_field(self, field, value):
@@ -210,7 +209,7 @@ def sinr_of(realization: Realization, k: int, L: int, scenario: Scenario) -> flo
         raise ValueError(f"L must lie in [1, {n}], got {L!r}")
     if not isinstance(k, (int, np.integer)) or not (1 <= k <= L):
         raise ValueError(f"k must lie in [1, {L}], got {k!r}")
-    power = scenario.tx_power * realization.distances ** (-scenario.alpha)
+    power = realization.distances ** (-scenario.alpha)
     active = np.asarray(realization.activity, dtype=bool)
     mask = active.copy()
     mask[k - 1] = False

@@ -31,8 +31,6 @@ class TestQuadratureSpec:
             {"rel_tol": -1e-9},
             {"abs_tol": 0.0},
             {"max_depth": 0},
-            {"tail_quantile": 0.4},
-            {"tail_quantile": 1.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

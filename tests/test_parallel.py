@@ -68,3 +68,10 @@ def test_one_span_per_worker_and_no_surplus_process(
     np.testing.assert_array_equal(out, _rows(5, 0, n))
     assert calls == spans
     assert pools == ([] if pool is None else [pool])
+
+
+@pytest.mark.parametrize("workers", [0, -5])
+def test_rejects_fewer_than_one_worker(pools, workers):
+    with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+        map_spans(_rows, (5,), 20, workers)
+    assert pools == []

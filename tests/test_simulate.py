@@ -109,7 +109,7 @@ def _upsilon_oracle(realization, scenario, cap=32) -> int:
     """Upsilon by an explicit scan over candidate participant counts."""
     thr = scenario.beta / scenario.gamma
     sigma2 = scenario.noise_sigma2
-    pw_all = scenario.tx_power * realization.distances ** (-scenario.alpha)
+    pw_all = realization.distances ** (-scenario.alpha)
     total_count = 0
     for band in range(1, scenario.K + 1):
         if scenario.K > 1:
@@ -187,7 +187,7 @@ def cfg(n: int, seed: int = 0, **kw) -> SimConfig:
 
 
 def _block_cummins(scen, config, block, rows):
-    """Per-band prefix-min SINRs of one block, (rows, K, upsilon_cap)."""
+    """Per-band prefix-min SINRs of one block, (rows, K, UPSILON_CAP)."""
     draws = simulate._BlockDraws(config, block, rows)
     return simulate._prefix_min_sinr(
         draws.powers(scen), draws.active(scen.q), draws.bands(scen.K), scen
@@ -195,7 +195,7 @@ def _block_cummins(scen, config, block, rows):
 
 
 def _band_cummins(scen, config):
-    """Per-band prefix-min SINRs of every realization, (n, K, upsilon_cap)."""
+    """Per-band prefix-min SINRs of every realization, (n, K, UPSILON_CAP)."""
     n, size = config.realizations, simulate._BLOCK
     return np.concatenate([
         _block_cummins(scen, config, first // size, min(size, n - first))
@@ -458,10 +458,10 @@ class TestUpsilonCollection:
 
     def test_levels_above_the_cap_are_rejected(self):
         # Counts stop at the cap, so P(Upsilon >= cap + 1) would read 0.
-        config = cfg(16, seed=23, expected_bs=100, upsilon_cap=8)
-        assert len(hearability_curve(SCEN, config, np.arange(1, 9))) == 8
-        with pytest.raises(ValueError, match="L=9 exceeds upsilon_cap=8"):
-            hearability_curve(SCEN, config, np.arange(1, 10))
+        config = cfg(16, seed=23, expected_bs=100)
+        assert len(hearability_curve(SCEN, config, np.arange(1, 33))) == 32
+        with pytest.raises(ValueError, match="L=33 exceeds upsilon_cap=32"):
+            hearability_curve(SCEN, config, np.arange(1, 34))
 
 
 class TestReuseCollection:
@@ -470,8 +470,8 @@ class TestReuseCollection:
             collect_reuse_margins(SCEN.replace(p=0.5, q=0.75, K=3), cfg(10))
 
     def test_l_above_the_cap_is_rejected(self):
-        with pytest.raises(ValueError, match="L=9 exceeds upsilon_cap=8"):
-            collect_reuse_margins(SCEN.replace(K=3, L=9), cfg(10, upsilon_cap=8))
+        with pytest.raises(ValueError, match="L=33 exceeds upsilon_cap=32"):
+            collect_reuse_margins(SCEN.replace(K=3, L=33), cfg(10))
 
     def test_single_band_equals_plain_estimate(self):
         scen = SCEN.replace(beta=10.0 ** -1.6)
@@ -496,7 +496,7 @@ class TestReuseCollection:
         # Every distinct prefix-min value and the next float above it is
         # a level where a success count can change.
         scen = SCEN.replace(K=K, L=L)
-        config = cfg(3 * simulate._BLOCK + 5, seed=45, expected_bs=80, upsilon_cap=8)
+        config = cfg(3 * simulate._BLOCK + 5, seed=45, expected_bs=80)
         margins = collect_reuse_margins(scen, config, workers=1)
         cummins = _band_cummins(scen, config)
         finite = cummins[np.isfinite(cummins)]
@@ -505,7 +505,7 @@ class TestReuseCollection:
         ))
         for level, est in zip(levels, exceedance_curve(margins, levels)):
             assert est.successes == _count_successes(cummins, L, level)
-        if K == 6:  # some band holds fewer than upsilon_cap members
+        if K == 6:  # some band holds fewer than UPSILON_CAP members
             assert np.isneginf(cummins).any()
 
     def test_worker_invariance(self):
@@ -517,8 +517,8 @@ class TestReuseCollection:
 
     def test_cummin_shape_and_padding(self):
         scen = SCEN.replace(K=6)
-        out = _band_cummins(scen, cfg(50, seed=47, upsilon_cap=8))
-        assert out.shape == (50, 6, 8)
+        out = _band_cummins(scen, cfg(50, seed=47))
+        assert out.shape == (50, 6, 32)
         # Prefix minima never increase along the cap axis.
         finite = np.where(np.isfinite(out), out, np.inf)
         assert np.all(np.diff(np.minimum.accumulate(finite, axis=2), axis=2) <= 0.0)
@@ -646,8 +646,7 @@ class TestBlockKernelsMatchOracle:
     @pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
     def test_rows_match(self, case):
         scen, extra = _KERNEL_CASES[case]
-        config = cfg(3 * simulate._BLOCK, seed=71, expected_bs=120,
-                     upsilon_cap=12, **extra)
+        config = cfg(3 * simulate._BLOCK, seed=71, expected_bs=120, **extra)
         for block in range(3):
             reals = _oracle_rows(scen, config, block)
             rows = len(reals)
@@ -661,8 +660,8 @@ class TestBlockKernelsMatchOracle:
                                         scen.q, scen.noise_sigma2),
                     rtol=1e-12,
                 )
-                assert counts[row] == _upsilon_oracle(real, scen, config.upsilon_cap)
-                assert counts[row] == participation_metric(real, scen, config.upsilon_cap)
+                assert counts[row] == _upsilon_oracle(real, scen)
+                assert counts[row] == participation_metric(real, scen)
             if scen.p != scen.q:
                 continue
             cummins = _block_cummins(scen, config, block, rows)
@@ -673,7 +672,7 @@ class TestBlockKernelsMatchOracle:
                     np.testing.assert_allclose(
                         cummins[row, band - 1],
                         _band_sinr_cummin(pw[sel], real.activity_u[sel], scen.q,
-                                          scen.noise_sigma2, config.upsilon_cap),
+                                          scen.noise_sigma2, simulate.UPSILON_CAP),
                         rtol=1e-12,
                     )
 
@@ -682,9 +681,8 @@ class TestBlockKernelsMatchOracle:
         # The all-band kernels against the band-by-band kernels on
         # label-sorted rows: same terms in the same order, same bits.
         scen, extra = _KERNEL_CASES[case]
-        config = cfg(3 * simulate._BLOCK, seed=71, expected_bs=120,
-                     upsilon_cap=12, **extra)
-        cap = config.upsilon_cap
+        config = cfg(3 * simulate._BLOCK, seed=71, expected_bs=120, **extra)
+        cap = simulate.UPSILON_CAP
         for block in range(3):
             draws = simulate._BlockDraws(config, block, simulate._BLOCK)
             pw, u, labels = draws.powers(scen), draws.activity(), draws.labels(scen.K)
@@ -701,9 +699,9 @@ class TestBlockKernelsMatchOracle:
     def test_some_rows_detect_and_some_fail(self):
         # Guards the case table: counts must neither all vanish nor all cap.
         scen, extra = _KERNEL_CASES["ppp-K1-p!=q"]
-        config = cfg(simulate._BLOCK, seed=71, expected_bs=120, upsilon_cap=12)
+        config = cfg(simulate._BLOCK, seed=71, expected_bs=120)
         counts = _block_stats("upsilon", scen, config, 0, simulate._BLOCK)
-        assert 0 < counts.max() and counts.min() < config.upsilon_cap
+        assert 0 < counts.max() and counts.min() < simulate.UPSILON_CAP
 
 
 class TestBlockAlignedChunks:
@@ -765,7 +763,7 @@ class TestFamilies:
         ids=["margins", "upsilon", "reuse"],
     )
     def test_family_matches_one_collection_per_sibling(self, deployment, collect, family):
-        config = cfg(2 * simulate._BLOCK + 5, seed=79, expected_bs=100, upsilon_cap=12,
+        config = cfg(2 * simulate._BLOCK + 5, seed=79, expected_bs=100,
                      **_FAMILY_CONFIGS[deployment])
         alone = [collect(scen, config).tobytes() for scen in family]
         assert alone[1] != alone[0]  # guards the case table
@@ -791,8 +789,7 @@ class TestFamilies:
             (collect_margins, PARTIAL.replace(L=11), cfg(10, expected_bs=100)),
             (collect_upsilon, SCEN.replace(L=11), cfg(10, expected_bs=100)),
             (collect_reuse_margins, SCEN.replace(L=11), cfg(10, expected_bs=100)),
-            (collect_reuse_margins, SCEN.replace(L=9),
-             cfg(10, expected_bs=100, upsilon_cap=8)),
+            (collect_reuse_margins, SCEN.replace(L=33), cfg(10, expected_bs=100)),
             (collect_reuse_margins, SCEN.replace(p=0.5, q=0.75), cfg(10)),
         ],
         ids=["window-margins", "window-upsilon", "window-reuse", "level", "p!=q"],
@@ -826,7 +823,7 @@ class TestActivityDraws:
     )
     def test_full_activity_draws_no_uniforms(self, monkeypatch, deployment, collect):
         family = [SCEN.replace(beta=0.02), SCEN.replace(K=6, beta=0.02, L=2)]
-        config = cfg(2 * simulate._BLOCK + 5, seed=83, expected_bs=100, upsilon_cap=12,
+        config = cfg(2 * simulate._BLOCK + 5, seed=83, expected_bs=100,
                      **_FAMILY_CONFIGS[deployment])
         roles = self._roles(monkeypatch)
         collect(family, config)
@@ -843,7 +840,7 @@ class TestActivityDraws:
     )
     def test_mixed_family_draws_once_per_block(self, monkeypatch, collect, partial):
         family = [SCEN.replace(beta=0.02, K=3), partial.replace(beta=0.02), SCEN]
-        config = cfg(2 * simulate._BLOCK + 5, seed=89, expected_bs=100, upsilon_cap=12)
+        config = cfg(2 * simulate._BLOCK + 5, seed=89, expected_bs=100)
         alone = [collect(scen, config).tobytes() for scen in family]
         roles = self._roles(monkeypatch)
         together = collect(family, config)
