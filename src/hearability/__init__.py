@@ -5,7 +5,7 @@ can a device receive at least L base stations well enough to localize?
 
 Modules
 -------
-``model``     scenario and shadowing containers, exact distributions.
+``model``     scenario and shadowing containers, densities, the law of Omega.
 ``analytic``  closed-form bounds and integral approximations of P_L.
 ``reuse``     P_L under K-fold frequency reuse via a counting recursion.
 ``simulate``  Monte Carlo ground truth on Poisson and hex deployments.
@@ -31,31 +31,26 @@ from .analytic import (
 )
 from .e911 import (
     E911Config,
-    FixOutcome,
-    Observations,
     collect_trials,
     default_scenario,
     fcc_compliance,
     ranging_stddev,
-    solve_tdoa,
 )
 from .model import (
     Scenario,
     ShadowingSpec,
     effective_density,
     hex_grid_density,
-    pdf_rl,
     pmf_omega,
 )
 from .numerics import (
     NonConvergenceError,
     QuadratureSpec,
     erlang_quantile,
-    integrate_adaptive,
     integrate_lockstep,
     poisson_cdf,
 )
-from .reuse import ReuseQuery, exact_count_pmf, pl_with_reuse, pl_with_reuse_grid
+from .reuse import ReuseQuery, pl_with_reuse, pl_with_reuse_grid
 from .simulate import (
     Deployment,
     McEstimate,
@@ -84,27 +79,21 @@ __all__ = [
     "pl_single_integral_general",
     "pl_upper_bound",
     "E911Config",
-    "FixOutcome",
-    "Observations",
     "collect_trials",
     "default_scenario",
     "fcc_compliance",
     "ranging_stddev",
-    "solve_tdoa",
     "Scenario",
     "ShadowingSpec",
     "effective_density",
     "hex_grid_density",
-    "pdf_rl",
     "pmf_omega",
     "NonConvergenceError",
     "QuadratureSpec",
     "erlang_quantile",
-    "integrate_adaptive",
     "integrate_lockstep",
     "poisson_cdf",
     "ReuseQuery",
-    "exact_count_pmf",
     "pl_with_reuse",
     "pl_with_reuse_grid",
     "Deployment",

@@ -438,7 +438,7 @@ def pl_single_integral_general(
     distance leaves the SIR a function of the single ratio
     ``X = R_L / R1_hat`` alone.  The resulting x-integral of the ratio
     density against the detection indicator telescopes into the closed
-    form ``(1 - x***-2)**omega`` at the crossing point ``x*``, so no
+    form ``(1 - x_star**-2)**omega`` at the crossing point ``x_star``, so no
     quadrature is needed, only a root find per omega.  Least reliable of
     the integral forms, but the cheapest.
     """

@@ -21,10 +21,12 @@ One table (``_COMMANDS``) lists each subcommand's parameters.  Every
 parameter is both a key of the flat ``key = value`` file read by
 ``--config`` and the flag ``--key`` (``_`` written as ``-``).  A value
 resolves as the flag, then the config file, then the default; the seed
-tries ``HEARABILITY_SEED`` before its default of 0.  An unknown config
-key or a malformed value aborts the run with an ``error:`` line naming
-the key.  dB-valued inputs use keys/flags suffixed ``_db`` and are
-converted at this boundary; the library below works on linear scale only.
+tries ``HEARABILITY_SEED`` before its default of 0.  An unknown or
+repeated config key, or a malformed value, aborts the run with an
+``error:`` line naming the key.  dB-valued inputs use keys/flags suffixed
+``_db`` and are converted at this boundary; the library below works on
+linear scale only, so a level whose linear value overflows or underflows
+a float is malformed.
 """
 
 from __future__ import annotations
@@ -577,8 +579,10 @@ def read_config(path: Path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise ValueError(f"{path}:{lineno}: key {key!r} given twice")
+        out[key] = value
     return out
 
 
@@ -618,6 +622,18 @@ def _count(text: str) -> int:
     return value
 
 
+def _db(text: str) -> float:
+    """A level in dB whose linear value ``10 ** (db / 10)`` is a positive float."""
+    value = float(text)
+    try:
+        linear = 10.0 ** (value / 10.0)
+    except OverflowError:
+        linear = math.inf
+    if not 0.0 < linear < math.inf:
+        raise ValueError(f"must be a level between about -3230 and 3080 dB, got {value}")
+    return value
+
+
 def _bit(text: str) -> bool:
     if text not in ("0", "1"):
         raise ValueError(f"expected 0 or 1, got {text!r}")
@@ -643,8 +659,8 @@ _NETWORK = {
 _SWEEP_GRID = {
     "l": (int, 4, "required BS count L"),
     "lam": (float, _DENSITY, "BS density"),
-    "bg_start_db": (float, -20.0, "first beta/gamma grid point in dB"),
-    "bg_stop_db": (float, 0.0, "last beta/gamma grid point in dB"),
+    "bg_start_db": (_db, -20.0, "first beta/gamma grid point in dB"),
+    "bg_stop_db": (_db, 0.0, "last beta/gamma grid point in dB"),
     "bg_step_db": (float, 1.0, "beta/gamma grid step in dB"),
     "base_method": (
         Method, Method.SINGLE_INTEGRAL_ALPHA4, "per-band evaluator of ReuseRecursion"
@@ -665,10 +681,9 @@ def _sim(v: dict) -> SimConfig:
 
 
 def _sweep_spec(v: dict, K: int, methods: tuple[str, ...]) -> SweepSpec:
-    for key in ("bg_start_db", "bg_stop_db", "bg_step_db"):
-        if not math.isfinite(v[key]):
-            raise ValueError(f"{key}: must be finite, got {v[key]}")
     start, stop, step = v["bg_start_db"], v["bg_stop_db"], v["bg_step_db"]
+    if not math.isfinite(step):
+        raise ValueError(f"bg_step_db: must be finite, got {step}")
     if step <= 0 or stop < start:
         raise ValueError("need bg_step_db > 0 and bg_stop_db >= bg_start_db")
     if (stop - start) / step + 1e-9 >= _MAX_GRID_POINTS:
@@ -742,14 +757,14 @@ _COMMANDS = {
         **_COMMON, **_MONTE_CARLO, **_NETWORK, **_K, **_out("hexgrid.csv"),
         "isd": (float, 500.0, "hex intersite distance"),
         "sigma_db": (float, 8.0, "hex shadowing sigma in dB (0 disables)"),
-        "bg_db": (float, -10.0, "beta/gamma in dB"),
+        "bg_db": (_db, -10.0, "beta/gamma in dB"),
         "l_max": (_count, 16, "largest L"),
     }),
     "e911": ("FCC E911 compliance table", _e911, {
         **_COMMON, **_out("e911.csv"),
         "trials": (int, 4000, "positioning trials"),
-        "gain_db": (float, 8.0, "processing gain in dB"),
-        "pre_sinr_db": (float, -13.0, "detection threshold beta/gamma in dB"),
+        "gain_db": (_db, 8.0, "processing gain in dB"),
+        "pre_sinr_db": (_db, -13.0, "detection threshold beta/gamma in dB"),
         "alpha": (float, 3.76, "path loss exponent"),
         "sigma_db": (float, 8.0, "shadowing sigma in dB"),
         "isd": (float, 500.0, "equivalent hex intersite distance"),

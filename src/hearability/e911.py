@@ -16,7 +16,7 @@ The bearings, NLOS biases, ranging noise and clock errors of trial
 ``i`` come, in that order, from ``stream(seed, i, ROLE_E911)``.  Worker
 spans start on block boundaries and the batched solver treats every
 trial on its own, so results are bit-identical across worker counts
-and ``run_trial`` is one row of ``collect_trials``.
+and however the trials are cut into spans.
 """
 
 from __future__ import annotations
@@ -33,13 +33,9 @@ from .simulate import _BLOCK, ROLE_E911, SimConfig, _block_distances, _powers, s
 
 __all__ = [
     "E911Config",
-    "Observations",
-    "FixOutcome",
     "ComplianceRow",
     "default_scenario",
     "ranging_stddev",
-    "solve_tdoa",
-    "run_trial",
     "collect_trials",
     "fcc_compliance",
 ]
@@ -95,8 +91,12 @@ class E911Config:
     max_bs_per_fix: int | None = None
 
     def __post_init__(self) -> None:
-        if not (self.bandwidth > 0.0):
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
+        # ``ranging_stddev`` squares a finite bandwidth.
+        if not (0.0 < self.bandwidth < 1.3e154 or self.bandwidth == math.inf):
+            raise ValueError(
+                f"bandwidth must be positive and below 1.3e154 Hz, or inf, "
+                f"got {self.bandwidth}"
+            )
         if not (self.clock_std >= 0.0 and math.isfinite(self.clock_std)):
             raise ValueError(f"clock_std must be nonnegative, got {self.clock_std}")
         if not (self.nlos_mean >= 0.0 and math.isfinite(self.nlos_mean)):
@@ -133,42 +133,6 @@ class E911Config:
 
     def replace(self, **changes) -> "E911Config":
         return dataclasses.replace(self, **changes)
-
-
-@dataclass(frozen=True, eq=False)
-class Observations:
-    """TDOA measurement set for one trial, strongest BS as reference.
-
-    ``tdoas[i]`` is the pseudorange of BS ``i + 1`` minus that of the
-    reference (index 0), in meters.  ``covariance`` is the TDOA error
-    covariance: shared reference noise makes it a diagonal plus a
-    rank-one constant block.
-    """
-
-    pseudoranges: np.ndarray
-    tdoas: np.ndarray
-    covariance: np.ndarray
-    ref_index: int
-    post_sinrs: np.ndarray
-    true_distances: np.ndarray
-
-
-@dataclass(frozen=True)
-class FixOutcome:
-    """Result of one position solve.
-
-    ``position`` is None when no fix was produced; ``method`` records
-    the solver path ("chan", "gauss-newton", or "none"), ``condition``
-    the conditioning of the first-stage normal equations, and
-    ``detected``/``used`` the BS bookkeeping.
-    """
-
-    position: tuple[float, float] | None
-    error_m: float | None
-    detected: int
-    used: int
-    method: str
-    condition: float
 
 
 def default_scenario(cfg: E911Config) -> Scenario:
@@ -389,13 +353,23 @@ _SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 
 
 def _solve_batch(positions: np.ndarray, tdoas: np.ndarray, cov: np.ndarray):
-    """Two-stage WLS plus Gauss-Newton polish of N fixes with m BSs each.
+    """Two-stage weighted least-squares TDOA solve of N fixes with m BSs each.
+
+    Stage one linearizes the hyperbolic system by treating the range to
+    the reference BS as an extra unknown; stage two enforces the
+    quadratic constraint tying that range to the position (Chan & Ho,
+    IEEE TSP 1994).  The exact rank-one-plus-diagonal TDOA covariance
+    provides the weights.  The best closed-form candidate then seeds a
+    damped Gauss-Newton refinement of the weighted residuals, which also
+    serves as the fallback when the closed-form stages hit
+    ill-conditioned or degenerate geometry; outright failure gives a
+    no-fix row rather than raising.
 
     ``positions`` (N, m, 2) hold the reference BS first; ``tdoas``
     (N, m-1) and ``cov`` (N, m-1, m-1) are the measurements.  Returns
     positions (N, 2), NaN without a fix, indices into ``_METHODS`` and
-    the stage-one condition numbers.  Each row takes the path
-    ``solve_tdoa`` describes, independently of the other rows.
+    the stage-one condition numbers.  Each row takes its path
+    independently of the other rows.
     """
     seeds, condition = _closed_form(positions, tdoas, cov)
     return (*_polish(len(positions), *seeds), condition)
@@ -403,6 +377,11 @@ def _solve_batch(positions: np.ndarray, tdoas: np.ndarray, cov: np.ndarray):
 
 def _closed_form(positions: np.ndarray, tdoas: np.ndarray, cov: np.ndarray):
     """Stages one and two of ``_solve_batch``: where the polish starts.
+
+    The stages are Chan & Ho's (IEEE TSP 1994), as ``_solve_batch``
+    describes them.  Rows whose stage one is ill-conditioned, non-finite
+    or degenerate skip stage two and start the polish from the stage-one
+    point or the BS centroid.
 
     Returns ``(idx, start, label, positions[idx], tdoas[idx],
     weight[idx])`` for the rows ``idx`` that reach the polish, with
@@ -488,46 +467,6 @@ def _polish(n: int, idx, start, label, positions, tdoas, weight):
     return xy, method
 
 
-def solve_tdoa(measurements: Observations, bs_positions: np.ndarray) -> FixOutcome:
-    """Two-stage weighted least-squares TDOA position solve.
-
-    Stage one linearizes the hyperbolic system by treating the range to
-    the reference BS as an extra unknown; stage two enforces the
-    quadratic constraint tying that range to the position (Chan & Ho,
-    IEEE TSP 1994).  The exact rank-one-plus-diagonal TDOA covariance
-    provides the weights.  The best closed-form candidate then seeds a
-    damped Gauss-Newton refinement of the weighted residuals, which also
-    serves as the fallback when the closed-form stages hit
-    ill-conditioned or degenerate geometry; outright failure returns a
-    no-fix outcome rather than raising.  This is a one-row call of the
-    batched solver the trials use.
-
-    ``error_m`` in the returned outcome is left None; the caller knows
-    the true position.
-    """
-    positions = np.asarray(bs_positions, dtype=float)
-    m = len(positions)
-    if m < _MIN_BS_FOR_FIX or len(measurements.tdoas) != m - 1:
-        return FixOutcome(None, None, m, m, "none", math.nan)
-    ref = measurements.ref_index
-    order = [ref] + [i for i in range(m) if i != ref]
-    xy, method, cond = _solve_batch(
-        positions[order][None],
-        np.asarray(measurements.tdoas, dtype=float)[None],
-        np.asarray(measurements.covariance, dtype=float)[None],
-    )
-    return _outcome(m, m, method[0], cond[0], xy[0], None)
-
-
-def _outcome(detected, used, method, condition, xy, error) -> FixOutcome:
-    if method == _NONE:
-        return FixOutcome(None, None, int(detected), int(used), "none", float(condition))
-    position = (float(xy[0]), float(xy[1]))
-    return FixOutcome(
-        position, error, int(detected), int(used), _METHODS[int(method)], float(condition)
-    )
-
-
 # Columns of the per-trial outcome table.
 _DETECTED, _USED, _METHOD, _CONDITION, _X, _Y, _ERROR = range(7)
 # Rows per closed-form solver stack: bounds the temporaries of stages
@@ -579,18 +518,6 @@ def _trial_span(
         out[rows, _X : _Y + 1] = xy
     out[:, _ERROR] = np.hypot(out[:, _X], out[:, _Y])
     return out
-
-
-def run_trial(
-    cfg: E911Config, scenario: Scenario, seed: int, index: int
-) -> FixOutcome:
-    """One end-to-end positioning trial, row ``index`` of ``collect_trials``.
-
-    The device sits at the origin.
-    """
-    row = _trial_span(cfg, scenario, seed, index, index + 1)[0]
-    error = None if row[_METHOD] == _NONE else float(row[_ERROR])
-    return _outcome(*row[:_X], row[_X : _Y + 1], error)
 
 
 def collect_trials(

@@ -1,4 +1,4 @@
-"""Network model primitives: scenario parameters, distance laws, SINR.
+"""Network model primitives: scenario parameters, densities, the law of Omega.
 
 A device at the origin observes base stations (BSs) deployed as a
 homogeneous Poisson point process of density ``lam`` per unit area, and
@@ -31,11 +31,7 @@ __all__ = [
     "ShadowingSpec",
     "effective_density",
     "hex_grid_density",
-    "pdf_rl",
     "pmf_omega",
-    "cdf_r1_given_rl_omega",
-    "cdf_ratio_x",
-    "pdf_ratio_x",
 ]
 
 
@@ -127,7 +123,13 @@ def effective_density(lam: float, alpha: float, shadow: ShadowingSpec) -> float:
     if not (alpha > 2.0):
         raise ValueError(f"alpha must exceed 2, got {alpha}")
     sigma_n = shadow.sigma_db * math.log(10.0) / 10.0
-    return lam * math.exp(((2.0 / alpha) * sigma_n) ** 2 / 2.0)
+    try:
+        density = lam * math.exp(((2.0 / alpha) * sigma_n) ** 2 / 2.0)
+    except OverflowError:
+        density = math.inf
+    if math.isinf(density):
+        raise ValueError(f"sigma_db={shadow.sigma_db} overflows the effective density")
+    return density
 
 
 def hex_grid_density(isd: float) -> float:
@@ -135,25 +137,6 @@ def hex_grid_density(isd: float) -> float:
     if not (isd > 0.0 and math.isfinite(isd)):
         raise ValueError(f"isd must be positive, got {isd}")
     return 2.0 / (math.sqrt(3.0) * isd * isd)
-
-
-def pdf_rl(r, L: int, lam: float):
-    """Density of the distance to the L-th nearest BS of a PPP.
-
-    Computed in log space so large ``L`` cannot overflow the factorial.
-    Accepts a scalar or array of strictly positive distances.
-    """
-    if not isinstance(L, (int, np.integer)) or L < 1:
-        raise ValueError(f"L must be a positive integer, got {L!r}")
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise ValueError(f"lam must be positive, got {lam}")
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= 0.0):
-        raise ValueError("r must be strictly positive")
-    s = lam * math.pi * r_arr * r_arr
-    log_pdf = -s + L * np.log(s) + math.log(2.0) - np.log(r_arr) - math.lgamma(L)
-    out = np.exp(log_pdf)
-    return float(out) if np.isscalar(r) else out
 
 
 def pmf_omega(omega: int, L: int, p: float) -> float:
@@ -173,48 +156,3 @@ def pmf_omega(omega: int, L: int, p: float) -> float:
         return 0.0
     # Exact binomial coefficient; powers of the edge cases 0**0 -> 1.
     return float(math.comb(n, omega) * p**omega * (1.0 - p) ** (n - omega))
-
-
-def cdf_r1_given_rl_omega(r, rl: float, omega: int):
-    """CDF of the closest active participant distance given R_L and Omega.
-
-    Conditioned on ``R_L = rl`` and ``Omega = omega >= 1`` active
-    interferers among the first ``L - 1`` BSs, those interferers are
-    uniform on the disk of radius ``rl``, so the minimum distance obeys
-    ``1 - ((rl^2 - r^2)/rl^2)**omega`` on ``[0, rl]``.
-    """
-    if not isinstance(omega, (int, np.integer)) or omega < 1:
-        raise ValueError(f"omega must be a positive integer, got {omega!r}")
-    if not (rl > 0.0 and math.isfinite(rl)):
-        raise ValueError(f"rl must be positive, got {rl}")
-    r_arr = np.asarray(r, dtype=float)
-    if np.any((r_arr < 0.0) | (r_arr > rl)):
-        raise ValueError("r must lie in [0, rl]")
-    out = 1.0 - ((rl * rl - r_arr * r_arr) / (rl * rl)) ** omega
-    return float(out) if np.isscalar(r) else out
-
-
-def cdf_ratio_x(x, omega: int):
-    """CDF of X = R_L / closest-active distance, given Omega = omega.
-
-    The ratio is scale free: ``P(X <= x) = (1 - x**-2)**omega`` for
-    ``x >= 1``.
-    """
-    if not isinstance(omega, (int, np.integer)) or omega < 1:
-        raise ValueError(f"omega must be a positive integer, got {omega!r}")
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 1.0):
-        raise ValueError("x must be >= 1")
-    out = (1.0 - x_arr**-2.0) ** omega
-    return float(out) if np.isscalar(x) else out
-
-
-def pdf_ratio_x(x, omega: int):
-    """Density of X = R_L / closest-active distance, given Omega = omega."""
-    if not isinstance(omega, (int, np.integer)) or omega < 1:
-        raise ValueError(f"omega must be a positive integer, got {omega!r}")
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 1.0):
-        raise ValueError("x must be >= 1")
-    out = 2.0 * omega * x_arr**-3.0 * (1.0 - x_arr**-2.0) ** (omega - 1)
-    return float(out) if np.isscalar(x) else out

@@ -11,9 +11,8 @@ Integrands are evaluated in row batches: the callable receives an
 (the 15 Gauss-Legendre nodes, then the 7 embedded ones), and must return
 the array of values of the same shape.  :func:`integrate_lockstep` runs
 many integrals of one integrand family in lockstep and also passes the
-integral each row belongs to; :func:`integrate_adaptive` is its
-one-integral call.  A grid of integrals returns the same bits as the
-integrals one at a time.  Wrap a scalar-only function with
+integral each row belongs to.  A grid of integrals returns the same bits
+as the integrals one at a time.  Wrap a scalar-only function with
 ``numpy.vectorize`` if needed.
 """
 
@@ -30,7 +29,6 @@ import numpy as np
 __all__ = [
     "QuadratureSpec",
     "NonConvergenceError",
-    "integrate_adaptive",
     "integrate_lockstep",
     "find_root_monotone",
     "poisson_cdf",
@@ -137,9 +135,9 @@ def integrate_lockstep(
 ) -> list[float | NonConvergenceError]:
     """Integrate one integrand family over ``[a[i], b[i]]`` for every i.
 
-    Each integral keeps its own heap of panels and follows the steps of
-    :func:`integrate_adaptive`: it starts from a few equal panels and
-    halves its worst panel until its summed error estimate meets
+    Each integral keeps its own heap of panels: it starts from a few
+    equal panels and halves the panel with the largest error estimate
+    until its summed error estimate meets
     ``max(abs_tol, rel_tol * |integral|)`` or that panel has been halved
     ``max_depth`` times.  The integrals advance in lockstep: each round,
     every unconverged integral splits its own worst panel, and all new
@@ -147,7 +145,8 @@ def integrate_lockstep(
     panel's 22 abscissae per row and ``rows[k]`` names the integral that
     row ``k`` belongs to, so ``f`` can look up per-integral parameters.
     Panel estimates are reduced row by row, so every integral returns
-    the bits it would return alone.
+    the bits it would return alone.  Bounds must be finite with
+    ``b[i] >= a[i]``; an empty interval integrates to 0.0.
 
     Returns:
         Per integral, its value, or the :class:`NonConvergenceError`
@@ -195,36 +194,6 @@ def integrate_lockstep(
             mid = 0.5 * (lo + hi)
             pending += [(i, lo, mid, depth + 1), (i, mid, hi, depth + 1)]
     return results
-
-
-def integrate_adaptive(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> float:
-    """Integrate ``f`` over ``[a, b]`` to the tolerances in ``spec``.
-
-    The interval is split into a few starting panels; the panel with the
-    largest error estimate is repeatedly halved until the summed error
-    estimate meets ``max(abs_tol, rel_tol * |integral|)``.  Exhausting
-    ``max_depth`` on the worst panel raises :class:`NonConvergenceError`
-    carrying the best estimate.  This is the one-integral call of
-    :func:`integrate_lockstep`.
-
-    Args:
-        f: row-batched integrand; receives an ``(M, 22)`` array of
-            abscissae strictly inside (a, b), one panel per row, and
-            returns the array of finite values of the same shape.  Any
-            elementwise numpy function qualifies.
-        a: lower bound, finite.
-        b: upper bound, finite, with ``b >= a``.
-        spec: tolerances and subdivision limits.
-
-    Returns:
-        The integral estimate (0.0 when ``a == b``).
-    """
-    return value_or_raise(integrate_lockstep(lambda xs, rows: f(xs), [a], [b], spec)[0])
 
 
 def find_root_monotone(

@@ -28,7 +28,7 @@ from .analytic import Method, evaluate_grid
 from .model import Scenario
 from .numerics import NonConvergenceError, QuadratureSpec, value_or_raise
 
-__all__ = ["ReuseQuery", "pl_with_reuse", "pl_with_reuse_grid", "exact_count_pmf"]
+__all__ = ["ReuseQuery", "pl_with_reuse", "pl_with_reuse_grid"]
 
 
 @dataclass(frozen=True)
@@ -59,12 +59,18 @@ class ReuseQuery:
 
 
 def _count_pmfs(queries: list[ReuseQuery]) -> list:
-    """:func:`exact_count_pmf` of every query, one grid call per level n.
+    """Per query, P(exactly n BSs detectable in one band) for n = 0 .. L-1.
 
-    Each distinct ``(beta, gamma)`` is evaluated once per level for all
-    its queries, whatever their ``K`` and ``lam``.  A point whose level
-    ``P_n`` does not converge gets that level's
-    :class:`NonConvergenceError` and leaves the later levels.
+    ``e(n) = P_n - P_{n+1}`` with ``P_0 = 1`` and ``P_n`` the single-band
+    value at the thinned density ``lam / K``; counts of ``L`` or more
+    never contribute to failure, so the vector stops at ``L - 1``.
+    Negative differences beyond rounding noise indicate a broken base
+    evaluator and raise; rounding-level negatives are clamped to 0.
+
+    One grid call per level n evaluates each distinct ``(beta, gamma)``
+    once for all its queries, whatever their ``K`` and ``lam``.  A point
+    whose level ``P_n`` does not converge gets that level's
+    :class:`NonConvergenceError` instead, and leaves the later levels.
     """
     first = queries[0]
     L = first.scenario.L
@@ -95,18 +101,6 @@ def _pmf(levels: list[float], L: int) -> np.ndarray:
             f"base evaluator is not monotone in L: e({n_bad}) = {e[n_bad]:.3e} < 0"
         )
     return np.maximum(e[:L], 0.0)
-
-
-def exact_count_pmf(query: ReuseQuery) -> np.ndarray:
-    """P(exactly n BSs detectable in one band) for n = 0 .. L-1.
-
-    ``e(n) = P_n - P_{n+1}`` with ``P_0 = 1`` and ``P_n`` the single-band
-    value at the thinned density ``lam / K``; counts of ``L`` or more
-    never contribute to failure, so the vector stops at ``L - 1``.
-    Negative differences beyond rounding noise indicate a broken base
-    evaluator and raise; rounding-level negatives are clamped to 0.
-    """
-    return value_or_raise(_count_pmfs([query])[0])
 
 
 def _failure_by_convolution(e: np.ndarray, K: int, L: int) -> float:

@@ -727,7 +727,8 @@ class TestSubcommands:
                 "^error: bg_step_db: the grid would exceed 10000 points",
             ),
             (
-                "simulate", None, ["--bg-stop-db", "1e4", "--bg-step-db", "0.5"],
+                "simulate", None,
+                ["--bg-start-db", "-3000", "--bg-stop-db", "3000", "--bg-step-db", "0.5"],
                 "^error: bg_step_db: the grid would exceed 10000 points",
             ),
             # Counts below one would run one worker or write no rows.
@@ -736,6 +737,23 @@ class TestSubcommands:
             ("e911", None, ["--workers", "0"], "^error: workers: must be a positive"),
             ("figure", "workers = 0", ["fig5"], "^error: workers: must be a positive"),
             ("hexgrid", None, ["--l-max", "0"], "^error: l_max: must be a positive"),
+            # dB levels whose linear value is not a positive float.
+            (
+                "analytic", None, ["--bg-start-db", "4000", "--bg-stop-db", "4000"],
+                "^error: bg_start_db: must be a level",
+            ),
+            ("hexgrid", None, ["--bg-db", "5000"], "^error: bg_db: must be a level"),
+            ("hexgrid", "bg_db = -5000", [], "^error: bg_db: must be a level"),
+            ("e911", None, ["--pre-sinr-db", "5000"], "^error: pre_sinr_db: must be a level"),
+            ("e911", None, ["--gain-db", "5000"], "^error: gain_db: must be a level"),
+            # Settings the E911 model cannot honour in floating point.
+            ("e911", None, ["--sigma-db", "5000"], "^error: sigma_db=5000.0 overflows"),
+            ("e911", None, ["--bandwidth", "1e200"], "^error: bandwidth must be"),
+            # A repeated key would silently keep its last value.
+            (
+                "analytic", "alpha = 3\nalpha = 4", [],
+                r"^error: .*run\.cfg:2: key 'alpha' given twice$",
+            ),
         ],
         ids=[
             "truth_mode", "realizations", "alpha", "mc", "k_list",
@@ -753,6 +771,9 @@ class TestSubcommands:
             "bg_step_db_inf_config", "bg_step_db_tiny", "grid_too_long",
             "simulate_workers_zero", "simulate_workers_negative", "e911_workers_zero",
             "figure_workers_zero_config", "hexgrid_l_max_zero",
+            "bg_start_db_overflow", "bg_db_overflow", "bg_db_underflow_config",
+            "pre_sinr_db_overflow", "gain_db_overflow", "sigma_db_overflow",
+            "bandwidth_overflow", "config_key_twice",
         ],
     )
     def test_bad_input_exits_naming_the_key(

@@ -6,6 +6,7 @@ reference implementation.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -14,15 +15,12 @@ from hearability import e911
 from hearability.e911 import (
     FCC_P67_M,
     FCC_P90_M,
+    MIN_TRIALS,
     E911Config,
-    FixOutcome,
-    Observations,
     collect_trials,
     default_scenario,
     fcc_compliance,
     ranging_stddev,
-    run_trial,
-    solve_tdoa,
 )
 from hearability.model import (
     Scenario,
@@ -40,6 +38,53 @@ from sampling_oracle import Realization, block_rows
 
 _MIN_BS_FOR_FIX = e911._MIN_BS_FOR_FIX
 _ILL_CONDITION = e911._ILL_CONDITION
+
+
+@dataclass(frozen=True, eq=False)
+class Observations:
+    """TDOA measurement set for one fix, strongest BS as reference.
+
+    ``tdoas[i]`` is the pseudorange of BS ``i + 1`` minus that of the
+    reference (index 0), in meters.  ``covariance`` is the TDOA error
+    covariance: shared reference noise makes it a diagonal plus a
+    rank-one constant block.
+    """
+
+    pseudoranges: np.ndarray
+    tdoas: np.ndarray
+    covariance: np.ndarray
+    ref_index: int
+    post_sinrs: np.ndarray
+    true_distances: np.ndarray
+
+
+@dataclass(frozen=True)
+class FixOutcome:
+    """Result of one position solve.
+
+    ``position`` is None when no fix was produced; ``method`` records
+    the solver path ("chan", "gauss-newton", or "none"), ``condition``
+    the conditioning of the first-stage normal equations, and
+    ``detected``/``used`` the BS bookkeeping.
+    """
+
+    position: tuple[float, float] | None
+    error_m: float | None
+    detected: int
+    used: int
+    method: str
+    condition: float
+
+
+def solve_one(measurements: Observations, bs_positions: np.ndarray) -> FixOutcome:
+    """One fix as a one-row stack of the batched solver, reference BS first."""
+    xy, method, condition = e911._solve_batch(
+        *(np.asarray(a, dtype=float)[None]
+          for a in (bs_positions, measurements.tdoas, measurements.covariance))
+    )
+    m = len(bs_positions)
+    position = None if method[0] == e911._NONE else (float(xy[0, 0]), float(xy[0, 1]))
+    return FixOutcome(position, None, m, m, e911._METHODS[method[0]], float(condition[0]))
 
 
 # --- one realization through the trial pipeline's steps ----------------------
@@ -275,6 +320,8 @@ class TestConfig:
             E911Config(trials=50)
         with pytest.raises(ValueError, match="bandwidth"):
             E911Config(bandwidth=0.0)
+        with pytest.raises(ValueError, match="bandwidth"):
+            E911Config(bandwidth=1e200)  # its square overflows
         with pytest.raises(ValueError, match="min_hearability_grid"):
             E911Config(min_hearability_grid=(3, 4))
         with pytest.raises(ValueError, match="max_bs_per_fix"):
@@ -450,7 +497,7 @@ class TestSolveTdoa:
     def test_noiseless_point_recovered(self):
         device = np.array([100.0, 50.0])
         positions = square_geometry()
-        out = solve_tdoa(exact_observations(positions, device), positions)
+        out = solve_one(exact_observations(positions, device), positions)
         assert out.position is not None
         np.testing.assert_allclose(out.position, device, atol=1e-6)
         assert out.method in ("chan", "gauss-newton")
@@ -460,28 +507,22 @@ class TestSolveTdoa:
         # fall through to the iterative path and still land exactly.
         device = np.array([0.0, 0.0])
         positions = square_geometry()
-        out = solve_tdoa(exact_observations(positions, device), positions)
+        out = solve_one(exact_observations(positions, device), positions)
         np.testing.assert_allclose(out.position, device, atol=1e-6)
 
     def test_translation_and_rotation_equivariance(self):
         device = np.array([120.0, -80.0])
         positions = square_geometry()
-        base = solve_tdoa(exact_observations(positions, device), positions)
+        base = solve_one(exact_observations(positions, device), positions)
         rot = np.array([[0.0, -1.0], [1.0, 0.0]])  # 90 degrees
         shift = np.array([1000.0, -300.0])
         moved_pos = positions @ rot.T + shift
         moved_dev = rot @ device + shift
-        moved = solve_tdoa(exact_observations(moved_pos, moved_dev), moved_pos)
+        moved = solve_one(exact_observations(moved_pos, moved_dev), moved_pos)
         np.testing.assert_allclose(
             np.asarray(moved.position), rot @ np.asarray(base.position) + shift,
             atol=1e-6,
         )
-
-    def test_too_few_bs_is_no_fix(self):
-        device = np.array([10.0, 10.0])
-        positions = square_geometry()[:3]
-        out = solve_tdoa(exact_observations(positions, device), positions)
-        assert out.position is None and out.method == "none"
 
     def test_closed_form_tracks_oracle_under_noise(self):
         # Fixed five-BS geometry, 10 m Gaussian pseudorange noise: the
@@ -494,17 +535,22 @@ class TestSolveTdoa:
         cov = np.eye(4) * 100.0 + 100.0
         weight = np.linalg.inv(cov)
         rng = np.random.Generator(np.random.Philox(2024))
-        solver_err, oracle_err = [], []
+        tdoas, oracle_err = [], []
         for _ in range(3000):
             pseudo = d + rng.normal(0.0, 10.0, size=5)
-            tdoas = pseudo[1:] - pseudo[0]
-            obs = Observations(pseudo, tdoas, cov, 0, np.ones(5), d)
-            out = solve_tdoa(obs, positions)
-            assert out.position is not None
-            solver_err.append(math.hypot(*(np.asarray(out.position) - device)))
+            tdoas.append(pseudo[1:] - pseudo[0])
             oracle_err.append(
-                _oracle_gn_error(tdoas, positions, weight, device)
+                _oracle_gn_error(tdoas[-1], positions, weight, device)
             )
+        # The production solver takes all 3000 fixes as one stack.
+        n = len(tdoas)
+        xy, method, _ = e911._solve_batch(
+            np.broadcast_to(positions, (n, 5, 2)),
+            np.array(tdoas),
+            np.broadcast_to(cov, (n, 4, 4)),
+        )
+        assert np.all(method != e911._NONE)
+        solver_err = np.hypot(xy[:, 0] - device[0], xy[:, 1] - device[1])
         ratio = np.median(solver_err) / np.median(oracle_err)
         assert 0.8 <= ratio <= 1.2
 
@@ -642,27 +688,16 @@ class TestBatchedSolve:
                 one = e911._solve_batch(*(s[k : k + 1] for s in stacks))
                 assert _bits(*one) == _bits(*(a[k : k + 1] for a in full))
 
-    def test_one_fix_solve_is_a_row_of_the_batch(self, mixed_fixes):
-        xy, method, condition = _solve_all(mixed_fixes)
-        for i in list(SPECIAL_ROWS) + list(range(1, 2003, 97)):
-            positions, tdoas, cov = mixed_fixes[i]
-            out = solve_tdoa(Observations(None, tdoas, cov, 0, None, None), positions)
-            assert out.method == e911._METHODS[method[i]]
-            assert out.condition == condition[i] or math.isnan(condition[i])
-            if out.position is not None:
-                assert _bits(np.array(out.position)) == _bits(xy[i])
-
 
 class TestTrials:
-    def test_run_trial_deterministic(self):
+    def test_trial_span_deterministic(self):
         cfg = E911Config(trials=100)
         scen = default_scenario(cfg)
-        a = run_trial(cfg, scen, seed=5, index=17)
-        b = run_trial(cfg, scen, seed=5, index=17)
-        assert a == b
-        assert a.detected >= 0
-        if a.position is not None:
-            np.testing.assert_allclose(a.error_m, math.hypot(*a.position), rtol=1e-12)
+        a = e911._trial_span(cfg, scen, 5, 17, 33)
+        assert a.tobytes() == e911._trial_span(cfg, scen, 5, 17, 33).tobytes()
+        assert a.tobytes() != e911._trial_span(cfg, scen, 6, 17, 33).tobytes()
+        assert np.all(a[:, e911._DETECTED] >= a[:, e911._USED])
+        assert np.all(a[:, e911._USED] >= 0)
 
     def test_collect_trials_worker_invariant(self):
         cfg = E911Config(trials=200)
@@ -672,19 +707,29 @@ class TestTrials:
         assert serial.shape == (200, 2)
         assert np.all(serial[:, 0] == np.round(serial[:, 0]))
 
-    def test_run_trial_is_a_row_of_collect_trials(self):
+    def test_one_trial_span_is_a_row_of_collect_trials(self):
         # 203 trials end in a short block of 11 (192..202).
         cfg = E911Config(trials=203)
         scen = default_scenario(cfg)
         table = collect_trials(cfg, scen, seed=4)
+        columns = [e911._DETECTED, e911._ERROR]
         for i in (0, 15, 16, 100, 191, 192, 197, 202):
-            out = run_trial(cfg, scen, 4, i)
-            assert out.detected == table[i, 0]
-            if out.error_m is None:
-                assert math.isnan(table[i, 1])
-            else:
-                assert out.error_m == table[i, 1]
+            row = e911._trial_span(cfg, scen, 4, i, i + 1)[0, columns]
+            assert row.tobytes() == table[i].tobytes()
         assert np.isfinite(table[192:, 1]).any()
+        # A shorter run is a prefix of a longer one.
+        prefix = collect_trials(cfg.replace(trials=MIN_TRIALS), scen, seed=4)
+        assert prefix.tobytes() == table[:MIN_TRIALS].tobytes()
+
+    def test_too_few_bs_is_no_fix(self):
+        # A TDOA fix needs 4 BSs; a trial that heard fewer uses none.
+        cfg = E911Config(trials=203)
+        table = e911._trial_span(cfg, default_scenario(cfg), 4, 0, cfg.trials)
+        few = table[:, e911._DETECTED] < _MIN_BS_FOR_FIX
+        assert 0 < few.sum() < len(few)
+        assert np.all(table[few, e911._METHOD] == e911._NONE)
+        assert np.all(table[few, e911._USED] == 0)
+        assert np.isnan(table[few, e911._ERROR]).all()
 
     def test_span_cuts_concatenate_to_one_span(self):
         cfg = E911Config(trials=203)

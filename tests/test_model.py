@@ -1,20 +1,16 @@
-"""Unit tests for scenario containers and exact distribution laws."""
+"""Unit tests for scenario containers, densities and the law of Omega."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import stats
 
 from hearability.model import (
     Scenario,
     ShadowingSpec,
-    cdf_r1_given_rl_omega,
-    cdf_ratio_x,
     effective_density,
     hex_grid_density,
-    pdf_ratio_x,
-    pdf_rl,
     pmf_omega,
 )
 from hearability.simulate import _margins, _powers
@@ -74,6 +70,12 @@ class TestShadowing:
         np.testing.assert_allclose(factor, math.exp((0.5 * sigma_n) ** 2 / 2.0))
         np.testing.assert_allclose(factor, 1.52829364577985, rtol=1e-12)
 
+    def test_rejects_a_density_beyond_a_float(self):
+        with pytest.raises(ValueError, match="sigma_db=5000.0 overflows"):
+            effective_density(1.0, 4.0, ShadowingSpec(5000.0))
+        with pytest.raises(ValueError, match="sigma_db=100.0 overflows"):
+            effective_density(1e300, 4.0, ShadowingSpec(100.0))
+
     def test_monotone_in_sigma(self):
         values = [
             effective_density(1.0, 3.76, ShadowingSpec(s))
@@ -101,37 +103,6 @@ class TestHexGridDensity:
             hex_grid_density(0.0)
 
 
-class TestPdfRl:
-    @pytest.mark.parametrize("L", [1, 2, 5, 40])
-    @pytest.mark.parametrize("lam", [0.3, 1.0 / math.pi, 7.0])
-    def test_matches_gamma_transform(self, L, lam):
-        # R_L^2 is Gamma(L, 1/(lam pi)); change of variables gives the pdf.
-        r = np.linspace(0.05, 4.0, 23) / math.sqrt(lam)
-        expected = stats.gamma.pdf(r * r, L, scale=1.0 / (lam * math.pi)) * 2.0 * r
-        np.testing.assert_allclose(pdf_rl(r, L, lam), expected, rtol=1e-10)
-
-    def test_normalizes_to_one(self):
-        mass, _ = integrate.quad(lambda r: pdf_rl(r, 3, 2.0), 0.0, 10.0)
-        np.testing.assert_allclose(mass, 1.0, rtol=1e-8)
-
-    def test_scalar_input_returns_float(self):
-        value = pdf_rl(1.0, 1, 1.0 / math.pi)
-        assert isinstance(value, float)
-        np.testing.assert_allclose(value, 2.0 * math.exp(-1.0), rtol=1e-14)
-
-    def test_rejects_nonpositive_r(self):
-        with pytest.raises(ValueError):
-            pdf_rl(0.0, 2, 1.0)
-        with pytest.raises(ValueError):
-            pdf_rl(np.array([1.0, -2.0]), 2, 1.0)
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            pdf_rl(1.0, 0, 1.0)
-        with pytest.raises(ValueError):
-            pdf_rl(1.0, 2, 0.0)
-
-
 class TestPmfOmega:
     @pytest.mark.parametrize("L", [1, 2, 5, 9])
     @pytest.mark.parametrize("p", [0.0, 0.25, 2.0 / 3.0, 1.0])
@@ -155,38 +126,6 @@ class TestPmfOmega:
     def test_degenerate_activity(self):
         assert pmf_omega(0, 5, 0.0) == 1.0
         assert pmf_omega(4, 5, 1.0) == 1.0
-
-
-class TestConditionalDistanceLaws:
-    def test_cdf_r1_endpoints(self):
-        assert cdf_r1_given_rl_omega(0.0, 2.0, 3) == 0.0
-        np.testing.assert_allclose(cdf_r1_given_rl_omega(2.0, 2.0, 3), 1.0)
-
-    def test_cdf_r1_matches_ratio_law(self):
-        # X = R_L / R-hat_1, so P(X <= x) = P(R-hat_1 >= R_L / x).
-        rl, omega = 1.7, 4
-        for x in (1.0, 1.5, 3.0, 20.0):
-            np.testing.assert_allclose(
-                cdf_ratio_x(x, omega),
-                1.0 - cdf_r1_given_rl_omega(rl / x, rl, omega),
-                rtol=1e-12,
-            )
-
-    def test_ratio_pdf_integrates_to_cdf(self):
-        omega = 3
-        for hi in (1.5, 2.0, 8.0):
-            mass, _ = integrate.quad(lambda x: pdf_ratio_x(x, omega), 1.0, hi)
-            np.testing.assert_allclose(mass, cdf_ratio_x(hi, omega), rtol=1e-9)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            cdf_r1_given_rl_omega(0.5, 1.0, 0)
-        with pytest.raises(ValueError):
-            cdf_r1_given_rl_omega(2.0, 1.0, 1)
-        with pytest.raises(ValueError):
-            cdf_ratio_x(0.5, 1)
-        with pytest.raises(ValueError):
-            pdf_ratio_x(0.9, 2)
 
 
 # The SINR recipe for one realization, written per BS; the block

@@ -12,10 +12,15 @@ from hearability.numerics import (
     QuadratureSpec,
     erlang_quantile,
     find_root_monotone,
-    integrate_adaptive,
     integrate_lockstep,
     poisson_cdf,
+    value_or_raise,
 )
+
+
+def integrate_adaptive(f, a, b, spec=QuadratureSpec()):
+    """``f`` over ``[a, b]`` as a one-integral lockstep call; failure raises."""
+    return value_or_raise(integrate_lockstep(lambda xs, rows: f(xs), [a], [b], spec)[0])
 
 
 class TestQuadratureSpec:

@@ -10,19 +10,19 @@ from scipy import stats
 from hearability import reuse
 from hearability.analytic import Method, evaluate, evaluate_grid
 from hearability.model import Scenario
-from hearability.numerics import NonConvergenceError, QuadratureSpec
-from hearability.reuse import (
-    ReuseQuery,
-    exact_count_pmf,
-    pl_with_reuse,
-    pl_with_reuse_grid,
-)
+from hearability.numerics import NonConvergenceError, QuadratureSpec, value_or_raise
+from hearability.reuse import ReuseQuery, pl_with_reuse, pl_with_reuse_grid
 
 
 def scen(gb: float, K: int = 3, L: int = 4, p: float = 1.0) -> Scenario:
     return Scenario(
         lam=1.0, alpha=4.0, p=p, q=p, beta=1.0 / gb, gamma=1.0, L=L, K=K
     )
+
+
+def exact_count_pmf(query: ReuseQuery) -> np.ndarray:
+    """One query's per-band detection-count pmf, as a family of one."""
+    return value_or_raise(reuse._count_pmfs([query])[0])
 
 
 def oracle_failure(e: np.ndarray, K: int, L: int) -> float:

@@ -571,6 +571,16 @@ class TestBlockSampler:
         pooled = ((radii[:, : L - 1] / radii[:, L - 1 : L]) ** 2).ravel()
         assert stats.kstest(pooled, "uniform").pvalue > 0.01
 
+    @pytest.mark.parametrize("L", [1, 2, 5, 40])
+    @pytest.mark.parametrize("lam", [0.3, 1.0 / math.pi, 7.0])
+    def test_rl_matches_gamma_transform(self, L, lam):
+        # Unshadowed rows at density lam: R_L**2 is Gamma(L, 1/(lam pi)),
+        # the law the integral forms of P_L weight R_L by.
+        config = cfg(2000, seed=62, expected_bs=40)
+        d = _sample_block(SCEN.replace(lam=lam), config, 0, 2000)[0]
+        law = stats.gamma(L, scale=1.0 / (lam * math.pi))
+        assert stats.kstest(d[:, L - 1] ** 2, law.cdf).pvalue > 0.01
+
     def test_hex_rows_hold_the_nearest_sites(self):
         # Unshadowed block rows are the nearest lattice sites under each
         # row's own cell offset.
