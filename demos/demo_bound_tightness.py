@@ -9,7 +9,7 @@ and locates the minimum processing gain the bound certifies.
 
 import numpy as np
 
-from hearability.analytic import min_processing_gain, pl_upper_bound
+from hearability.analytic import Method, evaluate_grid, min_processing_gain
 from hearability.model import Scenario
 from hearability.simulate import SimConfig, collect_margins
 
@@ -26,13 +26,13 @@ def main() -> None:
     print("=" * 72)
 
     grid = np.arange(-20.0, 0.5, 0.5)
-    margins = collect_margins(SCEN, SimConfig(realizations=20000, seed=0))
+    [margins] = collect_margins([SCEN], SimConfig(realizations=20000, seed=0))
     mc = np.array(
         [np.mean(margins[:, 0] >= 10.0 ** (g / 10.0)) for g in grid]
     )
-    bound = np.array(
-        [pl_upper_bound(SCEN.replace(beta=10.0 ** (g / 10.0))) for g in grid]
-    )
+    bound = np.array(evaluate_grid(
+        Method.UPPER_BOUND, [SCEN.replace(beta=10.0 ** (g / 10.0)) for g in grid]
+    ))
 
     print(f"\n{'P_L':>6} {'mc at [dB]':>11} {'bound at [dB]':>14} {'gap [dB]':>9}")
     print("-" * 44)

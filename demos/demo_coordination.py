@@ -9,7 +9,7 @@ far-field load q.
 
 import numpy as np
 
-from hearability.analytic import pl_perfect_coord, pl_single_integral_general
+from hearability.analytic import Method, evaluate_grid
 from hearability.model import Scenario
 
 BASE = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, beta=1.0, gamma=1.0, L=4)
@@ -27,13 +27,16 @@ def main() -> None:
     header += f"{'closed p=0':>12}"
     print(header)
     print("-" * len(header))
-    for g in np.arange(-20.0, 0.5, 2.0):
-        point = BASE.replace(beta=10.0 ** (g / 10.0))
-        row = f"{g:>8.0f}"
-        for p in ps:
-            row += f"{pl_single_integral_general(point.replace(p=p)):>10.4f}"
-        row += f"{pl_perfect_coord(point):>12.4f}"
-        print(row)
+    grid = np.arange(-20.0, 0.5, 2.0)
+    points = [BASE.replace(beta=10.0 ** (g / 10.0)) for g in grid]
+    # One grid evaluation per column; the closed form needs no p.
+    columns = [
+        evaluate_grid(Method.SINGLE_INTEGRAL_GENERAL, [s.replace(p=p) for s in points])
+        for p in ps
+    ] + [evaluate_grid(Method.PERFECT_COORD, points)]
+    for i, g in enumerate(grid):
+        row = f"{g:>8.0f}" + "".join(f"{col[i]:>10.4f}" for col in columns[:-1])
+        print(row + f"{columns[-1][i]:>12.4f}")
 
     print("\n Muting the three nearer participants (p: 1 -> 0) is worth a few dB,")
     print(" but the far-field load q still caps performance: even at p=0 the")
@@ -41,8 +44,8 @@ def main() -> None:
     g = -10.0
     point = BASE.replace(beta=10.0 ** (g / 10.0))
     for q in (1.0, 0.5, 0.25):
-        print(f"   p=0, q={q:>4.2f} at {g:.0f} dB: "
-              f"P_4 = {pl_perfect_coord(point.replace(q=q)):.4f}")
+        [value] = evaluate_grid(Method.PERFECT_COORD, [point.replace(q=q)])
+        print(f"   p=0, q={q:>4.2f} at {g:.0f} dB: P_4 = {value:.4f}")
 
 
 if __name__ == "__main__":

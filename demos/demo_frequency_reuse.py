@@ -11,7 +11,7 @@ import numpy as np
 from hearability.analytic import Method
 from hearability.model import Scenario
 from hearability.reuse import ReuseQuery, pl_with_reuse_grid
-from hearability.simulate import SimConfig, reuse_success_curve
+from hearability.simulate import SimConfig, collect_reuse_margins, exceedance_curve
 
 BASE = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, beta=1.0, gamma=1.0, L=4)
 GRID = np.arange(-20.0, 0.5, 2.0)
@@ -34,12 +34,11 @@ def main() -> None:
         for g in GRID
     ])
     # One family collection draws each Monte Carlo block once for all K.
-    curves = reuse_success_curve(
-        scenarios, SimConfig(realizations=10000, seed=0), 10.0 ** (GRID / 10.0)
-    )
-    n = len(GRID)
+    margins = collect_reuse_margins(scenarios, SimConfig(realizations=10000, seed=0))
+    levels, n = 10.0 ** (GRID / 10.0), len(GRID)
     columns = {
-        K: (recursion[k * n:(k + 1) * n], [est.estimate for est in curves[k]])
+        K: (recursion[k * n:(k + 1) * n],
+            [est.estimate for est in exceedance_curve(margins[k], levels)])
         for k, K in enumerate(KS)
     }
 

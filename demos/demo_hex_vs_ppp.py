@@ -11,7 +11,12 @@ further.
 import numpy as np
 
 from hearability.model import Scenario, ShadowingSpec
-from hearability.simulate import Deployment, SimConfig, hearability_curve
+from hearability.simulate import (
+    Deployment,
+    SimConfig,
+    collect_upsilon,
+    exceedance_curve,
+)
 
 BASE = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, beta=0.1, gamma=1.0, L=1)
 L_VALUES = np.arange(1, 17)
@@ -19,7 +24,8 @@ N = 10000
 
 
 def curve(scen: Scenario, sim: SimConfig) -> np.ndarray:
-    return np.array([e.estimate for e in hearability_curve(scen, sim, L_VALUES)])
+    [upsilon] = collect_upsilon([scen], sim)
+    return np.array([e.estimate for e in exceedance_curve(upsilon, L_VALUES)])
 
 
 def main() -> None:

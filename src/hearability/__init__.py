@@ -17,17 +17,10 @@ Modules
 
 from .analytic import (
     Method,
-    evaluate,
     evaluate_grid,
     mean_i1,
     mean_i2,
     min_processing_gain,
-    pl_alpha4,
-    pl_double_integral,
-    pl_nearfield_alpha4,
-    pl_perfect_coord,
-    pl_single_integral_general,
-    pl_upper_bound,
 )
 from .e911 import (
     E911Config,
@@ -50,7 +43,7 @@ from .numerics import (
     integrate_lockstep,
     poisson_cdf,
 )
-from .reuse import ReuseQuery, pl_with_reuse, pl_with_reuse_grid
+from .reuse import ReuseQuery, pl_with_reuse_grid
 from .simulate import (
     Deployment,
     McEstimate,
@@ -59,25 +52,16 @@ from .simulate import (
     collect_reuse_margins,
     collect_upsilon,
     exceedance_curve,
-    hearability_curve,
-    reuse_success_curve,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Method",
-    "evaluate",
     "evaluate_grid",
     "mean_i1",
     "mean_i2",
     "min_processing_gain",
-    "pl_alpha4",
-    "pl_double_integral",
-    "pl_nearfield_alpha4",
-    "pl_perfect_coord",
-    "pl_single_integral_general",
-    "pl_upper_bound",
     "E911Config",
     "collect_trials",
     "default_scenario",
@@ -94,7 +78,6 @@ __all__ = [
     "integrate_lockstep",
     "poisson_cdf",
     "ReuseQuery",
-    "pl_with_reuse",
     "pl_with_reuse_grid",
     "Deployment",
     "McEstimate",
@@ -103,7 +86,5 @@ __all__ = [
     "collect_reuse_margins",
     "collect_upsilon",
     "exceedance_curve",
-    "hearability_curve",
-    "reuse_success_curve",
     "__version__",
 ]

@@ -2,21 +2,20 @@
 
 ``P_L`` is the probability that a device detects all of its ``L``
 nearest BSs, the quantity that governs whether network-based
-positioning has enough anchors.  This module provides, in increasing
-order of fidelity and cost:
+positioning has enough anchors.  This module provides six evaluators,
+tagged by :class:`Method`, in increasing order of fidelity and cost:
 
-* an upper bound from dropping all interference beyond the L-th BS
-  (:func:`pl_upper_bound`) and its inversion into the minimum
-  processing gain that guarantees a target ``P_L``
-  (:func:`min_processing_gain`);
-* a closed form for perfectly coordinated participants, ``p = 0``
-  (:func:`pl_perfect_coord`);
+* ``UpperBound``, an upper bound from dropping all interference beyond
+  the L-th BS, and its inversion into the minimum processing gain that
+  guarantees a target ``P_L`` (:func:`min_processing_gain`);
+* ``PerfectCoord``, a closed form for perfectly coordinated
+  participants, ``p = 0``;
 * a dominant-interferer approximation that keeps the nearest active
   interferer exact and replaces the remaining interference with its
-  conditional mean (:func:`pl_double_integral`, with the reduced
-  single-integral forms :func:`pl_single_integral_general`,
-  :func:`pl_alpha4`, and the near-field closed form
-  :func:`pl_nearfield_alpha4`).
+  conditional mean (``DoubleIntegral``, with the reduced
+  single-integral forms ``SingleIntegralGeneral`` and
+  ``SingleIntegralAlpha4``, and the near-field closed form
+  ``NearFieldAlpha4``).
 
 Detection of the bottleneck BS succeeds when its SIR, after the
 processing gain, clears the demodulation threshold:
@@ -34,12 +33,11 @@ computed in coordinates normalized so ``lam * pi = 1``, which an exact
 change of variables permits, so identical inputs at different densities
 return bit-identical values.
 
-A P_L curve over a beta/gamma grid comes from the grid evaluator
-:func:`evaluate_grid`.  The quadrature-backed terms integrate all grid
-points of one ``omega`` in lockstep, and each point keeps its value or
-its own nonconvergence.  A grid evaluation is bit-identical to
-one-point calls; :func:`evaluate` and the ``pl_*`` functions are such
-calls.
+Every P_L comes from the grid evaluator :func:`evaluate_grid`, one call
+per beta/gamma grid; one scenario is a grid of one point.  The
+quadrature-backed terms integrate all grid points of one ``omega`` in
+lockstep, and each point keeps its value or its own nonconvergence, with
+the bits it gets on a grid of its own.
 """
 
 from __future__ import annotations
@@ -59,21 +57,13 @@ from .numerics import (
     find_root_monotone,
     integrate_lockstep,
     poisson_cdf,
-    value_or_raise,
 )
 
 __all__ = [
     "Method",
     "mean_i1",
     "mean_i2",
-    "pl_upper_bound",
     "min_processing_gain",
-    "pl_perfect_coord",
-    "pl_double_integral",
-    "pl_single_integral_general",
-    "pl_alpha4",
-    "pl_nearfield_alpha4",
-    "evaluate",
     "evaluate_grid",
 ]
 
@@ -193,7 +183,15 @@ def _integrate_points(integrand, gbs: list[float], uppers: list, quad) -> list:
 
 
 def _upper_bound_term(omega: int, points: list[Scenario], quad) -> list:
-    """The omega term of :func:`pl_upper_bound`."""
+    """``UpperBound``: closed-form upper bound on P_L from the near field only.
+
+    Ignoring all interference beyond the L-th BS and lower-bounding each
+    active participant's distance by the bottleneck distance yields, for
+    ``omega`` active interferers, the detection probability
+    ``(1 - (gamma/beta - (omega-1))**(-2/alpha))**omega``; averaging
+    over the binomial law of ``omega`` up to
+    ``chi = min(L-1, floor(gamma/beta))`` gives the bound.
+    """
     alpha = points[0].alpha
     return [
         max(0.0, 1.0 - (gb - (omega - 1)) ** (-2.0 / alpha)) ** omega
@@ -203,26 +201,20 @@ def _upper_bound_term(omega: int, points: list[Scenario], quad) -> list:
 
 
 def _perfect_coord_term(omega: int, points: list[Scenario], quad) -> list:
-    """:func:`pl_perfect_coord`, the omega = 0 term of every integral form."""
+    """``PerfectCoord``: P_L when participants are perfectly muted (p = 0).
+
+    Only the load-q far field interferes; replacing that interference by
+    its conditional mean turns the detection event into a Poisson tail:
+    ``1 - poisson_cdf(L - 1, (alpha-2) * gamma / (2 q beta))``, and 1 for
+    ``q = 0`` (no interference at all).  It is also the omega = 0 term of
+    every integral form.
+    """
     return [
         1.0 if s.q == 0.0 else 1.0 - poisson_cdf(
             s.L - 1, (s.alpha - 2.0) * s.gamma / (2.0 * s.q * s.beta)
         )
         for s in points
     ]
-
-
-def pl_upper_bound(scenario: Scenario) -> float:
-    """Closed-form upper bound on P_L from near-field interference only.
-
-    Ignoring all interference beyond the L-th BS and lower-bounding each
-    active participant's distance by the bottleneck distance yields, for
-    ``omega`` active interferers, the detection probability
-    ``(1 - (gamma/beta - (omega-1))**(-2/alpha))**omega``; averaging
-    over the binomial law of ``omega`` up to
-    ``chi = min(L-1, floor(gamma/beta))`` gives the bound.
-    """
-    return evaluate(Method.UPPER_BOUND, scenario)
 
 
 def min_processing_gain(target_pl: float, L: int, alpha: float, beta: float) -> float:
@@ -243,17 +235,6 @@ def min_processing_gain(target_pl: float, L: int, alpha: float, beta: float) -> 
     return beta * (
         (1.0 - target_pl ** (1.0 / (L - 1))) ** (-alpha / 2.0) + L - 2.0
     )
-
-
-def pl_perfect_coord(scenario: Scenario) -> float:
-    """P_L when participants are perfectly muted (p = 0).
-
-    Only the load-q far field interferes; replacing that interference by
-    its conditional mean turns the detection event into a Poisson tail:
-    ``1 - poisson_cdf(L - 1, (alpha-2) * gamma / (2 q beta))``.
-    Returns 1 for ``q = 0`` (no interference at all).
-    """
-    return evaluate(Method.PERFECT_COORD, scenario)
 
 
 # --- dominant-interferer machinery (normalized coordinates, lam*pi = 1) ---
@@ -341,7 +322,16 @@ def _boundary_t(r: np.ndarray, omega: int, alpha: float, q: float, gb: float):
 
 
 def _double_integral_term(omega: int, points: list[Scenario], quad) -> list:
-    """The omega term of :func:`pl_double_integral`."""
+    """``DoubleIntegral``: dominant-interferer approximation, general path loss.
+
+    For each count ``omega >= 1`` of active near interferers, the
+    detection event is inverted into a threshold on the nearest active
+    interferer distance; its conditional tail has a closed form, leaving
+    one smooth outer integral over the L-th BS distance.  The
+    ``omega = 0`` term is the perfect-coordination value.  The nominal
+    inner/outer double integral therefore costs a single quadrature per
+    ``omega``.
+    """
     if omega == 0:
         return _perfect_coord_term(omega, points, quad)
     L, alpha, q = points[0].L, points[0].alpha, points[0].q
@@ -368,22 +358,6 @@ def _double_integral_term(omega: int, points: list[Scenario], quad) -> list:
     return _integrate_points(integrand, gbs, uppers, quad)
 
 
-def pl_double_integral(
-    scenario: Scenario, quad: QuadratureSpec = DEFAULT_QUADRATURE
-) -> float:
-    """Dominant-interferer approximation of P_L, general path loss.
-
-    For each count ``omega >= 1`` of active near interferers, the
-    detection event is inverted into a threshold on the nearest active
-    interferer distance; its conditional tail has a closed form, leaving
-    one smooth outer integral over the L-th BS distance.  The
-    ``omega = 0`` term is the perfect-coordination value.  The nominal
-    inner/outer double integral therefore costs a single quadrature per
-    ``omega``.  This is a one-point :func:`evaluate_grid` call.
-    """
-    return evaluate(Method.DOUBLE_INTEGRAL, scenario, quad)
-
-
 def _h_ratio(x: float, omega: int, alpha: float, q: float) -> float:
     """Inverse normalized SIR as a function of the ratio x = R_L / R1_hat.
 
@@ -407,7 +381,16 @@ def _h_ratio(x: float, omega: int, alpha: float, q: float) -> float:
 
 
 def _single_integral_general_term(omega: int, points: list[Scenario], quad) -> list:
-    """The omega term of :func:`pl_single_integral_general`."""
+    """``SingleIntegralGeneral``: the ratio form of P_L for general path loss.
+
+    Scaling the far-field mean by the mean squared nearest-interferer
+    distance leaves the SIR a function of the single ratio
+    ``X = R_L / R1_hat`` alone.  The resulting x-integral of the ratio
+    density against the detection indicator telescopes into the closed
+    form ``(1 - x_star**-2)**omega`` at the crossing point ``x_star``, so no
+    quadrature is needed, only a root find per omega.  Least reliable of
+    the integral forms, but the cheapest.
+    """
     if omega == 0:
         return _perfect_coord_term(omega, points, quad)
     alpha, q = points[0].alpha, points[0].q
@@ -429,24 +412,14 @@ def _single_integral_general_term(omega: int, points: list[Scenario], quad) -> l
     return out
 
 
-def pl_single_integral_general(
-    scenario: Scenario, quad: QuadratureSpec = DEFAULT_QUADRATURE
-) -> float:
-    """Ratio-form approximation of P_L for general path loss exponents.
-
-    Scaling the far-field mean by the mean squared nearest-interferer
-    distance leaves the SIR a function of the single ratio
-    ``X = R_L / R1_hat`` alone.  The resulting x-integral of the ratio
-    density against the detection indicator telescopes into the closed
-    form ``(1 - x_star**-2)**omega`` at the crossing point ``x_star``, so no
-    quadrature is needed, only a root find per omega.  Least reliable of
-    the integral forms, but the cheapest.
-    """
-    return evaluate(Method.SINGLE_INTEGRAL_GENERAL, scenario, quad)
-
-
 def _alpha4_term(omega: int, points: list[Scenario], quad) -> list:
-    """The omega term of :func:`pl_alpha4`."""
+    """``SingleIntegralAlpha4``: the dominant-interferer form, exact at alpha = 4.
+
+    At ``alpha = 4`` the inner threshold inversion of ``DoubleIntegral``
+    is a quadratic in ``(R_L/R1_hat)**2``, so the double integral
+    collapses algebraically (no extra approximation) to one integral
+    against the Erlang law of ``pi * lam * R_L**2``.
+    """
     _require_alpha4(points)
     if omega == 0:
         return _perfect_coord_term(omega, points, quad)
@@ -470,20 +443,14 @@ def _alpha4_term(omega: int, points: list[Scenario], quad) -> list:
     return _integrate_points(integrand, gbs, uppers, quad)
 
 
-def pl_alpha4(scenario: Scenario, quad: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
-    """Single-integral dominant-interferer approximation, exact at alpha = 4.
-
-    At ``alpha = 4`` the inner threshold inversion of
-    :func:`pl_double_integral` is a quadratic in ``(R_L/R1_hat)**2``, so
-    the double integral collapses algebraically (no extra approximation)
-    to one integral against the Erlang law of ``pi * lam * R_L**2``.
-    This is a one-point :func:`evaluate_grid` call.
-    """
-    return evaluate(Method.SINGLE_INTEGRAL_ALPHA4, scenario, quad)
-
-
 def _nearfield_alpha4_term(omega: int, points: list[Scenario], quad) -> list:
-    """The omega term of :func:`pl_nearfield_alpha4`."""
+    """``NearFieldAlpha4``: the closed-form near-field approximation at alpha = 4.
+
+    Drops the far field entirely (valid when the near field dominates,
+    i.e. small gamma/beta); the remaining Erlang integral is exact and
+    closed form.  At ``p = 1`` this gives 0 once
+    ``beta >= gamma / (L - 1)``.
+    """
     _require_alpha4(points)
     half = (omega - 1) / 2.0
     return [
@@ -491,17 +458,6 @@ def _nearfield_alpha4_term(omega: int, points: list[Scenario], quad) -> list:
         if omega <= _floor_with_tol(gb) else 0.0
         for gb in (s.gamma / s.beta for s in points)
     ]
-
-
-def pl_nearfield_alpha4(scenario: Scenario) -> float:
-    """Closed-form near-field approximation of P_L at alpha = 4.
-
-    Drops the far field entirely (valid when the near field dominates,
-    i.e. small gamma/beta); the remaining Erlang integral is exact and
-    closed form.  At ``p = 1`` this returns 0 once
-    ``beta >= gamma / (L - 1)``.
-    """
-    return evaluate(Method.NEAR_FIELD_ALPHA4, scenario)
 
 
 _TERMS = {
@@ -527,7 +483,8 @@ def evaluate_grid(
     and ``SingleIntegralAlpha4`` integrates all points in lockstep, one
     :func:`~hearability.numerics.integrate_lockstep` pass; the other
     terms are closed forms or root finds per point.  Every point gets
-    the bits a one-point call gives it.
+    the bits it gets on a grid of its own, so one scenario is a grid of
+    one point.
 
     Returns:
         Per point, P_L in [0, 1], or the :class:`NonConvergenceError` of
@@ -548,13 +505,3 @@ def evaluate_grid(
     p = 0.0 if method == Method.PERFECT_COORD else points[0].p
     return _omega_average(points, p, _TERMS[method], quad)
 
-
-def evaluate(
-    method: Method, scenario: Scenario, quad: QuadratureSpec = DEFAULT_QUADRATURE
-) -> float:
-    """Dispatch to the evaluator tagged by ``method``; result in [0, 1].
-
-    The one-point call of :func:`evaluate_grid`; a point whose quadrature
-    does not converge raises its :class:`NonConvergenceError`.
-    """
-    return value_or_raise(evaluate_grid(method, [scenario], quad)[0])

@@ -49,15 +49,16 @@ from .model import Scenario, ShadowingSpec, hex_grid_density
 from .numerics import NonConvergenceError, QuadratureSpec
 from .reuse import ReuseQuery, pl_with_reuse_grid
 from .simulate import (
+    UPSILON_CAP,
     Deployment,
     SimConfig,
     collect_margins,
+    collect_reuse_margins,
+    collect_upsilon,
     exceedance_curve,
-    hearability_curve,
-    reuse_success_curve,
 )
 
-__all__ = ["SweepSpec", "run_sweep", "run_sweeps", "run_figure", "main"]
+__all__ = ["SweepSpec", "run_sweeps", "run_figure", "main"]
 
 CSV_COLUMNS = (
     "beta_over_gamma_db",
@@ -157,14 +158,11 @@ def _shared(specs: list[SweepSpec]) -> list[dict[str, list]]:
                     )
     reuse = [i for i, spec in enumerate(specs) if "MonteCarloReuse" in spec.methods]
     if reuse:
-        # One level grid serves the family; each spec reads its own points.
-        grid = sorted({g for i in reuse for g in specs[i].grid_db})
-        curves = reuse_success_curve(
-            [specs[i].scenario for i in reuse], sim, _thresholds(grid), workers
-        )
-        for i, curve in zip(reuse, curves):
-            at = dict(zip(grid, curve))
-            out[i]["MonteCarloReuse"] = [at[g] for g in specs[i].grid_db]
+        family = collect_reuse_margins([specs[i].scenario for i in reuse], sim, workers)
+        for i, margins in zip(reuse, family):
+            out[i]["MonteCarloReuse"] = exceedance_curve(
+                margins, _thresholds(specs[i].grid_db)
+            )
     recursion = [i for i, spec in enumerate(specs) if "ReuseRecursion" in spec.methods]
     flat = iter(pl_with_reuse_grid([
         ReuseQuery(_at_threshold(spec.scenario, g), spec.base_method, spec.quad)
@@ -219,7 +217,7 @@ def run_sweeps(specs: Sequence[SweepSpec]) -> list[Row]:
     specs' scenarios, which draws each block once, and the
     ``ReuseRecursion`` rows from one per-band table, so those specs must
     also share L, alpha, p, q, ``base_method`` and ``quad``.  Each spec
-    gets the rows :func:`run_sweep` gives it alone.
+    gets the rows it gets in a sweep of its own.
     """
     specs = list(specs)
     if any(s.sim != specs[0].sim or s.workers != specs[0].workers for s in specs):
@@ -228,11 +226,6 @@ def run_sweeps(specs: Sequence[SweepSpec]) -> list[Row]:
         return []
     return [row for spec, shared in zip(specs, _shared(specs))
             for row in _spec_rows(spec, shared)]
-
-
-def run_sweep(spec: SweepSpec) -> list[Row]:
-    """Evaluate every requested method over the beta/gamma grid."""
-    return run_sweeps([spec])
 
 
 def hex_vs_ppp_rows(
@@ -247,6 +240,11 @@ def hex_vs_ppp_rows(
     ``sim`` draws the Poisson rows (``MonteCarloPPP``); each shadowing
     sigma in dB adds hex-grid rows (``MonteCarloHex_s<sigma>``).
     """
+    if l_max > UPSILON_CAP:
+        raise ValueError(
+            f"l_max={l_max} exceeds UPSILON_CAP={UPSILON_CAP}, the most "
+            "detections per band that the Monte Carlo counts track"
+        )
     bg_db = 10.0 * math.log10(scenario.bg_ratio)
     l_values = np.arange(1, l_max + 1)
     runs = [("MonteCarloPPP", sim)] + [
@@ -261,7 +259,8 @@ def hex_vs_ppp_rows(
     ]
     rows = []
     for tag, config in runs:
-        estimates = hearability_curve(scenario, config, l_values, workers)
+        [upsilon] = collect_upsilon([scenario], config, workers)
+        estimates = exceedance_curve(upsilon, l_values)
         rows.extend(
             Row(
                 bg_db, int(l), scenario.p, scenario.q, scenario.alpha, scenario.K,
@@ -429,7 +428,7 @@ def _fig3(seed: int, realizations: int | None, workers: int) -> tuple[list[Row],
         ("UpperBound", "NearFieldAlpha4", "SingleIntegralAlpha4", "MonteCarloJoint"),
         sim, workers,
     )
-    return run_sweep(spec), "beta_over_gamma_db"
+    return run_sweeps([spec]), "beta_over_gamma_db"
 
 
 def _fig4(seed: int, realizations: int | None, workers: int) -> tuple[list[Row], str]:
@@ -699,7 +698,7 @@ def _sweep_spec(v: dict, K: int, methods: tuple[str, ...]) -> SweepSpec:
 
 
 def _sweep(v: dict) -> list[Row]:
-    return run_sweep(_sweep_spec(v, v["k"], v["methods"]))
+    return run_sweeps([_sweep_spec(v, v["k"], v["methods"])])
 
 
 def _reuse(v: dict) -> list[Row]:

@@ -164,14 +164,22 @@ def ranging_stddev(post_sinr, cfg: E911Config):
     ``c / sqrt(8 pi^2 beta_rms^2 SNR)`` with
     ``beta_rms^2 = RMS_BANDWIDTH_FACTOR * bandwidth**2``, elementwise
     for an array of SINRs.  Infinite bandwidth returns 0 (noiseless
-    ranging).
+    ranging); a finite one whose product with the SINR overflows a float
+    raises rather than return a noiseless 0.
     """
     if not np.all(np.greater(post_sinr, 0.0)):
         raise ValueError(f"post_sinr must be positive, got {post_sinr}")
     if math.isinf(cfg.bandwidth):
         return np.zeros(np.shape(post_sinr))[()]
     beta_rms_sq = RMS_BANDWIDTH_FACTOR * cfg.bandwidth**2
-    return SPEED_OF_LIGHT / np.sqrt(8.0 * math.pi**2 * beta_rms_sq * post_sinr)
+    with np.errstate(over="ignore"):
+        info = 8.0 * math.pi**2 * beta_rms_sq * post_sinr
+    if not np.all(np.isfinite(info)):
+        raise ValueError(
+            f"processing_gain_db={cfg.processing_gain_db} and bandwidth={cfg.bandwidth} "
+            "overflow the ranging CRLB"
+        )
+    return SPEED_OF_LIGHT / np.sqrt(info)
 
 
 # Leading columns whose SINRs ``_detect`` computes before it needs the rest.
@@ -227,7 +235,8 @@ def _observe(d, sinr, draws, scenario: Scenario, cfg: E911Config):
     n, m = d.shape
     angles, nlos, unit, clock = np.moveaxis(draws, 1, 0)
     positions = np.stack((d * np.cos(angles), d * np.sin(angles)), axis=-1)
-    post = scenario.gamma * sinr
+    with np.errstate(over="ignore"):  # ranging_stddev rejects an overflow
+        post = scenario.gamma * sinr
     sigma = ranging_stddev(post, cfg)
     pseudo = d + nlos + unit * sigma + SPEED_OF_LIGHT * clock
     # Shared reference noise: a diagonal plus a rank-one constant block.

@@ -65,9 +65,11 @@ DEFAULT_QUADRATURE = QuadratureSpec()
 
 
 class NonConvergenceError(RuntimeError):
-    """Raised when adaptive quadrature exhausts its subdivision budget.
+    """An integral's failure to converge within its subdivision budget.
 
-    Carries the best available estimate so callers can flag the value
+    :func:`integrate_lockstep` and the grid evaluators above it return
+    it in place of the value, so a failure flags its own entry, and it
+    carries the best available estimate so callers can flag the value
     rather than lose it.
     """
 
@@ -75,13 +77,6 @@ class NonConvergenceError(RuntimeError):
         super().__init__(message)
         self.best_estimate = best_estimate
         self.error_estimate = error_estimate
-
-
-def value_or_raise(value: float | NonConvergenceError) -> float:
-    """A grid entry as a one-point call returns it: the value, or raised."""
-    if isinstance(value, NonConvergenceError):
-        raise value
-    return value
 
 
 # Gauss-Legendre node/weight pairs for the embedded 7/15 error estimate.

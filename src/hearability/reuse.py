@@ -14,7 +14,8 @@ The construction requires a single per-band detectability ordering,
 which holds when muting and load coincide (``p = q``).  No evaluator
 reads the density or the noise, so the per-band ``P_n`` depend on ``beta``
 and ``gamma`` only: :func:`pl_with_reuse_grid` evaluates each distinct
-point of a family of queries once per level ``n``, for every ``K``.
+point of a family of queries once per level ``n``, for every ``K``.  One
+query is a family of one.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ import numpy as np
 
 from .analytic import Method, evaluate_grid
 from .model import Scenario
-from .numerics import NonConvergenceError, QuadratureSpec, value_or_raise
+from .numerics import NonConvergenceError, QuadratureSpec
 
-__all__ = ["ReuseQuery", "pl_with_reuse", "pl_with_reuse_grid"]
+__all__ = ["ReuseQuery", "pl_with_reuse_grid"]
 
 
 @dataclass(frozen=True)
@@ -115,14 +116,18 @@ def _failure_by_convolution(e: np.ndarray, K: int, L: int) -> float:
 def pl_with_reuse_grid(
     queries: Sequence[ReuseQuery],
 ) -> list[float | NonConvergenceError]:
-    """:func:`pl_with_reuse` at every query of a family.
+    """P(at least L BSs detectable across all K bands) at every query of a family.
 
     The queries share ``L``, ``alpha``, ``p``, ``q``, ``base_method`` and
     ``quad``; they differ in ``beta`` and may differ in ``gamma``, ``K``
     and ``lam``.  The per-band ``P_n`` table depends on beta and gamma
     only, so each distinct point is evaluated once for the whole family,
     with one :func:`~hearability.analytic.evaluate_grid` call per level
-    n, and every query gets the bits a one-point call gives it.
+    n, and every query gets the bits it gets in a family of its own.
+    Each value is the convolution form, which ``tests/test_reuse.py``
+    checks against a brute-force sum over per-band count tuples.  At
+    ``K = 1`` the telescoping collapses to the single-band value (up to
+    summation rounding).
 
     Returns:
         Per query, P_L across all K bands, or the
@@ -142,14 +147,3 @@ def pl_with_reuse_grid(
         out.append(min(1.0, max(0.0, 1.0 - failure)))
     return out
 
-
-def pl_with_reuse(query: ReuseQuery) -> float:
-    """P(at least L BSs detectable across all K bands).
-
-    Uses the convolution form; ``tests/test_reuse.py`` checks it against
-    a brute-force sum over per-band count tuples.
-    At ``K = 1`` the telescoping collapses and the single-band value is
-    returned (up to summation rounding).  This is a one-point
-    :func:`pl_with_reuse_grid` call.
-    """
-    return value_or_raise(pl_with_reuse_grid([query])[0])

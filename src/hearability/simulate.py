@@ -11,12 +11,14 @@ statistics: ``collect_margins`` the joint and last-BS SINR margins
 counts (levels are L values) and ``collect_reuse_margins`` the L-th
 largest band prefix-min SINR under frequency reuse (levels are
 ``beta/gamma`` values).  ``exceedance_curve`` turns a statistic and a
-level grid into ``McEstimate``s.  The statistics do not depend on the
-level, so one collection answers a whole grid.
+level grid into ``McEstimate``s; it is the one estimator of every Monte
+Carlo curve.  The statistics do not depend on the level, so one
+collection answers a whole grid.
 
-Each collector takes one scenario or a *family* of sibling scenarios
-that share one ``SimConfig`` (a sweep over L, p, alpha or K), and a
-single scenario is a family of one.  A family draws each block once:
+Each collector takes a *family* of sibling scenarios that share one
+``SimConfig`` (a sweep over L, p, alpha or K) and returns a list with
+each sibling's statistic; one scenario is a family of one.  A family
+draws each block once:
 distances, activity uniforms, band labels and powers are drawn on first
 use and cached per block under the scenario inputs they depend on, and
 only the statistic runs per sibling.  The activity uniforms are drawn
@@ -61,8 +63,6 @@ __all__ = [
     "UPSILON_CAP",
     "McEstimate",
     "exceedance_curve",
-    "reuse_success_curve",
-    "hearability_curve",
     "collect_margins",
     "collect_upsilon",
     "collect_reuse_margins",
@@ -88,7 +88,8 @@ _BLOCK = 16
 _SCRATCH_BYTES = 120 * 1024
 
 # How many of each band's nearest BSs the Upsilon and reuse statistics
-# examine; levels L above it are rejected.  At p == q a band's count is
+# examine; levels L above it are rejected (the Upsilon levels by the
+# caller that sets them).  At p == q a band's count is
 # exact up to the cap, so every accepted level is answered exactly.  At
 # p != q the cap is part of Upsilon's definition: it bounds the candidate
 # participant counts that are checked.
@@ -224,8 +225,14 @@ def _block_distances(
         if config.shadow.sigma_db > 0.0:
             # ln S**(-1/alpha) is normal with deviation sigma_db*ln(10)/(10*alpha).
             sigma = config.shadow.sigma_db * math.log(10.0) / (10.0 * scenario.alpha)
-            d *= np.exp(stream(seed, block, _ROLE_SHADOW).normal(0.0, sigma, d.shape))
+            with np.errstate(over="ignore"):  # checked below
+                d *= np.exp(stream(seed, block, _ROLE_SHADOW).normal(0.0, sigma, d.shape))
         d.sort(axis=1)
+        if not (np.all(d[:, 0] > 0.0) and np.all(d[:, -1] < math.inf)):
+            raise ValueError(
+                f"sigma_db={config.shadow.sigma_db} shadows a BS distance to 0 or "
+                "infinity in floating point"
+            )
     else:
         # pi * lam_eff * R_k**2 is the k-th arrival of a unit-rate Poisson
         # process; shadowing enters through the effective density.
@@ -498,73 +505,61 @@ def _collect_span(
 
 
 def _collect(
-    scenarios: Scenario | Sequence[Scenario], config: SimConfig, kind: str, workers: int
-) -> np.ndarray | list[np.ndarray]:
-    """One collection over a family of scenarios that share ``config``.
+    scenarios: Sequence[Scenario], config: SimConfig, kind: str, workers: int
+) -> list[np.ndarray]:
+    """Each sibling's statistic from one collection over a family sharing ``config``.
 
-    ``scenarios`` is one :class:`Scenario`, answered with its statistic,
-    or a sequence of siblings, answered with a list holding each
-    sibling's statistic.  Every sibling is checked before any draw, in
-    order, so a bad member raises what it raises alone.
+    Every sibling is checked before any draw, in order, so a bad member
+    raises what it raises alone.
     """
-    single = isinstance(scenarios, Scenario)
-    family = (scenarios,) if single else tuple(scenarios)
+    family = tuple(scenarios)
     for scenario in family:
         if kind == "reuse":
             if scenario.p != scenario.q:
                 raise ValueError("band prefix margins require p = q")
-            _check_level(scenario.L)
+            if scenario.L > UPSILON_CAP:
+                raise ValueError(
+                    f"L={scenario.L} exceeds UPSILON_CAP={UPSILON_CAP}, the most "
+                    "detections per band that the Monte Carlo counts track"
+                )
         _check_window(scenario, config)
     if not family:
         return []
     args = (kind, family, config)
     stacked = map_spans(_collect_span, args, config.realizations, workers, _BLOCK)
-    statistics = [stacked[:, i] for i in range(len(family))]
-    return statistics[0] if single else statistics
-
-
-def _check_level(level: int) -> None:
-    if level > UPSILON_CAP:
-        raise ValueError(
-            f"L={level} exceeds upsilon_cap={UPSILON_CAP}, the most "
-            "detections per band that the Monte Carlo counts track"
-        )
+    return [stacked[:, i] for i in range(len(family))]
 
 
 def collect_margins(
-    scenarios: Scenario | Sequence[Scenario], config: SimConfig, workers: int = 1
-) -> np.ndarray | list[np.ndarray]:
-    """Per-realization (joint, last-BS) SINR margins, shape (n, 2).
+    scenarios: Sequence[Scenario], config: SimConfig, workers: int = 1
+) -> list[np.ndarray]:
+    """Per sibling, per-realization (joint, last-BS) SINR margins, shape (n, 2).
 
     The joint margin is the least SINR of the L nearest BSs, the
     last-BS margin that of the L-th.  Levels are beta/gamma values.
-    A sequence of sibling scenarios gives a list of margins, one per
-    sibling, from one collection.
     """
     return _collect(scenarios, config, "margins", workers)
 
 
 def collect_upsilon(
-    scenarios: Scenario | Sequence[Scenario], config: SimConfig, workers: int = 1
-) -> np.ndarray | list[np.ndarray]:
-    """Per-realization detectable-BS counts Upsilon, shape (n,).
+    scenarios: Sequence[Scenario], config: SimConfig, workers: int = 1
+) -> list[np.ndarray]:
+    """Per sibling, per-realization detectable-BS counts Upsilon, shape (n,).
 
-    Levels are L values up to ``UPSILON_CAP``.  A sequence of
-    sibling scenarios gives a list of counts, one per sibling.
+    Levels are L values; the counts answer levels up to ``UPSILON_CAP``.
     """
     return _collect(scenarios, config, "upsilon", workers)
 
 
 def collect_reuse_margins(
-    scenarios: Scenario | Sequence[Scenario], config: SimConfig, workers: int = 1
-) -> np.ndarray | list[np.ndarray]:
-    """Per-realization reuse margins, shape (n,); requires p == q.
+    scenarios: Sequence[Scenario], config: SimConfig, workers: int = 1
+) -> list[np.ndarray]:
+    """Per sibling, per-realization reuse margins, shape (n,); requires p == q.
 
     The margin is the L-th largest prefix-min SINR over the
     ``UPSILON_CAP`` nearest members of every band: at least L BSs are
-    detected across the K bands exactly when it clears beta/gamma.  A
-    sequence of sibling scenarios gives a list of margins, one per
-    sibling.
+    detected across the K bands exactly when it clears beta/gamma.
+    Levels are beta/gamma values.
     """
     return _collect(scenarios, config, "reuse", workers)
 
@@ -576,39 +571,3 @@ def exceedance_curve(statistic: np.ndarray, levels) -> list[McEstimate]:
         McEstimate.from_successes(int(np.sum(statistic >= level)), n) for level in levels
     ]
 
-
-def _curves(statistics, levels) -> list[McEstimate] | list[list[McEstimate]]:
-    """``exceedance_curve`` of one statistic, or of each in a list."""
-    if isinstance(statistics, list):
-        return [exceedance_curve(statistic, levels) for statistic in statistics]
-    return exceedance_curve(statistics, levels)
-
-
-def reuse_success_curve(
-    scenarios: Scenario | Sequence[Scenario],
-    config: SimConfig,
-    thresholds: np.ndarray,
-    workers: int = 1,
-) -> list[McEstimate] | list[list[McEstimate]]:
-    """Reuse-accumulated P_L over a grid of beta/gamma values.
-
-    A sequence of sibling scenarios gives a list of curves, one per
-    sibling.
-    """
-    return _curves(collect_reuse_margins(scenarios, config, workers), thresholds)
-
-
-def hearability_curve(
-    scenarios: Scenario | Sequence[Scenario],
-    config: SimConfig,
-    l_values: np.ndarray,
-    workers: int = 1,
-) -> list[McEstimate] | list[list[McEstimate]]:
-    """P(Upsilon >= L) for each L in ``l_values`` from one collection.
-
-    A sequence of sibling scenarios gives a list of curves, one per
-    sibling.
-    """
-    levels = np.asarray(l_values, dtype=int)
-    _check_level(max(levels, default=0))
-    return _curves(collect_upsilon(scenarios, config, workers), levels)

@@ -17,11 +17,13 @@ from typing import Callable
 
 import numpy as np
 
+from one_point import pl
+
 from hearability.analytic import (
     _TAIL_QUANTILE,
+    Method,
     _clamp01,
     _floor_with_tol,
-    pl_perfect_coord,
 )
 from hearability.model import Scenario, pmf_omega
 from hearability.numerics import (
@@ -200,7 +202,7 @@ def oracle_pl_double_integral(
     L, alpha, p, q = scenario.L, scenario.alpha, scenario.p, scenario.q
     thr = scenario.beta / scenario.gamma
     gb = 1.0 / thr
-    total = pmf_omega(0, L, p) * pl_perfect_coord(scenario)
+    total = pmf_omega(0, L, p) * pl(Method.PERFECT_COORD, scenario)
     if L < 2:
         return _clamp01(total)
     # Normalized coordinates (lam * pi = 1): an exact change of variables,
@@ -236,7 +238,7 @@ def oracle_pl_alpha4(scenario: Scenario, quad: QuadratureSpec = DEFAULT_QUADRATU
     """Single-integral dominant-interferer approximation, exact at alpha = 4.
 
     At ``alpha = 4`` the inner threshold inversion of
-    :func:`pl_double_integral` is a quadratic in ``(R_L/R1_hat)**2``, so
+    ``DoubleIntegral`` is a quadratic in ``(R_L/R1_hat)**2``, so
     the double integral collapses algebraically (no extra approximation)
     to one integral against the Erlang law of ``pi * lam * R_L**2``.
     """
@@ -246,7 +248,7 @@ def oracle_pl_alpha4(scenario: Scenario, quad: QuadratureSpec = DEFAULT_QUADRATU
         )
     L, p, q = scenario.L, scenario.p, scenario.q
     gb = scenario.gamma / scenario.beta
-    total = pmf_omega(0, L, p) * pl_perfect_coord(scenario)
+    total = pmf_omega(0, L, p) * pl(Method.PERFECT_COORD, scenario)
     if L < 2:
         return _clamp01(total)
     s_tail = erlang_quantile(L, 1.0, _TAIL_QUANTILE)

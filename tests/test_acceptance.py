@@ -14,18 +14,10 @@ import time
 
 import numpy as np
 import pytest
+from one_point import pl, value_or_raise
 from scipy import stats
 
-from hearability.analytic import (
-    Method,
-    min_processing_gain,
-    pl_alpha4,
-    pl_double_integral,
-    pl_nearfield_alpha4,
-    pl_perfect_coord,
-    pl_single_integral_general,
-    pl_upper_bound,
-)
+from hearability.analytic import Method, evaluate_grid, min_processing_gain
 from hearability.cli import main
 from hearability.e911 import (
     MIN_TRIALS,
@@ -35,14 +27,14 @@ from hearability.e911 import (
     fcc_compliance,
 )
 from hearability.model import Scenario, ShadowingSpec
-from hearability.reuse import ReuseQuery, pl_with_reuse
+from hearability.reuse import ReuseQuery, pl_with_reuse_grid
 from hearability.simulate import (
     Deployment,
     SimConfig,
     collect_margins,
+    collect_reuse_margins,
+    collect_upsilon,
     exceedance_curve,
-    hearability_curve,
-    reuse_success_curve,
 )
 from sampling_oracle import conditional_law_samples
 
@@ -66,6 +58,23 @@ def _at(scen: Scenario, bg_db: float) -> Scenario:
     return scen.replace(beta=scen.gamma * 10.0 ** (bg_db / 10.0))
 
 
+def _curve(method: Method, scen: Scenario, grid_db) -> np.ndarray:
+    """P_L by ``method`` at each beta/gamma of ``grid_db``, one grid call."""
+    points = [_at(scen, g) for g in grid_db]
+    return np.array([value_or_raise(v) for v in evaluate_grid(method, points)])
+
+
+def _reuse_curve(scen: Scenario, grid_db) -> np.ndarray:
+    """Reuse P_L at each beta/gamma of ``grid_db``, one family call."""
+    queries = [ReuseQuery(_at(scen, g), Method.SINGLE_INTEGRAL_ALPHA4) for g in grid_db]
+    return np.array([value_or_raise(v) for v in pl_with_reuse_grid(queries)])
+
+
+def _upsilon_curve(scen: Scenario, sim: SimConfig, l_values) -> np.ndarray:
+    [upsilon] = collect_upsilon([scen], sim)
+    return np.array([e.estimate for e in exceedance_curve(upsilon, l_values)])
+
+
 def _mc_curve(margins: np.ndarray, grid_db: np.ndarray) -> np.ndarray:
     return np.array(
         [np.mean(margins[:, 0] >= 10.0 ** (g / 10.0)) for g in grid_db]
@@ -80,8 +89,8 @@ def _crossing_db(values: np.ndarray, grid_db: np.ndarray, target: float) -> floa
 @pytest.fixture(scope="module")
 def fig3_margins():
     start = time.perf_counter()
-    margins = collect_margins(
-        FIG3_SCEN, SimConfig(realizations=20000, seed=ACC_SEED)
+    [margins] = collect_margins(
+        [FIG3_SCEN], SimConfig(realizations=20000, seed=ACC_SEED)
     )
     return margins, time.perf_counter() - start
 
@@ -89,7 +98,7 @@ def fig3_margins():
 def test_criterion_01_joint_mc_anchor_matches_alpha4(fig3_margins):
     margins, elapsed = fig3_margins
     mc = float(np.mean(margins[:, 0] >= 10.0 ** -1.6))
-    analytic = pl_alpha4(_at(FIG3_SCEN, -16.0))
+    analytic = pl(Method.SINGLE_INTEGRAL_ALPHA4, _at(FIG3_SCEN, -16.0))
     ok = abs(mc - 0.5) <= 0.03 and abs(mc - analytic) <= 0.02 and elapsed < 60.0
     _report(
         1, ok,
@@ -105,7 +114,7 @@ def test_criterion_02_upper_bound_dominates(fig3_margins):
     margins, _ = fig3_margins
     mc = _mc_curve(margins, GRID_DB)
     stderr = np.sqrt(mc * (1.0 - mc) / margins.shape[0])
-    bound = np.array([pl_upper_bound(_at(FIG3_SCEN, g)) for g in GRID_DB])
+    bound = _curve(Method.UPPER_BOUND, FIG3_SCEN, GRID_DB)
     dominance = bool(np.all(bound >= mc - 3.0 * stderr))
     gap_db = abs(
         _crossing_db(bound, GRID_DB, 0.2) - _crossing_db(mc, GRID_DB, 0.2)
@@ -131,18 +140,19 @@ def test_criterion_03_double_integral_fidelity_across_alpha():
         # Low path-loss exponents need a wider window before the omitted
         # far-field tail is negligible against a 0.02 tolerance.
         ebs = 4000 if alpha < 3.75 else 1000
-        margins = collect_margins(
-            sa, SimConfig(realizations=20000, seed=ACC_SEED, expected_bs=ebs)
+        [margins] = collect_margins(
+            [sa], SimConfig(realizations=20000, seed=ACC_SEED, expected_bs=ebs)
         )
         mc = _mc_curve(margins, GRID_DB)
-        for g, m in zip(GRID_DB, mc):
-            gap = abs(pl_double_integral(_at(sa, g)) - m)
+        double = _curve(Method.DOUBLE_INTEGRAL, sa, GRID_DB)
+        for g, d, m in zip(GRID_DB, double, mc):
+            gap = abs(d - m)
             if gap > worst_gap:
                 worst_gap, worst_at = gap, (alpha, g)
 
     dense = np.arange(-20.0, 0.01, 0.25)
-    dcurve = np.array([pl_double_integral(_at(scen, g)) for g in dense])
-    scurve = np.array([pl_single_integral_general(_at(scen, g)) for g in dense])
+    dcurve = _curve(Method.DOUBLE_INTEGRAL, scen, dense)
+    scurve = _curve(Method.SINGLE_INTEGRAL_GENERAL, scen, dense)
     targets = np.arange(0.60, 0.9501, 0.0125)
     dev = np.abs(
         np.interp(targets, scurve[::-1], dense[::-1])
@@ -164,9 +174,9 @@ def test_criterion_03_double_integral_fidelity_across_alpha():
 
 def test_criterion_04_closed_form_unit_values():
     canon = _at(FIG3_SCEN, -20.0)  # gamma/beta = 100
-    ub = pl_upper_bound(canon)
-    nf = pl_nearfield_alpha4(canon)
-    pc = pl_perfect_coord(_at(FIG3_SCEN, -10.0))
+    ub = pl(Method.UPPER_BOUND, canon)
+    nf = pl(Method.NEAR_FIELD_ALPHA4, canon)
+    pc = pl(Method.PERFECT_COORD, _at(FIG3_SCEN, -10.0))
     gain = min_processing_gain(0.8, 4, 4.0, 1.0)
     ok = (
         abs(ub - UPPER_BOUND_CANON) <= 1e-6
@@ -187,22 +197,20 @@ def test_criterion_04_closed_form_unit_values():
 
 def test_criterion_05_internal_consistency():
     grid = np.linspace(-20.0, 0.0, 20)
-    gap_integrals = max(
-        abs(pl_alpha4(_at(FIG3_SCEN, g)) - pl_double_integral(_at(FIG3_SCEN, g)))
-        for g in grid
-    )
-    quiet = FIG3_SCEN.replace(q=1e-9)
-    gap_nearfield = max(
-        abs(pl_alpha4(_at(quiet, g)) - pl_nearfield_alpha4(_at(quiet, g)))
-        for g in (-30.0, -20.0, -10.0)
-    )
-    gap_reuse = max(
-        abs(
-            pl_with_reuse(ReuseQuery(_at(FIG3_SCEN, g), Method.SINGLE_INTEGRAL_ALPHA4))
-            - pl_alpha4(_at(FIG3_SCEN, g))
-        )
-        for g in (-16.0, -10.0, -4.0)
-    )
+    gap_integrals = np.max(np.abs(
+        _curve(Method.SINGLE_INTEGRAL_ALPHA4, FIG3_SCEN, grid)
+        - _curve(Method.DOUBLE_INTEGRAL, FIG3_SCEN, grid)
+    ))
+    quiet, near = FIG3_SCEN.replace(q=1e-9), (-30.0, -20.0, -10.0)
+    gap_nearfield = np.max(np.abs(
+        _curve(Method.SINGLE_INTEGRAL_ALPHA4, quiet, near)
+        - _curve(Method.NEAR_FIELD_ALPHA4, quiet, near)
+    ))
+    reuse = (-16.0, -10.0, -4.0)
+    gap_reuse = np.max(np.abs(
+        _reuse_curve(FIG3_SCEN, reuse)
+        - _curve(Method.SINGLE_INTEGRAL_ALPHA4, FIG3_SCEN, reuse)
+    ))
     ok = gap_integrals <= 1e-6 and gap_nearfield <= 1e-4 and gap_reuse <= 1e-12
     _report(
         5, ok,
@@ -216,18 +224,7 @@ def test_criterion_05_internal_consistency():
 
 
 def test_criterion_06_reuse_recursion_vs_mc():
-    recursion = {}
-    for K in (1, 3, 6):
-        recursion[K] = np.array(
-            [
-                pl_with_reuse(
-                    ReuseQuery(
-                        _at(FIG3_SCEN.replace(K=K), g), Method.SINGLE_INTEGRAL_ALPHA4
-                    )
-                )
-                for g in GRID_DB
-            ]
-        )
+    recursion = {K: _reuse_curve(FIG3_SCEN.replace(K=K), GRID_DB) for K in (1, 3, 6)}
     # With p = q = 1 a heard BS carries at least beta/(beta+gamma) of its
     # band's total power, and the rest of the band is strictly positive, so
     # fewer than 1 + gamma/beta, i.e. at most ceil(gamma/beta), BSs per band
@@ -249,12 +246,12 @@ def test_criterion_06_reuse_recursion_vs_mc():
     )
     worst_z = 0.0
     worst_at = (0, 0.0)
-    for K in (3, 6):
-        estimates = reuse_success_curve(
-            FIG3_SCEN.replace(K=K),
-            SimConfig(realizations=10000, seed=ACC_SEED),
-            10.0 ** (GRID_DB / 10.0),
-        )
+    margins = collect_reuse_margins(
+        [FIG3_SCEN.replace(K=K) for K in (3, 6)],
+        SimConfig(realizations=10000, seed=ACC_SEED),
+    )
+    for K, statistic in zip((3, 6), margins):
+        estimates = exceedance_curve(statistic, 10.0 ** (GRID_DB / 10.0))
         for g, rec, est in zip(GRID_DB, recursion[K], estimates):
             # Floor the scale with the binomial deviation of the analytic
             # value so exact-zero MC tails cannot divide by zero.
@@ -308,23 +305,23 @@ def test_criterion_07_conditional_law_suite():
 
 def test_criterion_08_scale_invariance():
     dense = FIG3_SCEN.replace(lam=10.0)
+    closed = (-16.0, -10.0)
     bit_equal = all(
-        fn(_at(FIG3_SCEN, g)) == fn(_at(dense, g))
-        for fn in (pl_upper_bound, pl_perfect_coord, pl_nearfield_alpha4)
-        for g in (-16.0, -10.0)
+        np.array_equal(_curve(m, FIG3_SCEN, closed), _curve(m, dense, closed))
+        for m in (Method.UPPER_BOUND, Method.PERFECT_COORD, Method.NEAR_FIELD_ALPHA4)
     )
     general = FIG3_SCEN.replace(alpha=3.5, p=2.0 / 3.0)
     integral_gap = max(
-        abs(fn(_at(s, -10.0)) - fn(_at(s.replace(lam=10.0), -10.0)))
-        for fn, s in (
-            (pl_alpha4, FIG3_SCEN),
-            (pl_double_integral, general),
-            (pl_single_integral_general, general),
+        abs(pl(m, _at(s, -10.0)) - pl(m, _at(s.replace(lam=10.0), -10.0)))
+        for m, s in (
+            (Method.SINGLE_INTEGRAL_ALPHA4, FIG3_SCEN),
+            (Method.DOUBLE_INTEGRAL, general),
+            (Method.SINGLE_INTEGRAL_GENERAL, general),
         )
     )
     a, b = (
         exceedance_curve(
-            collect_margins(s, SimConfig(realizations=10000, seed=seed))[:, 0],
+            collect_margins([s], SimConfig(realizations=10000, seed=seed))[0][:, 0],
             [s.beta / s.gamma],
         )[0]
         for s, seed in (
@@ -349,33 +346,26 @@ def test_criterion_09_hex_grid_convergence():
         lam=1.0, alpha=4.0, p=1.0, q=1.0, beta=0.1, gamma=1.0, L=1
     )
     sim = SimConfig(realizations=10000, seed=ACC_SEED)
-    ppp = np.array([e.estimate for e in hearability_curve(base, sim, l_values)])
+    ppp = _upsilon_curve(base, sim, l_values)
     ks = {}
     for sigma in (4.0, 8.0, 12.0):
         hex_sim = SimConfig(
             realizations=10000, seed=ACC_SEED, deployment=Deployment.HEX,
             shadow=ShadowingSpec(sigma),
         )
-        hx = np.array(
-            [e.estimate for e in hearability_curve(base, hex_sim, l_values)]
-        )
+        hx = _upsilon_curve(base, hex_sim, l_values)
         ks[sigma] = float(np.max(np.abs(hx - ppp)))
     decreasing = ks[4.0] > ks[8.0] > ks[12.0]
 
     reuse6 = base.replace(K=6)
-    ppp6 = np.array([e.estimate for e in hearability_curve(reuse6, sim, l_values)])
-    hex6 = np.array(
-        [
-            e.estimate
-            for e in hearability_curve(
-                reuse6,
-                SimConfig(
-                    realizations=10000, seed=ACC_SEED, deployment=Deployment.HEX,
-                    shadow=ShadowingSpec(8.0),
-                ),
-                l_values,
-            )
-        ]
+    ppp6 = _upsilon_curve(reuse6, sim, l_values)
+    hex6 = _upsilon_curve(
+        reuse6,
+        SimConfig(
+            realizations=10000, seed=ACC_SEED, deployment=Deployment.HEX,
+            shadow=ShadowingSpec(8.0),
+        ),
+        l_values,
     )
     diff10 = float(np.max(np.abs(hex6[:10] - ppp6[:10])))
     ok = decreasing and diff10 <= 0.05
@@ -446,8 +436,8 @@ def test_criterion_11_determinism(tmp_path):
 
     cfg = SimConfig(realizations=2000, seed=ACC_SEED)
     workers_equal = np.array_equal(
-        collect_margins(FIG3_SCEN, cfg, workers=1),
-        collect_margins(FIG3_SCEN, cfg, workers=3),
+        collect_margins([FIG3_SCEN], cfg, workers=1)[0],
+        collect_margins([FIG3_SCEN], cfg, workers=3)[0],
     )
     ok = mc_identical and analytic_identical and workers_equal
     _report(

@@ -7,9 +7,11 @@ re-derive the integral evaluators from scratch inside the tests.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
+from one_point import pl
 from quadrature_oracle import (
     oracle_boundary_t,
     oracle_pl_alpha4,
@@ -22,17 +24,10 @@ from hearability.analytic import (
     Method,
     _boundary_t,
     _h_ratio,
-    evaluate,
     evaluate_grid,
     mean_i1,
     mean_i2,
     min_processing_gain,
-    pl_alpha4,
-    pl_double_integral,
-    pl_nearfield_alpha4,
-    pl_perfect_coord,
-    pl_single_integral_general,
-    pl_upper_bound,
 )
 from hearability.cli import _at_threshold, _grid
 from hearability.model import Scenario, hex_grid_density
@@ -120,7 +115,7 @@ class TestMeanFarInterference:
 class TestUpperBound:
     def test_frozen_canonical_value(self):
         np.testing.assert_allclose(
-            pl_upper_bound(CANON), UPPER_BOUND_CANON, rtol=1e-12
+            pl(Method.UPPER_BOUND, CANON), UPPER_BOUND_CANON, rtol=1e-12
         )
 
     def test_full_activity_reduces_to_single_term(self):
@@ -128,24 +123,29 @@ class TestUpperBound:
         for gb, L in ((100.0, 4), (37.0, 6), (8.0, 2)):
             scen = at_ratio(gb).replace(L=L)
             expected = (1.0 - (gb - (L - 2)) ** -0.5) ** (L - 1)
-            np.testing.assert_allclose(pl_upper_bound(scen), expected, rtol=1e-13)
+            np.testing.assert_allclose(
+                pl(Method.UPPER_BOUND, scen), expected, rtol=1e-13
+            )
 
     def test_silent_participants_give_certainty(self):
-        assert pl_upper_bound(at_ratio(5.0, p=0.0)) == 1.0
+        assert pl(Method.UPPER_BOUND, at_ratio(5.0, p=0.0)) == 1.0
 
     def test_zero_below_unit_ratio_at_full_activity(self):
-        assert pl_upper_bound(at_ratio(0.9)) == 0.0
+        assert pl(Method.UPPER_BOUND, at_ratio(0.9)) == 0.0
 
     def test_nondecreasing_in_gain(self):
-        values = [pl_upper_bound(at_ratio(gb)) for gb in (2.0, 5.0, 20.0, 100.0, 1e4)]
+        values = [
+            pl(Method.UPPER_BOUND, at_ratio(gb)) for gb in (2.0, 5.0, 20.0, 100.0, 1e4)
+        ]
         assert all(a <= b for a, b in zip(values, values[1:]))
         assert 0.0 <= values[0] and values[-1] <= 1.0
 
     @pytest.mark.parametrize("gb", [4.0, 10.0, 40.0, 200.0])
     def test_dominates_integral_approximations(self, gb):
         scen = at_ratio(gb)
-        assert pl_upper_bound(scen) >= pl_alpha4(scen) - 1e-12
-        assert pl_upper_bound(scen) >= pl_double_integral(scen) - 1e-12
+        bound = pl(Method.UPPER_BOUND, scen)
+        assert bound >= pl(Method.SINGLE_INTEGRAL_ALPHA4, scen) - 1e-12
+        assert bound >= pl(Method.DOUBLE_INTEGRAL, scen) - 1e-12
 
 
 class TestMinProcessingGain:
@@ -165,7 +165,7 @@ class TestMinProcessingGain:
     def test_round_trip_through_bound(self, target, L):
         gain = min_processing_gain(target, L, 4.0, 1.0)
         scen = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, beta=1.0, gamma=gain, L=L)
-        np.testing.assert_allclose(pl_upper_bound(scen), target, rtol=1e-10)
+        np.testing.assert_allclose(pl(Method.UPPER_BOUND, scen), target, rtol=1e-10)
 
     def test_scales_linearly_with_beta(self):
         one = min_processing_gain(0.8, 4, 4.0, 1.0)
@@ -187,7 +187,7 @@ class TestMinProcessingGain:
 class TestPerfectCoord:
     def test_frozen_value_at_ratio_ten(self):
         np.testing.assert_allclose(
-            pl_perfect_coord(at_ratio(10.0)), PERFECT_COORD_AT_10, rtol=1e-12
+            pl(Method.PERFECT_COORD, at_ratio(10.0)), PERFECT_COORD_AT_10, rtol=1e-12
         )
 
     @pytest.mark.parametrize("alpha,q,gb,L", [(4.0, 1.0, 10.0, 4), (3.0, 0.5, 25.0, 6)])
@@ -195,22 +195,22 @@ class TestPerfectCoord:
         scen = at_ratio(gb).replace(alpha=alpha, q=q, L=L)
         mu = (alpha - 2.0) * gb / (2.0 * q)
         np.testing.assert_allclose(
-            pl_perfect_coord(scen), stats.poisson.sf(L - 1, mu), rtol=1e-10
+            pl(Method.PERFECT_COORD, scen), stats.poisson.sf(L - 1, mu), rtol=1e-10
         )
 
     def test_no_load_means_certain_detection(self):
-        assert pl_perfect_coord(at_ratio(10.0, q=0.0)) == 1.0
+        assert pl(Method.PERFECT_COORD, at_ratio(10.0, q=0.0)) == 1.0
 
     def test_independent_of_p_and_density(self):
-        base = pl_perfect_coord(at_ratio(10.0))
-        assert pl_perfect_coord(at_ratio(10.0, p=0.3)) == base
-        assert pl_perfect_coord(at_ratio(10.0, lam=17.0)) == base
+        base = pl(Method.PERFECT_COORD, at_ratio(10.0))
+        assert pl(Method.PERFECT_COORD, at_ratio(10.0, p=0.3)) == base
+        assert pl(Method.PERFECT_COORD, at_ratio(10.0, lam=17.0)) == base
 
     @pytest.mark.parametrize("alpha", [3.0, 4.0])
     def test_equals_double_integral_when_muted(self, alpha):
         scen = at_ratio(12.0, p=0.0).replace(alpha=alpha)
         np.testing.assert_allclose(
-            pl_double_integral(scen), pl_perfect_coord(scen), rtol=1e-9
+            pl(Method.DOUBLE_INTEGRAL, scen), pl(Method.PERFECT_COORD, scen), rtol=1e-9
         )
 
 
@@ -255,21 +255,26 @@ class TestAlpha4:
     def test_matches_scipy_oracle(self, p, q, gb):
         scen = at_ratio(gb, p=p, q=q)
         np.testing.assert_allclose(
-            pl_alpha4(scen), oracle_alpha4(4, p, q, gb), rtol=1e-7
+            pl(Method.SINGLE_INTEGRAL_ALPHA4, scen), oracle_alpha4(4, p, q, gb),
+            rtol=1e-7,
         )
 
     def test_rejects_other_exponents(self):
         with pytest.raises(ValueError, match="alpha = 4"):
-            pl_alpha4(CANON.replace(alpha=3.9))
+            pl(Method.SINGLE_INTEGRAL_ALPHA4, CANON.replace(alpha=3.9))
 
     def test_no_load_reduces_to_nearfield(self):
         scen = at_ratio(50.0, q=0.0)
         np.testing.assert_allclose(
-            pl_alpha4(scen), pl_nearfield_alpha4(scen), rtol=1e-8
+            pl(Method.SINGLE_INTEGRAL_ALPHA4, scen), pl(Method.NEAR_FIELD_ALPHA4, scen),
+            rtol=1e-8,
         )
 
     def test_monotone_in_gain(self):
-        values = [pl_alpha4(at_ratio(gb)) for gb in (5.0, 10.0, 40.0, 160.0)]
+        values = [
+            pl(Method.SINGLE_INTEGRAL_ALPHA4, at_ratio(gb))
+            for gb in (5.0, 10.0, 40.0, 160.0)
+        ]
         assert all(a < b for a, b in zip(values, values[1:]))
 
 
@@ -278,26 +283,29 @@ class TestDoubleIntegral:
     def test_collapses_to_alpha4_form(self, gb):
         scen = at_ratio(gb)
         np.testing.assert_allclose(
-            pl_double_integral(scen), pl_alpha4(scen), atol=1e-6, rtol=0
+            pl(Method.DOUBLE_INTEGRAL, scen), pl(Method.SINGLE_INTEGRAL_ALPHA4, scen),
+            atol=1e-6, rtol=0,
         )
 
     def test_partial_activity_also_collapses(self):
         scen = at_ratio(30.0, p=0.5, q=0.75)
         np.testing.assert_allclose(
-            pl_double_integral(scen), pl_alpha4(scen), atol=1e-6, rtol=0
+            pl(Method.DOUBLE_INTEGRAL, scen), pl(Method.SINGLE_INTEGRAL_ALPHA4, scen),
+            atol=1e-6, rtol=0,
         )
 
     def test_nearfield_limit_at_vanishing_load(self):
         scen = at_ratio(100.0, q=1e-9)
         np.testing.assert_allclose(
-            pl_double_integral(scen), pl_nearfield_alpha4(at_ratio(100.0, q=0.0)),
+            pl(Method.DOUBLE_INTEGRAL, scen),
+            pl(Method.NEAR_FIELD_ALPHA4, at_ratio(100.0, q=0.0)),
             atol=1e-4,
         )
 
     @pytest.mark.parametrize("alpha", [3.0, 3.5, 4.5])
     def test_monotone_in_gain_for_general_alpha(self, alpha):
         values = [
-            pl_double_integral(at_ratio(gb).replace(alpha=alpha))
+            pl(Method.DOUBLE_INTEGRAL, at_ratio(gb).replace(alpha=alpha))
             for gb in (5.0, 15.0, 60.0)
         ]
         assert all(a < b for a, b in zip(values, values[1:]))
@@ -426,7 +434,7 @@ class TestSingleIntegralGeneral:
         # x^4 + (omega-1+q)x^2 <= gamma/beta, solvable by hand.  With
         # p=q=1, L=4, gamma/beta=10: x*^2 = 2, so P_L = (1/2)^3.
         np.testing.assert_allclose(
-            pl_single_integral_general(at_ratio(10.0)), 0.125, rtol=1e-10
+            pl(Method.SINGLE_INTEGRAL_GENERAL, at_ratio(10.0)), 0.125, rtol=1e-10
         )
 
     @pytest.mark.parametrize("alpha", [3.0, 3.5, 4.0])
@@ -436,16 +444,17 @@ class TestSingleIntegralGeneral:
         # shrinks to under 0.02 in the high-reliability regime.
         for gb in (10.0, 40.0, 150.0):
             scen = at_ratio(gb).replace(alpha=alpha)
-            gap = pl_single_integral_general(scen) - pl_double_integral(scen)
+            gap = (pl(Method.SINGLE_INTEGRAL_GENERAL, scen)
+                   - pl(Method.DOUBLE_INTEGRAL, scen))
             assert abs(gap) <= 0.2
         tight = at_ratio(300.0).replace(alpha=alpha)
         assert abs(
-            pl_single_integral_general(tight) - pl_double_integral(tight)
+            pl(Method.SINGLE_INTEGRAL_GENERAL, tight) - pl(Method.DOUBLE_INTEGRAL, tight)
         ) <= 0.02
 
     def test_monotone_in_gain(self):
         values = [
-            pl_single_integral_general(at_ratio(gb).replace(alpha=3.0))
+            pl(Method.SINGLE_INTEGRAL_GENERAL, at_ratio(gb).replace(alpha=3.0))
             for gb in (4.0, 12.0, 50.0, 300.0)
         ]
         assert all(a <= b for a, b in zip(values, values[1:]))
@@ -454,74 +463,40 @@ class TestSingleIntegralGeneral:
     def test_muted_case_matches_perfect_coordination(self):
         scen = at_ratio(12.0, p=0.0).replace(alpha=3.3)
         np.testing.assert_allclose(
-            pl_single_integral_general(scen), pl_perfect_coord(scen), rtol=1e-12
+            pl(Method.SINGLE_INTEGRAL_GENERAL, scen), pl(Method.PERFECT_COORD, scen),
+            rtol=1e-12,
         )
 
 
 class TestNearfield:
     def test_frozen_canonical_value(self):
         np.testing.assert_allclose(
-            pl_nearfield_alpha4(CANON), NEARFIELD_CANON, rtol=1e-12
+            pl(Method.NEAR_FIELD_ALPHA4, CANON), NEARFIELD_CANON, rtol=1e-12
         )
 
     def test_inline_arithmetic_rederivation(self):
         # p=1 leaves only omega = 3: y* = sqrt(100 + 1) - 1.
         y_star = math.sqrt(101.0) - 1.0
         np.testing.assert_allclose(
-            pl_nearfield_alpha4(CANON), (1.0 - 1.0 / y_star) ** 3, rtol=1e-14
+            pl(Method.NEAR_FIELD_ALPHA4, CANON), (1.0 - 1.0 / y_star) ** 3, rtol=1e-14
         )
 
     def test_cutoff_at_full_activity(self):
         # With p=1 and gamma/beta <= L-1 detection is impossible.
-        assert pl_nearfield_alpha4(at_ratio(3.0)) == 0.0
-        assert pl_nearfield_alpha4(at_ratio(2.5)) == 0.0
-        assert pl_nearfield_alpha4(at_ratio(3.2)) > 0.0
+        assert pl(Method.NEAR_FIELD_ALPHA4, at_ratio(3.0)) == 0.0
+        assert pl(Method.NEAR_FIELD_ALPHA4, at_ratio(2.5)) == 0.0
+        assert pl(Method.NEAR_FIELD_ALPHA4, at_ratio(3.2)) > 0.0
 
     @pytest.mark.parametrize("gb", [5.0, 20.0, 100.0])
     def test_dominates_full_model(self, gb):
         # Dropping far-field interference can only raise P_L.
         scen = at_ratio(gb)
-        assert pl_nearfield_alpha4(scen) >= pl_alpha4(scen) - 1e-12
+        nearfield = pl(Method.NEAR_FIELD_ALPHA4, scen)
+        assert nearfield >= pl(Method.SINGLE_INTEGRAL_ALPHA4, scen) - 1e-12
 
     def test_rejects_other_exponents(self):
         with pytest.raises(ValueError, match="alpha = 4"):
-            pl_nearfield_alpha4(CANON.replace(alpha=3.0))
-
-
-class TestEvaluate:
-    @pytest.mark.parametrize(
-        "method,func",
-        [
-            (Method.UPPER_BOUND, pl_upper_bound),
-            (Method.PERFECT_COORD, pl_perfect_coord),
-            (Method.NEAR_FIELD_ALPHA4, pl_nearfield_alpha4),
-        ],
-    )
-    def test_dispatches_closed_forms(self, method, func):
-        assert evaluate(method, CANON) == func(CANON)
-
-    @pytest.mark.parametrize(
-        "method,func",
-        [
-            (Method.DOUBLE_INTEGRAL, pl_double_integral),
-            (Method.SINGLE_INTEGRAL_GENERAL, pl_single_integral_general),
-            (Method.SINGLE_INTEGRAL_ALPHA4, pl_alpha4),
-        ],
-    )
-    def test_dispatches_integral_forms(self, method, func):
-        assert evaluate(method, CANON) == func(CANON)
-
-    def test_accepts_string_value(self):
-        assert evaluate("UpperBound", CANON) == pl_upper_bound(CANON)
-
-    def test_gain_bound_is_rejected(self):
-        # min_processing_gain maps a target P_L to a gain; it has no tag.
-        with pytest.raises(ValueError, match="unknown method 'ProcGainBound'"):
-            evaluate("ProcGainBound", CANON)
-
-    def test_unknown_method_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown method"):
-            evaluate("Bogus", CANON)
+            pl(Method.NEAR_FIELD_ALPHA4, CANON.replace(alpha=3.0))
 
 
 # Edge cases of the Omega average, recorded before it was shared by every
@@ -571,7 +546,7 @@ class TestEdgeAnchors:
     @pytest.mark.parametrize("method", list(Method))
     def test_recorded_values(self, method):
         for name, point in EDGE_POINTS.items():
-            assert evaluate(method, point) == EDGE_VALUES[method][name], name
+            assert pl(method, point) == EDGE_VALUES[method][name], name
 
     def test_recorded_nonconvergence(self):
         # One halving per panel leaves this DoubleIntegral point short of
@@ -580,7 +555,7 @@ class TestEdgeAnchors:
             lam=1.0, alpha=3.5, p=2.0 / 3.0, q=1.0, beta=10.0 ** -1.2, gamma=1.0, L=6
         )
         with pytest.raises(NonConvergenceError) as excinfo:
-            evaluate(Method.DOUBLE_INTEGRAL, point, QuadratureSpec(max_depth=1))
+            pl(Method.DOUBLE_INTEGRAL, point, QuadratureSpec(max_depth=1))
         assert excinfo.value.best_estimate == 0.6494429209290253
         assert excinfo.value.error_estimate == 6.289478234066965e-09
 
@@ -589,22 +564,23 @@ class TestScaleInvariance:
     """Interference-limited outputs cannot depend on the BS density."""
 
     @pytest.mark.parametrize(
-        "func",
-        [pl_upper_bound, pl_perfect_coord, pl_nearfield_alpha4],
+        "method",
+        [Method.UPPER_BOUND, Method.PERFECT_COORD, Method.NEAR_FIELD_ALPHA4],
     )
-    def test_closed_forms_bit_identical(self, func):
+    def test_closed_forms_bit_identical(self, method):
         scen = at_ratio(40.0)
-        assert func(scen) == func(scen.replace(lam=10.0 * scen.lam))
+        assert pl(method, scen) == pl(method, scen.replace(lam=10.0 * scen.lam))
 
     @pytest.mark.parametrize(
-        "func",
-        [pl_alpha4, pl_double_integral, pl_single_integral_general],
+        "method",
+        [Method.SINGLE_INTEGRAL_ALPHA4, Method.DOUBLE_INTEGRAL,
+         Method.SINGLE_INTEGRAL_GENERAL],
     )
-    def test_integral_forms_bit_identical(self, func):
+    def test_integral_forms_bit_identical(self, method):
         # The integral evaluators work in normalized coordinates, an
         # exact change of variables, so even they are bit-identical.
         scen = at_ratio(40.0, p=0.5, q=0.75)
-        assert func(scen) == func(scen.replace(lam=10.0 * scen.lam))
+        assert pl(method, scen) == pl(method, scen.replace(lam=10.0 * scen.lam))
 
 
 # --- grid evaluation against the scalar oracles ---------------------------
@@ -700,29 +676,47 @@ class TestEvaluateGrid:
         failed = [isinstance(v, NonConvergenceError) for v in values]
         assert any(failed) and not all(failed)
 
+    @pytest.mark.parametrize("method", list(Method))
+    def test_every_method_equals_its_one_point_calls(self, method):
+        points, quad = [_at_threshold(CANON, g) for g in STEP_1DB], QuadratureSpec()
+        expected = [v for point in points for v in grid_outcomes(method, [point], quad)]
+        assert grid_outcomes(method, points, quad) == expected
+
+    def test_points_must_share_the_scenario(self):
+        with pytest.raises(ValueError, match="share"):
+            evaluate_grid(Method.UPPER_BOUND, [CANON, CANON.replace(L=5)])
+        assert evaluate_grid(Method.DOUBLE_INTEGRAL, []) == []
+
     def test_one_point_calls_raise_the_grid_failure(self):
         _, method, base, grid_db, quad = GRIDS[-1]
         points = [_at_threshold(base, g) for g in grid_db]
         for point, value in zip(points, evaluate_grid(method, points, quad)):
             if isinstance(value, NonConvergenceError):
                 with pytest.raises(NonConvergenceError) as excinfo:
-                    evaluate(method, point, quad)
+                    pl(method, point, quad)
                 assert outcome(excinfo.value) == outcome(value)
             else:
-                assert evaluate(method, point, quad) == value
+                assert pl(method, point, quad) == value
 
-    @pytest.mark.parametrize("method", list(Method))
-    def test_every_method_equals_its_one_point_calls(self, method):
-        points = [_at_threshold(CANON, g) for g in STEP_1DB]
-        expected = [outcome(evaluate(method, point)) for point in points]
-        assert grid_outcomes(method, points, QuadratureSpec()) == expected
 
-    def test_points_must_share_the_scenario(self):
-        with pytest.raises(ValueError, match="share"):
-            evaluate_grid(Method.UPPER_BOUND, [CANON, CANON.replace(L=5)])
+class TestEvaluate:
+    def test_accepts_string_value(self):
+        assert evaluate_grid("UpperBound", [CANON]) == evaluate_grid(
+            Method.UPPER_BOUND, [CANON]
+        )
+
+    def test_gain_bound_is_rejected(self):
+        # min_processing_gain maps a target P_L to a gain; it has no tag.
         with pytest.raises(ValueError, match="unknown method 'ProcGainBound'"):
             evaluate_grid("ProcGainBound", [CANON])
-        assert evaluate_grid(Method.DOUBLE_INTEGRAL, []) == []
+
+    def test_unknown_method_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown method 'Bogus'"):
+            evaluate_grid("Bogus", [CANON])
+
+    def test_module_docstring_lists_every_tag(self):
+        tags = set(re.findall(r"``(\w+)``", analytic.__doc__))
+        assert {m.value for m in Method} <= tags
 
 
 class TestBoundarySolveBatch:

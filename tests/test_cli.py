@@ -25,11 +25,11 @@ from hearability.cli import (
     _grid,
     _lookup,
     build_parser,
+    hex_vs_ppp_rows,
     main,
     procgain_rows,
     read_config,
     run_figure,
-    run_sweep,
     run_sweeps,
     write_csv,
 )
@@ -37,7 +37,7 @@ from hearability.analytic import Method
 from hearability.model import Scenario
 from hearability.numerics import NonConvergenceError, QuadratureSpec
 from hearability.reuse import ReuseQuery, _failure_by_convolution
-from hearability.simulate import McEstimate, SimConfig
+from hearability.simulate import SimConfig
 
 HEADER = ",".join(CSV_COLUMNS)
 
@@ -232,7 +232,7 @@ class TestCsvContract:
             # converge whatever the last bits of the arithmetic.
             quad=QuadratureSpec(rel_tol=1e-15, abs_tol=1e-18, max_depth=1),
         )
-        rows = run_sweep(spec)
+        rows = run_sweeps([spec])
         assert rows[0].comment and "nonconvergence" in rows[0].comment
         assert 0.0 <= rows[0].value <= 1.0  # best estimate still reported
         out = tmp_path / "t.csv"
@@ -252,7 +252,7 @@ class TestCsvContract:
             # orders of magnitude above the 1e-15 relative target.
             quad=QuadratureSpec(rel_tol=1e-15, abs_tol=1e-18, max_depth=1),
         )
-        rows = run_sweep(spec)
+        rows = run_sweeps([spec])
         assert len(rows) == 2
         for row in rows:
             assert row.comment.startswith("nonconvergence method=ReuseRecursion")
@@ -321,7 +321,7 @@ class TestGridSweep:
             scen, _grid(-20.0, 0.0, 1.0), methods, SimConfig(realizations=100, seed=0),
             quad=QuadratureSpec(max_depth=1),
         )
-        rows = run_sweep(spec)
+        rows = run_sweeps([spec])
         flagged = [r for r in rows if r.comment]
         assert 0 < len(flagged) < len(rows)
         write_csv(rows, tmp_path / "grid.csv", timestamp=False)
@@ -354,7 +354,7 @@ class TestRunSweeps:
     def test_family_rows_match_one_sweep_per_spec(self, monkeypatch, name):
         specs = _figure_specs(monkeypatch, name, 40)
         assert len(specs) > 1
-        alone = [row for spec in specs for row in run_sweep(spec)]
+        alone = [row for spec in specs for row in run_sweeps([spec])]
         assert run_sweeps(specs) == alone
 
     @pytest.mark.parametrize(
@@ -370,7 +370,7 @@ class TestRunSweeps:
     def test_reuse_rows_match_one_sweep_per_spec(self, monkeypatch, tmp_path, flags):
         specs = _reuse_specs(monkeypatch, tmp_path, *flags)
         assert sorted(spec.scenario.K for spec in specs) == [1, 3, 6]
-        alone = [row for spec in specs for row in run_sweep(spec)]
+        alone = [row for spec in specs for row in run_sweeps([spec])]
         assert run_sweeps(specs) == alone
 
     def test_threshold_scenarios_only_for_analytic_tags(self, monkeypatch, tmp_path):
@@ -426,11 +426,11 @@ class TestRunSweeps:
         scen = Scenario(lam=2.0, alpha=4.0, p=1.0, q=1.0, beta=1.0, gamma=1.0, L=4, K=3)
         sim = SimConfig(realizations=40, seed=0)
         with pytest.raises(ValueError, match=f"^{tag} models one band"):
-            run_sweep(SweepSpec(scen, (-10.0,), ("ReuseRecursion", tag), sim))
+            run_sweeps([SweepSpec(scen, (-10.0,), ("ReuseRecursion", tag), sim)])
         reuse = ("ReuseRecursion", "MonteCarloReuse")
-        rows = run_sweep(SweepSpec(scen, (-10.0,), reuse, sim))
+        rows = run_sweeps([SweepSpec(scen, (-10.0,), reuse, sim)])
         assert [(row.method, row.K) for row in rows] == [(t, 3) for t in reuse]
-        one_band = run_sweep(SweepSpec(scen.replace(K=1), (-10.0,), (tag,), sim))
+        one_band = run_sweeps([SweepSpec(scen.replace(K=1), (-10.0,), (tag,), sim)])
         assert [row.method for row in one_band] == [tag]
 
 
@@ -487,6 +487,14 @@ class TestSubcommands:
         assert len(content) == 1 + 2 * 4
         methods = {l.split(",")[CSV_COLUMNS.index("method")] for l in content[1:]}
         assert methods == {"MonteCarloPPP", "MonteCarloHex_s8"}
+
+    def test_levels_above_the_cap_are_rejected(self):
+        # Counts stop at the cap, so P(Upsilon >= cap + 1) would read 0.
+        scen = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, beta=0.1, gamma=1.0, L=1)
+        sim = SimConfig(realizations=16, seed=23, expected_bs=100)
+        assert len(hex_vs_ppp_rows(scen, sim, 32, ())) == 32
+        with pytest.raises(ValueError, match="l_max=33 exceeds UPSILON_CAP=32"):
+            hex_vs_ppp_rows(scen, sim, 33, ())
 
     def test_e911_rows(self, tmp_path):
         out = tmp_path / "e911.csv"
@@ -618,12 +626,11 @@ class TestSubcommands:
     def test_reuse_passes_expected_bs(self, tmp_path, monkeypatch):
         seen = []
 
-        def fake_curve(scenarios, sim, thresholds, workers):
+        def fake_collect(scenarios, sim, workers):
             seen.append(sim.expected_bs)
-            estimate = McEstimate.from_successes(0, sim.realizations)
-            return [[estimate] * len(thresholds) for _ in scenarios]
+            return [np.zeros(sim.realizations) for _ in scenarios]
 
-        monkeypatch.setattr(cli, "reuse_success_curve", fake_curve)
+        monkeypatch.setattr(cli, "collect_reuse_margins", fake_collect)
         cfg = tmp_path / "run.cfg"
         cfg.write_text("expected_bs = 50\n")
         argv = [
@@ -699,13 +706,13 @@ class TestSubcommands:
                 "hexgrid", None,
                 ["--bg-db", "-40", "--sigma-db", "0", "--l-max", "40",
                  "--realizations", "200"],
-                "^error: L=40 exceeds upsilon_cap=32",
+                "^error: l_max=40 exceeds UPSILON_CAP=32",
             ),
             (
                 "reuse", None,
                 ["--l", "33", "--mc", "--k-list", "1", "--bg-start-db", "-40",
                  "--bg-stop-db", "-40", "--realizations", "200"],
-                "^error: L=33 exceeds upsilon_cap=32",
+                "^error: L=33 exceeds UPSILON_CAP=32",
             ),
             # P_L reads beta and gamma only through the grid's beta/gamma,
             # so a processing gain would be accepted and then ignored.
@@ -749,6 +756,15 @@ class TestSubcommands:
             # Settings the E911 model cannot honour in floating point.
             ("e911", None, ["--sigma-db", "5000"], "^error: sigma_db=5000.0 overflows"),
             ("e911", None, ["--bandwidth", "1e200"], "^error: bandwidth must be"),
+            (
+                "e911", None, ["--gain-db", "3080", "--trials", "100"],
+                "^error: processing_gain_db=3080.0 and bandwidth=10000000.0 overflow",
+            ),
+            (
+                "hexgrid", None,
+                ["--sigma-db", "5000", "--realizations", "100", "--l-max", "4"],
+                "^error: sigma_db=5000.0 shadows a BS distance",
+            ),
             # A repeated key would silently keep its last value.
             (
                 "analytic", "alpha = 3\nalpha = 4", [],
@@ -773,7 +789,8 @@ class TestSubcommands:
             "figure_workers_zero_config", "hexgrid_l_max_zero",
             "bg_start_db_overflow", "bg_db_overflow", "bg_db_underflow_config",
             "pre_sinr_db_overflow", "gain_db_overflow", "sigma_db_overflow",
-            "bandwidth_overflow", "config_key_twice",
+            "bandwidth_overflow", "gain_db_crlb_overflow", "hexgrid_sigma_db_overflow",
+            "config_key_twice",
         ],
     )
     def test_bad_input_exits_naming_the_key(

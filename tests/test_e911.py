@@ -766,7 +766,7 @@ class TestTrials:
         trials = collect_trials(cfg, seed=2)
         rate = float((trials[:, 0] >= 4).mean())
         sim = SimConfig(realizations=2000, seed=77, expected_bs=e911.EXPECTED_BS)
-        margins = collect_margins(scen, sim)
+        [margins] = collect_margins([scen], sim)
         ref = exceedance_curve(margins[:, 0], [scen.beta / scen.gamma])[0]
         se = math.hypot(ref.stderr, math.sqrt(rate * (1 - rate) / cfg.trials))
         assert abs(rate - ref.estimate) <= 3.0 * se

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from one_point import value_or_raise
 from quadrature_oracle import oracle_integrate_adaptive
 from scipy import integrate, stats
 
@@ -14,7 +15,6 @@ from hearability.numerics import (
     find_root_monotone,
     integrate_lockstep,
     poisson_cdf,
-    value_or_raise,
 )
 
 

@@ -27,8 +27,6 @@ from hearability.simulate import (
     collect_reuse_margins,
     collect_upsilon,
     exceedance_curve,
-    hearability_curve,
-    reuse_success_curve,
     stream,
 )
 import band_reference
@@ -339,20 +337,20 @@ class TestConditionalLaws:
 class TestMargins:
     def test_deterministic_and_worker_invariant(self):
         config = cfg(600, seed=31, expected_bs=100)
-        serial = collect_margins(SCEN, config, workers=1)
-        again = collect_margins(SCEN, config, workers=1)
-        parallel = collect_margins(SCEN, config, workers=3)
+        [serial] = collect_margins([SCEN], config, workers=1)
+        [again] = collect_margins([SCEN], config, workers=1)
+        [parallel] = collect_margins([SCEN], config, workers=3)
         np.testing.assert_array_equal(serial, again)
         np.testing.assert_array_equal(serial, parallel)
 
     @pytest.mark.parametrize("p", [0.0, 1.0])
     def test_joint_equals_last_at_deterministic_marks(self, p):
         scen = SCEN.replace(p=p)
-        m = collect_margins(scen, cfg(800, seed=5, expected_bs=100))
+        [m] = collect_margins([scen], cfg(800, seed=5, expected_bs=100))
         np.testing.assert_array_equal(m[:, 0], m[:, 1])
 
     def test_joint_close_to_last_in_between(self):
-        m = collect_margins(PARTIAL, cfg(20000, seed=5))
+        [m] = collect_margins([PARTIAL], cfg(20000, seed=5))
         thr = 10.0 ** -1.2
         pj = float((m[:, 0] >= thr).mean())
         pl = float((m[:, 1] >= thr).mean())
@@ -361,7 +359,7 @@ class TestMargins:
 
     def test_estimate_matches_curve(self):
         config = cfg(2000, seed=8, expected_bs=100)
-        joint = collect_margins(SCEN, config)[:, 0]
+        joint = collect_margins([SCEN], config)[0][:, 0]
         curve = exceedance_curve(joint, np.array([0.02, 0.05]))
         for thr, point in zip((0.02, 0.05), curve):
             single = exceedance_curve(joint, [thr])[0]
@@ -369,7 +367,7 @@ class TestMargins:
             assert point.n == single.n == 2000
 
     def test_stderr_formula(self):
-        margins = collect_margins(SCEN, cfg(500, seed=8, expected_bs=100))
+        [margins] = collect_margins([SCEN], cfg(500, seed=8, expected_bs=100))
         est = exceedance_curve(margins[:, 0], [0.02])[0]
         mean = est.successes / 500
         np.testing.assert_allclose(est.estimate, mean)
@@ -434,8 +432,8 @@ class TestParticipationMetric:
 class TestUpsilonCollection:
     def test_deterministic_and_worker_invariant(self):
         config = cfg(400, seed=13, expected_bs=100)
-        serial = collect_upsilon(SCEN.replace(beta=0.02), config)
-        parallel = collect_upsilon(SCEN.replace(beta=0.02), config, workers=3)
+        [serial] = collect_upsilon([SCEN.replace(beta=0.02)], config)
+        [parallel] = collect_upsilon([SCEN.replace(beta=0.02)], config, workers=3)
         np.testing.assert_array_equal(serial, parallel)
 
     def test_matches_joint_margins_at_full_activity(self):
@@ -443,52 +441,60 @@ class TestUpsilonCollection:
         # margin clears beta/gamma: identical success counts.
         scen = SCEN.replace(beta=10.0 ** -1.6)
         config = cfg(3000, seed=19, expected_bs=100)
-        from_upsilon = hearability_curve(scen, config, np.array([scen.L]))[0]
-        margins = collect_margins(scen, config)
+        [upsilon] = collect_upsilon([scen], config)
+        from_upsilon = exceedance_curve(upsilon, [scen.L])[0]
+        [margins] = collect_margins([scen], config)
         from_margins = exceedance_curve(margins[:, 0], [scen.beta / scen.gamma])[0]
         assert from_upsilon.successes == from_margins.successes
 
     def test_curve_is_monotone_in_l(self):
         scen = SCEN.replace(beta=0.02)
-        curve = hearability_curve(
-            scen, cfg(2000, seed=23, expected_bs=100), np.arange(1, 8)
-        )
-        values = [c.estimate for c in curve]
+        [upsilon] = collect_upsilon([scen], cfg(2000, seed=23, expected_bs=100))
+        values = [c.estimate for c in exceedance_curve(upsilon, np.arange(1, 8))]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
-    def test_levels_above_the_cap_are_rejected(self):
-        # Counts stop at the cap, so P(Upsilon >= cap + 1) would read 0.
-        config = cfg(16, seed=23, expected_bs=100)
-        assert len(hearability_curve(SCEN, config, np.arange(1, 33))) == 32
-        with pytest.raises(ValueError, match="L=33 exceeds upsilon_cap=32"):
-            hearability_curve(SCEN, config, np.arange(1, 34))
+    def test_counts_stop_at_the_cap(self):
+        # At a vanishing threshold every BS is detectable, yet the counts
+        # stop at the cap: P(Upsilon >= cap + 1) would read 0, so callers
+        # reject levels above it.
+        scen = SCEN.replace(beta=1e-12)
+        [upsilon] = collect_upsilon([scen], cfg(16, seed=23, expected_bs=100))
+        cap = simulate.UPSILON_CAP
+        above, at_cap = exceedance_curve(upsilon, [cap + 1, cap])
+        assert upsilon.max() == cap
+        assert above.successes == 0 and at_cap.successes > 0
 
 
 class TestReuseCollection:
     def test_requires_matched_marks(self):
         with pytest.raises(ValueError, match="p = q"):
-            collect_reuse_margins(SCEN.replace(p=0.5, q=0.75, K=3), cfg(10))
+            collect_reuse_margins([SCEN.replace(p=0.5, q=0.75, K=3)], cfg(10))
 
     def test_l_above_the_cap_is_rejected(self):
-        with pytest.raises(ValueError, match="L=33 exceeds upsilon_cap=32"):
-            collect_reuse_margins(SCEN.replace(K=3, L=33), cfg(10))
+        with pytest.raises(ValueError, match="L=33 exceeds UPSILON_CAP=32"):
+            collect_reuse_margins([SCEN.replace(K=3, L=33)], cfg(10))
 
     def test_single_band_equals_plain_estimate(self):
         scen = SCEN.replace(beta=10.0 ** -1.6)
         config = cfg(2000, seed=37, expected_bs=100)
         thr = scen.beta / scen.gamma
-        plain = exceedance_curve(collect_margins(scen, config)[:, 0], [thr])[0]
-        accumulated = reuse_success_curve(scen, config, [thr])[0]
+        [margins] = collect_margins([scen], config)
+        [reuse] = collect_reuse_margins([scen], config)
+        plain = exceedance_curve(margins[:, 0], [thr])[0]
+        accumulated = exceedance_curve(reuse, [thr])[0]
         assert plain.successes == accumulated.successes
 
     def test_reuse_curve_matches_pointwise_estimates(self):
         scen = SCEN.replace(K=3)
         config = cfg(1500, seed=41, expected_bs=120)
         thresholds = np.array([0.02, 0.08])
-        curve = reuse_success_curve(scen, config, thresholds)
+        [margins] = collect_reuse_margins([scen], config)
+        curve = exceedance_curve(margins, thresholds)
         for thr, point in zip(thresholds, curve):
-            single = reuse_success_curve(scen, config, [thr])[0]
+            [again] = collect_reuse_margins([scen], config)
+            single = exceedance_curve(again, [thr])[0]
             assert point.successes == single.successes
+            assert 0 < point.successes < 1500
 
     @pytest.mark.parametrize("L", [2, 4, 8])
     @pytest.mark.parametrize("K", [1, 3, 6])
@@ -497,7 +503,7 @@ class TestReuseCollection:
         # a level where a success count can change.
         scen = SCEN.replace(K=K, L=L)
         config = cfg(3 * simulate._BLOCK + 5, seed=45, expected_bs=80)
-        margins = collect_reuse_margins(scen, config, workers=1)
+        [margins] = collect_reuse_margins([scen], config, workers=1)
         cummins = _band_cummins(scen, config)
         finite = cummins[np.isfinite(cummins)]
         levels = np.unique(np.concatenate(
@@ -511,8 +517,8 @@ class TestReuseCollection:
     def test_worker_invariance(self):
         scen = SCEN.replace(K=3)
         config = cfg(600, seed=43, expected_bs=120)
-        a = collect_reuse_margins(scen, config, workers=1)
-        b = collect_reuse_margins(scen, config, workers=3)
+        [a] = collect_reuse_margins([scen], config, workers=1)
+        [b] = collect_reuse_margins([scen], config, workers=3)
         np.testing.assert_array_equal(a, b)
 
     def test_cummin_shape_and_padding(self):
@@ -530,7 +536,8 @@ class TestDensityAndShadowInvariance:
         thr = [scen.beta / scen.gamma]
         a, b = (
             exceedance_curve(
-                collect_margins(s, cfg(4000, seed=seed, expected_bs=100))[:, 0], thr
+                collect_margins([s], cfg(4000, seed=seed, expected_bs=100))[0][:, 0],
+                thr,
             )[0]
             for s, seed in ((scen, 51), (scen.replace(lam=10.0), 52))
         )
@@ -540,11 +547,12 @@ class TestDensityAndShadowInvariance:
         scen = SCEN.replace(beta=10.0 ** -1.6)
         thr = [scen.beta / scen.gamma]
         plain = exceedance_curve(
-            collect_margins(scen, cfg(4000, seed=53, expected_bs=100))[:, 0], thr
+            collect_margins([scen], cfg(4000, seed=53, expected_bs=100))[0][:, 0], thr
         )[0]
         shadowed_config = cfg(4000, seed=54, expected_bs=100,
                               shadow=ShadowingSpec(sigma_db=8.0))
-        shadowed = exceedance_curve(collect_margins(scen, shadowed_config)[:, 0], thr)[0]
+        [shadowed_margins] = collect_margins([scen], shadowed_config)
+        shadowed = exceedance_curve(shadowed_margins[:, 0], thr)[0]
         assert abs(plain.estimate - shadowed.estimate) <= 3.0 * math.hypot(
             plain.stderr, shadowed.stderr
         )
@@ -725,10 +733,11 @@ class TestBlockAlignedChunks:
     )
     def test_byte_identical_across_worker_counts(self, collect, scen):
         config = cfg(5 * simulate._BLOCK + 7, seed=73, expected_bs=100)
-        serial = collect(scen, config, workers=1)
+        [serial] = collect([scen], config, workers=1)
         assert len(serial) == config.realizations
         for workers in (2, 3):
-            assert collect(scen, config, workers=workers).tobytes() == serial.tobytes()
+            [parallel] = collect([scen], config, workers=workers)
+            assert parallel.tobytes() == serial.tobytes()
 
 
 _SHADOW_8DB = ShadowingSpec(sigma_db=8.0)
@@ -775,7 +784,7 @@ class TestFamilies:
     def test_family_matches_one_collection_per_sibling(self, deployment, collect, family):
         config = cfg(2 * simulate._BLOCK + 5, seed=79, expected_bs=100,
                      **_FAMILY_CONFIGS[deployment])
-        alone = [collect(scen, config).tobytes() for scen in family]
+        alone = [collect([scen], config)[0].tobytes() for scen in family]
         assert alone[1] != alone[0]  # guards the case table
         for workers in (1, 3):
             together = collect(family, config, workers=workers)
@@ -806,7 +815,7 @@ class TestFamilies:
     )
     def test_bad_sibling_raises_its_own_error(self, collect, bad, config):
         with pytest.raises(ValueError) as alone:
-            collect(bad, config)
+            collect([bad], config)
         with pytest.raises(ValueError) as together:
             collect([SCEN, bad, SCEN.replace(K=3)], config)
         assert str(together.value) == str(alone.value)
@@ -851,7 +860,7 @@ class TestActivityDraws:
     def test_mixed_family_draws_once_per_block(self, monkeypatch, collect, partial):
         family = [SCEN.replace(beta=0.02, K=3), partial.replace(beta=0.02), SCEN]
         config = cfg(2 * simulate._BLOCK + 5, seed=89, expected_bs=100)
-        alone = [collect(scen, config).tobytes() for scen in family]
+        alone = [collect([scen], config)[0].tobytes() for scen in family]
         roles = self._roles(monkeypatch)
         together = collect(family, config)
         activity = sorted(index for index, role in roles if role == simulate._ROLE_ACTIVITY)
