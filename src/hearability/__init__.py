@@ -13,78 +13,55 @@ Modules
 ``numerics``  adaptive quadrature, root finding, Poisson/Erlang helpers.
 ``parallel``  chunked process-pool map shared by the collectors.
 ``cli``       sweep-to-CSV command line front end and figure recipes.
+
+``import hearability`` loads none of them.  Each name in ``__all__`` is
+imported from its module on first access (PEP 562), so a process loads
+only the layers it uses: a CLI run of ``analytic`` never loads ``e911``.
 """
 
-from .analytic import (
-    Method,
-    evaluate_grid,
-    mean_i1,
-    mean_i2,
-    min_processing_gain,
-)
-from .e911 import (
-    E911Config,
-    collect_trials,
-    default_scenario,
-    fcc_compliance,
-    ranging_stddev,
-)
-from .model import (
-    Scenario,
-    ShadowingSpec,
-    effective_density,
-    hex_grid_density,
-    pmf_omega,
-)
-from .numerics import (
-    NonConvergenceError,
-    QuadratureSpec,
-    erlang_quantile,
-    integrate_lockstep,
-    poisson_cdf,
-)
-from .reuse import ReuseQuery, pl_with_reuse_grid
-from .simulate import (
-    Deployment,
-    McEstimate,
-    SimConfig,
-    collect_margins,
-    collect_reuse_margins,
-    collect_upsilon,
-    exceedance_curve,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Method",
-    "evaluate_grid",
-    "mean_i1",
-    "mean_i2",
-    "min_processing_gain",
-    "E911Config",
-    "collect_trials",
-    "default_scenario",
-    "fcc_compliance",
-    "ranging_stddev",
-    "Scenario",
-    "ShadowingSpec",
-    "effective_density",
-    "hex_grid_density",
-    "pmf_omega",
-    "NonConvergenceError",
-    "QuadratureSpec",
-    "erlang_quantile",
-    "integrate_lockstep",
-    "poisson_cdf",
-    "ReuseQuery",
-    "pl_with_reuse_grid",
-    "Deployment",
-    "McEstimate",
-    "SimConfig",
-    "collect_margins",
-    "collect_reuse_margins",
-    "collect_upsilon",
-    "exceedance_curve",
-    "__version__",
-]
+# Exported name -> the module that defines it.
+_EXPORTS = {
+    "Method": "analytic",
+    "evaluate_grid": "analytic",
+    "mean_i1": "analytic",
+    "mean_i2": "analytic",
+    "min_processing_gain": "analytic",
+    "E911Config": "e911",
+    "collect_trials": "e911",
+    "default_scenario": "e911",
+    "fcc_compliance": "e911",
+    "ranging_stddev": "e911",
+    "Scenario": "model",
+    "ShadowingSpec": "model",
+    "effective_density": "model",
+    "hex_grid_density": "model",
+    "pmf_omega": "model",
+    "NonConvergenceError": "numerics",
+    "QuadratureSpec": "numerics",
+    "erlang_quantile": "numerics",
+    "integrate_lockstep": "numerics",
+    "poisson_cdf": "numerics",
+    "ReuseQuery": "reuse",
+    "pl_with_reuse_grid": "reuse",
+    "Deployment": "simulate",
+    "McEstimate": "simulate",
+    "SimConfig": "simulate",
+    "collect_margins": "simulate",
+    "collect_reuse_margins": "simulate",
+    "collect_upsilon": "simulate",
+    "exceedance_curve": "simulate",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value

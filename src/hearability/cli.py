@@ -10,6 +10,9 @@ Subcommands
 ``figure``     canned recipes (fig2..fig11) reproducing the study plots,
                each emitting a CSV plus a standalone plot script.
 
+Only ``e911`` and ``figure fig2`` import the E911 layer, when they run;
+the other commands never load it.
+
 Every sweep writes one CSV with the fixed column set
 ``beta_over_gamma_db, L, p, q, alpha, K, lambda, method, value, stderr``
 (stderr empty for deterministic methods), rows sorted, floats at 9
@@ -39,12 +42,11 @@ import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .analytic import Method, evaluate_grid, min_processing_gain
-from .e911 import MIN_TRIALS, E911Config, default_scenario, fcc_compliance
 from .model import Scenario, ShadowingSpec, hex_grid_density
 from .numerics import NonConvergenceError, QuadratureSpec
 from .reuse import ReuseQuery, pl_with_reuse_grid
@@ -57,6 +59,9 @@ from .simulate import (
     collect_upsilon,
     exceedance_curve,
 )
+
+if TYPE_CHECKING:
+    from .e911 import E911Config
 
 __all__ = ["SweepSpec", "run_sweeps", "run_figure", "main"]
 
@@ -277,6 +282,8 @@ def e911_rows(cfg: E911Config, seed: int, workers: int = 1) -> list[Row]:
     The minimum hearability occupies the L column; percentiles are in
     meters, the no-fix rate and pass flag in [0, 1].
     """
+    from .e911 import default_scenario, fcc_compliance
+
     scen = default_scenario(cfg)
     bg_db = 10.0 * math.log10(cfg.pre_sinr_threshold)
     rows = []
@@ -416,6 +423,8 @@ _DENSITY = hex_grid_density(500.0)  # nominal density for sweep figures
 
 
 def _fig2(seed: int, realizations: int | None, workers: int) -> tuple[list[Row], str]:
+    from .e911 import E911Config
+
     cfg = E911Config(trials=realizations or 4000)
     return e911_rows(cfg, seed, workers), "L"
 
@@ -553,8 +562,11 @@ def run_figure(
     if realizations is not None:
         if name in _SAMPLE_FREE:
             raise ValueError(f"realizations: {name} draws no Monte Carlo sample")
-        # fig2 runs ``realizations`` E911 trials.
-        least = MIN_TRIALS if name == "fig2" else 1
+        least = 1
+        if name == "fig2":  # fig2 runs ``realizations`` E911 trials
+            from .e911 import MIN_TRIALS
+
+            least = MIN_TRIALS
         if realizations < least:
             raise ValueError(
                 f"realizations must be >= {least} for {name}, got {realizations}"
@@ -644,7 +656,7 @@ def _bit(text: str) -> bool:
 # sources go through the same converter.
 _COMMON = {
     "seed": (int, 0, "master RNG seed (else HEARABILITY_SEED, else 0)"),
-    "workers": (_count, 1, "process count"),
+    "workers": (_count, 1, "parallel row spans, run by at most one process per CPU"),
 }
 _MONTE_CARLO = {
     "realizations": (int, 10000, "Monte Carlo sample size"),
@@ -716,6 +728,8 @@ def _hexgrid(v: dict) -> list[Row]:
 
 
 def _e911(v: dict) -> list[Row]:
+    from .e911 import E911Config
+
     econfig = E911Config(
         trials=v["trials"],
         processing_gain_db=v["gain_db"],

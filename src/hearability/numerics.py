@@ -79,10 +79,33 @@ class NonConvergenceError(RuntimeError):
         self.error_estimate = error_estimate
 
 
-# Gauss-Legendre node/weight pairs for the embedded 7/15 error estimate.
-# leggauss returns machine-precision values, so no tabulated constants.
-_X7, _W7 = np.polynomial.legendre.leggauss(7)
-_X15, _W15 = np.polynomial.legendre.leggauss(15)
+# Gauss-Legendre node/weight pairs for the embedded 7/15 error estimate:
+# the float64 values of ``np.polynomial.legendre.leggauss(7)`` and ``(15)``,
+# written out so that no process loads ``numpy.polynomial`` for them (a test
+# pins them to leggauss bit for bit).
+_X7 = np.array([
+    -0.9491079123427586, -0.7415311855993945, -0.4058451513773972, 0.0,
+    0.4058451513773972, 0.7415311855993945, 0.9491079123427586
+])
+_W7 = np.array([
+    0.12948496616886973, 0.27970539148927687, 0.3818300505051187,
+    0.4179591836734693, 0.3818300505051187, 0.27970539148927687,
+    0.12948496616886973
+])
+_X15 = np.array([
+    -0.9879925180204854, -0.9372733924007058, -0.8482065834104272,
+    -0.7244177313601701, -0.5709721726085388, -0.3941513470775634,
+    -0.20119409399743451, 0.0, 0.20119409399743451, 0.3941513470775634,
+    0.5709721726085388, 0.7244177313601701, 0.8482065834104272,
+    0.9372733924007058, 0.9879925180204854
+])
+_W15 = np.array([
+    0.030753241996117203, 0.0703660474881084, 0.10715922046717141,
+    0.13957067792615444, 0.16626920581699398, 0.1861610000155622,
+    0.1984314853271116, 0.2025782419255613, 0.1984314853271116,
+    0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+    0.10715922046717141, 0.0703660474881084, 0.030753241996117203
+])
 _X22 = np.concatenate((_X15, _X7))  # one panel's abscissae on [-1, 1]
 _INITIAL_PANELS = 4
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import os
 from typing import Callable
 
 import numpy as np
@@ -22,9 +22,11 @@ def map_spans(
     The range is cut into one span per worker, or one per block of
     ``align`` rows when there are fewer blocks than workers, with starts
     that are multiples of ``align``.  A single span runs in this process;
-    more run in a pool with one process per span.  A ``func`` whose rows
-    depend only on their index (and, with ``align``, on the block holding
-    it) therefore returns the same array for every worker count.
+    more run in a pool of one process per span, capped at the number of
+    CPUs this process may use; spans beyond the cap queue on the pool.
+    A ``func`` whose rows depend only on their index (and, with
+    ``align``, on the block holding it) therefore returns the same array
+    for every worker count.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -33,9 +35,27 @@ def map_spans(
     spans = [(int(a), int(b)) for a, b in zip(bounds[:-1], np.minimum(bounds[1:], n))]
     if len(spans) == 1:
         return func(*args, 0, n)
-    with ProcessPoolExecutor(max_workers=len(spans)) as pool:
+    with _pool(min(len(spans), _cpu_count())) as pool:
         parts = list(pool.map(_run_span, [(func, args, a, b) for a, b in spans]))
     return np.concatenate(parts, axis=0)
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity set, else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool(processes: int):
+    """A pool of ``processes`` worker processes.
+
+    The pool is imported here, so a run that never starts one never
+    loads ``multiprocessing``.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=processes)
 
 
 def _run_span(task) -> np.ndarray:

@@ -8,6 +8,7 @@ from one_point import value_or_raise
 from quadrature_oracle import oracle_integrate_adaptive
 from scipy import integrate, stats
 
+from hearability import numerics
 from hearability.numerics import (
     NonConvergenceError,
     QuadratureSpec,
@@ -41,6 +42,13 @@ class TestQuadratureSpec:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             QuadratureSpec(**kwargs)
+
+
+@pytest.mark.parametrize("n", [7, 15])
+def test_quadrature_constants_are_leggauss_bit_for_bit(n):
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    assert getattr(numerics, f"_X{n}").tobytes() == nodes.tobytes()
+    assert getattr(numerics, f"_W{n}").tobytes() == weights.tobytes()
 
 
 class TestIntegrateAdaptive:

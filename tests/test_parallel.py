@@ -12,10 +12,10 @@ def _rows(offset, start, stop):
 
 
 class _InlinePool:
-    """Stands in for ``ProcessPoolExecutor``: records its size, runs in this process."""
+    """Stands in for the process pool: records its size, runs in this process."""
 
-    def __init__(self, seen, max_workers):
-        seen.append(max_workers)
+    def __init__(self, seen, processes):
+        seen.append(processes)
 
     def __enter__(self):
         return self
@@ -27,12 +27,14 @@ class _InlinePool:
         return map(fn, tasks)
 
 
+CPUS = 4  # the CPU count every case runs with
+
+
 @pytest.fixture()
 def pools(monkeypatch):
     seen = []
-    monkeypatch.setattr(
-        parallel, "ProcessPoolExecutor", lambda max_workers: _InlinePool(seen, max_workers)
-    )
+    monkeypatch.setattr(parallel, "_pool", lambda processes: _InlinePool(seen, processes))
+    monkeypatch.setattr(parallel, "_cpu_count", lambda: CPUS)
     return seen
 
 
@@ -68,6 +70,16 @@ def test_one_span_per_worker_and_no_surplus_process(
     np.testing.assert_array_equal(out, _rows(5, 0, n))
     assert calls == spans
     assert pools == ([] if pool is None else [pool])
+
+
+def test_pool_never_outgrows_the_cpus(monkeypatch, pools):
+    # 1000 workers on 203 rows cut 13 spans of 16-row blocks; they queue
+    # on a pool of one process per CPU.
+    calls = _spans(monkeypatch)
+    out = map_spans(_rows, (5,), 203, 1000, 16)
+    np.testing.assert_array_equal(out, _rows(5, 0, 203))
+    assert len(calls) == 13
+    assert pools == [CPUS]
 
 
 @pytest.mark.parametrize("workers", [0, -5])
