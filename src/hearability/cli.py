@@ -660,7 +660,11 @@ _COMMON = {
 }
 _MONTE_CARLO = {
     "realizations": (int, 10000, "Monte Carlo sample size"),
-    "expected_bs": (int, 1000, "BSs kept per Monte Carlo deployment"),
+    "expected_bs": (
+        int, None,
+        "BSs kept per Monte Carlo deployment, the interference beyond them entering "
+        "as its mean (default: max(250, 10*L) Poisson, 1000 hex)",
+    ),
 }
 _NETWORK = {
     "alpha": (float, 4.0, "path loss exponent"),

@@ -50,7 +50,7 @@ MIN_TRIALS = 100
 _ILL_CONDITION = 1e12
 SPEED_OF_LIGHT = 299792458.0  # meters per second
 RMS_BANDWIDTH_FACTOR = 1.0 / 12.0  # beta_rms**2 / bandwidth**2, flat spectrum
-EXPECTED_BS = SimConfig.expected_bs  # BSs each trial keeps, nearest the device
+EXPECTED_BS = 1000  # BSs each trial keeps, nearest the device
 
 
 @dataclass(frozen=True)
@@ -500,7 +500,7 @@ def _trial_span(
     out[:, _METHOD] = _NONE
     heard = []  # per block: trials with enough BSs, their used counts, and those BSs
     for first in range(start - start % _BLOCK, stop, _BLOCK):
-        d = _block_distances(scenario, sim, first // _BLOCK, min(_BLOCK, stop - first))
+        d, _ = _block_distances(scenario, sim, first // _BLOCK, min(_BLOCK, stop - first))
         sinr, detected = _detect(d, scenario, cfg)
         rows = np.arange(max(start - first, 0), len(d))
         out[first + rows - start, _DETECTED] = detected[rows]

@@ -24,9 +24,9 @@ use and cached per block under the scenario inputs they depend on, and
 only the statistic runs per sibling.  The activity uniforms are drawn
 only when some sibling's p or q lies strictly inside (0, 1); at 0 and 1
 the transmit marks do not depend on them.  The siblings read exactly
-the draws they would have made alone, so a family answers each member
-with the bits of its own collection and the contract below is
-unchanged.  The band statistics run on all K bands at once.
+the draws they would have made alone at the family's window (below), so
+a family answers each member with the bits of its own collection at
+that window.  The band statistics run on all K bands at once.
 
 Reproducibility contract: the collectors draw realizations in fixed
 blocks of ``_BLOCK`` rows from counter-based Philox streams keyed by
@@ -34,13 +34,22 @@ blocks of ``_BLOCK`` rows from counter-based Philox streams keyed by
 bands, shadowing, ...).  Worker chunks start on block boundaries, so
 results are bit-identical across worker counts and unchanged if new
 draw roles are added later; E911 trial geometries are blocks too.
-The block rows are the only deployment sampler.
+The block rows are the only deployment sampler.  A row's statistics
+are a function of the seed, the block, the scenario and the window: a
+different ``expected_bs`` draws different rows and a different tail.
 
-Each collector row keeps the ``expected_bs`` BSs nearest the device;
-on a shadowed hex grid these nearest sites are then ordered by received
-power.  Poisson rows need no point count and no sort: ``pi * lam_eff *
-R_k**2`` are the arrival times of a unit-rate Poisson process, i.e.
-cumulative sums of Exp(1) draws.
+Each collector row keeps the ``n = expected_bs`` BSs nearest the device
+(the window); on a shadowed hex grid these nearest sites are then
+ordered by received power.  Poisson rows need no point count and no
+sort: ``pi * lam_eff * R_k**2`` are the arrival times of a unit-rate
+Poisson process, i.e. cumulative sums of Exp(1) draws.  Every row adds
+the Campbell mean of the loaded interference beyond its window,
+``2 pi lam_eff q R_n**(2 - alpha) / (alpha - 2)``, to the interference
+of each SINR, 1/K of it per band.  Hex rows use the lattice density
+times ``E[S] = exp(s**2 / 2)`` (``s = sigma_db ln(10) / 10``) and the
+n-th geometric distance.  Unless ``expected_bs`` is set, the window is
+resolved once per family: ``max(250, 10 * L)`` Poisson BSs for the
+largest L of the family, 1000 hex sites.
 """
 
 from __future__ import annotations
@@ -77,9 +86,16 @@ _ROLE_OFFSET = 4
 ROLE_E911 = 6
 
 # Realizations per keyed block of the collectors; part of the contract.
-# Sixteen rows of the default 1000 BSs make each (rows, n) float array
-# 125 KiB, just below glibc's default 128 KiB mmap threshold.
+# Sixteen rows of 1000 BSs make each (rows, n) float array 125 KiB, just
+# below glibc's default 128 KiB mmap threshold.
 _BLOCK = 16
+
+# Default windows, in BSs per row.  A tail-completed Poisson row keeps at
+# least _PPP_WINDOW (and 10 * L); a hex row keeps _HEX_WINDOW sites,
+# because a geometric window drops far sites that per-link shadowing
+# makes detectable.
+_PPP_WINDOW = 250
+_HEX_WINDOW = 1000
 
 # Bound on the bytes of one (rows, sites) temporary of the hex distances,
 # which take a block a few rows at a time.  glibc serves requests of
@@ -109,8 +125,10 @@ class SimConfig:
         realizations: number of independent deployments.
         seed: master seed for the keyed streams.
         expected_bs: BSs kept per deployment, the ``expected_bs``
-            nearest the device.  The truncation is negligible for the
-            first L BSs (requires >= 10 * L).
+            nearest the device (requires >= 10 * L); the interference
+            beyond them enters as its Campbell mean.  None resolves per
+            family: ``max(250, 10 * L)`` Poisson BSs for the family's
+            largest L, 1000 hex sites.
         deployment: Poisson or hex-grid placement.
         hex_isd: intersite distance of the hex lattice.
         shadow: log-normal shadowing.  For Poisson deployments shadowing
@@ -121,7 +139,7 @@ class SimConfig:
 
     realizations: int
     seed: int
-    expected_bs: int = 1000
+    expected_bs: int | None = None
     deployment: Deployment = Deployment.PPP
     hex_isd: float = 500.0
     shadow: ShadowingSpec = field(default_factory=ShadowingSpec)
@@ -131,7 +149,9 @@ class SimConfig:
             raise ValueError(f"realizations must be >= 1, got {self.realizations!r}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if not isinstance(self.expected_bs, (int, np.integer)) or self.expected_bs < 10:
+        if self.expected_bs is not None and (
+            not isinstance(self.expected_bs, (int, np.integer)) or self.expected_bs < 10
+        ):
             raise ValueError(f"expected_bs must be >= 10, got {self.expected_bs!r}")
         if not (self.hex_isd > 0.0 and math.isfinite(self.hex_isd)):
             raise ValueError(f"hex_isd must be positive, got {self.hex_isd}")
@@ -174,6 +194,15 @@ def _check_window(scenario: Scenario, config: SimConfig) -> None:
         )
 
 
+def _with_window(family: Sequence[Scenario], config: SimConfig) -> SimConfig:
+    """``config`` with the family's default window where ``expected_bs`` is None."""
+    if config.expected_bs is not None:
+        return config
+    if config.deployment == Deployment.HEX:
+        return config.replace(expected_bs=_HEX_WINDOW)
+    return config.replace(expected_bs=max(_PPP_WINDOW, 10 * max(s.L for s in family)))
+
+
 @functools.lru_cache(maxsize=8)
 def _hex_lattice(isd: float, count: int) -> np.ndarray:
     """Triangular-lattice sites covering comfortably more than ``count``."""
@@ -196,13 +225,15 @@ def _hex_lattice(isd: float, count: int) -> np.ndarray:
 
 def _block_distances(
     scenario: Scenario, config: SimConfig, block: int, rows: int
-) -> np.ndarray:
-    """BS distances of one block, (rows, n), ascending along each row.
+) -> tuple[np.ndarray, np.ndarray]:
+    """BS distances of one block, (rows, n), and each row's window reach, (rows,).
 
     Each row keeps the ``n = expected_bs`` BSs nearest the device in
     ascending (equivalent) distance, so every collector sees the same
-    deployments.  Row r draws the same values whatever ``rows`` is, so
-    a short final block holds the first rows of a full one.
+    deployments.  The reach is the n-th distance: equivalent on Poisson
+    rows, geometric (before shadowing) on hex rows.  Row r draws the
+    same values whatever ``rows`` is, so a short final block holds the
+    first rows of a full one.
     """
     n, seed = config.expected_bs, config.seed
     if config.deployment == Deployment.HEX:
@@ -211,7 +242,7 @@ def _block_distances(
         # equivalent distance S**(-1/alpha) * d.
         isd, sites = config.hex_isd, _hex_lattice(config.hex_isd, n)
         offsets = stream(seed, block, _ROLE_OFFSET).random((rows, 2))
-        d = np.empty((rows, n))
+        d, reach = np.empty((rows, n)), np.empty(rows)
         # Each row is partitioned alone, so rows taken a few at a time
         # give the same bits while every (rows, sites) temporary stays
         # below _SCRATCH_BYTES.
@@ -222,6 +253,7 @@ def _block_distances(
                                sites[:, 1] + isd * (math.sqrt(3.0) / 2.0) * u2)
             sites_d.partition(n - 1, axis=1)
             d[first : first + step] = sites_d[:, :n]
+            reach[first : first + step] = sites_d[:, n - 1]
         if config.shadow.sigma_db > 0.0:
             # ln S**(-1/alpha) is normal with deviation sigma_db*ln(10)/(10*alpha).
             sigma = config.shadow.sigma_db * math.log(10.0) / (10.0 * scenario.alpha)
@@ -241,7 +273,31 @@ def _block_distances(
         np.cumsum(d, axis=1, out=d)
         d *= 1.0 / (math.pi * lam_eff)
         np.sqrt(d, out=d)
-    return d
+        reach = d[:, -1]
+    return d, reach
+
+
+def _tail_mean(reach: np.ndarray, scenario: Scenario, config: SimConfig) -> np.ndarray:
+    """Campbell mean of the loaded interference beyond each row's reach, (rows, 1).
+
+    ``2 pi lam q reach**(2 - alpha) / (alpha - 2)``: ``lam`` is the
+    effective density on Poisson rows and, on hex rows, the lattice
+    density times the mean shadowing gain ``exp(s**2 / 2)``.
+    """
+    if config.deployment == Deployment.HEX:
+        s = config.shadow.sigma_db * math.log(10.0) / 10.0
+        try:
+            gain = math.exp(s * s / 2.0)
+        except OverflowError:
+            raise ValueError(
+                f"sigma_db={config.shadow.sigma_db} overflows the mean shadowing gain"
+            ) from None
+        lam = hex_grid_density(config.hex_isd) * gain
+    else:
+        lam = effective_density(scenario.lam, scenario.alpha, config.shadow)
+    alpha = scenario.alpha
+    scale = 2.0 * math.pi * lam * scenario.q / (alpha - 2.0)
+    return (scale * reach ** (2.0 - alpha))[:, None]
 
 
 def _distance_key(scenario: Scenario, config: SimConfig):
@@ -259,10 +315,10 @@ class _BlockDraws:
     """The parts of one block, each drawn once for every sibling scenario.
 
     Every part is drawn on first use and cached under the scenario
-    inputs it depends on: distances under :func:`_distance_key`, band
-    labels and their :class:`_Bands` under K, powers under the distance
-    key and alpha, and transmit marks under the activity
-    probability.  The activity uniforms depend on no scenario input and
+    inputs it depends on: distances and reaches under
+    :func:`_distance_key`, band labels and their :class:`_Bands` under K,
+    powers under the distance key and alpha, and transmit marks under the
+    activity probability.  The activity uniforms depend on no scenario input and
     are drawn only when some sibling's p or q lies strictly inside
     (0, 1): every uniform lies in [0, 1), so the marks at 0 and at 1 do
     not read them.  Each role has its own keyed stream, so a skipped
@@ -281,12 +337,23 @@ class _BlockDraws:
             self._parts[key] = make()
         return self._parts[key]
 
-    def distances(self, scenario: Scenario) -> np.ndarray:
-        """:func:`_block_distances` of the block, (rows, n)."""
+    def _geometry(self, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
         return self._part(
             ("distances", _distance_key(scenario, self.config)),
             lambda: _block_distances(scenario, self.config, self.block, self.rows),
         )
+
+    def distances(self, scenario: Scenario) -> np.ndarray:
+        """The distances of :func:`_block_distances`, (rows, n)."""
+        return self._geometry(scenario)[0]
+
+    def reach(self, scenario: Scenario) -> np.ndarray:
+        """Each row's window reach from :func:`_block_distances`, (rows,)."""
+        return self._geometry(scenario)[1]
+
+    def tail(self, scenario: Scenario) -> np.ndarray:
+        """:func:`_tail_mean` of the block's rows, (rows, 1)."""
+        return _tail_mean(self.reach(scenario), scenario, self.config)
 
     def activity(self) -> np.ndarray:
         """Activity uniforms in [0, 1), (rows, n)."""
@@ -403,40 +470,43 @@ def _powers(distances: np.ndarray, scenario: Scenario) -> np.ndarray:
     return distances ** (-scenario.alpha)
 
 
-def _margins(pw: np.ndarray, act_p: np.ndarray, act_q: np.ndarray,
+def _margins(pw: np.ndarray, act_p: np.ndarray, act_q: np.ndarray, tail: np.ndarray,
              scenario: Scenario) -> np.ndarray:
     """(min SINR over the L nearest, SINR of the L-th) per row, shape (rows, 2).
 
     ``act_p`` and ``act_q`` are the transmit marks at p and at q; the L
-    nearest BSs read the first, the others the second.
+    nearest BSs read the first, the others the second.  ``tail`` (rows,
+    1) is the mean interference beyond the window.
     """
     L = scenario.L
     near = pw[:, :L]
     act_p = act_p[:, :L]
     t_part = np.sum(near, axis=1, where=act_p, keepdims=True)
-    t_bg = np.sum(pw[:, L:] * act_q[:, L:], axis=1, keepdims=True)
+    t_bg = np.sum(pw[:, L:] * act_q[:, L:], axis=1, keepdims=True) + tail
     denom = t_part - np.where(act_p, near, 0.0) + t_bg + scenario.noise_sigma2
     with np.errstate(divide="ignore"):
         sinr = np.where(denom > 0.0, near / denom, math.inf)
     return np.column_stack((sinr.min(axis=1), sinr[:, L - 1]))
 
 
-def _prefix_min_sinr(pw: np.ndarray, act: np.ndarray, bands: _Bands,
+def _prefix_min_sinr(pw: np.ndarray, act: np.ndarray, bands: _Bands, tail: np.ndarray,
                      scenario: Scenario) -> np.ndarray:
     """Prefix-min SINR of each band's ``cap`` nearest members when p == q.
 
-    ``act`` holds the transmit marks at q.  Shape (rows, K, cap), padded
-    with -inf past a band's last member.
+    ``act`` holds the transmit marks at q and ``tail`` (rows, 1) the
+    mean interference beyond the window, 1/K of it in each band.  Shape
+    (rows, K, cap), padded with -inf past a band's last member.
     """
     pw_c, act_c = bands.members(pw), bands.members(act)
-    denom = bands.totals(pw, act) - np.where(act_c, pw_c, 0.0) + scenario.noise_sigma2
+    total = bands.totals(pw, act) + (tail / bands.K)[:, :, None]
+    denom = total - np.where(act_c, pw_c, 0.0) + scenario.noise_sigma2
     with np.errstate(divide="ignore"):
         sinr = np.where(denom > 0.0, pw_c / denom, math.inf)
     return np.where(bands.valid, np.minimum.accumulate(sinr, axis=2), -math.inf)
 
 
 def _upsilon(pw: np.ndarray, act_p: np.ndarray, act_q: np.ndarray, bands: _Bands,
-             scenario: Scenario) -> np.ndarray:
+             tail: np.ndarray, scenario: Scenario) -> np.ndarray:
     """Detectable-BS counts Upsilon per row.
 
     Upsilon is the largest candidate participant count ``ell`` (up to
@@ -449,16 +519,19 @@ def _upsilon(pw: np.ndarray, act_p: np.ndarray, act_q: np.ndarray, bands: _Bands
     count ell when ``pw_k >= thr * (near_ell - own_k + far_ell + noise)``:
     ``near_ell`` is the active power among the ``ell`` participants,
     ``own_k`` member k's part of it and ``far_ell`` the loaded power beyond
-    them.  As ``pw_k + thr * own_k >= thr * (near_ell + far_ell + noise)``,
-    one running minimum over k decides every ell at once.
+    them, with the band's 1/K of ``tail`` (rows, 1), the mean
+    interference beyond the window.  As
+    ``pw_k + thr * own_k >= thr * (near_ell + far_ell + noise)``, one
+    running minimum over k decides every ell at once.
     """
     thr = scenario.beta / scenario.gamma
     if scenario.p == scenario.q:
-        return np.sum(_prefix_min_sinr(pw, act_q, bands, scenario) >= thr, axis=(1, 2))
+        return np.sum(_prefix_min_sinr(pw, act_q, bands, tail, scenario) >= thr,
+                      axis=(1, 2))
     cap = bands.cap
     near = bands.running_sums(pw, act_p)[:, :, :cap]
     running_q = bands.running_sums(pw, act_q)
-    far = running_q[:, :, -1:] - running_q[:, :, :cap]
+    far = running_q[:, :, -1:] - running_q[:, :, :cap] + (tail / bands.K)[:, :, None]
     pw_c = bands.members(pw)
     weakest = np.minimum.accumulate(pw_c + thr * (bands.members(act_p) * pw_c), axis=2)
     passes = (weakest >= thr * (near + far + scenario.noise_sigma2)) & bands.valid
@@ -477,16 +550,19 @@ def _block_stats(
     stats = []
     for scenario in family:
         pw, act_q = draws.powers(scenario), draws.active(scenario.q)
+        tail = draws.tail(scenario)
         if kind == "margins":
-            stats.append(_margins(pw, draws.active(scenario.p), act_q, scenario))
+            stats.append(_margins(pw, draws.active(scenario.p), act_q, tail, scenario))
         elif kind == "upsilon":
             bands = draws.bands(scenario.K)
-            stats.append(_upsilon(pw, draws.active(scenario.p), act_q, bands, scenario))
+            stats.append(
+                _upsilon(pw, draws.active(scenario.p), act_q, bands, tail, scenario)
+            )
         else:
             # At least L band prefix-minima clear a level exactly when the
             # L-th largest of them does.
             bands = draws.bands(scenario.K)
-            cummins = _prefix_min_sinr(pw, act_q, bands, scenario).reshape(rows, -1)
+            cummins = _prefix_min_sinr(pw, act_q, bands, tail, scenario).reshape(rows, -1)
             stats.append(np.partition(cummins, -scenario.L, axis=1)[:, -scenario.L])
     return np.stack(stats, axis=1)
 
@@ -509,10 +585,16 @@ def _collect(
 ) -> list[np.ndarray]:
     """Each sibling's statistic from one collection over a family sharing ``config``.
 
-    Every sibling is checked before any draw, in order, so a bad member
-    raises what it raises alone.
+    An ``expected_bs`` of None resolves here, once for the family
+    (:func:`_with_window`): ``max(250, 10 * L)`` Poisson BSs for the
+    largest L of the family, 1000 hex sites.  Every sibling reads that
+    one window.  Every sibling is checked before any draw, in order, so
+    a bad member raises what it raises alone.
     """
     family = tuple(scenarios)
+    if not family:
+        return []
+    config = _with_window(family, config)
     for scenario in family:
         if kind == "reuse":
             if scenario.p != scenario.q:
@@ -523,8 +605,6 @@ def _collect(
                     "detections per band that the Monte Carlo counts track"
                 )
         _check_window(scenario, config)
-    if not family:
-        return []
     args = (kind, family, config)
     stacked = map_spans(_collect_span, args, config.realizations, workers, _BLOCK)
     return [stacked[:, i] for i in range(len(family))]

@@ -5,8 +5,10 @@ statistics run band by band.  The library computes the same statistics
 for all bands at once on each band's member columns; the suite checks
 that both give the same bits.
 
-The functions take the activity uniforms ``u`` of the block and the
-band labels in ``1..K`` (None for a single band).
+The functions take the activity uniforms ``u`` of the block, the band
+labels in ``1..K`` (None for a single band) and each row's mean
+interference beyond the window, ``tail`` (rows, 1), of which each band
+hears 1/K.
 """
 
 import math
@@ -43,8 +45,8 @@ def group_bands(pw, u, labels, K: int, cap: int):
     return pw, u, bands
 
 
-def prefix_min_sinr(pw: np.ndarray, u: np.ndarray, labels, scenario: Scenario,
-                    cap: int) -> np.ndarray:
+def prefix_min_sinr(pw: np.ndarray, u: np.ndarray, labels, tail: np.ndarray,
+                    scenario: Scenario, cap: int) -> np.ndarray:
     """Prefix-min SINR of each band's ``cap`` nearest members when p == q.
 
     Shape (rows, K, cap), padded with -inf past a band's last member.
@@ -54,6 +56,7 @@ def prefix_min_sinr(pw: np.ndarray, u: np.ndarray, labels, scenario: Scenario,
     out = np.empty((len(pw), scenario.K, cap))
     for b, (mask, idx, valid) in enumerate(bands):
         total = np.sum(pw, axis=1, where=act if mask is None else act & mask, keepdims=True)
+        total = total + tail / scenario.K
         denom = total - np.where(act[idx], pw[idx], 0.0) + scenario.noise_sigma2
         with np.errstate(divide="ignore"):
             sinr = np.where(denom > 0.0, pw[idx] / denom, math.inf)
@@ -61,12 +64,13 @@ def prefix_min_sinr(pw: np.ndarray, u: np.ndarray, labels, scenario: Scenario,
     return out
 
 
-def upsilon(pw: np.ndarray, u: np.ndarray, labels, scenario: Scenario,
-            cap: int) -> np.ndarray:
+def upsilon(pw: np.ndarray, u: np.ndarray, labels, tail: np.ndarray,
+            scenario: Scenario, cap: int) -> np.ndarray:
     """Detectable-BS counts Upsilon per row, band by band."""
     p, q, thr = scenario.p, scenario.q, scenario.beta / scenario.gamma
     if p == q:
-        return np.sum(prefix_min_sinr(pw, u, labels, scenario, cap) >= thr, axis=(1, 2))
+        return np.sum(prefix_min_sinr(pw, u, labels, tail, scenario, cap) >= thr,
+                      axis=(1, 2))
     pw, u, bands = group_bands(pw, u, labels, scenario.K, cap)
     slots = np.arange(cap)
     earlier = slots[None, :] <= slots[:, None]  # [ell - 1, k]: k < ell
@@ -78,7 +82,7 @@ def upsilon(pw: np.ndarray, u: np.ndarray, labels, scenario: Scenario,
         near = np.cumsum(pw * ((u < p) & member), axis=1)[idx]
         near = near[:, :, None] - (act * pw_c)[:, None, :]
         running_q = np.cumsum(pw * ((u < q) & member), axis=1)
-        far = running_q[:, -1:] - running_q[idx]
+        far = running_q[:, -1:] - running_q[idx] + tail / scenario.K
         denom = near + far[:, :, None] + scenario.noise_sigma2
         passes = np.all((pw_c[:, None, :] >= thr * denom) | ~earlier, axis=2) & valid
         counts += np.max(np.where(passes, slots + 1, 0), axis=1)

@@ -5,6 +5,8 @@ take it, one BS per entry.  ``block_rows`` reads the collectors' own
 block rows (``simulate._BlockDraws``), the only deployment sampler, and
 ``conditional_law_samples`` turns them into the samples of the
 conditional laws that the integral approximations rest on.
+``tail_mean`` is the Campbell mean of the interference beyond a row's
+window, written apart from the library's.
 """
 
 import math
@@ -14,8 +16,8 @@ import numpy as np
 
 from hearability import simulate
 from hearability.analytic import mean_i1, mean_i2
-from hearability.model import Scenario
-from hearability.simulate import SimConfig
+from hearability.model import Scenario, effective_density, hex_grid_density
+from hearability.simulate import Deployment, SimConfig
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,6 +59,26 @@ def marks(u: np.ndarray, L: int, p: float, q: float) -> np.ndarray:
     return u < np.where(np.arange(u.shape[-1]) < L, p, q)
 
 
+def tail_mean(scenario: Scenario, config: SimConfig, reach: np.ndarray) -> np.ndarray:
+    """Mean loaded interference beyond each row's window, (rows, 1).
+
+    Past the window's reach (the n-th kept distance, geometric on hex
+    rows) the BSs form a Poisson process of density ``lam``, each loaded
+    with probability q, so Campbell's theorem gives
+    ``integral over r > reach of 2 pi r lam q r**-alpha dr``.  On hex
+    rows ``lam`` is the lattice density times ``E[S] = exp(s**2 / 2)``,
+    the mean of the log-normal shadowing gain with ``s = sigma_db ln(10)
+    / 10``; on Poisson rows it is the effective density.
+    """
+    alpha, q = scenario.alpha, scenario.q
+    if config.deployment == Deployment.HEX:
+        s = config.shadow.sigma_db * math.log(10.0) / 10.0
+        lam = hex_grid_density(config.hex_isd) * math.exp(s * s / 2.0)
+    else:
+        lam = effective_density(scenario.lam, alpha, config.shadow)
+    return (2.0 * math.pi * lam * q / (alpha - 2.0) * reach ** (2.0 - alpha))[:, None]
+
+
 def block_rows(scenario: Scenario, config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """Distances and transmit marks of the collector rows, each (realizations, n).
 
@@ -96,10 +118,10 @@ def conditional_law_samples(
       kept BSs strictly between R_L and R_n; they are uniform on that
       annulus, so U(0, 1).
     - ``i2``: per row, the power of the active kept BSs beyond R_L plus
-      the Campbell mean ``2*pi*lam*q * R_n**(2-alpha) / (alpha-2)`` of
-      the process beyond R_n, minus ``mean_i2(R_L)``; mean 0.
+      the Campbell mean (:func:`tail_mean`) of the process beyond R_n,
+      minus ``mean_i2(R_L)``; mean 0.
     """
-    L, alpha, q, lam = scenario.L, scenario.alpha, scenario.q, scenario.lam
+    L, alpha = scenario.L, scenario.alpha
     d, active = block_rows(scenario, config)
     near, rl, rn = d[:, : L - 1], d[:, L - 1], d[:, -1]
     inner = (near / rl[:, None]) ** 2
@@ -117,8 +139,9 @@ def conditional_law_samples(
     rl2, rn2 = rl[:, None] ** 2, rn[:, None] ** 2
     outer = (d[:, L:-1] ** 2 - rl2) / (rn2 - rl2)
     far = np.sum(d[:, L:] ** -alpha, axis=1, where=active[:, L:])
-    tail = 2.0 * math.pi * q * lam / (alpha - 2.0) * rn ** (2.0 - alpha)
-    i2 = far + tail - np.array([mean_i2(r, scenario) for r in rl])
+    i2 = far + tail_mean(scenario, config, rn)[:, 0] - np.array(
+        [mean_i2(r, scenario) for r in rl]
+    )
     return {
         "inner": inner.ravel(), "omega": omega[heard], "z": z, "i1": i1,
         "outer": outer, "i2": i2,

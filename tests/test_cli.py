@@ -765,6 +765,11 @@ class TestSubcommands:
                 ["--sigma-db", "5000", "--realizations", "100", "--l-max", "4"],
                 "^error: sigma_db=5000.0 shadows a BS distance",
             ),
+            (
+                "hexgrid", None,
+                ["--sigma-db", "200", "--realizations", "100", "--l-max", "4"],
+                "^error: sigma_db=200.0 overflows the mean shadowing gain",
+            ),
             # A repeated key would silently keep its last value.
             (
                 "analytic", "alpha = 3\nalpha = 4", [],
@@ -790,7 +795,7 @@ class TestSubcommands:
             "bg_start_db_overflow", "bg_db_overflow", "bg_db_underflow_config",
             "pre_sinr_db_overflow", "gain_db_overflow", "sigma_db_overflow",
             "bandwidth_overflow", "gain_db_crlb_overflow", "hexgrid_sigma_db_overflow",
-            "config_key_twice",
+            "hexgrid_shadow_gain_overflow", "config_key_twice",
         ],
     )
     def test_bad_input_exits_naming_the_key(

@@ -222,5 +222,7 @@ class TestSinrOf:
                                np.ones(8, dtype=np.int64), u)
             sinrs = [sinr_of(real, k, 3, scen) for k in (1, 2, 3)]
             pw = _powers(d[None], scen)
-            margins = _margins(pw, u[None] < scen.p, u[None] < scen.q, scen)[0]
+            # A finite deployment has no interference beyond its BSs.
+            margins = _margins(pw, u[None] < scen.p, u[None] < scen.q, np.zeros((1, 1)),
+                               scen)[0]
             np.testing.assert_allclose(margins, [min(sinrs), sinrs[2]], rtol=1e-12)

@@ -18,13 +18,13 @@ from hearability.cli import run_figure
 # timestamp=False).
 DIGESTS = {
     "fig2": "2218242f64a9bbdea3ab1caa6746f55289bb31c1aaf9a824d5419d712d5eed41",
-    "fig3": "827ca63f7377653d7bdf16d4b6eacbc9de1fac6c05fa1f05573c1f35d30133c6",
-    "fig4": "ba07dc42ab8b4d7724c3ee0034240cb6aefcd61f8a5f37855fd7169bc5f8721e",
-    "fig7": "144ee261664c4e6dc0c0bb57faef9e875efa2878e5d0d89019cfe62e9ce227ed",
-    "fig8": "83eb1525fba4697f4f3e1701aff6728d22f5df65693caa8f1d6fc08ee9853a51",
-    "fig9": "101ec0f2c40bb70b23b4d04d746e1a6b1d2c7d6773ff9f6bcc27abcf995c96ff",
-    "fig10": "58ba9a6d3f2372b0d3703fc6bff2290c01b32293934d3f23c767273fe5feb72b",
-    "fig11": "e461e89c01583b714138f3998a7cd4d5b37b38622244136639a5d6789df5f66e",
+    "fig3": "9130fe5e9b37517aa08b9d10a4aca6d78aa399035494b274095b0f32e9e0f17d",
+    "fig4": "ea8ebeecfd299702448a56577ba3f4624c9afad943b0ec9d5730fe2ad92e58af",
+    "fig7": "fe886473b37352d97a939b6d79e4a322612493a9d1dc8837ea3ffabd122cfa9c",
+    "fig8": "7ee076eddb3b044f58dbc6c853380d840bbd21e49478023fd31499f057779a95",
+    "fig9": "ff27d56390191ba7d23b3d8ac6ac3405eed971d037bf62bd196dcea7a1324ac0",
+    "fig10": "869e6746e30911c8f571c0b0c5526ae0948d20b721176c3d3c45560b03984783",
+    "fig11": "b5d36d2b5c320757207841e78c24a5ee7b124757e4b463f09e1ebbd25a7c5b7b",
 }
 SIZES = {"fig2": 100}
 

@@ -30,7 +30,13 @@ from hearability.simulate import (
     stream,
 )
 import band_reference
-from sampling_oracle import Realization, block_rows, conditional_law_samples, marks
+from sampling_oracle import (
+    Realization,
+    block_rows,
+    conditional_law_samples,
+    marks,
+    tail_mean,
+)
 
 SCEN = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, beta=0.1, gamma=1.0, L=4)
 PARTIAL = SCEN.replace(p=2.0 / 3.0)
@@ -51,15 +57,19 @@ def _block_stats(kind, scen, config, block, rows):
 
 
 def _joint_last_margins(
-    pw: np.ndarray, u: np.ndarray, L: int, p: float, q: float, sigma2: float
+    pw: np.ndarray, u: np.ndarray, L: int, p: float, q: float, sigma2: float,
+    tail: float,
 ) -> tuple[float, float]:
-    """(min SINR over the L nearest, SINR of the L-th) for one realization."""
+    """(min SINR over the L nearest, SINR of the L-th) for one realization.
+
+    ``tail`` is the mean interference beyond the realization's BSs.
+    """
     if len(pw) < L:
         return (-math.inf, -math.inf)
     act_p = u[:L] < p
     act_q = u[L:] < q
     t_part = float(np.sum(pw[:L], where=act_p))
-    t_bg = float(np.sum(pw[L:], where=act_q))
+    t_bg = float(np.sum(pw[L:], where=act_q)) + tail
     denom = t_part - np.where(act_p, pw[:L], 0.0) + t_bg + sigma2
     with np.errstate(divide="ignore"):
         sinr = np.where(denom > 0.0, pw[:L] / denom, math.inf)
@@ -67,16 +77,18 @@ def _joint_last_margins(
 
 
 def _leading_pass_count(
-    pw: np.ndarray, u: np.ndarray, q: float, sigma2: float, thr: float, cap: int
+    pw: np.ndarray, u: np.ndarray, q: float, sigma2: float, thr: float, cap: int,
+    tail: float,
 ) -> int:
     """Detectable count when muting equals load (p == q, single band).
 
     The per-BS SINR then does not depend on how many BSs participate,
     and it decreases with distance among active BSs, so the detectable
-    set is the longest prefix of passing BSs.
+    set is the longest prefix of passing BSs.  ``tail`` is the band's
+    mean interference beyond its BSs.
     """
     act = u < q
-    total = float(np.sum(pw, where=act))
+    total = float(np.sum(pw, where=act)) + tail
     denom = total - np.where(act, pw, 0.0) + sigma2
     ok = pw >= thr * denom
     m = min(cap, len(pw))
@@ -87,11 +99,14 @@ def _leading_pass_count(
 
 
 def _band_sinr_cummin(
-    pw: np.ndarray, u: np.ndarray, q: float, sigma2: float, cap: int
+    pw: np.ndarray, u: np.ndarray, q: float, sigma2: float, cap: int, tail: float
 ) -> np.ndarray:
-    """Prefix-min SINR of the nearest band members (p == q), padded -inf."""
+    """Prefix-min SINR of the nearest band members (p == q), padded -inf.
+
+    ``tail`` is the band's mean interference beyond its BSs.
+    """
     act = u < q
-    total = float(np.sum(pw, where=act))
+    total = float(np.sum(pw, where=act)) + tail
     denom = total - np.where(act, pw, 0.0) + sigma2
     m = min(cap, len(pw))
     out = np.full(cap, -math.inf)
@@ -103,10 +118,15 @@ def _band_sinr_cummin(
     return out
 
 
-def _upsilon_oracle(realization, scenario, cap=32) -> int:
-    """Upsilon by an explicit scan over candidate participant counts."""
+def _upsilon_oracle(realization, scenario, tail, cap=32) -> int:
+    """Upsilon by an explicit scan over candidate participant counts.
+
+    ``tail`` is the mean interference beyond the realization's BSs;
+    each band hears 1/K of it.
+    """
     thr = scenario.beta / scenario.gamma
     sigma2 = scenario.noise_sigma2
+    band_tail = tail / scenario.K
     pw_all = realization.distances ** (-scenario.alpha)
     total_count = 0
     for band in range(1, scenario.K + 1):
@@ -118,7 +138,8 @@ def _upsilon_oracle(realization, scenario, cap=32) -> int:
             pw = pw_all
             u = realization.activity_u
         if scenario.p == scenario.q:
-            total_count += _leading_pass_count(pw, u, scenario.q, sigma2, thr, cap)
+            total_count += _leading_pass_count(pw, u, scenario.q, sigma2, thr, cap,
+                                               band_tail)
             continue
         m = min(cap, len(pw))
         pw_m = pw * (u < scenario.p)
@@ -130,7 +151,7 @@ def _upsilon_oracle(realization, scenario, cap=32) -> int:
         for ell in range(1, m + 1):
             act = u[:ell] < scenario.p
             near = pref_p[ell] - act * pw[:ell]
-            far = t_q - pref_q[ell]
+            far = t_q - pref_q[ell] + band_tail
             denom = near + far + sigma2
             if np.all(pw[:ell] >= thr * denom):
                 best = ell
@@ -159,7 +180,7 @@ def sample_hex(scenario: Scenario, config: SimConfig, index: int) -> Realization
 
 
 def participation_metric(
-    realization: Realization, scenario: Scenario, cap: int = 32
+    realization: Realization, scenario: Scenario, cap: int = 32, tail: float = 0.0
 ) -> int:
     """Number of detectable BSs Upsilon for one realization.
 
@@ -169,7 +190,8 @@ def participation_metric(
     For ``p == q`` this is the longest prefix of band members whose SINR
     clears ``beta/gamma``, and ``P(Upsilon >= L)`` equals the
     joint-detection ``P_L``.  The candidate counts share one activity
-    uniform per BS.
+    uniform per BS.  ``tail`` is the mean interference beyond the
+    realization's BSs.
     """
     if len(realization.distances) == 0:
         return 0
@@ -177,7 +199,8 @@ def participation_metric(
     pw = simulate._powers(realization.distances, scenario)[None]
     u = realization.activity_u[None]
     bands = simulate._Bands(labels, scenario.K, cap, pw.shape)
-    return int(simulate._upsilon(pw, u < scenario.p, u < scenario.q, bands, scenario)[0])
+    return int(simulate._upsilon(pw, u < scenario.p, u < scenario.q, bands,
+                                 np.full((1, 1), tail), scenario)[0])
 
 
 def cfg(n: int, seed: int = 0, **kw) -> SimConfig:
@@ -188,12 +211,14 @@ def _block_cummins(scen, config, block, rows):
     """Per-band prefix-min SINRs of one block, (rows, K, UPSILON_CAP)."""
     draws = simulate._BlockDraws(config, block, rows)
     return simulate._prefix_min_sinr(
-        draws.powers(scen), draws.active(scen.q), draws.bands(scen.K), scen
+        draws.powers(scen), draws.active(scen.q), draws.bands(scen.K), draws.tail(scen),
+        scen,
     )
 
 
 def _band_cummins(scen, config):
     """Per-band prefix-min SINRs of every realization, (n, K, UPSILON_CAP)."""
+    config = simulate._with_window([scen], config)
     n, size = config.realizations, simulate._BLOCK
     return np.concatenate([
         _block_cummins(scen, config, first // size, min(size, n - first))
@@ -632,14 +657,15 @@ class TestBlockSampler:
         np.testing.assert_array_equal(real.bands, labels[0])
 
 def _oracle_rows(scen, config, block):
-    """The block's rows wrapped as realizations."""
+    """The block's rows wrapped as realizations, and each row's tail mean."""
     d, u, labels = _sample_block(scen, config, block, simulate._BLOCK)
+    reach = simulate._BlockDraws(config, block, simulate._BLOCK).reach(scen)
     reals = []
     for row in range(len(d)):
         bands = labels[row] if labels is not None else np.ones(d.shape[1], dtype=np.int64)
         activity = marks(u[row], scen.L, scen.p, scen.q)
         reals.append(Realization(d[row], activity, bands, u[row]))
-    return reals
+    return reals, tail_mean(scen, config, reach)[:, 0]
 
 
 _HEX_SHADOWED = dict(deployment=Deployment.HEX, hex_isd=1.0,
@@ -666,7 +692,7 @@ class TestBlockKernelsMatchOracle:
         scen, extra = _KERNEL_CASES[case]
         config = cfg(3 * simulate._BLOCK, seed=71, expected_bs=120, **extra)
         for block in range(3):
-            reals = _oracle_rows(scen, config, block)
+            reals, tails = _oracle_rows(scen, config, block)
             rows = len(reals)
             margins = _block_stats("margins", scen, config, block, rows)
             counts = _block_stats("upsilon", scen, config, block, rows)
@@ -675,11 +701,11 @@ class TestBlockKernelsMatchOracle:
                 np.testing.assert_allclose(
                     margins[row],
                     _joint_last_margins(pw, real.activity_u, scen.L, scen.p,
-                                        scen.q, scen.noise_sigma2),
+                                        scen.q, scen.noise_sigma2, tails[row]),
                     rtol=1e-12,
                 )
-                assert counts[row] == _upsilon_oracle(real, scen)
-                assert counts[row] == participation_metric(real, scen)
+                assert counts[row] == _upsilon_oracle(real, scen, tails[row])
+                assert counts[row] == participation_metric(real, scen, tail=tails[row])
             if scen.p != scen.q:
                 continue
             cummins = _block_cummins(scen, config, block, rows)
@@ -690,7 +716,8 @@ class TestBlockKernelsMatchOracle:
                     np.testing.assert_allclose(
                         cummins[row, band - 1],
                         _band_sinr_cummin(pw[sel], real.activity_u[sel], scen.q,
-                                          scen.noise_sigma2, simulate.UPSILON_CAP),
+                                          scen.noise_sigma2, simulate.UPSILON_CAP,
+                                          tails[row] / scen.K),
                         rtol=1e-12,
                     )
 
@@ -705,13 +732,14 @@ class TestBlockKernelsMatchOracle:
             draws = simulate._BlockDraws(config, block, simulate._BLOCK)
             pw, u, labels = draws.powers(scen), draws.activity(), draws.labels(scen.K)
             act_p, act_q = draws.active(scen.p), draws.active(scen.q)
-            bands = draws.bands(scen.K)
-            got = simulate._upsilon(pw, act_p, act_q, bands, scen)
-            want = band_reference.upsilon(pw, u, labels, scen, cap)
+            bands, tail = draws.bands(scen.K), draws.tail(scen)
+            oracle_tail = tail_mean(scen, config, draws.reach(scen))
+            got = simulate._upsilon(pw, act_p, act_q, bands, tail, scen)
+            want = band_reference.upsilon(pw, u, labels, oracle_tail, scen, cap)
             assert got.tobytes() == want.tobytes()
             if scen.p == scen.q:
-                got = simulate._prefix_min_sinr(pw, act_q, bands, scen)
-                want = band_reference.prefix_min_sinr(pw, u, labels, scen, cap)
+                got = simulate._prefix_min_sinr(pw, act_q, bands, tail, scen)
+                want = band_reference.prefix_min_sinr(pw, u, labels, oracle_tail, scen, cap)
                 assert got.tobytes() == want.tobytes()
 
     def test_some_rows_detect_and_some_fail(self):
@@ -866,3 +894,84 @@ class TestActivityDraws:
         activity = sorted(index for index, role in roles if role == simulate._ROLE_ACTIVITY)
         assert activity == [0, 1, 2]
         assert [stat.tobytes() for stat in together] == alone
+
+
+class TestWindow:
+    """The default window per deployment, and the tail that completes it."""
+
+    @pytest.mark.parametrize(
+        "Ls, extra, want",
+        [
+            ((4,), {}, 250),
+            ((4, 40, 8), {}, 400),
+            ((4, 40), dict(deployment=Deployment.HEX), 1000),
+            ((4, 40), dict(expected_bs=120), 120),
+            ((4,), dict(deployment=Deployment.HEX, expected_bs=3000), 3000),
+        ],
+        ids=["ppp", "ppp-largest-L", "hex", "explicit", "hex-explicit"],
+    )
+    def test_window_rule(self, Ls, extra, want):
+        family = [SCEN.replace(L=L) for L in Ls]
+        assert simulate._with_window(family, cfg(10, **extra)).expected_bs == want
+
+    def test_e911_keeps_its_own_window(self):
+        from hearability import e911
+
+        assert SimConfig(realizations=1, seed=0).expected_bs is None
+        assert e911.EXPECTED_BS == 1000
+
+    @pytest.mark.parametrize(
+        "deployment, window", [(Deployment.PPP, 250), (Deployment.HEX, 1000)]
+    )
+    def test_default_window_is_the_explicit_one(self, deployment, window):
+        scen = SCEN.replace(K=3, p=0.5, q=0.75, beta=0.02)
+        config = cfg(2 * simulate._BLOCK + 5, seed=91, deployment=deployment)
+        for collect in (collect_margins, collect_upsilon):
+            [default] = collect([scen], config)
+            [explicit] = collect([scen], config.replace(expected_bs=window))
+            assert default.tobytes() == explicit.tobytes()
+
+    def test_hex_reach_is_the_nth_geometric_distance(self):
+        # The hex tail starts at the n-th nearest site, read before
+        # shadowing reorders the kept sites.
+        config = cfg(16, seed=67, deployment=Deployment.HEX, expected_bs=300,
+                     shadow=ShadowingSpec(sigma_db=8.0))
+        sites = simulate._hex_lattice(config.hex_isd, config.expected_bs)
+        reach = simulate._BlockDraws(config, 0, simulate._BLOCK).reach(SCEN)
+        offsets = stream(config.seed, 0, simulate._ROLE_OFFSET).random((simulate._BLOCK, 2))
+        for row, (u1, u2) in enumerate(offsets):
+            offset = config.hex_isd * np.array([u1 + 0.5 * u2, math.sqrt(3.0) / 2.0 * u2])
+            d = np.sort(np.hypot(*(sites + offset).T))
+            np.testing.assert_allclose(reach[row], d[config.expected_bs - 1], rtol=1e-12)
+
+
+# Exact P_L at zero noise by Laplace inversion of the scaled interference
+# (de Hoog and Talbot agree to 8 digits): level in dB -> (last-BS, joint).
+_EXACT_ALPHA3 = {
+    -15.0: (0.73630985, 0.73627162),
+    -11.0: (0.30792052, 0.30705835),
+    -6.0: (0.01202948, 0.01116935),
+}
+_EXACT_ALPHA4_P1_M10DB = 0.07684682
+
+
+class TestExactValues:
+    """Tail-completed margins at the default window against exact P_L."""
+
+    @staticmethod
+    def _z(margins, column, level_db, exact):
+        [est] = exceedance_curve(margins[:, column], [10.0 ** (level_db / 10.0)])
+        return (est.estimate - exact) / math.sqrt(exact * (1.0 - exact) / est.n)
+
+    def test_alpha3_partial_muting(self):
+        scen = Scenario(lam=1.0, alpha=3.0, p=2.0 / 3.0, q=1.0, beta=1.0, gamma=1.0, L=4)
+        [margins] = collect_margins([scen], cfg(100_000, seed=0))
+        for level_db, (last, joint) in _EXACT_ALPHA3.items():
+            assert abs(self._z(margins, 1, level_db, last)) <= 3.0
+            assert abs(self._z(margins, 0, level_db, joint)) <= 3.0
+
+    def test_alpha4_full_activity(self):
+        scen = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, beta=1.0, gamma=1.0, L=4)
+        [margins] = collect_margins([scen], cfg(100_000, seed=0))
+        for column in (0, 1):
+            assert abs(self._z(margins, column, -10.0, _EXACT_ALPHA4_P1_M10DB)) <= 3.0
