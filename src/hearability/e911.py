@@ -11,12 +11,23 @@ error percentiles versus the minimum number of heard BSs.
 
 Reproducibility contract: trial geometries are the rows of the Monte
 Carlo block sampler, blocks of ``_BLOCK`` trials keyed by ``(seed,
-block, role)``, each trial keeping its ``EXPECTED_BS`` nearest BSs.
-The bearings, NLOS biases, ranging noise and clock errors of trial
-``i`` come, in that order, from ``stream(seed, i, ROLE_E911)``.  Worker
-spans start on block boundaries and the batched solver treats every
-trial on its own, so results are bit-identical across worker counts
-and however the trials are cut into spans.
+block, role)``, at the collectors' default window (``max(250, 10 * L)``
+Poisson BSs, 250 at the default L = 4) completed by the Campbell mean
+of the interference beyond it.  The window's stated error, the spread
+of the far interference as a share of its mean, is
+``(alpha - 2) / (2 sqrt((alpha - 1) n))``: 0.034 at alpha = 3.76 and
+n = 250.  The bearings, NLOS biases, unit ranging noise and clock errors
+of a block come, in that order, from ``stream(seed, block, ROLE_E911)``,
+each as a full ``(_BLOCK, W)`` array, and trial ``r`` of the block reads
+the first ``used`` columns of row ``r``.  ``W`` is the most BSs a trial
+can use (``_width``): k detected BSs each carry at least
+``theta / (1 + theta)`` of the total power at detection threshold
+``theta``, so ``k <= 1 + 1/theta`` (21 columns at -13 dB).  As every
+block draws in full, worker spans (which start on block boundaries),
+span cuts and short final blocks keep every trial's bits, and the
+batched solver treats every trial on its own: results are
+bit-identical across worker counts and however the trials are cut into
+spans, and a run of fewer trials is a prefix of a longer one.
 """
 
 from __future__ import annotations
@@ -29,7 +40,16 @@ import numpy as np
 
 from .model import Scenario, ShadowingSpec, effective_density, hex_grid_density
 from .parallel import map_spans
-from .simulate import _BLOCK, ROLE_E911, SimConfig, _block_distances, _powers, stream
+from .simulate import (
+    _BLOCK,
+    ROLE_E911,
+    SimConfig,
+    _block_distances,
+    _powers,
+    _tail_mean,
+    _with_window,
+    stream,
+)
 
 __all__ = [
     "E911Config",
@@ -50,7 +70,6 @@ MIN_TRIALS = 100
 _ILL_CONDITION = 1e12
 SPEED_OF_LIGHT = 299792458.0  # meters per second
 RMS_BANDWIDTH_FACTOR = 1.0 / 12.0  # beta_rms**2 / bandwidth**2, flat spectrum
-EXPECTED_BS = 1000  # BSs each trial keeps, nearest the device
 
 
 @dataclass(frozen=True)
@@ -186,17 +205,19 @@ def ranging_stddev(post_sinr, cfg: E911Config):
 _DETECT_COLUMNS = 32
 
 
-def _detect(d: np.ndarray, scenario: Scenario, cfg: E911Config):
+def _detect(d: np.ndarray, tail: np.ndarray, scenario: Scenario, cfg: E911Config):
     """Pre-processing SINRs of a fully loaded network, and detected counts.
 
-    The SINRs cover the first ``_DETECT_COLUMNS`` BSs of each row, or
-    all n when a row may detect a BS beyond them; the counts always
-    cover all n.  With the total power fixed, a BS's SINR grows with its
-    own power, so when the last leading BS is undetected and no later BS
-    is stronger, no later BS is detected either.
+    ``tail`` (rows, 1) is the mean interference beyond each row's
+    window, added to its total power.  The SINRs cover the first
+    ``_DETECT_COLUMNS`` BSs of each row, or all n when a row may detect a
+    BS beyond them; the counts always cover all n.  With the total power
+    fixed, a BS's SINR grows with its own power, so when the last leading
+    BS is undetected and no later BS is stronger, no later BS is detected
+    either.
     """
     pw = _powers(d, scenario)
-    total = np.sum(pw, axis=1, keepdims=True)
+    total = np.sum(pw, axis=1, keepdims=True) + tail
     thr, c = cfg.pre_sinr_threshold, _DETECT_COLUMNS
     sinr = _sinrs(pw[:, :c], total, scenario.noise_sigma2)
     if c < pw.shape[1] and not np.all(
@@ -212,23 +233,41 @@ def _sinrs(pw: np.ndarray, total: np.ndarray, noise: float) -> np.ndarray:
     return np.divide(pw, denom, out=np.full_like(pw, math.inf), where=denom > 0.0)
 
 
-def _draw(rng: np.random.Generator, cfg: E911Config, used: int) -> np.ndarray:
-    """One trial's (4, used) bearings, NLOS biases, unit ranging noise and clock errors."""
-    out = np.zeros((4, used))
-    out[0] = rng.uniform(0.0, 2.0 * math.pi, size=used)
-    if cfg.nlos_mean > 0.0:
-        out[1] = rng.exponential(cfg.nlos_mean, size=used)
-    out[2] = rng.normal(0.0, 1.0, size=used)
-    out[3] = rng.normal(0.0, cfg.clock_std, size=used)
-    return out
+def _width(cfg: E911Config, n: int) -> int:
+    """W, the most BSs a trial with an n-BS window can use.
+
+    A BS detected at threshold theta has ``P >= theta (T - P + N)``, with
+    T the total power and N >= 0 the noise, so ``P >= theta / (1 +
+    theta) T``.  k detected BSs sum to at most T, so ``k <= 1 + 1/theta``;
+    one more column absorbs rounding.  The cap ``max_bs_per_fix`` and the
+    window bound it too.
+    """
+    bound = int(min(1.0 + 1.0 / cfg.pre_sinr_threshold, n)) + 1
+    return min(n, cfg.max_bs_per_fix or n, bound)
+
+
+def _nuisance(seed: int, block: int, cfg: E911Config, width: int) -> np.ndarray:
+    """A block's bearings, NLOS biases, unit ranging noise and clock errors.
+
+    Drawn in that order from ``stream(seed, block, ROLE_E911)``, each as
+    a full ``(_BLOCK, width)`` array, so row r holds the same values
+    whatever rows of the block a span reads.  Shape (_BLOCK, 4, width).
+    """
+    rng, shape = stream(seed, block, ROLE_E911), (_BLOCK, width)
+    return np.stack((
+        rng.uniform(0.0, 2.0 * math.pi, shape),
+        rng.exponential(cfg.nlos_mean, shape),
+        rng.standard_normal(shape),
+        rng.normal(0.0, cfg.clock_std, shape),
+    ), axis=1)
 
 
 def _observe(d, sinr, draws, scenario: Scenario, cfg: E911Config):
     """TDOA measurements of N trials using m BSs each, strongest first.
 
     ``d``, ``sinr``: (N, m) distances and pre-processing SINRs; ``draws``:
-    (N, 4, m) from ``_draw``.  Pseudorange of BS i:
-    ``d_i + NLOS_i + sigma_i * N(0, 1) + c * N(0, clock_std**2)``.
+    (N, 4, m), the first m columns of rows of ``_nuisance``.  Pseudorange
+    of BS i: ``d_i + NLOS_i + sigma_i * N(0, 1) + c * N(0, clock_std**2)``.
     Returns positions (N, m, 2), TDOAs (N, m-1), their covariance, the
     pseudoranges and the post-processing SINRs.
     """
@@ -488,27 +527,36 @@ def _trial_span(
 ) -> np.ndarray:
     """Outcome table of trials ``start:stop``, shape (stop - start, 7).
 
-    Geometry and detection run on whole blocks of the Monte Carlo
-    sampler.  The fixes of each used count then take the closed-form
-    stages in stacks of ``_SOLVE_ROWS`` and one Gauss-Newton polish over
-    the whole span, so the polish runs once per used count however the
-    trials are cut into spans.
+    Geometry, detection and nuisance draws run on whole blocks of the
+    Monte Carlo sampler.  The fixes of each used count then take the
+    closed-form stages in stacks of ``_SOLVE_ROWS`` and one Gauss-Newton
+    polish over the whole span, so the polish runs once per used count
+    however the trials are cut into spans.
     """
-    sim = SimConfig(realizations=1, seed=seed, expected_bs=EXPECTED_BS)
+    sim = _with_window([scenario], SimConfig(realizations=1, seed=seed))
+    width = _width(cfg, sim.expected_bs)
     out = np.full((stop - start, 7), math.nan)
     out[:, _USED] = 0
     out[:, _METHOD] = _NONE
-    heard = []  # per block: trials with enough BSs, their used counts, and those BSs
+    # Per block: trials with enough BSs, their used counts, and for those
+    # BSs the distances, SINRs and nuisance draws, (rows, 6, block's widest).
+    heard = []
     for first in range(start - start % _BLOCK, stop, _BLOCK):
-        d, _ = _block_distances(scenario, sim, first // _BLOCK, min(_BLOCK, stop - first))
-        sinr, detected = _detect(d, scenario, cfg)
+        block = first // _BLOCK
+        d, reach = _block_distances(scenario, sim, block, min(_BLOCK, stop - first))
+        sinr, detected = _detect(d, _tail_mean(reach, scenario, sim), scenario, cfg)
         rows = np.arange(max(start - first, 0), len(d))
         out[first + rows - start, _DETECTED] = detected[rows]
         rows = rows[detected[rows] >= _MIN_BS_FOR_FIX]
         used = np.minimum(detected[rows], cfg.max_bs_per_fix or d.shape[1])
-        width = used.max(initial=0)
-        near = np.stack((d[rows, :width], sinr[rows, :width]), axis=1)
-        heard.append((first + rows - start, used, near))
+        widest = used.max(initial=0)
+        if widest > width:
+            raise RuntimeError(
+                f"a trial uses {widest} BSs, more than the {width} nuisance columns"
+            )
+        near = np.stack((d[rows, :widest], sinr[rows, :widest]), axis=1)
+        draws = _nuisance(seed, block, cfg, width)[rows, :, :widest]
+        heard.append((first + rows - start, used, np.concatenate((near, draws), axis=1)))
     del d, sinr  # the last block need not outlive the sampling
     trials, used = (np.concatenate(column) for column in list(zip(*heard))[:2])
     for m in np.unique(used):
@@ -517,8 +565,7 @@ def _trial_span(
         seeds = []
         for at in range(0, len(rows), _SOLVE_ROWS):
             part = slice(at, at + _SOLVE_ROWS)
-            draws = [_draw(stream(seed, start + i, ROLE_E911), cfg, m) for i in rows[part]]
-            observed = _observe(near[part, 0], near[part, 1], np.array(draws), scenario, cfg)
+            observed = _observe(near[part, 0], near[part, 1], near[part, 2:], scenario, cfg)
             (idx, *rest), out[rows[part], _CONDITION] = _closed_form(*observed[:3])
             seeds.append((at + idx, *rest))
         xy, method = _polish(len(rows), *(np.concatenate(c) for c in zip(*seeds)))

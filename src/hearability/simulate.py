@@ -178,8 +178,9 @@ class McEstimate:
 def stream(seed: int, index: int, role: int) -> np.random.Generator:
     """Counter-based generator keyed by (seed, index, role).
 
-    ``index`` is a block of ``_BLOCK`` realizations for the block
-    sampler and a trial for the per-trial E911 draws.
+    ``index`` is a block of ``_BLOCK`` rows for every role: realizations
+    of the block sampler, or E911 trials for their nuisance draws
+    (bearings, NLOS biases, ranging noise and clock errors).
     """
     return np.random.Generator(
         np.random.Philox(np.random.SeedSequence(seed, spawn_key=(index, role)))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from hearability import e911
+from hearability import e911, simulate
 from hearability.e911 import (
     FCC_P67_M,
     FCC_P90_M,
@@ -34,7 +34,7 @@ from hearability.simulate import (
     exceedance_curve,
     stream,
 )
-from sampling_oracle import Realization, block_rows
+from sampling_oracle import Realization, block_rows, tail_mean
 
 _MIN_BS_FOR_FIX = e911._MIN_BS_FOR_FIX
 _ILL_CONDITION = e911._ILL_CONDITION
@@ -90,6 +90,26 @@ def solve_one(measurements: Observations, bs_positions: np.ndarray) -> FixOutcom
 # --- one realization through the trial pipeline's steps ----------------------
 
 
+def trial_config(scenario: Scenario, seed: int, trials: int) -> SimConfig:
+    """The block-sampler config of E911 trials: the collectors' default window."""
+    return simulate._with_window([scenario], SimConfig(realizations=trials, seed=seed))
+
+
+def row_tails(distances: np.ndarray, scenario: Scenario) -> np.ndarray:
+    """Campbell tail mean of Poisson rows, whose reach is the last kept distance."""
+    return tail_mean(scenario, SimConfig(realizations=1, seed=0), distances[:, -1])
+
+
+def draw_one(rng: np.random.Generator, cfg: E911Config, used: int) -> np.ndarray:
+    """One trial's (4, used) bearings, NLOS biases, unit ranging noise and clock errors."""
+    return np.stack((
+        rng.uniform(0.0, 2.0 * math.pi, used),
+        rng.exponential(cfg.nlos_mean, used),
+        rng.standard_normal(used),
+        rng.normal(0.0, cfg.clock_std, used),
+    ))
+
+
 def synthesize_observations(
     realization: Realization,
     scenario: Scenario,
@@ -97,10 +117,11 @@ def synthesize_observations(
     rng: np.random.Generator,
 ) -> tuple[Observations, np.ndarray]:
     """TDOA measurements of the detected BSs of one realization, and their positions."""
-    sinr, detected = e911._detect(realization.distances[None], scenario, cfg)
+    row = realization.distances[None]
+    sinr, detected = e911._detect(row, row_tails(row, scenario), scenario, cfg)
     used = int(min(detected[0], cfg.max_bs_per_fix or detected[0]))
     d = realization.distances[None, :used]
-    draws = e911._draw(rng, cfg, used)[None]
+    draws = draw_one(rng, cfg, used)[None]
     positions, tdoas, cov, pseudo, post = e911._observe(
         d, sinr[:, :used], draws, scenario, cfg
     )
@@ -111,9 +132,10 @@ def synthesize_observations(
 
 
 def _pre_sinrs(realization: Realization, scenario: Scenario) -> np.ndarray:
-    """Pre-processing SINR of every BS in a fully loaded network."""
+    """Pre-processing SINR of every BS in a fully loaded network, tail included."""
     pw = realization.distances ** (-scenario.alpha)
-    denom = float(np.sum(pw)) - pw + scenario.noise_sigma2
+    tail = float(row_tails(realization.distances[None], scenario)[0, 0])
+    denom = float(np.sum(pw)) + tail - pw + scenario.noise_sigma2
     with np.errstate(divide="ignore"):
         return np.where(denom > 0.0, pw / denom, math.inf)
 
@@ -376,12 +398,12 @@ class TestRangingStddev:
 
 @pytest.fixture()
 def one_realization():
-    # Trial 19 at seed 3 hears 7 BSs, enough for every path below.
+    # Trial 18 at seed 3 hears 6 BSs, enough for every path below.
     cfg = E911Config()
     scen = default_scenario(cfg)
-    sim = SimConfig(realizations=20, seed=3, expected_bs=e911.EXPECTED_BS)
+    sim = trial_config(scen, seed=3, trials=20)
     d, active = block_rows(scen, sim)
-    return cfg, scen, Realization(d[19], active[19], np.ones(d.shape[1], dtype=np.int64))
+    return cfg, scen, Realization(d[18], active[18], np.ones(d.shape[1], dtype=np.int64))
 
 
 class TestSynthesize:
@@ -442,17 +464,18 @@ class TestDetect:
     """The leading-column ``_detect`` against SINRs of whole rows."""
 
     @staticmethod
-    def _whole_rows(d, scenario, cfg):
+    def _whole_rows(d, tail, scenario, cfg):
         pw = e911._powers(d, scenario)
-        denom = np.sum(pw, axis=1, keepdims=True) - pw
+        denom = (np.sum(pw, axis=1, keepdims=True) + tail) - pw
         denom += scenario.noise_sigma2
         sinr = np.divide(pw, denom, out=np.full_like(pw, math.inf), where=denom > 0.0)
         return sinr, np.count_nonzero(sinr >= cfg.pre_sinr_threshold, axis=1)
 
-    def _columns(self, d, scenario, cfg) -> int:
+    def _columns(self, d, scenario, cfg, tail=None) -> int:
         """Checks ``_detect`` on ``d``; returns how many SINR columns it gave."""
-        sinr, counts = e911._detect(d, scenario, cfg)
-        ref_sinr, ref_counts = self._whole_rows(d, scenario, cfg)
+        tail = row_tails(d, scenario) if tail is None else tail
+        sinr, counts = e911._detect(d, tail, scenario, cfg)
+        ref_sinr, ref_counts = self._whole_rows(d, tail, scenario, cfg)
         np.testing.assert_array_equal(counts, ref_counts)
         width = sinr.shape[1]
         assert width >= counts.max()
@@ -463,7 +486,7 @@ class TestDetect:
     def blocks(self):
         cfg = E911Config()
         scen = default_scenario(cfg)
-        sim = SimConfig(realizations=64, seed=5, expected_bs=e911.EXPECTED_BS)
+        sim = trial_config(scen, seed=5, trials=64)
         d, _ = block_rows(scen, sim)
         return cfg, scen, [d[i : i + 16] for i in range(0, 64, 16)]
 
@@ -482,13 +505,15 @@ class TestDetect:
     def test_unsorted_row_takes_whole_rows(self, blocks):
         cfg, scen, ds = blocks
         d = ds[0].copy()
-        d[3, [0, 500]] = d[3, [500, 0]]
-        assert self._columns(d, scen, cfg) == d.shape[1]
+        tail = row_tails(d, scen)  # from the reach before the swap
+        d[3, [0, -1]] = d[3, [-1, 0]]
+        assert self._columns(d, scen, cfg, tail) == d.shape[1]
 
     def test_detection_beyond_the_leading_columns_takes_whole_rows(self, blocks):
         _, scen, ds = blocks
         low = E911Config(pre_sinr_threshold=1e-4)
-        assert self._whole_rows(ds[0], scen, low)[1].max() > e911._DETECT_COLUMNS
+        tail = row_tails(ds[0], scen)
+        assert self._whole_rows(ds[0], tail, scen, low)[1].max() > e911._DETECT_COLUMNS
         for d in ds:
             assert self._columns(d, scen, low) == d.shape[1]
 
@@ -753,6 +778,28 @@ class TestTrials:
         assert len(stacks) == len(np.unique(detected[detected >= _MIN_BS_FOR_FIX]))
         assert max(stacks) > e911._SOLVE_ROWS
 
+    @pytest.mark.parametrize(
+        "changes, width",
+        [({}, 21), (dict(pre_sinr_threshold=1e-4), 250),
+         (dict(pre_sinr_threshold=0.5), 4), (dict(max_bs_per_fix=5), 5)],
+        ids=["default", "low-threshold", "high-threshold", "capped"],
+    )
+    def test_used_counts_fit_the_nuisance_width(self, changes, width):
+        # Trial i is row i of the block sampler at the trials' window.
+        cfg = E911Config(**changes)
+        scen = default_scenario(cfg)
+        d, _ = block_rows(scen, trial_config(scen, seed=6, trials=320))
+        assert e911._width(cfg, d.shape[1]) == width
+        _, detected = e911._detect(d, row_tails(d, scen), scen, cfg)
+        used = np.minimum(detected, cfg.max_bs_per_fix or d.shape[1])
+        assert used.max() <= width
+
+    def test_a_trial_past_the_nuisance_width_fails_loudly(self, monkeypatch):
+        monkeypatch.setattr(e911, "_width", lambda cfg, n: _MIN_BS_FOR_FIX)
+        cfg = E911Config(trials=MIN_TRIALS)
+        with pytest.raises(RuntimeError, match="nuisance columns"):
+            e911._trial_span(cfg, default_scenario(cfg), 0, 0, cfg.trials)
+
     def test_collect_trials_byte_identical_across_workers(self):
         cfg = E911Config(trials=203)
         tables = [collect_trials(cfg, seed=4, workers=w).tobytes() for w in (1, 2, 3)]
@@ -765,7 +812,7 @@ class TestTrials:
         scen = default_scenario(cfg)
         trials = collect_trials(cfg, seed=2)
         rate = float((trials[:, 0] >= 4).mean())
-        sim = SimConfig(realizations=2000, seed=77, expected_bs=e911.EXPECTED_BS)
+        sim = SimConfig(realizations=2000, seed=77)
         [margins] = collect_margins([scen], sim)
         ref = exceedance_curve(margins[:, 0], [scen.beta / scen.gamma])[0]
         se = math.hypot(ref.stderr, math.sqrt(rate * (1 - rate) / cfg.trials))
@@ -793,7 +840,7 @@ class TestCompliance:
         fixed = table[:, e911._METHOD] != e911._NONE
         errors = table[:, e911._ERROR]
         far = fixed & (errors > 1e4)
-        assert (fixed.sum(), far.sum()) == (1359, 44)
+        assert (fixed.sum(), far.sum()) == (1391, 42)
         assert np.all(table[far, e911._METHOD] == e911._CHAN)
         for row in fcc_compliance(cfg, seed=0):
             eligible = fixed & (table[:, e911._DETECTED] >= row.min_hearability)

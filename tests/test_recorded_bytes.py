@@ -17,7 +17,7 @@ from hearability.cli import run_figure
 # sha256 of run_figure(name, seed=0, realizations=SIZES.get(name, 16),
 # timestamp=False).
 DIGESTS = {
-    "fig2": "2218242f64a9bbdea3ab1caa6746f55289bb31c1aaf9a824d5419d712d5eed41",
+    "fig2": "2883b7317ccf3dca3298f908381097ec64bd4f2184fb9bfca95de56690c11f53",
     "fig3": "9130fe5e9b37517aa08b9d10a4aca6d78aa399035494b274095b0f32e9e0f17d",
     "fig4": "ea8ebeecfd299702448a56577ba3f4624c9afad943b0ec9d5730fe2ad92e58af",
     "fig7": "fe886473b37352d97a939b6d79e4a322612493a9d1dc8837ea3ffabd122cfa9c",

@@ -914,11 +914,23 @@ class TestWindow:
         family = [SCEN.replace(L=L) for L in Ls]
         assert simulate._with_window(family, cfg(10, **extra)).expected_bs == want
 
-    def test_e911_keeps_its_own_window(self):
+    @pytest.mark.parametrize("L, want", [(4, 250), (40, 400)])
+    def test_e911_trials_use_the_collectors_window(self, monkeypatch, L, want):
         from hearability import e911
 
-        assert SimConfig(realizations=1, seed=0).expected_bs is None
-        assert e911.EXPECTED_BS == 1000
+        windows = []
+        sample = e911._block_distances
+
+        def spy(scenario, config, block, rows):
+            windows.append(config.expected_bs)
+            return sample(scenario, config, block, rows)
+
+        monkeypatch.setattr(e911, "_block_distances", spy)
+        trials = e911.E911Config()
+        scen = e911.default_scenario(trials).replace(L=L)
+        e911._trial_span(trials, scen, 3, 0, 2 * simulate._BLOCK)
+        assert simulate._with_window([scen], cfg(1)).expected_bs == want
+        assert windows == [want, want]
 
     @pytest.mark.parametrize(
         "deployment, window", [(Deployment.PPP, 250), (Deployment.HEX, 1000)]
