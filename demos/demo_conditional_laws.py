@@ -9,13 +9,19 @@ five are checked on the block rows that every Monte Carlo collector
 draws.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 from scipy import stats
 
 from hearability import simulate
-from hearability.analytic import mean_i1, mean_i2
 from hearability.model import Scenario
 from hearability.simulate import SimConfig
+
+# The closed-form conditional means live with the test suite's oracles.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from sampling_oracle import mean_i1, mean_i2  # noqa: E402
 
 SCEN = Scenario(lam=1.0, alpha=4.0, p=2.0 / 3.0, q=1.0, beta=1.0, gamma=1.0, L=4)
 DRAWS = 20000

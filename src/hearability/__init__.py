@@ -27,8 +27,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "Method": "analytic",
     "evaluate_grid": "analytic",
-    "mean_i1": "analytic",
-    "mean_i2": "analytic",
     "min_processing_gain": "analytic",
     "E911Config": "e911",
     "collect_trials": "e911",

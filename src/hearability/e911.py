@@ -22,8 +22,10 @@ each as a full ``(_BLOCK, W)`` array, and trial ``r`` of the block reads
 the first ``used`` columns of row ``r``.  ``W`` is the most BSs a trial
 can use (``_width``): k detected BSs each carry at least
 ``theta / (1 + theta)`` of the total power at detection threshold
-``theta``, so ``k <= 1 + 1/theta`` (21 columns at -13 dB).  As every
-block draws in full, worker spans (which start on block boundaries),
+``theta``, so ``k <= 1 + 1/theta`` (21 columns at -13 dB).  A threshold
+that would let a trial detect every BS of its window (-23.94 dB or less
+at 250 BSs) is rejected, so a detected count never stops at the window.
+As every block draws in full, worker spans (which start on block boundaries),
 span cuts and short final blocks keep every trial's bits, and the
 batched solver treats every trial on its own: results are
 bit-identical across worker counts and however the trials are cut into
@@ -522,6 +524,26 @@ _DETECTED, _USED, _METHOD, _CONDITION, _X, _Y, _ERROR = range(7)
 _SOLVE_ROWS = 256
 
 
+def _trial_window(cfg: E911Config, scenario: Scenario, seed: int) -> SimConfig:
+    """The trials' window, the collectors' default, or a ValueError.
+
+    At most ``1 + 1/theta`` BSs are detected (``_width``).  A window of
+    fewer than ``floor(1 + 1/theta) + 2`` BSs could be detected in full,
+    and the count would then be the window's size, not the network's.
+    Such thresholds are rejected: the window that would fit them grows
+    as 1/theta, and so do the fixes' covariance stacks.
+    """
+    sim = _with_window([scenario], SimConfig(realizations=1, seed=seed))
+    theta, n = cfg.pre_sinr_threshold, sim.expected_bs
+    if 1.0 + 1.0 / theta >= n - 1:
+        raise ValueError(
+            f"pre_sinr_db={10.0 * math.log10(theta):g} (pre_sinr_threshold={theta:g}) "
+            f"lets a trial detect every BS of its {n}-BS window; the threshold "
+            f"must exceed {-10.0 * math.log10(n - 2):.2f} dB"
+        )
+    return sim
+
+
 def _trial_span(
     cfg: E911Config, scenario: Scenario, seed: int, start: int, stop: int
 ) -> np.ndarray:
@@ -533,7 +555,7 @@ def _trial_span(
     polish over the whole span, so the polish runs once per used count
     however the trials are cut into spans.
     """
-    sim = _with_window([scenario], SimConfig(realizations=1, seed=seed))
+    sim = _trial_window(cfg, scenario, seed)
     width = _width(cfg, sim.expected_bs)
     out = np.full((stop - start, 7), math.nan)
     out[:, _USED] = 0
@@ -585,6 +607,7 @@ def collect_trials(
     """(detected count, horizontal error) per trial; error NaN if no fix."""
     if scenario is None:
         scenario = default_scenario(cfg)
+    _trial_window(cfg, scenario, seed)  # rejects a threshold before any work
     table = map_spans(_trial_span, (cfg, scenario, seed), cfg.trials, workers, _BLOCK)
     return table[:, [_DETECTED, _ERROR]]
 

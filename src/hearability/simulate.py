@@ -42,7 +42,15 @@ Each collector row keeps the ``n = expected_bs`` BSs nearest the device
 (the window); on a shadowed hex grid these nearest sites are then
 ordered by received power.  Poisson rows need no point count and no
 sort: ``pi * lam_eff * R_k**2`` are the arrival times of a unit-rate
-Poisson process, i.e. cumulative sums of Exp(1) draws.  Every row adds
+Poisson process, i.e. cumulative sums of Exp(1) draws.  A hex row's
+uniform lattice offset is reduced into the Voronoi cell of the origin
+(within ``isd / sqrt(3)``), so only the sites of a lattice sorted once
+by norm that can be among the n nearest are measured.  The kept sites
+stay in that norm order, and shadowing draw j of the row (one standard
+normal per kept site) scales the j-th of them before the sort: the bits
+depend on no selection algorithm.  The offsets and the shadowing draws
+depend on no scenario input, so siblings that differ in alpha share
+them.  Every row adds
 the Campbell mean of the loaded interference beyond its window,
 ``2 pi lam_eff q R_n**(2 - alpha) / (alpha - 2)``, to the interference
 of each SINR, 1/K of it per band.  Hex rows use the lattice density
@@ -205,8 +213,18 @@ def _with_window(family: Sequence[Scenario], config: SimConfig) -> SimConfig:
 
 
 @functools.lru_cache(maxsize=8)
-def _hex_lattice(isd: float, count: int) -> np.ndarray:
-    """Triangular-lattice sites covering comfortably more than ``count``."""
+def _hex_lattice(isd: float, count: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The lattice sites a window of ``count`` can keep: ``(x, y, sure)``.
+
+    The triangular lattice is sorted by exact squared norm ``m*m + m*n +
+    n*n`` (in units of isd**2), sites of equal norm in the order of their
+    lattice coordinates ``(n, m)``.  With R the count-th site norm and
+    rho = isd/sqrt(3) the circumradius of the origin's Voronoi cell, the
+    count sites nearest a device in that cell have norms at most R + 2
+    rho: ``x`` and ``y`` hold those sites.  The first ``sure`` of them,
+    of norm at most R - 2 rho, are among the count nearest wherever the
+    device lies in the cell (triangle inequality).
+    """
     density = hex_grid_density(isd)
     radius = math.sqrt(count / (density * math.pi)) * 1.25 + 2.0 * isd
     reach = int(math.ceil(radius / (isd * math.sqrt(3.0) / 2.0))) + 2
@@ -216,9 +234,113 @@ def _hex_lattice(isd: float, count: int) -> np.ndarray:
     x = isd * (m + 0.5 * n)
     y = isd * (math.sqrt(3.0) / 2.0) * n
     keep = x * x + y * y <= radius * radius
-    sites = np.column_stack((x[keep], y[keep]))
-    sites.setflags(write=False)  # every caller shares the cached array
-    return sites
+    norm2 = (m * m + m * n + n * n)[keep]
+    order = np.argsort(norm2, kind="stable")
+    x, y, norm2 = x[keep][order], y[keep][order], norm2[order]
+    # The bounds in units of isd, widened by 1e-9 against rounding.
+    rn, span = math.sqrt(norm2[count - 1]), 2.0 / math.sqrt(3.0)
+    near = int(np.searchsorted(norm2, (rn + span) ** 2 * (1.0 + 1e-9), side="right"))
+    sure = int(np.searchsorted(norm2, max(rn - span, 0.0) ** 2 * (1.0 - 1e-9), side="right"))
+    x, y = x[:near], y[:near]
+    x.setflags(write=False)  # every caller shares the cached arrays
+    y.setflags(write=False)
+    return x, y, sure
+
+
+# Lattice coordinates of the corners of the cell the row offsets are drawn in.
+_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+
+
+def _hex_nearest(
+    u: np.ndarray, isd: float, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``n`` sites nearest the device on lattices offset by ``u``, before shadowing.
+
+    Row r shifts the lattice by ``u[r, 0] a1 + u[r, 1] a2`` (a1 = (isd,
+    0), a2 = isd (1/2, sqrt(3)/2)), with ``u`` in [0, 1)**2.  The nearest
+    of the cell's four corners is a lattice site, so the shift reduces to
+    an offset within ``isd / sqrt(3)`` of the origin (Conway & Sloane,
+    *Sphere Packings, Lattices and Groups*, ch. 20), and only the sites
+    that :func:`_hex_lattice` says can be kept are measured.  Its
+    ``sure`` sites are kept as they are; the rest are picked from the annulus by
+    squared distance, in lattice order.  Of sites tied at the n-th
+    distance the earliest in lattice order are kept, so no selection
+    algorithm decides which.
+
+    Returns the kept distances in the lattice's norm order, (rows, n);
+    each row's reach, the n-th distance, (rows,); and the lattice
+    indices of the kept annulus sites, ascending, (rows, n - sure).
+    """
+    (x, y, sure), rows = _hex_lattice(isd, n), len(u)
+    # Offsets from each corner in lattice coordinates; the squared length
+    # of v1 a1 + v2 a2 is isd**2 (v1**2 + v1 v2 + v2**2).
+    v = u[:, None, :] - _CORNERS
+    corner = np.argmin(v[..., 0] * (v[..., 0] + v[..., 1]) + v[..., 1] ** 2, axis=1)
+    v = v[np.arange(rows), corner]
+    dx = isd * (v[:, 0] + 0.5 * v[:, 1])
+    dy = isd * (math.sqrt(3.0) / 2.0) * v[:, 1]
+    take = n - sure
+    d, reach = np.empty((rows, n)), np.empty(rows)
+    picks = np.empty((rows, take), dtype=np.intp)
+    # Rows are independent, so a few at a time keep every temporary
+    # below _SCRATCH_BYTES.
+    step = max(1, _SCRATCH_BYTES // (8 * max(sure, len(x) - sure)))
+    for first in range(0, rows, step):
+        part = slice(first, first + step)
+        d[part, :sure] = _squared(dx[part], dy[part], x[:sure], y[:sure])
+        ring = _squared(dx[part], dy[part], x[sure:], y[sure:])
+        # The (n - sure)-th smallest is the n-th distance: every sure site
+        # lies nearer.
+        kth = np.partition(ring, take - 1, axis=1)[:, take - 1 : take]
+        keep = ring <= kth
+        if np.count_nonzero(keep) > len(ring) * take:
+            # Ties at the n-th distance: the earliest in lattice order stay.
+            tie = ring == kth
+            keep = ring < kth
+            keep |= tie & (np.cumsum(tie, axis=1)
+                           <= take - np.count_nonzero(keep, axis=1, keepdims=True))
+        flat = np.flatnonzero(keep).reshape(len(ring), take)
+        d[part, sure:] = ring.ravel()[flat]
+        reach[part] = kth[:, 0]
+        flat -= ring.shape[1] * np.arange(len(ring))[:, None] - sure
+        picks[part] = flat
+    np.sqrt(d, out=d)
+    np.sqrt(reach, out=reach)
+    return d, reach, picks
+
+
+def _squared(dx, dy, x, y) -> np.ndarray:
+    """Squared distances ``(x + dx)**2 + (y + dy)**2``, (rows, sites)."""
+    out = np.add.outer(dx, x)
+    out *= out
+    sq = np.add.outer(dy, y)
+    sq *= sq
+    out += sq
+    return out
+
+
+def _shadowed(
+    d: np.ndarray, z: np.ndarray, scenario: Scenario, config: SimConfig
+) -> np.ndarray:
+    """Equivalent distances ``S**(-1/alpha) * d`` of hex rows, sorted, (rows, n).
+
+    ``d`` holds the kept sites in the lattice's norm order and ``z`` one
+    standard normal per site: ``ln S**(-1/alpha)`` is ``z`` times
+    ``sigma_db * ln(10) / (10 * alpha)``, so draw j scales the j-th kept
+    site.  Raises if a distance leaves the positive floats.
+    """
+    sigma = config.shadow.sigma_db * math.log(10.0) / (10.0 * scenario.alpha)
+    with np.errstate(over="ignore"):  # checked below
+        out = np.multiply(z, sigma)
+        np.exp(out, out=out)
+        out *= d
+    out.sort(axis=1)
+    if not (np.all(out[:, 0] > 0.0) and np.all(out[:, -1] < math.inf)):
+        raise ValueError(
+            f"sigma_db={config.shadow.sigma_db} shadows a BS distance to 0 or "
+            "infinity in floating point"
+        )
+    return out
 
 
 # --- block sampler --------------------------------------------------------
@@ -229,53 +351,10 @@ def _block_distances(
 ) -> tuple[np.ndarray, np.ndarray]:
     """BS distances of one block, (rows, n), and each row's window reach, (rows,).
 
-    Each row keeps the ``n = expected_bs`` BSs nearest the device in
-    ascending (equivalent) distance, so every collector sees the same
-    deployments.  The reach is the n-th distance: equivalent on Poisson
-    rows, geometric (before shadowing) on hex rows.  Row r draws the
-    same values whatever ``rows`` is, so a short final block holds the
-    first rows of a full one.
+    The one-block view of :class:`_BlockDraws`.
     """
-    n, seed = config.expected_bs, config.seed
-    if config.deployment == Deployment.HEX:
-        # Offset the lattice uniformly inside one fundamental cell, keep
-        # the nearest sites and fold per-link shadowing S in as the
-        # equivalent distance S**(-1/alpha) * d.
-        isd, sites = config.hex_isd, _hex_lattice(config.hex_isd, n)
-        offsets = stream(seed, block, _ROLE_OFFSET).random((rows, 2))
-        d, reach = np.empty((rows, n)), np.empty(rows)
-        # Each row is partitioned alone, so rows taken a few at a time
-        # give the same bits while every (rows, sites) temporary stays
-        # below _SCRATCH_BYTES.
-        step = max(1, _SCRATCH_BYTES // (8 * len(sites)))
-        for first in range(0, rows, step):
-            u1, u2 = offsets[first : first + step, :1], offsets[first : first + step, 1:]
-            sites_d = np.hypot(sites[:, 0] + isd * (u1 + 0.5 * u2),
-                               sites[:, 1] + isd * (math.sqrt(3.0) / 2.0) * u2)
-            sites_d.partition(n - 1, axis=1)
-            d[first : first + step] = sites_d[:, :n]
-            reach[first : first + step] = sites_d[:, n - 1]
-        if config.shadow.sigma_db > 0.0:
-            # ln S**(-1/alpha) is normal with deviation sigma_db*ln(10)/(10*alpha).
-            sigma = config.shadow.sigma_db * math.log(10.0) / (10.0 * scenario.alpha)
-            with np.errstate(over="ignore"):  # checked below
-                d *= np.exp(stream(seed, block, _ROLE_SHADOW).normal(0.0, sigma, d.shape))
-        d.sort(axis=1)
-        if not (np.all(d[:, 0] > 0.0) and np.all(d[:, -1] < math.inf)):
-            raise ValueError(
-                f"sigma_db={config.shadow.sigma_db} shadows a BS distance to 0 or "
-                "infinity in floating point"
-            )
-    else:
-        # pi * lam_eff * R_k**2 is the k-th arrival of a unit-rate Poisson
-        # process; shadowing enters through the effective density.
-        lam_eff = effective_density(scenario.lam, scenario.alpha, config.shadow)
-        d = stream(seed, block, _ROLE_GEOMETRY).standard_exponential((rows, n))
-        np.cumsum(d, axis=1, out=d)
-        d *= 1.0 / (math.pi * lam_eff)
-        np.sqrt(d, out=d)
-        reach = d[:, -1]
-    return d, reach
+    draws = _BlockDraws(config, block, rows)
+    return draws.distances(scenario), draws.reach(scenario)
 
 
 def _tail_mean(reach: np.ndarray, scenario: Scenario, config: SimConfig) -> np.ndarray:
@@ -302,10 +381,11 @@ def _tail_mean(reach: np.ndarray, scenario: Scenario, config: SimConfig) -> np.n
 
 
 def _distance_key(scenario: Scenario, config: SimConfig):
-    """The scenario inputs that :func:`_block_distances` reads.
+    """The scenario inputs that a block's distances depend on.
 
     Poisson rows depend on the effective density alone; hex rows depend
-    on alpha only when per-link shadowing is drawn.
+    on alpha only when per-link shadowing is drawn, and their unshadowed
+    geometry and shadowing draws on no scenario input.
     """
     if config.deployment == Deployment.HEX:
         return scenario.alpha if config.shadow.sigma_db > 0.0 else None
@@ -316,8 +396,8 @@ class _BlockDraws:
     """The parts of one block, each drawn once for every sibling scenario.
 
     Every part is drawn on first use and cached under the scenario
-    inputs it depends on: distances and reaches under
-    :func:`_distance_key`, band labels and their :class:`_Bands` under K,
+    inputs it depends on: distances under :func:`_distance_key`, hex
+    reaches under none, band labels and their :class:`_Bands` under K,
     powers under the distance key and alpha, and transmit marks under the
     activity probability.  The activity uniforms depend on no scenario input and
     are drawn only when some sibling's p or q lies strictly inside
@@ -325,11 +405,15 @@ class _BlockDraws:
     not read them.  Each role has its own keyed stream, so a skipped
     draw moves no other bits.  Siblings that agree on a part's inputs
     read one array, which no statistic writes to, so each sibling sees
-    the bits it would have drawn alone.
+    the bits it would have drawn alone.  A hex block draws its lattice
+    offsets and shadowing once for every alpha of ``family``; the
+    siblings then only scale, exponentiate, multiply and sort.
     """
 
-    def __init__(self, config: SimConfig, block: int, rows: int) -> None:
-        self.config, self.block, self.rows = config, block, rows
+    def __init__(
+        self, config: SimConfig, block: int, rows: int, family: Sequence[Scenario] = ()
+    ) -> None:
+        self.config, self.block, self.rows, self.family = config, block, rows, family
         self.shape = (rows, config.expected_bs)
         self._parts: dict = {}
 
@@ -338,19 +422,66 @@ class _BlockDraws:
             self._parts[key] = make()
         return self._parts[key]
 
-    def _geometry(self, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
-        return self._part(
-            ("distances", _distance_key(scenario, self.config)),
-            lambda: _block_distances(scenario, self.config, self.block, self.rows),
-        )
-
     def distances(self, scenario: Scenario) -> np.ndarray:
-        """The distances of :func:`_block_distances`, (rows, n)."""
-        return self._geometry(scenario)[0]
+        """BS distances, (rows, n), each row ascending in equivalent distance.
+
+        Each row keeps the ``n = expected_bs`` BSs nearest the device.
+        Row r draws the same values whatever ``rows`` is, so a short
+        final block holds the first rows of a full one.
+        """
+        key = ("distances", _distance_key(scenario, self.config))
+        if key not in self._parts:
+            if self.config.deployment == Deployment.HEX:
+                self._hex_rows((scenario, *self.family))
+            else:
+                self._parts[key] = self._poisson(scenario)
+        return self._parts[key]
+
+    def _poisson(self, scenario: Scenario) -> np.ndarray:
+        # pi * lam_eff * R_k**2 is the k-th arrival of a unit-rate Poisson
+        # process; shadowing enters through the effective density.
+        config = self.config
+        lam_eff = effective_density(scenario.lam, scenario.alpha, config.shadow)
+        d = stream(config.seed, self.block, _ROLE_GEOMETRY).standard_exponential(self.shape)
+        np.cumsum(d, axis=1, out=d)
+        d *= 1.0 / (math.pi * lam_eff)
+        np.sqrt(d, out=d)
+        return d
+
+    def _hex_rows(self, scenarios: Sequence[Scenario]) -> None:
+        """Hex distances for every distance key of ``scenarios``, and the reaches.
+
+        One lattice draw (:func:`_hex_nearest`, each row's lattice offset
+        uniform in one fundamental cell) and one standard normal
+        shadowing draw serve every alpha.  Both are dropped once the
+        distances exist, so the block holds no more than its distances
+        while the statistics run.
+        """
+        config = self.config
+        u = stream(config.seed, self.block, _ROLE_OFFSET).random((self.rows, 2))
+        d, reach, _ = _hex_nearest(u, config.hex_isd, config.expected_bs)
+        self._parts.setdefault(("reach",), reach)
+        if config.shadow.sigma_db == 0.0:
+            d.sort(axis=1)
+            self._parts[("distances", None)] = d
+            return
+        z = stream(config.seed, self.block, _ROLE_SHADOW).standard_normal(self.shape)
+        for scenario in scenarios:
+            key = ("distances", _distance_key(scenario, config))
+            if key not in self._parts:
+                self._parts[key] = _shadowed(d, z, scenario, config)
 
     def reach(self, scenario: Scenario) -> np.ndarray:
-        """Each row's window reach from :func:`_block_distances`, (rows,)."""
-        return self._geometry(scenario)[1]
+        """Each row's window reach, (rows,): its n-th distance.
+
+        Equivalent on Poisson rows, geometric (before shadowing) on hex
+        rows.
+        """
+        if self.config.deployment != Deployment.HEX:
+            return self.distances(scenario)[:, -1]
+        if ("reach",) not in self._parts:
+            self._hex_rows((scenario, *self.family))
+        return self._parts[("reach",)]
 
     def tail(self, scenario: Scenario) -> np.ndarray:
         """:func:`_tail_mean` of the block's rows, (rows, 1)."""
@@ -547,7 +678,7 @@ def _block_stats(
     kind: str, family: tuple[Scenario, ...], config: SimConfig, block: int, rows: int
 ) -> np.ndarray:
     """One collector's statistics of ``block`` for every sibling, (rows, S, ...)."""
-    draws = _BlockDraws(config, block, rows)
+    draws = _BlockDraws(config, block, rows, family)
     stats = []
     for scenario in family:
         pw, act_q = draws.powers(scenario), draws.active(scenario.q)

@@ -6,7 +6,8 @@ block rows (``simulate._BlockDraws``), the only deployment sampler, and
 ``conditional_law_samples`` turns them into the samples of the
 conditional laws that the integral approximations rest on.
 ``tail_mean`` is the Campbell mean of the interference beyond a row's
-window, written apart from the library's.
+window, written apart from the library's; ``mean_i1`` and ``mean_i2``
+are the closed-form conditional interference means those laws predict.
 """
 
 import math
@@ -15,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from hearability import simulate
-from hearability.analytic import mean_i1, mean_i2
 from hearability.model import Scenario, effective_density, hex_grid_density
 from hearability.simulate import Deployment, SimConfig
 
@@ -77,6 +77,43 @@ def tail_mean(scenario: Scenario, config: SimConfig, reach: np.ndarray) -> np.nd
     else:
         lam = effective_density(scenario.lam, alpha, config.shadow)
     return (2.0 * math.pi * lam * q / (alpha - 2.0) * reach ** (2.0 - alpha))[:, None]
+
+
+def mean_i1(r1_hat: float, rl: float, omega: int, scenario: Scenario) -> float:
+    """Mean interference from active participants beyond the nearest one.
+
+    Conditioned on the L-th BS distance ``rl``, the nearest active
+    participant distance ``r1_hat`` and ``omega`` active participants,
+    the remaining ``omega - 1`` actives are uniform on the annulus
+    between the two radii; averaging the power law over that annulus
+    gives the closed form per unit transmit power.  Returns 0 for ``omega <= 1``.
+    """
+    if not isinstance(omega, (int, np.integer)) or omega < 0:
+        raise ValueError(f"omega must be a nonnegative integer, got {omega!r}")
+    if not (rl > 0.0 and math.isfinite(rl)):
+        raise ValueError(f"rl must be positive and finite, got {rl}")
+    if not (0.0 < r1_hat <= rl):
+        raise ValueError(f"r1_hat must lie in (0, rl], got {r1_hat} with rl={rl}")
+    if omega <= 1:
+        return 0.0
+    alpha = scenario.alpha
+    if rl - r1_hat <= 1e-9 * rl:
+        # Removable singularity: the annulus degenerates to the circle.
+        return (omega - 1) * rl**-alpha
+    num = rl ** (2.0 - alpha) - r1_hat ** (2.0 - alpha)
+    den = rl * rl - r1_hat * r1_hat
+    return 2.0 * (omega - 1) / (2.0 - alpha) * num / den
+
+
+def mean_i2(rl: float, scenario: Scenario) -> float:
+    """Mean interference from load-q BSs beyond the L-th, given R_L = rl.
+
+    Campbell's theorem over the thinned PPP outside ``rl``, per unit transmit power.
+    """
+    if not (rl > 0.0 and math.isfinite(rl)):
+        raise ValueError(f"rl must be positive and finite, got {rl}")
+    alpha = scenario.alpha
+    return 2.0 * math.pi * scenario.q * scenario.lam / (alpha - 2.0) * rl ** (2.0 - alpha)
 
 
 def block_rows(scenario: Scenario, config: SimConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -17,6 +17,7 @@ from quadrature_oracle import (
     oracle_pl_alpha4,
     oracle_pl_double_integral,
 )
+from sampling_oracle import mean_i1, mean_i2
 from scipy import integrate, stats
 
 from hearability import analytic
@@ -25,8 +26,6 @@ from hearability.analytic import (
     _boundary_t,
     _h_ratio,
     evaluate_grid,
-    mean_i1,
-    mean_i2,
     min_processing_gain,
 )
 from hearability.cli import _at_threshold, _grid

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -816,6 +817,25 @@ class TestSubcommands:
             assert text == 2
             text = capsys.readouterr().err
         assert re.search(message, text, re.MULTILINE), text
+        assert not out.exists()
+
+    def test_hex_shadow_overflow_exits_without_a_warning(self, tmp_path):
+        # The overflow is caught and named, not leaked as a RuntimeWarning.
+        out = tmp_path / "x.csv"
+        argv = ["hexgrid", "--sigma-db", "5000", "--realizations", "100", "--l-max", "4",
+                "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit, match="^error: sigma_db=5000.0 shadows a BS"):
+                main(argv)
+        assert not out.exists()
+
+    def test_e911_threshold_below_the_window_exits_naming_the_key(self, tmp_path):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit, match=r"^error: pre_sinr_db=-40 \(pre_sinr_threshold="
+                           r"0\.0001\) lets a trial detect every BS of its 250-BS"):
+            main(["e911", "--pre-sinr-db", "-40", "--seed", "6", "--trials", "320",
+                  "--out", str(out)])
         assert not out.exists()
 
     def test_installed_entry_point(self, tmp_path):

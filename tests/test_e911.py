@@ -819,6 +819,27 @@ class TestTrials:
         assert abs(rate - ref.estimate) <= 3.0 * se
 
 
+class TestWindowSaturation:
+    """A threshold that could detect a whole window is rejected, not capped."""
+
+    def test_low_threshold_is_rejected_naming_the_key(self):
+        # At seed 6 and theta = 1e-4, rows would detect all 250 BSs of
+        # the default window, whose count then stops at the window.
+        cfg = E911Config(pre_sinr_threshold=1e-4, trials=320)
+        with pytest.raises(ValueError, match=r"^pre_sinr_db=-40 .* every BS of its 250-BS"):
+            collect_trials(cfg, seed=6)
+        with pytest.raises(ValueError, match="pre_sinr_db=-40"):
+            e911._trial_span(cfg, default_scenario(cfg), 6, 0, simulate._BLOCK)
+
+    def test_the_boundary_is_floor_one_plus_inverse_theta_plus_two(self):
+        # floor(1 + 1/theta) + 2 BSs fit the 250-BS window at 1/247, not at 1/248.
+        with pytest.raises(ValueError, match="must exceed -23.94 dB"):
+            collect_trials(E911Config(pre_sinr_threshold=1.0 / 248.0, trials=320), seed=6)
+        detected = collect_trials(E911Config(pre_sinr_threshold=1.0 / 247.0, trials=320),
+                                  seed=6)[:, 0]
+        assert 4 < detected.max() < 250
+
+
 class TestCompliance:
     def test_table_structure(self):
         cfg = E911Config(trials=2000)

@@ -23,8 +23,8 @@ DIGESTS = {
     "fig7": "fe886473b37352d97a939b6d79e4a322612493a9d1dc8837ea3ffabd122cfa9c",
     "fig8": "7ee076eddb3b044f58dbc6c853380d840bbd21e49478023fd31499f057779a95",
     "fig9": "ff27d56390191ba7d23b3d8ac6ac3405eed971d037bf62bd196dcea7a1324ac0",
-    "fig10": "869e6746e30911c8f571c0b0c5526ae0948d20b721176c3d3c45560b03984783",
-    "fig11": "b5d36d2b5c320757207841e78c24a5ee7b124757e4b463f09e1ebbd25a7c5b7b",
+    "fig10": "413db70b021d20446f286fa682ac271bf3c985be7f53b122c3621b07f181a3c7",
+    "fig11": "e603fafdbd22e10839a318dac9b69301743e994b9400961d63b6293c1d07bb01",
 }
 SIZES = {"fig2": 100}
 

@@ -13,6 +13,7 @@ reuse success it replaces.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -618,20 +619,15 @@ class TestBlockSampler:
         # Unshadowed block rows are the nearest lattice sites under each
         # row's own cell offset.
         config = cfg(64, seed=67, deployment=Deployment.HEX, expected_bs=300)
-        sites = simulate._hex_lattice(config.hex_isd, config.expected_bs)
         for block in range(4):
             got, _, _ = _sample_block(SCEN, config, block, simulate._BLOCK)
             offsets = stream(config.seed, block, simulate._ROLE_OFFSET).random(
                 (simulate._BLOCK, 2)
             )
-            for row, (u1, u2) in enumerate(offsets):
-                offset = config.hex_isd * np.array(
-                    [u1 + 0.5 * u2, math.sqrt(3.0) / 2.0 * u2]
-                )
-                d = np.hypot(*(sites + offset).T)
-                np.testing.assert_allclose(
-                    got[row], np.sort(d)[: config.expected_bs], rtol=1e-12
-                )
+            _, dist, _ = _brute_nearest(offsets, config.hex_isd, config.expected_bs)
+            np.testing.assert_allclose(
+                got, np.sort(dist, axis=1)[:, : config.expected_bs], rtol=1e-12
+            )
 
 
     @pytest.mark.parametrize("deployment", list(Deployment))
@@ -655,6 +651,157 @@ class TestBlockSampler:
         assert real.distances.tobytes() == d[0].tobytes()
         assert real.activity_u.tobytes() == u[0].tobytes()
         np.testing.assert_array_equal(real.bands, labels[0])
+
+def _lattice_coords(x: np.ndarray, y: np.ndarray, isd: float) -> np.ndarray:
+    """Integer coordinates (m, n) of sites ``isd * (m + n/2, n sqrt(3)/2)``."""
+    n = np.rint(y / (isd * math.sqrt(3.0) / 2.0))
+    return np.column_stack((np.rint(x / isd - 0.5 * n), n)).astype(np.int64)
+
+
+def _brute_nearest(u: np.ndarray, isd: float, n: int):
+    """Each row's distances to a square patch of the lattice under the unreduced offset.
+
+    Returns the patch's integer coordinates (S, 2), the distances
+    (rows, S) and each row's n-th distance.  The patch reaches far past
+    the n nearest sites.
+    """
+    reach = int(math.sqrt(n * math.sqrt(3.0) / (2.0 * math.pi)) / (math.sqrt(3.0) / 2.0)) + 6
+    m, k = np.meshgrid(np.arange(-reach, reach + 1), np.arange(-reach, reach + 1))
+    coords = np.column_stack((m.ravel(), k.ravel()))
+    x = isd * (coords[:, 0] + 0.5 * coords[:, 1])
+    y = isd * (math.sqrt(3.0) / 2.0) * coords[:, 1]
+    offset_x = isd * (u[:, :1] + 0.5 * u[:, 1:])
+    offset_y = isd * (math.sqrt(3.0) / 2.0) * u[:, 1:]
+    dist = np.hypot(x + offset_x, y + offset_y)
+    return coords, dist, np.partition(dist, n - 1, axis=1)[:, n - 1]
+
+
+def _nearest_corner(u: np.ndarray, isd: float) -> np.ndarray:
+    """The corner of the offsets' cell nearest each offset, in lattice coordinates."""
+    corners = np.array([[0, 0], [1, 0], [0, 1], [1, 1]])
+    rel = u[:, None, :] - corners
+    dist = np.hypot(isd * (rel[..., 0] + 0.5 * rel[..., 1]),
+                    isd * math.sqrt(3.0) / 2.0 * rel[..., 1])
+    return corners[np.argmin(dist, axis=1)]
+
+
+def _kept_coords(u: np.ndarray, isd: float, n: int) -> tuple[np.ndarray, tuple]:
+    """The kept sites of ``_hex_nearest`` in unreduced lattice coordinates, (rows, n, 2).
+
+    Also returns what ``_hex_nearest`` returned.
+    """
+    x, y, sure = simulate._hex_lattice(isd, n)
+    out = simulate._hex_nearest(u, isd, n)
+    kept = np.concatenate((np.broadcast_to(np.arange(sure), (len(u), sure)), out[2]), axis=1)
+    coords = _lattice_coords(x, y, isd)[kept]
+    # Site p of the reduced lattice is site p - c of the offset one.
+    return coords - _nearest_corner(u, isd)[:, None, :], out
+
+
+# Offsets at the corners of the cell, where the reduction moves most.
+_CRAFTED_U = np.array([[a, b] for a in (0.0, 1.0 - 2.0**-53) for b in (0.0, 1.0 - 2.0**-53)])
+
+
+class TestHexLattice:
+    """The pruned, norm-ordered hex rows against a brute force over the lattice."""
+
+    def test_bounds_at_the_default_window(self):
+        # R_(1000) + 2 isd/sqrt(3) and R_(1000) - 2 isd/sqrt(3) hold 1135
+        # and 847 sites; the sites come sorted by norm, ties by (n, m).
+        x, y, sure = simulate._hex_lattice(500.0, 1000)
+        assert (len(x), sure) == (1135, 847)
+        m, n = _lattice_coords(x, y, 500.0).T
+        order = np.lexsort((m, n, m * m + m * n + n * n))
+        assert np.array_equal(order, np.arange(len(order)))
+
+    @pytest.mark.parametrize("isd, n, blocks", [(500.0, 1000, 200), (1.0, 120, 200),
+                                                (500.0, 10, 200)])
+    def test_kept_sites_are_the_nearest(self, isd, n, blocks):
+        # Every row of the blocks, and rows at the cell's corners: the
+        # kept lattice sites are the n nearest of the unreduced lattice
+        # (up to ties at the n-th distance), at the same distances.
+        offsets = [stream(3, block, simulate._ROLE_OFFSET).random((simulate._BLOCK, 2))
+                   for block in range(blocks)]
+        for u in [_CRAFTED_U, *offsets]:
+            kept, (d, reach, _) = _kept_coords(u, isd, n)
+            coords, dist, nth = _brute_nearest(u, isd, n)
+            np.testing.assert_allclose(reach, nth, rtol=1e-12)
+            span = coords.min(axis=0)
+            width = coords.max(axis=0) - span + 1
+            flat = (kept[..., 0] - span[0]) * width[1] + (kept[..., 1] - span[1])
+            index = np.full(width[0] * width[1], -1)
+            index[(coords[:, 0] - span[0]) * width[1] + (coords[:, 1] - span[1])] = np.arange(
+                len(coords)
+            )
+            cols = index[flat]
+            assert np.all(cols >= 0)
+            mask = np.zeros(dist.shape, dtype=bool)
+            np.put_along_axis(mask, cols, True, axis=1)
+            assert np.all(mask.sum(axis=1) == n)
+            inside = dist < nth[:, None] * (1.0 - 1e-12)
+            within = dist <= nth[:, None] * (1.0 + 1e-12)
+            assert np.all(mask[inside]) and not np.any(mask & ~within)
+            untied = within.sum(axis=1) == n
+            assert np.array_equal(mask[untied], within[untied])
+            # A device within rounding of a site (the crafted rows) sits
+            # at a distance the unreduced offset cannot resolve.
+            np.testing.assert_allclose(d, np.take_along_axis(dist, cols, axis=1),
+                                       rtol=1e-12, atol=1e-12 * isd)
+
+    def test_crafted_corners_include_a_tie(self):
+        # Guards the case table: at u = 0 the 1000-th distance is tied.
+        _, dist, nth = _brute_nearest(_CRAFTED_U, 500.0, 1000)
+        assert np.sum(dist[0] <= nth[0] * (1.0 + 1e-12)) > 1000
+
+    def test_ties_at_the_nth_distance_keep_the_earliest_sites(self):
+        # At u = 0 mirror-image sites have bit-equal squared distances
+        # and the 1000-th distance is tied: the earliest tied sites in
+        # lattice order stay, whatever the selection algorithm.
+        isd, n = 500.0, 1000
+        x, y, sure = simulate._hex_lattice(isd, n)
+        _, reach, picks = simulate._hex_nearest(np.zeros((1, 2)), isd, n)
+        d2 = x**2 + y**2
+        nth = np.sort(d2)[n - 1]
+        nearer, tied = np.flatnonzero(d2 < nth), np.flatnonzero(d2 == nth)
+        assert len(nearer) < n < len(nearer) + len(tied)  # guards the case
+        want = np.sort(np.concatenate((nearer, tied[: n - len(nearer)])))
+        assert np.array_equal(np.concatenate((np.arange(sure), picks[0])), want)
+        assert reach[0] == math.sqrt(nth)
+
+    def test_shadow_draw_j_scales_the_jth_kept_site(self):
+        # Oracle: the n nearest sites of the brute force, in the
+        # lattice's norm order (squared norm, then the lattice
+        # coordinates n and m), each times exp(sigma z_j), then sorted.
+        config = cfg(1, seed=97, deployment=Deployment.HEX, expected_bs=300,
+                     shadow=ShadowingSpec(sigma_db=8.0))
+        isd, n = config.hex_isd, config.expected_bs
+        for alpha in (4.0, 3.0):
+            scen = SCEN.replace(alpha=alpha)
+            sigma = 8.0 * math.log(10.0) / (10.0 * alpha)
+            for block in range(3):
+                u = stream(config.seed, block, simulate._ROLE_OFFSET).random((simulate._BLOCK, 2))
+                z = stream(config.seed, block, simulate._ROLE_SHADOW).standard_normal(
+                    (simulate._BLOCK, n)
+                )
+                coords, dist, _ = _brute_nearest(u, isd, n)
+                got = simulate._BlockDraws(config, block, simulate._BLOCK).distances(scen)
+                corner = _nearest_corner(u, isd)
+                for row in range(simulate._BLOCK):
+                    near = np.argpartition(dist[row], n - 1)[:n]
+                    p = coords[near] + corner[row]
+                    order = np.lexsort((p[:, 0], p[:, 1], p[:, 0] ** 2 + p[:, 0] * p[:, 1]
+                                        + p[:, 1] ** 2))
+                    want = np.sort(dist[row, near[order]] * np.exp(sigma * z[row]))
+                    np.testing.assert_allclose(got[row], want, rtol=1e-12)
+
+    def test_overflow_raises_with_warnings_as_errors(self):
+        config = cfg(16, seed=1, deployment=Deployment.HEX, expected_bs=100,
+                     shadow=ShadowingSpec(sigma_db=5000.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sigma_db=5000.0 shadows a BS distance"):
+                collect_upsilon([SCEN], config)
+
 
 def _oracle_rows(scen, config, block):
     """The block's rows wrapped as realizations, and each row's tail mean."""
@@ -827,6 +974,31 @@ class TestFamilies:
         a, b = draws.distances(SCEN), draws.distances(SCEN.replace(alpha=3.5))
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize(
+        "collect", [collect_margins, collect_upsilon, collect_reuse_margins],
+        ids=["margins", "upsilon", "reuse"],
+    )
+    def test_hex_alpha_family_shares_one_draw_per_block(self, monkeypatch, collect):
+        # Siblings that differ only in alpha read one lattice offset and
+        # one shadowing draw per block, and get the bits they get alone.
+        family = [SCEN.replace(beta=0.02, alpha=alpha, noise_sigma2=0.05)
+                  for alpha in (4.0, 3.5, 3.0)]
+        config = cfg(2 * simulate._BLOCK + 5, seed=101, **_FAMILY_CONFIGS["hex-shadow"])
+        alone = [collect([scen], config)[0].tobytes() for scen in family]
+        assert len(set(alone)) == len(alone)  # guards the case table
+        roles = []
+
+        def recording(seed, index, role):
+            roles.append((index, role))
+            return stream(seed, index, role)
+
+        monkeypatch.setattr(simulate, "stream", recording)
+        for workers in (1, 3):
+            together = collect(family, config, workers=workers)
+            assert [stat.tobytes() for stat in together] == alone
+        for role in (simulate._ROLE_OFFSET, simulate._ROLE_SHADOW):
+            assert sorted(index for index, r in roles if r == role) == [0, 1, 2]
+
     def test_empty_family(self):
         assert collect_margins([], cfg(10)) == []
 
@@ -948,13 +1120,10 @@ class TestWindow:
         # shadowing reorders the kept sites.
         config = cfg(16, seed=67, deployment=Deployment.HEX, expected_bs=300,
                      shadow=ShadowingSpec(sigma_db=8.0))
-        sites = simulate._hex_lattice(config.hex_isd, config.expected_bs)
         reach = simulate._BlockDraws(config, 0, simulate._BLOCK).reach(SCEN)
         offsets = stream(config.seed, 0, simulate._ROLE_OFFSET).random((simulate._BLOCK, 2))
-        for row, (u1, u2) in enumerate(offsets):
-            offset = config.hex_isd * np.array([u1 + 0.5 * u2, math.sqrt(3.0) / 2.0 * u2])
-            d = np.sort(np.hypot(*(sites + offset).T))
-            np.testing.assert_allclose(reach[row], d[config.expected_bs - 1], rtol=1e-12)
+        _, _, nth = _brute_nearest(offsets, config.hex_isd, config.expected_bs)
+        np.testing.assert_allclose(reach, nth, rtol=1e-12)
 
 
 # Exact P_L at zero noise by Laplace inversion of the scaled interference
