@@ -5,7 +5,7 @@ can a device receive at least L base stations well enough to localize?
 
 Modules
 -------
-``model``     scenario and shadowing containers, densities, the law of Omega.
+``model``     the scenario (shadowing included), densities, the law of Omega.
 ``analytic``  closed-form bounds and integral approximations of P_L.
 ``reuse``     P_L under K-fold frequency reuse via a counting recursion.
 ``simulate``  Monte Carlo ground truth on Poisson and hex deployments.
@@ -34,7 +34,6 @@ _EXPORTS = {
     "fcc_compliance": "e911",
     "ranging_stddev": "e911",
     "Scenario": "model",
-    "ShadowingSpec": "model",
     "effective_density": "model",
     "hex_grid_density": "model",
     "pmf_omega": "model",

@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .analytic import Method, evaluate_grid, min_processing_gain
-from .model import Scenario, ShadowingSpec, hex_grid_density
+from .model import Scenario, hex_grid_density
 from .numerics import NonConvergenceError, QuadratureSpec
 from .reuse import ReuseQuery, pl_with_reuse_grid
 from .simulate import (
@@ -242,8 +242,9 @@ def hex_vs_ppp_rows(
 ) -> list[Row]:
     """P(Upsilon >= L) rows for L = 1..l_max, L as the varying column.
 
-    ``sim`` draws the Poisson rows (``MonteCarloPPP``); each shadowing
-    sigma in dB adds hex-grid rows (``MonteCarloHex_s<sigma>``).
+    ``sim`` draws the Poisson rows (``MonteCarloPPP``) of ``scenario``;
+    each shadowing sigma in dB adds hex-grid rows
+    (``MonteCarloHex_s<sigma>``), all from one hex family.
     """
     if l_max > UPSILON_CAP:
         raise ValueError(
@@ -252,28 +253,19 @@ def hex_vs_ppp_rows(
         )
     bg_db = 10.0 * math.log10(scenario.bg_ratio)
     l_values = np.arange(1, l_max + 1)
-    runs = [("MonteCarloPPP", sim)] + [
-        (
-            f"MonteCarloHex_s{sigma:g}",
-            sim.replace(
-                deployment=Deployment.HEX,
-                shadow=ShadowingSpec(sigma),
-            ),
+    family = [scenario.replace(sigma_db=sigma) for sigma in sigmas]
+    tags = ["MonteCarloPPP"] + [f"MonteCarloHex_s{sigma:g}" for sigma in sigmas]
+    counts = collect_upsilon([scenario], sim, workers) + collect_upsilon(
+        family, sim.replace(deployment=Deployment.HEX), workers
+    )
+    return [
+        Row(
+            bg_db, int(l), scenario.p, scenario.q, scenario.alpha, scenario.K,
+            scenario.lam, tag, est.estimate, est.stderr,
         )
-        for sigma in sigmas
+        for tag, upsilon in zip(tags, counts)
+        for l, est in zip(l_values, exceedance_curve(upsilon, l_values))
     ]
-    rows = []
-    for tag, config in runs:
-        [upsilon] = collect_upsilon([scenario], config, workers)
-        estimates = exceedance_curve(upsilon, l_values)
-        rows.extend(
-            Row(
-                bg_db, int(l), scenario.p, scenario.q, scenario.alpha, scenario.K,
-                scenario.lam, tag, est.estimate, est.stderr,
-            )
-            for l, est in zip(l_values, estimates)
-        )
-    return rows
 
 
 def e911_rows(cfg: E911Config, seed: int, workers: int = 1) -> list[Row]:

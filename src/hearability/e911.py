@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Scenario, ShadowingSpec, effective_density, hex_grid_density
+from .model import Scenario, effective_density, hex_grid_density
 from .parallel import map_spans
 from .simulate import (
     _BLOCK,
@@ -126,13 +126,13 @@ class E911Config:
             raise ValueError(
                 f"pre_sinr_threshold must be positive, got {self.pre_sinr_threshold}"
             )
-        if not (self.alpha > 2.0):
+        if not (self.alpha > 2.0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must exceed 2, got {self.alpha}")
-        if not (self.shadow_sigma_db >= 0.0):
+        if not (self.shadow_sigma_db >= 0.0 and math.isfinite(self.shadow_sigma_db)):
             raise ValueError(
                 f"shadow_sigma_db must be nonnegative, got {self.shadow_sigma_db}"
             )
-        if not (self.hex_isd > 0.0):
+        if not (self.hex_isd > 0.0 and math.isfinite(self.hex_isd)):
             raise ValueError(f"hex_isd must be positive, got {self.hex_isd}")
         if not isinstance(self.trials, (int, np.integer)) or self.trials < MIN_TRIALS:
             raise ValueError(
@@ -159,14 +159,11 @@ class E911Config:
 def default_scenario(cfg: E911Config) -> Scenario:
     """Scenario matching the experiment: fully loaded, no coordination.
 
-    Shadowing enters through the effective density, so plain Poisson
-    sampling of this scenario already reflects it.
+    Shadowing enters through the effective density, so the scenario's
+    own ``sigma_db`` stays 0 and plain Poisson sampling of it already
+    reflects the shadowing.
     """
-    lam = effective_density(
-        hex_grid_density(cfg.hex_isd),
-        cfg.alpha,
-        ShadowingSpec(cfg.shadow_sigma_db),
-    )
+    lam = effective_density(hex_grid_density(cfg.hex_isd), cfg.alpha, cfg.shadow_sigma_db)
     gamma = 10.0 ** (cfg.processing_gain_db / 10.0)
     return Scenario(
         lam=lam,

@@ -28,26 +28,10 @@ import numpy as np
 
 __all__ = [
     "Scenario",
-    "ShadowingSpec",
     "effective_density",
     "hex_grid_density",
     "pmf_omega",
 ]
-
-
-@dataclass(frozen=True)
-class ShadowingSpec:
-    """Log-normal shadowing description.
-
-    ``sigma_db`` is the shadowing standard deviation in dB; at 0 the
-    channel has pure power-law path loss.
-    """
-
-    sigma_db: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not (self.sigma_db >= 0.0 and math.isfinite(self.sigma_db)):
-            raise ValueError(f"sigma_db must be nonnegative, got {self.sigma_db}")
 
 
 @dataclass(frozen=True)
@@ -66,6 +50,11 @@ class Scenario:
         K: number of frequency bands under reuse (>= 1, 1 = universal).
         noise_sigma2: thermal noise power in units of the common BS
             transmit power: a BS at distance d is received at d**-alpha.
+        sigma_db: log-normal shadowing standard deviation in dB (0 is
+            pure power-law path loss).  Poisson sampling folds it into
+            the effective density; hex sampling draws it per link.  At
+            zero noise Poisson P_L does not depend on it, so the
+            analytic evaluators do not read it.
     """
 
     lam: float
@@ -77,6 +66,7 @@ class Scenario:
     L: int
     K: int = 1
     noise_sigma2: float = 0.0
+    sigma_db: float = 0.0
 
     def __post_init__(self) -> None:
         if not (self.lam > 0.0 and math.isfinite(self.lam)):
@@ -99,6 +89,7 @@ class Scenario:
             raise ValueError(
                 f"noise_sigma2 must be nonnegative, got {self.noise_sigma2}"
             )
+        _check_sigma_db(self.sigma_db)
 
     @property
     def bg_ratio(self) -> float:
@@ -110,25 +101,32 @@ class Scenario:
         return dataclasses.replace(self, **changes)
 
 
-def effective_density(lam: float, alpha: float, shadow: ShadowingSpec) -> float:
+def _check_sigma_db(sigma_db: float) -> None:
+    if not (sigma_db >= 0.0 and math.isfinite(sigma_db)):
+        raise ValueError(f"sigma_db must be nonnegative, got {sigma_db}")
+
+
+def effective_density(lam: float, alpha: float, sigma_db: float) -> float:
     """BS density of the shadowing-free network equivalent to a shadowed one.
 
     Independent log-normal shadowing on every link preserves the Poisson
     law of the propagation process up to a density scaling by the
     fractional moment ``E[S**(2/alpha)]``, so analytic results carry
-    over with ``lam`` replaced by this value.
+    over with ``lam`` replaced by this value.  ``sigma_db`` is the
+    shadowing standard deviation in dB.
     """
     if not (lam > 0.0 and math.isfinite(lam)):
         raise ValueError(f"lam must be positive, got {lam}")
     if not (alpha > 2.0):
         raise ValueError(f"alpha must exceed 2, got {alpha}")
-    sigma_n = shadow.sigma_db * math.log(10.0) / 10.0
+    _check_sigma_db(sigma_db)
+    sigma_n = sigma_db * math.log(10.0) / 10.0
     try:
         density = lam * math.exp(((2.0 / alpha) * sigma_n) ** 2 / 2.0)
     except OverflowError:
         density = math.inf
     if math.isinf(density):
-        raise ValueError(f"sigma_db={shadow.sigma_db} overflows the effective density")
+        raise ValueError(f"sigma_db={sigma_db} overflows the effective density")
     return density
 
 

@@ -16,17 +16,17 @@ Carlo curve.  The statistics do not depend on the level, so one
 collection answers a whole grid.
 
 Each collector takes a *family* of sibling scenarios that share one
-``SimConfig`` (a sweep over L, p, alpha or K) and returns a list with
-each sibling's statistic; one scenario is a family of one.  A family
-draws each block once:
-distances, activity uniforms, band labels and powers are drawn on first
-use and cached per block under the scenario inputs they depend on, and
-only the statistic runs per sibling.  The activity uniforms are drawn
-only when some sibling's p or q lies strictly inside (0, 1); at 0 and 1
-the transmit marks do not depend on them.  The siblings read exactly
-the draws they would have made alone at the family's window (below), so
-a family answers each member with the bits of its own collection at
-that window.  The band statistics run on all K bands at once.
+``SimConfig`` (a sweep over L, p, alpha, K or sigma_db) and returns a
+list with each sibling's statistic; one scenario is a family of one.  A
+family draws each block once: distances, activity uniforms, band labels
+and powers are drawn on first use and cached per block under the
+scenario inputs they depend on, and only the statistic runs per
+sibling.  The activity uniforms are drawn only when some sibling's p or
+q lies strictly inside (0, 1); at 0 and 1 the transmit marks do not
+depend on them.  The siblings read exactly the draws they would have
+made alone at the family's window (below), so a family answers each
+member with the bits of its own collection at that window.  The band
+statistics run on all K bands at once.
 
 Reproducibility contract: the collectors draw realizations in fixed
 blocks of ``_BLOCK`` rows from counter-based Philox streams keyed by
@@ -49,9 +49,9 @@ by norm that can be among the n nearest are measured.  The kept sites
 stay in that norm order, and shadowing draw j of the row (one standard
 normal per kept site) scales the j-th of them before the sort: the bits
 depend on no selection algorithm.  The offsets and the shadowing draws
-depend on no scenario input, so siblings that differ in alpha share
-them.  Every row adds
-the Campbell mean of the loaded interference beyond its window,
+depend on no scenario input, so siblings that differ in alpha or in the
+shadowing ``sigma_db`` share them.  Every row adds the Campbell mean of
+the loaded interference beyond its window,
 ``2 pi lam_eff q R_n**(2 - alpha) / (alpha - 2)``, to the interference
 of each SINR, 1/K of it per band.  Hex rows use the lattice density
 times ``E[S] = exp(s**2 / 2)`` (``s = sigma_db ln(10) / 10``) and the
@@ -66,12 +66,12 @@ import dataclasses
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .model import Scenario, ShadowingSpec, effective_density, hex_grid_density
+from .model import Scenario, effective_density, hex_grid_density
 from .parallel import map_spans
 
 __all__ = [
@@ -129,6 +129,9 @@ class Deployment(str, enum.Enum):
 class SimConfig:
     """Simulation controls, orthogonal to the network scenario.
 
+    Shadowing is a scenario input (``Scenario.sigma_db``), so one family
+    may mix shadowing strengths.
+
     Attributes:
         realizations: number of independent deployments.
         seed: master seed for the keyed streams.
@@ -139,10 +142,6 @@ class SimConfig:
             largest L, 1000 hex sites.
         deployment: Poisson or hex-grid placement.
         hex_isd: intersite distance of the hex lattice.
-        shadow: log-normal shadowing.  For Poisson deployments shadowing
-            enters analytically through the effective density; for hex
-            grids it is drawn per link and folded into equivalent
-            distances.
     """
 
     realizations: int
@@ -150,7 +149,6 @@ class SimConfig:
     expected_bs: int | None = None
     deployment: Deployment = Deployment.PPP
     hex_isd: float = 500.0
-    shadow: ShadowingSpec = field(default_factory=ShadowingSpec)
 
     def __post_init__(self) -> None:
         if not isinstance(self.realizations, (int, np.integer)) or self.realizations < 1:
@@ -319,9 +317,7 @@ def _squared(dx, dy, x, y) -> np.ndarray:
     return out
 
 
-def _shadowed(
-    d: np.ndarray, z: np.ndarray, scenario: Scenario, config: SimConfig
-) -> np.ndarray:
+def _shadowed(d: np.ndarray, z: np.ndarray, scenario: Scenario) -> np.ndarray:
     """Equivalent distances ``S**(-1/alpha) * d`` of hex rows, sorted, (rows, n).
 
     ``d`` holds the kept sites in the lattice's norm order and ``z`` one
@@ -329,7 +325,7 @@ def _shadowed(
     ``sigma_db * ln(10) / (10 * alpha)``, so draw j scales the j-th kept
     site.  Raises if a distance leaves the positive floats.
     """
-    sigma = config.shadow.sigma_db * math.log(10.0) / (10.0 * scenario.alpha)
+    sigma = scenario.sigma_db * math.log(10.0) / (10.0 * scenario.alpha)
     with np.errstate(over="ignore"):  # checked below
         out = np.multiply(z, sigma)
         np.exp(out, out=out)
@@ -337,7 +333,7 @@ def _shadowed(
     out.sort(axis=1)
     if not (np.all(out[:, 0] > 0.0) and np.all(out[:, -1] < math.inf)):
         raise ValueError(
-            f"sigma_db={config.shadow.sigma_db} shadows a BS distance to 0 or "
+            f"sigma_db={scenario.sigma_db} shadows a BS distance to 0 or "
             "infinity in floating point"
         )
     return out
@@ -365,16 +361,16 @@ def _tail_mean(reach: np.ndarray, scenario: Scenario, config: SimConfig) -> np.n
     density times the mean shadowing gain ``exp(s**2 / 2)``.
     """
     if config.deployment == Deployment.HEX:
-        s = config.shadow.sigma_db * math.log(10.0) / 10.0
+        s = scenario.sigma_db * math.log(10.0) / 10.0
         try:
             gain = math.exp(s * s / 2.0)
         except OverflowError:
             raise ValueError(
-                f"sigma_db={config.shadow.sigma_db} overflows the mean shadowing gain"
+                f"sigma_db={scenario.sigma_db} overflows the mean shadowing gain"
             ) from None
         lam = hex_grid_density(config.hex_isd) * gain
     else:
-        lam = effective_density(scenario.lam, scenario.alpha, config.shadow)
+        lam = effective_density(scenario.lam, scenario.alpha, scenario.sigma_db)
     alpha = scenario.alpha
     scale = 2.0 * math.pi * lam * scenario.q / (alpha - 2.0)
     return (scale * reach ** (2.0 - alpha))[:, None]
@@ -383,13 +379,13 @@ def _tail_mean(reach: np.ndarray, scenario: Scenario, config: SimConfig) -> np.n
 def _distance_key(scenario: Scenario, config: SimConfig):
     """The scenario inputs that a block's distances depend on.
 
-    Poisson rows depend on the effective density alone; hex rows depend
-    on alpha only when per-link shadowing is drawn, and their unshadowed
-    geometry and shadowing draws on no scenario input.
+    Poisson rows depend on the effective density alone.  Shadowed hex
+    rows depend on ``(sigma_db, alpha)``; unshadowed hex rows (None),
+    like the hex geometry and the shadowing draws, on no scenario input.
     """
     if config.deployment == Deployment.HEX:
-        return scenario.alpha if config.shadow.sigma_db > 0.0 else None
-    return effective_density(scenario.lam, scenario.alpha, config.shadow)
+        return (scenario.sigma_db, scenario.alpha) if scenario.sigma_db > 0.0 else None
+    return effective_density(scenario.lam, scenario.alpha, scenario.sigma_db)
 
 
 class _BlockDraws:
@@ -406,8 +402,9 @@ class _BlockDraws:
     draw moves no other bits.  Siblings that agree on a part's inputs
     read one array, which no statistic writes to, so each sibling sees
     the bits it would have drawn alone.  A hex block draws its lattice
-    offsets and shadowing once for every alpha of ``family``; the
-    siblings then only scale, exponentiate, multiply and sort.
+    offsets and shadowing once for every alpha and ``sigma_db`` of
+    ``family``; the siblings then only scale, exponentiate, multiply and
+    sort.
     """
 
     def __init__(
@@ -441,7 +438,7 @@ class _BlockDraws:
         # pi * lam_eff * R_k**2 is the k-th arrival of a unit-rate Poisson
         # process; shadowing enters through the effective density.
         config = self.config
-        lam_eff = effective_density(scenario.lam, scenario.alpha, config.shadow)
+        lam_eff = effective_density(scenario.lam, scenario.alpha, scenario.sigma_db)
         d = stream(config.seed, self.block, _ROLE_GEOMETRY).standard_exponential(self.shape)
         np.cumsum(d, axis=1, out=d)
         d *= 1.0 / (math.pi * lam_eff)
@@ -452,24 +449,27 @@ class _BlockDraws:
         """Hex distances for every distance key of ``scenarios``, and the reaches.
 
         One lattice draw (:func:`_hex_nearest`, each row's lattice offset
-        uniform in one fundamental cell) and one standard normal
-        shadowing draw serve every alpha.  Both are dropped once the
-        distances exist, so the block holds no more than its distances
-        while the statistics run.
+        uniform in one fundamental cell) and, if some key is shadowed,
+        one standard normal shadowing draw serve every alpha and
+        ``sigma_db``.  The shadowed keys read the geometry before the
+        unshadowed one sorts it in place.  Both draws are dropped once
+        the distances exist, so the block holds no more than its
+        distances while the statistics run.
         """
         config = self.config
         u = stream(config.seed, self.block, _ROLE_OFFSET).random((self.rows, 2))
         d, reach, _ = _hex_nearest(u, config.hex_isd, config.expected_bs)
         self._parts.setdefault(("reach",), reach)
-        if config.shadow.sigma_db == 0.0:
+        keys = {("distances", _distance_key(s, config)): s for s in scenarios}
+        todo = {key: s for key, s in keys.items() if key not in self._parts}
+        plain = todo.pop(("distances", None), None)
+        if todo:
+            z = stream(config.seed, self.block, _ROLE_SHADOW).standard_normal(self.shape)
+            for key, scenario in todo.items():
+                self._parts[key] = _shadowed(d, z, scenario)
+        if plain is not None:
             d.sort(axis=1)
             self._parts[("distances", None)] = d
-            return
-        z = stream(config.seed, self.block, _ROLE_SHADOW).standard_normal(self.shape)
-        for scenario in scenarios:
-            key = ("distances", _distance_key(scenario, config))
-            if key not in self._parts:
-                self._parts[key] = _shadowed(d, z, scenario, config)
 
     def reach(self, scenario: Scenario) -> np.ndarray:
         """Each row's window reach, (rows,): its n-th distance.

@@ -72,10 +72,10 @@ def tail_mean(scenario: Scenario, config: SimConfig, reach: np.ndarray) -> np.nd
     """
     alpha, q = scenario.alpha, scenario.q
     if config.deployment == Deployment.HEX:
-        s = config.shadow.sigma_db * math.log(10.0) / 10.0
+        s = scenario.sigma_db * math.log(10.0) / 10.0
         lam = hex_grid_density(config.hex_isd) * math.exp(s * s / 2.0)
     else:
-        lam = effective_density(scenario.lam, alpha, config.shadow)
+        lam = effective_density(scenario.lam, alpha, scenario.sigma_db)
     return (2.0 * math.pi * lam * q / (alpha - 2.0) * reach ** (2.0 - alpha))[:, None]
 
 
@@ -137,7 +137,7 @@ def conditional_law_samples(
     """Samples of the conditional laws on the collector rows of ``config``.
 
     Each row keeps the n nearest BSs of an unbounded Poisson process of
-    density ``lam`` (``config`` has no shadowing).
+    density ``lam`` (``scenario`` has no shadowing).
     Given R_L and the n-th kept distance R_n, the laws are exact:
 
     - ``inner``: ``(R_i / R_L)**2`` of the L-1 nearer BSs, pooled; they

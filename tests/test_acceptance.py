@@ -26,7 +26,7 @@ from hearability.e911 import (
     default_scenario,
     fcc_compliance,
 )
-from hearability.model import Scenario, ShadowingSpec
+from hearability.model import Scenario
 from hearability.reuse import ReuseQuery, pl_with_reuse_grid
 from hearability.simulate import (
     Deployment,
@@ -70,8 +70,7 @@ def _reuse_curve(scen: Scenario, grid_db) -> np.ndarray:
     return np.array([value_or_raise(v) for v in pl_with_reuse_grid(queries)])
 
 
-def _upsilon_curve(scen: Scenario, sim: SimConfig, l_values) -> np.ndarray:
-    [upsilon] = collect_upsilon([scen], sim)
+def _upsilon_curve(upsilon: np.ndarray, l_values) -> np.ndarray:
     return np.array([e.estimate for e in exceedance_curve(upsilon, l_values)])
 
 
@@ -345,28 +344,17 @@ def test_criterion_09_hex_grid_convergence():
     base = Scenario(
         lam=1.0, alpha=4.0, p=1.0, q=1.0, beta=0.1, gamma=1.0, L=1
     )
-    sim = SimConfig(realizations=10000, seed=ACC_SEED)
-    ppp = _upsilon_curve(base, sim, l_values)
-    ks = {}
-    for sigma in (4.0, 8.0, 12.0):
-        hex_sim = SimConfig(
-            realizations=10000, seed=ACC_SEED, deployment=Deployment.HEX,
-            shadow=ShadowingSpec(sigma),
-        )
-        hx = _upsilon_curve(base, hex_sim, l_values)
-        ks[sigma] = float(np.max(np.abs(hx - ppp)))
-    decreasing = ks[4.0] > ks[8.0] > ks[12.0]
-
     reuse6 = base.replace(K=6)
-    ppp6 = _upsilon_curve(reuse6, sim, l_values)
-    hex6 = _upsilon_curve(
-        reuse6,
-        SimConfig(
-            realizations=10000, seed=ACC_SEED, deployment=Deployment.HEX,
-            shadow=ShadowingSpec(8.0),
-        ),
-        l_values,
-    )
+    sim = SimConfig(realizations=10000, seed=ACC_SEED)
+    ppp, ppp6 = (_upsilon_curve(u, l_values) for u in collect_upsilon([base, reuse6], sim))
+    # One hex family draws each block's geometry and normals once for all members.
+    sigmas = (4.0, 8.0, 12.0)
+    *hexes, hex6 = (_upsilon_curve(u, l_values) for u in collect_upsilon(
+        [base.replace(sigma_db=s) for s in sigmas] + [reuse6.replace(sigma_db=8.0)],
+        sim.replace(deployment=Deployment.HEX),
+    ))
+    ks = {sigma: float(np.max(np.abs(hx - ppp))) for sigma, hx in zip(sigmas, hexes)}
+    decreasing = ks[4.0] > ks[8.0] > ks[12.0]
     diff10 = float(np.max(np.abs(hex6[:10] - ppp6[:10])))
     ok = decreasing and diff10 <= 0.05
     _report(

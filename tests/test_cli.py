@@ -497,6 +497,28 @@ class TestSubcommands:
         with pytest.raises(ValueError, match="l_max=33 exceeds UPSILON_CAP=32"):
             hex_vs_ppp_rows(scen, sim, 33, ())
 
+    def test_hex_rows_of_every_sigma_come_from_one_family(self, monkeypatch):
+        # One Poisson and one hex collection answer every sigma, with the
+        # rows of one call per sigma.
+        scen = Scenario(lam=1.0, alpha=4.0, p=0.5, q=0.75, beta=0.1, gamma=1.0, L=1)
+        sim = SimConfig(realizations=2 * 16 + 5, seed=29, expected_bs=100)
+        sigmas = (4.0, 8.0, 12.0)
+        alone = [hex_vs_ppp_rows(scen, sim, 6, (sigma,)) for sigma in sigmas]
+        calls = []
+        collect = cli.collect_upsilon
+
+        def counting(family, config, workers=1):
+            calls.append(len(family))
+            return collect(family, config, workers)
+
+        monkeypatch.setattr(cli, "collect_upsilon", counting)
+        rows = hex_vs_ppp_rows(scen, sim, 6, sigmas)
+        assert calls == [1, 3]
+        # Each single-sigma call returns 6 Poisson rows, then its 6 hex rows.
+        assert rows == alone[0] + alone[1][6:] + alone[2][6:]
+        tags = {r.method for r in rows}
+        assert len({tuple(r.value for r in rows if r.method == t) for t in tags}) == 4
+
     def test_e911_rows(self, tmp_path):
         out = tmp_path / "e911.csv"
         rc = main(
@@ -771,6 +793,10 @@ class TestSubcommands:
                 ["--sigma-db", "200", "--realizations", "100", "--l-max", "4"],
                 "^error: sigma_db=200.0 overflows the mean shadowing gain",
             ),
+            (
+                "hexgrid", None, ["--sigma-db", "-1"],
+                "^error: sigma_db must be nonnegative, got -1.0$",
+            ),
             # A repeated key would silently keep its last value.
             (
                 "analytic", "alpha = 3\nalpha = 4", [],
@@ -796,7 +822,8 @@ class TestSubcommands:
             "bg_start_db_overflow", "bg_db_overflow", "bg_db_underflow_config",
             "pre_sinr_db_overflow", "gain_db_overflow", "sigma_db_overflow",
             "bandwidth_overflow", "gain_db_crlb_overflow", "hexgrid_sigma_db_overflow",
-            "hexgrid_shadow_gain_overflow", "config_key_twice",
+            "hexgrid_shadow_gain_overflow", "hexgrid_sigma_db_negative",
+            "config_key_twice",
         ],
     )
     def test_bad_input_exits_naming_the_key(

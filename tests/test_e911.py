@@ -22,12 +22,7 @@ from hearability.e911 import (
     fcc_compliance,
     ranging_stddev,
 )
-from hearability.model import (
-    Scenario,
-    ShadowingSpec,
-    effective_density,
-    hex_grid_density,
-)
+from hearability.model import Scenario, effective_density, hex_grid_density
 from hearability.simulate import (
     SimConfig,
     collect_margins,
@@ -351,13 +346,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="pre_sinr_threshold"):
             E911Config(pre_sinr_threshold=0.0)
 
+    @pytest.mark.parametrize("field", ["alpha", "shadow_sigma_db", "hex_isd"])
+    def test_rejects_an_infinite_field(self, field):
+        # Caught here, naming the field, rather than by a later layer.
+        with pytest.raises(ValueError, match=f"^{field} must .*, got inf$"):
+            E911Config(**{field: math.inf})
+
     def test_default_scenario_wiring(self):
         cfg = E911Config()
         scen = default_scenario(cfg)
-        lam = effective_density(
-            hex_grid_density(500.0), 3.76, ShadowingSpec(8.0)
-        )
+        lam = effective_density(hex_grid_density(500.0), 3.76, 8.0)
         np.testing.assert_allclose(scen.lam, lam, rtol=1e-12)
+        assert scen.sigma_db == 0.0  # folded into lam, not drawn again
         np.testing.assert_allclose(scen.lam, 7.4645294e-06, rtol=1e-6)
         gamma = 10.0 ** 0.8
         np.testing.assert_allclose(scen.gamma, gamma, rtol=1e-12)

@@ -8,7 +8,6 @@ from scipy import stats
 
 from hearability.model import (
     Scenario,
-    ShadowingSpec,
     effective_density,
     hex_grid_density,
     pmf_omega,
@@ -61,32 +60,35 @@ class TestScenario:
 
 class TestShadowing:
     def test_disabled_shadowing_keeps_density(self):
-        assert effective_density(3.0, 4.0, ShadowingSpec()) == 3.0
+        assert effective_density(3.0, 4.0, 0.0) == 3.0
 
     def test_known_inflation_factor(self):
         # exp(((2/4) * 8 ln10 / 10)^2 / 2) for 8 dB shadowing at alpha 4.
-        factor = effective_density(1.0, 4.0, ShadowingSpec(8.0))
+        factor = effective_density(1.0, 4.0, 8.0)
         sigma_n = 8.0 * math.log(10.0) / 10.0
         np.testing.assert_allclose(factor, math.exp((0.5 * sigma_n) ** 2 / 2.0))
         np.testing.assert_allclose(factor, 1.52829364577985, rtol=1e-12)
 
     def test_rejects_a_density_beyond_a_float(self):
         with pytest.raises(ValueError, match="sigma_db=5000.0 overflows"):
-            effective_density(1.0, 4.0, ShadowingSpec(5000.0))
+            effective_density(1.0, 4.0, 5000.0)
         with pytest.raises(ValueError, match="sigma_db=100.0 overflows"):
-            effective_density(1e300, 4.0, ShadowingSpec(100.0))
+            effective_density(1e300, 4.0, 100.0)
 
     def test_monotone_in_sigma(self):
         values = [
-            effective_density(1.0, 3.76, ShadowingSpec(s))
+            effective_density(1.0, 3.76, s)
             for s in (0.0, 4.0, 8.0, 12.0)
         ]
         assert values == sorted(values)
         assert values[0] == 1.0
 
     def test_negative_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            ShadowingSpec(-1.0)
+        for sigma_db in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="sigma_db must be nonnegative"):
+                effective_density(1.0, 4.0, sigma_db)
+            with pytest.raises(ValueError, match="sigma_db must be nonnegative"):
+                make_scenario(sigma_db=sigma_db)
 
 
 class TestHexGridDensity:

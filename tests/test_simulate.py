@@ -20,7 +20,7 @@ import pytest
 from scipy import stats
 
 from hearability import simulate
-from hearability.model import Scenario, ShadowingSpec, effective_density
+from hearability.model import Scenario, effective_density
 from hearability.simulate import (
     Deployment,
     SimConfig,
@@ -302,15 +302,11 @@ class TestSampleHex:
         assert not np.array_equal(a.distances, b.distances)
 
     def test_shadowing_reorders_by_received_power(self):
-        config = cfg(
-            1, seed=4, deployment=Deployment.HEX, expected_bs=100,
-            shadow=ShadowingSpec(sigma_db=8.0),
-        )
-        real = sample_hex(SCEN, config, 0)
+        config = cfg(1, seed=4, deployment=Deployment.HEX, expected_bs=100)
+        real = sample_hex(SCEN.replace(sigma_db=8.0), config, 0)
         assert np.all(np.diff(real.distances) >= 0.0)
         # Equivalent distances differ from the geometric ones.
-        plain = sample_hex(SCEN, cfg(1, seed=4, deployment=Deployment.HEX,
-                                     expected_bs=100), 0)
+        plain = sample_hex(SCEN, config, 0)
         assert not np.allclose(real.distances, plain.distances)
 
 
@@ -575,9 +571,9 @@ class TestDensityAndShadowInvariance:
         plain = exceedance_curve(
             collect_margins([scen], cfg(4000, seed=53, expected_bs=100))[0][:, 0], thr
         )[0]
-        shadowed_config = cfg(4000, seed=54, expected_bs=100,
-                              shadow=ShadowingSpec(sigma_db=8.0))
-        [shadowed_margins] = collect_margins([scen], shadowed_config)
+        [shadowed_margins] = collect_margins(
+            [scen.replace(sigma_db=8.0)], cfg(4000, seed=54, expected_bs=100)
+        )
         shadowed = exceedance_curve(shadowed_margins[:, 0], thr)[0]
         assert abs(plain.estimate - shadowed.estimate) <= 3.0 * math.hypot(
             plain.stderr, shadowed.stderr
@@ -587,16 +583,15 @@ class TestDensityAndShadowInvariance:
 class TestBlockSampler:
     """Ordered-arrival Poisson rows of the collectors."""
 
-    SHADOWED = cfg(2000, seed=61, expected_bs=100,
-                   shadow=ShadowingSpec(sigma_db=6.0))
+    SHADOWED = PARTIAL.replace(sigma_db=6.0)
 
     @pytest.fixture(scope="class")
     def radii(self):
-        return block_rows(PARTIAL, self.SHADOWED)[0]
+        return block_rows(self.SHADOWED, cfg(2000, seed=61, expected_bs=100))[0]
 
     @pytest.mark.parametrize("k", [1, PARTIAL.L, 100])
     def test_scaled_squared_radius_is_gamma(self, radii, k):
-        lam_eff = effective_density(PARTIAL.lam, PARTIAL.alpha, self.SHADOWED.shadow)
+        lam_eff = effective_density(PARTIAL.lam, PARTIAL.alpha, self.SHADOWED.sigma_db)
         arrival = math.pi * lam_eff * radii[:, k - 1] ** 2
         assert stats.kstest(arrival, stats.gamma(k).cdf).pvalue > 0.01
 
@@ -634,9 +629,8 @@ class TestBlockSampler:
     def test_short_block_holds_the_first_rows_of_a_full_one(self, deployment):
         # A final partial block must not change its realizations with
         # the total count.
-        scen = SCEN.replace(K=3)
-        config = cfg(1, seed=68, deployment=deployment, expected_bs=100,
-                     shadow=ShadowingSpec(sigma_db=8.0))
+        scen = SCEN.replace(K=3, sigma_db=8.0)
+        config = cfg(1, seed=68, deployment=deployment, expected_bs=100)
         full = _sample_block(scen, config, 2, simulate._BLOCK)
         for rows in (1, 5):
             part = _sample_block(scen, config, 2, rows)
@@ -644,10 +638,10 @@ class TestBlockSampler:
                 assert got.tobytes() == want[:rows].tobytes()
 
     def test_sample_hex_is_a_one_row_block(self):
-        config = cfg(1, seed=69, deployment=Deployment.HEX, expected_bs=100,
-                     shadow=ShadowingSpec(sigma_db=8.0))
-        real = sample_hex(SCEN.replace(K=3), config, 4)
-        d, u, labels = _sample_block(SCEN.replace(K=3), config, 4, 1)
+        scen = SCEN.replace(K=3, sigma_db=8.0)
+        config = cfg(1, seed=69, deployment=Deployment.HEX, expected_bs=100)
+        real = sample_hex(scen, config, 4)
+        d, u, labels = _sample_block(scen, config, 4, 1)
         assert real.distances.tobytes() == d[0].tobytes()
         assert real.activity_u.tobytes() == u[0].tobytes()
         np.testing.assert_array_equal(real.bands, labels[0])
@@ -772,11 +766,10 @@ class TestHexLattice:
         # Oracle: the n nearest sites of the brute force, in the
         # lattice's norm order (squared norm, then the lattice
         # coordinates n and m), each times exp(sigma z_j), then sorted.
-        config = cfg(1, seed=97, deployment=Deployment.HEX, expected_bs=300,
-                     shadow=ShadowingSpec(sigma_db=8.0))
+        config = cfg(1, seed=97, deployment=Deployment.HEX, expected_bs=300)
         isd, n = config.hex_isd, config.expected_bs
         for alpha in (4.0, 3.0):
-            scen = SCEN.replace(alpha=alpha)
+            scen = SCEN.replace(alpha=alpha, sigma_db=8.0)
             sigma = 8.0 * math.log(10.0) / (10.0 * alpha)
             for block in range(3):
                 u = stream(config.seed, block, simulate._ROLE_OFFSET).random((simulate._BLOCK, 2))
@@ -795,12 +788,11 @@ class TestHexLattice:
                     np.testing.assert_allclose(got[row], want, rtol=1e-12)
 
     def test_overflow_raises_with_warnings_as_errors(self):
-        config = cfg(16, seed=1, deployment=Deployment.HEX, expected_bs=100,
-                     shadow=ShadowingSpec(sigma_db=5000.0))
+        config = cfg(16, seed=1, deployment=Deployment.HEX, expected_bs=100)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="sigma_db=5000.0 shadows a BS distance"):
-                collect_upsilon([SCEN], config)
+                collect_upsilon([SCEN.replace(sigma_db=5000.0)], config)
 
 
 def _oracle_rows(scen, config, block):
@@ -815,19 +807,19 @@ def _oracle_rows(scen, config, block):
     return reals, tail_mean(scen, config, reach)[:, 0]
 
 
-_HEX_SHADOWED = dict(deployment=Deployment.HEX, hex_isd=1.0,
-                     shadow=ShadowingSpec(sigma_db=8.0))
+_HEX = dict(deployment=Deployment.HEX, hex_isd=1.0)
 _KERNEL_CASES = {
     "ppp-K1-p!=q": (SCEN.replace(p=0.5, q=0.75, beta=0.05), {}),
     "ppp-K1-p=q": (SCEN.replace(p=0.8, q=0.8, beta=0.02), {}),
     "ppp-K3-p=q": (SCEN.replace(K=3, beta=0.02), {}),
     "ppp-K3-p!=q": (SCEN.replace(K=3, p=0.5, q=0.75, beta=0.02), {}),
     "ppp-K6-p=q": (SCEN.replace(K=6, p=0.7, q=0.7, beta=0.02), {}),
-    "hex-shadow-K6-p!=q": (SCEN.replace(K=6, p=0.5, q=0.75, beta=0.02), _HEX_SHADOWED),
-    "hex-shadow-K1-p=q": (SCEN.replace(beta=0.05), _HEX_SHADOWED),
+    "hex-shadow-K6-p!=q": (SCEN.replace(K=6, p=0.5, q=0.75, beta=0.02, sigma_db=8.0),
+                           _HEX),
+    "hex-shadow-K1-p=q": (SCEN.replace(beta=0.05, sigma_db=8.0), _HEX),
     # Every transmit mark is set, so no activity uniform is drawn.
     "ppp-K6-p=q=1": (SCEN.replace(K=6, beta=0.02), {}),
-    "hex-shadow-K6-p=q=1": (SCEN.replace(K=6, beta=0.02), _HEX_SHADOWED),
+    "hex-shadow-K6-p=q=1": (SCEN.replace(K=6, beta=0.02, sigma_db=8.0), _HEX),
 }
 
 
@@ -915,16 +907,16 @@ class TestBlockAlignedChunks:
             assert parallel.tobytes() == serial.tobytes()
 
 
-_SHADOW_8DB = ShadowingSpec(sigma_db=8.0)
+# Each deployment case: its config fields and its scenarios' sigma_db.
 _FAMILY_CONFIGS = {
-    "ppp": {},
-    "ppp-shadow": dict(shadow=_SHADOW_8DB),
-    "hex-shadow": dict(deployment=Deployment.HEX, hex_isd=1.0, shadow=_SHADOW_8DB),
+    "ppp": ({}, 0.0),
+    "ppp-shadow": ({}, 8.0),
+    "hex-shadow": (_HEX, 8.0),
 }
 
 
 def _family(base, partial):
-    """Siblings of ``base`` differing in L, p (``partial`` of it), K, alpha, lam.
+    """Siblings of ``base`` that differ in L, p (``partial``), K, alpha, lam or sigma_db.
 
     Noise makes the statistics see the scale of the distances, so a
     sibling handed the distances of another effective density differs.
@@ -937,6 +929,7 @@ def _family(base, partial):
         partial,
         base.replace(K=3),
         partial.replace(alpha=3.5, K=6, L=3),
+        base.replace(sigma_db=4.0),
     ]
     return [scen.replace(noise_sigma2=0.05) for scen in family]
 
@@ -946,19 +939,21 @@ class TestFamilies:
 
     @pytest.mark.parametrize("deployment", sorted(_FAMILY_CONFIGS))
     @pytest.mark.parametrize(
-        "collect, family",
+        "collect, base, partial",
         [
-            (collect_margins, _family(SCEN.replace(beta=0.05), PARTIAL)),
-            (collect_upsilon, _family(SCEN.replace(beta=0.02),
-                                      SCEN.replace(p=0.5, q=0.75, beta=0.02))),
-            (collect_reuse_margins, _family(SCEN.replace(beta=0.02),
-                                            SCEN.replace(p=0.6, q=0.6, beta=0.02))),
+            (collect_margins, SCEN.replace(beta=0.05), PARTIAL),
+            (collect_upsilon, SCEN.replace(beta=0.02),
+             SCEN.replace(p=0.5, q=0.75, beta=0.02)),
+            (collect_reuse_margins, SCEN.replace(beta=0.02),
+             SCEN.replace(p=0.6, q=0.6, beta=0.02)),
         ],
         ids=["margins", "upsilon", "reuse"],
     )
-    def test_family_matches_one_collection_per_sibling(self, deployment, collect, family):
-        config = cfg(2 * simulate._BLOCK + 5, seed=79, expected_bs=100,
-                     **_FAMILY_CONFIGS[deployment])
+    def test_family_matches_one_collection_per_sibling(self, deployment, collect, base,
+                                                       partial):
+        extra, sigma_db = _FAMILY_CONFIGS[deployment]
+        config = cfg(2 * simulate._BLOCK + 5, seed=79, expected_bs=100, **extra)
+        family = _family(*(scen.replace(sigma_db=sigma_db) for scen in (base, partial)))
         alone = [collect([scen], config)[0].tobytes() for scen in family]
         assert alone[1] != alone[0]  # guards the case table
         for workers in (1, 3):
@@ -969,9 +964,10 @@ class TestFamilies:
     def test_shadowed_distances_depend_on_alpha(self, deployment):
         # Guards the family case table: a distance cache keyed too
         # coarsely would hand the alpha = 3.5 siblings the alpha = 4 rows.
-        draws = simulate._BlockDraws(cfg(1, seed=79, expected_bs=100,
-                                         **_FAMILY_CONFIGS[deployment]), 0, 4)
-        a, b = draws.distances(SCEN), draws.distances(SCEN.replace(alpha=3.5))
+        extra, sigma_db = _FAMILY_CONFIGS[deployment]
+        draws = simulate._BlockDraws(cfg(1, seed=79, expected_bs=100, **extra), 0, 4)
+        scen = SCEN.replace(sigma_db=sigma_db)
+        a, b = draws.distances(scen), draws.distances(scen.replace(alpha=3.5))
         assert not np.array_equal(a, b)
 
     @pytest.mark.parametrize(
@@ -979,11 +975,14 @@ class TestFamilies:
         ids=["margins", "upsilon", "reuse"],
     )
     def test_hex_alpha_family_shares_one_draw_per_block(self, monkeypatch, collect):
-        # Siblings that differ only in alpha read one lattice offset and
-        # one shadowing draw per block, and get the bits they get alone.
-        family = [SCEN.replace(beta=0.02, alpha=alpha, noise_sigma2=0.05)
-                  for alpha in (4.0, 3.5, 3.0)]
-        config = cfg(2 * simulate._BLOCK + 5, seed=101, **_FAMILY_CONFIGS["hex-shadow"])
+        # Siblings that differ in alpha and sigma_db read one lattice
+        # offset and one shadowing draw per block, and get the bits they
+        # get alone; the unshadowed sibling comes first, so its in-place
+        # sort runs while the shadowed ones still need the geometry.
+        family = [SCEN.replace(beta=0.02, alpha=alpha, sigma_db=sigma_db, noise_sigma2=0.05)
+                  for alpha, sigma_db in ((4.0, 0.0), (4.0, 8.0), (3.5, 8.0), (3.0, 8.0),
+                                          (4.0, 4.0), (3.0, 12.0))]
+        config = cfg(2 * simulate._BLOCK + 5, seed=101, **_HEX)
         alone = [collect([scen], config)[0].tobytes() for scen in family]
         assert len(set(alone)) == len(alone)  # guards the case table
         roles = []
@@ -1041,9 +1040,10 @@ class TestActivityDraws:
         ids=["margins", "upsilon", "reuse"],
     )
     def test_full_activity_draws_no_uniforms(self, monkeypatch, deployment, collect):
-        family = [SCEN.replace(beta=0.02), SCEN.replace(K=6, beta=0.02, L=2)]
-        config = cfg(2 * simulate._BLOCK + 5, seed=83, expected_bs=100,
-                     **_FAMILY_CONFIGS[deployment])
+        extra, sigma_db = _FAMILY_CONFIGS[deployment]
+        family = [SCEN.replace(beta=0.02, sigma_db=sigma_db),
+                  SCEN.replace(K=6, beta=0.02, L=2, sigma_db=sigma_db)]
+        config = cfg(2 * simulate._BLOCK + 5, seed=83, expected_bs=100, **extra)
         roles = self._roles(monkeypatch)
         collect(family, config)
         assert roles and all(role != simulate._ROLE_ACTIVITY for _, role in roles)
@@ -1118,9 +1118,10 @@ class TestWindow:
     def test_hex_reach_is_the_nth_geometric_distance(self):
         # The hex tail starts at the n-th nearest site, read before
         # shadowing reorders the kept sites.
-        config = cfg(16, seed=67, deployment=Deployment.HEX, expected_bs=300,
-                     shadow=ShadowingSpec(sigma_db=8.0))
-        reach = simulate._BlockDraws(config, 0, simulate._BLOCK).reach(SCEN)
+        config = cfg(16, seed=67, deployment=Deployment.HEX, expected_bs=300)
+        reach = simulate._BlockDraws(config, 0, simulate._BLOCK).reach(
+            SCEN.replace(sigma_db=8.0)
+        )
         offsets = stream(config.seed, 0, simulate._ROLE_OFFSET).random((simulate._BLOCK, 2))
         _, _, nth = _brute_nearest(offsets, config.hex_isd, config.expected_bs)
         np.testing.assert_allclose(reach, nth, rtol=1e-12)
