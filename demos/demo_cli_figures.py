@@ -9,7 +9,7 @@ directory and prints the resulting artifacts.
 import tempfile
 from pathlib import Path
 
-from hearability.cli import main
+from hearability import cli
 
 
 def show(path: Path, limit: int = 6) -> None:
@@ -21,7 +21,7 @@ def show(path: Path, limit: int = 6) -> None:
         print(f"   ... {len(lines) - limit} more rows")
 
 
-def main_demo() -> None:
+def main() -> None:
     print("=" * 72)
     print(" CLI figure recipes and the CSV contract")
     print("=" * 72)
@@ -29,7 +29,7 @@ def main_demo() -> None:
     scratch = Path(tempfile.mkdtemp(prefix="hearability_demo_"))
     for name in ("fig5", "fig6"):
         out = scratch / f"{name}.csv"
-        rc = main(["figure", name, "--out", str(out), "--no-timestamp"])
+        rc = cli.main(["figure", name, "--out", str(out), "--no-timestamp"])
         assert rc == 0
         show(out)
         print(f"   plot script: {out.with_name(f'plot_{name}.py').name}")
@@ -40,4 +40,4 @@ def main_demo() -> None:
 
 
 if __name__ == "__main__":
-    main_demo()
+    main()

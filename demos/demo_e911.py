@@ -13,7 +13,6 @@ from hearability.e911 import (
     MIN_TRIALS,
     E911Config,
     collect_trials,
-    default_scenario,
     fcc_compliance,
 )
 
@@ -23,7 +22,6 @@ SEED = 1
 
 def main() -> None:
     cfg = E911Config(trials=TRIALS)
-    scen = default_scenario(cfg)
 
     print("=" * 72)
     print(" E911 compliance versus minimum hearability")
@@ -36,7 +34,7 @@ def main() -> None:
     print(f"\n{'L >=':>5} {'p67 [m]':>9} {'p90 [m]':>9} {'no-fix rate':>12} "
           f"{'FCC (50/150)':>13}")
     print("-" * 52)
-    for row in fcc_compliance(cfg, scen, seed=SEED):
+    for row in fcc_compliance(cfg, seed=SEED):
         verdict = "pass" if row.passes else "fail"
         print(f"{row.min_hearability:>5} {row.p67_m:>9.1f} {row.p90_m:>9.1f} "
               f"{row.no_fix_rate:>12.3f} {verdict:>13}")
@@ -47,9 +45,8 @@ def main() -> None:
     print(" problem interference mitigation has to solve.")
 
     noiseless = E911Config(bandwidth=np.inf, clock_std=0.0, nlos_mean=0.0)
-    nscen = default_scenario(noiseless)
     # Errors of the fixes among the first 50 trials (NaN without a fix).
-    errors = collect_trials(noiseless.replace(trials=MIN_TRIALS), nscen, seed=SEED)[:50, 1]
+    errors = collect_trials(noiseless.replace(trials=MIN_TRIALS), seed=SEED)[:50, 1]
     errors = errors[np.isfinite(errors)]
     print(f"\n Sanity: with all noise sources off, {len(errors)} fixes recover the")
     print(f" device to within {max(errors):.1e} m (solver is exact on clean data).")

@@ -279,7 +279,7 @@ def e911_rows(cfg: E911Config, seed: int, workers: int = 1) -> list[Row]:
     scen = default_scenario(cfg)
     bg_db = 10.0 * math.log10(cfg.pre_sinr_threshold)
     rows = []
-    for entry in fcc_compliance(cfg, scen, seed, workers):
+    for entry in fcc_compliance(cfg, seed, workers):
         for tag, value in (
             ("E911_P67_M", entry.p67_m),
             ("E911_P90_M", entry.p90_m),

@@ -7,13 +7,15 @@ ranging errors from the TOA CRLB at the post-processing SINR plus an
 exponential non-line-of-sight bias and per-BS clock error, and a
 two-stage weighted least-squares position solve with the strongest BS
 as reference.  The output is the FCC E911 compliance table: horizontal
-error percentiles versus the minimum number of heard BSs.
+error percentiles versus the minimum number of heard BSs.  ``E911Config``
+alone describes the experiment; ``default_scenario`` is the network it
+implies, fully loaded, with shadowing folded into the density.
 
 Reproducibility contract: trial geometries are the rows of the Monte
-Carlo block sampler, blocks of ``_BLOCK`` trials keyed by ``(seed,
-block, role)``, at the collectors' default window (``max(250, 10 * L)``
-Poisson BSs, 250 at the default L = 4) completed by the Campbell mean
-of the interference beyond it.  The window's stated error, the spread
+Carlo block sampler (``_BlockDraws``), blocks of ``_BLOCK`` trials keyed
+by ``(seed, block, role)``, at the collectors' default window
+(``max(250, 10 * L)`` Poisson BSs, 250 at the default L = 4) completed
+by the Campbell mean of the interference beyond it.  The window's stated error, the spread
 of the far interference as a share of its mean, is
 ``(alpha - 2) / (2 sqrt((alpha - 1) n))``: 0.034 at alpha = 3.76 and
 n = 250.  The bearings, NLOS biases, unit ranging noise and clock errors
@@ -22,14 +24,17 @@ each as a full ``(_BLOCK, W)`` array, and trial ``r`` of the block reads
 the first ``used`` columns of row ``r``.  ``W`` is the most BSs a trial
 can use (``_width``): k detected BSs each carry at least
 ``theta / (1 + theta)`` of the total power at detection threshold
-``theta``, so ``k <= 1 + 1/theta`` (21 columns at -13 dB).  A threshold
-that would let a trial detect every BS of its window (-23.94 dB or less
-at 250 BSs) is rejected, so a detected count never stops at the window.
-As every block draws in full, worker spans (which start on block boundaries),
-span cuts and short final blocks keep every trial's bits, and the
-batched solver treats every trial on its own: results are
-bit-identical across worker counts and however the trials are cut into
-spans, and a run of fewer trials is a prefix of a longer one.
+``theta``, so ``k <= 1 + 1/theta`` (21 columns at -13 dB).  The
+received powers never rise along a row, so the detected BSs lead it,
+and detection computes SINRs for the first ``floor(1 + 1/theta) + 2``
+BSs alone (``_bound``).  A threshold that would let a trial detect every
+BS of its window (-23.94 dB or less at 250 BSs) is rejected, so a
+detected count never stops at the window.  As every block draws in full,
+worker spans (which start on block boundaries), span cuts and short
+final blocks keep every trial's bits, and the batched solver treats
+every trial on its own: results are bit-identical across worker counts
+and however the trials are cut into spans, and a run of fewer trials is
+a prefix of a longer one.
 """
 
 from __future__ import annotations
@@ -42,16 +47,7 @@ import numpy as np
 
 from .model import Scenario, effective_density, hex_grid_density
 from .parallel import map_spans
-from .simulate import (
-    _BLOCK,
-    ROLE_E911,
-    SimConfig,
-    _block_distances,
-    _powers,
-    _tail_mean,
-    _with_window,
-    stream,
-)
+from .simulate import _BLOCK, ROLE_E911, SimConfig, _BlockDraws, _with_window, stream
 
 __all__ = [
     "E911Config",
@@ -122,9 +118,23 @@ class E911Config:
             raise ValueError(f"clock_std must be nonnegative, got {self.clock_std}")
         if not (self.nlos_mean >= 0.0 and math.isfinite(self.nlos_mean)):
             raise ValueError(f"nlos_mean must be nonnegative, got {self.nlos_mean}")
-        if not (self.pre_sinr_threshold > 0.0):
+        theta, gain_db = self.pre_sinr_threshold, self.processing_gain_db
+        if not (0.0 < theta < math.inf):
+            raise ValueError(f"pre_sinr_threshold must be positive and finite, got {theta}")
+        # ``default_scenario`` needs a positive finite gain and beta.
+        try:
+            gain = 10.0 ** (gain_db / 10.0)
+        except OverflowError:
+            gain = math.inf
+        if not (0.0 < gain < math.inf):
             raise ValueError(
-                f"pre_sinr_threshold must be positive, got {self.pre_sinr_threshold}"
+                "processing_gain_db must be a dB level whose linear value is a "
+                f"positive finite float, got {gain_db}"
+            )
+        if not (0.0 < theta * gain < math.inf):
+            raise ValueError(
+                f"pre_sinr_threshold={theta} and processing_gain_db={gain_db} "
+                "give a detection threshold beta that is not a positive finite float"
             )
         if not (self.alpha > 2.0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must exceed 2, got {self.alpha}")
@@ -200,49 +210,43 @@ def ranging_stddev(post_sinr, cfg: E911Config):
     return SPEED_OF_LIGHT / np.sqrt(info)
 
 
-# Leading columns whose SINRs ``_detect`` computes before it needs the rest.
-_DETECT_COLUMNS = 32
+def _bound(theta: float, n: int) -> int:
+    """b = floor(1 + 1/theta) + 1, one more than the most BSs detected at theta.
+
+    A BS detected at threshold theta has ``P >= theta (T - P + N)``, with
+    T the total power and N >= 0 the noise, so ``P >= theta / (1 +
+    theta) T``.  k detected BSs sum to at most T, so ``k <= 1 + 1/theta``;
+    the one more absorbs rounding.  Past an n-BS window b reads n + 1,
+    which keeps it finite however small theta is.
+    """
+    return int(min(1.0 + 1.0 / theta, n)) + 1
 
 
-def _detect(d: np.ndarray, tail: np.ndarray, scenario: Scenario, cfg: E911Config):
+def _detect(pw: np.ndarray, tail: np.ndarray, scenario: Scenario, cfg: E911Config):
     """Pre-processing SINRs of a fully loaded network, and detected counts.
 
-    ``tail`` (rows, 1) is the mean interference beyond each row's
-    window, added to its total power.  The SINRs cover the first
-    ``_DETECT_COLUMNS`` BSs of each row, or all n when a row may detect a
-    BS beyond them; the counts always cover all n.  With the total power
-    fixed, a BS's SINR grows with its own power, so when the last leading
-    BS is undetected and no later BS is stronger, no later BS is detected
-    either.
+    ``pw`` (rows, n) holds received powers that never rise along a row,
+    and ``tail`` (rows, 1) the mean interference beyond each row's
+    window, added to its total power.  With the total power fixed, a
+    BS's SINR grows with its own power, so the detected BSs lead their
+    row, and there are fewer than b of them (``_bound``).  SINRs and
+    counts cover the first min(n, b + 1) columns: one past any count a
+    trial may use, so ``_trial_span`` still sees a rounding overshoot.
     """
-    pw = _powers(d, scenario)
     total = np.sum(pw, axis=1, keepdims=True) + tail
-    thr, c = cfg.pre_sinr_threshold, _DETECT_COLUMNS
-    sinr = _sinrs(pw[:, :c], total, scenario.noise_sigma2)
-    if c < pw.shape[1] and not np.all(
-        (sinr[:, -1] < thr) & (np.max(pw[:, c:], axis=1) <= pw[:, c - 1])
-    ):
-        sinr = _sinrs(pw, total, scenario.noise_sigma2)
-    return sinr, np.count_nonzero(sinr >= thr, axis=1)
-
-
-def _sinrs(pw: np.ndarray, total: np.ndarray, noise: float) -> np.ndarray:
-    denom = total - pw
-    denom += noise
-    return np.divide(pw, denom, out=np.full_like(pw, math.inf), where=denom > 0.0)
+    lead = pw[:, : _bound(cfg.pre_sinr_threshold, pw.shape[1]) + 1]
+    denom = total - lead
+    denom += scenario.noise_sigma2
+    sinr = np.divide(lead, denom, out=np.full_like(lead, math.inf), where=denom > 0.0)
+    return sinr, np.count_nonzero(sinr >= cfg.pre_sinr_threshold, axis=1)
 
 
 def _width(cfg: E911Config, n: int) -> int:
     """W, the most BSs a trial with an n-BS window can use.
 
-    A BS detected at threshold theta has ``P >= theta (T - P + N)``, with
-    T the total power and N >= 0 the noise, so ``P >= theta / (1 +
-    theta) T``.  k detected BSs sum to at most T, so ``k <= 1 + 1/theta``;
-    one more column absorbs rounding.  The cap ``max_bs_per_fix`` and the
-    window bound it too.
+    ``_bound``'s b, capped by the window and by ``max_bs_per_fix``.
     """
-    bound = int(min(1.0 + 1.0 / cfg.pre_sinr_threshold, n)) + 1
-    return min(n, cfg.max_bs_per_fix or n, bound)
+    return min(n, cfg.max_bs_per_fix or n, _bound(cfg.pre_sinr_threshold, n))
 
 
 def _nuisance(seed: int, block: int, cfg: E911Config, width: int) -> np.ndarray:
@@ -399,41 +403,26 @@ _G2 = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 _SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 
 
-def _solve_batch(positions: np.ndarray, tdoas: np.ndarray, cov: np.ndarray):
-    """Two-stage weighted least-squares TDOA solve of N fixes with m BSs each.
+def _closed_form(positions: np.ndarray, tdoas: np.ndarray, cov: np.ndarray):
+    """Two-stage weighted least squares of N TDOA fixes: where the polish starts.
 
     Stage one linearizes the hyperbolic system by treating the range to
     the reference BS as an extra unknown; stage two enforces the
     quadratic constraint tying that range to the position (Chan & Ho,
     IEEE TSP 1994).  The exact rank-one-plus-diagonal TDOA covariance
-    provides the weights.  The best closed-form candidate then seeds a
-    damped Gauss-Newton refinement of the weighted residuals, which also
-    serves as the fallback when the closed-form stages hit
-    ill-conditioned or degenerate geometry; outright failure gives a
-    no-fix row rather than raising.
+    provides the weights.  The best closed-form candidate then seeds
+    ``_polish``, a damped Gauss-Newton refinement of the weighted
+    residuals, which also serves as the fallback: rows whose stage one
+    is ill-conditioned, non-finite or degenerate skip stage two and
+    start the polish from the stage-one point or the BS centroid.
+    Outright failure gives a no-fix row rather than raising, and each
+    row takes its path independently of the other rows.
 
     ``positions`` (N, m, 2) hold the reference BS first; ``tdoas``
     (N, m-1) and ``cov`` (N, m-1, m-1) are the measurements.  Returns
-    positions (N, 2), NaN without a fix, indices into ``_METHODS`` and
-    the stage-one condition numbers.  Each row takes its path
-    independently of the other rows.
-    """
-    seeds, condition = _closed_form(positions, tdoas, cov)
-    return (*_polish(len(positions), *seeds), condition)
-
-
-def _closed_form(positions: np.ndarray, tdoas: np.ndarray, cov: np.ndarray):
-    """Stages one and two of ``_solve_batch``: where the polish starts.
-
-    The stages are Chan & Ho's (IEEE TSP 1994), as ``_solve_batch``
-    describes them.  Rows whose stage one is ill-conditioned, non-finite
-    or degenerate skip stage two and start the polish from the stage-one
-    point or the BS centroid.
-
-    Returns ``(idx, start, label, positions[idx], tdoas[idx],
-    weight[idx])`` for the rows ``idx`` that reach the polish, with
-    their starting points and solver paths, and the stage-one condition
-    numbers of all N rows.
+    ``(idx, start, label, positions[idx], tdoas[idx], weight[idx])`` for
+    the rows ``idx`` that reach the polish, with their starting points
+    and solver paths, and the stage-one condition numbers of all N rows.
     """
     condition = np.full(len(positions), math.nan)
     weight, live = _each(np.linalg.inv, cov.shape, cov)
@@ -521,29 +510,28 @@ _DETECTED, _USED, _METHOD, _CONDITION, _X, _Y, _ERROR = range(7)
 _SOLVE_ROWS = 256
 
 
-def _trial_window(cfg: E911Config, scenario: Scenario, seed: int) -> SimConfig:
-    """The trials' window, the collectors' default, or a ValueError.
+def _trial_window(cfg: E911Config, seed: int) -> tuple[Scenario, SimConfig]:
+    """The trials' scenario and window, the collectors' default, or a ValueError.
 
-    At most ``1 + 1/theta`` BSs are detected (``_width``).  A window of
+    At most ``1 + 1/theta`` BSs are detected (``_bound``).  A window of
     fewer than ``floor(1 + 1/theta) + 2`` BSs could be detected in full,
     and the count would then be the window's size, not the network's.
     Such thresholds are rejected: the window that would fit them grows
     as 1/theta, and so do the fixes' covariance stacks.
     """
+    scenario = default_scenario(cfg)
     sim = _with_window([scenario], SimConfig(realizations=1, seed=seed))
     theta, n = cfg.pre_sinr_threshold, sim.expected_bs
-    if 1.0 + 1.0 / theta >= n - 1:
+    if _bound(theta, n) >= n:
         raise ValueError(
             f"pre_sinr_db={10.0 * math.log10(theta):g} (pre_sinr_threshold={theta:g}) "
             f"lets a trial detect every BS of its {n}-BS window; the threshold "
             f"must exceed {-10.0 * math.log10(n - 2):.2f} dB"
         )
-    return sim
+    return scenario, sim
 
 
-def _trial_span(
-    cfg: E911Config, scenario: Scenario, seed: int, start: int, stop: int
-) -> np.ndarray:
+def _trial_span(cfg: E911Config, seed: int, start: int, stop: int) -> np.ndarray:
     """Outcome table of trials ``start:stop``, shape (stop - start, 7).
 
     Geometry, detection and nuisance draws run on whole blocks of the
@@ -552,7 +540,7 @@ def _trial_span(
     polish over the whole span, so the polish runs once per used count
     however the trials are cut into spans.
     """
-    sim = _trial_window(cfg, scenario, seed)
+    scenario, sim = _trial_window(cfg, seed)
     width = _width(cfg, sim.expected_bs)
     out = np.full((stop - start, 7), math.nan)
     out[:, _USED] = 0
@@ -562,8 +550,11 @@ def _trial_span(
     heard = []
     for first in range(start - start % _BLOCK, stop, _BLOCK):
         block = first // _BLOCK
-        d, reach = _block_distances(scenario, sim, block, min(_BLOCK, stop - first))
-        sinr, detected = _detect(d, _tail_mean(reach, scenario, sim), scenario, cfg)
+        blocked = _BlockDraws(sim, block, min(_BLOCK, stop - first))
+        d = blocked.distances(scenario)
+        sinr, detected = _detect(
+            blocked.powers(scenario), blocked.tail(scenario), scenario, cfg
+        )
         rows = np.arange(max(start - first, 0), len(d))
         out[first + rows - start, _DETECTED] = detected[rows]
         rows = rows[detected[rows] >= _MIN_BS_FOR_FIX]
@@ -576,7 +567,7 @@ def _trial_span(
         near = np.stack((d[rows, :widest], sinr[rows, :widest]), axis=1)
         draws = _nuisance(seed, block, cfg, width)[rows, :, :widest]
         heard.append((first + rows - start, used, np.concatenate((near, draws), axis=1)))
-    del d, sinr  # the last block need not outlive the sampling
+    del blocked, d, sinr  # the last block need not outlive the sampling
     trials, used = (np.concatenate(column) for column in list(zip(*heard))[:2])
     for m in np.unique(used):
         rows = trials[used == m]
@@ -595,17 +586,13 @@ def _trial_span(
     return out
 
 
-def collect_trials(
-    cfg: E911Config,
-    scenario: Scenario | None = None,
-    seed: int = 0,
-    workers: int = 1,
-) -> np.ndarray:
-    """(detected count, horizontal error) per trial; error NaN if no fix."""
-    if scenario is None:
-        scenario = default_scenario(cfg)
-    _trial_window(cfg, scenario, seed)  # rejects a threshold before any work
-    table = map_spans(_trial_span, (cfg, scenario, seed), cfg.trials, workers, _BLOCK)
+def collect_trials(cfg: E911Config, seed: int = 0, workers: int = 1) -> np.ndarray:
+    """(detected count, horizontal error) per trial; error NaN if no fix.
+
+    The network is ``default_scenario(cfg)``.
+    """
+    _trial_window(cfg, seed)  # rejects a threshold before any work
+    table = map_spans(_trial_span, (cfg, seed), cfg.trials, workers, _BLOCK)
     return table[:, [_DETECTED, _ERROR]]
 
 
@@ -621,12 +608,7 @@ class ComplianceRow:
     passes: bool
 
 
-def fcc_compliance(
-    cfg: E911Config,
-    scenario: Scenario | None = None,
-    seed: int = 0,
-    workers: int = 1,
-) -> list[ComplianceRow]:
+def fcc_compliance(cfg: E911Config, seed: int = 0, workers: int = 1) -> list[ComplianceRow]:
     """FCC E911 compliance table versus minimum hearability.
 
     For each entry of ``cfg.min_hearability_grid``, trials that heard
@@ -634,7 +616,7 @@ def fcc_compliance(
     alongside the 67th/90th error percentiles of the remaining fixes.
     A row passes when p67 <= 50 m and p90 <= 150 m.
     """
-    trials = collect_trials(cfg, scenario, seed, workers)
+    trials = collect_trials(cfg, seed, workers)
     rows = []
     for l_min in cfg.min_hearability_grid:
         eligible = trials[:, 0] >= l_min

@@ -342,17 +342,6 @@ def _shadowed(d: np.ndarray, z: np.ndarray, scenario: Scenario) -> np.ndarray:
 # --- block sampler --------------------------------------------------------
 
 
-def _block_distances(
-    scenario: Scenario, config: SimConfig, block: int, rows: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """BS distances of one block, (rows, n), and each row's window reach, (rows,).
-
-    The one-block view of :class:`_BlockDraws`.
-    """
-    draws = _BlockDraws(config, block, rows)
-    return draws.distances(scenario), draws.reach(scenario)
-
-
 def _tail_mean(reach: np.ndarray, scenario: Scenario, config: SimConfig) -> np.ndarray:
     """Campbell mean of the loaded interference beyond each row's reach, (rows, 1).
 
@@ -424,7 +413,9 @@ class _BlockDraws:
 
         Each row keeps the ``n = expected_bs`` BSs nearest the device.
         Row r draws the same values whatever ``rows`` is, so a short
-        final block holds the first rows of a full one.
+        final block holds the first rows of a full one.  A hex sibling
+        whose shadowing fails raises its ``ValueError`` here, when it
+        reads its own distances.
         """
         key = ("distances", _distance_key(scenario, self.config))
         if key not in self._parts:
@@ -432,6 +423,8 @@ class _BlockDraws:
                 self._hex_rows((scenario, *self.family))
             else:
                 self._parts[key] = self._poisson(scenario)
+        if isinstance(self._parts[key], ValueError):
+            raise self._parts[key]
         return self._parts[key]
 
     def _poisson(self, scenario: Scenario) -> np.ndarray:
@@ -452,9 +445,10 @@ class _BlockDraws:
         uniform in one fundamental cell) and, if some key is shadowed,
         one standard normal shadowing draw serve every alpha and
         ``sigma_db``.  The shadowed keys read the geometry before the
-        unshadowed one sorts it in place.  Both draws are dropped once
-        the distances exist, so the block holds no more than its
-        distances while the statistics run.
+        unshadowed one sorts it in place.  A key whose shadowing fails
+        holds its ``ValueError``, so each sibling raises what it raises
+        alone.  Both draws are dropped once the distances exist, so the
+        block holds no more than its distances while the statistics run.
         """
         config = self.config
         u = stream(config.seed, self.block, _ROLE_OFFSET).random((self.rows, 2))
@@ -466,7 +460,10 @@ class _BlockDraws:
         if todo:
             z = stream(config.seed, self.block, _ROLE_SHADOW).standard_normal(self.shape)
             for key, scenario in todo.items():
-                self._parts[key] = _shadowed(d, z, scenario)
+                try:
+                    self._parts[key] = _shadowed(d, z, scenario)
+                except ValueError as error:
+                    self._parts[key] = error
         if plain is not None:
             d.sort(axis=1)
             self._parts[("distances", None)] = d

@@ -23,7 +23,6 @@ from hearability.e911 import (
     MIN_TRIALS,
     E911Config,
     collect_trials,
-    default_scenario,
     fcc_compliance,
 )
 from hearability.model import Scenario
@@ -369,14 +368,13 @@ def test_criterion_09_hex_grid_convergence():
 
 def test_criterion_10_e911_pipeline():
     noiseless = E911Config(bandwidth=np.inf, clock_std=0.0, nlos_mean=0.0)
-    nscen = default_scenario(noiseless)
     # The first 80 trials; a trial without a fix has a NaN error.
-    trials = collect_trials(noiseless.replace(trials=MIN_TRIALS), nscen, seed=ACC_SEED)
+    trials = collect_trials(noiseless.replace(trials=MIN_TRIALS), seed=ACC_SEED)
     errors = trials[:80, 1][np.isfinite(trials[:80, 1])]
     worst_noiseless = max(errors)
 
     cfg = E911Config(trials=4000)
-    rows = fcc_compliance(cfg, default_scenario(cfg), seed=ACC_SEED)
+    rows = fcc_compliance(cfg, seed=ACC_SEED)
     p67 = [r.p67_m for r in rows]
     p90 = [r.p90_m for r in rows]
     monotone = all(a >= b for a, b in zip(p67, p67[1:])) and all(

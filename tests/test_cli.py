@@ -780,6 +780,10 @@ class TestSubcommands:
             ("e911", None, ["--sigma-db", "5000"], "^error: sigma_db=5000.0 overflows"),
             ("e911", None, ["--bandwidth", "1e200"], "^error: bandwidth must be"),
             (
+                "e911", None, ["--pre-sinr-db", "3080"],
+                r"^error: pre_sinr_threshold=1e\+308 and processing_gain_db=8.0 give",
+            ),
+            (
                 "e911", None, ["--gain-db", "3080", "--trials", "100"],
                 "^error: processing_gain_db=3080.0 and bandwidth=10000000.0 overflow",
             ),
@@ -821,7 +825,7 @@ class TestSubcommands:
             "figure_workers_zero_config", "hexgrid_l_max_zero",
             "bg_start_db_overflow", "bg_db_overflow", "bg_db_underflow_config",
             "pre_sinr_db_overflow", "gain_db_overflow", "sigma_db_overflow",
-            "bandwidth_overflow", "gain_db_crlb_overflow", "hexgrid_sigma_db_overflow",
+            "bandwidth_overflow", "beta_overflow", "gain_db_crlb_overflow", "hexgrid_sigma_db_overflow",
             "hexgrid_shadow_gain_overflow", "hexgrid_sigma_db_negative",
             "config_key_twice",
         ],

@@ -71,9 +71,21 @@ class FixOutcome:
     condition: float
 
 
+def solve_batch(positions: np.ndarray, tdoas: np.ndarray, cov: np.ndarray):
+    """The production solve of N fixes: the closed-form stages, then the polish.
+
+    ``positions`` (N, m, 2) hold the reference BS first; ``tdoas``
+    (N, m-1) and ``cov`` (N, m-1, m-1) are the measurements.  Returns
+    positions (N, 2), NaN without a fix, indices into ``e911._METHODS``
+    and the stage-one condition numbers.
+    """
+    seeds, condition = e911._closed_form(positions, tdoas, cov)
+    return (*e911._polish(len(positions), *seeds), condition)
+
+
 def solve_one(measurements: Observations, bs_positions: np.ndarray) -> FixOutcome:
     """One fix as a one-row stack of the batched solver, reference BS first."""
-    xy, method, condition = e911._solve_batch(
+    xy, method, condition = solve_batch(
         *(np.asarray(a, dtype=float)[None]
           for a in (bs_positions, measurements.tdoas, measurements.covariance))
     )
@@ -113,7 +125,8 @@ def synthesize_observations(
 ) -> tuple[Observations, np.ndarray]:
     """TDOA measurements of the detected BSs of one realization, and their positions."""
     row = realization.distances[None]
-    sinr, detected = e911._detect(row, row_tails(row, scenario), scenario, cfg)
+    pw = simulate._powers(row, scenario)
+    sinr, detected = e911._detect(pw, row_tails(row, scenario), scenario, cfg)
     used = int(min(detected[0], cfg.max_bs_per_fix or detected[0]))
     d = realization.distances[None, :used]
     draws = draw_one(rng, cfg, used)[None]
@@ -346,7 +359,34 @@ class TestConfig:
         with pytest.raises(ValueError, match="pre_sinr_threshold"):
             E911Config(pre_sinr_threshold=0.0)
 
-    @pytest.mark.parametrize("field", ["alpha", "shadow_sigma_db", "hex_isd"])
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            (dict(pre_sinr_threshold=math.nan), "^pre_sinr_threshold must .*, got nan$"),
+            (dict(processing_gain_db=math.nan), "^processing_gain_db must .*, got nan$"),
+            (dict(processing_gain_db=-4000.0), "^processing_gain_db must .*, got -4000.0$"),
+            (dict(processing_gain_db=4000.0), "^processing_gain_db must .*, got 4000.0$"),
+            (
+                dict(pre_sinr_threshold=1e308),
+                r"^pre_sinr_threshold=1e\+308 and processing_gain_db=8.0 give .* beta",
+            ),
+            (
+                dict(pre_sinr_threshold=5e-324, processing_gain_db=-10.0),
+                r"^pre_sinr_threshold=5e-324 and processing_gain_db=-10.0 give .* beta",
+            ),
+        ],
+        ids=["threshold_nan", "gain_nan", "gain_underflow", "gain_overflow",
+             "beta_overflow", "beta_underflow"],
+    )
+    def test_rejects_what_default_scenario_cannot_build(self, changes, message):
+        # Named by the config's own fields, not by the Scenario they build.
+        with pytest.raises(ValueError, match=message):
+            E911Config(**changes)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["alpha", "shadow_sigma_db", "hex_isd", "pre_sinr_threshold", "processing_gain_db"],
+    )
     def test_rejects_an_infinite_field(self, field):
         # Caught here, naming the field, rather than by a later layer.
         with pytest.raises(ValueError, match=f"^{field} must .*, got inf$"):
@@ -461,21 +501,20 @@ class TestSynthesize:
 
 
 class TestDetect:
-    """The leading-column ``_detect`` against SINRs of whole rows."""
+    """``_detect``, on the first b + 1 columns, against SINRs of whole rows."""
 
     @staticmethod
-    def _whole_rows(d, tail, scenario, cfg):
-        pw = e911._powers(d, scenario)
+    def _whole_rows(pw, tail, scenario, cfg):
         denom = (np.sum(pw, axis=1, keepdims=True) + tail) - pw
         denom += scenario.noise_sigma2
         sinr = np.divide(pw, denom, out=np.full_like(pw, math.inf), where=denom > 0.0)
         return sinr, np.count_nonzero(sinr >= cfg.pre_sinr_threshold, axis=1)
 
-    def _columns(self, d, scenario, cfg, tail=None) -> int:
+    def _columns(self, d, scenario, cfg) -> int:
         """Checks ``_detect`` on ``d``; returns how many SINR columns it gave."""
-        tail = row_tails(d, scenario) if tail is None else tail
-        sinr, counts = e911._detect(d, tail, scenario, cfg)
-        ref_sinr, ref_counts = self._whole_rows(d, tail, scenario, cfg)
+        pw, tail = simulate._powers(d, scenario), row_tails(d, scenario)
+        sinr, counts = e911._detect(pw, tail, scenario, cfg)
+        ref_sinr, ref_counts = self._whole_rows(pw, tail, scenario, cfg)
         np.testing.assert_array_equal(counts, ref_counts)
         width = sinr.shape[1]
         assert width >= counts.max()
@@ -490,30 +529,32 @@ class TestDetect:
         d, _ = block_rows(scen, sim)
         return cfg, scen, [d[i : i + 16] for i in range(0, 64, 16)]
 
-    def test_sampled_blocks_need_only_the_leading_columns(self, blocks):
-        cfg, scen, ds = blocks
-        for d in ds:
-            assert self._columns(d, scen, cfg) == e911._DETECT_COLUMNS
-
-    def test_noise_keeps_the_leading_columns(self, blocks):
+    def test_sinrs_cover_the_first_b_plus_one_columns(self, blocks):
         cfg, scen, ds = blocks
         fifth = float(np.median(ds[0][:, 4]))
         noisy = scen.replace(noise_sigma2=fifth**-scen.alpha)
-        for d in ds:
-            assert self._columns(d, noisy, cfg) == e911._DETECT_COLUMNS
+        default = cfg.pre_sinr_threshold
+        for theta, scenario, want in ((default, scen, 22), (1e-2, scen, 103),
+                                      (default, noisy, 22)):
+            low = cfg.replace(pre_sinr_threshold=theta)
+            for d in ds:
+                assert self._columns(d, scenario, low) == want
+                assert want == min(d.shape[1], e911._bound(theta, d.shape[1]) + 1)
 
-    def test_unsorted_row_takes_whole_rows(self, blocks):
-        cfg, scen, ds = blocks
-        d = ds[0].copy()
-        tail = row_tails(d, scen)  # from the reach before the swap
-        d[3, [0, -1]] = d[3, [-1, 0]]
-        assert self._columns(d, scen, cfg, tail) == d.shape[1]
+    @pytest.mark.parametrize("seed", range(4))
+    def test_block_powers_never_rise_along_a_row(self, seed):
+        # The bound b rests on this: the detected BSs lead their row.
+        scen, sim = e911._trial_window(E911Config(), seed)
+        for block in range(64):
+            pw = simulate._BlockDraws(sim, block, simulate._BLOCK).powers(scen)
+            assert np.all(np.diff(pw, axis=1) <= 0.0)
 
     def test_detection_beyond_the_leading_columns_takes_whole_rows(self, blocks):
         _, scen, ds = blocks
         low = E911Config(pre_sinr_threshold=1e-4)
         tail = row_tails(ds[0], scen)
-        assert self._whole_rows(ds[0], tail, scen, low)[1].max() > e911._DETECT_COLUMNS
+        counts = self._whole_rows(simulate._powers(ds[0], scen), tail, scen, low)[1]
+        assert counts.max() > e911._width(E911Config(), ds[0].shape[1])
         for d in ds:
             assert self._columns(d, scen, low) == d.shape[1]
 
@@ -569,7 +610,7 @@ class TestSolveTdoa:
             )
         # The production solver takes all 3000 fixes as one stack.
         n = len(tdoas)
-        xy, method, _ = e911._solve_batch(
+        xy, method, _ = solve_batch(
             np.broadcast_to(positions, (n, 5, 2)),
             np.array(tdoas),
             np.broadcast_to(cov, (n, 4, 4)),
@@ -650,7 +691,7 @@ def _solve_all(fixes: list[tuple]):
     for m in np.unique(counts):
         rows = np.flatnonzero(counts == m)
         stacks = (np.array([fixes[i][j] for i in rows]) for j in range(3))
-        xy[rows], method[rows], condition[rows] = e911._solve_batch(*stacks)
+        xy[rows], method[rows], condition[rows] = solve_batch(*stacks)
     return xy, method, condition
 
 
@@ -704,23 +745,22 @@ class TestBatchedSolve:
         for m in np.unique(counts):
             rows = np.flatnonzero(counts == m)
             stacks = [np.array([mixed_fixes[i][j] for i in rows]) for j in range(3)]
-            full = e911._solve_batch(*stacks)
+            full = solve_batch(*stacks)
             for at in range(0, len(rows), 37):
-                part = e911._solve_batch(*(s[at : at + 37] for s in stacks))
+                part = solve_batch(*(s[at : at + 37] for s in stacks))
                 assert _bits(*part) == _bits(*(a[at : at + 37] for a in full))
             alone = [k for k, i in enumerate(rows) if i % 9 == 0 or i in SPECIAL_ROWS]
             for k in alone:
-                one = e911._solve_batch(*(s[k : k + 1] for s in stacks))
+                one = solve_batch(*(s[k : k + 1] for s in stacks))
                 assert _bits(*one) == _bits(*(a[k : k + 1] for a in full))
 
 
 class TestTrials:
     def test_trial_span_deterministic(self):
         cfg = E911Config(trials=100)
-        scen = default_scenario(cfg)
-        a = e911._trial_span(cfg, scen, 5, 17, 33)
-        assert a.tobytes() == e911._trial_span(cfg, scen, 5, 17, 33).tobytes()
-        assert a.tobytes() != e911._trial_span(cfg, scen, 6, 17, 33).tobytes()
+        a = e911._trial_span(cfg, 5, 17, 33)
+        assert a.tobytes() == e911._trial_span(cfg, 5, 17, 33).tobytes()
+        assert a.tobytes() != e911._trial_span(cfg, 6, 17, 33).tobytes()
         assert np.all(a[:, e911._DETECTED] >= a[:, e911._USED])
         assert np.all(a[:, e911._USED] >= 0)
 
@@ -735,21 +775,20 @@ class TestTrials:
     def test_one_trial_span_is_a_row_of_collect_trials(self):
         # 203 trials end in a short block of 11 (192..202).
         cfg = E911Config(trials=203)
-        scen = default_scenario(cfg)
-        table = collect_trials(cfg, scen, seed=4)
+        table = collect_trials(cfg, seed=4)
         columns = [e911._DETECTED, e911._ERROR]
         for i in (0, 15, 16, 100, 191, 192, 197, 202):
-            row = e911._trial_span(cfg, scen, 4, i, i + 1)[0, columns]
+            row = e911._trial_span(cfg, 4, i, i + 1)[0, columns]
             assert row.tobytes() == table[i].tobytes()
         assert np.isfinite(table[192:, 1]).any()
         # A shorter run is a prefix of a longer one.
-        prefix = collect_trials(cfg.replace(trials=MIN_TRIALS), scen, seed=4)
+        prefix = collect_trials(cfg.replace(trials=MIN_TRIALS), seed=4)
         assert prefix.tobytes() == table[:MIN_TRIALS].tobytes()
 
     def test_too_few_bs_is_no_fix(self):
         # A TDOA fix needs 4 BSs; a trial that heard fewer uses none.
         cfg = E911Config(trials=203)
-        table = e911._trial_span(cfg, default_scenario(cfg), 4, 0, cfg.trials)
+        table = e911._trial_span(cfg, 4, 0, cfg.trials)
         few = table[:, e911._DETECTED] < _MIN_BS_FOR_FIX
         assert 0 < few.sum() < len(few)
         assert np.all(table[few, e911._METHOD] == e911._NONE)
@@ -758,12 +797,11 @@ class TestTrials:
 
     def test_span_cuts_concatenate_to_one_span(self):
         cfg = E911Config(trials=203)
-        scen = default_scenario(cfg)
-        whole = e911._trial_span(cfg, scen, 4, 0, 203)
-        cuts = [e911._trial_span(cfg, scen, 4, a, b) for a, b in ((0, 48), (48, 112), (112, 203))]
+        whole = e911._trial_span(cfg, 4, 0, 203)
+        cuts = [e911._trial_span(cfg, 4, a, b) for a, b in ((0, 48), (48, 112), (112, 203))]
         assert np.concatenate(cuts).tobytes() == whole.tobytes()
         for a, b in ((57, 130), (197, 198)):
-            assert e911._trial_span(cfg, scen, 4, a, b).tobytes() == whole[a:b].tobytes()
+            assert e911._trial_span(cfg, 4, a, b).tobytes() == whole[a:b].tobytes()
 
     def test_one_polish_per_used_count(self, monkeypatch):
         stacks = []
@@ -790,7 +828,7 @@ class TestTrials:
         scen = default_scenario(cfg)
         d, _ = block_rows(scen, trial_config(scen, seed=6, trials=320))
         assert e911._width(cfg, d.shape[1]) == width
-        _, detected = e911._detect(d, row_tails(d, scen), scen, cfg)
+        _, detected = e911._detect(simulate._powers(d, scen), row_tails(d, scen), scen, cfg)
         used = np.minimum(detected, cfg.max_bs_per_fix or d.shape[1])
         assert used.max() <= width
 
@@ -798,7 +836,7 @@ class TestTrials:
         monkeypatch.setattr(e911, "_width", lambda cfg, n: _MIN_BS_FOR_FIX)
         cfg = E911Config(trials=MIN_TRIALS)
         with pytest.raises(RuntimeError, match="nuisance columns"):
-            e911._trial_span(cfg, default_scenario(cfg), 0, 0, cfg.trials)
+            e911._trial_span(cfg, 0, 0, cfg.trials)
 
     def test_collect_trials_byte_identical_across_workers(self):
         cfg = E911Config(trials=203)
@@ -829,7 +867,7 @@ class TestWindowSaturation:
         with pytest.raises(ValueError, match=r"^pre_sinr_db=-40 .* every BS of its 250-BS"):
             collect_trials(cfg, seed=6)
         with pytest.raises(ValueError, match="pre_sinr_db=-40"):
-            e911._trial_span(cfg, default_scenario(cfg), 6, 0, simulate._BLOCK)
+            e911._trial_span(cfg, 6, 0, simulate._BLOCK)
 
     def test_the_boundary_is_floor_one_plus_inverse_theta_plus_two(self):
         # floor(1 + 1/theta) + 2 BSs fit the 250-BS window at 1/247, not at 1/248.
@@ -857,7 +895,7 @@ class TestCompliance:
     def test_runaway_fixes_sit_above_every_p90(self):
         # Some Gauss-Newton polishes run away; those fixes still count.
         cfg = E911Config()
-        table = e911._trial_span(cfg, default_scenario(cfg), 0, 0, cfg.trials)
+        table = e911._trial_span(cfg, 0, 0, cfg.trials)
         fixed = table[:, e911._METHOD] != e911._NONE
         errors = table[:, e911._ERROR]
         far = fixed & (errors > 1e4)

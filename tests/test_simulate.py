@@ -794,6 +794,21 @@ class TestHexLattice:
             with pytest.raises(ValueError, match="sigma_db=5000.0 shadows a BS distance"):
                 collect_upsilon([SCEN.replace(sigma_db=5000.0)], config)
 
+    @pytest.mark.parametrize(
+        "sigmas, message",
+        [
+            ((200.0, 5000.0), "^sigma_db=200.0 overflows the mean shadowing gain$"),
+            ((5000.0, 200.0), "^sigma_db=5000.0 shadows a BS distance"),
+        ],
+        ids=["200-first", "5000-first"],
+    )
+    def test_mixed_family_raises_its_first_members_error(self, sigmas, message):
+        # Each member raises what it raises alone, in family order, even
+        # though one block shadows every member before the first reads.
+        config = cfg(16, seed=1, deployment=Deployment.HEX, expected_bs=100)
+        with pytest.raises(ValueError, match=message):
+            collect_upsilon([SCEN.replace(sigma_db=s) for s in sigmas], config)
+
 
 def _oracle_rows(scen, config, block):
     """The block's rows wrapped as realizations, and each row's tail mean."""
@@ -1086,23 +1101,21 @@ class TestWindow:
         family = [SCEN.replace(L=L) for L in Ls]
         assert simulate._with_window(family, cfg(10, **extra)).expected_bs == want
 
-    @pytest.mark.parametrize("L, want", [(4, 250), (40, 400)])
-    def test_e911_trials_use_the_collectors_window(self, monkeypatch, L, want):
+    def test_e911_trials_use_the_collectors_window(self, monkeypatch):
         from hearability import e911
 
         windows = []
-        sample = e911._block_distances
+        draws = e911._BlockDraws
 
-        def spy(scenario, config, block, rows):
+        def spy(config, block, rows):
             windows.append(config.expected_bs)
-            return sample(scenario, config, block, rows)
+            return draws(config, block, rows)
 
-        monkeypatch.setattr(e911, "_block_distances", spy)
+        monkeypatch.setattr(e911, "_BlockDraws", spy)
         trials = e911.E911Config()
-        scen = e911.default_scenario(trials).replace(L=L)
-        e911._trial_span(trials, scen, 3, 0, 2 * simulate._BLOCK)
-        assert simulate._with_window([scen], cfg(1)).expected_bs == want
-        assert windows == [want, want]
+        e911._trial_span(trials, 3, 0, 2 * simulate._BLOCK)
+        assert simulate._with_window([e911.default_scenario(trials)], cfg(1)).expected_bs == 250
+        assert windows == [250, 250]
 
     @pytest.mark.parametrize(
         "deployment, window", [(Deployment.PPP, 250), (Deployment.HEX, 1000)]
