@@ -35,10 +35,8 @@ def main() -> None:
     # Each collector row keeps the 48 BSs nearest the device.
     cfg = SimConfig(realizations=DRAWS, seed=0, expected_bs=48)
     L, alpha = SCEN.L, SCEN.alpha
-    blocks = [simulate._BlockDraws(cfg, b, simulate._BLOCK)
-              for b in range(DRAWS // simulate._BLOCK)]
-    r = np.concatenate([b.distances(SCEN) for b in blocks])
-    u = np.concatenate([b.activity() for b in blocks])
+    draws = simulate._BlockDraws(cfg, 0, DRAWS)
+    r, u = draws.distances(SCEN), draws.activity()
     rl, rn = r[:, L - 1], r[:, -1]
     inner_u = ((r[:, : L - 1] / rl[:, None]) ** 2).ravel()
     z_vals, i1_res = [], []

@@ -21,8 +21,10 @@ of the far interference as a share of its mean, is
 n = 250.  The bearings, NLOS biases, unit ranging noise and clock errors
 of a block come, in that order, from ``stream(seed, block, ROLE_E911)``,
 each as a full ``(_BLOCK, W)`` array, and trial ``r`` of the block reads
-the first ``used`` columns of row ``r``.  ``W`` is the most BSs a trial
-can use (``_width``): k detected BSs each carry at least
+the first ``used`` columns of row ``r``.  Sampling, detection and these
+draws run on chunks of whole blocks (``_chunk_rows``), each block from
+its own streams, so the chunk never reaches the bits.  ``W`` is the most
+BSs a trial can use (``_width``): k detected BSs each carry at least
 ``theta / (1 + theta)`` of the total power at detection threshold
 ``theta``, so ``k <= 1 + 1/theta`` (21 columns at -13 dB).  The
 received powers never rise along a row, so the detected BSs lead it,
@@ -30,8 +32,8 @@ and detection computes SINRs for the first ``floor(1 + 1/theta) + 2``
 BSs alone (``_bound``).  A threshold that would let a trial detect every
 BS of its window (-23.94 dB or less at 250 BSs) is rejected, so a
 detected count never stops at the window.  As every block draws in full,
-worker spans (which start on block boundaries), span cuts and short
-final blocks keep every trial's bits, and the batched solver treats
+worker spans (which start on block boundaries), chunks, span cuts and
+short final blocks keep every trial's bits, and the batched solver treats
 every trial on its own: results are bit-identical across worker counts
 and however the trials are cut into spans, and a run of fewer trials is
 a prefix of a longer one.
@@ -47,7 +49,9 @@ import numpy as np
 
 from .model import Scenario, effective_density, hex_grid_density
 from .parallel import map_spans
-from .simulate import _BLOCK, ROLE_E911, SimConfig, _BlockDraws, _with_window, stream
+from .simulate import (
+    _BLOCK, ROLE_E911, SimConfig, _BlockDraws, _chunk_rows, _with_window, stream,
+)
 
 __all__ = [
     "E911Config",
@@ -249,20 +253,22 @@ def _width(cfg: E911Config, n: int) -> int:
     return min(n, cfg.max_bs_per_fix or n, _bound(cfg.pre_sinr_threshold, n))
 
 
-def _nuisance(seed: int, block: int, cfg: E911Config, width: int) -> np.ndarray:
-    """A block's bearings, NLOS biases, unit ranging noise and clock errors.
+def _nuisance(seed: int, block: int, blocks: int, cfg: E911Config, width: int) -> np.ndarray:
+    """Bearings, NLOS biases, unit ranging noise and clock errors of ``blocks`` blocks.
 
-    Drawn in that order from ``stream(seed, block, ROLE_E911)``, each as
-    a full ``(_BLOCK, width)`` array, so row r holds the same values
-    whatever rows of the block a span reads.  Shape (_BLOCK, 4, width).
+    Block i (from ``block`` on) draws them in that order from
+    ``stream(seed, block + i, ROLE_E911)``, each as a full ``(_BLOCK,
+    width)`` array, so row r holds the same values whatever rows of the
+    block a span reads.  Shape (blocks * _BLOCK, 4, width).
     """
-    rng, shape = stream(seed, block, ROLE_E911), (_BLOCK, width)
-    return np.stack((
-        rng.uniform(0.0, 2.0 * math.pi, shape),
-        rng.exponential(cfg.nlos_mean, shape),
-        rng.standard_normal(shape),
-        rng.normal(0.0, cfg.clock_std, shape),
-    ), axis=1)
+    out, shape = np.empty((blocks * _BLOCK, 4, width)), (_BLOCK, width)
+    for i in range(blocks):
+        rng, part = stream(seed, block + i, ROLE_E911), out[i * _BLOCK : (i + 1) * _BLOCK]
+        part[:, 0] = rng.uniform(0.0, 2.0 * math.pi, shape)
+        part[:, 1] = rng.exponential(cfg.nlos_mean, shape)
+        part[:, 2] = rng.standard_normal(shape)
+        part[:, 3] = rng.normal(0.0, cfg.clock_std, shape)
+    return out
 
 
 def _observe(d, sinr, draws, scenario: Scenario, cfg: E911Config):
@@ -534,23 +540,24 @@ def _trial_window(cfg: E911Config, seed: int) -> tuple[Scenario, SimConfig]:
 def _trial_span(cfg: E911Config, seed: int, start: int, stop: int) -> np.ndarray:
     """Outcome table of trials ``start:stop``, shape (stop - start, 7).
 
-    Geometry, detection and nuisance draws run on whole blocks of the
-    Monte Carlo sampler.  The fixes of each used count then take the
+    Geometry, detection and nuisance draws run on chunks of whole blocks
+    of the Monte Carlo sampler (``_chunk_rows``), which keep every
+    trial's bits.  The fixes of each used count then take the
     closed-form stages in stacks of ``_SOLVE_ROWS`` and one Gauss-Newton
     polish over the whole span, so the polish runs once per used count
     however the trials are cut into spans.
     """
     scenario, sim = _trial_window(cfg, seed)
-    width = _width(cfg, sim.expected_bs)
+    width, chunk = _width(cfg, sim.expected_bs), _chunk_rows(sim.expected_bs)
     out = np.full((stop - start, 7), math.nan)
     out[:, _USED] = 0
     out[:, _METHOD] = _NONE
-    # Per block: trials with enough BSs, their used counts, and for those
-    # BSs the distances, SINRs and nuisance draws, (rows, 6, block's widest).
+    # Per chunk: trials with enough BSs, their used counts, and for those
+    # BSs the distances, SINRs and nuisance draws, (rows, 6, chunk's widest).
     heard = []
-    for first in range(start - start % _BLOCK, stop, _BLOCK):
+    for first in range(start - start % _BLOCK, stop, chunk):
         block = first // _BLOCK
-        blocked = _BlockDraws(sim, block, min(_BLOCK, stop - first))
+        blocked = _BlockDraws(sim, block, min(chunk, stop - first))
         d = blocked.distances(scenario)
         sinr, detected = _detect(
             blocked.powers(scenario), blocked.tail(scenario), scenario, cfg
@@ -565,9 +572,10 @@ def _trial_span(cfg: E911Config, seed: int, start: int, stop: int) -> np.ndarray
                 f"a trial uses {widest} BSs, more than the {width} nuisance columns"
             )
         near = np.stack((d[rows, :widest], sinr[rows, :widest]), axis=1)
-        draws = _nuisance(seed, block, cfg, width)[rows, :, :widest]
+        blocks = -(-len(d) // _BLOCK)
+        draws = _nuisance(seed, block, blocks, cfg, width)[rows, :, :widest]
         heard.append((first + rows - start, used, np.concatenate((near, draws), axis=1)))
-    del blocked, d, sinr  # the last block need not outlive the sampling
+    del blocked, d, sinr  # the last chunk need not outlive the sampling
     trials, used = (np.concatenate(column) for column in list(zip(*heard))[:2])
     for m in np.unique(used):
         rows = trials[used == m]

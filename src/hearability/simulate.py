@@ -19,7 +19,7 @@ Each collector takes a *family* of sibling scenarios that share one
 ``SimConfig`` (a sweep over L, p, alpha, K or sigma_db) and returns a
 list with each sibling's statistic; one scenario is a family of one.  A
 family draws each block once: distances, activity uniforms, band labels
-and powers are drawn on first use and cached per block under the
+and powers are drawn on first use and cached per chunk under the
 scenario inputs they depend on, and only the statistic runs per
 sibling.  The activity uniforms are drawn only when some sibling's p or
 q lies strictly inside (0, 1); at 0 and 1 the transmit marks do not
@@ -31,12 +31,17 @@ statistics run on all K bands at once.
 Reproducibility contract: the collectors draw realizations in fixed
 blocks of ``_BLOCK`` rows from counter-based Philox streams keyed by
 ``(seed, block, role)``, one role per kind of draw (geometry, activity,
-bands, shadowing, ...).  Worker chunks start on block boundaries, so
+bands, shadowing, ...).  Worker spans start on block boundaries, so
 results are bit-identical across worker counts and unchanged if new
 draw roles are added later; E911 trial geometries are blocks too.
 The block rows are the only deployment sampler.  A row's statistics
 are a function of the seed, the block, the scenario and the window: a
 different ``expected_bs`` draws different rows and a different tail.
+The block is the keyed unit; the samplers and statistics run on chunks
+of whole consecutive blocks (``_chunk_rows``, sized by bytes), a
+compute unit that never reaches the bits: each block of a chunk fills
+its rows from its own streams, and every statistic treats each row on
+its own.
 
 Each collector row keeps the ``n = expected_bs`` BSs nearest the device
 (the window); on a shadowed hex grid these nearest sites are then
@@ -94,8 +99,8 @@ _ROLE_OFFSET = 4
 ROLE_E911 = 6
 
 # Realizations per keyed block of the collectors; part of the contract.
-# Sixteen rows of 1000 BSs make each (rows, n) float array 125 KiB, just
-# below glibc's default 128 KiB mmap threshold.
+# The samplers and statistics run on chunks of whole blocks
+# (:func:`_chunk_rows`), which never reach the bits.
 _BLOCK = 16
 
 # Default windows, in BSs per row.  A tail-completed Poisson row keeps at
@@ -105,10 +110,11 @@ _BLOCK = 16
 _PPP_WINDOW = 250
 _HEX_WINDOW = 1000
 
-# Bound on the bytes of one (rows, sites) temporary of the hex distances,
-# which take a block a few rows at a time.  glibc serves requests of
-# 128 KiB and more by mmap by default, and a fresh mapping per block pays
-# its page faults block after block.
+# Bound on the bytes of one temporary of a chunk's kernels, and of one
+# (rows, sites) temporary of the hex distances, which take a chunk a few
+# rows at a time.  glibc serves requests of 128 KiB and more by mmap by
+# default, and a fresh mapping per chunk pays its page faults chunk after
+# chunk.
 _SCRATCH_BYTES = 120 * 1024
 
 # How many of each band's nearest BSs the Upsilon and reuse statistics
@@ -378,7 +384,12 @@ def _distance_key(scenario: Scenario, config: SimConfig):
 
 
 class _BlockDraws:
-    """The parts of one block, each drawn once for every sibling scenario.
+    """The parts of a chunk of whole blocks, each drawn once for every sibling scenario.
+
+    The chunk holds ``rows`` rows from the first row of ``block`` on, and
+    block i of it fills its rows of every part from ``stream(seed, block
+    + i, role)``, so a row reads the same bits whichever chunk holds it;
+    a short final block holds the first rows of a full one.
 
     Every part is drawn on first use and cached under the scenario
     inputs it depends on: distances under :func:`_distance_key`, hex
@@ -390,7 +401,7 @@ class _BlockDraws:
     not read them.  Each role has its own keyed stream, so a skipped
     draw moves no other bits.  Siblings that agree on a part's inputs
     read one array, which no statistic writes to, so each sibling sees
-    the bits it would have drawn alone.  A hex block draws its lattice
+    the bits it would have drawn alone.  A hex chunk draws its lattice
     offsets and shadowing once for every alpha and ``sigma_db`` of
     ``family``; the siblings then only scale, exponentiate, multiply and
     sort.
@@ -403,6 +414,18 @@ class _BlockDraws:
         self.shape = (rows, config.expected_bs)
         self._parts: dict = {}
 
+    def _draw(self, role: int, fill, width: int | None = None, dtype=float) -> np.ndarray:
+        """A (rows, width) part, each block's rows filled by ``fill(rng, out)``.
+
+        ``rng`` is the block's stream for ``role`` and ``out`` its rows of
+        the part; ``width`` defaults to the window.
+        """
+        out = np.empty((self.rows, width or self.shape[1]), dtype)
+        for first in range(0, self.rows, _BLOCK):
+            rng = stream(self.config.seed, self.block + first // _BLOCK, role)
+            fill(rng, out[first : first + _BLOCK])
+        return out
+
     def _part(self, key, make):
         if key not in self._parts:
             self._parts[key] = make()
@@ -411,11 +434,9 @@ class _BlockDraws:
     def distances(self, scenario: Scenario) -> np.ndarray:
         """BS distances, (rows, n), each row ascending in equivalent distance.
 
-        Each row keeps the ``n = expected_bs`` BSs nearest the device.
-        Row r draws the same values whatever ``rows`` is, so a short
-        final block holds the first rows of a full one.  A hex sibling
-        whose shadowing fails raises its ``ValueError`` here, when it
-        reads its own distances.
+        Each row keeps the ``n = expected_bs`` BSs nearest the device.  A
+        hex sibling whose shadowing fails raises its ``ValueError`` here,
+        when it reads its own distances.
         """
         key = ("distances", _distance_key(scenario, self.config))
         if key not in self._parts:
@@ -432,7 +453,7 @@ class _BlockDraws:
         # process; shadowing enters through the effective density.
         config = self.config
         lam_eff = effective_density(scenario.lam, scenario.alpha, scenario.sigma_db)
-        d = stream(config.seed, self.block, _ROLE_GEOMETRY).standard_exponential(self.shape)
+        d = self._draw(_ROLE_GEOMETRY, lambda rng, out: rng.standard_exponential(out=out))
         np.cumsum(d, axis=1, out=d)
         d *= 1.0 / (math.pi * lam_eff)
         np.sqrt(d, out=d)
@@ -448,17 +469,17 @@ class _BlockDraws:
         unshadowed one sorts it in place.  A key whose shadowing fails
         holds its ``ValueError``, so each sibling raises what it raises
         alone.  Both draws are dropped once the distances exist, so the
-        block holds no more than its distances while the statistics run.
+        chunk holds no more than its distances while the statistics run.
         """
         config = self.config
-        u = stream(config.seed, self.block, _ROLE_OFFSET).random((self.rows, 2))
+        u = self._draw(_ROLE_OFFSET, lambda rng, out: rng.random(out=out), 2)
         d, reach, _ = _hex_nearest(u, config.hex_isd, config.expected_bs)
         self._parts.setdefault(("reach",), reach)
         keys = {("distances", _distance_key(s, config)): s for s in scenarios}
         todo = {key: s for key, s in keys.items() if key not in self._parts}
         plain = todo.pop(("distances", None), None)
         if todo:
-            z = stream(config.seed, self.block, _ROLE_SHADOW).standard_normal(self.shape)
+            z = self._draw(_ROLE_SHADOW, lambda rng, out: rng.standard_normal(out=out))
             for key, scenario in todo.items():
                 try:
                     self._parts[key] = _shadowed(d, z, scenario)
@@ -481,14 +502,14 @@ class _BlockDraws:
         return self._parts[("reach",)]
 
     def tail(self, scenario: Scenario) -> np.ndarray:
-        """:func:`_tail_mean` of the block's rows, (rows, 1)."""
+        """:func:`_tail_mean` of the chunk's rows, (rows, 1)."""
         return _tail_mean(self.reach(scenario), scenario, self.config)
 
     def activity(self) -> np.ndarray:
         """Activity uniforms in [0, 1), (rows, n)."""
-        return self._part(("activity",), lambda: stream(
-            self.config.seed, self.block, _ROLE_ACTIVITY
-        ).random(self.shape))
+        return self._part(("activity",), lambda: self._draw(
+            _ROLE_ACTIVITY, lambda rng, out: rng.random(out=out)
+        ))
 
     def active(self, share: float) -> np.ndarray:
         """Transmit marks at activity probability ``share``, (rows, n)."""
@@ -501,18 +522,20 @@ class _BlockDraws:
         """Band labels in 1..K, (rows, n); None for a single band."""
         if K == 1:
             return None
-        return self._part(("labels", K), lambda: stream(
-            self.config.seed, self.block, _ROLE_BANDS
-        ).integers(1, K + 1, size=self.shape, dtype=np.int16))
+
+        def fill(rng, out):  # ``integers`` has no ``out=``
+            out[...] = rng.integers(1, K + 1, size=out.shape, dtype=np.int16)
+
+        return self._part(("labels", K), lambda: self._draw(_ROLE_BANDS, fill, dtype=np.int16))
 
     def bands(self, K: int) -> "_Bands":
-        """The runs and nearest members of the block's K bands."""
+        """The runs and nearest members of the chunk's K bands."""
         return self._part(("bands", K), lambda: _Bands(
             self.labels(K), K, UPSILON_CAP, self.shape
         ))
 
     def powers(self, scenario: Scenario) -> np.ndarray:
-        """Received powers of the block's BSs per unit transmit power, (rows, n)."""
+        """Received powers of the chunk's BSs per unit transmit power, (rows, n)."""
         key = (_distance_key(scenario, self.config), scenario.alpha)
         return self._part(
             ("powers", key), lambda: _powers(self.distances(scenario), scenario)
@@ -520,7 +543,7 @@ class _BlockDraws:
 
 
 class _Bands:
-    """The K bands of a block, each as a run and as its nearest members.
+    """The K bands of a chunk, each as a run and as its nearest members.
 
     A stable sort of each row by label makes every band one contiguous
     run and keeps the order of its members: ``order`` (rows, n) holds
@@ -528,7 +551,7 @@ class _Bands:
     (rows, K, n) flags each band's run in them.  ``cols`` (rows, K, cap)
     holds the flat column of each band's (j+1)-th nearest member in
     slot j, and ``valid`` flags the slots that hold a member; the others
-    hold some other column of the block.  A single band needs no sort:
+    hold some other column of the chunk.  A single band needs no sort:
     ``order`` is None and slot j holds column j.
     """
 
@@ -671,10 +694,24 @@ def _upsilon(pw: np.ndarray, act_p: np.ndarray, act_q: np.ndarray, bands: _Bands
 # --- chunked collection across realizations -------------------------------
 
 
+def _chunk_rows(n: int, K: int = 1) -> int:
+    """Rows per chunk: the most whole blocks whose widest part fits ``_SCRATCH_BYTES``.
+
+    A row's widest part is a float per BS of its ``n``-BS window.  With
+    K > 1 bands the chunk's band index (:class:`_Bands`) holds a flag per
+    band and BS beside its sort order, and the rule counts both: counting
+    the float alone, 48-row chunks of 250 BSs and 6 bands page-fault
+    chunk after chunk.  At least one block, so the default hex window
+    runs one block per chunk.
+    """
+    row = 8 * n if K == 1 else (8 + K) * n
+    return _BLOCK * max(1, _SCRATCH_BYTES // (_BLOCK * row))
+
+
 def _block_stats(
     kind: str, family: tuple[Scenario, ...], config: SimConfig, block: int, rows: int
 ) -> np.ndarray:
-    """One collector's statistics of ``block`` for every sibling, (rows, S, ...)."""
+    """One collector's statistics of ``rows`` rows from ``block`` on, (rows, S, ...)."""
     draws = _BlockDraws(config, block, rows, family)
     stats = []
     for scenario in family:
@@ -699,10 +736,12 @@ def _block_stats(
 def _collect_span(
     kind: str, family: tuple[Scenario, ...], config: SimConfig, start: int, stop: int
 ) -> np.ndarray:
-    """Rows ``start:stop`` of one collector; ``start`` is block-aligned."""
+    """Rows ``start:stop`` of one collector by chunks; ``start`` is block-aligned."""
+    bands = 1 if kind == "margins" else max(s.K for s in family)
+    chunk = _chunk_rows(config.expected_bs, bands)
     out = None
-    for first in range(start, stop, _BLOCK):
-        part = _block_stats(kind, family, config, first // _BLOCK, min(_BLOCK, stop - first))
+    for first in range(start, stop, chunk):
+        part = _block_stats(kind, family, config, first // _BLOCK, min(chunk, stop - first))
         if out is None:  # filled in place: a list of parts would double the peak
             out = np.empty((stop - start, *part.shape[1:]), dtype=part.dtype)
         out[first - start : first - start + len(part)] = part
