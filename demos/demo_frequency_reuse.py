@@ -10,7 +10,7 @@ import numpy as np
 
 from hearability.analytic import Method
 from hearability.model import Scenario
-from hearability.reuse import ReuseQuery, pl_with_reuse_grid
+from hearability.reuse import pl_with_reuse_grid
 from hearability.simulate import SimConfig, collect_reuse_margins, exceedance_curve
 
 BASE = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, beta=1.0, gamma=1.0, L=4)
@@ -26,13 +26,10 @@ def main() -> None:
 
     scenarios = [BASE.replace(K=K) for K in KS]
     # One call for every K: the per-band table is evaluated once per point.
-    recursion = pl_with_reuse_grid([
-        ReuseQuery(
-            scen.replace(beta=10.0 ** (g / 10.0)), Method.SINGLE_INTEGRAL_ALPHA4
-        )
-        for scen in scenarios
-        for g in GRID
-    ])
+    recursion = pl_with_reuse_grid(
+        [scen.replace(beta=10.0 ** (g / 10.0)) for scen in scenarios for g in GRID],
+        Method.SINGLE_INTEGRAL_ALPHA4,
+    )
     # One family collection draws each Monte Carlo block once for all K.
     margins = collect_reuse_margins(scenarios, SimConfig(realizations=10000, seed=0))
     levels, n = 10.0 ** (GRID / 10.0), len(GRID)

@@ -42,7 +42,6 @@ _EXPORTS = {
     "erlang_quantile": "numerics",
     "integrate_lockstep": "numerics",
     "poisson_cdf": "numerics",
-    "ReuseQuery": "reuse",
     "pl_with_reuse_grid": "reuse",
     "Deployment": "simulate",
     "McEstimate": "simulate",

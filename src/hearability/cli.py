@@ -39,7 +39,7 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -48,12 +48,12 @@ import numpy as np
 
 from .analytic import Method, evaluate_grid, min_processing_gain
 from .model import Scenario, hex_grid_density
-from .numerics import NonConvergenceError, QuadratureSpec
-from .reuse import ReuseQuery, pl_with_reuse_grid
+from .numerics import NonConvergenceError
+from .reuse import pl_with_reuse_grid
 from .simulate import (
-    UPSILON_CAP,
     Deployment,
     SimConfig,
+    check_upsilon_cap,
     collect_margins,
     collect_reuse_margins,
     collect_upsilon,
@@ -63,7 +63,7 @@ from .simulate import (
 if TYPE_CHECKING:
     from .e911 import E911Config
 
-__all__ = ["SweepSpec", "run_sweeps", "run_figure", "main"]
+__all__ = ["run_sweeps", "run_figure", "main"]
 
 CSV_COLUMNS = (
     "beta_over_gamma_db",
@@ -105,31 +105,13 @@ class Row:
         return (self.method, self.L, self.p, self.q, self.alpha, self.K, self.bg_db)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A resolved sweep request: scenario family, grid, methods, controls."""
-
-    scenario: Scenario
-    grid_db: tuple[float, ...]
-    methods: tuple[str, ...]
-    sim: SimConfig
-    workers: int = 1
-    base_method: Method = Method.SINGLE_INTEGRAL_ALPHA4
-    quad: QuadratureSpec = field(default_factory=QuadratureSpec)
-
-    def __post_init__(self) -> None:
-        if not self.grid_db:
-            raise ValueError("grid_db must not be empty")
-        for tag in self.methods:
-            if tag not in _SWEEP_TAGS:
-                raise ValueError(
-                    f"unknown method {tag!r}; valid: {', '.join(sorted(_SWEEP_TAGS))}"
-                )
-            if self.scenario.K != 1 and tag not in _REUSE_TAGS:
-                raise ValueError(
-                    f"{tag} models one band and would ignore K={self.scenario.K}; "
-                    f"K != 1 needs {' or '.join(sorted(_REUSE_TAGS))}"
-                )
+def _known(tag: str) -> str:
+    """``tag``, if it names a sweep method."""
+    if tag not in _SWEEP_TAGS:
+        raise ValueError(
+            f"unknown method {tag!r}; valid: {', '.join(sorted(_SWEEP_TAGS))}"
+        )
+    return tag
 
 
 def _at_threshold(scenario: Scenario, bg_db: float) -> Scenario:
@@ -137,51 +119,11 @@ def _at_threshold(scenario: Scenario, bg_db: float) -> Scenario:
     return scenario.replace(beta=scenario.gamma * 10.0 ** (bg_db / 10.0))
 
 
-def _thresholds(grid_db) -> np.ndarray:
-    return np.array([10.0 ** (g / 10.0) for g in grid_db])
-
-
-def _shared(specs: list[SweepSpec]) -> list[dict[str, list]]:
-    """Each spec's values over its grid for the tags computed once per family.
-
-    The specs share ``sim`` and ``workers``, so each Monte Carlo collector
-    runs once over the family of their scenarios, and the ``ReuseRecursion``
-    specs share one :func:`pl_with_reuse_grid` call, which evaluates each
-    band point once for every K.
-    """
-    sim, workers = specs[0].sim, specs[0].workers
-    out: list[dict[str, list]] = [{} for _ in specs]
-    joint = [i for i, spec in enumerate(specs)
-             if {"MonteCarloJoint", "MonteCarloLastBs"} & set(spec.methods)]
-    if joint:
-        family = collect_margins([specs[i].scenario for i in joint], sim, workers)
-        for i, margins in zip(joint, family):
-            for col, tag in enumerate(("MonteCarloJoint", "MonteCarloLastBs")):
-                if tag in specs[i].methods:
-                    out[i][tag] = exceedance_curve(
-                        margins[:, col], _thresholds(specs[i].grid_db)
-                    )
-    reuse = [i for i, spec in enumerate(specs) if "MonteCarloReuse" in spec.methods]
-    if reuse:
-        family = collect_reuse_margins([specs[i].scenario for i in reuse], sim, workers)
-        for i, margins in zip(reuse, family):
-            out[i]["MonteCarloReuse"] = exceedance_curve(
-                margins, _thresholds(specs[i].grid_db)
-            )
-    recursion = [i for i, spec in enumerate(specs) if "ReuseRecursion" in spec.methods]
-    flat = iter(pl_with_reuse_grid([
-        ReuseQuery(_at_threshold(spec.scenario, g), spec.base_method, spec.quad)
-        for spec in (specs[i] for i in recursion) for g in spec.grid_db
-    ]))
-    for i in recursion:
-        out[i]["ReuseRecursion"] = [next(flat) for _ in specs[i].grid_db]
-    return out
-
-
-def _spec_rows(spec: SweepSpec, shared: dict[str, list]) -> list[Row]:
-    """One spec's rows; ``shared`` holds its values computed for the family."""
+def _scenario_rows(
+    scen: Scenario, grid_db: Sequence[float], methods: Sequence[str], shared: dict
+) -> list[Row]:
+    """One scenario's rows; ``shared`` holds its values computed for the family."""
     rows: list[Row] = []
-    scen = spec.scenario
 
     def base_row(bg_db: float, method: str, value: float, stderr=None, comment=None):
         return Row(
@@ -190,18 +132,18 @@ def _spec_rows(spec: SweepSpec, shared: dict[str, list]) -> list[Row]:
         )
 
     points = []
-    if not _ANALYTIC_TAGS.isdisjoint(spec.methods):
-        points = [_at_threshold(scen, g) for g in spec.grid_db]
-    for tag in spec.methods:
+    if not _ANALYTIC_TAGS.isdisjoint(methods):
+        points = [_at_threshold(scen, g) for g in grid_db]
+    for tag in methods:
         if tag in _MC_TAGS:
-            for g, est in zip(spec.grid_db, shared[tag]):
+            for g, est in zip(grid_db, shared[tag]):
                 rows.append(base_row(g, tag, est.estimate, est.stderr))
             continue
         if tag == "ReuseRecursion":
             values = shared[tag]
         else:
-            values = evaluate_grid(Method(tag), points, spec.quad)
-        for g, value in zip(spec.grid_db, values):
+            values = evaluate_grid(Method(tag), points)
+        for g, value in zip(grid_db, values):
             if not isinstance(value, NonConvergenceError):
                 rows.append(base_row(g, tag, value))
                 continue
@@ -215,22 +157,55 @@ def _spec_rows(spec: SweepSpec, shared: dict[str, list]) -> list[Row]:
     return rows
 
 
-def run_sweeps(specs: Sequence[SweepSpec]) -> list[Row]:
-    """Every spec's rows, in spec order, for specs that share ``sim`` and ``workers``.
+def run_sweeps(
+    scenarios: Sequence[Scenario],
+    grid_db: Sequence[float],
+    methods: Sequence[str],
+    sim: SimConfig,
+    workers: int = 1,
+    base_method: Method = Method.SINGLE_INTEGRAL_ALPHA4,
+) -> list[Row]:
+    """Every scenario's rows over the beta/gamma grid ``grid_db``, in scenario order.
 
-    The Monte Carlo rows come from one collection over the family of the
-    specs' scenarios, which draws each block once, and the
-    ``ReuseRecursion`` rows from one per-band table, so those specs must
-    also share L, alpha, p, q, ``base_method`` and ``quad``.  Each spec
-    gets the rows it gets in a sweep of its own.
+    The scenarios are one family.  Its Monte Carlo rows come from one
+    collection, which draws each block once for every scenario, and its
+    ``ReuseRecursion`` rows from one per-band table by ``base_method``,
+    so with that tag the scenarios must share L, alpha, p and q.  Each
+    scenario gets the rows it gets in a sweep of its own.
     """
-    specs = list(specs)
-    if any(s.sim != specs[0].sim or s.workers != specs[0].workers for s in specs):
-        raise ValueError("run_sweeps needs specs that share sim and workers")
-    if not specs:
-        return []
-    return [row for spec, shared in zip(specs, _shared(specs))
-            for row in _spec_rows(spec, shared)]
+    if not grid_db:
+        raise ValueError("grid_db must not be empty")
+    scenarios = list(scenarios)
+    for scen in scenarios:
+        for tag in methods:
+            _known(tag)
+            if scen.K != 1 and tag not in _REUSE_TAGS:
+                raise ValueError(
+                    f"{tag} models one band and would ignore K={scen.K}; "
+                    f"K != 1 needs {' or '.join(sorted(_REUSE_TAGS))}"
+                )
+    levels = np.array([10.0 ** (g / 10.0) for g in grid_db])
+    shared: dict[str, list] = {}  # tag -> per scenario, its values over the grid
+    if {"MonteCarloJoint", "MonteCarloLastBs"} & set(methods):
+        family = collect_margins(scenarios, sim, workers)
+        for col, tag in enumerate(("MonteCarloJoint", "MonteCarloLastBs")):
+            if tag in methods:
+                shared[tag] = [exceedance_curve(m[:, col], levels) for m in family]
+    if "MonteCarloReuse" in methods:
+        family = collect_reuse_margins(scenarios, sim, workers)
+        shared["MonteCarloReuse"] = [exceedance_curve(m, levels) for m in family]
+    if "ReuseRecursion" in methods:
+        flat = pl_with_reuse_grid(
+            [_at_threshold(scen, g) for scen in scenarios for g in grid_db], base_method
+        )
+        n = len(grid_db)
+        shared["ReuseRecursion"] = [flat[i:i + n] for i in range(0, len(flat), n)]
+    return [
+        row for i, scen in enumerate(scenarios)
+        for row in _scenario_rows(
+            scen, grid_db, methods, {tag: v[i] for tag, v in shared.items()}
+        )
+    ]
 
 
 def hex_vs_ppp_rows(
@@ -246,11 +221,7 @@ def hex_vs_ppp_rows(
     each shadowing sigma in dB adds hex-grid rows
     (``MonteCarloHex_s<sigma>``), all from one hex family.
     """
-    if l_max > UPSILON_CAP:
-        raise ValueError(
-            f"l_max={l_max} exceeds UPSILON_CAP={UPSILON_CAP}, the most "
-            "detections per band that the Monte Carlo counts track"
-        )
+    check_upsilon_cap("l_max", l_max)
     bg_db = 10.0 * math.log10(scenario.bg_ratio)
     l_values = np.arange(1, l_max + 1)
     family = [scenario.replace(sigma_db=sigma) for sigma in sigmas]
@@ -319,7 +290,7 @@ def _format(value: float) -> str:
 
 
 def write_csv(rows: list[Row], out: Path, timestamp: bool) -> None:
-    """Write sorted rows under the fixed header, atomically enough."""
+    """Write sorted rows under the fixed header, replacing ``out`` in place."""
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)
     lines = []
@@ -424,28 +395,24 @@ def _fig2(seed: int, realizations: int | None, workers: int) -> tuple[list[Row],
 def _fig3(seed: int, realizations: int | None, workers: int) -> tuple[list[Row], str]:
     scen = Scenario(lam=_DENSITY, alpha=4.0, p=1.0, q=1.0, beta=1.0, gamma=1.0, L=4)
     sim = SimConfig(realizations=realizations or 20000, seed=seed)
-    spec = SweepSpec(
-        scen, _grid(-20.0, 0.0, 0.5),
-        ("UpperBound", "NearFieldAlpha4", "SingleIntegralAlpha4", "MonteCarloJoint"),
-        sim, workers,
+    methods = (
+        "UpperBound", "NearFieldAlpha4", "SingleIntegralAlpha4", "MonteCarloJoint"
     )
-    return run_sweeps([spec]), "beta_over_gamma_db"
+    rows = run_sweeps([scen], _grid(-20.0, 0.0, 0.5), methods, sim, workers)
+    return rows, "beta_over_gamma_db"
 
 
 def _fig4(seed: int, realizations: int | None, workers: int) -> tuple[list[Row], str]:
     sim = SimConfig(realizations=realizations or 20000, seed=seed)
-    specs = [
-        SweepSpec(
-            Scenario(
-                lam=_DENSITY, alpha=alpha, p=2.0 / 3.0, q=1.0, beta=1.0, gamma=1.0, L=4
-            ),
-            _grid(-20.0, 0.0, 1.0),
-            ("DoubleIntegral", "SingleIntegralGeneral", "MonteCarloJoint"),
-            sim, workers,
+    scenarios = [
+        Scenario(
+            lam=_DENSITY, alpha=alpha, p=2.0 / 3.0, q=1.0, beta=1.0, gamma=1.0, L=4
         )
         for alpha in (3.0, 3.5, 4.0, 4.5)
     ]
-    return run_sweeps(specs), "beta_over_gamma_db"
+    methods = ("DoubleIntegral", "SingleIntegralGeneral", "MonteCarloJoint")
+    rows = run_sweeps(scenarios, _grid(-20.0, 0.0, 1.0), methods, sim, workers)
+    return rows, "beta_over_gamma_db"
 
 
 def _fig5(seed: int, realizations: int | None, workers: int) -> tuple[list[Row], str]:
@@ -459,43 +426,35 @@ def _fig6(seed: int, realizations: int | None, workers: int) -> tuple[list[Row],
 
 def _fig7(seed: int, realizations: int | None, workers: int) -> tuple[list[Row], str]:
     sim = SimConfig(realizations=realizations or 20000, seed=seed)
-    specs = [
-        SweepSpec(
-            Scenario(lam=_DENSITY, alpha=4.0, p=p, q=1.0, beta=1.0, gamma=1.0, L=4),
-            _grid(-20.0, 0.0, 0.5),
-            ("SingleIntegralAlpha4", "MonteCarloJoint"), sim, workers,
-        )
+    scenarios = [
+        Scenario(lam=_DENSITY, alpha=4.0, p=p, q=1.0, beta=1.0, gamma=1.0, L=4)
         for p in (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
     ]
-    return run_sweeps(specs), "beta_over_gamma_db"
+    methods = ("SingleIntegralAlpha4", "MonteCarloJoint")
+    rows = run_sweeps(scenarios, _grid(-20.0, 0.0, 0.5), methods, sim, workers)
+    return rows, "beta_over_gamma_db"
 
 
 def _fig8(seed: int, realizations: int | None, workers: int) -> tuple[list[Row], str]:
     sim = SimConfig(realizations=realizations or 20000, seed=seed)
-    specs = [
-        SweepSpec(
-            Scenario(lam=_DENSITY, alpha=4.0, p=0.5, q=0.75, beta=1.0, gamma=1.0, L=l),
-            _grid(-20.0, 0.0, 0.5),
-            ("SingleIntegralAlpha4", "MonteCarloJoint"), sim, workers,
-        )
+    scenarios = [
+        Scenario(lam=_DENSITY, alpha=4.0, p=0.5, q=0.75, beta=1.0, gamma=1.0, L=l)
         for l in (2, 4, 6, 8)
     ]
-    return run_sweeps(specs), "beta_over_gamma_db"
+    methods = ("SingleIntegralAlpha4", "MonteCarloJoint")
+    rows = run_sweeps(scenarios, _grid(-20.0, 0.0, 0.5), methods, sim, workers)
+    return rows, "beta_over_gamma_db"
 
 
 def _fig9(seed: int, realizations: int | None, workers: int) -> tuple[list[Row], str]:
     sim = SimConfig(realizations=realizations or 10000, seed=seed)
-    specs = [
-        SweepSpec(
-            Scenario(
-                lam=_DENSITY, alpha=4.0, p=1.0, q=1.0, beta=1.0, gamma=1.0, L=4, K=k
-            ),
-            _grid(-20.0, 0.0, 1.0),
-            ("ReuseRecursion", "MonteCarloReuse"), sim, workers,
-        )
+    scenarios = [
+        Scenario(lam=_DENSITY, alpha=4.0, p=1.0, q=1.0, beta=1.0, gamma=1.0, L=4, K=k)
         for k in (1, 3, 6)
     ]
-    return run_sweeps(specs), "beta_over_gamma_db"
+    methods = ("ReuseRecursion", "MonteCarloReuse")
+    rows = run_sweeps(scenarios, _grid(-20.0, 0.0, 1.0), methods, sim, workers)
+    return rows, "beta_over_gamma_db"
 
 
 def _hex_vs_ppp(
@@ -607,12 +566,7 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _methods(text: str) -> tuple[str, ...]:
-    tags = tuple(t.strip() for t in text.split(",") if t.strip())
-    for tag in tags:
-        if tag not in _SWEEP_TAGS:
-            raise ValueError(
-                f"unknown method {tag!r}; valid: {', '.join(sorted(_SWEEP_TAGS))}"
-            )
+    tags = tuple(_known(t.strip()) for t in text.split(",") if t.strip())
     if not tags:
         raise ValueError("empty methods list")
     return _distinct(tags)
@@ -687,7 +641,10 @@ def _sim(v: dict) -> SimConfig:
     )
 
 
-def _sweep_spec(v: dict, K: int, methods: tuple[str, ...]) -> SweepSpec:
+def _run_grid(
+    v: dict, k_values: tuple[int, ...], methods: tuple[str, ...]
+) -> list[Row]:
+    """The sweep of the family ``k_values`` over the resolved grid ``v``."""
     start, stop, step = v["bg_start_db"], v["bg_stop_db"], v["bg_step_db"]
     if not math.isfinite(step):
         raise ValueError(f"bg_step_db: must be finite, got {step}")
@@ -696,22 +653,26 @@ def _sweep_spec(v: dict, K: int, methods: tuple[str, ...]) -> SweepSpec:
     if (stop - start) / step + 1e-9 >= _MAX_GRID_POINTS:
         raise ValueError(f"bg_step_db: the grid would exceed {_MAX_GRID_POINTS} points")
     # P_L reads beta and gamma only through beta/gamma, which the grid sets.
-    scen = Scenario(
-        lam=v["lam"], alpha=v["alpha"], p=v["p"], q=v["q"], beta=1.0, gamma=1.0,
-        L=v["l"], K=K,
-    )
-    return SweepSpec(
-        scen, _grid(start, stop, step), methods, _sim(v), v["workers"], v["base_method"]
+    scenarios = [
+        Scenario(
+            lam=v["lam"], alpha=v["alpha"], p=v["p"], q=v["q"], beta=1.0, gamma=1.0,
+            L=v["l"], K=K,
+        )
+        for K in k_values
+    ]
+    return run_sweeps(
+        scenarios, _grid(start, stop, step), methods, _sim(v), v["workers"],
+        v["base_method"],
     )
 
 
 def _sweep(v: dict) -> list[Row]:
-    return run_sweeps([_sweep_spec(v, v["k"], v["methods"])])
+    return _run_grid(v, (v["k"],), v["methods"])
 
 
 def _reuse(v: dict) -> list[Row]:
     methods = ("ReuseRecursion", "MonteCarloReuse") if v["mc"] else ("ReuseRecursion",)
-    return run_sweeps([_sweep_spec(v, k, methods) for k in v["k_list"]])
+    return _run_grid(v, v["k_list"], methods)
 
 
 def _hexgrid(v: dict) -> list[Row]:

@@ -74,6 +74,11 @@ SPEED_OF_LIGHT = 299792458.0  # meters per second
 RMS_BANDWIDTH_FACTOR = 1.0 / 12.0  # beta_rms**2 / bandwidth**2, flat spectrum
 
 
+def _at_least(value, least: int) -> bool:
+    """Whether ``value`` is an integer no smaller than ``least``."""
+    return isinstance(value, (int, np.integer)) and value >= least
+
+
 @dataclass(frozen=True)
 class E911Config:
     """Positioning-experiment parameters.
@@ -148,22 +153,21 @@ class E911Config:
             )
         if not (self.hex_isd > 0.0 and math.isfinite(self.hex_isd)):
             raise ValueError(f"hex_isd must be positive, got {self.hex_isd}")
-        if not isinstance(self.trials, (int, np.integer)) or self.trials < MIN_TRIALS:
+        if not _at_least(self.trials, MIN_TRIALS):
             raise ValueError(
                 f"trials must be an integer >= {MIN_TRIALS}, got {self.trials!r}"
             )
-        if not self.min_hearability_grid or any(
-            (not isinstance(v, (int, np.integer))) or v < _MIN_BS_FOR_FIX
-            for v in self.min_hearability_grid
-        ):
+        grid = self.min_hearability_grid
+        if not grid or not all(_at_least(v, _MIN_BS_FOR_FIX) for v in grid):
             raise ValueError(
                 "min_hearability_grid entries must be integers >= "
-                f"{_MIN_BS_FOR_FIX}, got {self.min_hearability_grid!r}"
+                f"{_MIN_BS_FOR_FIX}, got {grid!r}"
             )
-        if self.max_bs_per_fix is not None and self.max_bs_per_fix < _MIN_BS_FOR_FIX:
+        cap = self.max_bs_per_fix
+        if cap is not None and not _at_least(cap, _MIN_BS_FOR_FIX):
             raise ValueError(
-                f"max_bs_per_fix must be >= {_MIN_BS_FOR_FIX} or None, "
-                f"got {self.max_bs_per_fix!r}"
+                f"max_bs_per_fix must be an integer >= {_MIN_BS_FOR_FIX} or None, "
+                f"got {cap!r}"
             )
 
     def replace(self, **changes) -> "E911Config":

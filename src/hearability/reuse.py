@@ -14,53 +14,25 @@ The construction requires a single per-band detectability ordering,
 which holds when muting and load coincide (``p = q``).  No evaluator
 reads the density or the noise, so the per-band ``P_n`` depend on ``beta``
 and ``gamma`` only: :func:`pl_with_reuse_grid` evaluates each distinct
-point of a family of queries once per level ``n``, for every ``K``.  One
-query is a family of one.
+point of a family of scenarios once per level ``n``, for every ``K``.
+One scenario is a family of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .analytic import Method, evaluate_grid
 from .model import Scenario
-from .numerics import NonConvergenceError, QuadratureSpec
+from .numerics import NonConvergenceError
 
-__all__ = ["ReuseQuery", "pl_with_reuse_grid"]
-
-
-@dataclass(frozen=True)
-class ReuseQuery:
-    """A reuse evaluation request.
-
-    Attributes:
-        scenario: network parameters; ``scenario.K`` is the reuse
-            factor and ``p == q`` is required.
-        base_method: analytic evaluator used for the per-band ``P_n``
-            values at density ``lam / K``; they depend on ``beta`` and
-            ``gamma`` only, so queries that differ in ``K`` or ``lam``
-            share them.
-        quad: quadrature control for integral-backed base methods.
-    """
-
-    scenario: Scenario
-    base_method: Method = Method.SINGLE_INTEGRAL_ALPHA4
-    quad: QuadratureSpec = field(default_factory=QuadratureSpec)
-
-    def __post_init__(self) -> None:
-        if self.scenario.p != self.scenario.q:
-            raise ValueError(
-                "reuse accumulation needs one detectability ordering per band, "
-                f"which requires p = q; got p={self.scenario.p}, q={self.scenario.q}"
-            )
-        Method(self.base_method)  # a tag that names no evaluator raises
+__all__ = ["pl_with_reuse_grid"]
 
 
-def _count_pmfs(queries: list[ReuseQuery]) -> list:
-    """Per query, P(exactly n BSs detectable in one band) for n = 0 .. L-1.
+def _count_pmfs(scenarios: list[Scenario], base_method: Method) -> list:
+    """Per scenario, P(exactly n BSs detectable in one band) for n = 0 .. L-1.
 
     ``e(n) = P_n - P_{n+1}`` with ``P_0 = 1`` and ``P_n`` the single-band
     value at the thinned density ``lam / K``; counts of ``L`` or more
@@ -69,29 +41,27 @@ def _count_pmfs(queries: list[ReuseQuery]) -> list:
     evaluator and raise; rounding-level negatives are clamped to 0.
 
     One grid call per level n evaluates each distinct ``(beta, gamma)``
-    once for all its queries, whatever their ``K`` and ``lam``.  A point
+    once for all the scenarios, whatever their ``K`` and ``lam``.  A point
     whose level ``P_n`` does not converge gets that level's
     :class:`NonConvergenceError` instead, and leaves the later levels.
     """
-    first = queries[0]
-    L = first.scenario.L
-    if len({(q.scenario.L, q.scenario.alpha, q.scenario.p, q.base_method, q.quad)
-            for q in queries}) > 1:  # q = p in every query
-        raise ValueError("grid queries must share L, alpha, p, q, base_method and quad")
-    points = {(q.scenario.beta, q.scenario.gamma): q.scenario for q in queries}
+    L = scenarios[0].L
+    if len({(s.L, s.alpha, s.p) for s in scenarios}) > 1:  # q = p in every scenario
+        raise ValueError("reuse scenarios must share L, alpha, p and q")
+    points = {(s.beta, s.gamma): s for s in scenarios}
     levels: dict = {pt: [1.0] for pt in points}  # P_0 = 1
     for n in range(1, L + 1):
         live = [pt for pt, lv in levels.items() if isinstance(lv, list)]
-        # The band of one query at each point: density lam / K, one band.
+        # The band of one scenario at each point: density lam / K, one band.
         bands = [s.replace(L=n, K=1, lam=s.lam / s.K) for s in map(points.get, live)]
-        for pt, value in zip(live, evaluate_grid(first.base_method, bands, first.quad)):
+        for pt, value in zip(live, evaluate_grid(base_method, bands)):
             if isinstance(value, NonConvergenceError):
                 levels[pt] = value
             else:
                 levels[pt].append(value)
     for pt, lv in levels.items():
         levels[pt] = lv if isinstance(lv, NonConvergenceError) else _pmf(lv, L)
-    return [levels[q.scenario.beta, q.scenario.gamma] for q in queries]
+    return [levels[s.beta, s.gamma] for s in scenarios]
 
 
 def _pmf(levels: list[float], L: int) -> np.ndarray:
@@ -114,36 +84,44 @@ def _failure_by_convolution(e: np.ndarray, K: int, L: int) -> float:
 
 
 def pl_with_reuse_grid(
-    queries: Sequence[ReuseQuery],
+    scenarios: Sequence[Scenario],
+    base_method: Method = Method.SINGLE_INTEGRAL_ALPHA4,
 ) -> list[float | NonConvergenceError]:
-    """P(at least L BSs detectable across all K bands) at every query of a family.
+    """P(at least L BSs detectable across all K bands) at every scenario of a family.
 
-    The queries share ``L``, ``alpha``, ``p``, ``q``, ``base_method`` and
-    ``quad``; they differ in ``beta`` and may differ in ``gamma``, ``K``
-    and ``lam``.  The per-band ``P_n`` table depends on beta and gamma
-    only, so each distinct point is evaluated once for the whole family,
-    with one :func:`~hearability.analytic.evaluate_grid` call per level
-    n, and every query gets the bits it gets in a family of its own.
-    Each value is the convolution form, which ``tests/test_reuse.py``
-    checks against a brute-force sum over per-band count tuples.  At
-    ``K = 1`` the telescoping collapses to the single-band value (up to
-    summation rounding).
+    ``scenario.K`` is the reuse factor, and ``p == q`` is required.  The
+    scenarios share ``L``, ``alpha``, ``p`` and ``q``; they differ in
+    ``beta`` and may differ in ``gamma``, ``K`` and ``lam``.
+    ``base_method`` is the analytic evaluator of the per-band ``P_n`` at
+    density ``lam / K``.  That table depends on beta and gamma only, so
+    each distinct point is evaluated once for the whole family, with one
+    :func:`~hearability.analytic.evaluate_grid` call per level n, and
+    every scenario gets the bits it gets in a family of its own.  Each
+    value is the convolution form, which ``tests/test_reuse.py`` checks
+    against a brute-force sum over per-band count tuples.  At ``K = 1``
+    the telescoping collapses to the single-band value (up to summation
+    rounding).
 
     Returns:
-        Per query, P_L across all K bands, or the
+        Per scenario, P_L across all K bands, or the
         :class:`NonConvergenceError` of the point's first per-band level
         that did not converge.  That error carries one band's ``P_n``,
         not the reuse P_L.
     """
-    queries = list(queries)
-    if not queries:
+    scenarios = list(scenarios)
+    for s in scenarios:
+        if s.p != s.q:
+            raise ValueError(
+                "reuse accumulation needs one detectability ordering per band, "
+                f"which requires p = q; got p={s.p}, q={s.q}"
+            )
+    if not scenarios:
         return []
     out: list = []
-    for query, e in zip(queries, _count_pmfs(queries)):
+    for s, e in zip(scenarios, _count_pmfs(scenarios, base_method)):
         if isinstance(e, NonConvergenceError):
             out.append(e)
             continue
-        failure = _failure_by_convolution(e, query.scenario.K, query.scenario.L)
+        failure = _failure_by_convolution(e, s.K, s.L)
         out.append(min(1.0, max(0.0, 1.0 - failure)))
     return out
-

@@ -83,6 +83,7 @@ __all__ = [
     "Deployment",
     "SimConfig",
     "UPSILON_CAP",
+    "check_upsilon_cap",
     "McEstimate",
     "exceedance_curve",
     "collect_margins",
@@ -124,6 +125,15 @@ _SCRATCH_BYTES = 120 * 1024
 # p != q the cap is part of Upsilon's definition: it bounds the candidate
 # participant counts that are checked.
 UPSILON_CAP = 32
+
+
+def check_upsilon_cap(name: str, level: int) -> None:
+    """Reject a level L above ``UPSILON_CAP``, naming it ``name``."""
+    if level > UPSILON_CAP:
+        raise ValueError(
+            f"{name}={level} exceeds UPSILON_CAP={UPSILON_CAP}, the most "
+            "detections per band that the Monte Carlo counts track"
+        )
 
 
 class Deployment(str, enum.Enum):
@@ -767,11 +777,7 @@ def _collect(
         if kind == "reuse":
             if scenario.p != scenario.q:
                 raise ValueError("band prefix margins require p = q")
-            if scenario.L > UPSILON_CAP:
-                raise ValueError(
-                    f"L={scenario.L} exceeds UPSILON_CAP={UPSILON_CAP}, the most "
-                    "detections per band that the Monte Carlo counts track"
-                )
+            check_upsilon_cap("L", scenario.L)
         _check_window(scenario, config)
     args = (kind, family, config)
     stacked = map_spans(_collect_span, args, config.realizations, workers, _BLOCK)

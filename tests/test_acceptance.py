@@ -26,7 +26,7 @@ from hearability.e911 import (
     fcc_compliance,
 )
 from hearability.model import Scenario
-from hearability.reuse import ReuseQuery, pl_with_reuse_grid
+from hearability.reuse import pl_with_reuse_grid
 from hearability.simulate import (
     Deployment,
     SimConfig,
@@ -65,8 +65,8 @@ def _curve(method: Method, scen: Scenario, grid_db) -> np.ndarray:
 
 def _reuse_curve(scen: Scenario, grid_db) -> np.ndarray:
     """Reuse P_L at each beta/gamma of ``grid_db``, one family call."""
-    queries = [ReuseQuery(_at(scen, g), Method.SINGLE_INTEGRAL_ALPHA4) for g in grid_db]
-    return np.array([value_or_raise(v) for v in pl_with_reuse_grid(queries)])
+    points = [_at(scen, g) for g in grid_db]  # per-band P_n by SingleIntegralAlpha4
+    return np.array([value_or_raise(v) for v in pl_with_reuse_grid(points)])
 
 
 def _upsilon_curve(upsilon: np.ndarray, l_values) -> np.ndarray:

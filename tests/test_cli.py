@@ -1,7 +1,9 @@
 """Unit tests for the command line interface and CSV artifacts."""
 
 import argparse
-import dataclasses
+import functools
+import importlib.util
+import inspect
 import math
 import os
 import re
@@ -20,11 +22,12 @@ import hearability.cli as cli
 from hearability.cli import (
     CSV_COLUMNS,
     Row,
-    SweepSpec,
+    _COMMANDS,
     _COMMON,
     _at_threshold,
     _grid,
     _lookup,
+    _resolve,
     build_parser,
     hex_vs_ppp_rows,
     main,
@@ -34,10 +37,11 @@ from hearability.cli import (
     run_sweeps,
     write_csv,
 )
-from hearability.analytic import Method
+from hearability import reuse
+from hearability.analytic import Method, evaluate_grid
 from hearability.model import Scenario
 from hearability.numerics import NonConvergenceError, QuadratureSpec
-from hearability.reuse import ReuseQuery, _failure_by_convolution
+from hearability.reuse import _failure_by_convolution
 from hearability.simulate import SimConfig
 
 HEADER = ",".join(CSV_COLUMNS)
@@ -76,6 +80,13 @@ EVERY_KEY = {
 
 def flag(key):
     return "--" + key.replace("_", "-")
+
+
+def use_quadrature(monkeypatch, quad: QuadratureSpec) -> None:
+    """Run the sweep's analytic and per-band reuse grids under ``quad``."""
+    grid = functools.partial(evaluate_grid, quad=quad)
+    monkeypatch.setattr(cli, "evaluate_grid", grid)
+    monkeypatch.setattr(reuse, "evaluate_grid", grid)
 
 
 def lines_of(path):
@@ -221,19 +232,19 @@ class TestCsvContract:
         assert fields[CSV_COLUMNS.index("lambda")] == "nan"
         assert fields[CSV_COLUMNS.index("method")] == "ProcGainBound"
 
-    def test_nonconvergence_rows_carry_comment(self, tmp_path):
+    def test_nonconvergence_rows_carry_comment(self, tmp_path, monkeypatch):
         scen = Scenario(
             lam=1.0, alpha=3.5, p=2.0 / 3.0, q=1.0, beta=1.0, gamma=1.0, L=4
         )
-        spec = SweepSpec(
-            scen, (-10.0,), ("DoubleIntegral",),
-            SimConfig(realizations=100, seed=0),
-            # One halving per panel leaves the error estimate near 4e-10,
-            # six orders above the 1e-15 relative target, so this cannot
-            # converge whatever the last bits of the arithmetic.
-            quad=QuadratureSpec(rel_tol=1e-15, abs_tol=1e-18, max_depth=1),
+        # One halving per panel leaves the error estimate near 4e-10, six
+        # orders above the 1e-15 relative target, so this cannot converge
+        # whatever the last bits of the arithmetic.
+        use_quadrature(
+            monkeypatch, QuadratureSpec(rel_tol=1e-15, abs_tol=1e-18, max_depth=1)
         )
-        rows = run_sweeps([spec])
+        rows = run_sweeps(
+            [scen], (-10.0,), ("DoubleIntegral",), SimConfig(realizations=100, seed=0)
+        )
         assert rows[0].comment and "nonconvergence" in rows[0].comment
         assert 0.0 <= rows[0].value <= 1.0  # best estimate still reported
         out = tmp_path / "t.csv"
@@ -241,19 +252,19 @@ class TestCsvContract:
         content = lines_of(out)
         assert any(l.startswith("# nonconvergence") for l in content)
 
-    def test_reuse_nonconvergence_is_flagged_not_raised(self, tmp_path):
+    def test_reuse_nonconvergence_is_flagged_not_raised(self, tmp_path, monkeypatch):
         scen = Scenario(
             lam=1.0, alpha=3.5, p=1.0, q=1.0, beta=1.0, gamma=1.0, L=4, K=3
         )
-        spec = SweepSpec(
-            scen, (-10.0, -9.0), ("ReuseRecursion",),
-            SimConfig(realizations=100, seed=0),
-            base_method=Method.DOUBLE_INTEGRAL,
-            # As above: one halving leaves the per-band error estimate
-            # orders of magnitude above the 1e-15 relative target.
-            quad=QuadratureSpec(rel_tol=1e-15, abs_tol=1e-18, max_depth=1),
+        # As above: one halving leaves the per-band error estimate orders
+        # of magnitude above the 1e-15 relative target.
+        use_quadrature(
+            monkeypatch, QuadratureSpec(rel_tol=1e-15, abs_tol=1e-18, max_depth=1)
         )
-        rows = run_sweeps([spec])
+        rows = run_sweeps(
+            [scen], (-10.0, -9.0), ("ReuseRecursion",),
+            SimConfig(realizations=100, seed=0), base_method=Method.DOUBLE_INTEGRAL,
+        )
         assert len(rows) == 2
         for row in rows:
             assert row.comment.startswith("nonconvergence method=ReuseRecursion")
@@ -269,28 +280,30 @@ ORACLES = {
 }
 
 
-def oracle_reuse(query: ReuseQuery) -> float:
+def oracle_reuse(scen: Scenario, base_method: Method, quad: QuadratureSpec) -> float:
     """Reuse P_L from scalar-oracle per-band levels."""
-    scen, oracle = query.scenario, ORACLES[query.base_method]
+    oracle = ORACLES[base_method]
     band = scen.replace(K=1, lam=scen.lam / scen.K)
     levels = [1.0]
-    levels += [oracle(band.replace(L=n), query.quad) for n in range(1, scen.L + 1)]
+    levels += [oracle(band.replace(L=n), quad) for n in range(1, scen.L + 1)]
     e = np.maximum(np.diff(-np.asarray(levels))[: scen.L], 0.0)
     return min(1.0, max(0.0, 1.0 - _failure_by_convolution(e, scen.K, scen.L)))
 
 
-def per_point_rows(spec: SweepSpec) -> list[Row]:
+def per_point_rows(
+    scen: Scenario, grid_db, methods, quad: QuadratureSpec
+) -> list[Row]:
     """The sweep evaluated one point at a time by the scalar oracles."""
-    scen, rows = spec.scenario, []
-    for tag in spec.methods:
-        for g in spec.grid_db:
+    rows = []
+    for tag in methods:
+        for g in grid_db:
             point = _at_threshold(scen, g)
             comment = None
             try:
                 if tag == "ReuseRecursion":
-                    value = oracle_reuse(ReuseQuery(point, spec.base_method, spec.quad))
+                    value = oracle_reuse(point, Method.SINGLE_INTEGRAL_ALPHA4, quad)
                 else:
-                    value = ORACLES[Method(tag)](point, spec.quad)
+                    value = ORACLES[Method(tag)](point, quad)
             except NonConvergenceError as err:
                 value = math.nan if tag == "ReuseRecursion" else err.best_estimate
                 comment = (
@@ -316,47 +329,58 @@ class TestGridSweep:
              ("ReuseRecursion",)),
         ],
     )
-    def test_depth_one_sweep_matches_per_point_bytes(self, tmp_path, scen, methods):
+    def test_depth_one_sweep_matches_per_point_bytes(
+        self, tmp_path, monkeypatch, scen, methods
+    ):
         # One halving per panel: some grid points fail, the rest converge.
-        spec = SweepSpec(
-            scen, _grid(-20.0, 0.0, 1.0), methods, SimConfig(realizations=100, seed=0),
-            quad=QuadratureSpec(max_depth=1),
-        )
-        rows = run_sweeps([spec])
+        quad, grid_db = QuadratureSpec(max_depth=1), _grid(-20.0, 0.0, 1.0)
+        use_quadrature(monkeypatch, quad)
+        rows = run_sweeps([scen], grid_db, methods, SimConfig(realizations=100, seed=0))
         flagged = [r for r in rows if r.comment]
         assert 0 < len(flagged) < len(rows)
         write_csv(rows, tmp_path / "grid.csv", timestamp=False)
-        write_csv(per_point_rows(spec), tmp_path / "points.csv", timestamp=False)
+        points = per_point_rows(scen, grid_db, methods, quad)
+        write_csv(points, tmp_path / "points.csv", timestamp=False)
         got = (tmp_path / "grid.csv").read_bytes()
         assert got == (tmp_path / "points.csv").read_bytes()
         assert got.count(b"\n# nonconvergence") == len(flagged)
 
 
-def _figure_specs(monkeypatch, name: str, realizations: int) -> list[SweepSpec]:
-    """The specs a figure recipe hands to ``run_sweeps``."""
-    specs: list[SweepSpec] = []
+def _family(monkeypatch, run) -> tuple[list[Scenario], dict]:
+    """The scenarios and the shared controls ``run()`` hands to ``run_sweeps``."""
+    calls = []
+    signature = inspect.signature(run_sweeps)
+
+    def capture(*args, **kwargs):
+        calls.append(dict(signature.bind(*args, **kwargs).arguments))
+        return []
+
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "run_sweeps", lambda family: specs.extend(family) or [])
-        cli._FIGURES[name](3, realizations, 1)
-    return specs
+        patch.setattr(cli, "run_sweeps", capture)
+        run()
+    [controls] = calls
+    return list(controls.pop("scenarios")), controls
 
 
-def _reuse_specs(monkeypatch, tmp_path, *flags: str) -> list[SweepSpec]:
-    """The specs ``hearability reuse`` hands to ``run_sweeps``."""
-    specs: list[SweepSpec] = []
-    with monkeypatch.context() as patch:
-        patch.setattr(cli, "run_sweeps", lambda family: specs.extend(family) or [])
-        main(["reuse", *flags, "--out", str(tmp_path / "x.csv"), "--no-timestamp"])
-    return specs
+def _figure_family(monkeypatch, name: str, realizations: int):
+    """The family a figure recipe hands to ``run_sweeps``."""
+    return _family(monkeypatch, lambda: cli._FIGURES[name](3, realizations, 1))
+
+
+def _reuse_family(monkeypatch, tmp_path, *flags: str):
+    """The family ``hearability reuse`` hands to ``run_sweeps``."""
+    return _family(monkeypatch, lambda: main(
+        ["reuse", *flags, "--out", str(tmp_path / "x.csv"), "--no-timestamp"]
+    ))
 
 
 class TestRunSweeps:
     @pytest.mark.parametrize("name", ["fig8", "fig9"])
     def test_family_rows_match_one_sweep_per_spec(self, monkeypatch, name):
-        specs = _figure_specs(monkeypatch, name, 40)
-        assert len(specs) > 1
-        alone = [row for spec in specs for row in run_sweeps([spec])]
-        assert run_sweeps(specs) == alone
+        scenarios, controls = _figure_family(monkeypatch, name, 40)
+        assert len(scenarios) > 1
+        alone = [row for s in scenarios for row in run_sweeps([s], **controls)]
+        assert run_sweeps(scenarios, **controls) == alone
 
     @pytest.mark.parametrize(
         "flags",
@@ -369,54 +393,35 @@ class TestRunSweeps:
         ids=["recursion", "double-integral", "with-mc"],
     )
     def test_reuse_rows_match_one_sweep_per_spec(self, monkeypatch, tmp_path, flags):
-        specs = _reuse_specs(monkeypatch, tmp_path, *flags)
-        assert sorted(spec.scenario.K for spec in specs) == [1, 3, 6]
-        alone = [row for spec in specs for row in run_sweeps([spec])]
-        assert run_sweeps(specs) == alone
+        scenarios, controls = _reuse_family(monkeypatch, tmp_path, *flags)
+        assert sorted(s.K for s in scenarios) == [1, 3, 6]
+        base = "DoubleIntegral" if "DoubleIntegral" in flags else "SingleIntegralAlpha4"
+        assert controls["base_method"] == Method(base)
+        alone = [row for s in scenarios for row in run_sweeps([s], **controls)]
+        assert run_sweeps(scenarios, **controls) == alone
 
     def test_threshold_scenarios_only_for_analytic_tags(self, monkeypatch, tmp_path):
-        specs = _reuse_specs(
+        scenarios, controls = _reuse_family(
             monkeypatch, tmp_path, "--k-list", "1,3,6", "--mc", "--realizations", "40"
         )
-        analytic = dataclasses.replace(
-            specs[0], methods=("MonteCarloReuse", "UpperBound", "SingleIntegralAlpha4")
-        )
-        specs.append(analytic)
-        shared = cli._shared(specs)
         built = []
         monkeypatch.setattr(
             cli, "_at_threshold", lambda scen, g: built.append(g) or _at_threshold(scen, g)
         )
-        for spec, values in zip(specs[:-1], shared):
-            cli._spec_rows(spec, values)
+        run_sweeps(scenarios, **{**controls, "methods": ("MonteCarloReuse",)})
         assert built == []
-        cli._spec_rows(analytic, shared[-1])
-        assert built == list(analytic.grid_db)
+        one_band = [s for s in scenarios if s.K == 1]
+        methods = ("MonteCarloReuse", "UpperBound", "SingleIntegralAlpha4")
+        run_sweeps(one_band, **{**controls, "methods": methods})
+        assert built == list(controls["grid_db"])
 
     def test_reuse_recursion_specs_share_one_table(self, monkeypatch):
-        specs = _figure_specs(monkeypatch, "fig9", 40)
-        recursion_only = [
-            dataclasses.replace(s, methods=("ReuseRecursion",)) for s in specs
-        ]
+        scenarios, controls = _figure_family(monkeypatch, "fig9", 40)
+        controls["methods"] = ("ReuseRecursion",)
         for change in ({"L": 5}, {"alpha": 4.5, "p": 0.5, "q": 0.5}):
-            other = dataclasses.replace(
-                recursion_only[0], scenario=recursion_only[0].scenario.replace(**change)
-            )
+            other = scenarios[0].replace(**change)
             with pytest.raises(ValueError, match="share"):
-                run_sweeps([*recursion_only, other])
-        base = dataclasses.replace(recursion_only[0], base_method=Method.UPPER_BOUND)
-        with pytest.raises(ValueError, match="share"):
-            run_sweeps([*recursion_only, base])
-
-    def test_specs_must_share_sim_and_workers(self):
-        scen = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, beta=1.0, gamma=1.0, L=2)
-        spec = SweepSpec(scen, (-10.0,), ("MonteCarloJoint",), SimConfig(20, seed=0))
-        for other in (
-            dataclasses.replace(spec, sim=spec.sim.replace(seed=1)),
-            dataclasses.replace(spec, workers=2),
-        ):
-            with pytest.raises(ValueError, match="share sim and workers"):
-                run_sweeps([spec, other])
+                run_sweeps([*scenarios, other], **controls)
 
     @pytest.mark.parametrize(
         "tag", ["UpperBound", "DoubleIntegral", "MonteCarloJoint", "MonteCarloLastBs"]
@@ -427,11 +432,11 @@ class TestRunSweeps:
         scen = Scenario(lam=2.0, alpha=4.0, p=1.0, q=1.0, beta=1.0, gamma=1.0, L=4, K=3)
         sim = SimConfig(realizations=40, seed=0)
         with pytest.raises(ValueError, match=f"^{tag} models one band"):
-            run_sweeps([SweepSpec(scen, (-10.0,), ("ReuseRecursion", tag), sim)])
-        reuse = ("ReuseRecursion", "MonteCarloReuse")
-        rows = run_sweeps([SweepSpec(scen, (-10.0,), reuse, sim)])
-        assert [(row.method, row.K) for row in rows] == [(t, 3) for t in reuse]
-        one_band = run_sweeps([SweepSpec(scen.replace(K=1), (-10.0,), (tag,), sim)])
+            run_sweeps([scen], (-10.0,), ("ReuseRecursion", tag), sim)
+        tags = ("ReuseRecursion", "MonteCarloReuse")
+        rows = run_sweeps([scen], (-10.0,), tags, sim)
+        assert [(row.method, row.K) for row in rows] == [(t, 3) for t in tags]
+        one_band = run_sweeps([scen.replace(K=1)], (-10.0,), (tag,), sim)
         assert [row.method for row in one_band] == [tag]
 
 
@@ -610,6 +615,20 @@ class TestSubcommands:
         assert len(data_lines(default)) == 1 + 2 * 2  # two tags at two points
         assert main(base + [flag(key), value, "--out", str(changed)]) == 0
         assert changed.read_bytes() != default.read_bytes()
+
+    @pytest.mark.parametrize("workload", ["analytic", "montecarlo", "e911"])
+    def test_benchmark_argv_parses_and_resolves(self, tmp_path, workload):
+        # The benchmark runs these argv through ``main``; a renamed flag,
+        # command or figure would end its runs with an argument error.
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        argvs = [argv for _, argv in workloads.commands(workload, 0, tmp_path)]
+        assert argvs
+        for argv in argvs:
+            args = build_parser().parse_args(argv)
+            _resolve(_COMMANDS[args.command][2], args, {}, "no config")
 
     @pytest.mark.parametrize("command", sorted(EVERY_KEY))
     def test_flags_are_exactly_the_config_keys(self, command):

@@ -356,6 +356,10 @@ class TestConfig:
             E911Config(min_hearability_grid=(3, 4))
         with pytest.raises(ValueError, match="max_bs_per_fix"):
             E911Config(max_bs_per_fix=3)
+        # Not integers: a slice index and a comparison would fail later.
+        for cap in (5.5, "6"):
+            with pytest.raises(ValueError, match="^max_bs_per_fix must be an integer"):
+                E911Config(trials=100, max_bs_per_fix=cap)
         with pytest.raises(ValueError, match="pre_sinr_threshold"):
             E911Config(pre_sinr_threshold=0.0)
 

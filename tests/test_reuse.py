@@ -1,5 +1,6 @@
 """Unit tests for detection accumulation across reuse bands."""
 
+import functools
 import math
 from itertools import product
 
@@ -12,7 +13,7 @@ from hearability import reuse
 from hearability.analytic import Method, evaluate_grid
 from hearability.model import Scenario
 from hearability.numerics import NonConvergenceError, QuadratureSpec
-from hearability.reuse import ReuseQuery, pl_with_reuse_grid
+from hearability.reuse import pl_with_reuse_grid
 
 
 def scen(gb: float, K: int = 3, L: int = 4, p: float = 1.0) -> Scenario:
@@ -21,9 +22,19 @@ def scen(gb: float, K: int = 3, L: int = 4, p: float = 1.0) -> Scenario:
     )
 
 
-def exact_count_pmf(query: ReuseQuery) -> np.ndarray:
-    """One query's per-band detection-count pmf, as a family of one."""
-    return value_or_raise(reuse._count_pmfs([query])[0])
+def exact_count_pmf(
+    scenario: Scenario, base_method: Method = Method.SINGLE_INTEGRAL_ALPHA4
+) -> np.ndarray:
+    """One scenario's per-band detection-count pmf, as a family of one."""
+    return value_or_raise(reuse._count_pmfs([scenario], base_method)[0])
+
+
+def depth_one(monkeypatch) -> None:
+    """Run the per-band levels at one halving per panel."""
+    monkeypatch.setattr(
+        reuse, "evaluate_grid",
+        functools.partial(evaluate_grid, quad=QuadratureSpec(max_depth=1)),
+    )
 
 
 def oracle_failure(e: np.ndarray, K: int, L: int) -> float:
@@ -38,24 +49,26 @@ def oracle_failure(e: np.ndarray, K: int, L: int) -> float:
     return total
 
 
-class TestReuseQuery:
+class TestReuseInputs:
     def test_rejects_mismatched_muting_and_load(self):
         bad = Scenario(
             lam=1.0, alpha=4.0, p=0.5, q=0.75, beta=0.1, gamma=1.0, L=4, K=3
         )
         with pytest.raises(ValueError, match="p = q"):
-            ReuseQuery(bad)
+            pl_with_reuse_grid([bad])
+        # A mismatch anywhere in the family is named, whatever its place.
+        with pytest.raises(ValueError, match="requires p = q; got p=0.5, q=0.75"):
+            pl_with_reuse_grid([scen(20.0), bad])
 
     def test_rejects_non_probability_base(self):
         # min_processing_gain maps a target P_L to a gain; it has no tag.
-        with pytest.raises(ValueError, match="'ProcGainBound' is not a valid Method"):
-            ReuseQuery(scen(20.0), base_method="ProcGainBound")
+        with pytest.raises(ValueError, match="^unknown method 'ProcGainBound'$"):
+            pl_with_reuse_grid([scen(20.0)], base_method="ProcGainBound")
 
 
 class TestExactCountPmf:
     def test_telescopes_to_single_band_failure(self):
-        query = ReuseQuery(scen(20.0, K=3))
-        e = exact_count_pmf(query)
+        e = exact_count_pmf(scen(20.0, K=3))
         assert e.shape == (4,)
         assert np.all(e >= 0.0)
         # Sum over n < L is 1 - P_L of one thinned band.
@@ -68,13 +81,13 @@ class TestExactCountPmf:
         # At gamma/beta=1 any second near BS kills detection, but a lone
         # nearest BS still beats the far-field mean with probability
         # 1 - exp(-mu), mu = (alpha-2)/(2q) = 1.
-        e = exact_count_pmf(ReuseQuery(scen(1.0, K=3)))
+        e = exact_count_pmf(scen(1.0, K=3))
         np.testing.assert_allclose(e[0], math.exp(-1.0), rtol=1e-12)
         np.testing.assert_allclose(e[1], 1.0 - math.exp(-1.0), rtol=1e-12)
         np.testing.assert_allclose(e[2:], 0.0, atol=1e-15)
 
     def test_supports_closed_form_base(self):
-        e = exact_count_pmf(ReuseQuery(scen(25.0, K=2), base_method=Method.UPPER_BOUND))
+        e = exact_count_pmf(scen(25.0, K=2), Method.UPPER_BOUND)
         assert np.all(e >= 0.0) and e.sum() <= 1.0 + 1e-12
 
 
@@ -83,89 +96,82 @@ class TestPlWithReuse:
         # K=1 must reproduce the plain evaluator exactly; the
         # telescoping sum cancels term by term.
         for gb in (5.0, 20.0, 100.0):
-            query = ReuseQuery(scen(gb, K=1))
             base = pl(Method.SINGLE_INTEGRAL_ALPHA4, scen(gb, K=1))
-            np.testing.assert_allclose(pl_reuse(query), base, atol=1e-12)
+            np.testing.assert_allclose(pl_reuse(scen(gb, K=1)), base, atol=1e-12)
 
     @pytest.mark.parametrize("K", [2, 3, 6])
     @pytest.mark.parametrize("L", [2, 4, 8])
     def test_matches_bruteforce_tuple_sum(self, K, L):
-        query = ReuseQuery(scen(12.0, K=K, L=L))
-        e = exact_count_pmf(query)
-        expected = 1.0 - oracle_failure(e, K, L)
-        np.testing.assert_allclose(pl_reuse(query), expected, rtol=1e-12)
+        point = scen(12.0, K=K, L=L)
+        expected = 1.0 - oracle_failure(exact_count_pmf(point), K, L)
+        np.testing.assert_allclose(pl_reuse(point), expected, rtol=1e-12)
 
     def test_more_bands_help(self):
-        values = [pl_reuse(ReuseQuery(scen(6.0, K=K))) for K in (1, 3, 6)]
+        values = [pl_reuse(scen(6.0, K=K)) for K in (1, 3, 6)]
         assert values[0] < values[1] < values[2]
         assert 0.0 < values[0] and values[2] < 1.0
 
     def test_partial_activity(self):
-        query = ReuseQuery(scen(30.0, K=3, p=0.5))
-        value = pl_reuse(query)
+        point = scen(30.0, K=3, p=0.5)
+        value = pl_reuse(point)
         assert 0.0 < value < 1.0
-        e = exact_count_pmf(query)
+        e = exact_count_pmf(point)
         np.testing.assert_allclose(value, 1.0 - oracle_failure(e, 3, 4), rtol=1e-12)
 
     def test_double_integral_base(self):
-        base = ReuseQuery(scen(20.0, K=3), base_method=Method.DOUBLE_INTEGRAL)
-        fast = ReuseQuery(scen(20.0, K=3))
+        point = scen(20.0, K=3)
         np.testing.assert_allclose(
-            pl_reuse(base), pl_reuse(fast), atol=2e-6
+            pl_reuse(point, Method.DOUBLE_INTEGRAL), pl_reuse(point), atol=2e-6
         )
 
     def test_unit_gain_reduces_to_binomial(self):
         # Per band the detectable count is Bernoulli(1 - exp(-1)), so
         # six bands give a plain binomial tail.
-        value = pl_reuse(ReuseQuery(scen(1.0, K=6)))
+        value = pl_reuse(scen(1.0, K=6))
         expected = stats.binom.sf(3, 6, 1.0 - math.exp(-1.0))
         np.testing.assert_allclose(value, expected, rtol=1e-12)
 
     def test_density_invariance(self):
-        query = ReuseQuery(scen(20.0, K=3))
-        scaled = ReuseQuery(scen(20.0, K=3).replace(lam=10.0))
-        assert pl_reuse(query) == pl_reuse(scaled)
+        point = scen(20.0, K=3)
+        assert pl_reuse(point) == pl_reuse(point.replace(lam=10.0))
 
 
 class TestReuseGrid:
     @pytest.mark.parametrize("K,L", [(1, 4), (3, 6), (6, 9)])
     def test_grid_equals_one_point_calls(self, K, L):
-        queries = [ReuseQuery(scen(10.0 ** (db / 10.0), K=K, L=L)) for db in range(21)]
-        values = pl_with_reuse_grid(queries)
-        assert [v.hex() for v in values] == [pl_reuse(q).hex() for q in queries]
-        assert pl_with_reuse_grid(queries[::-1])[::-1] == values
+        points = [scen(10.0 ** (db / 10.0), K=K, L=L) for db in range(21)]
+        values = pl_with_reuse_grid(points)
+        assert [v.hex() for v in values] == [pl_reuse(s).hex() for s in points]
+        assert pl_with_reuse_grid(points[::-1])[::-1] == values
 
-    def test_failure_flags_its_own_point(self):
+    def test_failure_flags_its_own_point(self, monkeypatch):
         # One halving per panel fails the L = 6 levels at large gamma/beta.
-        quad = QuadratureSpec(max_depth=1)
-        queries = [
-            ReuseQuery(scen(10.0 ** (db / 10.0), L=6), quad=quad) for db in range(21)
-        ]
-        values = pl_with_reuse_grid(queries)
+        depth_one(monkeypatch)
+        points = [scen(10.0 ** (db / 10.0), L=6) for db in range(21)]
+        values = pl_with_reuse_grid(points)
         failed = [isinstance(v, NonConvergenceError) for v in values]
         assert any(failed) and not all(failed)
-        for query, value in zip(queries, values):
-            [alone] = pl_with_reuse_grid([query])
+        for point, value in zip(points, values):
+            [alone] = pl_with_reuse_grid([point])
             if isinstance(value, NonConvergenceError):
                 assert alone.best_estimate == value.best_estimate
                 assert alone.error_estimate == value.error_estimate
             else:
                 assert alone == value
 
-    def test_queries_must_share_the_level_and_quadrature(self):
+    def test_scenarios_must_share_the_level(self):
         with pytest.raises(ValueError, match="share"):
-            pl_with_reuse_grid([ReuseQuery(scen(5.0)), ReuseQuery(scen(5.0, L=5))])
+            pl_with_reuse_grid([scen(5.0), scen(5.0, L=5)])
         # A point shared across families must not hide the mismatch.
         for change in ({"alpha": 3.0}, {"p": 0.5, "q": 0.5}):
             with pytest.raises(ValueError, match="share"):
-                pl_with_reuse_grid([
-                    ReuseQuery(scen(5.0), Method.DOUBLE_INTEGRAL),
-                    ReuseQuery(scen(5.0).replace(**change), Method.DOUBLE_INTEGRAL),
-                ])
+                pl_with_reuse_grid(
+                    [scen(5.0), scen(5.0).replace(**change)], Method.DOUBLE_INTEGRAL
+                )
         assert pl_with_reuse_grid([]) == []
 
 
-# Every base method ReuseQuery accepts, at each (alpha, p = q) it is defined at.
+# Every base method, at each (alpha, p = q) it is defined at.
 _BAND_CASES = [
     (method, alpha, p)
     for method in Method
@@ -178,7 +184,7 @@ _BAND_CASES = [
 
 
 def _grid(K: int = 1, L: int = 4, alpha: float = 4.0, p: float = 1.0, gamma=1.0):
-    """21 queries' scenarios, beta from 0 to 20 dB below 1."""
+    """21 scenarios, beta from 0 to 20 dB below 1."""
     return [
         Scenario(
             lam=2.0, alpha=alpha, p=p, q=p, beta=10.0 ** (-db / 10.0), gamma=gamma,
@@ -214,23 +220,22 @@ class TestFamilyTable:
     def test_mixed_k_call_equals_the_per_k_calls(self, method, alpha, p):
         # K = 3 also appears at gamma = 2: the same betas at other beta/gamma.
         parts = [
-            [ReuseQuery(s, method) for s in _grid(K=K, L=6, alpha=alpha, p=p, gamma=g)]
+            _grid(K=K, L=6, alpha=alpha, p=p, gamma=g)
             for K, g in ((6, 1.0), (1, 1.0), (3, 1.0), (3, 2.0))
         ]
-        mixed = pl_with_reuse_grid([q for part in parts for q in part])
-        alone = [v for part in parts for v in pl_with_reuse_grid(part)]
+        mixed = pl_with_reuse_grid([s for part in parts for s in part], method)
+        alone = [v for part in parts for v in pl_with_reuse_grid(part, method)]
         assert [v.hex() for v in mixed] == [v.hex() for v in alone]
 
     def test_each_distinct_point_is_evaluated_once_per_level(self, monkeypatch):
         calls = []
 
-        def counting(method, points, quad):
+        def counting(method, points):
             calls.append([(s.L, s.beta, s.gamma) for s in points])
-            return evaluate_grid(method, points, quad)
+            return evaluate_grid(method, points)
 
         monkeypatch.setattr(reuse, "evaluate_grid", counting)
-        queries = [ReuseQuery(s) for K in (1, 3, 6) for s in _grid(K=K)]
-        pl_with_reuse_grid(queries)
+        pl_with_reuse_grid([s for K in (1, 3, 6) for s in _grid(K=K)])
         assert len(calls) == 4
         distinct = {(s.beta, s.gamma) for s in _grid()}
         for n, points in enumerate(calls, start=1):
@@ -238,13 +243,11 @@ class TestFamilyTable:
             assert {(b, g) for _, b, g in points} == distinct
             assert {L for L, _, _ in points} == {n}
 
-    def test_nonconvergence_flags_the_same_rows_for_every_k(self):
+    def test_nonconvergence_flags_the_same_rows_for_every_k(self, monkeypatch):
         # One halving per panel fails the L = 6 levels at large gamma/beta.
-        quad = QuadratureSpec(max_depth=1)
-        per_k = {
-            K: [ReuseQuery(s, quad=quad) for s in _grid(K=K, L=6)] for K in (1, 3, 6)
-        }
-        mixed = pl_with_reuse_grid([q for K in (1, 3, 6) for q in per_k[K]])
+        depth_one(monkeypatch)
+        per_k = {K: _grid(K=K, L=6) for K in (1, 3, 6)}
+        mixed = pl_with_reuse_grid([s for K in (1, 3, 6) for s in per_k[K]])
         flags = [
             [isinstance(v, NonConvergenceError) for v in mixed[21 * k: 21 * (k + 1)]]
             for k in range(3)
