@@ -176,9 +176,10 @@ def run_sweeps(
     if not grid_db:
         raise ValueError("grid_db must not be empty")
     scenarios = list(scenarios)
+    for tag in methods:
+        _known(tag)
     for scen in scenarios:
         for tag in methods:
-            _known(tag)
             if scen.K != 1 and tag not in _REUSE_TAGS:
                 raise ValueError(
                     f"{tag} models one band and would ignore K={scen.K}; "

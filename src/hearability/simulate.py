@@ -83,7 +83,6 @@ __all__ = [
     "Deployment",
     "SimConfig",
     "UPSILON_CAP",
-    "check_upsilon_cap",
     "McEstimate",
     "exceedance_curve",
     "collect_margins",

@@ -408,8 +408,11 @@ class TestRunSweeps:
         monkeypatch.setattr(
             cli, "_at_threshold", lambda scen, g: built.append(g) or _at_threshold(scen, g)
         )
-        run_sweeps(scenarios, **{**controls, "methods": ("MonteCarloReuse",)})
-        assert built == []
+        assert controls["methods"] == ("ReuseRecursion", "MonteCarloReuse")
+        run_sweeps(scenarios, **controls)
+        # Only the recursion's own batch: no scenario builds its points again.
+        assert built == list(controls["grid_db"]) * len(scenarios)
+        built.clear()
         one_band = [s for s in scenarios if s.K == 1]
         methods = ("MonteCarloReuse", "UpperBound", "SingleIntegralAlpha4")
         run_sweeps(one_band, **{**controls, "methods": methods})
@@ -422,6 +425,12 @@ class TestRunSweeps:
             other = scenarios[0].replace(**change)
             with pytest.raises(ValueError, match="share"):
                 run_sweeps([*scenarios, other], **controls)
+
+    def test_unknown_tag_is_rejected_for_any_family(self):
+        sim = SimConfig(realizations=40, seed=0)
+        for scenarios in ([], [Scenario(lam=2.0, alpha=4.0, p=1.0, q=1.0, beta=1.0, gamma=1.0, L=4)]):
+            with pytest.raises(ValueError, match="^unknown method 'Bogus'; valid: "):
+                run_sweeps(scenarios, (-10.0,), ("Bogus",), sim)
 
     @pytest.mark.parametrize(
         "tag", ["UpperBound", "DoubleIntegral", "MonteCarloJoint", "MonteCarloLastBs"]
