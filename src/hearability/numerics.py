@@ -11,9 +11,9 @@ Integrands are evaluated in row batches: the callable receives an
 (the 15 Gauss-Legendre nodes, then the 7 embedded ones), and must return
 the array of values of the same shape.  :func:`integrate_lockstep` runs
 many integrals of one integrand family in lockstep and also passes the
-integral each row belongs to.  A grid of integrals returns the same bits
-as the integrals one at a time.  Wrap a scalar-only function with
-``numpy.vectorize`` if needed.
+integral each row belongs to.  One stacked product per rule reduces a
+round's panels with ``np.dot``'s kernel per row, so a grid of integrals
+returns the same bits as the integrals one at a time.
 """
 
 from __future__ import annotations
@@ -113,36 +113,31 @@ _INITIAL_PANELS = 4
 def _panel_estimates(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     panels: list[tuple[int, float, float, int]],
-) -> list[tuple[float, float]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Integral and error estimates of each ``(integral, lo, hi, depth)`` panel.
 
     Uses a 15-point Gauss-Legendre rule with the 7-point rule as the
     embedded check; both rules are open, so endpoints are never queried.
-    All panels go to ``f`` in one ``(M, 22)`` call, one panel per row.
-    Each row keeps its own ``np.dot`` reductions, so a panel's estimate
-    does not depend on the panels batched with it.
+    All panels go to ``f`` in one ``(M, 22)`` call, one panel per row, and one
+    stacked ``(M, 1, n) @ (n, 1)`` product per rule reduces them; numpy runs
+    each row through ``np.dot``'s kernel, so a panel's bits ignore its batch.
     """
-    lo = np.array([panel[1] for panel in panels])
-    hi = np.array([panel[2] for panel in panels])
+    rows, lo, hi, _ = zip(*panels)
+    lo, hi = np.array(lo), np.array(hi)
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
     xs = mid[:, None] + half[:, None] * _X22
-    ys = np.asarray(f(xs, np.array([panel[0] for panel in panels])), dtype=float)
+    ys = np.asarray(f(xs, np.array(rows)), dtype=float)
     if ys.shape != xs.shape:
         raise ValueError(
             f"integrand returned shape {ys.shape} for input shape {xs.shape}"
         )
-    bad = ~np.isfinite(ys)
-    if np.any(bad):
-        raise ValueError(
-            f"integrand returned a non-finite value at x={xs[bad][0]!r}"
-        )
-    estimates = []
-    for h, y15, y7 in zip(half.tolist(), ys[:, :15], ys[:, 15:]):
-        i15 = h * float(np.dot(y15, _W15))
-        i7 = h * float(np.dot(y7, _W7))
-        estimates.append((i15, abs(i15 - i7)))
-    return estimates
+    if not np.isfinite(ys).all():
+        bad = xs[~np.isfinite(ys)][0]
+        raise ValueError(f"integrand returned a non-finite value at x={bad!r}")
+    i15 = half * np.matmul(ys[:, None, :15], _W15[:, None])[:, 0, 0]
+    i7 = half * np.matmul(ys[:, None, 15:], _W7[:, None])[:, 0, 0]
+    return i15, np.abs(i15 - i7)
 
 
 def integrate_lockstep(
@@ -162,8 +157,8 @@ def integrate_lockstep(
     panels are evaluated in one call ``f(xs, rows)``.  ``xs`` holds one
     panel's 22 abscissae per row and ``rows[k]`` names the integral that
     row ``k`` belongs to, so ``f`` can look up per-integral parameters.
-    Panel estimates are reduced row by row, so every integral returns
-    the bits it would return alone.  Bounds must be finite with
+    Each panel keeps the bits of its own ``np.dot``, so every integral
+    returns the bits it would return alone.  Bounds must be finite with
     ``b[i] >= a[i]``; an empty interval integrates to 0.0.
 
     Returns:
@@ -173,33 +168,37 @@ def integrate_lockstep(
     if len(b) != len(a):
         raise ValueError(f"got {len(a)} lower and {len(b)} upper bounds")
     results: list = [0.0] * len(a)
-    pending = []  # panels to evaluate: (integral, lo, hi, depth)
-    for i, (lo, hi) in enumerate(zip(a, b)):
+    for lo, hi in zip(a, b):
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"bounds must be finite, got [{lo}, {hi}]")
         if hi < lo:
             raise ValueError(f"upper bound {hi} is below lower bound {lo}")
-        if hi > lo:
-            edges = np.linspace(lo, hi, _INITIAL_PANELS + 1).tolist()
-            pending.extend((i, *edge, 0) for edge in zip(edges[:-1], edges[1:]))
-    heaps: list[list] = [[] for _ in a]
+    live = [i for i, (lo, hi) in enumerate(zip(a, b)) if hi > lo]
+    # Each row of one linspace over arrays has a scalar call's bits.
+    edges = np.linspace([a[i] for i in live], [b[i] for i in live],
+                        _INITIAL_PANELS + 1, axis=1)
+    # Panels are (integral, lo, hi, depth).  Per integral: a heap of (-err,
+    # serial, lo, hi, depth), and dicts of estimates and errors by serial.
+    pending = [(i, lo, hi, 0) for i, row in zip(live, edges.tolist())
+               for lo, hi in zip(row, row[1:])]
+    heaps, ests, errs = [[] for _ in a], [{} for _ in a], [{} for _ in a]
     serial = 0
     while pending:
-        estimates = _panel_estimates(f, pending)
-        for (i, lo, hi, depth), (est, err) in zip(pending, estimates):
-            heapq.heappush(heaps[i], (-err, serial, lo, hi, est, err, depth))
+        est, err = _panel_estimates(f, pending)
+        for (i, lo, hi, depth), e, r in zip(pending, est.tolist(), err.tolist()):
+            heapq.heappush(heaps[i], (-r, serial, lo, hi, depth))
+            ests[i][serial], errs[i][serial] = e, r
             serial += 1
-        active = dict.fromkeys(panel[0] for panel in pending)
+        active = dict.fromkeys([panel[0] for panel in pending])
         pending = []
         for i in active:
-            heap = heaps[i]
-            total = math.fsum([item[4] for item in heap])
-            total_err = math.fsum([item[5] for item in heap])
+            total = math.fsum(ests[i].values())  # correctly rounded: order-free
+            total_err = math.fsum(errs[i].values())
             target = max(spec.abs_tol, spec.rel_tol * abs(total))
             if total_err <= target:
                 results[i] = total
                 continue
-            _, _, lo, hi, _, _, depth = heapq.heappop(heap)
+            _, key, lo, hi, depth = heapq.heappop(heaps[i])
             if depth >= spec.max_depth:
                 results[i] = NonConvergenceError(
                     f"quadrature did not converge on [{a[i]}, {b[i]}]: "
@@ -209,6 +208,7 @@ def integrate_lockstep(
                     error_estimate=total_err,
                 )
                 continue
+            del ests[i][key], errs[i][key]
             mid = 0.5 * (lo + hi)
             pending += [(i, lo, mid, depth + 1), (i, mid, hi, depth + 1)]
     return results

@@ -27,6 +27,7 @@ import numpy as np
 from .analytic import Method, evaluate_grid
 from .model import Scenario
 from .numerics import NonConvergenceError
+from .simulate import check_matched_marks
 
 __all__ = ["pl_with_reuse_grid"]
 
@@ -110,11 +111,9 @@ def pl_with_reuse_grid(
     """
     scenarios = list(scenarios)
     for s in scenarios:
-        if s.p != s.q:
-            raise ValueError(
-                "reuse accumulation needs one detectability ordering per band, "
-                f"which requires p = q; got p={s.p}, q={s.q}"
-            )
+        # Accumulating counts across bands needs one detectability
+        # ordering per band.
+        check_matched_marks("the reuse recursion", s)
     if not scenarios:
         return []
     out: list = []

@@ -135,6 +135,12 @@ def check_upsilon_cap(name: str, level: int) -> None:
         )
 
 
+def check_matched_marks(what: str, scenario: Scenario) -> None:
+    """Reject a scenario whose muting p differs from its load q, naming ``what``."""
+    if scenario.p != scenario.q:
+        raise ValueError(f"{what} requires p = q; got p={scenario.p}, q={scenario.q}")
+
+
 class Deployment(str, enum.Enum):
     PPP = "ppp"
     HEX = "hex"
@@ -774,8 +780,7 @@ def _collect(
     config = _with_window(family, config)
     for scenario in family:
         if kind == "reuse":
-            if scenario.p != scenario.q:
-                raise ValueError("band prefix margins require p = q")
+            check_matched_marks("the reuse Monte Carlo (band prefix margins)", scenario)
             check_upsilon_cap("L", scenario.L)
         _check_window(scenario, config)
     args = (kind, family, config)

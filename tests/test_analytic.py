@@ -668,6 +668,28 @@ class TestEvaluateGrid:
         ]
         assert sliced == whole
 
+    def test_refinement_sequence_is_pinned(self, monkeypatch):
+        # Panels per integrand call on the fig4 alpha = 3 DoubleIntegral
+        # grid: one call per lockstep round of each omega term.  A kernel
+        # edit that changes how many panels an integral takes, or in which
+        # round it converges, changes this; one that splits other panels
+        # for the same counts moves bits the oracle tests above pin.
+        panels = []
+        lockstep = analytic.integrate_lockstep
+
+        def counting(f, a, b, spec):
+            def counted(xs, rows):
+                panels.append(len(xs))
+                return f(xs, rows)
+
+            return lockstep(counted, a, b, spec)
+
+        monkeypatch.setattr(analytic, "integrate_lockstep", counting)
+        _, method, base, grid_db, _ = GRIDS[0]
+        evaluate_grid(method, [_at_threshold(base, g) for g in grid_db])
+        assert panels == [80, 30, 20, 68, 28, 14, 64, 26, 10]
+        assert (len(panels), sum(panels)) == (9, 340)
+
     @pytest.mark.parametrize("name", ["double-depth1", "alpha4-depth1"])
     def test_failures_flag_their_own_points(self, name):
         _, method, base, grid_db, quad = next(g for g in GRIDS if g[0] == name)

@@ -733,6 +733,10 @@ class TestSubcommands:
             ),
             # Values the table accepts but the library rejects.
             ("reuse", None, ["--p", "0.5"], "^error: .*requires p = q; got p=0.5"),
+            (
+                "reuse", None, ["--p", "0.5", "--q", "0.75", "--mc"],
+                "^error: .*requires p = q; got p=0.5, q=0.75",
+            ),
             ("reuse", None, ["--alpha", "3.5"], "^error: .*requires alpha = 4"),
             ("simulate", None, ["--realizations", "0"], "^error: realizations must be"),
             (
@@ -840,7 +844,7 @@ class TestSubcommands:
             "k_list_repeat", "k_list_repeat_config", "grid_repeat", "methods_repeat",
             "k_list_zero", "grid", "base_method", "base_method_gain_bound",
             "analytic_k", "simulate_k",
-            "reuse_p_not_q", "reuse_alpha", "realizations_zero",
+            "reuse_p_not_q", "reuse_mc_p_not_q", "reuse_alpha", "realizations_zero",
             "figure_realizations_zero", "e911_trials",
             "fig5_realizations_flag", "fig6_realizations_config",
             "fig2_realizations_flag", "fig2_realizations_config",

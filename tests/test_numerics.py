@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from one_point import value_or_raise
-from quadrature_oracle import oracle_integrate_adaptive
+from quadrature_oracle import _panel_estimate, oracle_integrate_adaptive
 from scipy import integrate, stats
 
 from hearability import numerics
@@ -171,6 +171,31 @@ SPECS = [
     QuadratureSpec(),
     QuadratureSpec(rel_tol=1e-13, abs_tol=1e-15, max_depth=6),
 ]
+
+
+def test_panel_estimates_do_not_depend_on_their_batch():
+    # 300 panels of mixed width, magnitude and sign, with sign changes
+    # inside each panel.  Every panel's estimate and error must have the
+    # same bits batched, alone and by the scalar oracle's ``np.dot``; a
+    # stacked product that numpy ran as one matrix-vector product would
+    # reduce in another order and fail here.
+    rng = np.random.default_rng(26)
+    n = 300
+    lo = rng.uniform(-50.0, 50.0, n)
+    hi = lo + 10.0 ** rng.uniform(-6.0, 3.0, n)
+    scale = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-30.0, 30.0, n)
+    freq = rng.uniform(0.1, 20.0, n)
+
+    def f(xs, rows):
+        return scale[rows, None] * (np.cos(freq[rows, None] * xs) + 0.1 * xs)
+
+    panels = [(k, a, b, 0) for k, (a, b) in enumerate(zip(lo.tolist(), hi.tolist()))]
+    batched = zip(*numerics._panel_estimates(f, panels))
+    for (k, a, b, _), (est, err) in zip(panels, batched):
+        alone = [float(v[0]).hex() for v in numerics._panel_estimates(f, [panels[k]])]
+        scalar = _panel_estimate(lambda x: f(x[None, :], np.array([k]))[0], a, b)
+        assert [float(est).hex(), float(err).hex()] == alone, k
+        assert [v.hex() for v in scalar] == alone, k
 
 
 class TestIntegrateLockstep:
