@@ -386,113 +386,64 @@ def _grid(start: float, stop: float, step: float) -> tuple[float, ...]:
 _DENSITY = hex_grid_density(500.0)  # nominal density for sweep figures
 
 
-def _fig2(seed: int, realizations: int | None, workers: int) -> tuple[list[Row], str]:
+def _base() -> Scenario:
+    """The recipes' shared scenario: alpha = 4, p = q = 1, L = 4, one band."""
+    return Scenario(lam=_DENSITY, alpha=4.0, p=1.0, q=1.0, beta=1.0, gamma=1.0, L=4)
+
+
+def _sweep_family(step: float, field: str, values: tuple, tags: tuple[str, ...], **fixed):
+    """Rows of ``tags`` over beta/gamma from -20 to 0 dB in ``step`` dB steps.
+
+    The family has one scenario per value of ``field``, each on the base
+    scenario with ``fixed`` applied.
+    """
+
+    def rows(seed: int, size: int, workers: int) -> list[Row]:
+        base = _base().replace(**fixed)
+        scenarios = [base.replace(**{field: value}) for value in values]
+        sim = SimConfig(realizations=size, seed=seed)
+        return run_sweeps(scenarios, _grid(-20.0, 0.0, step), tags, sim, workers)
+
+    return rows
+
+
+def _hex_family(sigmas: tuple[float, ...], K: int):
+    """Rows of hex versus Poisson P(Upsilon >= L), L = 1..16, at -10 dB."""
+
+    def rows(seed: int, size: int, workers: int) -> list[Row]:
+        scen = _base().replace(beta=10.0 ** (-1.0), L=1, K=K)
+        return hex_vs_ppp_rows(scen, SimConfig(realizations=size, seed=seed), 16, sigmas, workers)
+
+    return rows
+
+
+def _e911_table(seed: int, size: int, workers: int) -> list[Row]:
+    """Rows of the default E911 compliance table over ``size`` trials."""
     from .e911 import E911Config
 
-    cfg = E911Config(trials=realizations or 4000)
-    return e911_rows(cfg, seed, workers), "L"
+    return e911_rows(E911Config(trials=size), seed, workers)
 
 
-def _fig3(seed: int, realizations: int | None, workers: int) -> tuple[list[Row], str]:
-    scen = Scenario(lam=_DENSITY, alpha=4.0, p=1.0, q=1.0, beta=1.0, gamma=1.0, L=4)
-    sim = SimConfig(realizations=realizations or 20000, seed=seed)
-    methods = (
-        "UpperBound", "NearFieldAlpha4", "SingleIntegralAlpha4", "MonteCarloJoint"
-    )
-    rows = run_sweeps([scen], _grid(-20.0, 0.0, 0.5), methods, sim, workers)
-    return rows, "beta_over_gamma_db"
-
-
-def _fig4(seed: int, realizations: int | None, workers: int) -> tuple[list[Row], str]:
-    sim = SimConfig(realizations=realizations or 20000, seed=seed)
-    scenarios = [
-        Scenario(
-            lam=_DENSITY, alpha=alpha, p=2.0 / 3.0, q=1.0, beta=1.0, gamma=1.0, L=4
-        )
-        for alpha in (3.0, 3.5, 4.0, 4.5)
-    ]
-    methods = ("DoubleIntegral", "SingleIntegralGeneral", "MonteCarloJoint")
-    rows = run_sweeps(scenarios, _grid(-20.0, 0.0, 1.0), methods, sim, workers)
-    return rows, "beta_over_gamma_db"
-
-
-def _fig5(seed: int, realizations: int | None, workers: int) -> tuple[list[Row], str]:
-    return procgain_rows(0.8, (2, 3, 4, 5, 6, 7), (4.0,)), "L"
-
-
-def _fig6(seed: int, realizations: int | None, workers: int) -> tuple[list[Row], str]:
-    alphas = tuple(round(2.5 + 0.25 * i, 9) for i in range(15))
-    return procgain_rows(0.8, (4,), alphas), "alpha"
-
-
-def _fig7(seed: int, realizations: int | None, workers: int) -> tuple[list[Row], str]:
-    sim = SimConfig(realizations=realizations or 20000, seed=seed)
-    scenarios = [
-        Scenario(lam=_DENSITY, alpha=4.0, p=p, q=1.0, beta=1.0, gamma=1.0, L=4)
-        for p in (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
-    ]
-    methods = ("SingleIntegralAlpha4", "MonteCarloJoint")
-    rows = run_sweeps(scenarios, _grid(-20.0, 0.0, 0.5), methods, sim, workers)
-    return rows, "beta_over_gamma_db"
-
-
-def _fig8(seed: int, realizations: int | None, workers: int) -> tuple[list[Row], str]:
-    sim = SimConfig(realizations=realizations or 20000, seed=seed)
-    scenarios = [
-        Scenario(lam=_DENSITY, alpha=4.0, p=0.5, q=0.75, beta=1.0, gamma=1.0, L=l)
-        for l in (2, 4, 6, 8)
-    ]
-    methods = ("SingleIntegralAlpha4", "MonteCarloJoint")
-    rows = run_sweeps(scenarios, _grid(-20.0, 0.0, 0.5), methods, sim, workers)
-    return rows, "beta_over_gamma_db"
-
-
-def _fig9(seed: int, realizations: int | None, workers: int) -> tuple[list[Row], str]:
-    sim = SimConfig(realizations=realizations or 10000, seed=seed)
-    scenarios = [
-        Scenario(lam=_DENSITY, alpha=4.0, p=1.0, q=1.0, beta=1.0, gamma=1.0, L=4, K=k)
-        for k in (1, 3, 6)
-    ]
-    methods = ("ReuseRecursion", "MonteCarloReuse")
-    rows = run_sweeps(scenarios, _grid(-20.0, 0.0, 1.0), methods, sim, workers)
-    return rows, "beta_over_gamma_db"
-
-
-def _hex_vs_ppp(
-    seed: int, realizations: int | None, workers: int,
-    sigmas: tuple[float, ...], K: int,
-) -> list[Row]:
-    bg = 10.0 ** (-1.0)  # -10 dB detection threshold
-    scen = Scenario(
-        lam=_DENSITY, alpha=4.0, p=1.0, q=1.0, beta=bg, gamma=1.0, L=1, K=K
-    )
-    sim = SimConfig(realizations=realizations or 10000, seed=seed)
-    return hex_vs_ppp_rows(scen, sim, 16, sigmas, workers)
-
-
-def _fig10(seed: int, realizations: int | None, workers: int) -> tuple[list[Row], str]:
-    return _hex_vs_ppp(seed, realizations, workers, (4.0, 8.0, 12.0), 1), "L"
-
-
-def _fig11(seed: int, realizations: int | None, workers: int) -> tuple[list[Row], str]:
-    return _hex_vs_ppp(seed, realizations, workers, (8.0,), 6), "L"
-
-
+_BG = "beta_over_gamma_db"
+# name -> (x column, default sample size, or None for a recipe that draws
+# no sample, and rows(seed, size, workers)).
 _FIGURES = {
-    "fig2": _fig2,
-    "fig3": _fig3,
-    "fig4": _fig4,
-    "fig5": _fig5,
-    "fig6": _fig6,
-    "fig7": _fig7,
-    "fig8": _fig8,
-    "fig9": _fig9,
-    "fig10": _fig10,
-    "fig11": _fig11,
+    "fig2": ("L", 4000, _e911_table),
+    "fig3": (_BG, 20000, _sweep_family(0.5, "L", (4,), (
+        "UpperBound", "NearFieldAlpha4", "SingleIntegralAlpha4", "MonteCarloJoint"))),
+    "fig4": (_BG, 20000, _sweep_family(1.0, "alpha", (3.0, 3.5, 4.0, 4.5), (
+        "DoubleIntegral", "SingleIntegralGeneral", "MonteCarloJoint"), p=2.0 / 3.0)),
+    "fig5": ("L", None, lambda *_: procgain_rows(0.8, (2, 3, 4, 5, 6, 7), (4.0,))),
+    "fig6": ("alpha", None, lambda *_: procgain_rows(0.8, (4,), _grid(2.5, 6.0, 0.25))),
+    "fig7": (_BG, 20000, _sweep_family(0.5, "p", (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0), (
+        "SingleIntegralAlpha4", "MonteCarloJoint"))),
+    "fig8": (_BG, 20000, _sweep_family(0.5, "L", (2, 4, 6, 8), (
+        "SingleIntegralAlpha4", "MonteCarloJoint"), p=0.5, q=0.75)),
+    "fig9": (_BG, 10000, _sweep_family(1.0, "K", (1, 3, 6), (
+        "ReuseRecursion", "MonteCarloReuse"))),
+    "fig10": ("L", 10000, _hex_family((4.0, 8.0, 12.0), 1)),
+    "fig11": ("L", 10000, _hex_family((8.0,), 6)),
 }
-
-# Recipes that draw no Monte Carlo sample, so take no ``realizations``.
-_SAMPLE_FREE = {"fig5", "fig6"}
 
 
 def run_figure(
@@ -511,8 +462,9 @@ def run_figure(
         raise ValueError(
             f"unknown figure {name!r}; valid: {', '.join(sorted(_FIGURES))}"
         )
+    x_col, size, rows = _FIGURES[name]
     if realizations is not None:
-        if name in _SAMPLE_FREE:
+        if size is None:
             raise ValueError(f"realizations: {name} draws no Monte Carlo sample")
         least = 1
         if name == "fig2":  # fig2 runs ``realizations`` E911 trials
@@ -523,9 +475,9 @@ def run_figure(
             raise ValueError(
                 f"realizations must be >= {least} for {name}, got {realizations}"
             )
-    rows, x_col = _FIGURES[name](seed, realizations, workers)
+        size = realizations
     csv_path = Path(out) if out is not None else Path(f"{name}.csv")
-    write_csv(rows, csv_path, timestamp)
+    write_csv(rows(seed, size, workers), csv_path, timestamp)
     write_plot_script(name, csv_path, x_col)
     return csv_path
 

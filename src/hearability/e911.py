@@ -420,19 +420,16 @@ def _closed_form(positions: np.ndarray, tdoas: np.ndarray, cov: np.ndarray):
     the reference BS as an extra unknown; stage two enforces the
     quadratic constraint tying that range to the position (Chan & Ho,
     IEEE TSP 1994).  The exact rank-one-plus-diagonal TDOA covariance
-    provides the weights.  The best closed-form candidate then seeds
-    ``_polish``, a damped Gauss-Newton refinement of the weighted
-    residuals, which also serves as the fallback: rows whose stage one
-    is ill-conditioned, non-finite or degenerate skip stage two and
-    start the polish from the stage-one point or the BS centroid.
-    Outright failure gives a no-fix row rather than raising, and each
-    row takes its path independently of the other rows.
+    provides the weights.  Rows whose stage one is ill-conditioned,
+    non-finite or degenerate skip stage two and start the polish from
+    the stage-one point or the BS centroid; rows whose stage one fails
+    outright do not reach the polish.  Each row takes its path
+    independently of the other rows.
 
-    ``positions`` (N, m, 2) hold the reference BS first; ``tdoas``
-    (N, m-1) and ``cov`` (N, m-1, m-1) are the measurements.  Returns
-    ``(idx, start, label, positions[idx], tdoas[idx], weight[idx])`` for
-    the rows ``idx`` that reach the polish, with their starting points
-    and solver paths, and the stage-one condition numbers of all N rows.
+    Arguments as for ``_solve``.  Returns ``(idx, start, label, weight,
+    condition)``: the rows ``idx`` that reach the polish with their
+    starting points and solver paths, and the TDOA weight matrices and
+    stage-one condition numbers of all N rows.
     """
     condition = np.full(len(positions), math.nan)
     weight, live = _each(np.linalg.inv, cov.shape, cov)
@@ -495,29 +492,35 @@ def _closed_form(positions: np.ndarray, tdoas: np.ndarray, cov: np.ndarray):
     start[chan] = cand[np.arange(len(chan)), best] + p_ref[idx[chan]]
     label[chan] = _CHAN
 
-    return (idx, start, label, positions[idx], tdoas[idx], weight[idx]), condition
+    return idx, start, label, weight, condition
 
 
-def _polish(n: int, idx, start, label, positions, tdoas, weight):
-    """Gauss-Newton from ``start`` on rows ``idx`` of n fixes.
+def _solve(positions: np.ndarray, tdoas: np.ndarray, cov: np.ndarray):
+    """N TDOA fixes: the closed form (``_closed_form``), then the polish.
 
-    Returns positions (n, 2), NaN without a fix, and indices into
-    ``_METHODS``; the other arguments are what ``_closed_form`` returns.
+    The polish, a damped Gauss-Newton refinement of the weighted
+    residuals (``_gauss_newton``), starts from the closed form's best
+    candidate and is also the fallback of rows that skip stage two.
+    Outright failure gives a no-fix row rather than raising, and no row
+    depends on the others.
+
+    ``positions`` (N, m, 2) hold the reference BS first; ``tdoas``
+    (N, m-1) and ``cov`` (N, m-1, m-1) are the measurements.  Returns
+    positions (N, 2), NaN without a fix, indices into ``_METHODS`` and
+    the stage-one condition numbers.
     """
-    x = _gauss_newton(start, positions, tdoas, weight)
+    idx, start, label, weight, condition = _closed_form(positions, tdoas, cov)
+    x = _gauss_newton(start, positions[idx], tdoas[idx], weight[idx])
     fixed = np.all(np.isfinite(x), axis=1)
-    xy = np.full((n, 2), math.nan)
+    xy = np.full((len(positions), 2), math.nan)
     xy[idx[fixed]] = x[fixed]
-    method = np.full(n, _NONE)
+    method = np.full(len(positions), _NONE)
     method[idx[fixed]] = label[fixed]
-    return xy, method
+    return xy, method, condition
 
 
 # Columns of the per-trial outcome table.
 _DETECTED, _USED, _METHOD, _CONDITION, _X, _Y, _ERROR = range(7)
-# Rows per closed-form solver stack: bounds the temporaries of stages
-# one and two, which outweigh those of the polish.
-_SOLVE_ROWS = 256
 
 
 def _trial_window(cfg: E911Config, seed: int) -> tuple[Scenario, SimConfig]:
@@ -546,10 +549,9 @@ def _trial_span(cfg: E911Config, seed: int, start: int, stop: int) -> np.ndarray
 
     Geometry, detection and nuisance draws run on chunks of whole blocks
     of the Monte Carlo sampler (``_chunk_rows``), which keep every
-    trial's bits.  The fixes of each used count then take the
-    closed-form stages in stacks of ``_SOLVE_ROWS`` and one Gauss-Newton
-    polish over the whole span, so the polish runs once per used count
-    however the trials are cut into spans.
+    trial's bits.  The fixes that use the same number of BSs are then
+    solved together, one ``_solve`` call per used count in the span, and
+    no fix depends on the others it is solved with.
     """
     scenario, sim = _trial_window(cfg, seed)
     width, chunk = _width(cfg, sim.expected_bs), _chunk_rows(sim.expected_bs)
@@ -584,16 +586,9 @@ def _trial_span(cfg: E911Config, seed: int, start: int, stop: int) -> np.ndarray
     for m in np.unique(used):
         rows = trials[used == m]
         near = np.concatenate([b[u == m, :, :m] for _, u, b in heard if m in u])
-        seeds = []
-        for at in range(0, len(rows), _SOLVE_ROWS):
-            part = slice(at, at + _SOLVE_ROWS)
-            observed = _observe(near[part, 0], near[part, 1], near[part, 2:], scenario, cfg)
-            (idx, *rest), out[rows[part], _CONDITION] = _closed_form(*observed[:3])
-            seeds.append((at + idx, *rest))
-        xy, method = _polish(len(rows), *(np.concatenate(c) for c in zip(*seeds)))
+        observed = _observe(near[:, 0], near[:, 1], near[:, 2:], scenario, cfg)
         out[rows, _USED] = m
-        out[rows, _METHOD] = method
-        out[rows, _X : _Y + 1] = xy
+        out[rows, _X : _Y + 1], out[rows, _METHOD], out[rows, _CONDITION] = _solve(*observed[:3])
     out[:, _ERROR] = np.hypot(out[:, _X], out[:, _Y])
     return out
 

@@ -364,7 +364,8 @@ def _family(monkeypatch, run) -> tuple[list[Scenario], dict]:
 
 def _figure_family(monkeypatch, name: str, realizations: int):
     """The family a figure recipe hands to ``run_sweeps``."""
-    return _family(monkeypatch, lambda: cli._FIGURES[name](3, realizations, 1))
+    _, _, rows = cli._FIGURES[name]
+    return _family(monkeypatch, lambda: rows(3, realizations, 1))
 
 
 def _reuse_family(monkeypatch, tmp_path, *flags: str):
@@ -562,6 +563,33 @@ class TestSubcommands:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "fig5.png").exists()
+
+    @pytest.mark.parametrize(
+        "name, size",
+        [("fig2", 4000), ("fig3", 20000), ("fig4", 20000), ("fig5", None), ("fig6", None),
+         ("fig7", 20000), ("fig8", 20000), ("fig9", 10000), ("fig10", 10000),
+         ("fig11", 10000)],
+    )
+    def test_figure_default_sample_size(self, monkeypatch, tmp_path, name, size):
+        # Spies stand in for the three row builders that draw samples, so
+        # the recipe draws none; fig5 and fig6 reach none of them.
+        seen = []
+
+        def spy(at):
+            return lambda *args: seen.append(args[at]) or []
+
+        monkeypatch.setattr(cli, "run_sweeps", spy(3))
+        monkeypatch.setattr(cli, "hex_vs_ppp_rows", spy(1))
+        monkeypatch.setattr(cli, "e911_rows", spy(0))
+        run_figure(name, seed=5, out=tmp_path / f"{name}.csv", timestamp=False)
+        if size is None:
+            assert seen == []
+        elif name == "fig2":
+            from hearability.e911 import E911Config
+
+            assert seen == [E911Config(trials=size)]
+        else:
+            assert seen == [SimConfig(realizations=size, seed=5)]
 
     def test_unknown_figure_name(self):
         with pytest.raises(ValueError, match="unknown figure"):

@@ -79,8 +79,7 @@ def solve_batch(positions: np.ndarray, tdoas: np.ndarray, cov: np.ndarray):
     positions (N, 2), NaN without a fix, indices into ``e911._METHODS``
     and the stage-one condition numbers.
     """
-    seeds, condition = e911._closed_form(positions, tdoas, cov)
-    return (*e911._polish(len(positions), *seeds), condition)
+    return e911._solve(positions, tdoas, cov)
 
 
 def solve_one(measurements: Observations, bs_positions: np.ndarray) -> FixOutcome:
@@ -808,17 +807,26 @@ class TestTrials:
             assert e911._trial_span(cfg, 4, a, b).tobytes() == whole[a:b].tobytes()
 
     def test_one_polish_per_used_count(self, monkeypatch):
-        stacks = []
-        polish = e911._gauss_newton
+        # The closed form and the polish each run once per used count,
+        # on all of its fixes at once.
+        calls = {"_closed_form": [], "_gauss_newton": []}
 
-        def counted(x, *args):
-            stacks.append(len(x))
-            return polish(x, *args)
+        def spy(name):
+            fn = getattr(e911, name)
 
-        monkeypatch.setattr(e911, "_gauss_newton", counted)
+            def counted(x, *args):
+                calls[name].append(len(x))
+                return fn(x, *args)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(e911, name, spy(name))
         detected = collect_trials(E911Config(), seed=0)[:, 0]
-        assert len(stacks) == len(np.unique(detected[detected >= _MIN_BS_FOR_FIX]))
-        assert max(stacks) > e911._SOLVE_ROWS
+        counts = np.unique(detected[detected >= _MIN_BS_FOR_FIX])
+        solved = calls["_closed_form"]
+        assert len(solved) == len(calls["_gauss_newton"]) == len(counts)
+        assert sum(solved) == np.count_nonzero(detected >= _MIN_BS_FOR_FIX)
 
     @pytest.mark.parametrize(
         "changes, width",

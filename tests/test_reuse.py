@@ -195,7 +195,7 @@ def _grid(K: int = 1, L: int = 4, alpha: float = 4.0, p: float = 1.0, gamma=1.0)
 
 
 class TestFamilyTable:
-    """One per-band table serves every K: the band P_n ignores lam and noise."""
+    """One per-band table serves every K: the band P_n ignores lam."""
 
     @pytest.mark.parametrize(
         "method,alpha,p", _BAND_CASES, ids=lambda v: getattr(v, "value", v)
@@ -204,9 +204,17 @@ class TestFamilyTable:
         base = _grid(alpha=alpha, p=p)
         expected = [v.hex() for v in evaluate_grid(method, base)]
         for scale in (3.0, 6.0):
-            for noise in (0.0, 0.1):
-                band = [s.replace(lam=s.lam / scale, noise_sigma2=noise) for s in base]
-                assert [v.hex() for v in evaluate_grid(method, band)] == expected
+            band = [s.replace(lam=s.lam / scale) for s in base]
+            assert [v.hex() for v in evaluate_grid(method, band)] == expected
+        # No evaluator reads the noise, so a noisy point is rejected rather
+        # than given its zero-noise value, by either entry point.
+        for noise in (0.1, 1.0, 100.0):
+            noisy = [*base, base[-1].replace(noise_sigma2=noise)]
+            match = f"^noise_sigma2 must be 0 .*got {noise}"
+            with pytest.raises(ValueError, match=match):
+                evaluate_grid(method, noisy)
+            with pytest.raises(ValueError, match=match):
+                pl_with_reuse_grid(noisy, method)
 
     @pytest.mark.parametrize(
         "method,alpha,p",
