@@ -28,11 +28,11 @@ conditional P_L over Omega's binomial law
 that average; each evaluator states only its term for one ``omega``.
 PerfectCoord is the same average with every participant muted.
 
-Every evaluator models zero noise and rejects ``noise_sigma2 != 0``.
-It is invariant to the BS density: the integral forms are computed in
-coordinates normalized so ``lam * pi = 1``, which an exact change of
-variables at zero noise permits, so identical inputs at different
-densities return bit-identical values.
+Every evaluator models the zero-noise network, so it is invariant to
+the BS density: the integral forms are computed in coordinates
+normalized so ``lam * pi = 1``, which an exact change of variables at
+zero noise permits, so identical inputs at different densities return
+bit-identical values.
 
 Every P_L comes from the grid evaluator :func:`evaluate_grid`, one call
 per beta/gamma grid; one scenario is a grid of one point.  The
@@ -441,8 +441,7 @@ def evaluate_grid(
 
     ``points`` are scenarios that share ``L``, ``alpha``, ``p`` and
     ``q``; they differ in ``beta`` (a beta/gamma grid), and may differ in
-    ``gamma``, ``lam`` and ``K``; their ``noise_sigma2``, which no
-    evaluator reads, must be 0.  Each omega term of ``DoubleIntegral``
+    ``gamma``, ``lam`` and ``K``.  Each omega term of ``DoubleIntegral``
     and ``SingleIntegralAlpha4`` integrates all points in lockstep, one
     :func:`~hearability.numerics.integrate_lockstep` pass; the other
     terms are closed forms or root finds per point.  Every point gets
@@ -460,9 +459,6 @@ def evaluate_grid(
     except ValueError:
         raise ValueError(f"unknown method {method!r}") from None
     points = list(points)
-    noisy = [s.noise_sigma2 for s in points if s.noise_sigma2 != 0.0]
-    if noisy:
-        raise ValueError(f"noise_sigma2 must be 0 for the analytic evaluators, got {noisy[0]}")
     if len({(s.L, s.alpha, s.p, s.q) for s in points}) > 1:
         raise ValueError("grid points must share L, alpha, p and q")
     if not points:

@@ -225,9 +225,11 @@ def hex_vs_ppp_rows(
     check_upsilon_cap("l_max", l_max)
     bg_db = 10.0 * math.log10(scenario.bg_ratio)
     l_values = np.arange(1, l_max + 1)
-    family = [scenario.replace(sigma_db=sigma) for sigma in sigmas]
+    # Upsilon reads no L; at L = l_max the window is sized and checked for every level.
+    top = scenario.replace(L=l_max)
+    family = [top.replace(sigma_db=sigma) for sigma in sigmas]
     tags = ["MonteCarloPPP"] + [f"MonteCarloHex_s{sigma:g}" for sigma in sigmas]
-    counts = collect_upsilon([scenario], sim, workers) + collect_upsilon(
+    counts = collect_upsilon([top], sim, workers) + collect_upsilon(
         family, sim.replace(deployment=Deployment.HEX), workers
     )
     return [

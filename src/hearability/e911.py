@@ -50,7 +50,7 @@ import numpy as np
 from .model import Scenario, effective_density, hex_grid_density
 from .parallel import map_spans
 from .simulate import (
-    _BLOCK, ROLE_E911, SimConfig, _BlockDraws, _chunk_rows, _with_window, stream,
+    _BLOCK, ROLE_E911, SimConfig, _BlockDraws, _chunk_rows, _with_window,
 )
 
 __all__ = [
@@ -221,16 +221,16 @@ def ranging_stddev(post_sinr, cfg: E911Config):
 def _bound(theta: float, n: int) -> int:
     """b = floor(1 + 1/theta) + 1, one more than the most BSs detected at theta.
 
-    A BS detected at threshold theta has ``P >= theta (T - P + N)``, with
-    T the total power and N >= 0 the noise, so ``P >= theta / (1 +
-    theta) T``.  k detected BSs sum to at most T, so ``k <= 1 + 1/theta``;
-    the one more absorbs rounding.  Past an n-BS window b reads n + 1,
-    which keeps it finite however small theta is.
+    A BS detected at threshold theta has ``P >= theta (T - P)``, with T
+    the total power, so ``P >= theta / (1 + theta) T``.  k detected BSs
+    sum to at most T, so ``k <= 1 + 1/theta``; the one more absorbs
+    rounding.  Past an n-BS window b reads n + 1, which keeps it finite
+    however small theta is.
     """
     return int(min(1.0 + 1.0 / theta, n)) + 1
 
 
-def _detect(pw: np.ndarray, tail: np.ndarray, scenario: Scenario, cfg: E911Config):
+def _detect(pw: np.ndarray, tail: np.ndarray, cfg: E911Config):
     """Pre-processing SINRs of a fully loaded network, and detected counts.
 
     ``pw`` (rows, n) holds received powers that never rise along a row,
@@ -244,7 +244,6 @@ def _detect(pw: np.ndarray, tail: np.ndarray, scenario: Scenario, cfg: E911Confi
     total = np.sum(pw, axis=1, keepdims=True) + tail
     lead = pw[:, : _bound(cfg.pre_sinr_threshold, pw.shape[1]) + 1]
     denom = total - lead
-    denom += scenario.noise_sigma2
     sinr = np.divide(lead, denom, out=np.full_like(lead, math.inf), where=denom > 0.0)
     return sinr, np.count_nonzero(sinr >= cfg.pre_sinr_threshold, axis=1)
 
@@ -257,22 +256,25 @@ def _width(cfg: E911Config, n: int) -> int:
     return min(n, cfg.max_bs_per_fix or n, _bound(cfg.pre_sinr_threshold, n))
 
 
-def _nuisance(seed: int, block: int, blocks: int, cfg: E911Config, width: int) -> np.ndarray:
-    """Bearings, NLOS biases, unit ranging noise and clock errors of ``blocks`` blocks.
+def _nuisance(blocked: _BlockDraws, cfg: E911Config, width: int) -> np.ndarray:
+    """Bearings, NLOS biases, unit ranging noise and clock errors of a chunk's rows.
 
-    Block i (from ``block`` on) draws them in that order from
-    ``stream(seed, block + i, ROLE_E911)``, each as a full ``(_BLOCK,
-    width)`` array, so row r holds the same values whatever rows of the
-    block a span reads.  Shape (blocks * _BLOCK, 4, width).
+    Each block draws them in that order from its ``ROLE_E911`` stream,
+    each as a full ``(_BLOCK, width)`` array, so row r holds the same
+    values whatever rows of the block a span reads.  Shape (rows, 4,
+    width).
     """
-    out, shape = np.empty((blocks * _BLOCK, 4, width)), (_BLOCK, width)
-    for i in range(blocks):
-        rng, part = stream(seed, block + i, ROLE_E911), out[i * _BLOCK : (i + 1) * _BLOCK]
-        part[:, 0] = rng.uniform(0.0, 2.0 * math.pi, shape)
-        part[:, 1] = rng.exponential(cfg.nlos_mean, shape)
-        part[:, 2] = rng.standard_normal(shape)
-        part[:, 3] = rng.normal(0.0, cfg.clock_std, shape)
-    return out
+    shape = (_BLOCK, width)
+
+    def fill(rng, out):
+        draws = (
+            rng.uniform(0.0, 2.0 * math.pi, shape), rng.exponential(cfg.nlos_mean, shape),
+            rng.standard_normal(shape), rng.normal(0.0, cfg.clock_std, shape),
+        )
+        for i, draw in enumerate(draws):
+            out[:, i * width : (i + 1) * width] = draw[: len(out)]
+
+    return blocked._draw(ROLE_E911, fill, 4 * width).reshape(blocked.rows, 4, width)
 
 
 def _observe(d, sinr, draws, scenario: Scenario, cfg: E911Config):
@@ -562,12 +564,9 @@ def _trial_span(cfg: E911Config, seed: int, start: int, stop: int) -> np.ndarray
     # BSs the distances, SINRs and nuisance draws, (rows, 6, chunk's widest).
     heard = []
     for first in range(start - start % _BLOCK, stop, chunk):
-        block = first // _BLOCK
-        blocked = _BlockDraws(sim, block, min(chunk, stop - first))
+        blocked = _BlockDraws(sim, first // _BLOCK, min(chunk, stop - first))
         d = blocked.distances(scenario)
-        sinr, detected = _detect(
-            blocked.powers(scenario), blocked.tail(scenario), scenario, cfg
-        )
+        sinr, detected = _detect(blocked.powers(scenario), blocked.tail(scenario), cfg)
         rows = np.arange(max(start - first, 0), len(d))
         out[first + rows - start, _DETECTED] = detected[rows]
         rows = rows[detected[rows] >= _MIN_BS_FOR_FIX]
@@ -578,8 +577,7 @@ def _trial_span(cfg: E911Config, seed: int, start: int, stop: int) -> np.ndarray
                 f"a trial uses {widest} BSs, more than the {width} nuisance columns"
             )
         near = np.stack((d[rows, :widest], sinr[rows, :widest]), axis=1)
-        blocks = -(-len(d) // _BLOCK)
-        draws = _nuisance(seed, block, blocks, cfg, width)[rows, :, :widest]
+        draws = _nuisance(blocked, cfg, width)[rows, :, :widest]
         heard.append((first + rows - start, used, np.concatenate((near, draws), axis=1)))
     del blocked, d, sinr  # the last chunk need not outlive the sampling
     trials, used = (np.concatenate(column) for column in list(zip(*heard))[:2])

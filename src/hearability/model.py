@@ -48,13 +48,11 @@ class Scenario:
         gamma: processing gain applied before demodulation, linear (> 0).
         L: number of nearest BSs the device must detect (>= 1).
         K: number of frequency bands under reuse (>= 1, 1 = universal).
-        noise_sigma2: thermal noise power in units of the common BS
-            transmit power: a BS at distance d is received at d**-alpha.
         sigma_db: log-normal shadowing standard deviation in dB (0 is
             pure power-law path loss).  Poisson sampling folds it into
-            the effective density; hex sampling draws it per link.  At
-            zero noise Poisson P_L does not depend on it, so the
-            analytic evaluators do not read it.
+            the effective density; hex sampling draws it per link.
+            Poisson P_L does not depend on it, so the analytic
+            evaluators do not read it.
     """
 
     lam: float
@@ -65,7 +63,6 @@ class Scenario:
     gamma: float
     L: int
     K: int = 1
-    noise_sigma2: float = 0.0
     sigma_db: float = 0.0
 
     def __post_init__(self) -> None:
@@ -85,10 +82,6 @@ class Scenario:
             raise ValueError(f"L must be a positive integer, got {self.L!r}")
         if not isinstance(self.K, (int, np.integer)) or self.K < 1:
             raise ValueError(f"K must be a positive integer, got {self.K!r}")
-        if not (self.noise_sigma2 >= 0.0 and math.isfinite(self.noise_sigma2)):
-            raise ValueError(
-                f"noise_sigma2 must be nonnegative, got {self.noise_sigma2}"
-            )
         _check_sigma_db(self.sigma_db)
 
     @property

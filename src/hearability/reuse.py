@@ -12,8 +12,8 @@ K-fold convolution of ``e``.
 
 The construction requires a single per-band detectability ordering,
 which holds when muting and load coincide (``p = q``).  No evaluator
-reads the density, and each rejects noise, so the per-band ``P_n`` depend
-on ``beta`` and ``gamma`` only: :func:`pl_with_reuse_grid` evaluates each
+reads the density, so the per-band ``P_n`` depend on ``beta`` and
+``gamma`` only: :func:`pl_with_reuse_grid` evaluates each
 distinct point of a family of scenarios once per level ``n``, for every
 ``K``.  One scenario is a family of one.
 """
@@ -90,9 +90,9 @@ def pl_with_reuse_grid(
 ) -> list[float | NonConvergenceError]:
     """P(at least L BSs detectable across all K bands) at every scenario of a family.
 
-    ``scenario.K`` is the reuse factor; ``p == q`` and zero noise are
-    required.  The scenarios share ``L``, ``alpha``, ``p`` and ``q``; they
-    differ in ``beta`` and may differ in ``gamma``, ``K`` and ``lam``.
+    ``scenario.K`` is the reuse factor; ``p == q`` is required.  The
+    scenarios share ``L``, ``alpha``, ``p`` and ``q``; they differ in
+    ``beta`` and may differ in ``gamma``, ``K`` and ``lam``.
     ``base_method`` is the analytic evaluator of the per-band ``P_n`` at
     density ``lam / K``.  That table depends on beta and gamma only, so
     each distinct point is evaluated once for the whole family, with one

@@ -650,14 +650,14 @@ def _margins(pw: np.ndarray, act_p: np.ndarray, act_q: np.ndarray, tail: np.ndar
     act_p = act_p[:, :L]
     t_part = np.sum(near, axis=1, where=act_p, keepdims=True)
     t_bg = np.sum(pw[:, L:] * act_q[:, L:], axis=1, keepdims=True) + tail
-    denom = t_part - np.where(act_p, near, 0.0) + t_bg + scenario.noise_sigma2
+    denom = t_part - np.where(act_p, near, 0.0) + t_bg
     with np.errstate(divide="ignore"):
         sinr = np.where(denom > 0.0, near / denom, math.inf)
     return np.column_stack((sinr.min(axis=1), sinr[:, L - 1]))
 
 
-def _prefix_min_sinr(pw: np.ndarray, act: np.ndarray, bands: _Bands, tail: np.ndarray,
-                     scenario: Scenario) -> np.ndarray:
+def _prefix_min_sinr(pw: np.ndarray, act: np.ndarray, bands: _Bands,
+                     tail: np.ndarray) -> np.ndarray:
     """Prefix-min SINR of each band's ``cap`` nearest members when p == q.
 
     ``act`` holds the transmit marks at q and ``tail`` (rows, 1) the
@@ -666,7 +666,7 @@ def _prefix_min_sinr(pw: np.ndarray, act: np.ndarray, bands: _Bands, tail: np.nd
     """
     pw_c, act_c = bands.members(pw), bands.members(act)
     total = bands.totals(pw, act) + (tail / bands.K)[:, :, None]
-    denom = total - np.where(act_c, pw_c, 0.0) + scenario.noise_sigma2
+    denom = total - np.where(act_c, pw_c, 0.0)
     with np.errstate(divide="ignore"):
         sinr = np.where(denom > 0.0, pw_c / denom, math.inf)
     return np.where(bands.valid, np.minimum.accumulate(sinr, axis=2), -math.inf)
@@ -683,25 +683,24 @@ def _upsilon(pw: np.ndarray, act_p: np.ndarray, act_q: np.ndarray, bands: _Bands
     p, ``act_q`` at q).  At p == q, P(Upsilon >= L) is the
     joint-detection P_L, and the count is the number of prefix-min
     SINRs clearing the threshold.  Otherwise member k < ell is detected at
-    count ell when ``pw_k >= thr * (near_ell - own_k + far_ell + noise)``:
+    count ell when ``pw_k >= thr * (near_ell - own_k + far_ell)``:
     ``near_ell`` is the active power among the ``ell`` participants,
     ``own_k`` member k's part of it and ``far_ell`` the loaded power beyond
     them, with the band's 1/K of ``tail`` (rows, 1), the mean
     interference beyond the window.  As
-    ``pw_k + thr * own_k >= thr * (near_ell + far_ell + noise)``, one
+    ``pw_k + thr * own_k >= thr * (near_ell + far_ell)``, one
     running minimum over k decides every ell at once.
     """
     thr = scenario.beta / scenario.gamma
     if scenario.p == scenario.q:
-        return np.sum(_prefix_min_sinr(pw, act_q, bands, tail, scenario) >= thr,
-                      axis=(1, 2))
+        return np.sum(_prefix_min_sinr(pw, act_q, bands, tail) >= thr, axis=(1, 2))
     cap = bands.cap
     near = bands.running_sums(pw, act_p)[:, :, :cap]
     running_q = bands.running_sums(pw, act_q)
     far = running_q[:, :, -1:] - running_q[:, :, :cap] + (tail / bands.K)[:, :, None]
     pw_c = bands.members(pw)
     weakest = np.minimum.accumulate(pw_c + thr * (bands.members(act_p) * pw_c), axis=2)
-    passes = (weakest >= thr * (near + far + scenario.noise_sigma2)) & bands.valid
+    passes = (weakest >= thr * (near + far)) & bands.valid
     best = np.max(np.where(passes, np.arange(1, cap + 1), 0), axis=2)
     return best.sum(axis=1)
 
@@ -743,7 +742,7 @@ def _block_stats(
             # At least L band prefix-minima clear a level exactly when the
             # L-th largest of them does.
             bands = draws.bands(scenario.K)
-            cummins = _prefix_min_sinr(pw, act_q, bands, tail, scenario).reshape(rows, -1)
+            cummins = _prefix_min_sinr(pw, act_q, bands, tail).reshape(rows, -1)
             stats.append(np.partition(cummins, -scenario.L, axis=1)[:, -scenario.L])
     return np.stack(stats, axis=1)
 

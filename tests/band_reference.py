@@ -57,7 +57,7 @@ def prefix_min_sinr(pw: np.ndarray, u: np.ndarray, labels, tail: np.ndarray,
     for b, (mask, idx, valid) in enumerate(bands):
         total = np.sum(pw, axis=1, where=act if mask is None else act & mask, keepdims=True)
         total = total + tail / scenario.K
-        denom = total - np.where(act[idx], pw[idx], 0.0) + scenario.noise_sigma2
+        denom = total - np.where(act[idx], pw[idx], 0.0)
         with np.errstate(divide="ignore"):
             sinr = np.where(denom > 0.0, pw[idx] / denom, math.inf)
         out[:, b] = np.where(valid, np.minimum.accumulate(sinr, axis=1), -math.inf)
@@ -83,7 +83,7 @@ def upsilon(pw: np.ndarray, u: np.ndarray, labels, tail: np.ndarray,
         near = near[:, :, None] - (act * pw_c)[:, None, :]
         running_q = np.cumsum(pw * ((u < q) & member), axis=1)
         far = running_q[:, -1:] - running_q[idx] + tail / scenario.K
-        denom = near + far[:, :, None] + scenario.noise_sigma2
+        denom = near + far[:, :, None]
         passes = np.all((pw_c[:, None, :] >= thr * denom) | ~earlier, axis=2) & valid
         counts += np.max(np.where(passes, slots + 1, 0), axis=1)
     return counts

@@ -28,8 +28,7 @@ from test_parallel import _InlinePool
 
 ROWS = 5 * simulate._BLOCK + 7
 BLOCKS = set(range(-(-ROWS // simulate._BLOCK)))
-SCEN = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, beta=0.02, gamma=1.0, L=4,
-                noise_sigma2=0.05)
+SCEN = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, beta=0.02, gamma=1.0, L=4)
 
 # Each deployment: its config fields and its scenarios' sigma_db.  The
 # Poisson rows keep the default window (250 BSs); the hex rows keep 100
@@ -69,8 +68,7 @@ def _spy_streams(monkeypatch) -> collections.Counter:
         built[seed, index, role] += 1
         return make(seed, index, role)
 
-    for module in (simulate, e911):
-        monkeypatch.setattr(module, "stream", spy)
+    monkeypatch.setattr(simulate, "stream", spy)
     return built
 
 

@@ -507,7 +507,7 @@ class TestSubcommands:
     def test_levels_above_the_cap_are_rejected(self):
         # Counts stop at the cap, so P(Upsilon >= cap + 1) would read 0.
         scen = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, beta=0.1, gamma=1.0, L=1)
-        sim = SimConfig(realizations=16, seed=23, expected_bs=100)
+        sim = SimConfig(realizations=16, seed=23, expected_bs=320)
         assert len(hex_vs_ppp_rows(scen, sim, 32, ())) == 32
         with pytest.raises(ValueError, match="l_max=33 exceeds UPSILON_CAP=32"):
             hex_vs_ppp_rows(scen, sim, 33, ())
@@ -590,6 +590,16 @@ class TestSubcommands:
             assert seen == [E911Config(trials=size)]
         else:
             assert seen == [SimConfig(realizations=size, seed=5)]
+
+    def test_e911_defaults_are_the_config_defaults(self, monkeypatch, tmp_path):
+        # The subcommand restates every E911Config default; a spy stands in
+        # for the row builder, so no trial runs.
+        from hearability.e911 import E911Config
+
+        seen = []
+        monkeypatch.setattr(cli, "e911_rows", lambda cfg, *args: seen.append(cfg) or [])
+        assert main(["e911", "--out", str(tmp_path / "e911.csv")]) == 0
+        assert seen == [E911Config()]
 
     def test_unknown_figure_name(self):
         with pytest.raises(ValueError, match="unknown figure"):
@@ -791,6 +801,11 @@ class TestSubcommands:
                  "--realizations", "200"],
                 "^error: l_max=40 exceeds UPSILON_CAP=32",
             ),
+            # The window is checked against l_max, not the L = 1 it sweeps from.
+            (
+                "hexgrid", None, ["--expected-bs", "100", "--l-max", "16"],
+                "^error: expected_bs=100 is too small for L=16",
+            ),
             (
                 "reuse", None,
                 ["--l", "33", "--mc", "--k-list", "1", "--bg-start-db", "-40",
@@ -876,7 +891,8 @@ class TestSubcommands:
             "figure_realizations_zero", "e911_trials",
             "fig5_realizations_flag", "fig6_realizations_config",
             "fig2_realizations_flag", "fig2_realizations_config",
-            "missing_config", "hexgrid_l_max_above_cap", "reuse_l_above_cap",
+            "missing_config", "hexgrid_l_max_above_cap", "hexgrid_window_below_l_max",
+            "reuse_l_above_cap",
             "analytic_gamma_db", "simulate_gamma_db", "reuse_gamma_db",
             "analytic_gamma_db_config", "simulate_gamma_db_config",
             "reuse_gamma_db_config", "bg_stop_db_inf", "bg_start_db_nan",

@@ -125,7 +125,7 @@ def synthesize_observations(
     """TDOA measurements of the detected BSs of one realization, and their positions."""
     row = realization.distances[None]
     pw = simulate._powers(row, scenario)
-    sinr, detected = e911._detect(pw, row_tails(row, scenario), scenario, cfg)
+    sinr, detected = e911._detect(pw, row_tails(row, scenario), cfg)
     used = int(min(detected[0], cfg.max_bs_per_fix or detected[0]))
     d = realization.distances[None, :used]
     draws = draw_one(rng, cfg, used)[None]
@@ -142,7 +142,7 @@ def _pre_sinrs(realization: Realization, scenario: Scenario) -> np.ndarray:
     """Pre-processing SINR of every BS in a fully loaded network, tail included."""
     pw = realization.distances ** (-scenario.alpha)
     tail = float(row_tails(realization.distances[None], scenario)[0, 0])
-    denom = float(np.sum(pw)) + tail - pw + scenario.noise_sigma2
+    denom = float(np.sum(pw)) + tail - pw
     with np.errstate(divide="ignore"):
         return np.where(denom > 0.0, pw / denom, math.inf)
 
@@ -507,17 +507,16 @@ class TestDetect:
     """``_detect``, on the first b + 1 columns, against SINRs of whole rows."""
 
     @staticmethod
-    def _whole_rows(pw, tail, scenario, cfg):
+    def _whole_rows(pw, tail, cfg):
         denom = (np.sum(pw, axis=1, keepdims=True) + tail) - pw
-        denom += scenario.noise_sigma2
         sinr = np.divide(pw, denom, out=np.full_like(pw, math.inf), where=denom > 0.0)
         return sinr, np.count_nonzero(sinr >= cfg.pre_sinr_threshold, axis=1)
 
     def _columns(self, d, scenario, cfg) -> int:
         """Checks ``_detect`` on ``d``; returns how many SINR columns it gave."""
         pw, tail = simulate._powers(d, scenario), row_tails(d, scenario)
-        sinr, counts = e911._detect(pw, tail, scenario, cfg)
-        ref_sinr, ref_counts = self._whole_rows(pw, tail, scenario, cfg)
+        sinr, counts = e911._detect(pw, tail, cfg)
+        ref_sinr, ref_counts = self._whole_rows(pw, tail, cfg)
         np.testing.assert_array_equal(counts, ref_counts)
         width = sinr.shape[1]
         assert width >= counts.max()
@@ -534,14 +533,10 @@ class TestDetect:
 
     def test_sinrs_cover_the_first_b_plus_one_columns(self, blocks):
         cfg, scen, ds = blocks
-        fifth = float(np.median(ds[0][:, 4]))
-        noisy = scen.replace(noise_sigma2=fifth**-scen.alpha)
-        default = cfg.pre_sinr_threshold
-        for theta, scenario, want in ((default, scen, 22), (1e-2, scen, 103),
-                                      (default, noisy, 22)):
+        for theta, want in ((cfg.pre_sinr_threshold, 22), (1e-2, 103)):
             low = cfg.replace(pre_sinr_threshold=theta)
             for d in ds:
-                assert self._columns(d, scenario, low) == want
+                assert self._columns(d, scen, low) == want
                 assert want == min(d.shape[1], e911._bound(theta, d.shape[1]) + 1)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -556,7 +551,7 @@ class TestDetect:
         _, scen, ds = blocks
         low = E911Config(pre_sinr_threshold=1e-4)
         tail = row_tails(ds[0], scen)
-        counts = self._whole_rows(simulate._powers(ds[0], scen), tail, scen, low)[1]
+        counts = self._whole_rows(simulate._powers(ds[0], scen), tail, low)[1]
         assert counts.max() > e911._width(E911Config(), ds[0].shape[1])
         for d in ds:
             assert self._columns(d, scen, low) == d.shape[1]
@@ -840,7 +835,7 @@ class TestTrials:
         scen = default_scenario(cfg)
         d, _ = block_rows(scen, trial_config(scen, seed=6, trials=320))
         assert e911._width(cfg, d.shape[1]) == width
-        _, detected = e911._detect(simulate._powers(d, scen), row_tails(d, scen), scen, cfg)
+        _, detected = e911._detect(simulate._powers(d, scen), row_tails(d, scen), cfg)
         used = np.minimum(detected, cfg.max_bs_per_fix or d.shape[1])
         assert used.max() <= width
 

@@ -38,7 +38,6 @@ class TestScenario:
             ("L", 0),
             ("L", 2.5),
             ("K", 0),
-            ("noise_sigma2", -1.0),
         ],
     )
     def test_rejects_invalid_field(self, field, value):
@@ -157,10 +156,9 @@ def sinr_of(realization: Realization, k: int, L: int, scenario: Scenario) -> flo
     interference = float(np.sum(power[:L][mask[:L]])) + float(
         np.sum(power[L:][mask[L:]])
     )
-    denom = interference + scenario.noise_sigma2
-    if denom == 0.0:
+    if interference == 0.0:
         return math.inf
-    return float(power[k - 1]) / denom
+    return float(power[k - 1]) / interference
 
 
 class TestSinrOf:
@@ -190,11 +188,6 @@ class TestSinrOf:
         # Detecting BS 1 still works: its own mark is excluded.
         np.testing.assert_allclose(sinr_of(real, 1, 2, scen), 16.0)
 
-    def test_noise_enters_denominator(self):
-        real = self.two_bs_realization()
-        scen = make_scenario(L=2, noise_sigma2=1.0)
-        np.testing.assert_allclose(sinr_of(real, 1, 2, scen), 1.0 / (1.0 / 16.0 + 1.0))
-
     def test_far_field_bss_interfere(self):
         real = Realization(
             distances=np.array([1.0, 2.0, 2.0]),
@@ -216,7 +209,7 @@ class TestSinrOf:
 
     def test_block_margins_apply_the_same_recipe(self):
         rng = np.random.default_rng(5)
-        scen = make_scenario(L=3, p=0.6, q=0.8, noise_sigma2=0.01)
+        scen = make_scenario(L=3, p=0.6, q=0.8)
         for _ in range(20):
             d = np.sort(rng.uniform(0.5, 4.0, size=8))
             u = rng.random(8)

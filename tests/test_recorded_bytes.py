@@ -1,19 +1,20 @@
-"""Byte-identity guard: small figure CSVs against recorded SHA-256 digests.
+"""Byte-identity guard: small figure and subcommand CSVs against SHA-256 digests.
 
-A recipe's CSV is a function of the code and the seed alone, so a change
-that keeps every number keeps these digests.  A deliberate, announced
-change of the numbers (a new RNG contract, say) records new digests in
-the same change.  The digests were recorded with numpy 2.4 and Python
-3.11; each recipe runs in well under a second at this size.  fig2 runs
-E911 trials rather than realizations and needs at least 100 of them;
-fig5 and fig6 draw no sample, so they run with ``realizations=None``.
+A recipe's or a subcommand's CSV is a function of the code and the seed
+alone, so a change that keeps every number keeps these digests.  A
+deliberate, announced change of the numbers (a new RNG contract, say)
+records new digests in the same change.  The digests were recorded with
+numpy 2.4 and Python 3.11; each run takes well under a second at this
+size.  fig2 runs E911 trials rather than realizations and needs at
+least 100 of them; fig5 and fig6 draw no sample, so they run with
+``realizations=None``.
 """
 
 import hashlib
 
 import pytest
 
-from hearability.cli import run_figure
+from hearability.cli import main, run_figure
 
 # sha256 of run_figure(name, seed=0, realizations=SIZES.get(name, 16),
 # timestamp=False).
@@ -39,3 +40,24 @@ def test_small_figure_bytes_match_the_recorded_digest(tmp_path, name):
         timestamp=False,
     )
     assert hashlib.sha256(path.read_bytes()).hexdigest() == DIGESTS[name]
+
+
+# sha256 of the CSV of main([*argv, "--seed", "0", "--no-timestamp", "--out", ...]).
+COMMAND_DIGESTS = {
+    "hexgrid": (
+        ["hexgrid", "--p", "0.5", "--q", "0.75", "--realizations", "16"],
+        "9b59486cb7c54e8901567787cfe22433a2ad04d3daa1de6970a04d9d267e56b6",
+    ),
+    "e911": (
+        ["e911", "--trials", "100", "--grid", "4,5"],
+        "c23a0c058e836af52f0e394ea77123a171d2512d07822bdf31f66241312b745a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMAND_DIGESTS))
+def test_small_subcommand_bytes_match_the_recorded_digest(tmp_path, name):
+    argv, digest = COMMAND_DIGESTS[name]
+    out = tmp_path / f"{name}.csv"
+    assert main([*argv, "--seed", "0", "--no-timestamp", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

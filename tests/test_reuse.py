@@ -206,15 +206,6 @@ class TestFamilyTable:
         for scale in (3.0, 6.0):
             band = [s.replace(lam=s.lam / scale) for s in base]
             assert [v.hex() for v in evaluate_grid(method, band)] == expected
-        # No evaluator reads the noise, so a noisy point is rejected rather
-        # than given its zero-noise value, by either entry point.
-        for noise in (0.1, 1.0, 100.0):
-            noisy = [*base, base[-1].replace(noise_sigma2=noise)]
-            match = f"^noise_sigma2 must be 0 .*got {noise}"
-            with pytest.raises(ValueError, match=match):
-                evaluate_grid(method, noisy)
-            with pytest.raises(ValueError, match=match):
-                pl_with_reuse_grid(noisy, method)
 
     @pytest.mark.parametrize(
         "method,alpha,p",

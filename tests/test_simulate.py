@@ -58,8 +58,7 @@ def _block_stats(kind, scen, config, block, rows):
 
 
 def _joint_last_margins(
-    pw: np.ndarray, u: np.ndarray, L: int, p: float, q: float, sigma2: float,
-    tail: float,
+    pw: np.ndarray, u: np.ndarray, L: int, p: float, q: float, tail: float,
 ) -> tuple[float, float]:
     """(min SINR over the L nearest, SINR of the L-th) for one realization.
 
@@ -71,15 +70,14 @@ def _joint_last_margins(
     act_q = u[L:] < q
     t_part = float(np.sum(pw[:L], where=act_p))
     t_bg = float(np.sum(pw[L:], where=act_q)) + tail
-    denom = t_part - np.where(act_p, pw[:L], 0.0) + t_bg + sigma2
+    denom = t_part - np.where(act_p, pw[:L], 0.0) + t_bg
     with np.errstate(divide="ignore"):
         sinr = np.where(denom > 0.0, pw[:L] / denom, math.inf)
     return (float(np.min(sinr)), float(sinr[L - 1]))
 
 
 def _leading_pass_count(
-    pw: np.ndarray, u: np.ndarray, q: float, sigma2: float, thr: float, cap: int,
-    tail: float,
+    pw: np.ndarray, u: np.ndarray, q: float, thr: float, cap: int, tail: float,
 ) -> int:
     """Detectable count when muting equals load (p == q, single band).
 
@@ -90,7 +88,7 @@ def _leading_pass_count(
     """
     act = u < q
     total = float(np.sum(pw, where=act)) + tail
-    denom = total - np.where(act, pw, 0.0) + sigma2
+    denom = total - np.where(act, pw, 0.0)
     ok = pw >= thr * denom
     m = min(cap, len(pw))
     if m == 0:
@@ -100,7 +98,7 @@ def _leading_pass_count(
 
 
 def _band_sinr_cummin(
-    pw: np.ndarray, u: np.ndarray, q: float, sigma2: float, cap: int, tail: float
+    pw: np.ndarray, u: np.ndarray, q: float, cap: int, tail: float
 ) -> np.ndarray:
     """Prefix-min SINR of the nearest band members (p == q), padded -inf.
 
@@ -108,7 +106,7 @@ def _band_sinr_cummin(
     """
     act = u < q
     total = float(np.sum(pw, where=act)) + tail
-    denom = total - np.where(act, pw, 0.0) + sigma2
+    denom = total - np.where(act, pw, 0.0)
     m = min(cap, len(pw))
     out = np.full(cap, -math.inf)
     if m == 0:
@@ -126,7 +124,6 @@ def _upsilon_oracle(realization, scenario, tail, cap=32) -> int:
     each band hears 1/K of it.
     """
     thr = scenario.beta / scenario.gamma
-    sigma2 = scenario.noise_sigma2
     band_tail = tail / scenario.K
     pw_all = realization.distances ** (-scenario.alpha)
     total_count = 0
@@ -139,8 +136,7 @@ def _upsilon_oracle(realization, scenario, tail, cap=32) -> int:
             pw = pw_all
             u = realization.activity_u
         if scenario.p == scenario.q:
-            total_count += _leading_pass_count(pw, u, scenario.q, sigma2, thr, cap,
-                                               band_tail)
+            total_count += _leading_pass_count(pw, u, scenario.q, thr, cap, band_tail)
             continue
         m = min(cap, len(pw))
         pw_m = pw * (u < scenario.p)
@@ -153,7 +149,7 @@ def _upsilon_oracle(realization, scenario, tail, cap=32) -> int:
             act = u[:ell] < scenario.p
             near = pref_p[ell] - act * pw[:ell]
             far = t_q - pref_q[ell] + band_tail
-            denom = near + far + sigma2
+            denom = near + far
             if np.all(pw[:ell] >= thr * denom):
                 best = ell
         total_count += best
@@ -213,7 +209,6 @@ def _block_cummins(scen, config, block, rows):
     draws = simulate._BlockDraws(config, block, rows)
     return simulate._prefix_min_sinr(
         draws.powers(scen), draws.active(scen.q), draws.bands(scen.K), draws.tail(scen),
-        scen,
     )
 
 
@@ -855,7 +850,7 @@ class TestBlockKernelsMatchOracle:
                 np.testing.assert_allclose(
                     margins[row],
                     _joint_last_margins(pw, real.activity_u, scen.L, scen.p,
-                                        scen.q, scen.noise_sigma2, tails[row]),
+                                        scen.q, tails[row]),
                     rtol=1e-12,
                 )
                 assert counts[row] == _upsilon_oracle(real, scen, tails[row])
@@ -870,8 +865,7 @@ class TestBlockKernelsMatchOracle:
                     np.testing.assert_allclose(
                         cummins[row, band - 1],
                         _band_sinr_cummin(pw[sel], real.activity_u[sel], scen.q,
-                                          scen.noise_sigma2, simulate.UPSILON_CAP,
-                                          tails[row] / scen.K),
+                                          simulate.UPSILON_CAP, tails[row] / scen.K),
                         rtol=1e-12,
                     )
 
@@ -892,7 +886,7 @@ class TestBlockKernelsMatchOracle:
             want = band_reference.upsilon(pw, u, labels, oracle_tail, scen, cap)
             assert got.tobytes() == want.tobytes()
             if scen.p == scen.q:
-                got = simulate._prefix_min_sinr(pw, act_q, bands, tail, scen)
+                got = simulate._prefix_min_sinr(pw, act_q, bands, tail)
                 want = band_reference.prefix_min_sinr(pw, u, labels, oracle_tail, scen, cap)
                 assert got.tobytes() == want.tobytes()
 
@@ -933,10 +927,11 @@ _FAMILY_CONFIGS = {
 def _family(base, partial):
     """Siblings of ``base`` that differ in L, p (``partial``), K, alpha, lam or sigma_db.
 
-    Noise makes the statistics see the scale of the distances, so a
-    sibling handed the distances of another effective density differs.
+    At zero noise the statistics see the scale of the distances only
+    through rounding: the Poisson lam sibling's SINR margins differ from
+    ``base``'s in the last bits, its counts Upsilon do not.
     """
-    family = [
+    return [
         base,
         base.replace(alpha=3.5),
         base.replace(lam=2.0),
@@ -946,7 +941,6 @@ def _family(base, partial):
         partial.replace(alpha=3.5, K=6, L=3),
         base.replace(sigma_db=4.0),
     ]
-    return [scen.replace(noise_sigma2=0.05) for scen in family]
 
 
 class TestFamilies:
@@ -994,7 +988,7 @@ class TestFamilies:
         # offset and one shadowing draw per block, and get the bits they
         # get alone; the unshadowed sibling comes first, so its in-place
         # sort runs while the shadowed ones still need the geometry.
-        family = [SCEN.replace(beta=0.02, alpha=alpha, sigma_db=sigma_db, noise_sigma2=0.05)
+        family = [SCEN.replace(beta=0.02, alpha=alpha, sigma_db=sigma_db)
                   for alpha, sigma_db in ((4.0, 0.0), (4.0, 8.0), (3.5, 8.0), (3.0, 8.0),
                                           (4.0, 4.0), (3.0, 12.0))]
         config = cfg(2 * simulate._BLOCK + 5, seed=101, **_HEX)
