@@ -352,6 +352,13 @@ def _single_integral_general_term(omega: int, points: list[Scenario], quad) -> l
     form ``(1 - x_star**-2)**omega`` at the crossing point ``x_star``, so no
     quadrature is needed, only a root find per omega.  Least reliable of
     the integral forms, but the cheapest.
+
+    The root is bracketed by ``[1, gb**(1/alpha) (1 + 1e-9)]`` with no
+    search: ``h(1) < gb`` at every point that has a crossing, and
+    ``h(x) >= x**alpha`` (the middle and far-field terms are
+    nonnegative), so ``h`` reaches ``gb`` by ``x = gb**(1/alpha)``.  At
+    ``omega = 1, q = 0``, where ``h(x) = x**alpha`` exactly, the factor
+    keeps the upper end strictly past the crossing despite rounding.
     """
     if omega == 0:
         return _perfect_coord_term(omega, points, quad)
@@ -362,11 +369,7 @@ def _single_integral_general_term(omega: int, points: list[Scenario], quad) -> l
         if h_one >= gb:
             out.append(0.0)
             continue
-        hi = 2.0
-        for _ in range(200):
-            if _h_ratio(hi, omega, alpha, q) > gb:
-                break
-            hi *= 2.0
+        hi = gb ** (1.0 / alpha) * (1.0 + 1e-9)
         x_star = find_root_monotone(
             lambda x: _h_ratio(x, omega, alpha, q) - gb, 1.0, hi, tol=1e-12 * hi
         )

@@ -286,10 +286,9 @@ def procgain_rows(
     return rows
 
 
-def _format(value: float) -> str:
-    if value != value:  # NaN marks a non-applicable column
-        return "nan"
-    return f"{value:.9g}"
+# One CSV row: bg_db, L, p, q, alpha, K, lam, method, value, stderr.  NaN
+# (a column that does not apply) formats as "nan".
+_ROW_FORMAT = "%.9g,%s,%.9g,%.9g,%.9g,%s,%.9g,%s,%.9g,%s"
 
 
 def write_csv(rows: list[Row], out: Path, timestamp: bool) -> None:
@@ -304,23 +303,11 @@ def write_csv(rows: list[Row], out: Path, timestamp: bool) -> None:
     for row in sorted(rows, key=Row.sort_key):
         if row.comment:
             lines.append(f"# {row.comment}")
-        stderr = "" if row.stderr is None else _format(row.stderr)
-        lines.append(
-            ",".join(
-                (
-                    _format(row.bg_db),
-                    str(row.L),
-                    _format(row.p),
-                    _format(row.q),
-                    _format(row.alpha),
-                    str(row.K),
-                    _format(row.lam),
-                    row.method,
-                    _format(row.value),
-                    stderr,
-                )
-            )
-        )
+        stderr = "" if row.stderr is None else "%.9g" % row.stderr
+        lines.append(_ROW_FORMAT % (
+            row.bg_db, row.L, row.p, row.q, row.alpha, row.K, row.lam,
+            row.method, row.value, stderr,
+        ))
     out.write_text("\n".join(lines) + "\n")
 
 

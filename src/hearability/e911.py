@@ -581,7 +581,7 @@ def _trial_span(cfg: E911Config, seed: int, start: int, stop: int) -> np.ndarray
         heard.append((first + rows - start, used, np.concatenate((near, draws), axis=1)))
     del blocked, d, sinr  # the last chunk need not outlive the sampling
     trials, used = (np.concatenate(column) for column in list(zip(*heard))[:2])
-    for m in np.unique(used):
+    for m in np.flatnonzero(np.bincount(used)):  # np.unique loads numpy.ma
         rows = trials[used == m]
         near = np.concatenate([b[u == m, :, :m] for _, u, b in heard if m in u])
         observed = _observe(near[:, 0], near[:, 1], near[:, 2:], scenario, cfg)

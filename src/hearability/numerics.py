@@ -14,6 +14,10 @@ many integrals of one integrand family in lockstep and also passes the
 integral each row belongs to.  One stacked product per rule reduces a
 round's panels with ``np.dot``'s kernel per row, so a grid of integrals
 returns the same bits as the integrals one at a time.
+
+Scalar roots come from :func:`find_root_monotone`, Brent's bracketing
+method: interpolation steps with a bisection fallback, so a simple crossing
+costs a quarter to a third of bisection's evaluations at the same tolerance.
 """
 
 from __future__ import annotations
@@ -108,6 +112,7 @@ _W15 = np.array([
 ])
 _X22 = np.concatenate((_X15, _X7))  # one panel's abscissae on [-1, 1]
 _INITIAL_PANELS = 4
+_EPS = 2.0 ** -52  # float64 machine epsilon
 
 
 def _panel_estimates(
@@ -217,17 +222,30 @@ def integrate_lockstep(
 def find_root_monotone(
     g: Callable[[float], float], lo: float, hi: float, tol: float
 ) -> float:
-    """Locate the root of a monotone scalar function by bisection.
+    """Locate the root of a monotone scalar function by Brent's method.
+
+    Brent's zeroin (Brent, *Algorithms for Minimization without
+    Derivatives*, 1973, ch. 4): each step keeps a bracket ``[b, c]``
+    across which ``g`` changes sign, with ``b`` the end of smaller
+    ``|g|``, and steps from ``b`` by inverse quadratic interpolation
+    through the last three points, or by the secant when only two are
+    distinct.  It bisects instead when the interpolated point would not
+    fall inside the three quarters of the bracket next to ``b``, or the step
+    would not be under half the step before last, so the bracket always
+    keeps shrinking, and superlinearly near a simple root.  No step is
+    shorter than ``tol1 = tol / 2 + 2 eps |b|`` (``eps = 2**-52``), so the
+    bracket collapses once the root is that close.
 
     Args:
         g: scalar function, monotone on [lo, hi], with a sign change
             (or an exact zero) across the bracket.
         lo: lower bracket endpoint, finite.
         hi: upper bracket endpoint, finite, ``hi > lo``.
-        tol: final bracket width, positive.
+        tol: accuracy target, positive.
 
     Returns:
-        The bracket midpoint once the bracket is narrower than ``tol``.
+        A point ``x`` of the bracket that is an exact zero of ``g``, or
+        has a sign change of ``g`` within ``tol + 4 eps |x|`` of it.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         raise ValueError(f"invalid bracket [{lo}, {hi}]")
@@ -248,23 +266,52 @@ def find_root_monotone(
             f"bracket [{lo}, {hi}] does not straddle a root: "
             f"g(lo)={g_lo:.6g}, g(hi)={g_hi:.6g}"
         )
-    # Bisection halves the bracket each step, so the iteration count is
-    # bounded by the bits between the bracket width and tol.
-    max_iter = max(1, math.ceil(math.log2((hi - lo) / tol))) + 4
-    for _ in range(max_iter):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        g_mid = g(mid)
-        if not math.isfinite(g_mid):
-            raise ValueError(f"function not finite at x={mid}")
-        if g_mid == 0.0:
-            return mid
-        if (g_mid > 0.0) == (g_hi > 0.0):
-            hi = mid
+    # a is the previous b, the third interpolation point; d is the last
+    # step and e the one before it.
+    a, fa, b, fb = lo, g_lo, hi, g_hi
+    c, fc = a, fa
+    d = e = b - a
+    # Brent bounds the evaluations by about k**2 for the k bisections that
+    # reach tol, so a bracketed root never meets this cap.
+    bisections = max(1, math.ceil(math.log2((hi - lo) / tol)))
+    for _ in range((bisections + 2) ** 2):
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol
+        m = 0.5 * (c - b)
+        if abs(m) <= tol1:
+            return b
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant through a and b
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic through a, b and c
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < 3.0 * m * q - abs(tol1 * q) and p < abs(0.5 * e * q):
+                e, d = d, p / q
+            else:
+                d = e = m
         else:
-            lo = mid
-    return 0.5 * (lo + hi)
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, m)
+        fb = g(b)
+        if not math.isfinite(fb):
+            raise ValueError(f"function not finite at x={b}")
+        if fb == 0.0:
+            return b
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+    raise RuntimeError(  # pragma: no cover - Brent's bound rules it out
+        f"root find on [{lo}, {hi}] did not converge to tol={tol}"
+    )
 
 
 def poisson_cdf(k: int, mu: float) -> float:

@@ -466,6 +466,33 @@ class TestSingleIntegralGeneral:
             rtol=1e-12,
         )
 
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0, 4.5, 6.0])
+    @pytest.mark.parametrize("gb", [1.0 + 1e-12, 1.5, 10.0, 1e3, 1e8])
+    def test_single_participant_without_far_field(self, alpha, gb):
+        # omega = 1 and q = 0 leave h(x) = x**alpha, whose crossing
+        # gb**(1/alpha) sits at the bracket's own upper end before its
+        # 1e-9 margin: P_L = 1 - gb**(-2/alpha).  The root lies within
+        # about 1e-12 x of the crossing, and 1 - x**-2 moves by at most
+        # 2 x**-3 per unit of x.
+        scen = at_ratio(gb, L=2, p=1.0, q=0.0, alpha=alpha)
+        np.testing.assert_allclose(
+            pl(Method.SINGLE_INTEGRAL_GENERAL, scen), 1.0 - gb ** (-2.0 / alpha),
+            rtol=0.0, atol=3e-12,
+        )
+
+    def test_fig4_grids_evaluation_budget(self, monkeypatch):
+        # The four fig4 grids (alpha 3 to 4.5, p = 2/3, -20..0 dB) made
+        # 7 991 h evaluations under bisection with a doubling bracket
+        # search, and 1 614 under Brent's method from the x**alpha bound.
+        calls = []
+        h = analytic._h_ratio
+        monkeypatch.setattr(analytic, "_h_ratio", lambda *a: calls.append(a) or h(*a))
+        for alpha in (3.0, 3.5, 4.0, 4.5):
+            base = CANON.replace(alpha=alpha, p=2.0 / 3.0)
+            points = [_at_threshold(base, db) for db in _grid(-20.0, 0.0, 1.0)]
+            evaluate_grid(Method.SINGLE_INTEGRAL_GENERAL, points)
+        assert len(calls) <= 1700
+
 
 class TestNearfield:
     def test_frozen_canonical_value(self):
@@ -501,7 +528,8 @@ class TestNearfield:
 # Edge cases of the Omega average, recorded before it was shared by every
 # evaluator: L = 1 and p = 0 keep only the omega = 0 term, p = 1 only the
 # omega = L - 1 term, and q = 0 drops the far field.  The inner point
-# weighs every term.
+# weighs every term.  The SingleIntegralGeneral values at p1, q0 and
+# inner lie within 1e-15 of a 40-digit evaluation of their crossings.
 EDGE = at_ratio(20.0, p=0.3)
 EDGE_POINTS = {
     "L1": EDGE.replace(L=1),
@@ -521,13 +549,13 @@ EDGE_VALUES = {
     },
     Method.DOUBLE_INTEGRAL: {
         "L1": 0.9999999979388464, "p0": 0.9999967962802195,
-        "p1": 0.31154015220478126, "q0": 0.8018162246940372,
+        "p1": 0.31154015220478126, "q0": 0.8018162246940373,
         "inner": 0.7779560849489775,
     },
     Method.SINGLE_INTEGRAL_GENERAL: {
         "L1": 0.9999999979388464, "p0": 0.9999967962802195,
-        "p1": 0.32729711202943973, "q0": 0.8018162251528319,
-        "inner": 0.7808007765460633,
+        "p1": 0.32729711202953937, "q0": 0.8018162251528537,
+        "inner": 0.7808007765459806,
     },
     Method.SINGLE_INTEGRAL_ALPHA4: {
         "L1": 0.9999999979388464, "p0": 0.9999967962802195,

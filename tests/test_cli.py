@@ -225,6 +225,32 @@ class TestCsvContract:
         line = lines_of(out)[1]
         assert "0.333333333" in line and "0.123456789" in line
 
+    @pytest.mark.parametrize("value", [
+        math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+        2.2250738585072014e-308 / 3.0, 1e300, 123456789.5, 1.0 / 3.0,
+    ])
+    def test_row_format_matches_per_field_join(self, tmp_path, value):
+        # One format string per row writes the bytes of a join over
+        # f"{v:.9g}" per float field (with NaN spelled "nan").
+        def field(v):
+            return "nan" if v != v else f"{v:.9g}"
+
+        rows = [
+            Row(value, 4, value, value, value, 3, value, "UpperBound", value, value),
+            Row(value, 7, 0.5, value, 4.0, 1, value, "DoubleIntegral", value),
+        ]
+        out = tmp_path / "t.csv"
+        write_csv(rows, out, timestamp=False)
+        expected = [
+            ",".join((
+                field(r.bg_db), str(r.L), field(r.p), field(r.q), field(r.alpha),
+                str(r.K), field(r.lam), r.method, field(r.value),
+                "" if r.stderr is None else field(r.stderr),
+            ))
+            for r in sorted(rows, key=Row.sort_key)
+        ]
+        assert lines_of(out)[1:] == expected
+
     def test_nan_columns_render_as_nan(self, tmp_path):
         out = tmp_path / "t.csv"
         write_csv(procgain_rows(0.8, (2,), (4.0,)), out, timestamp=False)

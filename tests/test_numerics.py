@@ -277,6 +277,54 @@ class TestFindRootMonotone:
         with pytest.raises(ValueError):
             find_root_monotone(lambda x: x, -1.0, 1.0, tol=0.0)
 
+    def test_non_finite_interior_value_raises(self):
+        def g(x):
+            return math.nan if 0.2 < x < 0.9 else x - 0.5
+
+        with pytest.raises(ValueError, match="not finite at x="):
+            find_root_monotone(g, 0.0, 1.0, tol=1e-9)
+
+    def test_exact_zero_inside_the_bracket_is_returned(self):
+        # The first secant step lands on the root, whose residual is 0.
+        assert find_root_monotone(lambda x: x - 1.5, 1.0, 2.0, tol=1e-12) == 1.5
+
+    # (g, lo, hi, root): increasing, decreasing, a kink between the
+    # bracket's ends, and a steep exponential; each root is exact to 1 ulp.
+    CASES = {
+        "cube": (lambda x: x**3 - 2.0, 0.0, 3.0, 2.0 ** (1.0 / 3.0)),
+        "falling": (lambda x: 1.0 - x**3, 0.0, 3.0, 1.0),
+        "kinked": (
+            lambda x: 2.0 * x - 1.0 if x < 0.3 else 0.5 * (x - 0.3) - 0.4,
+            0.0, 2.0, 1.1,
+        ),
+        "steep": (
+            lambda x: math.exp(50.0 * x) - 1e10, 0.0, 1.0, math.log(1e10) / 50.0,
+        ),
+        "falling_steep": (
+            lambda x: math.exp(-40.0 * x) - 1e-12, 0.0, 2.0, math.log(1e12) / 40.0,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("tol", [1e-2, 1e-6, 1e-10, 1e-13])
+    def test_result_within_documented_distance_of_root(self, case, tol):
+        g, lo, hi, root = self.CASES[case]
+        x = find_root_monotone(g, lo, hi, tol=tol)
+        assert lo <= x <= hi
+        # One ulp of slack for the rounding of the reference root.
+        assert abs(x - root) <= tol + 4.0 * 2.0**-52 * abs(x) + 2.0**-52 * root
+
+    # Calls allowed at tol = 1e-13; bisection took 46 or 47 on these
+    # brackets, endpoints included.
+    BUDGETS = {"cube": 15, "falling": 15, "kinked": 15, "steep": 20, "falling_steep": 20}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_evaluation_budget(self, case):
+        g, lo, hi, _ = self.CASES[case]
+        calls = []
+        find_root_monotone(lambda x: calls.append(x) or g(x), lo, hi, tol=1e-13)
+        assert len(calls) <= self.BUDGETS[case]
+
 
 class TestPoissonCdf:
     @pytest.mark.parametrize("k", [0, 1, 3, 17, 100])

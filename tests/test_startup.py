@@ -4,7 +4,8 @@
 the E911 layer, the process pool (``concurrent.futures.process`` with
 ``multiprocessing``) or ``numpy.polynomial``: each is imported where a run
 first needs it.  One fresh interpreter runs the steps below and reports,
-after each, which of those modules it has loaded.
+after each, which of those modules it has loaded.  Another collects E911
+trials, a pool worker's whole job, without loading ``numpy.ma``.
 """
 
 import json
@@ -86,3 +87,21 @@ def test_e911_loads_its_layer_and_the_pool(probe):
 def test_e911_pool_writes_the_bytes_of_one_worker(probe):
     out, _ = probe
     assert (out / "e911_w2.csv").read_bytes() == (out / "e911_w1.csv").read_bytes()
+
+
+def test_trial_collection_loads_no_masked_arrays():
+    # np.unique loads numpy.ma on its first call; the trial loop finds its
+    # used counts without it, so collecting trials (a pool worker's whole
+    # job) never pays that import.
+    package_root = str(Path(hearability.__file__).resolve().parent.parent)
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]);"
+        "from hearability.e911 import E911Config, collect_trials;"
+        "table = collect_trials(E911Config(trials=200), seed=3);"
+        "print(len(table), 'numpy.ma' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe, package_root],
+        check=True, capture_output=True, text=True, timeout=300,
+    )
+    assert done.stdout.split() == ["200", "False"]
