@@ -30,9 +30,7 @@ def main() -> None:
     mc = np.array(
         [np.mean(margins[:, 0] >= 10.0 ** (g / 10.0)) for g in grid]
     )
-    bound = np.array(evaluate_grid(
-        Method.UPPER_BOUND, [SCEN.replace(beta=10.0 ** (g / 10.0)) for g in grid]
-    ))
+    bound = np.array(evaluate_grid(Method.UPPER_BOUND, SCEN, 10.0 ** (grid / 10.0)))
 
     print(f"\n{'P_L':>6} {'mc at [dB]':>11} {'bound at [dB]':>14} {'gap [dB]':>9}")
     print("-" * 44)

@@ -28,12 +28,12 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     grid = np.arange(-20.0, 0.5, 2.0)
-    points = [BASE.replace(beta=10.0 ** (g / 10.0)) for g in grid]
+    levels = 10.0 ** (grid / 10.0)
     # One grid evaluation per column; the closed form needs no p.
     columns = [
-        evaluate_grid(Method.SINGLE_INTEGRAL_GENERAL, [s.replace(p=p) for s in points])
+        evaluate_grid(Method.SINGLE_INTEGRAL_GENERAL, BASE.replace(p=p), levels)
         for p in ps
-    ] + [evaluate_grid(Method.PERFECT_COORD, points)]
+    ] + [evaluate_grid(Method.PERFECT_COORD, BASE, levels)]
     for i, g in enumerate(grid):
         row = f"{g:>8.0f}" + "".join(f"{col[i]:>10.4f}" for col in columns[:-1])
         print(row + f"{columns[-1][i]:>12.4f}")
@@ -42,9 +42,10 @@ def main() -> None:
     print(" but the far-field load q still caps performance: even at p=0 the")
     print(" curve is set by the residual network interference.")
     g = -10.0
-    point = BASE.replace(beta=10.0 ** (g / 10.0))
     for q in (1.0, 0.5, 0.25):
-        [value] = evaluate_grid(Method.PERFECT_COORD, [point.replace(q=q)])
+        [value] = evaluate_grid(
+            Method.PERFECT_COORD, BASE.replace(q=q), [10.0 ** (g / 10.0)]
+        )
         print(f"   p=0, q={q:>4.2f} at {g:.0f} dB: P_4 = {value:.4f}")
 
 

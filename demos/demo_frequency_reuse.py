@@ -25,17 +25,13 @@ def main() -> None:
     print(" rec = recursion over per-band counts, mc = band-level simulation\n")
 
     scenarios = [BASE.replace(K=K) for K in KS]
-    # One call for every K: the per-band table is evaluated once per point.
-    recursion = pl_with_reuse_grid(
-        [scen.replace(beta=10.0 ** (g / 10.0)) for scen in scenarios for g in GRID],
-        Method.SINGLE_INTEGRAL_ALPHA4,
-    )
+    levels = 10.0 ** (GRID / 10.0)
+    # One call for every K: the per-band table is evaluated once per level.
+    recursion = pl_with_reuse_grid(scenarios, levels, Method.SINGLE_INTEGRAL_ALPHA4)
     # One family collection draws each Monte Carlo block once for all K.
     margins = collect_reuse_margins(scenarios, SimConfig(realizations=10000, seed=0))
-    levels, n = 10.0 ** (GRID / 10.0), len(GRID)
     columns = {
-        K: (recursion[k * n:(k + 1) * n],
-            [est.estimate for est in exceedance_curve(margins[k], levels)])
+        K: (recursion[k], [e.estimate for e in exceedance_curve(margins[k], levels)])
         for k, K in enumerate(KS)
     }
 

@@ -35,10 +35,10 @@ zero noise permits, so identical inputs at different densities return
 bit-identical values.
 
 Every P_L comes from the grid evaluator :func:`evaluate_grid`, one call
-per beta/gamma grid; one scenario is a grid of one point.  The
-quadrature-backed terms integrate all grid points of one ``omega`` in
-lockstep, and each point keeps its value or its own nonconvergence, with
-the bits it gets on a grid of its own.
+per scenario and grid of linear beta/gamma levels, each read as
+``gb = 1.0 / level``.  The quadrature-backed terms integrate all levels
+of one ``omega`` in lockstep, and each level keeps its value or its own
+nonconvergence, with the bits it gets on a grid of its own.
 """
 
 from __future__ import annotations
@@ -95,33 +95,33 @@ def _floor_with_tol(x: float) -> int:
 _TAIL_QUANTILE = 1.0 - 1e-9
 
 
-def _omega_average(points: list[Scenario], p: float, term, quad) -> list:
-    """Average ``term`` over the binomial law of Omega at every grid point.
+def _omega_average(scenario: Scenario, levels: list, p: float, term, quad) -> list:
+    """Average ``term`` over the binomial law of Omega at every level.
 
-    ``term(omega, live, quad)`` is an evaluator's P_L given ``omega``
-    active participants at each scenario of ``live``.  ``p`` is the
-    activity that weights the terms, and terms of zero weight are
-    skipped.  A point whose term is a :class:`NonConvergenceError` keeps
-    that error and takes no further terms; every other point's sum is
-    clamped to [0, 1].
+    ``term(omega, scenario, live, quad)`` is an evaluator's P_L given
+    ``omega`` active participants at each beta/gamma level of ``live``.
+    ``p`` is the activity that weights the terms, and terms of zero
+    weight are skipped.  A level whose term is a
+    :class:`NonConvergenceError` keeps that error and takes no further
+    terms; every other level's sum is clamped to [0, 1].
     """
-    L = points[0].L
-    totals: list = [0.0] * len(points)  # a float until the point fails
+    L = scenario.L
+    totals: list = [0.0] * len(levels)  # a float until the level fails
     for omega in range(L):
         weight = pmf_omega(omega, L, p)
         live = [k for k, total in enumerate(totals) if isinstance(total, float)]
         if weight == 0.0 or not live:
             continue
-        for k, value in zip(live, term(omega, [points[k] for k in live], quad)):
+        for k, value in zip(live, term(omega, scenario, [levels[k] for k in live], quad)):
             failed = isinstance(value, NonConvergenceError)
             totals[k] = value if failed else totals[k] + weight * value
     return [_clamp01(t) if isinstance(t, float) else t for t in totals]
 
 
-def _require_alpha4(points: list[Scenario]) -> None:
-    if points[0].alpha != 4.0:
+def _require_alpha4(scenario: Scenario) -> None:
+    if scenario.alpha != 4.0:
         raise ValueError(
-            f"this evaluator requires alpha = 4 exactly, got {points[0].alpha}"
+            f"this evaluator requires alpha = 4 exactly, got {scenario.alpha}"
         )
 
 
@@ -144,7 +144,7 @@ def _integrate_points(integrand, gbs: list[float], uppers: list, quad) -> list:
     return out
 
 
-def _upper_bound_term(omega: int, points: list[Scenario], quad) -> list:
+def _upper_bound_term(omega: int, scenario: Scenario, levels: list, quad) -> list:
     """``UpperBound``: closed-form upper bound on P_L from the near field only.
 
     Ignoring all interference beyond the L-th BS and lower-bounding each
@@ -154,15 +154,15 @@ def _upper_bound_term(omega: int, points: list[Scenario], quad) -> list:
     over the binomial law of ``omega`` up to
     ``chi = min(L-1, floor(gamma/beta))`` gives the bound.
     """
-    alpha = points[0].alpha
+    alpha = scenario.alpha
     return [
         max(0.0, 1.0 - (gb - (omega - 1)) ** (-2.0 / alpha)) ** omega
         if omega <= _floor_with_tol(gb) else 0.0
-        for gb in (s.gamma / s.beta for s in points)
+        for gb in (1.0 / level for level in levels)
     ]
 
 
-def _perfect_coord_term(omega: int, points: list[Scenario], quad) -> list:
+def _perfect_coord_term(omega: int, scenario: Scenario, levels: list, quad) -> list:
     """``PerfectCoord``: P_L when participants are perfectly muted (p = 0).
 
     Only the load-q far field interferes; replacing that interference by
@@ -171,11 +171,10 @@ def _perfect_coord_term(omega: int, points: list[Scenario], quad) -> list:
     ``q = 0`` (no interference at all).  It is also the omega = 0 term of
     every integral form.
     """
+    L, alpha, q = scenario.L, scenario.alpha, scenario.q
     return [
-        1.0 if s.q == 0.0 else 1.0 - poisson_cdf(
-            s.L - 1, (s.alpha - 2.0) * s.gamma / (2.0 * s.q * s.beta)
-        )
-        for s in points
+        1.0 if q == 0.0 else 1.0 - poisson_cdf(L - 1, (alpha - 2.0) / (2.0 * q * level))
+        for level in levels
     ]
 
 
@@ -283,7 +282,7 @@ def _boundary_t(r: np.ndarray, omega: int, alpha: float, q: float, gb: float):
     )
 
 
-def _double_integral_term(omega: int, points: list[Scenario], quad) -> list:
+def _double_integral_term(omega: int, scenario: Scenario, levels: list, quad) -> list:
     """``DoubleIntegral``: dominant-interferer approximation, general path loss.
 
     For each count ``omega >= 1`` of active near interferers, the
@@ -295,9 +294,9 @@ def _double_integral_term(omega: int, points: list[Scenario], quad) -> list:
     ``omega``.
     """
     if omega == 0:
-        return _perfect_coord_term(omega, points, quad)
-    L, alpha, q = points[0].L, points[0].alpha, points[0].q
-    gbs = [1.0 / (s.beta / s.gamma) for s in points]
+        return _perfect_coord_term(omega, scenario, levels, quad)
+    L, alpha, q = scenario.L, scenario.alpha, scenario.q
+    gbs = [1.0 / level for level in levels]
     # Normalized coordinates (lam * pi = 1): an exact change of variables,
     # so the result is independent of the density.
     r_tail = math.sqrt(erlang_quantile(L, 1.0, _TAIL_QUANTILE))
@@ -342,7 +341,9 @@ def _h_ratio(x: float, omega: int, alpha: float, q: float) -> float:
     return x**alpha + middle + 2.0 * q * x2 / (alpha - 2.0)
 
 
-def _single_integral_general_term(omega: int, points: list[Scenario], quad) -> list:
+def _single_integral_general_term(
+    omega: int, scenario: Scenario, levels: list, quad
+) -> list:
     """``SingleIntegralGeneral``: the ratio form of P_L for general path loss.
 
     Scaling the far-field mean by the mean squared nearest-interferer
@@ -361,11 +362,11 @@ def _single_integral_general_term(omega: int, points: list[Scenario], quad) -> l
     keeps the upper end strictly past the crossing despite rounding.
     """
     if omega == 0:
-        return _perfect_coord_term(omega, points, quad)
-    alpha, q = points[0].alpha, points[0].q
+        return _perfect_coord_term(omega, scenario, levels, quad)
+    alpha, q = scenario.alpha, scenario.q
     h_one = _h_ratio(1.0, omega, alpha, q)
     out = []
-    for gb in (s.gamma / s.beta for s in points):
+    for gb in (1.0 / level for level in levels):
         if h_one >= gb:
             out.append(0.0)
             continue
@@ -377,7 +378,7 @@ def _single_integral_general_term(omega: int, points: list[Scenario], quad) -> l
     return out
 
 
-def _alpha4_term(omega: int, points: list[Scenario], quad) -> list:
+def _alpha4_term(omega: int, scenario: Scenario, levels: list, quad) -> list:
     """``SingleIntegralAlpha4``: the dominant-interferer form, exact at alpha = 4.
 
     At ``alpha = 4`` the inner threshold inversion of ``DoubleIntegral``
@@ -385,11 +386,11 @@ def _alpha4_term(omega: int, points: list[Scenario], quad) -> list:
     collapses algebraically (no extra approximation) to one integral
     against the Erlang law of ``pi * lam * R_L**2``.
     """
-    _require_alpha4(points)
+    _require_alpha4(scenario)
     if omega == 0:
-        return _perfect_coord_term(omega, points, quad)
-    L, q = points[0].L, points[0].q
-    gbs = [s.gamma / s.beta for s in points]
+        return _perfect_coord_term(omega, scenario, levels, quad)
+    L, q = scenario.L, scenario.q
+    gbs = [1.0 / level for level in levels]
     s_tail = erlang_quantile(L, 1.0, _TAIL_QUANTILE)
     log_norm = -math.lgamma(L)
     uppers = []
@@ -408,7 +409,7 @@ def _alpha4_term(omega: int, points: list[Scenario], quad) -> list:
     return _integrate_points(integrand, gbs, uppers, quad)
 
 
-def _nearfield_alpha4_term(omega: int, points: list[Scenario], quad) -> list:
+def _nearfield_alpha4_term(omega: int, scenario: Scenario, levels: list, quad) -> list:
     """``NearFieldAlpha4``: the closed-form near-field approximation at alpha = 4.
 
     Drops the far field entirely (valid when the near field dominates,
@@ -416,12 +417,12 @@ def _nearfield_alpha4_term(omega: int, points: list[Scenario], quad) -> list:
     closed form.  At ``p = 1`` this gives 0 once
     ``beta >= gamma / (L - 1)``.
     """
-    _require_alpha4(points)
+    _require_alpha4(scenario)
     half = (omega - 1) / 2.0
     return [
         max(0.0, 1.0 - 1.0 / (math.sqrt(gb + half * half) - half)) ** omega
         if omega <= _floor_with_tol(gb) else 0.0
-        for gb in (s.gamma / s.beta for s in points)
+        for gb in (1.0 / level for level in levels)
     ]
 
 
@@ -437,36 +438,39 @@ _TERMS = {
 
 def evaluate_grid(
     method: Method,
-    points: Sequence[Scenario],
+    scenario: Scenario,
+    levels: Sequence[float],
     quad: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> list[float | NonConvergenceError]:
-    """P_L by the evaluator tagged ``method`` at every point of a grid.
+    """P_L of one band of ``scenario`` by the evaluator ``method`` at every level.
 
-    ``points`` are scenarios that share ``L``, ``alpha``, ``p`` and
-    ``q``; they differ in ``beta`` (a beta/gamma grid), and may differ in
-    ``gamma``, ``lam`` and ``K``.  Each omega term of ``DoubleIntegral``
-    and ``SingleIntegralAlpha4`` integrates all points in lockstep, one
-    :func:`~hearability.numerics.integrate_lockstep` pass; the other
-    terms are closed forms or root finds per point.  Every point gets
-    the bits it gets on a grid of its own, so one scenario is a grid of
-    one point.
+    ``levels`` are linear beta/gamma thresholds; the scenario's ``beta``,
+    ``gamma`` and ``lam`` are not read, and ``K != 1`` is rejected (see
+    :func:`~hearability.reuse.pl_with_reuse_grid`).  Each omega term of
+    ``DoubleIntegral`` and ``SingleIntegralAlpha4`` integrates all levels
+    in lockstep, one :func:`~hearability.numerics.integrate_lockstep`
+    pass; the other terms are closed forms or root finds per level.
+    Every level gets the bits it gets on a grid of its own.
 
     Returns:
-        Per point, P_L in [0, 1], or the :class:`NonConvergenceError` of
-        the point's first quadrature that did not converge, carrying
+        Per level, P_L in [0, 1], or the :class:`NonConvergenceError` of
+        the level's first quadrature that did not converge, carrying
         that integral's best estimate and error estimate.  A failure
-        flags its own point only.
+        flags its own level only.
     """
     try:
         method = Method(method)
     except ValueError:
         raise ValueError(f"unknown method {method!r}") from None
-    points = list(points)
-    if len({(s.L, s.alpha, s.p, s.q) for s in points}) > 1:
-        raise ValueError("grid points must share L, alpha, p and q")
-    if not points:
-        return []
+    if scenario.K != 1:
+        raise ValueError(
+            f"{method.value} models one band and would ignore K={scenario.K}; "
+            "use pl_with_reuse_grid"
+        )
+    levels = [float(level) for level in levels]
+    for level in levels:
+        if not (level > 0.0 and math.isfinite(level)):
+            raise ValueError(f"levels must be positive and finite, got {level}")
     # PerfectCoord mutes every participant: only its omega = 0 term weighs.
-    p = 0.0 if method == Method.PERFECT_COORD else points[0].p
-    return _omega_average(points, p, _TERMS[method], quad)
-
+    p = 0.0 if method == Method.PERFECT_COORD else scenario.p
+    return _omega_average(scenario, levels, p, _TERMS[method], quad)

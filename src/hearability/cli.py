@@ -52,6 +52,7 @@ from .numerics import NonConvergenceError
 from .reuse import pl_with_reuse_grid
 from .simulate import (
     Deployment,
+    McEstimate,
     SimConfig,
     check_upsilon_cap,
     collect_margins,
@@ -114,47 +115,22 @@ def _known(tag: str) -> str:
     return tag
 
 
-def _at_threshold(scenario: Scenario, bg_db: float) -> Scenario:
-    """Scenario with beta set so beta/gamma equals the grid point."""
-    return scenario.replace(beta=scenario.gamma * 10.0 ** (bg_db / 10.0))
-
-
-def _scenario_rows(
-    scen: Scenario, grid_db: Sequence[float], methods: Sequence[str], shared: dict
-) -> list[Row]:
-    """One scenario's rows; ``shared`` holds its values computed for the family."""
-    rows: list[Row] = []
-
-    def base_row(bg_db: float, method: str, value: float, stderr=None, comment=None):
-        return Row(
-            bg_db, scen.L, scen.p, scen.q, scen.alpha, scen.K, scen.lam,
-            method, value, stderr, comment,
+def _row(scen: Scenario, bg_db: float, tag: str, value) -> Row:
+    """The row of ``scen`` at ``bg_db``: an estimate, a value or a failure."""
+    stderr = comment = None
+    if isinstance(value, McEstimate):
+        value, stderr = value.estimate, value.stderr
+    elif isinstance(value, NonConvergenceError):
+        comment = (
+            f"nonconvergence method={tag} bg_db={bg_db:.9g} "
+            f"residual={value.error_estimate:.3e}"
         )
-
-    points = []
-    if not _ANALYTIC_TAGS.isdisjoint(methods):
-        points = [_at_threshold(scen, g) for g in grid_db]
-    for tag in methods:
-        if tag in _MC_TAGS:
-            for g, est in zip(grid_db, shared[tag]):
-                rows.append(base_row(g, tag, est.estimate, est.stderr))
-            continue
-        if tag == "ReuseRecursion":
-            values = shared[tag]
-        else:
-            values = evaluate_grid(Method(tag), points)
-        for g, value in zip(grid_db, values):
-            if not isinstance(value, NonConvergenceError):
-                rows.append(base_row(g, tag, value))
-                continue
-            comment = (
-                f"nonconvergence method={tag} bg_db={g:.9g} "
-                f"residual={value.error_estimate:.3e}"
-            )
-            # A reuse failure carries one band's P_n, not the reuse P_L.
-            best = math.nan if tag == "ReuseRecursion" else value.best_estimate
-            rows.append(base_row(g, tag, best, comment=comment))
-    return rows
+        # A reuse failure carries one band's P_n, not the reuse P_L.
+        value = math.nan if tag == "ReuseRecursion" else value.best_estimate
+    return Row(
+        bg_db, scen.L, scen.p, scen.q, scen.alpha, scen.K, scen.lam,
+        tag, value, stderr, comment,
+    )
 
 
 def run_sweeps(
@@ -167,11 +143,12 @@ def run_sweeps(
 ) -> list[Row]:
     """Every scenario's rows over the beta/gamma grid ``grid_db``, in scenario order.
 
-    The scenarios are one family.  Its Monte Carlo rows come from one
-    collection, which draws each block once for every scenario, and its
-    ``ReuseRecursion`` rows from one per-band table by ``base_method``,
-    so with that tag the scenarios must share L, alpha, p and q.  Each
-    scenario gets the rows it gets in a sweep of its own.
+    The scenarios are one family, which every tag evaluates over one
+    level grid: one Monte Carlo collection draws each block once for
+    every scenario, and one per-band table by ``base_method`` gives the
+    ``ReuseRecursion`` rows, so with that tag the scenarios must share
+    L, alpha, p and q.  Each scenario gets the rows it gets in a sweep
+    of its own.
     """
     if not grid_db:
         raise ValueError("grid_db must not be empty")
@@ -185,27 +162,25 @@ def run_sweeps(
                     f"{tag} models one band and would ignore K={scen.K}; "
                     f"K != 1 needs {' or '.join(sorted(_REUSE_TAGS))}"
                 )
-    levels = np.array([10.0 ** (g / 10.0) for g in grid_db])
-    shared: dict[str, list] = {}  # tag -> per scenario, its values over the grid
+    levels = [10.0 ** (g / 10.0) for g in grid_db]
+    values: dict[str, list] = {}  # tag -> per scenario, its values over the grid
     if {"MonteCarloJoint", "MonteCarloLastBs"} & set(methods):
         family = collect_margins(scenarios, sim, workers)
         for col, tag in enumerate(("MonteCarloJoint", "MonteCarloLastBs")):
             if tag in methods:
-                shared[tag] = [exceedance_curve(m[:, col], levels) for m in family]
+                values[tag] = [exceedance_curve(m[:, col], levels) for m in family]
     if "MonteCarloReuse" in methods:
         family = collect_reuse_margins(scenarios, sim, workers)
-        shared["MonteCarloReuse"] = [exceedance_curve(m, levels) for m in family]
+        values["MonteCarloReuse"] = [exceedance_curve(m, levels) for m in family]
     if "ReuseRecursion" in methods:
-        flat = pl_with_reuse_grid(
-            [_at_threshold(scen, g) for scen in scenarios for g in grid_db], base_method
-        )
-        n = len(grid_db)
-        shared["ReuseRecursion"] = [flat[i:i + n] for i in range(0, len(flat), n)]
+        values["ReuseRecursion"] = pl_with_reuse_grid(scenarios, levels, base_method)
+    for tag in (t for t in methods if t in _ANALYTIC_TAGS):
+        values[tag] = [evaluate_grid(Method(tag), scen, levels) for scen in scenarios]
     return [
-        row for i, scen in enumerate(scenarios)
-        for row in _scenario_rows(
-            scen, grid_db, methods, {tag: v[i] for tag, v in shared.items()}
-        )
+        _row(scen, g, tag, value)
+        for i, scen in enumerate(scenarios)
+        for tag in methods
+        for g, value in zip(grid_db, values[tag][i])
     ]
 
 

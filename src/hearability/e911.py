@@ -447,7 +447,9 @@ def _closed_form(positions: np.ndarray, tdoas: np.ndarray, cov: np.ndarray):
     # the first pass implies.
     idx = np.flatnonzero(live)
     g, hh, rl = g_a[idx], h[idx], rel[idx]
-    z, _, _, ok = _weighted_solve(g, weight[idx], hh)
+    gtw = np.swapaxes(g, 1, 2) @ weight[idx]
+    z, ok = _each(np.linalg.solve, (len(idx), 3, 1), gtw @ g, gtw @ hh[..., None])
+    z = z[..., 0]
     dists = np.hypot(rl[..., 0] - z[:, None, 0], rl[..., 1] - z[:, None, 1])
     dists = np.maximum(dists, 1e-6 * spread[idx, None])
     psi = dists[:, :, None] * cov[idx] * dists[:, None, :]

@@ -1,8 +1,9 @@
 """One-point calls of the grid evaluators, for tests that check one scenario.
 
-The library evaluates a beta/gamma grid or a family of reuse scenarios in
-one call, and one scenario is a grid of one point.  A test that checks
-one point reads entry 0 of such a call, with a failure raised.
+The library evaluates one scenario, or a family of reuse scenarios, over
+a grid of beta/gamma levels in one call, and one level is a grid of one
+point.  A test that checks one scenario passes its own ``beta/gamma`` as
+the one level and reads that entry, with a failure raised.
 """
 
 from hearability.analytic import Method, evaluate_grid
@@ -19,9 +20,13 @@ def value_or_raise(value):
 
 def pl(method, scenario, quad=DEFAULT_QUADRATURE) -> float:
     """P_L of one scenario by the evaluator tagged ``method``."""
-    return value_or_raise(evaluate_grid(method, [scenario], quad)[0])
+    [value] = evaluate_grid(method, scenario, [scenario.beta / scenario.gamma], quad)
+    return value_or_raise(value)
 
 
 def pl_reuse(scenario, base_method=Method.SINGLE_INTEGRAL_ALPHA4) -> float:
     """P_L of one scenario across its K bands, per-band levels by ``base_method``."""
-    return value_or_raise(pl_with_reuse_grid([scenario], base_method)[0])
+    [[value]] = pl_with_reuse_grid(
+        [scenario], [scenario.beta / scenario.gamma], base_method
+    )
+    return value_or_raise(value)

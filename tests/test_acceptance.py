@@ -57,16 +57,21 @@ def _at(scen: Scenario, bg_db: float) -> Scenario:
     return scen.replace(beta=scen.gamma * 10.0 ** (bg_db / 10.0))
 
 
+def _levels(grid_db) -> list[float]:
+    return [10.0 ** (g / 10.0) for g in grid_db]
+
+
 def _curve(method: Method, scen: Scenario, grid_db) -> np.ndarray:
     """P_L by ``method`` at each beta/gamma of ``grid_db``, one grid call."""
-    points = [_at(scen, g) for g in grid_db]
-    return np.array([value_or_raise(v) for v in evaluate_grid(method, points)])
+    values = evaluate_grid(method, scen, _levels(grid_db))
+    return np.array([value_or_raise(v) for v in values])
 
 
 def _reuse_curve(scen: Scenario, grid_db) -> np.ndarray:
     """Reuse P_L at each beta/gamma of ``grid_db``, one family call."""
-    points = [_at(scen, g) for g in grid_db]  # per-band P_n by SingleIntegralAlpha4
-    return np.array([value_or_raise(v) for v in pl_with_reuse_grid(points)])
+    # Per-band P_n by SingleIntegralAlpha4.
+    [values] = pl_with_reuse_grid([scen], _levels(grid_db))
+    return np.array([value_or_raise(v) for v in values])
 
 
 def _upsilon_curve(upsilon: np.ndarray, l_values) -> np.ndarray:

@@ -28,7 +28,7 @@ from hearability.analytic import (
     evaluate_grid,
     min_processing_gain,
 )
-from hearability.cli import _at_threshold, _grid
+from hearability.cli import _grid
 from hearability.model import Scenario, hex_grid_density
 from hearability.numerics import NonConvergenceError, QuadratureSpec
 
@@ -46,6 +46,11 @@ MIN_GAIN_08_L4_A3 = 54.1053969600835  # frozen
 def at_ratio(gb: float, **overrides) -> Scenario:
     """Canonical scenario with gamma/beta set to ``gb``."""
     return CANON.replace(beta=1.0 / gb, gamma=1.0, **overrides)
+
+
+def levels_of(grid_db) -> list[float]:
+    """Linear beta/gamma levels of a grid in dB, as a sweep forms them."""
+    return [10.0 ** (g / 10.0) for g in grid_db]
 
 
 class TestMeanNearInterference:
@@ -489,8 +494,7 @@ class TestSingleIntegralGeneral:
         monkeypatch.setattr(analytic, "_h_ratio", lambda *a: calls.append(a) or h(*a))
         for alpha in (3.0, 3.5, 4.0, 4.5):
             base = CANON.replace(alpha=alpha, p=2.0 / 3.0)
-            points = [_at_threshold(base, db) for db in _grid(-20.0, 0.0, 1.0)]
-            evaluate_grid(Method.SINGLE_INTEGRAL_GENERAL, points)
+            evaluate_grid(Method.SINGLE_INTEGRAL_GENERAL, base, levels_of(STEP_1DB))
         assert len(calls) <= 1700
 
 
@@ -664,18 +668,18 @@ def outcome(value):
     return value.hex()
 
 
-def oracle_outcomes(method, points, quad):
+def oracle_outcomes(method, base, levels, quad):
     out = []
-    for point in points:
+    for level in levels:
         try:
-            out.append(outcome(ORACLES[method](point, quad)))
+            out.append(outcome(ORACLES[method](base.replace(beta=level), quad)))
         except NonConvergenceError as err:
             out.append(outcome(err))
     return out
 
 
-def grid_outcomes(method, points, quad):
-    return [outcome(v) for v in evaluate_grid(method, points, quad)]
+def grid_outcomes(method, base, levels, quad):
+    return [outcome(v) for v in evaluate_grid(method, base, levels, quad)]
 
 
 class TestEvaluateGrid:
@@ -684,15 +688,15 @@ class TestEvaluateGrid:
     )
     def test_grid_matches_scalar_oracle_bit_for_bit(self, method, base, grid_db, quad):
         quad = quad or QuadratureSpec()
-        points = [_at_threshold(base, g) for g in grid_db]
-        whole = grid_outcomes(method, points, quad)
-        assert whole == oracle_outcomes(method, points, quad)
-        assert grid_outcomes(method, points[::-1], quad)[::-1] == whole
-        cuts = [0, 1, 4, 5, 13, len(points)]
+        levels = levels_of(grid_db)
+        whole = grid_outcomes(method, base, levels, quad)
+        assert whole == oracle_outcomes(method, base, levels, quad)
+        assert grid_outcomes(method, base, levels[::-1], quad)[::-1] == whole
+        cuts = [0, 1, 4, 5, 13, len(levels)]
         sliced = [
             v
             for lo, hi in zip(cuts[:-1], cuts[1:])
-            for v in grid_outcomes(method, points[lo:hi], quad)
+            for v in grid_outcomes(method, base, levels[lo:hi], quad)
         ]
         assert sliced == whole
 
@@ -714,32 +718,46 @@ class TestEvaluateGrid:
 
         monkeypatch.setattr(analytic, "integrate_lockstep", counting)
         _, method, base, grid_db, _ = GRIDS[0]
-        evaluate_grid(method, [_at_threshold(base, g) for g in grid_db])
+        evaluate_grid(method, base, levels_of(grid_db))
         assert panels == [80, 30, 20, 68, 28, 14, 64, 26, 10]
         assert (len(panels), sum(panels)) == (9, 340)
 
     @pytest.mark.parametrize("name", ["double-depth1", "alpha4-depth1"])
     def test_failures_flag_their_own_points(self, name):
         _, method, base, grid_db, quad = next(g for g in GRIDS if g[0] == name)
-        values = evaluate_grid(method, [_at_threshold(base, g) for g in grid_db], quad)
+        values = evaluate_grid(method, base, levels_of(grid_db), quad)
         failed = [isinstance(v, NonConvergenceError) for v in values]
         assert any(failed) and not all(failed)
 
     @pytest.mark.parametrize("method", list(Method))
     def test_every_method_equals_its_one_point_calls(self, method):
-        points, quad = [_at_threshold(CANON, g) for g in STEP_1DB], QuadratureSpec()
-        expected = [v for point in points for v in grid_outcomes(method, [point], quad)]
-        assert grid_outcomes(method, points, quad) == expected
+        levels, quad = levels_of(STEP_1DB), QuadratureSpec()
+        expected = [
+            v for level in levels for v in grid_outcomes(method, CANON, [level], quad)
+        ]
+        assert grid_outcomes(method, CANON, levels, quad) == expected
 
     def test_points_must_share_the_scenario(self):
-        with pytest.raises(ValueError, match="share"):
-            evaluate_grid(Method.UPPER_BOUND, [CANON, CANON.replace(L=5)])
-        assert evaluate_grid(Method.DOUBLE_INTEGRAL, []) == []
+        # One scenario per call: the signature leaves nothing to share.
+        assert evaluate_grid(Method.DOUBLE_INTEGRAL, CANON, []) == []
+
+    @pytest.mark.parametrize("level", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("method", list(Method))
+    def test_levels_that_are_not_positive_and_finite_are_rejected(self, method, level):
+        with pytest.raises(ValueError, match="levels must be positive and finite"):
+            evaluate_grid(method, CANON, [0.1, level])
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_reuse_factor_is_rejected(self, method):
+        # P_L across K bands is the reuse recursion's, not one band's value.
+        with pytest.raises(ValueError, match="K=6; use pl_with_reuse_grid$"):
+            evaluate_grid(method, CANON.replace(K=6), [0.01])
 
     def test_one_point_calls_raise_the_grid_failure(self):
         _, method, base, grid_db, quad = GRIDS[-1]
-        points = [_at_threshold(base, g) for g in grid_db]
-        for point, value in zip(points, evaluate_grid(method, points, quad)):
+        levels = levels_of(grid_db)
+        for level, value in zip(levels, evaluate_grid(method, base, levels, quad)):
+            point = base.replace(beta=level)
             if isinstance(value, NonConvergenceError):
                 with pytest.raises(NonConvergenceError) as excinfo:
                     pl(method, point, quad)
@@ -750,18 +768,18 @@ class TestEvaluateGrid:
 
 class TestEvaluate:
     def test_accepts_string_value(self):
-        assert evaluate_grid("UpperBound", [CANON]) == evaluate_grid(
-            Method.UPPER_BOUND, [CANON]
+        assert evaluate_grid("UpperBound", CANON, [0.01]) == evaluate_grid(
+            Method.UPPER_BOUND, CANON, [0.01]
         )
 
     def test_gain_bound_is_rejected(self):
         # min_processing_gain maps a target P_L to a gain; it has no tag.
         with pytest.raises(ValueError, match="unknown method 'ProcGainBound'"):
-            evaluate_grid("ProcGainBound", [CANON])
+            evaluate_grid("ProcGainBound", CANON, [0.01])
 
     def test_unknown_method_is_rejected(self):
         with pytest.raises(ValueError, match="unknown method 'Bogus'"):
-            evaluate_grid("Bogus", [CANON])
+            evaluate_grid("Bogus", CANON, [0.01])
 
     def test_module_docstring_lists_every_tag(self):
         tags = set(re.findall(r"``(\w+)``", analytic.__doc__))

@@ -2,6 +2,7 @@
 
 import argparse
 import functools
+import hashlib
 import importlib.util
 import inspect
 import math
@@ -24,7 +25,6 @@ from hearability.cli import (
     Row,
     _COMMANDS,
     _COMMON,
-    _at_threshold,
     _grid,
     _lookup,
     _resolve,
@@ -277,6 +277,10 @@ class TestCsvContract:
         write_csv(rows, out, timestamp=False)
         content = lines_of(out)
         assert any(l.startswith("# nonconvergence") for l in content)
+        # The whole file, comment row included, as recorded.
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "c25acdc9640dacc83b549212750d48424dd8dd645060d3c3f0ea003b47f6dfd6"
+        )
 
     def test_reuse_nonconvergence_is_flagged_not_raised(self, tmp_path, monkeypatch):
         scen = Scenario(
@@ -298,6 +302,10 @@ class TestCsvContract:
         out = tmp_path / "r.csv"
         write_csv(rows, out, timestamp=False)
         assert sum(l.startswith("# nonconvergence") for l in lines_of(out)) == 2
+        # The whole file, NaN values and empty stderr included, as recorded.
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "4941570c9349d91033260fe94c9e528a73f6365a5e7faff4b7918a5d61e5cdac"
+        )
 
 
 ORACLES = {
@@ -323,7 +331,7 @@ def per_point_rows(
     rows = []
     for tag in methods:
         for g in grid_db:
-            point = _at_threshold(scen, g)
+            point = scen.replace(beta=scen.gamma * 10.0 ** (g / 10.0))
             comment = None
             try:
                 if tag == "ReuseRecursion":
@@ -427,23 +435,29 @@ class TestRunSweeps:
         alone = [row for s in scenarios for row in run_sweeps([s], **controls)]
         assert run_sweeps(scenarios, **controls) == alone
 
-    def test_threshold_scenarios_only_for_analytic_tags(self, monkeypatch, tmp_path):
-        scenarios, controls = _reuse_family(
-            monkeypatch, tmp_path, "--k-list", "1,3,6", "--mc", "--realizations", "40"
-        )
+    @pytest.mark.parametrize(
+        "argv,scenarios,reuse_levels",
+        [
+            (["analytic"], 1, 0),
+            (["analytic", "--methods", "ReuseRecursion,UpperBound,DoubleIntegral"], 1, 4),
+            (["reuse", "--k-list", "1,3,6", "--mc", "--realizations", "40"], 3, 4),
+        ],
+        ids=["analytic", "analytic-reuse", "reuse-mc"],
+    )
+    def test_a_sweep_builds_no_scenario_per_grid_point(
+        self, monkeypatch, tmp_path, argv, scenarios, reuse_levels
+    ):
+        # A 21-point sweep evaluates each tag over one level grid: only the
+        # family and the reuse recursion's one band per level n are built.
         built = []
+        check = Scenario.__post_init__
         monkeypatch.setattr(
-            cli, "_at_threshold", lambda scen, g: built.append(g) or _at_threshold(scen, g)
+            Scenario, "__post_init__", lambda self: built.append(self) or check(self)
         )
-        assert controls["methods"] == ("ReuseRecursion", "MonteCarloReuse")
-        run_sweeps(scenarios, **controls)
-        # Only the recursion's own batch: no scenario builds its points again.
-        assert built == list(controls["grid_db"]) * len(scenarios)
-        built.clear()
-        one_band = [s for s in scenarios if s.K == 1]
-        methods = ("MonteCarloReuse", "UpperBound", "SingleIntegralAlpha4")
-        run_sweeps(one_band, **{**controls, "methods": methods})
-        assert built == list(controls["grid_db"])
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--out", str(out), "--no-timestamp"]) == 0
+        assert len(data_lines(out)) > 21
+        assert len(built) <= scenarios + reuse_levels
 
     def test_reuse_recursion_specs_share_one_table(self, monkeypatch):
         scenarios, controls = _figure_family(monkeypatch, "fig9", 40)

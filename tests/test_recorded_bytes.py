@@ -44,6 +44,24 @@ def test_small_figure_bytes_match_the_recorded_digest(tmp_path, name):
 
 # sha256 of the CSV of main([*argv, "--seed", "0", "--no-timestamp", "--out", ...]).
 COMMAND_DIGESTS = {
+    "analytic": (
+        ["analytic"],
+        "3df75ad84a876afbae835d6643fd3a96872dfa47514b9fea2aa5bc8a7f684f4b",
+    ),
+    "analytic-integrals": (
+        ["analytic", "--methods", "DoubleIntegral,SingleIntegralGeneral", "--alpha", "3.5",
+         "--p", "0.6666666666666666", "--l", "6", "--bg-step-db", "0.5"],
+        "a9d2f5d014a549bb9eff57f21685bae443890fd9f7449b4b3492a33a99103def",
+    ),
+    "simulate": (
+        ["simulate", "--methods", "MonteCarloJoint,MonteCarloLastBs,SingleIntegralAlpha4",
+         "--realizations", "16"],
+        "fc4a85cd63e60730b33a99ed3bb89643d28ff8e6c520d81217f70a5df261c9a8",
+    ),
+    "reuse": (
+        ["reuse", "--mc", "--realizations", "16", "--l", "6"],
+        "d3d0dd03af40445ca5f54abadaafe251080eb4d6f22db30280ddd2466681f787",
+    ),
     "hexgrid": (
         ["hexgrid", "--p", "0.5", "--q", "0.75", "--realizations", "16"],
         "9b59486cb7c54e8901567787cfe22433a2ad04d3daa1de6970a04d9d267e56b6",

@@ -25,8 +25,9 @@ def scen(gb: float, K: int = 3, L: int = 4, p: float = 1.0) -> Scenario:
 def exact_count_pmf(
     scenario: Scenario, base_method: Method = Method.SINGLE_INTEGRAL_ALPHA4
 ) -> np.ndarray:
-    """One scenario's per-band detection-count pmf, as a family of one."""
-    return value_or_raise(reuse._count_pmfs([scenario], base_method)[0])
+    """One scenario's per-band detection-count pmf at its own beta/gamma."""
+    level = scenario.beta / scenario.gamma
+    return value_or_raise(reuse._count_pmfs(scenario, [level], base_method)[0])
 
 
 def depth_one(monkeypatch) -> None:
@@ -55,15 +56,15 @@ class TestReuseInputs:
             lam=1.0, alpha=4.0, p=0.5, q=0.75, beta=0.1, gamma=1.0, L=4, K=3
         )
         with pytest.raises(ValueError, match="p = q"):
-            pl_with_reuse_grid([bad])
+            pl_with_reuse_grid([bad], [0.1])
         # A mismatch anywhere in the family is named, whatever its place.
         with pytest.raises(ValueError, match="requires p = q; got p=0.5, q=0.75"):
-            pl_with_reuse_grid([scen(20.0), bad])
+            pl_with_reuse_grid([scen(20.0), bad], [0.1])
 
     def test_rejects_non_probability_base(self):
         # min_processing_gain maps a target P_L to a gain; it has no tag.
         with pytest.raises(ValueError, match="^unknown method 'ProcGainBound'$"):
-            pl_with_reuse_grid([scen(20.0)], base_method="ProcGainBound")
+            pl_with_reuse_grid([scen(20.0)], [0.05], base_method="ProcGainBound")
 
 
 class TestExactCountPmf:
@@ -136,23 +137,28 @@ class TestPlWithReuse:
         assert pl_reuse(point) == pl_reuse(point.replace(lam=10.0))
 
 
+# beta/gamma from 0 to 20 dB below 1.
+LEVELS = [10.0 ** (-db / 10.0) for db in range(21)]
+
+
 class TestReuseGrid:
     @pytest.mark.parametrize("K,L", [(1, 4), (3, 6), (6, 9)])
     def test_grid_equals_one_point_calls(self, K, L):
-        points = [scen(10.0 ** (db / 10.0), K=K, L=L) for db in range(21)]
-        values = pl_with_reuse_grid(points)
-        assert [v.hex() for v in values] == [pl_reuse(s).hex() for s in points]
-        assert pl_with_reuse_grid(points[::-1])[::-1] == values
+        family = scen(1.0, K=K, L=L)
+        [values] = pl_with_reuse_grid([family], LEVELS)
+        expected = [pl_reuse(family.replace(beta=level)).hex() for level in LEVELS]
+        assert [v.hex() for v in values] == expected
+        assert pl_with_reuse_grid([family], LEVELS[::-1])[0][::-1] == values
 
     def test_failure_flags_its_own_point(self, monkeypatch):
         # One halving per panel fails the L = 6 levels at large gamma/beta.
         depth_one(monkeypatch)
-        points = [scen(10.0 ** (db / 10.0), L=6) for db in range(21)]
-        values = pl_with_reuse_grid(points)
+        family = scen(1.0, L=6)
+        [values] = pl_with_reuse_grid([family], LEVELS)
         failed = [isinstance(v, NonConvergenceError) for v in values]
         assert any(failed) and not all(failed)
-        for point, value in zip(points, values):
-            [alone] = pl_with_reuse_grid([point])
+        for level, value in zip(LEVELS, values):
+            [[alone]] = pl_with_reuse_grid([family], [level])
             if isinstance(value, NonConvergenceError):
                 assert alone.best_estimate == value.best_estimate
                 assert alone.error_estimate == value.error_estimate
@@ -161,14 +167,15 @@ class TestReuseGrid:
 
     def test_scenarios_must_share_the_level(self):
         with pytest.raises(ValueError, match="share"):
-            pl_with_reuse_grid([scen(5.0), scen(5.0, L=5)])
-        # A point shared across families must not hide the mismatch.
+            pl_with_reuse_grid([scen(5.0), scen(5.0, L=5)], [0.2])
         for change in ({"alpha": 3.0}, {"p": 0.5, "q": 0.5}):
             with pytest.raises(ValueError, match="share"):
                 pl_with_reuse_grid(
-                    [scen(5.0), scen(5.0).replace(**change)], Method.DOUBLE_INTEGRAL
+                    [scen(5.0), scen(5.0).replace(**change)], [0.2],
+                    Method.DOUBLE_INTEGRAL,
                 )
-        assert pl_with_reuse_grid([]) == []
+        assert pl_with_reuse_grid([], [0.2]) == []
+        assert pl_with_reuse_grid([scen(5.0), scen(5.0, K=6)], []) == [[], []]
 
 
 # Every base method, at each (alpha, p = q) it is defined at.
@@ -183,14 +190,11 @@ _BAND_CASES = [
 ]
 
 
-def _grid(K: int = 1, L: int = 4, alpha: float = 4.0, p: float = 1.0, gamma=1.0):
-    """21 scenarios, beta from 0 to 20 dB below 1."""
+def _family(Ks=(1,), L: int = 4, alpha: float = 4.0, p: float = 1.0):
+    """One scenario per reuse factor in ``Ks``."""
     return [
-        Scenario(
-            lam=2.0, alpha=alpha, p=p, q=p, beta=10.0 ** (-db / 10.0), gamma=gamma,
-            L=L, K=K,
-        )
-        for db in range(21)
+        Scenario(lam=2.0, alpha=alpha, p=p, q=p, beta=1.0, gamma=1.0, L=L, K=K)
+        for K in Ks
     ]
 
 
@@ -201,11 +205,11 @@ class TestFamilyTable:
         "method,alpha,p", _BAND_CASES, ids=lambda v: getattr(v, "value", v)
     )
     def test_band_values_ignore_the_density(self, method, alpha, p):
-        base = _grid(alpha=alpha, p=p)
-        expected = [v.hex() for v in evaluate_grid(method, base)]
+        [base] = _family(alpha=alpha, p=p)
+        expected = [v.hex() for v in evaluate_grid(method, base, LEVELS)]
         for scale in (3.0, 6.0):
-            band = [s.replace(lam=s.lam / scale) for s in base]
-            assert [v.hex() for v in evaluate_grid(method, band)] == expected
+            band = base.replace(lam=base.lam / scale)
+            assert [v.hex() for v in evaluate_grid(method, band, LEVELS)] == expected
 
     @pytest.mark.parametrize(
         "method,alpha,p",
@@ -217,45 +221,37 @@ class TestFamilyTable:
         ],
     )
     def test_mixed_k_call_equals_the_per_k_calls(self, method, alpha, p):
-        # K = 3 also appears at gamma = 2: the same betas at other beta/gamma.
-        parts = [
-            _grid(K=K, L=6, alpha=alpha, p=p, gamma=g)
-            for K, g in ((6, 1.0), (1, 1.0), (3, 1.0), (3, 2.0))
+        # K = 3 also appears at another density, which no level reads.
+        family = _family((6, 1, 3), L=6, alpha=alpha, p=p)
+        family.append(family[-1].replace(lam=0.5))
+        mixed = pl_with_reuse_grid(family, LEVELS, method)
+        alone = [pl_with_reuse_grid([s], LEVELS, method)[0] for s in family]
+        assert [[v.hex() for v in row] for row in mixed] == [
+            [v.hex() for v in row] for row in alone
         ]
-        mixed = pl_with_reuse_grid([s for part in parts for s in part], method)
-        alone = [v for part in parts for v in pl_with_reuse_grid(part, method)]
-        assert [v.hex() for v in mixed] == [v.hex() for v in alone]
 
-    def test_each_distinct_point_is_evaluated_once_per_level(self, monkeypatch):
+    def test_one_grid_call_per_n_serves_every_k(self, monkeypatch):
         calls = []
 
-        def counting(method, points):
-            calls.append([(s.L, s.beta, s.gamma) for s in points])
-            return evaluate_grid(method, points)
+        def counting(method, scenario, levels):
+            calls.append((scenario.L, scenario.K, list(levels)))
+            return evaluate_grid(method, scenario, levels)
 
         monkeypatch.setattr(reuse, "evaluate_grid", counting)
-        pl_with_reuse_grid([s for K in (1, 3, 6) for s in _grid(K=K)])
-        assert len(calls) == 4
-        distinct = {(s.beta, s.gamma) for s in _grid()}
-        for n, points in enumerate(calls, start=1):
-            assert len(points) == len(distinct) == 21
-            assert {(b, g) for _, b, g in points} == distinct
-            assert {L for L, _, _ in points} == {n}
+        pl_with_reuse_grid(_family((1, 3, 6)), LEVELS)
+        assert calls == [(n, 1, LEVELS) for n in range(1, 5)]
 
     def test_nonconvergence_flags_the_same_rows_for_every_k(self, monkeypatch):
         # One halving per panel fails the L = 6 levels at large gamma/beta.
         depth_one(monkeypatch)
-        per_k = {K: _grid(K=K, L=6) for K in (1, 3, 6)}
-        mixed = pl_with_reuse_grid([s for K in (1, 3, 6) for s in per_k[K]])
-        flags = [
-            [isinstance(v, NonConvergenceError) for v in mixed[21 * k: 21 * (k + 1)]]
-            for k in range(3)
-        ]
+        family = _family((1, 3, 6), L=6)
+        mixed = pl_with_reuse_grid(family, LEVELS)
+        flags = [[isinstance(v, NonConvergenceError) for v in row] for row in mixed]
         assert any(flags[0]) and not all(flags[0])
         assert flags[0] == flags[1] == flags[2]
-        for k, K in enumerate((1, 3, 6)):
-            alone = pl_with_reuse_grid(per_k[K])
-            for got, want in zip(mixed[21 * k: 21 * (k + 1)], alone):
+        for got_row, s in zip(mixed, family):
+            [alone] = pl_with_reuse_grid([s], LEVELS)
+            for got, want in zip(got_row, alone):
                 if isinstance(want, NonConvergenceError):
                     assert got.best_estimate == want.best_estimate
                     assert got.error_estimate == want.error_estimate
