@@ -6,37 +6,37 @@ density, detection gated by a pre-processing SINR threshold, per-link
 ranging errors from the TOA CRLB at the post-processing SINR plus an
 exponential non-line-of-sight bias and per-BS clock error, and a
 two-stage weighted least-squares position solve with the strongest BS
-as reference.  The output is the FCC E911 compliance table: horizontal
-error percentiles versus the minimum number of heard BSs.  ``E911Config``
-alone describes the experiment; ``default_scenario`` is the network it
-implies, fully loaded, with shadowing folded into the density.
+as reference, polished by damped Gauss-Newton until the relative cost
+change is at most 1e-12 or the step at most 1e-9 relative.  A polished
+fix more than three window radii (``sqrt(n / (pi lam))``, 9.8 km in all
+by default) from its reference BS is a no-fix, ``"beyond-bound"``.  The
+output is the FCC E911 compliance table: horizontal error percentiles
+versus the minimum number of heard BSs.  ``E911Config`` alone describes
+the experiment; ``default_scenario`` is the network it implies, fully
+loaded, with shadowing folded into the density.
 
 Reproducibility contract: trial geometries are the rows of the Monte
 Carlo block sampler (``_BlockDraws``), blocks of ``_BLOCK`` trials keyed
 by ``(seed, block, role)``, at the collectors' default window
-(``max(250, 10 * L)`` Poisson BSs, 250 at the default L = 4) completed
-by the Campbell mean of the interference beyond it.  The window's stated error, the spread
-of the far interference as a share of its mean, is
-``(alpha - 2) / (2 sqrt((alpha - 1) n))``: 0.034 at alpha = 3.76 and
-n = 250.  The bearings, NLOS biases, unit ranging noise and clock errors
-of a block come, in that order, from ``stream(seed, block, ROLE_E911)``,
-each as a full ``(_BLOCK, W)`` array, and trial ``r`` of the block reads
-the first ``used`` columns of row ``r``.  Sampling, detection and these
-draws run on chunks of whole blocks (``_chunk_rows``), each block from
-its own streams, so the chunk never reaches the bits.  ``W`` is the most
-BSs a trial can use (``_width``): k detected BSs each carry at least
-``theta / (1 + theta)`` of the total power at detection threshold
-``theta``, so ``k <= 1 + 1/theta`` (21 columns at -13 dB).  The
-received powers never rise along a row, so the detected BSs lead it,
-and detection computes SINRs for the first ``floor(1 + 1/theta) + 2``
-BSs alone (``_bound``).  A threshold that would let a trial detect every
-BS of its window (-23.94 dB or less at 250 BSs) is rejected, so a
-detected count never stops at the window.  As every block draws in full,
-worker spans (which start on block boundaries), chunks, span cuts and
-short final blocks keep every trial's bits, and the batched solver treats
-every trial on its own: results are bit-identical across worker counts
-and however the trials are cut into spans, and a run of fewer trials is
-a prefix of a longer one.
+(``max(250, 10 * L)`` Poisson BSs) completed by the Campbell mean of the
+interference beyond it; its stated error, the spread of that far
+interference as a share of its mean, is
+``(alpha - 2) / (2 sqrt((alpha - 1) n))``, 0.034 at alpha = 3.76 and
+n = 250.  A block draws its bearings, NLOS biases, unit ranging noise
+and clock errors, in that order, from ``stream(seed, block, ROLE_E911)``,
+each as a full ``(_BLOCK, W)`` array; trial ``r`` reads the first
+``used`` columns of row ``r``.  ``W`` (``_width``) is the most BSs a
+trial can use: each of k detected BSs carries at least
+``theta / (1 + theta)`` of the total power at threshold ``theta``, so
+``k <= 1 + 1/theta`` (21 columns at -13 dB).  Received powers never rise
+along a row, so the detected BSs lead it and detection computes SINRs
+for the first ``floor(1 + 1/theta) + 2`` BSs alone (``_bound``).  A
+threshold that would let a trial detect every BS of its window (-23.94
+dB or less at 250 BSs) is rejected.  Sampling, detection and draws run
+on chunks of whole blocks (``_chunk_rows``), and the batched solver
+treats every trial on its own, so results are bit-identical across
+worker counts, chunks and span cuts, and a run of fewer trials is a
+prefix of a longer one.
 """
 
 from __future__ import annotations
@@ -283,66 +283,74 @@ def _observe(d, sinr, draws, scenario: Scenario, cfg: E911Config):
     ``d``, ``sinr``: (N, m) distances and pre-processing SINRs; ``draws``:
     (N, 4, m), the first m columns of rows of ``_nuisance``.  Pseudorange
     of BS i: ``d_i + NLOS_i + sigma_i * N(0, 1) + c * N(0, clock_std**2)``.
-    Returns positions (N, m, 2), TDOAs (N, m-1), their covariance, the
-    pseudoranges and the post-processing SINRs.
+    Returns positions (N, m, 2), TDOAs (N, m-1), the per-BS error
+    variances (N, m), the pseudoranges and the post-processing SINRs.
     """
-    n, m = d.shape
     angles, nlos, unit, clock = np.moveaxis(draws, 1, 0)
     positions = np.stack((d * np.cos(angles), d * np.sin(angles)), axis=-1)
     with np.errstate(over="ignore"):  # ranging_stddev rejects an overflow
         post = scenario.gamma * sinr
     sigma = ranging_stddev(post, cfg)
     pseudo = d + nlos + unit * sigma + SPEED_OF_LIGHT * clock
-    # Shared reference noise: a diagonal plus a rank-one constant block.
     var = sigma**2 + (SPEED_OF_LIGHT * cfg.clock_std) ** 2
-    k = m - 1
-    cov = np.zeros((n, k, k)) + var[:, :1, None]
-    cov[:, np.arange(k), np.arange(k)] += var[:, 1:]
-    cov[~np.any(var > 0.0, axis=1)] = np.eye(k)
-    return positions, pseudo[:, 1:] - pseudo[:, :1], cov, pseudo, post
+    var[~np.any(var > 0.0, axis=1)] = 1.0  # noiseless ranging weighs every BS alike
+    return positions, pseudo[:, 1:] - pseudo[:, :1], var, pseudo, post
 
 
-def _each(fn, shape: tuple, *stacks: np.ndarray):
-    """``fn(*stacks)`` (of shape ``shape``) over stacked matrices, and which rows worked.
+def _weight(var: np.ndarray) -> np.ndarray:
+    """Inverses of the TDOA covariances ``diag(var[1:]) + var[0]`` by Sherman-Morrison.
 
-    ``np.linalg`` raises for a whole stack when one matrix is singular,
-    so a failing stack is halved until the failing rows stand alone;
-    they read NaN.  No row's value depends on the other rows.
+    A row with a zero variance past the reference reads non-finite.
     """
-    try:
-        return fn(*stacks), np.ones(shape[0], dtype=bool)
-    except np.linalg.LinAlgError:
-        if shape[0] == 1:
-            return np.full(shape, math.nan), np.zeros(1, dtype=bool)
-    half = shape[0] // 2
-    lo = _each(fn, (half, *shape[1:]), *(s[:half] for s in stacks))
-    hi = _each(fn, (shape[0] - half, *shape[1:]), *(s[half:] for s in stacks))
-    return np.concatenate((lo[0], hi[0])), np.concatenate((lo[1], hi[1]))
+    u = 1.0 / var[:, 1:]
+    share = var[:, :1] / (1.0 + var[:, :1] * np.sum(u, axis=1, keepdims=True))
+    return u[:, :, None] * np.eye(u.shape[1]) - (share * u)[:, :, None] * u[:, None, :]
 
 
-def _weighted_solve(g: np.ndarray, w: np.ndarray, h: np.ndarray):
-    """Solution, inverse normal matrix and condition of ``g' w g z = g' w h``, per row."""
-    gtw = np.swapaxes(g, 1, 2) @ w
-    normal = gtw @ g
-    cond, ok = _each(np.linalg.cond, normal.shape[:1], normal)
-    sol, solved = _each(np.linalg.solve, normal.shape[:2] + (1,), normal, gtw @ h[..., None])
-    inv, inverted = _each(np.linalg.inv, normal.shape, normal)
-    return sol[..., 0], inv, cond, ok & solved & inverted
+def _solve2(a: np.ndarray, b: np.ndarray):
+    """Solutions of the 2x2 systems ``a x = b`` by Cramer's rule, and which are regular."""
+    det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+    x = np.stack((a[:, 1, 1] * b[:, 0] - a[:, 0, 1] * b[:, 1],
+                  a[:, 0, 0] * b[:, 1] - a[:, 1, 0] * b[:, 0]), axis=1)
+    return x / det[:, None], np.isfinite(det) & (det != 0.0)
 
 
-# The reductions below are the ones the one-fix scalar solver used
-# (``r @ w @ r``, ``np.linalg.norm``, ``math.hypot``), so that each
-# row keeps that solver's bits.
-def _quad(res: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return (res[..., None, :] @ w @ res[..., None])[..., 0, 0]
+def _solve3(a: np.ndarray, b: np.ndarray):
+    """Solutions of the 3x3 systems ``a x = b`` by the adjugate, and which are regular."""
+    cof = np.cross(a[:, [1, 2, 0]], a[:, [2, 0, 1]])  # adjugate column j: rows j+1 x j+2
+    det = np.sum(a[:, 0] * cof[:, 0], axis=1)
+    x = np.sum(cof * b[:, :, None], axis=1) / det[:, None]
+    return x, np.isfinite(det) & (det != 0.0)
 
 
-def _norm(v: np.ndarray) -> np.ndarray:
-    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+def _condition(a: np.ndarray) -> np.ndarray:
+    """2-norm condition numbers of symmetric positive semidefinite 3x3 matrices.
+
+    Smith's closed-form eigenvalues (Comm. ACM 4, 1961), with ``q`` a
+    third of the trace, ``p`` the spread of ``b = a - q I`` and
+    ``cos(3 phi) = det(b / p) / 2``: largest ``q + 2 p cos(phi)``,
+    smallest ``q + 2 p cos(phi + 2 pi / 3)``.
+    """
+    q = np.trace(a, axis1=1, axis2=2) / 3.0
+    b = a - q[:, None, None] * np.eye(3)
+    p = np.sqrt(np.sum(b * b, axis=(1, 2)) / 6.0)
+    det = np.sum(b[:, 0] * np.cross(b[:, 1], b[:, 2]), axis=1)
+    phi = np.arccos(np.clip(det / (2.0 * p**3), -1.0, 1.0)) / 3.0
+    low = q + 2.0 * p * np.cos(phi + 2.0 * math.pi / 3.0)
+    return np.where(p > 0.0, (q + 2.0 * p * np.cos(phi)) / np.abs(low), 1.0)
 
 
-def _hypot(v: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(math.hypot, v[:, 0], v[:, 1]), float, len(v))
+def _residuals(pt, positions, tdoas):
+    """TDOA residuals at points ``pt`` (N, 2), and the offsets and distances from each BS."""
+    diff = pt[:, None] - positions
+    dist = np.hypot(diff[..., 0], diff[..., 1])
+    return dist[:, 1:] - dist[:, :1] - tdoas, diff, dist
+
+
+def _cost(pt, positions, tdoas, weight) -> np.ndarray:
+    """Weighted squared TDOA residuals at points ``pt`` (N, 2)."""
+    res = _residuals(pt, positions, tdoas)[0]
+    return np.sum(np.sum(weight * res[:, None, :], axis=2) * res, axis=1)
 
 
 # Step scales of the line search after the full step.
@@ -352,45 +360,34 @@ _HALVINGS = 0.5 ** np.arange(1, 20)
 def _gauss_newton(x, positions, tdoas, weight) -> np.ndarray:
     """Damped Gauss-Newton on the weighted TDOA residuals, rows in lockstep.
 
-    ``positions`` (N, m, 2) hold the reference BS first.  Each row stops
-    on its own: at a zero distance, a singular Hessian, a step that 19
-    halvings cannot make descend, or negligible cost change and step;
-    all stop after 50 iterations.
+    ``positions`` (N, m, 2) hold the reference BS first; the 2x2 steps
+    come in closed form.  A row stops at a zero distance or a singular
+    Hessian (a zero or non-finite determinant), at a step 19 halvings
+    cannot make descend, once its relative cost change is at most 1e-12
+    or its step at most 1e-9 of its distance from the origin plus 1 m,
+    or after 50 iterations.  ``_solve`` bounds where the rows end.
     """
     x = np.array(x, dtype=float)
-
-    def residuals(pt, rows):
-        diff_o = pt[:, None] - positions[rows, 1:]
-        diff_r = pt - positions[rows, 0]
-        dist_o = np.hypot(diff_o[..., 0], diff_o[..., 1])
-        dist_r = _hypot(diff_r)
-        return dist_o - dist_r[:, None] - tdoas[rows], diff_o, dist_o, diff_r, dist_r
-
-    def cost(pt, rows):
-        return _quad(residuals(pt, rows)[0], weight[rows])
-
     rows = np.arange(len(x))
-    current = cost(x, rows)
+    current = _cost(x, positions, tdoas, weight)
     for _ in range(50):
-        res, diff_o, dist_o, diff_r, dist_r = residuals(x[rows], rows)
-        go = np.all(dist_o != 0.0, axis=1) & (dist_r != 0.0)
-        jac = diff_o[go] / dist_o[go, :, None] - (diff_r[go] / dist_r[go, None])[:, None]
-        rows, res = rows[go], res[go]
-        jtw = np.swapaxes(jac, 1, 2) @ weight[rows]
-        rhs = -(jtw @ res[..., None])
-        step, ok = _each(np.linalg.solve, (len(rows), 2, 1), jtw @ jac, rhs)
-        rows, step = rows[ok], step[ok, :, 0]
+        res, diff, dist = _residuals(x[rows], positions[rows], tdoas[rows])
+        unit = diff / dist[..., None]
+        jac = unit[:, 1:] - unit[:, :1]
+        wj = weight[rows] @ jac
+        hess = np.swapaxes(jac, 1, 2) @ wj
+        step, ok = _solve2(hess, -np.sum(wj * res[..., None], axis=1))
+        rows, step = rows[ok], step[ok]
         # Line search: the full step, then all halvings at once where it fails.
         scale = np.ones(len(rows))
-        new = cost(x[rows] + step, rows)
+        new = _cost(x[rows] + step, positions[rows], tdoas[rows], weight[rows])
         found = new <= current[rows]
         miss = np.flatnonzero(~found)
         if miss.size:
-            tries = len(_HALVINGS)
-            sub = np.repeat(rows[miss], tries)
-            scales = np.tile(_HALVINGS, miss.size)[:, None]
-            trial = x[sub] + scales * step[miss].repeat(tries, 0)
-            costs = cost(trial, sub).reshape(miss.size, tries)
+            sub = np.repeat(rows[miss], len(_HALVINGS))
+            trial = x[rows[miss], None] + _HALVINGS[:, None] * step[miss, None]
+            costs = _cost(trial.reshape(-1, 2), positions[sub], tdoas[sub], weight[sub])
+            costs = costs.reshape(miss.size, -1)
             hits = costs <= current[rows[miss], None]
             first = np.argmax(hits, axis=1)
             scale[miss] = _HALVINGS[first]
@@ -398,8 +395,8 @@ def _gauss_newton(x, positions, tdoas, weight) -> np.ndarray:
             found[miss] = hits.any(axis=1)
         rows, move, new = rows[found], scale[found, None] * step[found], new[found]
         x[rows] = x[rows] + move
-        done = (np.abs(current[rows] - new) <= 1e-12 * (1.0 + current[rows])) & (
-            _norm(move) <= 1e-9 * (1.0 + _norm(x[rows]))
+        done = (np.abs(current[rows] - new) <= 1e-12 * (1.0 + current[rows])) | (
+            np.hypot(*move.T) <= 1e-9 * (1.0 + np.hypot(*x[rows].T))
         )
         current[rows] = new
         rows = rows[~done]
@@ -408,118 +405,113 @@ def _gauss_newton(x, positions, tdoas, weight) -> np.ndarray:
     return x
 
 
-_METHODS = ("none", "chan", "gauss-newton")
-_NONE, _CHAN, _GAUSS_NEWTON = range(3)
+_METHODS = ("none", "chan", "gauss-newton", "beyond-bound")
+_NONE, _CHAN, _GAUSS_NEWTON, _BEYOND_BOUND = range(4)
 # Stage two: its design matrix, and the sign choices of its candidates.
 _G2 = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 _SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
 
 
-def _closed_form(positions: np.ndarray, tdoas: np.ndarray, cov: np.ndarray):
+def _closed_form(positions: np.ndarray, tdoas: np.ndarray, weight: np.ndarray):
     """Two-stage weighted least squares of N TDOA fixes: where the polish starts.
 
     Stage one linearizes the hyperbolic system by treating the range to
     the reference BS as an extra unknown; stage two enforces the
     quadratic constraint tying that range to the position (Chan & Ho,
-    IEEE TSP 1994).  The exact rank-one-plus-diagonal TDOA covariance
-    provides the weights.  Rows whose stage one is ill-conditioned,
-    non-finite or degenerate skip stage two and start the polish from
-    the stage-one point or the BS centroid; rows whose stage one fails
-    outright do not reach the polish.  Each row takes its path
-    independently of the other rows.
+    IEEE TSP 1994).  Later weights scale ``weight`` (``_weight``) or stage
+    one's normal matrix entrywise, and every system is solved in closed
+    form.  Rows whose stage one is ill-conditioned, non-finite or
+    degenerate skip stage two and start the polish from the stage-one
+    point or the BS centroid; rows whose stage one is singular do not
+    reach the polish.  No row depends on the others.
 
-    Arguments as for ``_solve``.  Returns ``(idx, start, label, weight,
-    condition)``: the rows ``idx`` that reach the polish with their
-    starting points and solver paths, and the TDOA weight matrices and
-    stage-one condition numbers of all N rows.
+    Returns ``(idx, start, label, condition)``: the rows ``idx`` that
+    reach the polish with their starting points and solver paths, and
+    the stage-one condition numbers of all N rows (NaN where the weights
+    are not finite, inf where stage one is singular).
     """
-    condition = np.full(len(positions), math.nan)
-    weight, live = _each(np.linalg.inv, cov.shape, cov)
+    live = np.all(np.isfinite(weight), axis=(1, 2))
+    condition = np.where(live, math.inf, math.nan)
     p_ref = positions[:, 0]
     rel = positions[:, 1:] - p_ref[:, None]
     spread = 1.0 + np.max(np.abs(rel), axis=(1, 2))
     g_a = -np.concatenate((rel, tdoas[..., None]), axis=2)
     h = 0.5 * (tdoas * tdoas - np.sum(rel * rel, axis=2))
-    condition[live] = math.inf
-    live &= np.linalg.matrix_rank(g_a) >= 3
 
     # Stage one: linear in (x, y, R_ref); then reweight with the ranges
-    # the first pass implies.
+    # the first pass implies, the weights of diag(d) cov diag(d).
     idx = np.flatnonzero(live)
-    g, hh, rl = g_a[idx], h[idx], rel[idx]
-    gtw = np.swapaxes(g, 1, 2) @ weight[idx]
-    z, ok = _each(np.linalg.solve, (len(idx), 3, 1), gtw @ g, gtw @ hh[..., None])
-    z = z[..., 0]
+    g, hh, rl, w = g_a[idx], h[idx], rel[idx], weight[idx]
+    gt = np.swapaxes(g, 1, 2)
+    z, ok = _solve3(gt @ w @ g, (gt @ w @ hh[..., None])[..., 0])
     dists = np.hypot(rl[..., 0] - z[:, None, 0], rl[..., 1] - z[:, None, 1])
     dists = np.maximum(dists, 1e-6 * spread[idx, None])
-    psi = dists[:, :, None] * cov[idx] * dists[:, None, :]
-    psi_inv, inverted = _each(np.linalg.inv, psi.shape, psi)
-    z, cov_z, cond, solved = _weighted_solve(g, psi_inv, hh)
-    ok &= inverted & solved
-    idx, z, cov_z = idx[ok], z[ok], cov_z[ok]
-    condition[idx] = cond[ok]
+    gtw = gt @ (w / (dists[:, :, None] * dists[:, None, :]))
+    normal = gtw @ g
+    z, solved = _solve3(normal, (gtw @ hh[..., None])[..., 0])
+    ok &= solved
+    idx, z, normal = idx[ok], z[ok], normal[ok]
+    condition[idx] = _condition(normal)
 
     # Ill-conditioned or non-finite: polish from z, or the centroid.
     finite = np.all(np.isfinite(z), axis=1)
     start = np.where(finite[:, None], z[:, :2] + p_ref[idx], np.mean(positions[idx], axis=1))
     label = np.full(len(idx), _GAUSS_NEWTON)
     # Stage two divides by the stage-one components, so degenerate
-    # values also go straight to the polish.
+    # values also go straight to the polish.  Its weights are those of
+    # 4 diag(z) cov_z diag(z), cov_z being the inverse of ``normal``.
     chan = np.flatnonzero(
         (condition[idx] <= _ILL_CONDITION) & finite
         & (np.min(np.abs(z), axis=1) > 1e-9 * spread[idx])
     )
     zc = z[chan]
-    psi2 = 4.0 * zc[:, :, None] * cov_z[chan] * zc[:, None, :]
-    psi2_inv, inverted = _each(np.linalg.inv, psi2.shape, psi2)
-    gtw2 = _G2.T @ psi2_inv
-    rhs = gtw2 @ (zc * zc)[..., None]
-    w2, solved = _each(np.linalg.solve, (len(chan), 2, 1), gtw2 @ _G2, rhs)
-    roots = np.sqrt(np.maximum(w2[..., 0], 0.0))
-    good = inverted & solved & np.all(np.isfinite(roots), axis=1)
+    gtw2 = _G2.T @ (normal[chan] / (4.0 * zc[:, :, None] * zc[:, None, :]))
+    w2, good = _solve2(gtw2 @ _G2, (gtw2 @ (zc * zc)[..., None])[..., 0])
+    roots = np.sqrt(np.maximum(w2, 0.0))
+    good &= np.all(np.isfinite(roots), axis=1)
     chan, zc, roots = chan[good], zc[good], roots[good]
 
-    # The stage-two unknowns are squared coordinates, leaving a sign
-    # ambiguity per axis.  Score the stage-one point and all four
-    # stage-two candidates by weighted TDOA residual and polish the
-    # winner.  At the error magnitudes of a loaded network the raw
-    # closed form loses roughly half its accuracy to linearization; the
-    # polish restores the weighted-ML optimum and is what lets high
-    # hearability reach the FCC envelope.
+    # Stage two solves for squared coordinates, a sign ambiguity per axis:
+    # the best of the stage-one point and the four stage-two candidates by
+    # weighted TDOA residual is polished, which restores the weighted-ML
+    # optimum that linearization costs at the errors of a loaded network.
+    rows = idx[chan]
     cand = np.concatenate((zc[:, None, :2], roots[:, None, :] * _SIGNS), axis=1)
-    rc, tc, wc = rel[idx[chan]], tdoas[idx[chan]], weight[idx[chan]]
-    costs = []
-    for c in np.moveaxis(cand, 1, 0):
-        dists = np.hypot(rc[..., 0] - c[:, :1], rc[..., 1] - c[:, 1:])
-        costs.append(_quad(dists - _hypot(c)[:, None] - tc, wc))
+    cand += p_ref[rows, None]
+    costs = [_cost(c, positions[rows], tdoas[rows], weight[rows])
+             for c in np.moveaxis(cand, 1, 0)]
     best = np.argmin(np.column_stack(costs), axis=1)
-    start[chan] = cand[np.arange(len(chan)), best] + p_ref[idx[chan]]
+    start[chan] = cand[np.arange(len(chan)), best]
     label[chan] = _CHAN
 
-    return idx, start, label, weight, condition
+    return idx, start, label, condition
 
 
-def _solve(positions: np.ndarray, tdoas: np.ndarray, cov: np.ndarray):
-    """N TDOA fixes: the closed form (``_closed_form``), then the polish.
+def _solve(positions: np.ndarray, tdoas: np.ndarray, var: np.ndarray, reach: float):
+    """N TDOA fixes: the closed form (``_closed_form``), the polish, then the bound.
 
-    The polish, a damped Gauss-Newton refinement of the weighted
-    residuals (``_gauss_newton``), starts from the closed form's best
-    candidate and is also the fallback of rows that skip stage two.
-    Outright failure gives a no-fix row rather than raising, and no row
-    depends on the others.
-
-    ``positions`` (N, m, 2) hold the reference BS first; ``tdoas``
-    (N, m-1) and ``cov`` (N, m-1, m-1) are the measurements.  Returns
-    positions (N, 2), NaN without a fix, indices into ``_METHODS`` and
-    the stage-one condition numbers.
+    The polish (``_gauss_newton``) starts from the closed form's best
+    candidate and is also the fallback of rows that skip stage two.  A
+    failed solve gives a no-fix rather than raising, and so does a
+    polished fix more than ``reach`` meters from its reference BS, as
+    ``"beyond-bound"``.  No row depends on the others.  ``positions``
+    (N, m, 2) hold the reference BS first; ``tdoas`` (N, m-1) and ``var``
+    (N, m) are the measurements and per-BS error variances (``_observe``).
+    Returns positions (N, 2), NaN without a fix, indices into
+    ``_METHODS`` and the stage-one condition numbers.
     """
-    idx, start, label, weight, condition = _closed_form(positions, tdoas, cov)
-    x = _gauss_newton(start, positions[idx], tdoas[idx], weight[idx])
+    # Singular rows divide by zero and runaway rows overflow.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        weight = _weight(var)
+        idx, start, label, condition = _closed_form(positions, tdoas, weight)
+        x = _gauss_newton(start, positions[idx], tdoas[idx], weight[idx])
+        off = x - positions[idx, 0]
+        inside = np.hypot(off[:, 0], off[:, 1]) <= reach
     fixed = np.all(np.isfinite(x), axis=1)
     xy = np.full((len(positions), 2), math.nan)
-    xy[idx[fixed]] = x[fixed]
+    xy[idx[inside]] = x[inside]
     method = np.full(len(positions), _NONE)
-    method[idx[fixed]] = label[fixed]
+    method[idx[fixed]] = np.where(inside, label, _BEYOND_BOUND)[fixed]
     return xy, method, condition
 
 
@@ -559,6 +551,8 @@ def _trial_span(cfg: E911Config, seed: int, start: int, stop: int) -> np.ndarray
     """
     scenario, sim = _trial_window(cfg, seed)
     width, chunk = _width(cfg, sim.expected_bs), _chunk_rows(sim.expected_bs)
+    # Three window radii, sqrt(n / (pi lam)): 9.8 km by default.
+    reach = 3.0 * math.sqrt(sim.expected_bs / (math.pi * scenario.lam))
     out = np.full((stop - start, 7), math.nan)
     out[:, _USED] = 0
     out[:, _METHOD] = _NONE
@@ -588,7 +582,9 @@ def _trial_span(cfg: E911Config, seed: int, start: int, stop: int) -> np.ndarray
         near = np.concatenate([b[u == m, :, :m] for _, u, b in heard if m in u])
         observed = _observe(near[:, 0], near[:, 1], near[:, 2:], scenario, cfg)
         out[rows, _USED] = m
-        out[rows, _X : _Y + 1], out[rows, _METHOD], out[rows, _CONDITION] = _solve(*observed[:3])
+        out[rows, _X : _Y + 1], out[rows, _METHOD], out[rows, _CONDITION] = _solve(
+            *observed[:3], reach
+        )
     out[:, _ERROR] = np.hypot(out[:, _X], out[:, _Y])
     return out
 
@@ -615,6 +611,19 @@ class ComplianceRow:
     passes: bool
 
 
+def _percentile(ordered: np.ndarray, q: float) -> float:
+    """``np.percentile(ordered, q)`` of sorted values, bit for bit, without ``numpy.ma``.
+
+    numpy's linear rule: ``v = (n - 1) q / 100`` lies a share ``t`` of the
+    way from element a to the next, b; ``a + (b - a) t`` for t < 0.5, else
+    ``b - (b - a) (1 - t)``.  ``np.percentile`` loads ``numpy.ma`` (via ``np.unique``).
+    """
+    v = (len(ordered) - 1) * (q / 100.0)
+    i = math.floor(v)
+    a, b, t = ordered[i], ordered[min(i + 1, len(ordered) - 1)], v - i
+    return float(b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t)
+
+
 def fcc_compliance(cfg: E911Config, seed: int = 0, workers: int = 1) -> list[ComplianceRow]:
     """FCC E911 compliance table versus minimum hearability.
 
@@ -627,23 +636,13 @@ def fcc_compliance(cfg: E911Config, seed: int = 0, workers: int = 1) -> list[Com
     rows = []
     for l_min in cfg.min_hearability_grid:
         eligible = trials[:, 0] >= l_min
-        errors = trials[eligible, 1]
-        errors = errors[np.isfinite(errors)]
+        errors = np.sort(trials[eligible & np.isfinite(trials[:, 1]), 1])
         if len(errors) == 0:
-            rows.append(
-                ComplianceRow(int(l_min), math.inf, math.inf, 1.0, 0, False)
-            )
+            rows.append(ComplianceRow(int(l_min), math.inf, math.inf, 1.0, 0, False))
             continue
-        p67 = float(np.percentile(errors, 67.0))
-        p90 = float(np.percentile(errors, 90.0))
-        rows.append(
-            ComplianceRow(
-                int(l_min),
-                p67,
-                p90,
-                1.0 - len(errors) / cfg.trials,
-                int(len(errors)),
-                p67 <= FCC_P67_M and p90 <= FCC_P90_M,
-            )
-        )
+        p67, p90 = _percentile(errors, 67.0), _percentile(errors, 90.0)
+        rows.append(ComplianceRow(
+            int(l_min), p67, p90, 1.0 - len(errors) / cfg.trials, int(len(errors)),
+            p67 <= FCC_P67_M and p90 <= FCC_P90_M,
+        ))
     return rows

@@ -19,7 +19,7 @@ from hearability.cli import main, run_figure
 # sha256 of run_figure(name, seed=0, realizations=SIZES.get(name, 16),
 # timestamp=False).
 DIGESTS = {
-    "fig2": "2883b7317ccf3dca3298f908381097ec64bd4f2184fb9bfca95de56690c11f53",
+    "fig2": "0e34df104ca23d69409182a5c5769b161cc528d4370000012db0b2027d286cfb",
     "fig3": "9130fe5e9b37517aa08b9d10a4aca6d78aa399035494b274095b0f32e9e0f17d",
     "fig4": "ea8ebeecfd299702448a56577ba3f4624c9afad943b0ec9d5730fe2ad92e58af",
     "fig5": "f69c56f99730e33452347d2706a38f211e1e69c068b439143630ecc034fbab2e",
@@ -68,7 +68,7 @@ COMMAND_DIGESTS = {
     ),
     "e911": (
         ["e911", "--trials", "100", "--grid", "4,5"],
-        "c23a0c058e836af52f0e394ea77123a171d2512d07822bdf31f66241312b745a",
+        "ce0db924d9ad6b1a2809e56cd4c6486ae0a2418adee4fe6e4e9e91491ecd57fc",
     ),
 }
 
