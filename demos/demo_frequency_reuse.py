@@ -31,7 +31,7 @@ def main() -> None:
     # One family collection draws each Monte Carlo block once for all K.
     margins = collect_reuse_margins(scenarios, SimConfig(realizations=10000, seed=0))
     columns = {
-        K: (recursion[k], [e.estimate for e in exceedance_curve(margins[k], levels)])
+        K: (recursion[k], [e.value for e in exceedance_curve(margins[k], levels)])
         for k, K in enumerate(KS)
     }
 

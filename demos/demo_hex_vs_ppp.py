@@ -27,7 +27,7 @@ SIGMAS = (4.0, 8.0, 12.0)
 def curves(family: list[Scenario], sim: SimConfig) -> list[np.ndarray]:
     """P(Upsilon >= L) over L_VALUES for each scenario of one family."""
     return [
-        np.array([e.estimate for e in exceedance_curve(upsilon, L_VALUES)])
+        np.array([e.value for e in exceedance_curve(upsilon, L_VALUES)])
         for upsilon in collect_upsilon(family, sim)
     ]
 

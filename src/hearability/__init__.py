@@ -37,6 +37,7 @@ _EXPORTS = {
     "effective_density": "model",
     "hex_grid_density": "model",
     "pmf_omega": "model",
+    "Estimate": "numerics",
     "NonConvergenceError": "numerics",
     "QuadratureSpec": "numerics",
     "erlang_quantile": "numerics",
@@ -44,7 +45,6 @@ _EXPORTS = {
     "poisson_cdf": "numerics",
     "pl_with_reuse_grid": "reuse",
     "Deployment": "simulate",
-    "McEstimate": "simulate",
     "SimConfig": "simulate",
     "collect_margins": "simulate",
     "collect_reuse_margins": "simulate",

@@ -15,10 +15,10 @@ the other commands never load it.
 
 Every sweep writes one CSV with the fixed column set
 ``beta_over_gamma_db, L, p, q, alpha, K, lambda, method, value, stderr``
-(stderr empty for deterministic methods), rows sorted, floats at 9
-significant digits.  Re-running a command with the same configuration
-and seed produces a byte-identical file apart from a leading timestamp
-comment, which ``--no-timestamp`` suppresses.
+(each row's ``Estimate``; an empty stderr states no error), rows sorted,
+floats at 9 significant digits.  Re-running a command with the same
+configuration and seed produces a byte-identical file apart from a
+leading timestamp comment, which ``--no-timestamp`` suppresses.
 
 One table (``_COMMANDS``) lists each subcommand's parameters.  Every
 parameter is both a key of the flat ``key = value`` file read by
@@ -44,15 +44,12 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
 from .analytic import Method, evaluate_grid, min_processing_gain
 from .model import Scenario, hex_grid_density
-from .numerics import NonConvergenceError
+from .numerics import Estimate, NonConvergenceError
 from .reuse import pl_with_reuse_grid
 from .simulate import (
     Deployment,
-    McEstimate,
     SimConfig,
     check_upsilon_cap,
     collect_margins,
@@ -88,7 +85,7 @@ _SWEEP_TAGS = _ANALYTIC_TAGS | _MC_TAGS | _REUSE_TAGS
 
 @dataclass(frozen=True)
 class Row:
-    """One CSV row plus an optional flag comment emitted above it."""
+    """One CSV row: its key columns and the estimate it prints."""
 
     bg_db: float
     L: int
@@ -98,9 +95,7 @@ class Row:
     K: int
     lam: float
     method: str
-    value: float
-    stderr: float | None = None
-    comment: str | None = None
+    est: Estimate
 
     def sort_key(self):
         return (self.method, self.L, self.p, self.q, self.alpha, self.K, self.bg_db)
@@ -117,20 +112,16 @@ def _known(tag: str) -> str:
 
 def _row(scen: Scenario, bg_db: float, tag: str, value) -> Row:
     """The row of ``scen`` at ``bg_db``: an estimate, a value or a failure."""
-    stderr = comment = None
-    if isinstance(value, McEstimate):
-        value, stderr = value.estimate, value.stderr
-    elif isinstance(value, NonConvergenceError):
-        comment = (
-            f"nonconvergence method={tag} bg_db={bg_db:.9g} "
-            f"residual={value.error_estimate:.3e}"
-        )
+    if isinstance(value, NonConvergenceError):
         # A reuse failure carries one band's P_n, not the reuse P_L.
-        value = math.nan if tag == "ReuseRecursion" else value.best_estimate
-    return Row(
-        bg_db, scen.L, scen.p, scen.q, scen.alpha, scen.K, scen.lam,
-        tag, value, stderr, comment,
-    )
+        value = Estimate(
+            math.nan if tag == "ReuseRecursion" else value.best_estimate,
+            comment=f"nonconvergence method={tag} bg_db={bg_db:.9g} "
+            f"residual={value.error_estimate:.3e}",
+        )
+    elif not isinstance(value, Estimate):
+        value = Estimate(value)
+    return Row(bg_db, scen.L, scen.p, scen.q, scen.alpha, scen.K, scen.lam, tag, value)
 
 
 def run_sweeps(
@@ -199,7 +190,7 @@ def hex_vs_ppp_rows(
     """
     check_upsilon_cap("l_max", l_max)
     bg_db = 10.0 * math.log10(scenario.bg_ratio)
-    l_values = np.arange(1, l_max + 1)
+    l_values = range(1, l_max + 1)
     # Upsilon reads no L; at L = l_max the window is sized and checked for every level.
     top = scenario.replace(L=l_max)
     family = [top.replace(sigma_db=sigma) for sigma in sigmas]
@@ -208,10 +199,7 @@ def hex_vs_ppp_rows(
         family, sim.replace(deployment=Deployment.HEX), workers
     )
     return [
-        Row(
-            bg_db, int(l), scenario.p, scenario.q, scenario.alpha, scenario.K,
-            scenario.lam, tag, est.estimate, est.stderr,
-        )
+        _row(scenario.replace(L=l), bg_db, tag, est)
         for tag, upsilon in zip(tags, counts)
         for l, est in zip(l_values, exceedance_curve(upsilon, l_values))
     ]
@@ -221,44 +209,38 @@ def e911_rows(cfg: E911Config, seed: int, workers: int = 1) -> list[Row]:
     """Compliance table flattened into the standard schema.
 
     The minimum hearability occupies the L column; percentiles are in
-    meters, the no-fix rate and pass flag in [0, 1].
+    meters, the no-fix rate (of every trial) and pass flag in [0, 1].
     """
     from .e911 import default_scenario, fcc_compliance
 
     scen = default_scenario(cfg)
     bg_db = 10.0 * math.log10(cfg.pre_sinr_threshold)
-    rows = []
-    for entry in fcc_compliance(cfg, seed, workers):
-        for tag, value in (
-            ("E911_P67_M", entry.p67_m),
-            ("E911_P90_M", entry.p90_m),
-            ("E911_NoFixRate", entry.no_fix_rate),
-            ("E911_Pass", 1.0 if entry.passes else 0.0),
-        ):
-            rows.append(
-                Row(
-                    bg_db, entry.min_hearability, 1.0, 1.0, cfg.alpha, 1,
-                    scen.lam, tag, value,
-                )
-            )
-    return rows
+    return [
+        _row(scen.replace(L=entry.min_hearability), bg_db, tag, Estimate(value, n=n))
+        for entry in fcc_compliance(cfg, seed, workers)
+        for tag, value, n in (
+            ("E911_P67_M", entry.p67_m, entry.fixes),
+            ("E911_P90_M", entry.p90_m, entry.fixes),
+            ("E911_NoFixRate", entry.no_fix_rate, cfg.trials),
+            ("E911_Pass", 1.0 if entry.passes else 0.0, entry.fixes),
+        )
+    ]
 
 
 def procgain_rows(
     target_pl: float, l_values: tuple[int, ...], alphas: tuple[float, ...]
 ) -> list[Row]:
-    """Minimum processing gain (dB over beta) rows; L or alpha varies."""
-    rows = []
-    for alpha in alphas:
-        for l in l_values:
-            ratio = min_processing_gain(target_pl, l, alpha, 1.0)
-            rows.append(
-                Row(
-                    0.0, int(l), 1.0, 1.0, alpha, 1, math.nan,
-                    "ProcGainBound", 10.0 * math.log10(ratio),
-                )
-            )
-    return rows
+    """Minimum processing gain (dB over beta) rows; L or alpha varies.
+
+    Their density column is NaN, which no Scenario carries, so no ``_row``.
+    """
+    return [
+        Row(0.0, int(l), 1.0, 1.0, alpha, 1, math.nan, "ProcGainBound", Estimate(
+            10.0 * math.log10(min_processing_gain(target_pl, l, alpha, 1.0))
+        ))
+        for alpha in alphas
+        for l in l_values
+    ]
 
 
 # One CSV row: bg_db, L, p, q, alpha, K, lam, method, value, stderr.  NaN
@@ -276,12 +258,12 @@ def write_csv(rows: list[Row], out: Path, timestamp: bool) -> None:
         lines.append(f"# generated {stamp}")
     lines.append(",".join(CSV_COLUMNS))
     for row in sorted(rows, key=Row.sort_key):
-        if row.comment:
-            lines.append(f"# {row.comment}")
-        stderr = "" if row.stderr is None else "%.9g" % row.stderr
+        if row.est.comment:
+            lines.append(f"# {row.est.comment}")
+        stderr = "" if row.est.stderr is None else "%.9g" % row.est.stderr
         lines.append(_ROW_FORMAT % (
             row.bg_db, row.L, row.p, row.q, row.alpha, row.K, row.lam,
-            row.method, row.value, stderr,
+            row.method, row.est.value, stderr,
         ))
     out.write_text("\n".join(lines) + "\n")
 
@@ -569,6 +551,8 @@ def _run_grid(
         raise ValueError("need bg_step_db > 0 and bg_stop_db >= bg_start_db")
     if (stop - start) / step + 1e-9 >= _MAX_GRID_POINTS:
         raise ValueError(f"bg_step_db: the grid would exceed {_MAX_GRID_POINTS} points")
+    if step < 1e-9:  # ``_grid`` rounds its points to 1e-9 dB
+        raise ValueError(f"bg_step_db: must be at least 1e-09, the grid's resolution, got {step}")
     # P_L reads beta and gamma only through beta/gamma, which the grid sets.
     scenarios = [
         Scenario(

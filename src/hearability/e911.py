@@ -151,8 +151,10 @@ class E911Config:
             raise ValueError(
                 f"shadow_sigma_db must be nonnegative, got {self.shadow_sigma_db}"
             )
-        if not (self.hex_isd > 0.0 and math.isfinite(self.hex_isd)):
-            raise ValueError(f"hex_isd must be positive, got {self.hex_isd}")
+        try:
+            hex_grid_density(self.hex_isd)
+        except ValueError as err:  # named by this config's field
+            raise ValueError(f"hex_{err}") from None
         if not _at_least(self.trials, MIN_TRIALS):
             raise ValueError(
                 f"trials must be an integer >= {MIN_TRIALS}, got {self.trials!r}"

@@ -125,9 +125,10 @@ def effective_density(lam: float, alpha: float, sigma_db: float) -> float:
 
 def hex_grid_density(isd: float) -> float:
     """Site density of a triangular lattice with intersite distance ``isd``."""
-    if not (isd > 0.0 and math.isfinite(isd)):
-        raise ValueError(f"isd must be positive, got {isd}")
-    return 2.0 / (math.sqrt(3.0) * isd * isd)
+    density = 2.0 / (math.sqrt(3.0) * isd * isd) if isd * isd > 0.0 else 0.0
+    if not (isd > 0.0 and 0.0 < density < math.inf):
+        raise ValueError(f"isd must be positive with a finite site density, got {isd}")
+    return density
 
 
 def pmf_omega(omega: int, L: int, p: float) -> float:

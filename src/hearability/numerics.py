@@ -32,6 +32,7 @@ import numpy as np
 
 __all__ = [
     "QuadratureSpec",
+    "Estimate",
     "NonConvergenceError",
     "integrate_lockstep",
     "find_root_monotone",
@@ -66,6 +67,16 @@ class QuadratureSpec:
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
+
+
+@dataclass(frozen=True)
+class Estimate:
+    """A printed value, its stderr and sample size n if stated, and a flag comment."""
+
+    value: float
+    stderr: float | None = None
+    n: int | None = None
+    comment: str | None = None
 
 
 class NonConvergenceError(RuntimeError):

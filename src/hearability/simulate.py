@@ -11,8 +11,8 @@ statistics: ``collect_margins`` the joint and last-BS SINR margins
 counts (levels are L values) and ``collect_reuse_margins`` the L-th
 largest band prefix-min SINR under frequency reuse (levels are
 ``beta/gamma`` values).  ``exceedance_curve`` turns a statistic and a
-level grid into ``McEstimate``s; it is the one estimator of every Monte
-Carlo curve.  The statistics do not depend on the level, so one
+level grid into ``Estimate`` records; it is the one estimator of every
+Monte Carlo curve.  The statistics do not depend on the level, so one
 collection answers a whole grid.
 
 Each collector takes a *family* of sibling scenarios that share one
@@ -71,19 +71,20 @@ import dataclasses
 import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .model import Scenario, effective_density, hex_grid_density
+from .numerics import Estimate
 from .parallel import map_spans
 
 __all__ = [
     "Deployment",
     "SimConfig",
     "UPSILON_CAP",
-    "McEstimate",
     "exceedance_curve",
     "collect_margins",
     "collect_upsilon",
@@ -185,21 +186,6 @@ class SimConfig:
 
     def replace(self, **changes) -> "SimConfig":
         return dataclasses.replace(self, **changes)
-
-
-@dataclass(frozen=True)
-class McEstimate:
-    """A Monte Carlo probability estimate with its binomial stderr."""
-
-    estimate: float
-    stderr: float
-    n: int
-    successes: int
-
-    @staticmethod
-    def from_successes(successes: int, n: int) -> "McEstimate":
-        mean = successes / n
-        return McEstimate(mean, math.sqrt(mean * (1.0 - mean) / n), n, successes)
 
 
 def stream(seed: int, index: int, role: int) -> np.random.Generator:
@@ -552,8 +538,23 @@ class _BlockDraws:
     def powers(self, scenario: Scenario) -> np.ndarray:
         """Received powers of the chunk's BSs per unit transmit power, (rows, n)."""
         key = (_distance_key(scenario, self.config), scenario.alpha)
-        return self._part(
-            ("powers", key), lambda: _powers(self.distances(scenario), scenario)
+        return self._part(("powers", key), lambda: self._checked_powers(scenario))
+
+    def _checked_powers(self, scenario: Scenario) -> np.ndarray:
+        """The powers, unless a row's powers or total leave the normal floats.
+
+        Out there every SINR test would pass.  Rows descend, so their first
+        and last columns bound them, and n times the first a row's total.
+        """
+        pw = _powers(self.distances(scenario), scenario)
+        low, high = sys.float_info.min, sys.float_info.max / pw.shape[1]
+        if pw[:, -1].min() >= low and pw[:, 0].max() <= high:
+            return pw
+        hex_rows = self.config.deployment == Deployment.HEX
+        lam = hex_grid_density(self.config.hex_isd) if hex_rows else scenario.lam
+        raise ValueError(
+            f"density {lam:g} puts received powers at alpha={scenario.alpha:g} outside "
+            "the normal float range; a density nearer 1 gives the same probabilities"
         )
 
 
@@ -634,7 +635,8 @@ class _Bands:
 
 
 def _powers(distances: np.ndarray, scenario: Scenario) -> np.ndarray:
-    return distances ** (-scenario.alpha)
+    with np.errstate(over="ignore"):  # :meth:`_BlockDraws.powers` checks the range
+        return distances ** (-scenario.alpha)
 
 
 def _margins(pw: np.ndarray, act_p: np.ndarray, act_q: np.ndarray, tail: np.ndarray,
@@ -821,10 +823,9 @@ def collect_reuse_margins(
     return _collect(scenarios, config, "reuse", workers)
 
 
-def exceedance_curve(statistic: np.ndarray, levels) -> list[McEstimate]:
-    """P(statistic >= level) for each level, over the statistic's realizations."""
+def exceedance_curve(statistic: np.ndarray, levels) -> list[Estimate]:
+    """P(statistic >= level) for each level: a share of n realizations, binomial stderr."""
     n = len(statistic)
-    return [
-        McEstimate.from_successes(int(np.sum(statistic >= level)), n) for level in levels
-    ]
+    shares = (int(np.sum(statistic >= level)) / n for level in levels)
+    return [Estimate(s, math.sqrt(s * (1.0 - s) / n), n) for s in shares]
 

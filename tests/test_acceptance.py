@@ -75,7 +75,7 @@ def _reuse_curve(scen: Scenario, grid_db) -> np.ndarray:
 
 
 def _upsilon_curve(upsilon: np.ndarray, l_values) -> np.ndarray:
-    return np.array([e.estimate for e in exceedance_curve(upsilon, l_values)])
+    return np.array([e.value for e in exceedance_curve(upsilon, l_values)])
 
 
 def _mc_curve(margins: np.ndarray, grid_db: np.ndarray) -> np.ndarray:
@@ -261,7 +261,7 @@ def test_criterion_06_reuse_recursion_vs_mc():
             scale = max(
                 est.stderr, np.sqrt(rec * (1.0 - rec) / est.n), 1e-12
             )
-            z = abs(rec - est.estimate) / scale
+            z = abs(rec - est.value) / scale
             if z > worst_z:
                 worst_z, worst_at = z, (K, g)
     ok = zero_where_capped and ordered and worst_z <= 3.0
@@ -331,7 +331,7 @@ def test_criterion_08_scale_invariance():
             (_at(FIG3_SCEN, -16.0), ACC_SEED), (_at(dense, -16.0), ACC_SEED + 1)
         )
     )
-    z = abs(a.estimate - b.estimate) / np.hypot(a.stderr, b.stderr)
+    z = abs(a.value - b.value) / np.hypot(a.stderr, b.stderr)
     ok = bit_equal and integral_gap <= 1e-8 and z <= 3.0
     _report(
         8, ok,

@@ -29,6 +29,7 @@ from hearability.cli import (
     _lookup,
     _resolve,
     build_parser,
+    e911_rows,
     hex_vs_ppp_rows,
     main,
     procgain_rows,
@@ -40,7 +41,7 @@ from hearability.cli import (
 from hearability import reuse
 from hearability.analytic import Method, evaluate_grid
 from hearability.model import Scenario
-from hearability.numerics import NonConvergenceError, QuadratureSpec
+from hearability.numerics import Estimate, NonConvergenceError, QuadratureSpec
 from hearability.reuse import _failure_by_convolution
 from hearability.simulate import SimConfig
 
@@ -190,9 +191,9 @@ class TestSeedResolution:
 class TestCsvContract:
     def test_header_and_sorting(self, tmp_path):
         rows = [
-            Row(-10.0, 4, 1.0, 1.0, 4.0, 1, 1.0, "UpperBound", 0.5),
-            Row(-12.0, 4, 1.0, 1.0, 4.0, 1, 1.0, "UpperBound", 0.4),
-            Row(-12.0, 4, 1.0, 1.0, 4.0, 1, 1.0, "MonteCarloJoint", 0.39, 0.01),
+            Row(-10.0, 4, 1.0, 1.0, 4.0, 1, 1.0, "UpperBound", Estimate(0.5)),
+            Row(-12.0, 4, 1.0, 1.0, 4.0, 1, 1.0, "UpperBound", Estimate(0.4)),
+            Row(-12.0, 4, 1.0, 1.0, 4.0, 1, 1.0, "MonteCarloJoint", Estimate(0.39, 0.01)),
         ]
         out = tmp_path / "t.csv"
         write_csv(rows, out, timestamp=False)
@@ -206,7 +207,7 @@ class TestCsvContract:
         assert content[2].endswith(",0.4,")  # empty stderr for analytic rows
 
     def test_timestamp_toggle(self, tmp_path):
-        rows = [Row(-10.0, 4, 1.0, 1.0, 4.0, 1, 1.0, "UpperBound", 0.5)]
+        rows = [Row(-10.0, 4, 1.0, 1.0, 4.0, 1, 1.0, "UpperBound", Estimate(0.5))]
         stamped = tmp_path / "a.csv"
         write_csv(rows, stamped, timestamp=True)
         assert lines_of(stamped)[0].startswith("# generated ")
@@ -218,7 +219,7 @@ class TestCsvContract:
     def test_nine_digit_float_format(self, tmp_path):
         rows = [
             Row(-10.0, 4, 1.0 / 3.0, 1.0, 4.0, 1, 1.0, "UpperBound",
-                0.123456789123456789)
+                Estimate(0.123456789123456789))
         ]
         out = tmp_path / "t.csv"
         write_csv(rows, out, timestamp=False)
@@ -236,16 +237,16 @@ class TestCsvContract:
             return "nan" if v != v else f"{v:.9g}"
 
         rows = [
-            Row(value, 4, value, value, value, 3, value, "UpperBound", value, value),
-            Row(value, 7, 0.5, value, 4.0, 1, value, "DoubleIntegral", value),
+            Row(value, 4, value, value, value, 3, value, "UpperBound", Estimate(value, value)),
+            Row(value, 7, 0.5, value, 4.0, 1, value, "DoubleIntegral", Estimate(value)),
         ]
         out = tmp_path / "t.csv"
         write_csv(rows, out, timestamp=False)
         expected = [
             ",".join((
                 field(r.bg_db), str(r.L), field(r.p), field(r.q), field(r.alpha),
-                str(r.K), field(r.lam), r.method, field(r.value),
-                "" if r.stderr is None else field(r.stderr),
+                str(r.K), field(r.lam), r.method, field(r.est.value),
+                "" if r.est.stderr is None else field(r.est.stderr),
             ))
             for r in sorted(rows, key=Row.sort_key)
         ]
@@ -271,8 +272,8 @@ class TestCsvContract:
         rows = run_sweeps(
             [scen], (-10.0,), ("DoubleIntegral",), SimConfig(realizations=100, seed=0)
         )
-        assert rows[0].comment and "nonconvergence" in rows[0].comment
-        assert 0.0 <= rows[0].value <= 1.0  # best estimate still reported
+        assert rows[0].est.comment and "nonconvergence" in rows[0].est.comment
+        assert 0.0 <= rows[0].est.value <= 1.0  # best estimate still reported
         out = tmp_path / "t.csv"
         write_csv(rows, out, timestamp=False)
         content = lines_of(out)
@@ -297,8 +298,8 @@ class TestCsvContract:
         )
         assert len(rows) == 2
         for row in rows:
-            assert row.comment.startswith("nonconvergence method=ReuseRecursion")
-            assert np.isnan(row.value)  # no P_L estimate survives the failure
+            assert row.est.comment.startswith("nonconvergence method=ReuseRecursion")
+            assert np.isnan(row.est.value)  # no P_L estimate survives the failure
         out = tmp_path / "r.csv"
         write_csv(rows, out, timestamp=False)
         assert sum(l.startswith("# nonconvergence") for l in lines_of(out)) == 2
@@ -346,7 +347,7 @@ def per_point_rows(
                 )
             rows.append(Row(
                 g, scen.L, scen.p, scen.q, scen.alpha, scen.K, scen.lam,
-                tag, value, None, comment,
+                tag, Estimate(value, comment=comment),
             ))
     return rows
 
@@ -370,7 +371,7 @@ class TestGridSweep:
         quad, grid_db = QuadratureSpec(max_depth=1), _grid(-20.0, 0.0, 1.0)
         use_quadrature(monkeypatch, quad)
         rows = run_sweeps([scen], grid_db, methods, SimConfig(realizations=100, seed=0))
-        flagged = [r for r in rows if r.comment]
+        flagged = [r for r in rows if r.est.comment]
         assert 0 < len(flagged) < len(rows)
         write_csv(rows, tmp_path / "grid.csv", timestamp=False)
         points = per_point_rows(scen, grid_db, methods, quad)
@@ -572,7 +573,7 @@ class TestSubcommands:
         # Each single-sigma call returns 6 Poisson rows, then its 6 hex rows.
         assert rows == alone[0] + alone[1][6:] + alone[2][6:]
         tags = {r.method for r in rows}
-        assert len({tuple(r.value for r in rows if r.method == t) for t in tags}) == 4
+        assert len({tuple(r.est.value for r in rows if r.method == t) for t in tags}) == 4
 
     def test_e911_rows(self, tmp_path):
         out = tmp_path / "e911.csv"
@@ -587,6 +588,31 @@ class TestSubcommands:
         assert methods == {"E911_P67_M", "E911_P90_M", "E911_NoFixRate", "E911_Pass"}
         l_col = CSV_COLUMNS.index("L")
         assert {l.split(",")[l_col] for l in content[1:]} == {"4", "5"}
+
+    def test_records_carry_their_sample_size(self):
+        # Monte Carlo and hex rows are shares of the realizations; an
+        # analytic row samples nothing.
+        scen = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, beta=0.1, gamma=1.0, L=2)
+        sim = SimConfig(realizations=40, seed=3, expected_bs=100)
+        tags = ("MonteCarloJoint", "MonteCarloLastBs", "UpperBound")
+        rows = run_sweeps([scen], (-10.0, -5.0), tags, sim) + hex_vs_ppp_rows(scen, sim, 4, (8.0,))
+        assert len(rows) == 3 * 2 + 2 * 4
+        for row in rows:
+            assert row.est.n == (None if row.method == "UpperBound" else 40)
+
+    def test_e911_records_carry_their_sample_size(self):
+        # Percentiles and the pass flag are over the row's fixes, the
+        # no-fix rate over every trial.
+        from hearability.e911 import E911Config, fcc_compliance
+
+        cfg = E911Config(trials=200, min_hearability_grid=(4, 5))
+        fixes = {e.min_hearability: e.fixes for e in fcc_compliance(cfg, seed=1)}
+        assert 0 < fixes[5] < fixes[4] < cfg.trials
+        rows = e911_rows(cfg, seed=1)
+        assert len(rows) == 2 * 4
+        for row in rows:
+            assert row.est.n == (cfg.trials if row.method == "E911_NoFixRate" else fixes[row.L])
+            assert row.est.stderr is None
 
     def test_figure_deterministic_and_plot_script(self, tmp_path):
         out = tmp_path / "fig5.csv"
@@ -876,6 +902,13 @@ class TestSubcommands:
                 ["--bg-start-db", "-3000", "--bg-stop-db", "3000", "--bg-step-db", "0.5"],
                 "^error: bg_step_db: the grid would exceed 10000 points",
             ),
+            # Points 1e-10 dB apart would round onto 2 keys of the 1e-9 dB grid.
+            (
+                "analytic", None,
+                ["--methods", "UpperBound", "--bg-start-db", "0", "--bg-stop-db", "1e-9",
+                 "--bg-step-db", "1e-10"],
+                "^error: bg_step_db: must be at least 1e-09, the grid's resolution, got 1e-10$",
+            ),
             # Counts below one would run one worker or write no rows.
             ("simulate", None, ["--workers", "0"], "^error: workers: must be a positive"),
             ("simulate", None, ["--workers", "-5"], "^error: workers: must be a"),
@@ -916,6 +949,30 @@ class TestSubcommands:
                 "hexgrid", None, ["--sigma-db", "-1"],
                 "^error: sigma_db must be nonnegative, got -1.0$",
             ),
+            # Densities whose received powers underflow or overflow would
+            # pass every SINR test; lattices whose density is 0 or inf.
+            *(
+                (
+                    "simulate", None,
+                    ["--lam", lam, "--realizations", "200", "--bg-start-db", "-10",
+                     "--bg-stop-db", "-10", "--methods", "MonteCarloJoint,MonteCarloLastBs"],
+                    f"^error: density {re.escape(lam)} puts received powers at alpha=4 outside",
+                )
+                for lam in ("1e-200", "1e+280")
+            ),
+            (
+                "hexgrid", None, ["--isd", "1e140", "--l-max", "4", "--realizations", "16"],
+                "^error: density 1.1547e-280 puts received powers at alpha=4 outside",
+            ),
+            (
+                "e911", None, ["--isd", "1e140", "--trials", "100"],
+                "^error: density 1.86613e-280 puts received powers at alpha=3.76 outside",
+            ),
+            ("hexgrid", None, ["--isd", "1e-200"], "^error: isd must be positive with a"),
+            *(
+                ("e911", None, ["--isd", isd], f"^error: hex_isd must .*, got {re.escape(isd)}$")
+                for isd in ("1e-200", "1e+200")
+            ),
             # A repeated key would silently keep its last value.
             (
                 "analytic", "alpha = 3\nalpha = 4", [],
@@ -937,12 +994,15 @@ class TestSubcommands:
             "analytic_gamma_db_config", "simulate_gamma_db_config",
             "reuse_gamma_db_config", "bg_stop_db_inf", "bg_start_db_nan",
             "bg_step_db_inf_config", "bg_step_db_tiny", "grid_too_long",
+            "bg_step_db_below_resolution",
             "simulate_workers_zero", "simulate_workers_negative", "e911_workers_zero",
             "figure_workers_zero_config", "hexgrid_l_max_zero",
             "bg_start_db_overflow", "bg_db_overflow", "bg_db_underflow_config",
             "pre_sinr_db_overflow", "gain_db_overflow", "sigma_db_overflow",
             "bandwidth_overflow", "beta_overflow", "gain_db_crlb_overflow", "hexgrid_sigma_db_overflow",
             "hexgrid_shadow_gain_overflow", "hexgrid_sigma_db_negative",
+            "simulate_lam_underflow", "simulate_lam_overflow", "hexgrid_isd_underflow",
+            "e911_isd_underflow", "hexgrid_isd_tiny", "e911_isd_tiny", "e911_isd_huge",
             "config_key_twice",
         ],
     )
@@ -975,6 +1035,15 @@ class TestSubcommands:
             warnings.simplefilter("error")
             with pytest.raises(SystemExit, match="^error: sigma_db=5000.0 shadows a BS"):
                 main(argv)
+        assert not out.exists()
+
+    def test_power_overflow_exits_without_a_warning(self, tmp_path):
+        # As above: d ** -alpha overflows, and the check names the density.
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit, match=r"^error: density 1e\+280 puts received"):
+                main(["simulate", "--lam", "1e280", "--realizations", "16", "--out", str(out)])
         assert not out.exists()
 
     def test_e911_threshold_below_the_window_exits_naming_the_key(self, tmp_path):

@@ -389,9 +389,11 @@ class TestConfig:
                 dict(pre_sinr_threshold=5e-324, processing_gain_db=-10.0),
                 r"^pre_sinr_threshold=5e-324 and processing_gain_db=-10.0 give .* beta",
             ),
+            (dict(hex_isd=1e-200), "^hex_isd must .*, got 1e-200$"),
+            (dict(hex_isd=1e200), r"^hex_isd must .*, got 1e\+200$"),
         ],
         ids=["threshold_nan", "gain_nan", "gain_underflow", "gain_overflow",
-             "beta_overflow", "beta_underflow"],
+             "beta_overflow", "beta_underflow", "density_overflow", "density_underflow"],
     )
     def test_rejects_what_default_scenario_cannot_build(self, changes, message):
         # Named by the config's own fields, not by the Scenario they build.
@@ -900,7 +902,7 @@ class TestTrials:
         [margins] = collect_margins([scen], sim)
         ref = exceedance_curve(margins[:, 0], [scen.beta / scen.gamma])[0]
         se = math.hypot(ref.stderr, math.sqrt(rate * (1 - rate) / cfg.trials))
-        assert abs(rate - ref.estimate) <= 3.0 * se
+        assert abs(rate - ref.value) <= 3.0 * se
 
 
 class TestWindowSaturation:

@@ -103,6 +103,12 @@ class TestHexGridDensity:
         with pytest.raises(ValueError):
             hex_grid_density(0.0)
 
+    @pytest.mark.parametrize("isd", [1e-200, 1e200, -1.0, math.inf, math.nan])
+    def test_rejects_an_isd_without_a_positive_finite_density(self, isd):
+        # 1e-200 squared underflows to 0 and 1e200 squared overflows.
+        with pytest.raises(ValueError, match="^isd must be positive with a finite site"):
+            hex_grid_density(isd)
+
 
 class TestPmfOmega:
     @pytest.mark.parametrize("L", [1, 2, 5, 9])
