@@ -13,7 +13,7 @@ from hearability.analytic import Method, evaluate_grid, min_processing_gain
 from hearability.model import Scenario
 from hearability.simulate import SimConfig, collect_margins
 
-SCEN = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, beta=1.0, gamma=1.0, L=4)
+SCEN = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, L=4)
 
 
 def crossing_db(values: np.ndarray, grid_db: np.ndarray, target: float) -> float:

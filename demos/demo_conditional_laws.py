@@ -23,7 +23,7 @@ from hearability.simulate import SimConfig
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from sampling_oracle import mean_i1, mean_i2  # noqa: E402
 
-SCEN = Scenario(lam=1.0, alpha=4.0, p=2.0 / 3.0, q=1.0, beta=1.0, gamma=1.0, L=4)
+SCEN = Scenario(lam=1.0, alpha=4.0, p=2.0 / 3.0, q=1.0, L=4)
 DRAWS = 20000
 
 

@@ -12,7 +12,7 @@ import numpy as np
 from hearability.analytic import Method, evaluate_grid
 from hearability.model import Scenario
 
-BASE = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, beta=1.0, gamma=1.0, L=4)
+BASE = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, L=4)
 
 
 def main() -> None:

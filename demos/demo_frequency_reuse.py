@@ -13,7 +13,7 @@ from hearability.model import Scenario
 from hearability.reuse import pl_with_reuse_grid
 from hearability.simulate import SimConfig, collect_reuse_margins, exceedance_curve
 
-BASE = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, beta=1.0, gamma=1.0, L=4)
+BASE = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, L=4)
 GRID = np.arange(-20.0, 0.5, 2.0)
 KS = (1, 3, 6)
 

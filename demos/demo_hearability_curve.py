@@ -14,7 +14,7 @@ from hearability.analytic import Method, evaluate_grid
 from hearability.model import Scenario
 from hearability.simulate import SimConfig, collect_margins
 
-SCEN = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, beta=1.0, gamma=1.0, L=4)
+SCEN = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, L=4)
 REALIZATIONS = 20000
 SEED = 0
 

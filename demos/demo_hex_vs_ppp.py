@@ -18,7 +18,8 @@ from hearability.simulate import (
     exceedance_curve,
 )
 
-BASE = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, beta=0.1, gamma=1.0, L=1)
+BASE = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, L=1)
+LEVEL = 0.1  # beta/gamma, -10 dB
 L_VALUES = np.arange(1, 17)
 N = 10000
 SIGMAS = (4.0, 8.0, 12.0)
@@ -28,7 +29,7 @@ def curves(family: list[Scenario], sim: SimConfig) -> list[np.ndarray]:
     """P(Upsilon >= L) over L_VALUES for each scenario of one family."""
     return [
         np.array([e.value for e in exceedance_curve(upsilon, L_VALUES)])
-        for upsilon in collect_upsilon(family, sim)
+        for upsilon in collect_upsilon(family, sim, LEVEL)
     ]
 
 

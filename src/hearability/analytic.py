@@ -444,8 +444,8 @@ def evaluate_grid(
 ) -> list[float | NonConvergenceError]:
     """P_L of one band of ``scenario`` by the evaluator ``method`` at every level.
 
-    ``levels`` are linear beta/gamma thresholds; the scenario's ``beta``,
-    ``gamma`` and ``lam`` are not read, and ``K != 1`` is rejected (see
+    ``levels`` are linear beta/gamma thresholds; the scenario's ``lam`` is
+    not read, and ``K != 1`` is rejected (see
     :func:`~hearability.reuse.pl_with_reuse_grid`).  Each omega term of
     ``DoubleIntegral`` and ``SingleIntegralAlpha4`` integrates all levels
     in lockstep, one :func:`~hearability.numerics.integrate_lockstep`

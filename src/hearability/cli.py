@@ -177,6 +177,7 @@ def run_sweeps(
 
 def hex_vs_ppp_rows(
     scenario: Scenario,
+    level: float,
     sim: SimConfig,
     l_max: int,
     sigmas: tuple[float, ...],
@@ -184,19 +185,20 @@ def hex_vs_ppp_rows(
 ) -> list[Row]:
     """P(Upsilon >= L) rows for L = 1..l_max, L as the varying column.
 
-    ``sim`` draws the Poisson rows (``MonteCarloPPP``) of ``scenario``;
-    each shadowing sigma in dB adds hex-grid rows
-    (``MonteCarloHex_s<sigma>``), all from one hex family.
+    Upsilon counts the BSs detected at the linear beta/gamma ``level``,
+    which the rows print in dB.  ``sim`` draws the Poisson rows
+    (``MonteCarloPPP``) of ``scenario``; each shadowing sigma in dB adds
+    hex-grid rows (``MonteCarloHex_s<sigma>``), all from one hex family.
     """
     check_upsilon_cap("l_max", l_max)
-    bg_db = 10.0 * math.log10(scenario.bg_ratio)
+    bg_db = 10.0 * math.log10(level)
     l_values = range(1, l_max + 1)
     # Upsilon reads no L; at L = l_max the window is sized and checked for every level.
     top = scenario.replace(L=l_max)
     family = [top.replace(sigma_db=sigma) for sigma in sigmas]
     tags = ["MonteCarloPPP"] + [f"MonteCarloHex_s{sigma:g}" for sigma in sigmas]
-    counts = collect_upsilon([top], sim, workers) + collect_upsilon(
-        family, sim.replace(deployment=Deployment.HEX), workers
+    counts = collect_upsilon([top], sim, level, workers) + collect_upsilon(
+        family, sim.replace(deployment=Deployment.HEX), level, workers
     )
     return [
         _row(scenario.replace(L=l), bg_db, tag, est)
@@ -334,7 +336,7 @@ _DENSITY = hex_grid_density(500.0)  # nominal density for sweep figures
 
 def _base() -> Scenario:
     """The recipes' shared scenario: alpha = 4, p = q = 1, L = 4, one band."""
-    return Scenario(lam=_DENSITY, alpha=4.0, p=1.0, q=1.0, beta=1.0, gamma=1.0, L=4)
+    return Scenario(lam=_DENSITY, alpha=4.0, p=1.0, q=1.0, L=4)
 
 
 def _sweep_family(step: float, field: str, values: tuple, tags: tuple[str, ...], **fixed):
@@ -357,8 +359,8 @@ def _hex_family(sigmas: tuple[float, ...], K: int):
     """Rows of hex versus Poisson P(Upsilon >= L), L = 1..16, at -10 dB."""
 
     def rows(seed: int, size: int, workers: int) -> list[Row]:
-        scen = _base().replace(beta=10.0 ** (-1.0), L=1, K=K)
-        return hex_vs_ppp_rows(scen, SimConfig(realizations=size, seed=seed), 16, sigmas, workers)
+        sim = SimConfig(realizations=size, seed=seed)
+        return hex_vs_ppp_rows(_base().replace(L=1, K=K), 10.0 ** (-1.0), sim, 16, sigmas, workers)
 
     return rows
 
@@ -553,12 +555,8 @@ def _run_grid(
         raise ValueError(f"bg_step_db: the grid would exceed {_MAX_GRID_POINTS} points")
     if step < 1e-9:  # ``_grid`` rounds its points to 1e-9 dB
         raise ValueError(f"bg_step_db: must be at least 1e-09, the grid's resolution, got {step}")
-    # P_L reads beta and gamma only through beta/gamma, which the grid sets.
     scenarios = [
-        Scenario(
-            lam=v["lam"], alpha=v["alpha"], p=v["p"], q=v["q"], beta=1.0, gamma=1.0,
-            L=v["l"], K=K,
-        )
+        Scenario(lam=v["lam"], alpha=v["alpha"], p=v["p"], q=v["q"], L=v["l"], K=K)
         for K in k_values
     ]
     return run_sweeps(
@@ -577,12 +575,11 @@ def _reuse(v: dict) -> list[Row]:
 
 
 def _hexgrid(v: dict) -> list[Row]:
-    scen = Scenario(
-        lam=hex_grid_density(v["isd"]), alpha=v["alpha"], p=v["p"], q=v["q"],
-        beta=10.0 ** (v["bg_db"] / 10.0), gamma=1.0, L=1, K=v["k"],
-    )
+    scen = Scenario(lam=hex_grid_density(v["isd"]), alpha=v["alpha"], p=v["p"], q=v["q"],
+                    L=1, K=v["k"])
     sim = _sim(v).replace(hex_isd=v["isd"])
-    return hex_vs_ppp_rows(scen, sim, v["l_max"], (v["sigma_db"],), v["workers"])
+    level = 10.0 ** (v["bg_db"] / 10.0)
+    return hex_vs_ppp_rows(scen, level, sim, v["l_max"], (v["sigma_db"],), v["workers"])
 
 
 def _e911(v: dict) -> list[Row]:

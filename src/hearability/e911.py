@@ -130,7 +130,7 @@ class E911Config:
         theta, gain_db = self.pre_sinr_threshold, self.processing_gain_db
         if not (0.0 < theta < math.inf):
             raise ValueError(f"pre_sinr_threshold must be positive and finite, got {theta}")
-        # ``default_scenario`` needs a positive finite gain and beta.
+        # The gain ``_observe`` applies, and beta = theta * gain, must be positive finite.
         try:
             gain = 10.0 ** (gain_db / 10.0)
         except OverflowError:
@@ -184,16 +184,7 @@ def default_scenario(cfg: E911Config) -> Scenario:
     reflects the shadowing.
     """
     lam = effective_density(hex_grid_density(cfg.hex_isd), cfg.alpha, cfg.shadow_sigma_db)
-    gamma = 10.0 ** (cfg.processing_gain_db / 10.0)
-    return Scenario(
-        lam=lam,
-        alpha=cfg.alpha,
-        p=1.0,
-        q=1.0,
-        beta=cfg.pre_sinr_threshold * gamma,
-        gamma=gamma,
-        L=_MIN_BS_FOR_FIX,
-    )
+    return Scenario(lam=lam, alpha=cfg.alpha, p=1.0, q=1.0, L=_MIN_BS_FOR_FIX)
 
 
 def ranging_stddev(post_sinr, cfg: E911Config):
@@ -279,7 +270,7 @@ def _nuisance(blocked: _BlockDraws, cfg: E911Config, width: int) -> np.ndarray:
     return blocked._draw(ROLE_E911, fill, 4 * width).reshape(blocked.rows, 4, width)
 
 
-def _observe(d, sinr, draws, scenario: Scenario, cfg: E911Config):
+def _observe(d, sinr, draws, cfg: E911Config):
     """TDOA measurements of N trials using m BSs each, strongest first.
 
     ``d``, ``sinr``: (N, m) distances and pre-processing SINRs; ``draws``:
@@ -291,7 +282,7 @@ def _observe(d, sinr, draws, scenario: Scenario, cfg: E911Config):
     angles, nlos, unit, clock = np.moveaxis(draws, 1, 0)
     positions = np.stack((d * np.cos(angles), d * np.sin(angles)), axis=-1)
     with np.errstate(over="ignore"):  # ranging_stddev rejects an overflow
-        post = scenario.gamma * sinr
+        post = 10.0 ** (cfg.processing_gain_db / 10.0) * sinr
     sigma = ranging_stddev(post, cfg)
     pseudo = d + nlos + unit * sigma + SPEED_OF_LIGHT * clock
     var = sigma**2 + (SPEED_OF_LIGHT * cfg.clock_std) ** 2
@@ -582,7 +573,7 @@ def _trial_span(cfg: E911Config, seed: int, start: int, stop: int) -> np.ndarray
     for m in np.flatnonzero(np.bincount(used)):  # np.unique loads numpy.ma
         rows = trials[used == m]
         near = np.concatenate([b[u == m, :, :m] for _, u, b in heard if m in u])
-        observed = _observe(near[:, 0], near[:, 1], near[:, 2:], scenario, cfg)
+        observed = _observe(near[:, 0], near[:, 1], near[:, 2:], cfg)
         out[rows, _USED] = m
         out[rows, _X : _Y + 1], out[rows, _METHOD], out[rows, _CONDITION] = _solve(
             *observed[:3], reach

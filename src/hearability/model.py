@@ -8,7 +8,9 @@ participant stays silent with probability ``1 - p`` (coordinated muting)
 and every BS beyond the L-th transmits with probability ``q`` (ambient
 load).  Detection succeeds when the SINR, boosted by a processing gain
 ``gamma``, clears the demodulation threshold ``beta``, i.e. when
-``SINR >= beta / gamma``.
+``SINR >= beta / gamma``.  That threshold is not part of the network:
+each layer takes it as a linear beta/gamma level, or a grid of them,
+beside the scenario.
 
 Distances are indexed from the device outward: ``R_1 <= R_2 <= ...``.
 Exact distance ties are broken by generation order, which is almost
@@ -44,8 +46,6 @@ class Scenario:
         p: probability that a participant other than the one being
             detected transmits (0 muted network, 1 no coordination).
         q: probability that a BS beyond the L-th transmits.
-        beta: demodulation SINR threshold, linear scale (> 0).
-        gamma: processing gain applied before demodulation, linear (> 0).
         L: number of nearest BSs the device must detect (>= 1).
         K: number of frequency bands under reuse (>= 1, 1 = universal).
         sigma_db: log-normal shadowing standard deviation in dB (0 is
@@ -59,8 +59,6 @@ class Scenario:
     alpha: float
     p: float
     q: float
-    beta: float
-    gamma: float
     L: int
     K: int = 1
     sigma_db: float = 0.0
@@ -74,24 +72,21 @@ class Scenario:
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
-        if not (self.beta > 0.0 and math.isfinite(self.beta)):
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
-        if not (self.gamma > 0.0 and math.isfinite(self.gamma)):
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if not isinstance(self.L, (int, np.integer)) or self.L < 1:
             raise ValueError(f"L must be a positive integer, got {self.L!r}")
         if not isinstance(self.K, (int, np.integer)) or self.K < 1:
             raise ValueError(f"K must be a positive integer, got {self.K!r}")
         _check_sigma_db(self.sigma_db)
 
-    @property
-    def bg_ratio(self) -> float:
-        """Post-gain detection threshold beta / gamma on linear scale."""
-        return self.beta / self.gamma
-
     def replace(self, **changes) -> "Scenario":
         """Copy of the scenario with the given fields replaced."""
         return dataclasses.replace(self, **changes)
+
+
+def check_matched_marks(what: str, scenario: Scenario) -> None:
+    """Reject a scenario whose muting p differs from its load q, naming ``what``."""
+    if scenario.p != scenario.q:
+        raise ValueError(f"{what} requires p = q; got p={scenario.p}, q={scenario.q}")
 
 
 def _check_sigma_db(sigma_db: float) -> None:

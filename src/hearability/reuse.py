@@ -25,9 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .analytic import Method, evaluate_grid
-from .model import Scenario
+from .model import Scenario, check_matched_marks
 from .numerics import NonConvergenceError
-from .simulate import check_matched_marks
 
 __all__ = ["pl_with_reuse_grid"]
 

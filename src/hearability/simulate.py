@@ -8,12 +8,12 @@ Every Monte Carlo estimate is the share of realizations whose
 per-realization statistic clears a level.  Three collectors draw the
 statistics: ``collect_margins`` the joint and last-BS SINR margins
 (levels are ``beta/gamma`` values), ``collect_upsilon`` the Upsilon
-counts (levels are L values) and ``collect_reuse_margins`` the L-th
-largest band prefix-min SINR under frequency reuse (levels are
-``beta/gamma`` values).  ``exceedance_curve`` turns a statistic and a
-level grid into ``Estimate`` records; it is the one estimator of every
-Monte Carlo curve.  The statistics do not depend on the level, so one
-collection answers a whole grid.
+counts at one ``beta/gamma`` level (levels are L values) and
+``collect_reuse_margins`` the L-th largest band prefix-min SINR under
+frequency reuse (levels are ``beta/gamma`` values).  ``exceedance_curve``
+turns a statistic and a level grid into ``Estimate`` records; it is the
+one estimator of every Monte Carlo curve.  The statistics do not depend
+on the level they are read at, so one collection answers a whole grid.
 
 Each collector takes a *family* of sibling scenarios that share one
 ``SimConfig`` (a sweep over L, p, alpha, K or sigma_db) and returns a
@@ -77,7 +77,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import Scenario, effective_density, hex_grid_density
+from .model import Scenario, check_matched_marks, effective_density, hex_grid_density
 from .numerics import Estimate
 from .parallel import map_spans
 
@@ -136,12 +136,6 @@ def check_upsilon_cap(name: str, level: int) -> None:
         )
 
 
-def check_matched_marks(what: str, scenario: Scenario) -> None:
-    """Reject a scenario whose muting p differs from its load q, naming ``what``."""
-    if scenario.p != scenario.q:
-        raise ValueError(f"{what} requires p = q; got p={scenario.p}, q={scenario.q}")
-
-
 class Deployment(str, enum.Enum):
     PPP = "ppp"
     HEX = "hex"
@@ -181,8 +175,10 @@ class SimConfig:
             not isinstance(self.expected_bs, (int, np.integer)) or self.expected_bs < 10
         ):
             raise ValueError(f"expected_bs must be >= 10, got {self.expected_bs!r}")
-        if not (self.hex_isd > 0.0 and math.isfinite(self.hex_isd)):
-            raise ValueError(f"hex_isd must be positive, got {self.hex_isd}")
+        try:
+            hex_grid_density(self.hex_isd)
+        except ValueError as err:  # named by this config's field
+            raise ValueError(f"hex_{err}") from None
 
     def replace(self, **changes) -> "SimConfig":
         return dataclasses.replace(self, **changes)
@@ -674,9 +670,22 @@ def _prefix_min_sinr(pw: np.ndarray, act: np.ndarray, bands: _Bands,
     return np.where(bands.valid, np.minimum.accumulate(sinr, axis=2), -math.inf)
 
 
+def _margin_stat(draws: _BlockDraws, scenario: Scenario) -> np.ndarray:
+    """:func:`_margins` of the chunk's rows."""
+    return _margins(draws.powers(scenario), draws.active(scenario.p),
+                    draws.active(scenario.q), draws.tail(scenario), scenario)
+
+
+def _reuse_stat(draws: _BlockDraws, scenario: Scenario) -> np.ndarray:
+    """The L-th largest band prefix-min SINR: L of them clear a level iff it does."""
+    cummins = _prefix_min_sinr(draws.powers(scenario), draws.active(scenario.q),
+                               draws.bands(scenario.K), draws.tail(scenario))
+    return np.partition(cummins.reshape(draws.rows, -1), -scenario.L, axis=1)[:, -scenario.L]
+
+
 def _upsilon(pw: np.ndarray, act_p: np.ndarray, act_q: np.ndarray, bands: _Bands,
-             tail: np.ndarray, scenario: Scenario) -> np.ndarray:
-    """Detectable-BS counts Upsilon per row.
+             tail: np.ndarray, scenario: Scenario, thr: float) -> np.ndarray:
+    """Detectable-BS counts Upsilon per row at the beta/gamma level ``thr``.
 
     Upsilon is the largest candidate participant count ``ell`` (up to
     ``cap``, per band, summed over bands) for which the device detects
@@ -693,7 +702,6 @@ def _upsilon(pw: np.ndarray, act_p: np.ndarray, act_q: np.ndarray, bands: _Bands
     ``pw_k + thr * own_k >= thr * (near_ell + far_ell)``, one
     running minimum over k decides every ell at once.
     """
-    thr = scenario.beta / scenario.gamma
     if scenario.p == scenario.q:
         return np.sum(_prefix_min_sinr(pw, act_q, bands, tail) >= thr, axis=(1, 2))
     cap = bands.cap
@@ -705,6 +713,13 @@ def _upsilon(pw: np.ndarray, act_p: np.ndarray, act_q: np.ndarray, bands: _Bands
     passes = (weakest >= thr * (near + far)) & bands.valid
     best = np.max(np.where(passes, np.arange(1, cap + 1), 0), axis=2)
     return best.sum(axis=1)
+
+
+def _upsilon_stat(draws: _BlockDraws, scenario: Scenario, level: float) -> np.ndarray:
+    """:func:`_upsilon` of the chunk's rows at the beta/gamma ``level``."""
+    return _upsilon(draws.powers(scenario), draws.active(scenario.p),
+                    draws.active(scenario.q), draws.bands(scenario.K),
+                    draws.tail(scenario), scenario, level)
 
 
 # --- chunked collection across realizations -------------------------------
@@ -725,39 +740,21 @@ def _chunk_rows(n: int, K: int = 1) -> int:
 
 
 def _block_stats(
-    kind: str, family: tuple[Scenario, ...], config: SimConfig, block: int, rows: int
+    statistic, family: tuple[Scenario, ...], config: SimConfig, block: int, rows: int
 ) -> np.ndarray:
-    """One collector's statistics of ``rows`` rows from ``block`` on, (rows, S, ...)."""
+    """Each sibling's statistic of ``rows`` rows from ``block`` on, (rows, S, ...)."""
     draws = _BlockDraws(config, block, rows, family)
-    stats = []
-    for scenario in family:
-        pw, act_q = draws.powers(scenario), draws.active(scenario.q)
-        tail = draws.tail(scenario)
-        if kind == "margins":
-            stats.append(_margins(pw, draws.active(scenario.p), act_q, tail, scenario))
-        elif kind == "upsilon":
-            bands = draws.bands(scenario.K)
-            stats.append(
-                _upsilon(pw, draws.active(scenario.p), act_q, bands, tail, scenario)
-            )
-        else:
-            # At least L band prefix-minima clear a level exactly when the
-            # L-th largest of them does.
-            bands = draws.bands(scenario.K)
-            cummins = _prefix_min_sinr(pw, act_q, bands, tail).reshape(rows, -1)
-            stats.append(np.partition(cummins, -scenario.L, axis=1)[:, -scenario.L])
-    return np.stack(stats, axis=1)
+    return np.stack([statistic(draws, scenario) for scenario in family], axis=1)
 
 
 def _collect_span(
-    kind: str, family: tuple[Scenario, ...], config: SimConfig, start: int, stop: int
+    statistic, family: tuple[Scenario, ...], config: SimConfig, start: int, stop: int
 ) -> np.ndarray:
     """Rows ``start:stop`` of one collector by chunks; ``start`` is block-aligned."""
-    bands = 1 if kind == "margins" else max(s.K for s in family)
-    chunk = _chunk_rows(config.expected_bs, bands)
+    chunk = _chunk_rows(config.expected_bs, max(s.K for s in family))
     out = None
     for first in range(start, stop, chunk):
-        part = _block_stats(kind, family, config, first // _BLOCK, min(chunk, stop - first))
+        part = _block_stats(statistic, family, config, first // _BLOCK, min(chunk, stop - first))
         if out is None:  # filled in place: a list of parts would double the peak
             out = np.empty((stop - start, *part.shape[1:]), dtype=part.dtype)
         out[first - start : first - start + len(part)] = part
@@ -765,28 +762,40 @@ def _collect_span(
 
 
 def _collect(
-    scenarios: Sequence[Scenario], config: SimConfig, kind: str, workers: int
+    scenarios: Sequence[Scenario], config: SimConfig, statistic, workers: int, check=None
 ) -> list[np.ndarray]:
-    """Each sibling's statistic from one collection over a family sharing ``config``.
+    """Each sibling's ``statistic`` from one collection over a family sharing ``config``.
 
-    An ``expected_bs`` of None resolves here, once for the family
-    (:func:`_with_window`): ``max(250, 10 * L)`` Poisson BSs for the
-    largest L of the family, 1000 hex sites.  Every sibling reads that
-    one window.  Every sibling is checked before any draw, in order, so
-    a bad member raises what it raises alone.
+    ``statistic(draws, scenario)`` reads a chunk's :class:`_BlockDraws`
+    and pickles, for the pool.  An ``expected_bs`` of None resolves here,
+    once for the family (:func:`_with_window`): ``max(250, 10 * L)``
+    Poisson BSs for the largest L of the family, 1000 hex sites.  Every
+    sibling reads that one window.  Every sibling is checked before any
+    draw, in order, by ``check`` and against the window, so a bad member
+    raises what it raises alone.
     """
     family = tuple(scenarios)
     if not family:
         return []
     config = _with_window(family, config)
     for scenario in family:
-        if kind == "reuse":
-            check_matched_marks("the reuse Monte Carlo (band prefix margins)", scenario)
-            check_upsilon_cap("L", scenario.L)
+        if check is not None:
+            check(scenario)
         _check_window(scenario, config)
-    args = (kind, family, config)
+    args = (statistic, family, config)
     stacked = map_spans(_collect_span, args, config.realizations, workers, _BLOCK)
     return [stacked[:, i] for i in range(len(family))]
+
+
+def _check_one_band(scenario: Scenario) -> None:
+    if scenario.K != 1:
+        raise ValueError(f"collect_margins models one band and would ignore "
+                         f"K={scenario.K}; use collect_reuse_margins")
+
+
+def _check_reuse(scenario: Scenario) -> None:
+    check_matched_marks("the reuse Monte Carlo (band prefix margins)", scenario)
+    check_upsilon_cap("L", scenario.L)
 
 
 def collect_margins(
@@ -795,19 +804,24 @@ def collect_margins(
     """Per sibling, per-realization (joint, last-BS) SINR margins, shape (n, 2).
 
     The joint margin is the least SINR of the L nearest BSs, the
-    last-BS margin that of the L-th.  Levels are beta/gamma values.
+    last-BS margin that of the L-th, in one band (K = 1).  Levels are
+    beta/gamma values.
     """
-    return _collect(scenarios, config, "margins", workers)
+    return _collect(scenarios, config, _margin_stat, workers, _check_one_band)
 
 
 def collect_upsilon(
-    scenarios: Sequence[Scenario], config: SimConfig, workers: int = 1
+    scenarios: Sequence[Scenario], config: SimConfig, level: float, workers: int = 1
 ) -> list[np.ndarray]:
     """Per sibling, per-realization detectable-BS counts Upsilon, shape (n,).
 
-    Levels are L values; the counts answer levels up to ``UPSILON_CAP``.
+    A BS is detected when its SINR clears the linear beta/gamma
+    ``level``.  The counts answer levels L up to ``UPSILON_CAP``.
     """
-    return _collect(scenarios, config, "upsilon", workers)
+    if not 0.0 < level < math.inf:
+        raise ValueError(f"level must be positive and finite, got {level}")
+    statistic = functools.partial(_upsilon_stat, level=level)
+    return _collect(scenarios, config, statistic, workers)
 
 
 def collect_reuse_margins(
@@ -820,7 +834,7 @@ def collect_reuse_margins(
     detected across the K bands exactly when it clears beta/gamma.
     Levels are beta/gamma values.
     """
-    return _collect(scenarios, config, "reuse", workers)
+    return _collect(scenarios, config, _reuse_stat, workers, _check_reuse)
 
 
 def exceedance_curve(statistic: np.ndarray, levels) -> list[Estimate]:

@@ -65,9 +65,9 @@ def prefix_min_sinr(pw: np.ndarray, u: np.ndarray, labels, tail: np.ndarray,
 
 
 def upsilon(pw: np.ndarray, u: np.ndarray, labels, tail: np.ndarray,
-            scenario: Scenario, cap: int) -> np.ndarray:
-    """Detectable-BS counts Upsilon per row, band by band."""
-    p, q, thr = scenario.p, scenario.q, scenario.beta / scenario.gamma
+            scenario: Scenario, cap: int, thr: float) -> np.ndarray:
+    """Detectable-BS counts Upsilon per row, band by band, at the level ``thr``."""
+    p, q = scenario.p, scenario.q
     if p == q:
         return np.sum(prefix_min_sinr(pw, u, labels, tail, scenario, cap) >= thr,
                       axis=(1, 2))

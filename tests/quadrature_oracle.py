@@ -3,6 +3,7 @@
 These are the one-integral adaptive quadrature loop, the one-panel
 boundary solve and the two quadrature-backed P_L evaluators as they
 stood before the lockstep engine, kept verbatim apart from their names,
+the beta/gamma level, which is now an argument beside the scenario,
 the tail cut of the R_L law, which is now the analytic constant
 ``_TAIL_QUANTILE`` and not a quadrature field, and the runtime
 monotonicity probe, whose property is now proved in
@@ -187,9 +188,9 @@ def oracle_boundary_t(r: np.ndarray, omega: int, alpha: float, q: float, gb: flo
 
 
 def oracle_pl_double_integral(
-    scenario: Scenario, quad: QuadratureSpec = DEFAULT_QUADRATURE
+    scenario: Scenario, level: float, quad: QuadratureSpec = DEFAULT_QUADRATURE
 ) -> float:
-    """Dominant-interferer approximation of P_L, general path loss.
+    """Dominant-interferer approximation of P_L at ``level``, general path loss.
 
     For each count ``omega >= 1`` of active near interferers, the
     detection event is inverted into a threshold on the nearest active
@@ -200,9 +201,8 @@ def oracle_pl_double_integral(
     ``omega``.
     """
     L, alpha, p, q = scenario.L, scenario.alpha, scenario.p, scenario.q
-    thr = scenario.beta / scenario.gamma
-    gb = 1.0 / thr
-    total = pmf_omega(0, L, p) * pl(Method.PERFECT_COORD, scenario)
+    gb = 1.0 / level
+    total = pmf_omega(0, L, p) * pl(Method.PERFECT_COORD, scenario, level)
     if L < 2:
         return _clamp01(total)
     # Normalized coordinates (lam * pi = 1): an exact change of variables,
@@ -234,8 +234,10 @@ def oracle_pl_double_integral(
     return _clamp01(total)
 
 
-def oracle_pl_alpha4(scenario: Scenario, quad: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
-    """Single-integral dominant-interferer approximation, exact at alpha = 4.
+def oracle_pl_alpha4(
+    scenario: Scenario, level: float, quad: QuadratureSpec = DEFAULT_QUADRATURE
+) -> float:
+    """Single-integral dominant-interferer approximation at ``level``, exact at alpha = 4.
 
     At ``alpha = 4`` the inner threshold inversion of
     ``DoubleIntegral`` is a quadratic in ``(R_L/R1_hat)**2``, so
@@ -247,8 +249,8 @@ def oracle_pl_alpha4(scenario: Scenario, quad: QuadratureSpec = DEFAULT_QUADRATU
             f"this evaluator requires alpha = 4 exactly, got {scenario.alpha}"
         )
     L, p, q = scenario.L, scenario.p, scenario.q
-    gb = scenario.gamma / scenario.beta
-    total = pmf_omega(0, L, p) * pl(Method.PERFECT_COORD, scenario)
+    gb = 1.0 / level
+    total = pmf_omega(0, L, p) * pl(Method.PERFECT_COORD, scenario, level)
     if L < 2:
         return _clamp01(total)
     s_tail = erlang_quantile(L, 1.0, _TAIL_QUANTILE)

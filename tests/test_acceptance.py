@@ -39,7 +39,7 @@ from sampling_oracle import conditional_law_samples
 
 ACC_SEED = 1
 GRID_DB = np.arange(-20.0, 0.5, 1.0)
-FIG3_SCEN = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, beta=1.0, gamma=1.0, L=4)
+FIG3_SCEN = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, L=4)
 
 # Independently derived oracle values, frozen (see test_analytic for the
 # quadrature and hand-arithmetic derivations).
@@ -53,12 +53,13 @@ def _report(num: int, ok: bool, detail: str) -> None:
     print(f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'} {detail}")
 
 
-def _at(scen: Scenario, bg_db: float) -> Scenario:
-    return scen.replace(beta=scen.gamma * 10.0 ** (bg_db / 10.0))
+def _level(bg_db: float) -> float:
+    """The linear beta/gamma level of ``bg_db``."""
+    return 10.0 ** (bg_db / 10.0)
 
 
 def _levels(grid_db) -> list[float]:
-    return [10.0 ** (g / 10.0) for g in grid_db]
+    return [_level(g) for g in grid_db]
 
 
 def _curve(method: Method, scen: Scenario, grid_db) -> np.ndarray:
@@ -101,7 +102,7 @@ def fig3_margins():
 def test_criterion_01_joint_mc_anchor_matches_alpha4(fig3_margins):
     margins, elapsed = fig3_margins
     mc = float(np.mean(margins[:, 0] >= 10.0 ** -1.6))
-    analytic = pl(Method.SINGLE_INTEGRAL_ALPHA4, _at(FIG3_SCEN, -16.0))
+    analytic = pl(Method.SINGLE_INTEGRAL_ALPHA4, FIG3_SCEN, _level(-16.0))
     ok = abs(mc - 0.5) <= 0.03 and abs(mc - analytic) <= 0.02 and elapsed < 60.0
     _report(
         1, ok,
@@ -133,9 +134,7 @@ def test_criterion_02_upper_bound_dominates(fig3_margins):
 
 
 def test_criterion_03_double_integral_fidelity_across_alpha():
-    scen = Scenario(
-        lam=1.0, alpha=3.0, p=2.0 / 3.0, q=1.0, beta=1.0, gamma=1.0, L=4
-    )
+    scen = Scenario(lam=1.0, alpha=3.0, p=2.0 / 3.0, q=1.0, L=4)
     worst_gap = 0.0
     worst_at = (0.0, 0.0)
     for alpha in (3.0, 3.5, 4.0, 4.5):
@@ -176,10 +175,10 @@ def test_criterion_03_double_integral_fidelity_across_alpha():
 
 
 def test_criterion_04_closed_form_unit_values():
-    canon = _at(FIG3_SCEN, -20.0)  # gamma/beta = 100
-    ub = pl(Method.UPPER_BOUND, canon)
-    nf = pl(Method.NEAR_FIELD_ALPHA4, canon)
-    pc = pl(Method.PERFECT_COORD, _at(FIG3_SCEN, -10.0))
+    canon = _level(-20.0)  # gamma/beta = 100
+    ub = pl(Method.UPPER_BOUND, FIG3_SCEN, canon)
+    nf = pl(Method.NEAR_FIELD_ALPHA4, FIG3_SCEN, canon)
+    pc = pl(Method.PERFECT_COORD, FIG3_SCEN, _level(-10.0))
     gain = min_processing_gain(0.8, 4, 4.0, 1.0)
     ok = (
         abs(ub - UPPER_BOUND_CANON) <= 1e-6
@@ -234,9 +233,7 @@ def test_criterion_06_reuse_recursion_vs_mc():
     # are heard.  P_L is therefore exactly 0 wherever K*ceil(gamma/beta) < L,
     # and strict ordering in K is asserted only where the larger K can
     # reach L.
-    per_band = np.array(
-        [np.ceil(s.gamma / s.beta) for s in (_at(FIG3_SCEN, g) for g in GRID_DB)]
-    )
+    per_band = np.array([np.ceil(1.0 / level) for level in _levels(GRID_DB)])
     capped = {K: K * per_band < FIG3_SCEN.L for K in recursion}
     zero_where_capped = bool(
         all(np.all(recursion[K][capped[K]] == 0.0) for K in recursion)
@@ -279,9 +276,7 @@ def test_criterion_06_reuse_recursion_vs_mc():
 
 def test_criterion_07_conditional_law_suite():
     # The collectors' own block rows, each the 48 BSs nearest the device.
-    scen = Scenario(
-        lam=1.0, alpha=4.0, p=2.0 / 3.0, q=1.0, beta=1.0, gamma=1.0, L=4
-    )
+    scen = Scenario(lam=1.0, alpha=4.0, p=2.0 / 3.0, q=1.0, L=4)
     cfg = SimConfig(realizations=104000, seed=ACC_SEED, expected_bs=48)
     laws = conditional_law_samples(scen, cfg, outer_rows=2500)
     inner_u, z_vals, outer_u = laws["inner"], laws["z"], laws["outer"].ravel()
@@ -315,7 +310,7 @@ def test_criterion_08_scale_invariance():
     )
     general = FIG3_SCEN.replace(alpha=3.5, p=2.0 / 3.0)
     integral_gap = max(
-        abs(pl(m, _at(s, -10.0)) - pl(m, _at(s.replace(lam=10.0), -10.0)))
+        abs(pl(m, s, _level(-10.0)) - pl(m, s.replace(lam=10.0), _level(-10.0)))
         for m, s in (
             (Method.SINGLE_INTEGRAL_ALPHA4, FIG3_SCEN),
             (Method.DOUBLE_INTEGRAL, general),
@@ -325,11 +320,9 @@ def test_criterion_08_scale_invariance():
     a, b = (
         exceedance_curve(
             collect_margins([s], SimConfig(realizations=10000, seed=seed))[0][:, 0],
-            [s.beta / s.gamma],
+            [_level(-16.0)],
         )[0]
-        for s, seed in (
-            (_at(FIG3_SCEN, -16.0), ACC_SEED), (_at(dense, -16.0), ACC_SEED + 1)
-        )
+        for s, seed in ((FIG3_SCEN, ACC_SEED), (dense, ACC_SEED + 1))
     )
     z = abs(a.value - b.value) / np.hypot(a.stderr, b.stderr)
     ok = bit_equal and integral_gap <= 1e-8 and z <= 3.0
@@ -345,17 +338,17 @@ def test_criterion_08_scale_invariance():
 
 def test_criterion_09_hex_grid_convergence():
     l_values = np.arange(1, 17)
-    base = Scenario(
-        lam=1.0, alpha=4.0, p=1.0, q=1.0, beta=0.1, gamma=1.0, L=1
-    )
+    base = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, L=1)
     reuse6 = base.replace(K=6)
     sim = SimConfig(realizations=10000, seed=ACC_SEED)
-    ppp, ppp6 = (_upsilon_curve(u, l_values) for u in collect_upsilon([base, reuse6], sim))
+    ppp, ppp6 = (
+        _upsilon_curve(u, l_values) for u in collect_upsilon([base, reuse6], sim, 0.1)
+    )
     # One hex family draws each block's geometry and normals once for all members.
     sigmas = (4.0, 8.0, 12.0)
     *hexes, hex6 = (_upsilon_curve(u, l_values) for u in collect_upsilon(
         [base.replace(sigma_db=s) for s in sigmas] + [reuse6.replace(sigma_db=8.0)],
-        sim.replace(deployment=Deployment.HEX),
+        sim.replace(deployment=Deployment.HEX), 0.1,
     ))
     ks = {sigma: float(np.max(np.abs(hx - ppp))) for sigma, hx in zip(sigmas, hexes)}
     decreasing = ks[4.0] > ks[8.0] > ks[12.0]

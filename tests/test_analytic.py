@@ -33,8 +33,9 @@ from hearability.model import Scenario, hex_grid_density
 from hearability.numerics import NonConvergenceError, QuadratureSpec
 
 # Canonical uncoordinated scenario: L=4 nearest BSs, alpha=4, full
-# activity, processing-gain-to-threshold ratio gamma/beta = 100.
-CANON = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, beta=0.01, gamma=1.0, L=4)
+# activity, at the processing-gain-to-threshold ratio gamma/beta = 100.
+CANON = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, L=4)
+CANON_LEVEL = 0.01
 
 UPPER_BOUND_CANON = 0.726535713629692  # frozen, see module docstring
 NEARFIELD_CANON = 0.703784469674449  # frozen
@@ -43,9 +44,9 @@ MIN_GAIN_08_L4_A4 = 196.615284371535  # frozen, target 0.8
 MIN_GAIN_08_L4_A3 = 54.1053969600835  # frozen
 
 
-def at_ratio(gb: float, **overrides) -> Scenario:
-    """Canonical scenario with gamma/beta set to ``gb``."""
-    return CANON.replace(beta=1.0 / gb, gamma=1.0, **overrides)
+def at_ratio(gb: float, **overrides) -> tuple[Scenario, float]:
+    """Canonical scenario with ``overrides``, and the beta/gamma level ``1 / gb``."""
+    return CANON.replace(**overrides), 1.0 / gb
 
 
 def levels_of(grid_db) -> list[float]:
@@ -119,37 +120,37 @@ class TestMeanFarInterference:
 class TestUpperBound:
     def test_frozen_canonical_value(self):
         np.testing.assert_allclose(
-            pl(Method.UPPER_BOUND, CANON), UPPER_BOUND_CANON, rtol=1e-12
+            pl(Method.UPPER_BOUND, CANON, CANON_LEVEL), UPPER_BOUND_CANON, rtol=1e-12
         )
 
     def test_full_activity_reduces_to_single_term(self):
         # At p=1 the binomial concentrates on omega = L-1.
         for gb, L in ((100.0, 4), (37.0, 6), (8.0, 2)):
-            scen = at_ratio(gb).replace(L=L)
+            scen, level = at_ratio(gb, L=L)
             expected = (1.0 - (gb - (L - 2)) ** -0.5) ** (L - 1)
             np.testing.assert_allclose(
-                pl(Method.UPPER_BOUND, scen), expected, rtol=1e-13
+                pl(Method.UPPER_BOUND, scen, level), expected, rtol=1e-13
             )
 
     def test_silent_participants_give_certainty(self):
-        assert pl(Method.UPPER_BOUND, at_ratio(5.0, p=0.0)) == 1.0
+        assert pl(Method.UPPER_BOUND, *at_ratio(5.0, p=0.0)) == 1.0
 
     def test_zero_below_unit_ratio_at_full_activity(self):
-        assert pl(Method.UPPER_BOUND, at_ratio(0.9)) == 0.0
+        assert pl(Method.UPPER_BOUND, *at_ratio(0.9)) == 0.0
 
     def test_nondecreasing_in_gain(self):
         values = [
-            pl(Method.UPPER_BOUND, at_ratio(gb)) for gb in (2.0, 5.0, 20.0, 100.0, 1e4)
+            pl(Method.UPPER_BOUND, *at_ratio(gb)) for gb in (2.0, 5.0, 20.0, 100.0, 1e4)
         ]
         assert all(a <= b for a, b in zip(values, values[1:]))
         assert 0.0 <= values[0] and values[-1] <= 1.0
 
     @pytest.mark.parametrize("gb", [4.0, 10.0, 40.0, 200.0])
     def test_dominates_integral_approximations(self, gb):
-        scen = at_ratio(gb)
-        bound = pl(Method.UPPER_BOUND, scen)
-        assert bound >= pl(Method.SINGLE_INTEGRAL_ALPHA4, scen) - 1e-12
-        assert bound >= pl(Method.DOUBLE_INTEGRAL, scen) - 1e-12
+        scen, level = at_ratio(gb)
+        bound = pl(Method.UPPER_BOUND, scen, level)
+        assert bound >= pl(Method.SINGLE_INTEGRAL_ALPHA4, scen, level) - 1e-12
+        assert bound >= pl(Method.DOUBLE_INTEGRAL, scen, level) - 1e-12
 
 
 class TestMinProcessingGain:
@@ -168,8 +169,8 @@ class TestMinProcessingGain:
     @pytest.mark.parametrize("L", [2, 4, 6])
     def test_round_trip_through_bound(self, target, L):
         gain = min_processing_gain(target, L, 4.0, 1.0)
-        scen = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, beta=1.0, gamma=gain, L=L)
-        np.testing.assert_allclose(pl(Method.UPPER_BOUND, scen), target, rtol=1e-10)
+        scen = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, L=L)
+        np.testing.assert_allclose(pl(Method.UPPER_BOUND, scen, 1.0 / gain), target, rtol=1e-10)
 
     def test_scales_linearly_with_beta(self):
         one = min_processing_gain(0.8, 4, 4.0, 1.0)
@@ -191,30 +192,31 @@ class TestMinProcessingGain:
 class TestPerfectCoord:
     def test_frozen_value_at_ratio_ten(self):
         np.testing.assert_allclose(
-            pl(Method.PERFECT_COORD, at_ratio(10.0)), PERFECT_COORD_AT_10, rtol=1e-12
+            pl(Method.PERFECT_COORD, *at_ratio(10.0)), PERFECT_COORD_AT_10, rtol=1e-12
         )
 
     @pytest.mark.parametrize("alpha,q,gb,L", [(4.0, 1.0, 10.0, 4), (3.0, 0.5, 25.0, 6)])
     def test_matches_poisson_survival(self, alpha, q, gb, L):
-        scen = at_ratio(gb).replace(alpha=alpha, q=q, L=L)
+        scen, level = at_ratio(gb, alpha=alpha, q=q, L=L)
         mu = (alpha - 2.0) * gb / (2.0 * q)
         np.testing.assert_allclose(
-            pl(Method.PERFECT_COORD, scen), stats.poisson.sf(L - 1, mu), rtol=1e-10
+            pl(Method.PERFECT_COORD, scen, level), stats.poisson.sf(L - 1, mu), rtol=1e-10
         )
 
     def test_no_load_means_certain_detection(self):
-        assert pl(Method.PERFECT_COORD, at_ratio(10.0, q=0.0)) == 1.0
+        assert pl(Method.PERFECT_COORD, *at_ratio(10.0, q=0.0)) == 1.0
 
     def test_independent_of_p_and_density(self):
-        base = pl(Method.PERFECT_COORD, at_ratio(10.0))
-        assert pl(Method.PERFECT_COORD, at_ratio(10.0, p=0.3)) == base
-        assert pl(Method.PERFECT_COORD, at_ratio(10.0, lam=17.0)) == base
+        base = pl(Method.PERFECT_COORD, *at_ratio(10.0))
+        assert pl(Method.PERFECT_COORD, *at_ratio(10.0, p=0.3)) == base
+        assert pl(Method.PERFECT_COORD, *at_ratio(10.0, lam=17.0)) == base
 
     @pytest.mark.parametrize("alpha", [3.0, 4.0])
     def test_equals_double_integral_when_muted(self, alpha):
-        scen = at_ratio(12.0, p=0.0).replace(alpha=alpha)
+        scen, level = at_ratio(12.0, p=0.0, alpha=alpha)
         np.testing.assert_allclose(
-            pl(Method.DOUBLE_INTEGRAL, scen), pl(Method.PERFECT_COORD, scen), rtol=1e-9
+            pl(Method.DOUBLE_INTEGRAL, scen, level), pl(Method.PERFECT_COORD, scen, level),
+            rtol=1e-9,
         )
 
 
@@ -257,26 +259,27 @@ class TestAlpha4:
         ],
     )
     def test_matches_scipy_oracle(self, p, q, gb):
-        scen = at_ratio(gb, p=p, q=q)
+        scen, level = at_ratio(gb, p=p, q=q)
         np.testing.assert_allclose(
-            pl(Method.SINGLE_INTEGRAL_ALPHA4, scen), oracle_alpha4(4, p, q, gb),
+            pl(Method.SINGLE_INTEGRAL_ALPHA4, scen, level), oracle_alpha4(4, p, q, gb),
             rtol=1e-7,
         )
 
     def test_rejects_other_exponents(self):
         with pytest.raises(ValueError, match="alpha = 4"):
-            pl(Method.SINGLE_INTEGRAL_ALPHA4, CANON.replace(alpha=3.9))
+            pl(Method.SINGLE_INTEGRAL_ALPHA4, CANON.replace(alpha=3.9), CANON_LEVEL)
 
     def test_no_load_reduces_to_nearfield(self):
-        scen = at_ratio(50.0, q=0.0)
+        scen, level = at_ratio(50.0, q=0.0)
         np.testing.assert_allclose(
-            pl(Method.SINGLE_INTEGRAL_ALPHA4, scen), pl(Method.NEAR_FIELD_ALPHA4, scen),
+            pl(Method.SINGLE_INTEGRAL_ALPHA4, scen, level),
+            pl(Method.NEAR_FIELD_ALPHA4, scen, level),
             rtol=1e-8,
         )
 
     def test_monotone_in_gain(self):
         values = [
-            pl(Method.SINGLE_INTEGRAL_ALPHA4, at_ratio(gb))
+            pl(Method.SINGLE_INTEGRAL_ALPHA4, *at_ratio(gb))
             for gb in (5.0, 10.0, 40.0, 160.0)
         ]
         assert all(a < b for a, b in zip(values, values[1:]))
@@ -285,31 +288,33 @@ class TestAlpha4:
 class TestDoubleIntegral:
     @pytest.mark.parametrize("gb", [4.0, 10.0, 39.8, 100.0, 400.0])
     def test_collapses_to_alpha4_form(self, gb):
-        scen = at_ratio(gb)
+        scen, level = at_ratio(gb)
         np.testing.assert_allclose(
-            pl(Method.DOUBLE_INTEGRAL, scen), pl(Method.SINGLE_INTEGRAL_ALPHA4, scen),
+            pl(Method.DOUBLE_INTEGRAL, scen, level),
+            pl(Method.SINGLE_INTEGRAL_ALPHA4, scen, level),
             atol=1e-6, rtol=0,
         )
 
     def test_partial_activity_also_collapses(self):
-        scen = at_ratio(30.0, p=0.5, q=0.75)
+        scen, level = at_ratio(30.0, p=0.5, q=0.75)
         np.testing.assert_allclose(
-            pl(Method.DOUBLE_INTEGRAL, scen), pl(Method.SINGLE_INTEGRAL_ALPHA4, scen),
+            pl(Method.DOUBLE_INTEGRAL, scen, level),
+            pl(Method.SINGLE_INTEGRAL_ALPHA4, scen, level),
             atol=1e-6, rtol=0,
         )
 
     def test_nearfield_limit_at_vanishing_load(self):
-        scen = at_ratio(100.0, q=1e-9)
+        scen, level = at_ratio(100.0, q=1e-9)
         np.testing.assert_allclose(
-            pl(Method.DOUBLE_INTEGRAL, scen),
-            pl(Method.NEAR_FIELD_ALPHA4, at_ratio(100.0, q=0.0)),
+            pl(Method.DOUBLE_INTEGRAL, scen, level),
+            pl(Method.NEAR_FIELD_ALPHA4, *at_ratio(100.0, q=0.0)),
             atol=1e-4,
         )
 
     @pytest.mark.parametrize("alpha", [3.0, 3.5, 4.5])
     def test_monotone_in_gain_for_general_alpha(self, alpha):
         values = [
-            pl(Method.DOUBLE_INTEGRAL, at_ratio(gb).replace(alpha=alpha))
+            pl(Method.DOUBLE_INTEGRAL, *at_ratio(gb, alpha=alpha))
             for gb in (5.0, 15.0, 60.0)
         ]
         assert all(a < b for a, b in zip(values, values[1:]))
@@ -438,7 +443,7 @@ class TestSingleIntegralGeneral:
         # x^4 + (omega-1+q)x^2 <= gamma/beta, solvable by hand.  With
         # p=q=1, L=4, gamma/beta=10: x*^2 = 2, so P_L = (1/2)^3.
         np.testing.assert_allclose(
-            pl(Method.SINGLE_INTEGRAL_GENERAL, at_ratio(10.0)), 0.125, rtol=1e-10
+            pl(Method.SINGLE_INTEGRAL_GENERAL, *at_ratio(10.0)), 0.125, rtol=1e-10
         )
 
     @pytest.mark.parametrize("alpha", [3.0, 3.5, 4.0])
@@ -447,27 +452,29 @@ class TestSingleIntegralGeneral:
         # vertical error peaks around 0.16 in the steep region and
         # shrinks to under 0.02 in the high-reliability regime.
         for gb in (10.0, 40.0, 150.0):
-            scen = at_ratio(gb).replace(alpha=alpha)
-            gap = (pl(Method.SINGLE_INTEGRAL_GENERAL, scen)
-                   - pl(Method.DOUBLE_INTEGRAL, scen))
+            scen, level = at_ratio(gb, alpha=alpha)
+            gap = (pl(Method.SINGLE_INTEGRAL_GENERAL, scen, level)
+                   - pl(Method.DOUBLE_INTEGRAL, scen, level))
             assert abs(gap) <= 0.2
-        tight = at_ratio(300.0).replace(alpha=alpha)
+        tight, tight_level = at_ratio(300.0, alpha=alpha)
         assert abs(
-            pl(Method.SINGLE_INTEGRAL_GENERAL, tight) - pl(Method.DOUBLE_INTEGRAL, tight)
+            pl(Method.SINGLE_INTEGRAL_GENERAL, tight, tight_level)
+            - pl(Method.DOUBLE_INTEGRAL, tight, tight_level)
         ) <= 0.02
 
     def test_monotone_in_gain(self):
         values = [
-            pl(Method.SINGLE_INTEGRAL_GENERAL, at_ratio(gb).replace(alpha=3.0))
+            pl(Method.SINGLE_INTEGRAL_GENERAL, *at_ratio(gb, alpha=3.0))
             for gb in (4.0, 12.0, 50.0, 300.0)
         ]
         assert all(a <= b for a, b in zip(values, values[1:]))
         assert values[-1] > 0.9
 
     def test_muted_case_matches_perfect_coordination(self):
-        scen = at_ratio(12.0, p=0.0).replace(alpha=3.3)
+        scen, level = at_ratio(12.0, p=0.0, alpha=3.3)
         np.testing.assert_allclose(
-            pl(Method.SINGLE_INTEGRAL_GENERAL, scen), pl(Method.PERFECT_COORD, scen),
+            pl(Method.SINGLE_INTEGRAL_GENERAL, scen, level),
+            pl(Method.PERFECT_COORD, scen, level),
             rtol=1e-12,
         )
 
@@ -479,9 +486,9 @@ class TestSingleIntegralGeneral:
         # 1e-9 margin: P_L = 1 - gb**(-2/alpha).  The root lies within
         # about 1e-12 x of the crossing, and 1 - x**-2 moves by at most
         # 2 x**-3 per unit of x.
-        scen = at_ratio(gb, L=2, p=1.0, q=0.0, alpha=alpha)
+        scen, level = at_ratio(gb, L=2, p=1.0, q=0.0, alpha=alpha)
         np.testing.assert_allclose(
-            pl(Method.SINGLE_INTEGRAL_GENERAL, scen), 1.0 - gb ** (-2.0 / alpha),
+            pl(Method.SINGLE_INTEGRAL_GENERAL, scen, level), 1.0 - gb ** (-2.0 / alpha),
             rtol=0.0, atol=3e-12,
         )
 
@@ -501,32 +508,33 @@ class TestSingleIntegralGeneral:
 class TestNearfield:
     def test_frozen_canonical_value(self):
         np.testing.assert_allclose(
-            pl(Method.NEAR_FIELD_ALPHA4, CANON), NEARFIELD_CANON, rtol=1e-12
+            pl(Method.NEAR_FIELD_ALPHA4, CANON, CANON_LEVEL), NEARFIELD_CANON, rtol=1e-12
         )
 
     def test_inline_arithmetic_rederivation(self):
         # p=1 leaves only omega = 3: y* = sqrt(100 + 1) - 1.
         y_star = math.sqrt(101.0) - 1.0
         np.testing.assert_allclose(
-            pl(Method.NEAR_FIELD_ALPHA4, CANON), (1.0 - 1.0 / y_star) ** 3, rtol=1e-14
+            pl(Method.NEAR_FIELD_ALPHA4, CANON, CANON_LEVEL), (1.0 - 1.0 / y_star) ** 3,
+            rtol=1e-14,
         )
 
     def test_cutoff_at_full_activity(self):
         # With p=1 and gamma/beta <= L-1 detection is impossible.
-        assert pl(Method.NEAR_FIELD_ALPHA4, at_ratio(3.0)) == 0.0
-        assert pl(Method.NEAR_FIELD_ALPHA4, at_ratio(2.5)) == 0.0
-        assert pl(Method.NEAR_FIELD_ALPHA4, at_ratio(3.2)) > 0.0
+        assert pl(Method.NEAR_FIELD_ALPHA4, *at_ratio(3.0)) == 0.0
+        assert pl(Method.NEAR_FIELD_ALPHA4, *at_ratio(2.5)) == 0.0
+        assert pl(Method.NEAR_FIELD_ALPHA4, *at_ratio(3.2)) > 0.0
 
     @pytest.mark.parametrize("gb", [5.0, 20.0, 100.0])
     def test_dominates_full_model(self, gb):
         # Dropping far-field interference can only raise P_L.
-        scen = at_ratio(gb)
-        nearfield = pl(Method.NEAR_FIELD_ALPHA4, scen)
-        assert nearfield >= pl(Method.SINGLE_INTEGRAL_ALPHA4, scen) - 1e-12
+        scen, level = at_ratio(gb)
+        nearfield = pl(Method.NEAR_FIELD_ALPHA4, scen, level)
+        assert nearfield >= pl(Method.SINGLE_INTEGRAL_ALPHA4, scen, level) - 1e-12
 
     def test_rejects_other_exponents(self):
         with pytest.raises(ValueError, match="alpha = 4"):
-            pl(Method.NEAR_FIELD_ALPHA4, CANON.replace(alpha=3.0))
+            pl(Method.NEAR_FIELD_ALPHA4, CANON.replace(alpha=3.0), CANON_LEVEL)
 
 
 # Edge cases of the Omega average, recorded before it was shared by every
@@ -534,7 +542,7 @@ class TestNearfield:
 # omega = L - 1 term, and q = 0 drops the far field.  The inner point
 # weighs every term.  The SingleIntegralGeneral values at p1, q0 and
 # inner lie within 1e-15 of a 40-digit evaluation of their crossings.
-EDGE = at_ratio(20.0, p=0.3)
+EDGE, EDGE_LEVEL = at_ratio(20.0, p=0.3)
 EDGE_POINTS = {
     "L1": EDGE.replace(L=1),
     "p0": EDGE.replace(p=0.0),
@@ -577,16 +585,14 @@ class TestEdgeAnchors:
     @pytest.mark.parametrize("method", list(Method))
     def test_recorded_values(self, method):
         for name, point in EDGE_POINTS.items():
-            assert pl(method, point) == EDGE_VALUES[method][name], name
+            assert pl(method, point, EDGE_LEVEL) == EDGE_VALUES[method][name], name
 
     def test_recorded_nonconvergence(self):
         # One halving per panel leaves this DoubleIntegral point short of
         # its tolerance; its best and error estimates are recorded.
-        point = Scenario(
-            lam=1.0, alpha=3.5, p=2.0 / 3.0, q=1.0, beta=10.0 ** -1.2, gamma=1.0, L=6
-        )
+        point = Scenario(lam=1.0, alpha=3.5, p=2.0 / 3.0, q=1.0, L=6)
         with pytest.raises(NonConvergenceError) as excinfo:
-            pl(Method.DOUBLE_INTEGRAL, point, QuadratureSpec(max_depth=1))
+            pl(Method.DOUBLE_INTEGRAL, point, 10.0 ** -1.2, QuadratureSpec(max_depth=1))
         assert excinfo.value.best_estimate == 0.6494429209290253
         assert excinfo.value.error_estimate == 6.289478234066965e-09
 
@@ -599,8 +605,8 @@ class TestScaleInvariance:
         [Method.UPPER_BOUND, Method.PERFECT_COORD, Method.NEAR_FIELD_ALPHA4],
     )
     def test_closed_forms_bit_identical(self, method):
-        scen = at_ratio(40.0)
-        assert pl(method, scen) == pl(method, scen.replace(lam=10.0 * scen.lam))
+        scen, level = at_ratio(40.0)
+        assert pl(method, scen, level) == pl(method, scen.replace(lam=10.0 * scen.lam), level)
 
     @pytest.mark.parametrize(
         "method",
@@ -610,8 +616,8 @@ class TestScaleInvariance:
     def test_integral_forms_bit_identical(self, method):
         # The integral evaluators work in normalized coordinates, an
         # exact change of variables, so even they are bit-identical.
-        scen = at_ratio(40.0, p=0.5, q=0.75)
-        assert pl(method, scen) == pl(method, scen.replace(lam=10.0 * scen.lam))
+        scen, level = at_ratio(40.0, p=0.5, q=0.75)
+        assert pl(method, scen, level) == pl(method, scen.replace(lam=10.0 * scen.lam), level)
 
 
 # --- grid evaluation against the scalar oracles ---------------------------
@@ -627,7 +633,7 @@ TWO_THIRDS = 2.0 / 3.0
 
 
 def scenario(alpha=4.0, p=1.0, q=1.0, L=4, lam=DENSITY):
-    return Scenario(lam=lam, alpha=alpha, p=p, q=q, beta=1.0, gamma=1.0, L=L)
+    return Scenario(lam=lam, alpha=alpha, p=p, q=q, L=L)
 
 
 # (id, method, base scenario, grid in dB, quadrature)
@@ -672,7 +678,7 @@ def oracle_outcomes(method, base, levels, quad):
     out = []
     for level in levels:
         try:
-            out.append(outcome(ORACLES[method](base.replace(beta=level), quad)))
+            out.append(outcome(ORACLES[method](base, level, quad)))
         except NonConvergenceError as err:
             out.append(outcome(err))
     return out
@@ -757,13 +763,12 @@ class TestEvaluateGrid:
         _, method, base, grid_db, quad = GRIDS[-1]
         levels = levels_of(grid_db)
         for level, value in zip(levels, evaluate_grid(method, base, levels, quad)):
-            point = base.replace(beta=level)
             if isinstance(value, NonConvergenceError):
                 with pytest.raises(NonConvergenceError) as excinfo:
-                    pl(method, point, quad)
+                    pl(method, base, level, quad)
                 assert outcome(excinfo.value) == outcome(value)
             else:
-                assert pl(method, point, quad) == value
+                assert pl(method, base, level, quad) == value
 
 
 class TestEvaluate:

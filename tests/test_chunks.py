@@ -10,6 +10,7 @@ drawn a block at a time, byte for byte, at every worker count, and each
 """
 
 import collections
+import functools
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from test_parallel import _InlinePool
 
 ROWS = 5 * simulate._BLOCK + 7
 BLOCKS = set(range(-(-ROWS // simulate._BLOCK)))
-SCEN = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, beta=0.02, gamma=1.0, L=4)
+SCEN = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, L=4)
+UPSILON_AT = functools.partial(collect_upsilon, level=0.02)
 
 # Each deployment: its config fields and its scenarios' sigma_db.  The
 # Poisson rows keep the default window (250 BSs); the hex rows keep 100
@@ -41,8 +43,8 @@ _DEPLOYMENTS = {
 _CASES = {
     "margins": (collect_margins, [SCEN.replace(p=2.0 / 3.0),
                                   SCEN.replace(p=2.0 / 3.0, alpha=3.5)]),
-    "upsilon-p!=q": (collect_upsilon, [SCEN.replace(K=3, p=0.5, q=0.75)]),
-    "upsilon-p=q": (collect_upsilon, [SCEN.replace(K=3, p=0.6, q=0.6)]),
+    "upsilon-p!=q": (UPSILON_AT, [SCEN.replace(K=3, p=0.5, q=0.75)]),
+    "upsilon-p=q": (UPSILON_AT, [SCEN.replace(K=3, p=0.6, q=0.6)]),
     "reuse": (collect_reuse_margins, [SCEN.replace(K=6, p=0.6, q=0.6),
                                       SCEN.replace(K=1, p=0.6, q=0.6)]),
 }
@@ -90,7 +92,7 @@ def test_cases_run_multi_block_chunks(deployment, case):
     config, _ = _config(deployment)
     family = _CASES[case][1]
     config = simulate._with_window(family, config)
-    K = 1 if case == "margins" else max(s.K for s in family)
+    K = max(s.K for s in family)
     assert simulate._chunk_rows(config.expected_bs, K) >= 2 * simulate._BLOCK
 
 

@@ -260,9 +260,7 @@ class TestCsvContract:
         assert fields[CSV_COLUMNS.index("method")] == "ProcGainBound"
 
     def test_nonconvergence_rows_carry_comment(self, tmp_path, monkeypatch):
-        scen = Scenario(
-            lam=1.0, alpha=3.5, p=2.0 / 3.0, q=1.0, beta=1.0, gamma=1.0, L=4
-        )
+        scen = Scenario(lam=1.0, alpha=3.5, p=2.0 / 3.0, q=1.0, L=4)
         # One halving per panel leaves the error estimate near 4e-10, six
         # orders above the 1e-15 relative target, so this cannot converge
         # whatever the last bits of the arithmetic.
@@ -284,9 +282,7 @@ class TestCsvContract:
         )
 
     def test_reuse_nonconvergence_is_flagged_not_raised(self, tmp_path, monkeypatch):
-        scen = Scenario(
-            lam=1.0, alpha=3.5, p=1.0, q=1.0, beta=1.0, gamma=1.0, L=4, K=3
-        )
+        scen = Scenario(lam=1.0, alpha=3.5, p=1.0, q=1.0, L=4, K=3)
         # As above: one halving leaves the per-band error estimate orders
         # of magnitude above the 1e-15 relative target.
         use_quadrature(
@@ -315,13 +311,15 @@ ORACLES = {
 }
 
 
-def oracle_reuse(scen: Scenario, base_method: Method, quad: QuadratureSpec) -> float:
-    """Reuse P_L from scalar-oracle per-band levels."""
+def oracle_reuse(
+    scen: Scenario, level: float, base_method: Method, quad: QuadratureSpec
+) -> float:
+    """Reuse P_L at ``level`` from scalar-oracle per-band values."""
     oracle = ORACLES[base_method]
     band = scen.replace(K=1, lam=scen.lam / scen.K)
-    levels = [1.0]
-    levels += [oracle(band.replace(L=n), quad) for n in range(1, scen.L + 1)]
-    e = np.maximum(np.diff(-np.asarray(levels))[: scen.L], 0.0)
+    p_n = [1.0]
+    p_n += [oracle(band.replace(L=n), level, quad) for n in range(1, scen.L + 1)]
+    e = np.maximum(np.diff(-np.asarray(p_n))[: scen.L], 0.0)
     return min(1.0, max(0.0, 1.0 - _failure_by_convolution(e, scen.K, scen.L)))
 
 
@@ -332,13 +330,13 @@ def per_point_rows(
     rows = []
     for tag in methods:
         for g in grid_db:
-            point = scen.replace(beta=scen.gamma * 10.0 ** (g / 10.0))
+            level = 10.0 ** (g / 10.0)
             comment = None
             try:
                 if tag == "ReuseRecursion":
-                    value = oracle_reuse(point, Method.SINGLE_INTEGRAL_ALPHA4, quad)
+                    value = oracle_reuse(scen, level, Method.SINGLE_INTEGRAL_ALPHA4, quad)
                 else:
-                    value = ORACLES[Method(tag)](point, quad)
+                    value = ORACLES[Method(tag)](scen, level, quad)
             except NonConvergenceError as err:
                 value = math.nan if tag == "ReuseRecursion" else err.best_estimate
                 comment = (
@@ -356,12 +354,9 @@ class TestGridSweep:
     @pytest.mark.parametrize(
         "scen,methods",
         [
-            (Scenario(lam=2.0, alpha=3.5, p=2.0 / 3.0, q=1.0, beta=1.0, gamma=1.0, L=6),
-             ("DoubleIntegral",)),
-            (Scenario(lam=2.0, alpha=4.0, p=2.0 / 3.0, q=1.0, beta=1.0, gamma=1.0, L=6),
-             ("SingleIntegralAlpha4",)),
-            (Scenario(lam=2.0, alpha=4.0, p=1.0, q=1.0, beta=1.0, gamma=1.0, L=6, K=3),
-             ("ReuseRecursion",)),
+            (Scenario(lam=2.0, alpha=3.5, p=2.0 / 3.0, q=1.0, L=6), ("DoubleIntegral",)),
+            (Scenario(lam=2.0, alpha=4.0, p=2.0 / 3.0, q=1.0, L=6), ("SingleIntegralAlpha4",)),
+            (Scenario(lam=2.0, alpha=4.0, p=1.0, q=1.0, L=6, K=3), ("ReuseRecursion",)),
         ],
     )
     def test_depth_one_sweep_matches_per_point_bytes(
@@ -470,7 +465,7 @@ class TestRunSweeps:
 
     def test_unknown_tag_is_rejected_for_any_family(self):
         sim = SimConfig(realizations=40, seed=0)
-        for scenarios in ([], [Scenario(lam=2.0, alpha=4.0, p=1.0, q=1.0, beta=1.0, gamma=1.0, L=4)]):
+        for scenarios in ([], [Scenario(lam=2.0, alpha=4.0, p=1.0, q=1.0, L=4)]):
             with pytest.raises(ValueError, match="^unknown method 'Bogus'; valid: "):
                 run_sweeps(scenarios, (-10.0,), ("Bogus",), sim)
 
@@ -480,7 +475,7 @@ class TestRunSweeps:
     def test_only_reuse_tags_take_k(self, tag):
         # The other tags model one band: at K = 3 they would write rows
         # labelled K=3 holding the K=1 values.
-        scen = Scenario(lam=2.0, alpha=4.0, p=1.0, q=1.0, beta=1.0, gamma=1.0, L=4, K=3)
+        scen = Scenario(lam=2.0, alpha=4.0, p=1.0, q=1.0, L=4, K=3)
         sim = SimConfig(realizations=40, seed=0)
         with pytest.raises(ValueError, match=f"^{tag} models one band"):
             run_sweeps([scen], (-10.0,), ("ReuseRecursion", tag), sim)
@@ -547,28 +542,28 @@ class TestSubcommands:
 
     def test_levels_above_the_cap_are_rejected(self):
         # Counts stop at the cap, so P(Upsilon >= cap + 1) would read 0.
-        scen = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, beta=0.1, gamma=1.0, L=1)
+        scen = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, L=1)
         sim = SimConfig(realizations=16, seed=23, expected_bs=320)
-        assert len(hex_vs_ppp_rows(scen, sim, 32, ())) == 32
+        assert len(hex_vs_ppp_rows(scen, 0.1, sim, 32, ())) == 32
         with pytest.raises(ValueError, match="l_max=33 exceeds UPSILON_CAP=32"):
-            hex_vs_ppp_rows(scen, sim, 33, ())
+            hex_vs_ppp_rows(scen, 0.1, sim, 33, ())
 
     def test_hex_rows_of_every_sigma_come_from_one_family(self, monkeypatch):
         # One Poisson and one hex collection answer every sigma, with the
         # rows of one call per sigma.
-        scen = Scenario(lam=1.0, alpha=4.0, p=0.5, q=0.75, beta=0.1, gamma=1.0, L=1)
+        scen = Scenario(lam=1.0, alpha=4.0, p=0.5, q=0.75, L=1)
         sim = SimConfig(realizations=2 * 16 + 5, seed=29, expected_bs=100)
         sigmas = (4.0, 8.0, 12.0)
-        alone = [hex_vs_ppp_rows(scen, sim, 6, (sigma,)) for sigma in sigmas]
+        alone = [hex_vs_ppp_rows(scen, 0.1, sim, 6, (sigma,)) for sigma in sigmas]
         calls = []
         collect = cli.collect_upsilon
 
-        def counting(family, config, workers=1):
+        def counting(family, config, level, workers=1):
             calls.append(len(family))
-            return collect(family, config, workers)
+            return collect(family, config, level, workers)
 
         monkeypatch.setattr(cli, "collect_upsilon", counting)
-        rows = hex_vs_ppp_rows(scen, sim, 6, sigmas)
+        rows = hex_vs_ppp_rows(scen, 0.1, sim, 6, sigmas)
         assert calls == [1, 3]
         # Each single-sigma call returns 6 Poisson rows, then its 6 hex rows.
         assert rows == alone[0] + alone[1][6:] + alone[2][6:]
@@ -592,10 +587,12 @@ class TestSubcommands:
     def test_records_carry_their_sample_size(self):
         # Monte Carlo and hex rows are shares of the realizations; an
         # analytic row samples nothing.
-        scen = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, beta=0.1, gamma=1.0, L=2)
+        scen = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, L=2)
         sim = SimConfig(realizations=40, seed=3, expected_bs=100)
         tags = ("MonteCarloJoint", "MonteCarloLastBs", "UpperBound")
-        rows = run_sweeps([scen], (-10.0, -5.0), tags, sim) + hex_vs_ppp_rows(scen, sim, 4, (8.0,))
+        rows = run_sweeps([scen], (-10.0, -5.0), tags, sim) + hex_vs_ppp_rows(
+            scen, 0.1, sim, 4, (8.0,)
+        )
         assert len(rows) == 3 * 2 + 2 * 4
         for row in rows:
             assert row.est.n == (None if row.method == "UpperBound" else 40)
@@ -645,7 +642,7 @@ class TestSubcommands:
             return lambda *args: seen.append(args[at]) or []
 
         monkeypatch.setattr(cli, "run_sweeps", spy(3))
-        monkeypatch.setattr(cli, "hex_vs_ppp_rows", spy(1))
+        monkeypatch.setattr(cli, "hex_vs_ppp_rows", spy(2))
         monkeypatch.setattr(cli, "e911_rows", spy(0))
         run_figure(name, seed=5, out=tmp_path / f"{name}.csv", timestamp=False)
         if size is None:

@@ -141,9 +141,7 @@ def synthesize_observations(
     used = int(min(detected[0], cfg.max_bs_per_fix or detected[0]))
     d = realization.distances[None, :used]
     draws = draw_one(rng, cfg, used)[None]
-    positions, tdoas, var, pseudo, post = e911._observe(
-        d, sinr[:, :used], draws, scenario, cfg
-    )
+    positions, tdoas, var, pseudo, post = e911._observe(d, sinr[:, :used], draws, cfg)
     return Observations(pseudo[0], tdoas[0], var[0], 0, post[0], d[0].copy()), positions[0]
 
 
@@ -416,13 +414,6 @@ class TestConfig:
         np.testing.assert_allclose(scen.lam, lam, rtol=1e-12)
         assert scen.sigma_db == 0.0  # folded into lam, not drawn again
         np.testing.assert_allclose(scen.lam, 7.4645294e-06, rtol=1e-6)
-        gamma = 10.0 ** 0.8
-        np.testing.assert_allclose(scen.gamma, gamma, rtol=1e-12)
-        # Detection uses the pre-processing SINR, so beta folds the
-        # processing gain back in: beta/gamma = pre_sinr_threshold.
-        np.testing.assert_allclose(
-            scen.beta / scen.gamma, cfg.pre_sinr_threshold, rtol=1e-12
-        )
         assert scen.p == scen.q == 1.0 and scen.L == 4
 
 
@@ -900,7 +891,7 @@ class TestTrials:
         rate = float((trials[:, 0] >= 4).mean())
         sim = SimConfig(realizations=2000, seed=77)
         [margins] = collect_margins([scen], sim)
-        ref = exceedance_curve(margins[:, 0], [scen.beta / scen.gamma])[0]
+        ref = exceedance_curve(margins[:, 0], [cfg.pre_sinr_threshold])[0]
         se = math.hypot(ref.stderr, math.sqrt(rate * (1 - rate) / cfg.trials))
         assert abs(rate - ref.value) <= 3.0 * se
 

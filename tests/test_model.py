@@ -17,7 +17,7 @@ from sampling_oracle import Realization
 
 
 def make_scenario(**overrides):
-    base = dict(lam=1.0, alpha=4.0, p=1.0, q=1.0, beta=0.1, gamma=1.0, L=4)
+    base = dict(lam=1.0, alpha=4.0, p=1.0, q=1.0, L=4)
     base.update(overrides)
     return Scenario(**base)
 
@@ -33,8 +33,6 @@ class TestScenario:
             ("p", -0.1),
             ("p", 1.1),
             ("q", 2.0),
-            ("beta", 0.0),
-            ("gamma", -1.0),
             ("L", 0),
             ("L", 2.5),
             ("K", 0),
@@ -44,14 +42,16 @@ class TestScenario:
         with pytest.raises(ValueError):
             make_scenario(**{field: value})
 
-    def test_bg_ratio(self):
-        scen = make_scenario(beta=0.25, gamma=5.0)
-        np.testing.assert_allclose(scen.bg_ratio, 0.05)
+    @pytest.mark.parametrize("field", ["beta", "gamma"])
+    def test_threshold_is_not_a_field(self, field):
+        # beta/gamma is a level each layer takes beside the scenario.
+        with pytest.raises(TypeError, match=field):
+            make_scenario(**{field: 1.0})
 
     def test_replace_returns_new_validated_scenario(self):
         scen = make_scenario()
-        other = scen.replace(L=7, beta=0.5)
-        assert other.L == 7 and other.beta == 0.5
+        other = scen.replace(L=7, K=3)
+        assert other.L == 7 and other.K == 3
         assert scen.L == 4
         with pytest.raises(ValueError):
             scen.replace(alpha=1.0)

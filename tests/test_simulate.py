@@ -12,7 +12,9 @@ implementation, and bit for bit against the band-by-band kernels of
 reuse success it replaces.
 """
 
+import functools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -39,8 +41,10 @@ from sampling_oracle import (
     tail_mean,
 )
 
-SCEN = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, beta=0.1, gamma=1.0, L=4)
+SCEN = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, L=4)
 PARTIAL = SCEN.replace(p=2.0 / 3.0)
+# The Upsilon collector at the level the family and chunk tests share.
+UPSILON_AT = functools.partial(collect_upsilon, level=0.02)
 
 
 def _sample_block(scen, config, block, rows):
@@ -49,9 +53,9 @@ def _sample_block(scen, config, block, rows):
     return draws.distances(scen), draws.activity(), draws.labels(scen.K)
 
 
-def _block_stats(kind, scen, config, block, rows):
+def _block_stats(statistic, scen, config, block, rows):
     """One scenario's statistics of one block: a family of one."""
-    return simulate._block_stats(kind, (scen,), config, block, rows)[:, 0]
+    return simulate._block_stats(statistic, (scen,), config, block, rows)[:, 0]
 
 
 # --- scalar oracle: one realization at a time --------------------------------
@@ -117,13 +121,12 @@ def _band_sinr_cummin(
     return out
 
 
-def _upsilon_oracle(realization, scenario, tail, cap=32) -> int:
-    """Upsilon by an explicit scan over candidate participant counts.
+def _upsilon_oracle(realization, scenario, thr, tail, cap=32) -> int:
+    """Upsilon at the beta/gamma level ``thr`` by an explicit scan over participant counts.
 
     ``tail`` is the mean interference beyond the realization's BSs;
     each band hears 1/K of it.
     """
-    thr = scenario.beta / scenario.gamma
     band_tail = tail / scenario.K
     pw_all = realization.distances ** (-scenario.alpha)
     total_count = 0
@@ -177,15 +180,16 @@ def sample_hex(scenario: Scenario, config: SimConfig, index: int) -> Realization
 
 
 def participation_metric(
-    realization: Realization, scenario: Scenario, cap: int = 32, tail: float = 0.0
+    realization: Realization, scenario: Scenario, level: float, cap: int = 32,
+    tail: float = 0.0,
 ) -> int:
-    """Number of detectable BSs Upsilon for one realization.
+    """Number of BSs Upsilon detectable at the beta/gamma ``level`` in one realization.
 
     Upsilon is the largest candidate participant count ``ell`` (up to
     ``cap``, per band, summed over bands) for which the device detects
     all ``ell`` nearest band members while exactly those participate.
     For ``p == q`` this is the longest prefix of band members whose SINR
-    clears ``beta/gamma``, and ``P(Upsilon >= L)`` equals the
+    clears the level, and ``P(Upsilon >= L)`` equals the
     joint-detection ``P_L``.  The candidate counts share one activity
     uniform per BS.  ``tail`` is the mean interference beyond the
     realization's BSs.
@@ -197,7 +201,7 @@ def participation_metric(
     u = realization.activity_u[None]
     bands = simulate._Bands(labels, scenario.K, cap, pw.shape)
     return int(simulate._upsilon(pw, u < scenario.p, u < scenario.q, bands,
-                                 np.full((1, 1), tail), scenario)[0])
+                                 np.full((1, 1), tail), scenario, level)[0])
 
 
 def cfg(n: int, seed: int = 0, **kw) -> SimConfig:
@@ -267,6 +271,15 @@ class TestRealization:
                 activity=np.ones(2, dtype=bool),
                 bands=np.ones(2, dtype=np.int64),
             )
+
+
+class TestSimConfig:
+    @pytest.mark.parametrize("isd", [0.0, -1.0, math.inf, math.nan, 1e-200, 1e200])
+    def test_rejects_a_hex_isd_without_a_finite_site_density(self, isd):
+        # Named by the config's own field, before any collection starts.
+        with pytest.raises(ValueError, match=f"^hex_isd must be positive with a finite site "
+                           f"density, got {re.escape(str(isd))}$"):
+            cfg(16, hex_isd=isd, deployment=Deployment.HEX)
 
 
 class TestStream:
@@ -383,6 +396,13 @@ class TestMargins:
             assert point == single
             assert point.n == 2000
 
+    def test_reuse_factor_is_rejected(self):
+        # The margins model one band: a K = 3 sibling would read the bits
+        # of its K = 1 twin.
+        with pytest.raises(ValueError, match="^collect_margins models one band and would "
+                           "ignore K=3; use collect_reuse_margins$"):
+            collect_margins([SCEN, SCEN.replace(K=3)], cfg(64))
+
     def test_stderr_formula(self):
         [margins] = collect_margins([SCEN], cfg(500, seed=8, expected_bs=100))
         est = exceedance_curve(margins[:, 0], [0.02])[0]
@@ -394,47 +414,45 @@ class TestMargins:
 class TestParticipationMetric:
     def test_prefix_hand_case(self):
         real = make_realization([1.0, 2.0, 4.0], [0.5, 0.5, 0.5])
-        base = SCEN.replace(gamma=1.0)
         # SINRs: 15.06, 0.0623, 0.00368 (alpha=4, all active).
-        assert participation_metric(real, base.replace(beta=0.05)) == 2
-        assert participation_metric(real, base.replace(beta=0.1)) == 1
-        assert participation_metric(real, base.replace(beta=20.0)) == 0
-        assert participation_metric(real, base.replace(beta=0.003)) == 3
+        assert participation_metric(real, SCEN, 0.05) == 2
+        assert participation_metric(real, SCEN, 0.1) == 1
+        assert participation_metric(real, SCEN, 20.0) == 0
+        assert participation_metric(real, SCEN, 0.003) == 3
 
     def test_lone_bs_with_no_noise_is_always_detected(self):
         real = make_realization([5.0], [0.5])
-        assert participation_metric(real, SCEN.replace(beta=100.0)) == 1
+        assert participation_metric(real, SCEN, 100.0) == 1
 
     def test_inactive_bs_breaks_prefix(self):
         # Second BS silent (u above q): its SINR check fails only
         # because detection requires participation.
-        scen = SCEN.replace(p=0.6, q=0.6, beta=0.001)
+        scen = SCEN.replace(p=0.6, q=0.6)
         real = make_realization([1.0, 2.0, 4.0], [0.1, 0.9, 0.1],
                                 p=0.6, q=0.6, L=scen.L)
         # Prefix stops at the first BS whose SINR fails; an inactive
         # member contributes no interference but cannot be counted.
-        assert participation_metric(real, scen) >= 1
+        assert participation_metric(real, scen, 0.001) >= 1
 
     def test_generic_path_agrees_with_fast_path(self):
         # With q one ulp above p the same BSs are active, so the generic
         # p != q scan must reproduce the p == q prefix shortcut.
         rng = np.random.default_rng(17)
-        scen = SCEN.replace(p=0.7, q=0.7, beta=0.02)
+        scen = SCEN.replace(p=0.7, q=0.7)
         generic = scen.replace(q=np.nextafter(0.7, 1.0))
         for _ in range(50):
             d = np.sort(rng.uniform(0.3, 6.0, size=12))
             u = rng.random(12)
             assert np.array_equal(u < generic.p, u < generic.q)
             real = make_realization(d, u, p=0.7, q=0.7, L=scen.L)
-            fast = participation_metric(real, scen)
-            forced = participation_metric(real, generic)
+            fast = participation_metric(real, scen, 0.02)
+            forced = participation_metric(real, generic, 0.02)
             assert fast == forced
 
     def test_respects_cap(self):
         d = np.linspace(1.0, 2.0, 10)
         real = make_realization(d, np.full(10, 0.5))
-        scen = SCEN.replace(beta=1e-9)
-        assert participation_metric(real, scen, cap=4) == 4
+        assert participation_metric(real, SCEN, 1e-9, cap=4) == 4
 
     def test_counts_accumulate_across_bands(self):
         # Two far-apart singleton bands, each trivially detectable.
@@ -442,40 +460,42 @@ class TestParticipationMetric:
         real = Realization(
             d, np.array([True, True]), np.array([1, 2]), np.array([0.5, 0.5])
         )
-        scen = SCEN.replace(K=2, beta=1e-6)
-        assert participation_metric(real, scen) == 2
+        assert participation_metric(real, SCEN.replace(K=2), 1e-6) == 2
 
 
 class TestUpsilonCollection:
     def test_deterministic_and_worker_invariant(self):
         config = cfg(400, seed=13, expected_bs=100)
-        [serial] = collect_upsilon([SCEN.replace(beta=0.02)], config)
-        [parallel] = collect_upsilon([SCEN.replace(beta=0.02)], config, workers=3)
+        [serial] = collect_upsilon([SCEN], config, 0.02)
+        [parallel] = collect_upsilon([SCEN], config, 0.02, workers=3)
         np.testing.assert_array_equal(serial, parallel)
 
     def test_matches_joint_margins_at_full_activity(self):
         # With p == q == 1 and one band, Upsilon >= L iff the joint
         # margin clears beta/gamma: identical success counts.
-        scen = SCEN.replace(beta=10.0 ** -1.6)
+        level = 10.0 ** -1.6
         config = cfg(3000, seed=19, expected_bs=100)
-        [upsilon] = collect_upsilon([scen], config)
-        from_upsilon = exceedance_curve(upsilon, [scen.L])[0]
-        [margins] = collect_margins([scen], config)
-        from_margins = exceedance_curve(margins[:, 0], [scen.beta / scen.gamma])[0]
+        [upsilon] = collect_upsilon([SCEN], config, level)
+        from_upsilon = exceedance_curve(upsilon, [SCEN.L])[0]
+        [margins] = collect_margins([SCEN], config)
+        from_margins = exceedance_curve(margins[:, 0], [level])[0]
         assert from_upsilon == from_margins
 
     def test_curve_is_monotone_in_l(self):
-        scen = SCEN.replace(beta=0.02)
-        [upsilon] = collect_upsilon([scen], cfg(2000, seed=23, expected_bs=100))
+        [upsilon] = collect_upsilon([SCEN], cfg(2000, seed=23, expected_bs=100), 0.02)
         values = [c.value for c in exceedance_curve(upsilon, np.arange(1, 8))]
         assert all(a >= b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("level", [0.0, -1.0, math.inf, math.nan])
+    def test_levels_that_are_not_positive_and_finite_are_rejected(self, level):
+        with pytest.raises(ValueError, match="^level must be positive and finite"):
+            collect_upsilon([SCEN], cfg(16), level)
 
     def test_counts_stop_at_the_cap(self):
         # At a vanishing threshold every BS is detectable, yet the counts
         # stop at the cap: P(Upsilon >= cap + 1) would read 0, so callers
         # reject levels above it.
-        scen = SCEN.replace(beta=1e-12)
-        [upsilon] = collect_upsilon([scen], cfg(16, seed=23, expected_bs=100))
+        [upsilon] = collect_upsilon([SCEN], cfg(16, seed=23, expected_bs=100), 1e-12)
         cap = simulate.UPSILON_CAP
         above, at_cap = exceedance_curve(upsilon, [cap + 1, cap])
         assert upsilon.max() == cap
@@ -492,11 +512,10 @@ class TestReuseCollection:
             collect_reuse_margins([SCEN.replace(K=3, L=33)], cfg(10))
 
     def test_single_band_equals_plain_estimate(self):
-        scen = SCEN.replace(beta=10.0 ** -1.6)
         config = cfg(2000, seed=37, expected_bs=100)
-        thr = scen.beta / scen.gamma
-        [margins] = collect_margins([scen], config)
-        [reuse] = collect_reuse_margins([scen], config)
+        thr = 10.0 ** -1.6
+        [margins] = collect_margins([SCEN], config)
+        [reuse] = collect_reuse_margins([SCEN], config)
         plain = exceedance_curve(margins[:, 0], [thr])[0]
         accumulated = exceedance_curve(reuse, [thr])[0]
         assert plain == accumulated
@@ -549,8 +568,7 @@ class TestReuseCollection:
 
 class TestDensityAndShadowInvariance:
     def test_density_scaling_within_noise(self):
-        scen = SCEN.replace(beta=10.0 ** -1.6)
-        thr = [scen.beta / scen.gamma]
+        scen, thr = SCEN, [10.0 ** -1.6]
         a, b = (
             exceedance_curve(
                 collect_margins([s], cfg(4000, seed=seed, expected_bs=100))[0][:, 0],
@@ -561,8 +579,7 @@ class TestDensityAndShadowInvariance:
         assert abs(a.value - b.value) <= 3.0 * math.hypot(a.stderr, b.stderr)
 
     def test_shadowed_ppp_is_a_density_change(self):
-        scen = SCEN.replace(beta=10.0 ** -1.6)
-        thr = [scen.beta / scen.gamma]
+        scen, thr = SCEN, [10.0 ** -1.6]
         plain = exceedance_curve(
             collect_margins([scen], cfg(4000, seed=53, expected_bs=100))[0][:, 0], thr
         )[0]
@@ -787,7 +804,7 @@ class TestHexLattice:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="sigma_db=5000.0 shadows a BS distance"):
-                collect_upsilon([SCEN.replace(sigma_db=5000.0)], config)
+                UPSILON_AT([SCEN.replace(sigma_db=5000.0)], config)
 
     @pytest.mark.parametrize(
         "sigmas, message",
@@ -802,7 +819,7 @@ class TestHexLattice:
         # though one block shadows every member before the first reads.
         config = cfg(16, seed=1, deployment=Deployment.HEX, expected_bs=100)
         with pytest.raises(ValueError, match=message):
-            collect_upsilon([SCEN.replace(sigma_db=s) for s in sigmas], config)
+            UPSILON_AT([SCEN.replace(sigma_db=s) for s in sigmas], config)
 
 
 def _oracle_rows(scen, config, block):
@@ -818,18 +835,18 @@ def _oracle_rows(scen, config, block):
 
 
 _HEX = dict(deployment=Deployment.HEX, hex_isd=1.0)
+# Each case: its scenario, its Upsilon level and its config fields.
 _KERNEL_CASES = {
-    "ppp-K1-p!=q": (SCEN.replace(p=0.5, q=0.75, beta=0.05), {}),
-    "ppp-K1-p=q": (SCEN.replace(p=0.8, q=0.8, beta=0.02), {}),
-    "ppp-K3-p=q": (SCEN.replace(K=3, beta=0.02), {}),
-    "ppp-K3-p!=q": (SCEN.replace(K=3, p=0.5, q=0.75, beta=0.02), {}),
-    "ppp-K6-p=q": (SCEN.replace(K=6, p=0.7, q=0.7, beta=0.02), {}),
-    "hex-shadow-K6-p!=q": (SCEN.replace(K=6, p=0.5, q=0.75, beta=0.02, sigma_db=8.0),
-                           _HEX),
-    "hex-shadow-K1-p=q": (SCEN.replace(beta=0.05, sigma_db=8.0), _HEX),
+    "ppp-K1-p!=q": (SCEN.replace(p=0.5, q=0.75), 0.05, {}),
+    "ppp-K1-p=q": (SCEN.replace(p=0.8, q=0.8), 0.02, {}),
+    "ppp-K3-p=q": (SCEN.replace(K=3), 0.02, {}),
+    "ppp-K3-p!=q": (SCEN.replace(K=3, p=0.5, q=0.75), 0.02, {}),
+    "ppp-K6-p=q": (SCEN.replace(K=6, p=0.7, q=0.7), 0.02, {}),
+    "hex-shadow-K6-p!=q": (SCEN.replace(K=6, p=0.5, q=0.75, sigma_db=8.0), 0.02, _HEX),
+    "hex-shadow-K1-p=q": (SCEN.replace(sigma_db=8.0), 0.05, _HEX),
     # Every transmit mark is set, so no activity uniform is drawn.
-    "ppp-K6-p=q=1": (SCEN.replace(K=6, beta=0.02), {}),
-    "hex-shadow-K6-p=q=1": (SCEN.replace(K=6, beta=0.02, sigma_db=8.0), _HEX),
+    "ppp-K6-p=q=1": (SCEN.replace(K=6), 0.02, {}),
+    "hex-shadow-K6-p=q=1": (SCEN.replace(K=6, sigma_db=8.0), 0.02, _HEX),
 }
 
 
@@ -838,13 +855,14 @@ class TestBlockKernelsMatchOracle:
 
     @pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
     def test_rows_match(self, case):
-        scen, extra = _KERNEL_CASES[case]
+        scen, level, extra = _KERNEL_CASES[case]
         config = cfg(3 * simulate._BLOCK, seed=71, expected_bs=120, **extra)
+        upsilon = functools.partial(simulate._upsilon_stat, level=level)
         for block in range(3):
             reals, tails = _oracle_rows(scen, config, block)
             rows = len(reals)
-            margins = _block_stats("margins", scen, config, block, rows)
-            counts = _block_stats("upsilon", scen, config, block, rows)
+            margins = _block_stats(simulate._margin_stat, scen, config, block, rows)
+            counts = _block_stats(upsilon, scen, config, block, rows)
             for row, real in enumerate(reals):
                 pw = real.distances ** -scen.alpha
                 np.testing.assert_allclose(
@@ -853,8 +871,8 @@ class TestBlockKernelsMatchOracle:
                                         scen.q, tails[row]),
                     rtol=1e-12,
                 )
-                assert counts[row] == _upsilon_oracle(real, scen, tails[row])
-                assert counts[row] == participation_metric(real, scen, tail=tails[row])
+                assert counts[row] == _upsilon_oracle(real, scen, level, tails[row])
+                assert counts[row] == participation_metric(real, scen, level, tail=tails[row])
             if scen.p != scen.q:
                 continue
             cummins = _block_cummins(scen, config, block, rows)
@@ -873,7 +891,7 @@ class TestBlockKernelsMatchOracle:
     def test_bits_match_the_sorted_reference(self, case):
         # The all-band kernels against the band-by-band kernels on
         # label-sorted rows: same terms in the same order, same bits.
-        scen, extra = _KERNEL_CASES[case]
+        scen, level, extra = _KERNEL_CASES[case]
         config = cfg(3 * simulate._BLOCK, seed=71, expected_bs=120, **extra)
         cap = simulate.UPSILON_CAP
         for block in range(3):
@@ -882,8 +900,8 @@ class TestBlockKernelsMatchOracle:
             act_p, act_q = draws.active(scen.p), draws.active(scen.q)
             bands, tail = draws.bands(scen.K), draws.tail(scen)
             oracle_tail = tail_mean(scen, config, draws.reach(scen))
-            got = simulate._upsilon(pw, act_p, act_q, bands, tail, scen)
-            want = band_reference.upsilon(pw, u, labels, oracle_tail, scen, cap)
+            got = simulate._upsilon(pw, act_p, act_q, bands, tail, scen, level)
+            want = band_reference.upsilon(pw, u, labels, oracle_tail, scen, cap, level)
             assert got.tobytes() == want.tobytes()
             if scen.p == scen.q:
                 got = simulate._prefix_min_sinr(pw, act_q, bands, tail)
@@ -892,9 +910,10 @@ class TestBlockKernelsMatchOracle:
 
     def test_some_rows_detect_and_some_fail(self):
         # Guards the case table: counts must neither all vanish nor all cap.
-        scen, extra = _KERNEL_CASES["ppp-K1-p!=q"]
+        scen, level, _ = _KERNEL_CASES["ppp-K1-p!=q"]
         config = cfg(simulate._BLOCK, seed=71, expected_bs=120)
-        counts = _block_stats("upsilon", scen, config, 0, simulate._BLOCK)
+        upsilon = functools.partial(simulate._upsilon_stat, level=level)
+        counts = _block_stats(upsilon, scen, config, 0, simulate._BLOCK)
         assert 0 < counts.max() and counts.min() < simulate.UPSILON_CAP
 
 
@@ -903,9 +922,10 @@ class TestBlockAlignedChunks:
         "collect, scen",
         [
             (collect_margins, PARTIAL),
-            (collect_upsilon, SCEN.replace(K=3, p=0.5, q=0.75, beta=0.02)),
-            (collect_reuse_margins, SCEN.replace(K=3, beta=0.02)),
+            (UPSILON_AT, SCEN.replace(K=3, p=0.5, q=0.75)),
+            (collect_reuse_margins, SCEN.replace(K=3)),
         ],
+        ids=["collect_margins-scen0", "collect_upsilon-scen1", "collect_reuse_margins-scen2"],
     )
     def test_byte_identical_across_worker_counts(self, collect, scen):
         config = cfg(5 * simulate._BLOCK + 7, seed=73, expected_bs=100)
@@ -924,12 +944,13 @@ _FAMILY_CONFIGS = {
 }
 
 
-def _family(base, partial):
+def _family(base, partial, bands=(3, 6)):
     """Siblings of ``base`` that differ in L, p (``partial``), K, alpha, lam or sigma_db.
 
-    At zero noise the statistics see the scale of the distances only
-    through rounding: the Poisson lam sibling's SINR margins differ from
-    ``base``'s in the last bits, its counts Upsilon do not.
+    ``bands`` are the two reuse factors of the K siblings.  At zero noise
+    the statistics see the scale of the distances only through rounding:
+    the Poisson lam sibling's SINR margins differ from ``base``'s in the
+    last bits, its counts Upsilon do not.
     """
     return [
         base,
@@ -937,8 +958,8 @@ def _family(base, partial):
         base.replace(lam=2.0),
         base.replace(L=2),
         partial,
-        base.replace(K=3),
-        partial.replace(alpha=3.5, K=6, L=3),
+        base.replace(K=bands[0]),
+        partial.replace(alpha=3.5, K=bands[1], L=3),
         base.replace(sigma_db=4.0),
     ]
 
@@ -948,21 +969,21 @@ class TestFamilies:
 
     @pytest.mark.parametrize("deployment", sorted(_FAMILY_CONFIGS))
     @pytest.mark.parametrize(
-        "collect, base, partial",
+        "collect, base, partial, bands",
         [
-            (collect_margins, SCEN.replace(beta=0.05), PARTIAL),
-            (collect_upsilon, SCEN.replace(beta=0.02),
-             SCEN.replace(p=0.5, q=0.75, beta=0.02)),
-            (collect_reuse_margins, SCEN.replace(beta=0.02),
-             SCEN.replace(p=0.6, q=0.6, beta=0.02)),
+            # The margins model one band.
+            (collect_margins, SCEN, PARTIAL, (1, 1)),
+            (UPSILON_AT, SCEN, SCEN.replace(p=0.5, q=0.75), (3, 6)),
+            (collect_reuse_margins, SCEN, SCEN.replace(p=0.6, q=0.6), (3, 6)),
         ],
         ids=["margins", "upsilon", "reuse"],
     )
     def test_family_matches_one_collection_per_sibling(self, deployment, collect, base,
-                                                       partial):
+                                                       partial, bands):
         extra, sigma_db = _FAMILY_CONFIGS[deployment]
         config = cfg(2 * simulate._BLOCK + 5, seed=79, expected_bs=100, **extra)
-        family = _family(*(scen.replace(sigma_db=sigma_db) for scen in (base, partial)))
+        family = _family(*(scen.replace(sigma_db=sigma_db) for scen in (base, partial)),
+                         bands)
         alone = [collect([scen], config)[0].tobytes() for scen in family]
         assert alone[1] != alone[0]  # guards the case table
         for workers in (1, 3):
@@ -980,7 +1001,7 @@ class TestFamilies:
         assert not np.array_equal(a, b)
 
     @pytest.mark.parametrize(
-        "collect", [collect_margins, collect_upsilon, collect_reuse_margins],
+        "collect", [collect_margins, UPSILON_AT, collect_reuse_margins],
         ids=["margins", "upsilon", "reuse"],
     )
     def test_hex_alpha_family_shares_one_draw_per_block(self, monkeypatch, collect):
@@ -988,7 +1009,7 @@ class TestFamilies:
         # offset and one shadowing draw per block, and get the bits they
         # get alone; the unshadowed sibling comes first, so its in-place
         # sort runs while the shadowed ones still need the geometry.
-        family = [SCEN.replace(beta=0.02, alpha=alpha, sigma_db=sigma_db)
+        family = [SCEN.replace(alpha=alpha, sigma_db=sigma_db)
                   for alpha, sigma_db in ((4.0, 0.0), (4.0, 8.0), (3.5, 8.0), (3.0, 8.0),
                                           (4.0, 4.0), (3.0, 12.0))]
         config = cfg(2 * simulate._BLOCK + 5, seed=101, **_HEX)
@@ -1014,7 +1035,7 @@ class TestFamilies:
         "collect, bad, config",
         [
             (collect_margins, PARTIAL.replace(L=11), cfg(10, expected_bs=100)),
-            (collect_upsilon, SCEN.replace(L=11), cfg(10, expected_bs=100)),
+            (UPSILON_AT, SCEN.replace(L=11), cfg(10, expected_bs=100)),
             (collect_reuse_margins, SCEN.replace(L=11), cfg(10, expected_bs=100)),
             (collect_reuse_margins, SCEN.replace(L=33), cfg(10, expected_bs=100)),
             (collect_reuse_margins, SCEN.replace(p=0.5, q=0.75), cfg(10)),
@@ -1045,29 +1066,29 @@ class TestActivityDraws:
 
     @pytest.mark.parametrize("deployment", sorted(_FAMILY_CONFIGS))
     @pytest.mark.parametrize(
-        "collect", [collect_margins, collect_upsilon, collect_reuse_margins],
+        "collect, bands", [(collect_margins, 1), (UPSILON_AT, 6), (collect_reuse_margins, 6)],
         ids=["margins", "upsilon", "reuse"],
     )
-    def test_full_activity_draws_no_uniforms(self, monkeypatch, deployment, collect):
+    def test_full_activity_draws_no_uniforms(self, monkeypatch, deployment, collect, bands):
         extra, sigma_db = _FAMILY_CONFIGS[deployment]
-        family = [SCEN.replace(beta=0.02, sigma_db=sigma_db),
-                  SCEN.replace(K=6, beta=0.02, L=2, sigma_db=sigma_db)]
+        family = [SCEN.replace(sigma_db=sigma_db),
+                  SCEN.replace(K=bands, L=2, sigma_db=sigma_db)]
         config = cfg(2 * simulate._BLOCK + 5, seed=83, expected_bs=100, **extra)
         roles = self._roles(monkeypatch)
         collect(family, config)
         assert roles and all(role != simulate._ROLE_ACTIVITY for _, role in roles)
 
     @pytest.mark.parametrize(
-        "collect, partial",
+        "collect, partial, bands",
         [
-            (collect_margins, SCEN.replace(p=0.5, q=0.75)),
-            (collect_upsilon, SCEN.replace(p=0.5, q=0.75)),
-            (collect_reuse_margins, SCEN.replace(p=0.5, q=0.5)),
+            (collect_margins, SCEN.replace(p=0.5, q=0.75), 1),
+            (UPSILON_AT, SCEN.replace(p=0.5, q=0.75), 3),
+            (collect_reuse_margins, SCEN.replace(p=0.5, q=0.5), 3),
         ],
         ids=["margins", "upsilon", "reuse"],
     )
-    def test_mixed_family_draws_once_per_block(self, monkeypatch, collect, partial):
-        family = [SCEN.replace(beta=0.02, K=3), partial.replace(beta=0.02), SCEN]
+    def test_mixed_family_draws_once_per_block(self, monkeypatch, collect, partial, bands):
+        family = [SCEN.replace(K=bands), partial, SCEN]
         config = cfg(2 * simulate._BLOCK + 5, seed=89, expected_bs=100)
         alone = [collect([scen], config)[0].tobytes() for scen in family]
         roles = self._roles(monkeypatch)
@@ -1115,9 +1136,9 @@ class TestWindow:
         "deployment, window", [(Deployment.PPP, 250), (Deployment.HEX, 1000)]
     )
     def test_default_window_is_the_explicit_one(self, deployment, window):
-        scen = SCEN.replace(K=3, p=0.5, q=0.75, beta=0.02)
+        bands = SCEN.replace(K=3, p=0.5, q=0.75)
         config = cfg(2 * simulate._BLOCK + 5, seed=91, deployment=deployment)
-        for collect in (collect_margins, collect_upsilon):
+        for collect, scen in ((collect_margins, bands.replace(K=1)), (UPSILON_AT, bands)):
             [default] = collect([scen], config)
             [explicit] = collect([scen], config.replace(expected_bs=window))
             assert default.tobytes() == explicit.tobytes()
@@ -1153,14 +1174,14 @@ class TestExactValues:
         return (est.value - exact) / math.sqrt(exact * (1.0 - exact) / est.n)
 
     def test_alpha3_partial_muting(self):
-        scen = Scenario(lam=1.0, alpha=3.0, p=2.0 / 3.0, q=1.0, beta=1.0, gamma=1.0, L=4)
+        scen = Scenario(lam=1.0, alpha=3.0, p=2.0 / 3.0, q=1.0, L=4)
         [margins] = collect_margins([scen], cfg(100_000, seed=0))
         for level_db, (last, joint) in _EXACT_ALPHA3.items():
             assert abs(self._z(margins, 1, level_db, last)) <= 3.0
             assert abs(self._z(margins, 0, level_db, joint)) <= 3.0
 
     def test_alpha4_full_activity(self):
-        scen = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, beta=1.0, gamma=1.0, L=4)
+        scen = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, L=4)
         [margins] = collect_margins([scen], cfg(100_000, seed=0))
         for column in (0, 1):
             assert abs(self._z(margins, column, -10.0, _EXACT_ALPHA4_P1_M10DB)) <= 3.0

@@ -6,7 +6,8 @@ the E911 layer, the process pool (``concurrent.futures.process`` with
 first needs it, and no step loads ``numpy.ma``.  One fresh interpreter
 runs the steps below and reports, after each, which of those modules it
 has loaded.  Another collects E911 trials, a pool worker's whole job,
-without loading ``numpy.ma``.
+without loading ``numpy.ma``, and a third imports the reuse recursion
+without loading the Monte Carlo sampler.
 """
 
 import json
@@ -114,3 +115,18 @@ def test_trial_collection_loads_no_masked_arrays():
         check=True, capture_output=True, text=True, timeout=300,
     )
     assert done.stdout.split() == ["200", "False"]
+
+
+def test_reuse_loads_no_sampler():
+    # The reuse recursion is analytic: importing it loads no Monte Carlo layer.
+    package_root = str(Path(hearability.__file__).resolve().parent.parent)
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]);"
+        "import hearability.reuse;"
+        "print('hearability.simulate' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe, package_root],
+        check=True, capture_output=True, text=True, timeout=300,
+    )
+    assert done.stdout.split() == ["False"]
