@@ -47,7 +47,7 @@ def main() -> None:
     print(f"{'L':>4} {'gain x beta':>12} {'gain [dB]':>10}")
     print("-" * 28)
     for l in (2, 3, 4, 5, 6):
-        gain = min_processing_gain(0.8, l, 4.0, 1.0)
+        gain = min_processing_gain(0.8, l, 4.0)
         print(f"{l:>4} {gain:>12.2f} {10*np.log10(gain):>10.2f}")
 
 

@@ -11,12 +11,7 @@ further.
 import numpy as np
 
 from hearability.model import Scenario
-from hearability.simulate import (
-    Deployment,
-    SimConfig,
-    collect_upsilon,
-    exceedance_curve,
-)
+from hearability.simulate import SimConfig, collect_upsilon, exceedance_curve
 
 BASE = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, L=1)
 LEVEL = 0.1  # beta/gamma, -10 dB
@@ -39,7 +34,7 @@ def main() -> None:
     print("=" * 72)
 
     sim = SimConfig(realizations=N, seed=0)
-    hex_sim = sim.replace(deployment=Deployment.HEX)
+    hex_sim = sim.replace(hex_isd=500.0)  # hex_isd=None is the Poisson deployment
     [ppp] = curves([BASE], sim)
     # Shadowing is a scenario input, so the three sigmas are one hex family
     # that draws each block's lattice geometry and normals once.

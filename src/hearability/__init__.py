@@ -44,7 +44,6 @@ _EXPORTS = {
     "integrate_lockstep": "numerics",
     "poisson_cdf": "numerics",
     "pl_with_reuse_grid": "reuse",
-    "Deployment": "simulate",
     "SimConfig": "simulate",
     "collect_margins": "simulate",
     "collect_reuse_margins": "simulate",

@@ -178,12 +178,13 @@ def _perfect_coord_term(omega: int, scenario: Scenario, levels: list, quad) -> l
     ]
 
 
-def min_processing_gain(target_pl: float, L: int, alpha: float, beta: float) -> float:
-    """Smallest processing gain for which the upper bound reaches target_pl.
+def min_processing_gain(target_pl: float, L: int, alpha: float) -> float:
+    """Smallest processing gain gamma/beta for which the upper bound reaches target_pl.
 
     Inverts the uncoordinated (``p = 1``) near-field bound, so the
     result is necessary: below this gain not even the optimistic bound
-    attains the target.  Returned on linear scale.
+    attains the target.  Returned on linear scale, as a multiple of the
+    detection threshold beta.
     """
     if not (0.0 < target_pl < 1.0):
         raise ValueError(f"target_pl must lie in (0, 1), got {target_pl}")
@@ -191,11 +192,7 @@ def min_processing_gain(target_pl: float, L: int, alpha: float, beta: float) -> 
         raise ValueError(f"L must be an integer >= 2, got {L!r}")
     if not (alpha > 2.0):
         raise ValueError(f"alpha must exceed 2, got {alpha}")
-    if not (beta > 0.0):
-        raise ValueError(f"beta must be positive, got {beta}")
-    return beta * (
-        (1.0 - target_pl ** (1.0 / (L - 1))) ** (-alpha / 2.0) + L - 2.0
-    )
+    return (1.0 - target_pl ** (1.0 / (L - 1))) ** (-alpha / 2.0) + L - 2.0
 
 
 # --- dominant-interferer machinery (normalized coordinates, lam*pi = 1) ---

@@ -49,7 +49,6 @@ from .model import Scenario, hex_grid_density
 from .numerics import Estimate, NonConvergenceError
 from .reuse import pl_with_reuse_grid
 from .simulate import (
-    Deployment,
     SimConfig,
     check_upsilon_cap,
     collect_margins,
@@ -186,10 +185,14 @@ def hex_vs_ppp_rows(
     """P(Upsilon >= L) rows for L = 1..l_max, L as the varying column.
 
     Upsilon counts the BSs detected at the linear beta/gamma ``level``,
-    which the rows print in dB.  ``sim`` draws the Poisson rows
-    (``MonteCarloPPP``) of ``scenario``; each shadowing sigma in dB adds
-    hex-grid rows (``MonteCarloHex_s<sigma>``), all from one hex family.
+    which the rows print in dB.  ``sim`` is the hex config, its
+    ``hex_isd`` set: each shadowing sigma in dB adds hex-grid rows
+    (``MonteCarloHex_s<sigma>``), all from one hex family, and
+    ``sim.replace(hex_isd=None)`` draws the Poisson rows
+    (``MonteCarloPPP``) of ``scenario``.
     """
+    if sim.hex_isd is None:
+        raise ValueError("hex_vs_ppp_rows needs a hex config; sim.hex_isd is None")
     check_upsilon_cap("l_max", l_max)
     bg_db = 10.0 * math.log10(level)
     l_values = range(1, l_max + 1)
@@ -197,9 +200,8 @@ def hex_vs_ppp_rows(
     top = scenario.replace(L=l_max)
     family = [top.replace(sigma_db=sigma) for sigma in sigmas]
     tags = ["MonteCarloPPP"] + [f"MonteCarloHex_s{sigma:g}" for sigma in sigmas]
-    counts = collect_upsilon([top], sim, level, workers) + collect_upsilon(
-        family, sim.replace(deployment=Deployment.HEX), level, workers
-    )
+    counts = collect_upsilon([top], sim.replace(hex_isd=None), level, workers)
+    counts += collect_upsilon(family, sim, level, workers)
     return [
         _row(scenario.replace(L=l), bg_db, tag, est)
         for tag, upsilon in zip(tags, counts)
@@ -238,7 +240,7 @@ def procgain_rows(
     """
     return [
         Row(0.0, int(l), 1.0, 1.0, alpha, 1, math.nan, "ProcGainBound", Estimate(
-            10.0 * math.log10(min_processing_gain(target_pl, l, alpha, 1.0))
+            10.0 * math.log10(min_processing_gain(target_pl, l, alpha))
         ))
         for alpha in alphas
         for l in l_values
@@ -359,7 +361,7 @@ def _hex_family(sigmas: tuple[float, ...], K: int):
     """Rows of hex versus Poisson P(Upsilon >= L), L = 1..16, at -10 dB."""
 
     def rows(seed: int, size: int, workers: int) -> list[Row]:
-        sim = SimConfig(realizations=size, seed=seed)
+        sim = SimConfig(realizations=size, seed=seed, hex_isd=500.0)
         return hex_vs_ppp_rows(_base().replace(L=1, K=K), 10.0 ** (-1.0), sim, 16, sigmas, workers)
 
     return rows
@@ -587,7 +589,7 @@ def _e911(v: dict) -> list[Row]:
 
     econfig = E911Config(
         trials=v["trials"],
-        processing_gain_db=v["gain_db"],
+        processing_gain=10.0 ** (v["gain_db"] / 10.0),
         pre_sinr_threshold=10.0 ** (v["pre_sinr_db"] / 10.0),
         min_hearability_grid=v["grid"],
         alpha=v["alpha"],

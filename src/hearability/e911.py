@@ -98,8 +98,9 @@ class E911Config:
         trials: number of positioning trials.
         min_hearability_grid: minimum heard-BS counts for the
             compliance table; each entry >= 4 (a TDOA fix needs 4 BSs).
-        processing_gain_db: despreading gain applied between detection
-            and ranging; sets the post-processing SINR in the CRLB.
+        processing_gain: linear despreading gain applied between
+            detection and ranging; sets the post-processing SINR in the
+            CRLB.
         max_bs_per_fix: cap on how many detected BSs enter the solver
             (None = use all detected).
     """
@@ -113,7 +114,7 @@ class E911Config:
     hex_isd: float = 500.0
     trials: int = 4000
     min_hearability_grid: tuple[int, ...] = (4, 5, 6, 7, 8)
-    processing_gain_db: float = 8.0
+    processing_gain: float = 10.0 ** 0.8
     max_bs_per_fix: int | None = None
 
     def __post_init__(self) -> None:
@@ -127,22 +128,14 @@ class E911Config:
             raise ValueError(f"clock_std must be nonnegative, got {self.clock_std}")
         if not (self.nlos_mean >= 0.0 and math.isfinite(self.nlos_mean)):
             raise ValueError(f"nlos_mean must be nonnegative, got {self.nlos_mean}")
-        theta, gain_db = self.pre_sinr_threshold, self.processing_gain_db
+        theta, gain = self.pre_sinr_threshold, self.processing_gain
         if not (0.0 < theta < math.inf):
             raise ValueError(f"pre_sinr_threshold must be positive and finite, got {theta}")
-        # The gain ``_observe`` applies, and beta = theta * gain, must be positive finite.
-        try:
-            gain = 10.0 ** (gain_db / 10.0)
-        except OverflowError:
-            gain = math.inf
         if not (0.0 < gain < math.inf):
-            raise ValueError(
-                "processing_gain_db must be a dB level whose linear value is a "
-                f"positive finite float, got {gain_db}"
-            )
+            raise ValueError(f"processing_gain must be positive and finite, got {gain}")
         if not (0.0 < theta * gain < math.inf):
             raise ValueError(
-                f"pre_sinr_threshold={theta} and processing_gain_db={gain_db} "
+                f"pre_sinr_threshold={theta} and processing_gain={gain} "
                 "give a detection threshold beta that is not a positive finite float"
             )
         if not (self.alpha > 2.0 and math.isfinite(self.alpha)):
@@ -205,7 +198,7 @@ def ranging_stddev(post_sinr, cfg: E911Config):
         info = 8.0 * math.pi**2 * beta_rms_sq * post_sinr
     if not np.all(np.isfinite(info)):
         raise ValueError(
-            f"processing_gain_db={cfg.processing_gain_db} and bandwidth={cfg.bandwidth} "
+            f"processing_gain={cfg.processing_gain} and bandwidth={cfg.bandwidth} "
             "overflow the ranging CRLB"
         )
     return SPEED_OF_LIGHT / np.sqrt(info)
@@ -282,7 +275,7 @@ def _observe(d, sinr, draws, cfg: E911Config):
     angles, nlos, unit, clock = np.moveaxis(draws, 1, 0)
     positions = np.stack((d * np.cos(angles), d * np.sin(angles)), axis=-1)
     with np.errstate(over="ignore"):  # ranging_stddev rejects an overflow
-        post = 10.0 ** (cfg.processing_gain_db / 10.0) * sinr
+        post = cfg.processing_gain * sinr
     sigma = ranging_stddev(post, cfg)
     pseudo = d + nlos + unit * sigma + SPEED_OF_LIGHT * clock
     var = sigma**2 + (SPEED_OF_LIGHT * cfg.clock_std) ** 2
@@ -555,7 +548,14 @@ def _trial_span(cfg: E911Config, seed: int, start: int, stop: int) -> np.ndarray
     for first in range(start - start % _BLOCK, stop, chunk):
         blocked = _BlockDraws(sim, first // _BLOCK, min(chunk, stop - first))
         d = blocked.distances(scenario)
-        sinr, detected = _detect(blocked.powers(scenario), blocked.tail(scenario), cfg)
+        try:
+            pw = blocked.powers(scenario)
+        except ValueError:  # the sampler names the effective density, not a key
+            raise ValueError(
+                f"hex_isd={cfg.hex_isd:g} puts received powers at alpha={cfg.alpha:g} "
+                f"and shadow_sigma_db={cfg.shadow_sigma_db:g} outside the normal float range"
+            ) from None
+        sinr, detected = _detect(pw, blocked.tail(scenario), cfg)
         rows = np.arange(max(start - first, 0), len(d))
         out[first + rows - start, _DETECTED] = detected[rows]
         rows = rows[detected[rows] >= _MIN_BS_FOR_FIX]
@@ -568,7 +568,7 @@ def _trial_span(cfg: E911Config, seed: int, start: int, stop: int) -> np.ndarray
         near = np.stack((d[rows, :widest], sinr[rows, :widest]), axis=1)
         draws = _nuisance(blocked, cfg, width)[rows, :, :widest]
         heard.append((first + rows - start, used, np.concatenate((near, draws), axis=1)))
-    del blocked, d, sinr  # the last chunk need not outlive the sampling
+    del blocked, d, pw, sinr  # the last chunk need not outlive the sampling
     trials, used = (np.concatenate(column) for column in list(zip(*heard))[:2])
     for m in np.flatnonzero(np.bincount(used)):  # np.unique loads numpy.ma
         rows = trials[used == m]

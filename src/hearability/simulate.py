@@ -1,8 +1,8 @@
 """Monte Carlo ground truth for hearability probabilities.
 
-Samples deployments (Poisson or hex grid), applies the exact SINR
-recipe with no analytic approximation, and estimates ``P_L`` and the
-detectable-BS count ``Upsilon``.
+Samples deployments (Poisson, or the hex grid that ``SimConfig.hex_isd``
+sets), applies the exact SINR recipe with no analytic approximation, and
+estimates ``P_L`` and the detectable-BS count ``Upsilon``.
 
 Every Monte Carlo estimate is the share of realizations whose
 per-realization statistic clears a level.  Three collectors draw the
@@ -68,7 +68,6 @@ largest L of the family, 1000 hex sites.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import functools
 import math
 import sys
@@ -82,7 +81,6 @@ from .numerics import Estimate
 from .parallel import map_spans
 
 __all__ = [
-    "Deployment",
     "SimConfig",
     "UPSILON_CAP",
     "exceedance_curve",
@@ -136,11 +134,6 @@ def check_upsilon_cap(name: str, level: int) -> None:
         )
 
 
-class Deployment(str, enum.Enum):
-    PPP = "ppp"
-    HEX = "hex"
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation controls, orthogonal to the network scenario.
@@ -156,15 +149,15 @@ class SimConfig:
             beyond them enters as its Campbell mean.  None resolves per
             family: ``max(250, 10 * L)`` Poisson BSs for the family's
             largest L, 1000 hex sites.
-        deployment: Poisson or hex-grid placement.
-        hex_isd: intersite distance of the hex lattice.
+        hex_isd: None places the BSs as a Poisson process of the
+            scenario's density; a float places them on the hex lattice
+            of that intersite distance.
     """
 
     realizations: int
     seed: int
     expected_bs: int | None = None
-    deployment: Deployment = Deployment.PPP
-    hex_isd: float = 500.0
+    hex_isd: float | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.realizations, (int, np.integer)) or self.realizations < 1:
@@ -175,10 +168,11 @@ class SimConfig:
             not isinstance(self.expected_bs, (int, np.integer)) or self.expected_bs < 10
         ):
             raise ValueError(f"expected_bs must be >= 10, got {self.expected_bs!r}")
-        try:
-            hex_grid_density(self.hex_isd)
-        except ValueError as err:  # named by this config's field
-            raise ValueError(f"hex_{err}") from None
+        if self.hex_isd is not None:
+            try:
+                hex_grid_density(self.hex_isd)
+            except ValueError as err:  # named by this config's field
+                raise ValueError(f"hex_{err}") from None
 
     def replace(self, **changes) -> "SimConfig":
         return dataclasses.replace(self, **changes)
@@ -208,7 +202,7 @@ def _with_window(family: Sequence[Scenario], config: SimConfig) -> SimConfig:
     """``config`` with the family's default window where ``expected_bs`` is None."""
     if config.expected_bs is not None:
         return config
-    if config.deployment == Deployment.HEX:
+    if config.hex_isd is not None:
         return config.replace(expected_bs=_HEX_WINDOW)
     return config.replace(expected_bs=max(_PPP_WINDOW, 10 * max(s.L for s in family)))
 
@@ -352,7 +346,7 @@ def _tail_mean(reach: np.ndarray, scenario: Scenario, config: SimConfig) -> np.n
     effective density on Poisson rows and, on hex rows, the lattice
     density times the mean shadowing gain ``exp(s**2 / 2)``.
     """
-    if config.deployment == Deployment.HEX:
+    if config.hex_isd is not None:
         s = scenario.sigma_db * math.log(10.0) / 10.0
         try:
             gain = math.exp(s * s / 2.0)
@@ -375,7 +369,7 @@ def _distance_key(scenario: Scenario, config: SimConfig):
     rows depend on ``(sigma_db, alpha)``; unshadowed hex rows (None),
     like the hex geometry and the shadowing draws, on no scenario input.
     """
-    if config.deployment == Deployment.HEX:
+    if config.hex_isd is not None:
         return (scenario.sigma_db, scenario.alpha) if scenario.sigma_db > 0.0 else None
     return effective_density(scenario.lam, scenario.alpha, scenario.sigma_db)
 
@@ -437,7 +431,7 @@ class _BlockDraws:
         """
         key = ("distances", _distance_key(scenario, self.config))
         if key not in self._parts:
-            if self.config.deployment == Deployment.HEX:
+            if self.config.hex_isd is not None:
                 self._hex_rows((scenario, *self.family))
             else:
                 self._parts[key] = self._poisson(scenario)
@@ -492,7 +486,7 @@ class _BlockDraws:
         Equivalent on Poisson rows, geometric (before shadowing) on hex
         rows.
         """
-        if self.config.deployment != Deployment.HEX:
+        if self.config.hex_isd is None:
             return self.distances(scenario)[:, -1]
         if ("reach",) not in self._parts:
             self._hex_rows((scenario, *self.family))
@@ -546,8 +540,8 @@ class _BlockDraws:
         low, high = sys.float_info.min, sys.float_info.max / pw.shape[1]
         if pw[:, -1].min() >= low and pw[:, 0].max() <= high:
             return pw
-        hex_rows = self.config.deployment == Deployment.HEX
-        lam = hex_grid_density(self.config.hex_isd) if hex_rows else scenario.lam
+        isd = self.config.hex_isd
+        lam = scenario.lam if isd is None else hex_grid_density(isd)
         raise ValueError(
             f"density {lam:g} puts received powers at alpha={scenario.alpha:g} outside "
             "the normal float range; a density nearer 1 gives the same probabilities"
@@ -838,8 +832,14 @@ def collect_reuse_margins(
 
 
 def exceedance_curve(statistic: np.ndarray, levels) -> list[Estimate]:
-    """P(statistic >= level) for each level: a share of n realizations, binomial stderr."""
-    n = len(statistic)
-    shares = (int(np.sum(statistic >= level)) / n for level in levels)
+    """P(statistic >= level) for each level: a share of n realizations, binomial stderr.
+
+    A NaN level, which no statistic clears, is rejected; -inf and inf are levels.
+    """
+    n, shares = len(statistic), []
+    for level in levels:
+        if math.isnan(level):
+            raise ValueError(f"levels must not be NaN, got {level}")
+        shares.append(int(np.sum(statistic >= level)) / n)
     return [Estimate(s, math.sqrt(s * (1.0 - s) / n), n) for s in shares]
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from hearability import simulate
 from hearability.model import Scenario, effective_density, hex_grid_density
-from hearability.simulate import Deployment, SimConfig
+from hearability.simulate import SimConfig
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +71,7 @@ def tail_mean(scenario: Scenario, config: SimConfig, reach: np.ndarray) -> np.nd
     / 10``; on Poisson rows it is the effective density.
     """
     alpha, q = scenario.alpha, scenario.q
-    if config.deployment == Deployment.HEX:
+    if config.hex_isd is not None:
         s = scenario.sigma_db * math.log(10.0) / 10.0
         lam = hex_grid_density(config.hex_isd) * math.exp(s * s / 2.0)
     else:

@@ -28,7 +28,6 @@ from hearability.e911 import (
 from hearability.model import Scenario
 from hearability.reuse import pl_with_reuse_grid
 from hearability.simulate import (
-    Deployment,
     SimConfig,
     collect_margins,
     collect_reuse_margins,
@@ -179,7 +178,7 @@ def test_criterion_04_closed_form_unit_values():
     ub = pl(Method.UPPER_BOUND, FIG3_SCEN, canon)
     nf = pl(Method.NEAR_FIELD_ALPHA4, FIG3_SCEN, canon)
     pc = pl(Method.PERFECT_COORD, FIG3_SCEN, _level(-10.0))
-    gain = min_processing_gain(0.8, 4, 4.0, 1.0)
+    gain = min_processing_gain(0.8, 4, 4.0)
     ok = (
         abs(ub - UPPER_BOUND_CANON) <= 1e-6
         and abs(nf - NEARFIELD_CANON) <= 1e-6
@@ -348,7 +347,7 @@ def test_criterion_09_hex_grid_convergence():
     sigmas = (4.0, 8.0, 12.0)
     *hexes, hex6 = (_upsilon_curve(u, l_values) for u in collect_upsilon(
         [base.replace(sigma_db=s) for s in sigmas] + [reuse6.replace(sigma_db=8.0)],
-        sim.replace(deployment=Deployment.HEX), 0.1,
+        sim.replace(hex_isd=500.0), 0.1,
     ))
     ks = {sigma: float(np.max(np.abs(hx - ppp))) for sigma, hx in zip(sigmas, hexes)}
     decreasing = ks[4.0] > ks[8.0] > ks[12.0]

@@ -156,10 +156,10 @@ class TestUpperBound:
 class TestMinProcessingGain:
     def test_frozen_values(self):
         np.testing.assert_allclose(
-            min_processing_gain(0.8, 4, 4.0, 1.0), MIN_GAIN_08_L4_A4, rtol=1e-12
+            min_processing_gain(0.8, 4, 4.0), MIN_GAIN_08_L4_A4, rtol=1e-12
         )
         np.testing.assert_allclose(
-            min_processing_gain(0.8, 4, 3.0, 1.0), MIN_GAIN_08_L4_A3, rtol=1e-12
+            min_processing_gain(0.8, 4, 3.0), MIN_GAIN_08_L4_A3, rtol=1e-12
         )
         np.testing.assert_allclose(
             10.0 * math.log10(MIN_GAIN_08_L4_A4), 22.9361727575554, rtol=1e-12
@@ -168,25 +168,17 @@ class TestMinProcessingGain:
     @pytest.mark.parametrize("target", [0.5, 0.8, 0.95])
     @pytest.mark.parametrize("L", [2, 4, 6])
     def test_round_trip_through_bound(self, target, L):
-        gain = min_processing_gain(target, L, 4.0, 1.0)
+        gain = min_processing_gain(target, L, 4.0)
         scen = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, L=L)
         np.testing.assert_allclose(pl(Method.UPPER_BOUND, scen, 1.0 / gain), target, rtol=1e-10)
 
-    def test_scales_linearly_with_beta(self):
-        one = min_processing_gain(0.8, 4, 4.0, 1.0)
-        np.testing.assert_allclose(
-            min_processing_gain(0.8, 4, 4.0, 2.5), 2.5 * one, rtol=1e-14
-        )
-
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            min_processing_gain(1.0, 4, 4.0, 1.0)
+            min_processing_gain(1.0, 4, 4.0)
         with pytest.raises(ValueError):
-            min_processing_gain(0.8, 1, 4.0, 1.0)
+            min_processing_gain(0.8, 1, 4.0)
         with pytest.raises(ValueError):
-            min_processing_gain(0.8, 4, 2.0, 1.0)
-        with pytest.raises(ValueError):
-            min_processing_gain(0.8, 4, 4.0, 0.0)
+            min_processing_gain(0.8, 4, 2.0)
 
 
 class TestPerfectCoord:

@@ -19,7 +19,6 @@ from hearability import e911, parallel, simulate
 from hearability.model import Scenario
 from hearability.parallel import map_spans
 from hearability.simulate import (
-    Deployment,
     SimConfig,
     collect_margins,
     collect_reuse_margins,
@@ -37,7 +36,7 @@ UPSILON_AT = functools.partial(collect_upsilon, level=0.02)
 # sites, as the default 1000 runs one block per chunk.
 _DEPLOYMENTS = {
     "ppp": ({}, 0.0),
-    "hex-shadow": (dict(deployment=Deployment.HEX, hex_isd=1.0, expected_bs=100), 8.0),
+    "hex-shadow": (dict(hex_isd=1.0, expected_bs=100), 8.0),
 }
 
 _CASES = {

@@ -543,16 +543,23 @@ class TestSubcommands:
     def test_levels_above_the_cap_are_rejected(self):
         # Counts stop at the cap, so P(Upsilon >= cap + 1) would read 0.
         scen = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, L=1)
-        sim = SimConfig(realizations=16, seed=23, expected_bs=320)
+        sim = SimConfig(realizations=16, seed=23, expected_bs=320, hex_isd=500.0)
         assert len(hex_vs_ppp_rows(scen, 0.1, sim, 32, ())) == 32
         with pytest.raises(ValueError, match="l_max=33 exceeds UPSILON_CAP=32"):
             hex_vs_ppp_rows(scen, 0.1, sim, 33, ())
+
+    def test_hex_rows_need_a_hex_config(self):
+        # The Poisson rows are drawn on sim.replace(hex_isd=None); a Poisson
+        # sim would have no lattice to draw the hex rows on.
+        scen = Scenario(lam=1.0, alpha=4.0, p=1.0, q=1.0, L=1)
+        with pytest.raises(ValueError, match="hex_isd is None"):
+            hex_vs_ppp_rows(scen, 0.1, SimConfig(realizations=16, seed=23), 4, (8.0,))
 
     def test_hex_rows_of_every_sigma_come_from_one_family(self, monkeypatch):
         # One Poisson and one hex collection answer every sigma, with the
         # rows of one call per sigma.
         scen = Scenario(lam=1.0, alpha=4.0, p=0.5, q=0.75, L=1)
-        sim = SimConfig(realizations=2 * 16 + 5, seed=29, expected_bs=100)
+        sim = SimConfig(realizations=2 * 16 + 5, seed=29, expected_bs=100, hex_isd=500.0)
         sigmas = (4.0, 8.0, 12.0)
         alone = [hex_vs_ppp_rows(scen, 0.1, sim, 6, (sigma,)) for sigma in sigmas]
         calls = []
@@ -591,7 +598,7 @@ class TestSubcommands:
         sim = SimConfig(realizations=40, seed=3, expected_bs=100)
         tags = ("MonteCarloJoint", "MonteCarloLastBs", "UpperBound")
         rows = run_sweeps([scen], (-10.0, -5.0), tags, sim) + hex_vs_ppp_rows(
-            scen, 0.1, sim, 4, (8.0,)
+            scen, 0.1, sim.replace(hex_isd=500.0), 4, (8.0,)
         )
         assert len(rows) == 3 * 2 + 2 * 4
         for row in rows:
@@ -652,7 +659,8 @@ class TestSubcommands:
 
             assert seen == [E911Config(trials=size)]
         else:
-            assert seen == [SimConfig(realizations=size, seed=5)]
+            hex_isd = 500.0 if name in ("fig10", "fig11") else None
+            assert seen == [SimConfig(realizations=size, seed=5, hex_isd=hex_isd)]
 
     def test_e911_defaults_are_the_config_defaults(self, monkeypatch, tmp_path):
         # The subcommand restates every E911Config default; a spy stands in
@@ -926,11 +934,11 @@ class TestSubcommands:
             ("e911", None, ["--bandwidth", "1e200"], "^error: bandwidth must be"),
             (
                 "e911", None, ["--pre-sinr-db", "3080"],
-                r"^error: pre_sinr_threshold=1e\+308 and processing_gain_db=8.0 give",
+                r"^error: pre_sinr_threshold=1e\+308 and processing_gain=6.309573444801933 give",
             ),
             (
                 "e911", None, ["--gain-db", "3080", "--trials", "100"],
-                "^error: processing_gain_db=3080.0 and bandwidth=10000000.0 overflow",
+                r"^error: processing_gain=1e\+308 and bandwidth=10000000.0 overflow",
             ),
             (
                 "hexgrid", None,
@@ -961,9 +969,13 @@ class TestSubcommands:
                 "hexgrid", None, ["--isd", "1e140", "--l-max", "4", "--realizations", "16"],
                 "^error: density 1.1547e-280 puts received powers at alpha=4 outside",
             ),
-            (
-                "e911", None, ["--isd", "1e140", "--trials", "100"],
-                "^error: density 1.86613e-280 puts received powers at alpha=3.76 outside",
+            *(
+                (
+                    "e911", None, ["--isd", isd, "--trials", "100"],
+                    f"^error: hex_isd={re.escape(isd)} puts received powers at alpha=3.76 "
+                    "and shadow_sigma_db=8 outside the normal float range$",
+                )
+                for isd in ("1e+140", "1e-140")
             ),
             ("hexgrid", None, ["--isd", "1e-200"], "^error: isd must be positive with a"),
             *(
@@ -999,7 +1011,8 @@ class TestSubcommands:
             "bandwidth_overflow", "beta_overflow", "gain_db_crlb_overflow", "hexgrid_sigma_db_overflow",
             "hexgrid_shadow_gain_overflow", "hexgrid_sigma_db_negative",
             "simulate_lam_underflow", "simulate_lam_overflow", "hexgrid_isd_underflow",
-            "e911_isd_underflow", "hexgrid_isd_tiny", "e911_isd_tiny", "e911_isd_huge",
+            "e911_isd_underflow", "e911_isd_overflow", "hexgrid_isd_tiny", "e911_isd_tiny",
+            "e911_isd_huge",
             "config_key_twice",
         ],
     )

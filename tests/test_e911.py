@@ -376,21 +376,21 @@ class TestConfig:
         "changes, message",
         [
             (dict(pre_sinr_threshold=math.nan), "^pre_sinr_threshold must .*, got nan$"),
-            (dict(processing_gain_db=math.nan), "^processing_gain_db must .*, got nan$"),
-            (dict(processing_gain_db=-4000.0), "^processing_gain_db must .*, got -4000.0$"),
-            (dict(processing_gain_db=4000.0), "^processing_gain_db must .*, got 4000.0$"),
+            (dict(processing_gain=math.nan), "^processing_gain must .*, got nan$"),
+            (dict(processing_gain=0.0), "^processing_gain must .*, got 0.0$"),
+            (dict(processing_gain=-4.0), "^processing_gain must .*, got -4.0$"),
             (
                 dict(pre_sinr_threshold=1e308),
-                r"^pre_sinr_threshold=1e\+308 and processing_gain_db=8.0 give .* beta",
+                r"^pre_sinr_threshold=1e\+308 and processing_gain=6.309573444801933 give .* beta",
             ),
             (
-                dict(pre_sinr_threshold=5e-324, processing_gain_db=-10.0),
-                r"^pre_sinr_threshold=5e-324 and processing_gain_db=-10.0 give .* beta",
+                dict(pre_sinr_threshold=5e-324, processing_gain=0.1),
+                r"^pre_sinr_threshold=5e-324 and processing_gain=0.1 give .* beta",
             ),
             (dict(hex_isd=1e-200), "^hex_isd must .*, got 1e-200$"),
             (dict(hex_isd=1e200), r"^hex_isd must .*, got 1e\+200$"),
         ],
-        ids=["threshold_nan", "gain_nan", "gain_underflow", "gain_overflow",
+        ids=["threshold_nan", "gain_nan", "gain_zero", "gain_negative",
              "beta_overflow", "beta_underflow", "density_overflow", "density_underflow"],
     )
     def test_rejects_what_default_scenario_cannot_build(self, changes, message):
@@ -400,12 +400,18 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "field",
-        ["alpha", "shadow_sigma_db", "hex_isd", "pre_sinr_threshold", "processing_gain_db"],
+        ["alpha", "shadow_sigma_db", "hex_isd", "pre_sinr_threshold", "processing_gain"],
     )
     def test_rejects_an_infinite_field(self, field):
         # Caught here, naming the field, rather than by a later layer.
         with pytest.raises(ValueError, match=f"^{field} must .*, got inf$"):
             E911Config(**{field: math.inf})
+
+    def test_the_processing_gain_is_linear(self):
+        # The dB gain is converted at the CLI boundary: 8 dB by default.
+        assert E911Config().processing_gain == 10.0 ** 0.8 == 10.0 ** (8.0 / 10.0)
+        with pytest.raises(TypeError, match="processing_gain_db"):
+            E911Config(processing_gain_db=8.0)
 
     def test_default_scenario_wiring(self):
         cfg = E911Config()

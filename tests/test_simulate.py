@@ -12,6 +12,7 @@ implementation, and bit for bit against the band-by-band kernels of
 reuse success it replaces.
 """
 
+import dataclasses
 import functools
 import math
 import re
@@ -24,7 +25,6 @@ from scipy import stats
 from hearability import simulate
 from hearability.model import Scenario, effective_density
 from hearability.simulate import (
-    Deployment,
     SimConfig,
     collect_margins,
     collect_reuse_margins,
@@ -172,7 +172,7 @@ def sample_hex(scenario: Scenario, config: SimConfig, index: int) -> Realization
     received power.
     """
     simulate._check_window(scenario, config)
-    hex_config = config.replace(deployment=Deployment.HEX)
+    hex_config = config.replace(hex_isd=500.0)
     d, u, labels = _sample_block(scenario, hex_config, index, 1)
     activity = marks(u[0], scenario.L, scenario.p, scenario.q)
     bands = np.ones(d.shape[1], dtype=np.int64) if labels is None else labels[0]
@@ -279,7 +279,24 @@ class TestSimConfig:
         # Named by the config's own field, before any collection starts.
         with pytest.raises(ValueError, match=f"^hex_isd must be positive with a finite site "
                            f"density, got {re.escape(str(isd))}$"):
-            cfg(16, hex_isd=isd, deployment=Deployment.HEX)
+            cfg(16, hex_isd=isd)
+
+    # One changed value per field: a field that a collection ignored would
+    # be a knob that turns nothing.
+    _CHANGED = {"realizations": 32, "seed": 1, "expected_bs": 100, "hex_isd": 500.0}
+
+    def test_every_simconfig_field_is_read(self):
+        assert [f.name for f in dataclasses.fields(SimConfig)] == list(self._CHANGED)
+        base = cfg(16)
+        [want] = collect_margins([SCEN], base)
+        for name, value in self._CHANGED.items():
+            [got] = collect_margins([SCEN], base.replace(**{name: value}))
+            assert got.tobytes() != want.tobytes(), name
+
+    def test_the_deployment_is_hex_isd_alone(self):
+        # None is the Poisson deployment; there is no second field to disagree with it.
+        with pytest.raises(TypeError, match="deployment"):
+            SimConfig(realizations=16, seed=0, deployment="hex")
 
 
 class TestStream:
@@ -294,7 +311,7 @@ class TestStream:
 
 class TestSampleHex:
     def test_structure_without_shadowing(self):
-        config = cfg(1, seed=4, deployment=Deployment.HEX, expected_bs=200)
+        config = cfg(1, seed=4, hex_isd=500.0, expected_bs=200)
         real = sample_hex(SCEN, config, 0)
         d = real.distances
         assert len(d) == 200
@@ -304,13 +321,13 @@ class TestSampleHex:
         assert d[0] <= 500.0 / math.sqrt(3.0) + 1e-9
 
     def test_cell_offset_varies_with_index(self):
-        config = cfg(1, seed=4, deployment=Deployment.HEX, expected_bs=100)
+        config = cfg(1, seed=4, hex_isd=500.0, expected_bs=100)
         a = sample_hex(SCEN, config, 0)
         b = sample_hex(SCEN, config, 1)
         assert not np.array_equal(a.distances, b.distances)
 
     def test_shadowing_reorders_by_received_power(self):
-        config = cfg(1, seed=4, deployment=Deployment.HEX, expected_bs=100)
+        config = cfg(1, seed=4, hex_isd=500.0, expected_bs=100)
         real = sample_hex(SCEN.replace(sigma_db=8.0), config, 0)
         assert np.all(np.diff(real.distances) >= 0.0)
         # Equivalent distances differ from the geometric ones.
@@ -402,6 +419,11 @@ class TestMargins:
         with pytest.raises(ValueError, match="^collect_margins models one band and would "
                            "ignore K=3; use collect_reuse_margins$"):
             collect_margins([SCEN, SCEN.replace(K=3)], cfg(64))
+
+    def test_a_nan_level_is_rejected(self):
+        # No statistic clears NaN, so its share would read a confident 0.
+        with pytest.raises(ValueError, match="^levels must not be NaN, got nan$"):
+            exceedance_curve(np.array([0.5, 1.0, 2.0]), [1.0, math.nan])
 
     def test_stderr_formula(self):
         [margins] = collect_margins([SCEN], cfg(500, seed=8, expected_bs=100))
@@ -625,7 +647,7 @@ class TestBlockSampler:
     def test_hex_rows_hold_the_nearest_sites(self):
         # Unshadowed block rows are the nearest lattice sites under each
         # row's own cell offset.
-        config = cfg(64, seed=67, deployment=Deployment.HEX, expected_bs=300)
+        config = cfg(64, seed=67, hex_isd=500.0, expected_bs=300)
         for block in range(4):
             got, _, _ = _sample_block(SCEN, config, block, simulate._BLOCK)
             offsets = stream(config.seed, block, simulate._ROLE_OFFSET).random(
@@ -637,12 +659,12 @@ class TestBlockSampler:
             )
 
 
-    @pytest.mark.parametrize("deployment", list(Deployment))
-    def test_short_block_holds_the_first_rows_of_a_full_one(self, deployment):
+    @pytest.mark.parametrize("hex_isd", [None, 500.0], ids=["ppp", "hex"])
+    def test_short_block_holds_the_first_rows_of_a_full_one(self, hex_isd):
         # A final partial block must not change its realizations with
         # the total count.
         scen = SCEN.replace(K=3, sigma_db=8.0)
-        config = cfg(1, seed=68, deployment=deployment, expected_bs=100)
+        config = cfg(1, seed=68, hex_isd=hex_isd, expected_bs=100)
         full = _sample_block(scen, config, 2, simulate._BLOCK)
         for rows in (1, 5):
             part = _sample_block(scen, config, 2, rows)
@@ -651,7 +673,7 @@ class TestBlockSampler:
 
     def test_sample_hex_is_a_one_row_block(self):
         scen = SCEN.replace(K=3, sigma_db=8.0)
-        config = cfg(1, seed=69, deployment=Deployment.HEX, expected_bs=100)
+        config = cfg(1, seed=69, hex_isd=500.0, expected_bs=100)
         real = sample_hex(scen, config, 4)
         d, u, labels = _sample_block(scen, config, 4, 1)
         assert real.distances.tobytes() == d[0].tobytes()
@@ -778,7 +800,7 @@ class TestHexLattice:
         # Oracle: the n nearest sites of the brute force, in the
         # lattice's norm order (squared norm, then the lattice
         # coordinates n and m), each times exp(sigma z_j), then sorted.
-        config = cfg(1, seed=97, deployment=Deployment.HEX, expected_bs=300)
+        config = cfg(1, seed=97, hex_isd=500.0, expected_bs=300)
         isd, n = config.hex_isd, config.expected_bs
         for alpha in (4.0, 3.0):
             scen = SCEN.replace(alpha=alpha, sigma_db=8.0)
@@ -800,7 +822,7 @@ class TestHexLattice:
                     np.testing.assert_allclose(got[row], want, rtol=1e-12)
 
     def test_overflow_raises_with_warnings_as_errors(self):
-        config = cfg(16, seed=1, deployment=Deployment.HEX, expected_bs=100)
+        config = cfg(16, seed=1, hex_isd=500.0, expected_bs=100)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="sigma_db=5000.0 shadows a BS distance"):
@@ -817,7 +839,7 @@ class TestHexLattice:
     def test_mixed_family_raises_its_first_members_error(self, sigmas, message):
         # Each member raises what it raises alone, in family order, even
         # though one block shadows every member before the first reads.
-        config = cfg(16, seed=1, deployment=Deployment.HEX, expected_bs=100)
+        config = cfg(16, seed=1, hex_isd=500.0, expected_bs=100)
         with pytest.raises(ValueError, match=message):
             UPSILON_AT([SCEN.replace(sigma_db=s) for s in sigmas], config)
 
@@ -834,7 +856,7 @@ def _oracle_rows(scen, config, block):
     return reals, tail_mean(scen, config, reach)[:, 0]
 
 
-_HEX = dict(deployment=Deployment.HEX, hex_isd=1.0)
+_HEX = dict(hex_isd=1.0)
 # Each case: its scenario, its Upsilon level and its config fields.
 _KERNEL_CASES = {
     "ppp-K1-p!=q": (SCEN.replace(p=0.5, q=0.75), 0.05, {}),
@@ -1106,9 +1128,9 @@ class TestWindow:
         [
             ((4,), {}, 250),
             ((4, 40, 8), {}, 400),
-            ((4, 40), dict(deployment=Deployment.HEX), 1000),
+            ((4, 40), dict(hex_isd=500.0), 1000),
             ((4, 40), dict(expected_bs=120), 120),
-            ((4,), dict(deployment=Deployment.HEX, expected_bs=3000), 3000),
+            ((4,), dict(hex_isd=500.0, expected_bs=3000), 3000),
         ],
         ids=["ppp", "ppp-largest-L", "hex", "explicit", "hex-explicit"],
     )
@@ -1133,11 +1155,11 @@ class TestWindow:
         assert windows and all(window == 250 for window in windows)
 
     @pytest.mark.parametrize(
-        "deployment, window", [(Deployment.PPP, 250), (Deployment.HEX, 1000)]
+        "hex_isd, window", [(None, 250), (500.0, 1000)], ids=["ppp-250", "hex-1000"]
     )
-    def test_default_window_is_the_explicit_one(self, deployment, window):
+    def test_default_window_is_the_explicit_one(self, hex_isd, window):
         bands = SCEN.replace(K=3, p=0.5, q=0.75)
-        config = cfg(2 * simulate._BLOCK + 5, seed=91, deployment=deployment)
+        config = cfg(2 * simulate._BLOCK + 5, seed=91, hex_isd=hex_isd)
         for collect, scen in ((collect_margins, bands.replace(K=1)), (UPSILON_AT, bands)):
             [default] = collect([scen], config)
             [explicit] = collect([scen], config.replace(expected_bs=window))
@@ -1146,7 +1168,7 @@ class TestWindow:
     def test_hex_reach_is_the_nth_geometric_distance(self):
         # The hex tail starts at the n-th nearest site, read before
         # shadowing reorders the kept sites.
-        config = cfg(16, seed=67, deployment=Deployment.HEX, expected_bs=300)
+        config = cfg(16, seed=67, hex_isd=500.0, expected_bs=300)
         reach = simulate._BlockDraws(config, 0, simulate._BLOCK).reach(
             SCEN.replace(sigma_db=8.0)
         )
